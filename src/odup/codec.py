@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDiverged
-from .numkit import GUMBEL_EPS, Adam, Rng, log_softmax, sample_gumbel, sigmoid, softmax, softplus
+from .numkit import GUMBEL_EPS, Adam, Rng, log_softmax, sample_gumbel, softmax, softplus
 
 TAU_DEFAULT = 0.1
 TAU_ALT = 0.2  # alternative preset; see CodecConfig.tau
@@ -82,9 +82,6 @@ class CodebookStore:
             raise ValueError("store rows must have shape (n*k, d)")
         if not np.all(np.isfinite(self.rows)):
             raise ValueError("store rows must be finite")
-
-    def codebook(self, i: int) -> np.ndarray:
-        return self.rows[i * self.k: (i + 1) * self.k]
 
     def copy(self) -> "CodebookStore":
         return CodebookStore(self.n, self.k, self.d, self.rows.copy())
@@ -195,32 +192,39 @@ def harden(enc: CodecEncoder, target: np.ndarray) -> np.ndarray:
     return codes_from_alpha(encoder_forward(enc, np.asarray(target, dtype=np.float64)))
 
 
-def _forward_backward(enc, rows, xb, G, tau, straight_through, trainable_row_mask):
-    """One relaxed forward/backward pass over a batch.
+def _relaxed_forward(enc, rows, xb, G, tau, straight_through):
+    """Relaxed forward pass over a batch.
 
-    Returns (loss, grads) with grads ordered [phi, b, phi_prime, b_prime,
-    rows]. Loss is the mean over B*d elements of (O E - X)^2.
+    Returns (loss, intermediates); the loss is the mean over B*d elements
+    of (O E - X)^2, and the intermediates are what ``_relaxed_backward``
+    consumes. ``G`` is the Gumbel noise, shaped (B, n, k) or broadcastable
+    to it.
     """
     B, d = xb.shape
-    nk = rows.shape[0]
-    n, k = G.shape[1], G.shape[2]
+    n, k = enc.n, enc.k
 
     h = np.tanh(xb @ enc.phi + enc.b)
     z = h @ enc.phi_prime + enc.b_prime
-    sp = softplus(z).reshape(B, n, k)
-    logA = log_softmax(sp, axis=-1)
-    A = np.exp(logA)
-    L = (logA + G) / tau
-    O = softmax(L, axis=-1)
+    sp = softplus(z)
+    logA = log_softmax(sp.reshape(B, n, k), axis=-1)
+    O = softmax((logA + G) / tau, axis=-1)
     if straight_through:
         hard = np.zeros_like(O).reshape(B * n, k)
         hard[np.arange(B * n), np.argmax(O.reshape(B * n, k), axis=-1)] = 1.0
-        Of = hard.reshape(B, nk)
+        Of = hard.reshape(B, n * k)
     else:
-        Of = O.reshape(B, nk)
-    R = Of @ rows
-    diff = R - xb
+        Of = O.reshape(B, n * k)
+    diff = Of @ rows - xb
     loss = float(np.sum(diff * diff) / (B * d))
+    return loss, (h, z, sp, logA, O, Of, diff)
+
+
+def _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates):
+    """Gradients of the ``_relaxed_forward`` loss, ordered [phi, b,
+    phi_prime, b_prime, rows]."""
+    h, z, sp, logA, O, Of, diff = intermediates
+    B, d = xb.shape
+    n, k = enc.n, enc.k
 
     dR = (2.0 / (B * d)) * diff
     dRows = Of.T @ dR
@@ -229,22 +233,29 @@ def _forward_backward(enc, rows, xb, G, tau, straight_through, trainable_row_mas
     dO = (dR @ rows.T).reshape(B, n, k)
     dL = O * (dO - np.sum(dO * O, axis=-1, keepdims=True))
     dlogA = dL / tau
-    dSp = dlogA - np.sum(dlogA, axis=-1, keepdims=True) * A
-    dZ = dSp.reshape(B, nk) * sigmoid(z)
+    dSp = dlogA - np.sum(dlogA, axis=-1, keepdims=True) * np.exp(logA)
+    # sigmoid(z) = exp(z - softplus(z)), reusing the forward's softplus
+    dZ = dSp.reshape(B, n * k) * np.exp(z - sp)
     dphi_prime = h.T @ dZ
     db_prime = dZ.sum(axis=0)
     dH = dZ @ enc.phi_prime.T
     dPre = dH * (1.0 - h * h)
     dphi = xb.T @ dPre
     db = dPre.sum(axis=0)
-    return loss, [dphi, db, dphi_prime, db_prime, dRows]
+    return [dphi, db, dphi_prime, db_prime, dRows]
+
+
+def _forward_backward(enc, rows, xb, G, tau, straight_through, trainable_row_mask):
+    """One relaxed forward/backward pass over a batch: (loss, grads)."""
+    loss, intermediates = _relaxed_forward(enc, rows, xb, G, tau, straight_through)
+    return loss, _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates)
 
 
 def relaxed_loss(enc: CodecEncoder, store: CodebookStore, target: np.ndarray, tau: float) -> float:
-    """Noise-free (G = 0) full-batch relaxed reconstruction MSE."""
+    """Noise-free (G = 0) full-batch relaxed reconstruction MSE; a forward
+    pass only."""
     X = np.asarray(target, dtype=np.float64)
-    G = np.zeros((X.shape[0], store.n, store.k))
-    loss, _ = _forward_backward(enc, store.rows, X, G, tau, False, None)
+    loss, _ = _relaxed_forward(enc, store.rows, X, 0.0, tau, False)
     return loss
 
 

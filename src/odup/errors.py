@@ -29,6 +29,10 @@ class LedgerDivergence(ProtocolError):
     """Server and device disagree about which slots a delta replaces."""
 
 
+class DimensionMismatch(ProtocolError):
+    """A delta's vocabulary, code or row dimensions differ from the deployment."""
+
+
 class FrameError(ProtocolError):
     """A wire frame failed validation; ``check`` names the failed check."""
 

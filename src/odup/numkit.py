@@ -12,8 +12,6 @@ import zlib
 
 import numpy as np
 
-from .errors import TrainingDiverged
-
 GUMBEL_EPS = 1e-12
 
 
@@ -86,8 +84,8 @@ def softmax(v, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
 
 def log_softmax(z, axis: int = -1) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    m = np.max(z, axis=axis, keepdims=True)
-    return z - m - np.log(np.sum(np.exp(z - m), axis=axis, keepdims=True))
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def sigmoid(z) -> np.ndarray:
@@ -101,7 +99,9 @@ def sigmoid(z) -> np.ndarray:
 
 
 def softplus(z) -> np.ndarray:
-    return np.logaddexp(0.0, np.asarray(z, dtype=np.float64))
+    """log(1 + e^z) as max(z, 0) + log1p(e^-|z|), which never overflows."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def grad_check(f, analytic_grad, point, h: float = 1e-5) -> float:
@@ -147,23 +147,31 @@ class Adam:
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
+        self._scratch: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """In-place update. Evaluates p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        in that operation order into per-parameter scratch buffers, so the
+        result is bitwise that of the expression."""
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
+            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
+        for p, g, m, v, (num, den) in zip(params, grads, self._m, self._v, self._scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=num)
+            m += num
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def check_loss_finite(value: float) -> float:
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"training loss became non-finite ({value})")
-    return float(value)
+            np.multiply(g, 1.0 - self.beta2, out=num)
+            num *= g
+            v += num
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            num /= den
+            p -= num

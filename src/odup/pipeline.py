@@ -21,7 +21,7 @@ from .adaptive import AdaptiveConfig, MmdConfig, mmd2, choose_ratio
 from .codec import (
     CodecConfig, CodebookStore, CodecEncoder, harden, model_cr, reconstruct_table, train_codec,
 )
-from .errors import ConfigError, DataError, ProtocolError
+from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
 from .recommender import (
     RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint, train,
@@ -103,6 +103,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown encoder {self.encoder!r}")
         if self.ratio_mode == "fixed" and self.strategy != "full" and self.r < 1:
             raise ConfigError("fixed ratio r must be >= 1")
+        if self.d < 2:
+            raise ConfigError("d must be at least 2")
+        if not 0 < self.test_frac < 1:
+            raise ConfigError("test_frac must lie in (0, 1)")
+        try:
+            self.slice_plan()
+            self.codec_config(seed=self.seed)
+            self.rec_config(seed=self.seed, freeze_gate=False)
+            self.mmd_config()
+            self.adaptive_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def slice_plan(self) -> SlicePlan:
         text = self.slices
@@ -285,6 +297,10 @@ class DeviceSim:
             self.store, self.ledger = store, ledger
             self.table = reconstruct_table(store, delta.codes)
             return delta
+        if delta.codes.shape[0] != self.table.shape[0]:
+            raise DimensionMismatch(
+                f"delta codes cover {delta.codes.shape[0]} items, device holds {self.table.shape[0]}"
+            )
         self.store, self.ledger, self.table = apply_delta(
             self.store, self.ledger, delta, expected_strategy=self.strategy
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TrainingDiverged
-from .numkit import Adam, Rng, log_softmax, sigmoid
+from .numkit import Adam, Rng, sigmoid
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
 
@@ -136,6 +136,14 @@ def _encode_batch(table, gate_value, encoder_kind, batch: PackedPairs):
     return means, means
 
 
+def _scatter_rows(index, values, vocab):
+    """Dense (vocab, d) sums of the rows of ``values`` grouped by ``index``;
+    what np.add.at(out, index, values) adds, as one bincount."""
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=vocab * d).reshape(vocab, d)
+
+
 def _loss_and_grads(table, gate_raw, encoder_kind, batch: PackedPairs, l2, want_gate_grad):
     """Mean softmax cross-entropy over the batch plus l2 * ||X||^2.
 
@@ -147,28 +155,33 @@ def _loss_and_grads(table, gate_raw, encoder_kind, batch: PackedPairs, l2, want_
     g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
     S, means = _encode_batch(table, g, encoder_kind, batch)
     Y = S @ table.T
-    logp = log_softmax(Y, axis=-1)
     rows = np.arange(B)
-    ce = -logp[rows, batch.labels]
+    label_logits = Y[rows, batch.labels]
+    m = np.max(Y, axis=-1, keepdims=True)
+    # Y becomes E = exp(Y - m), then DY = (softmax - onehot) / B, in place
+    DY = np.exp(np.subtract(Y, m, out=Y), out=Y)
+    total = np.sum(DY, axis=-1, keepdims=True)
+    ce = m[:, 0] + np.log(total[:, 0]) - label_logits
     loss = float(ce.mean() + l2 * np.sum(table * table))
 
-    DY = np.exp(logp)
-    DY[rows, batch.labels] -= 1.0
-    DY /= B
+    DY /= total * B
+    DY[rows, batch.labels] -= 1.0 / B
     dX = DY.T @ S
     DS = DY @ table
     # scatter the mean-path gradient: each prefix occurrence of item v gets
-    # (1-g) * DS_j / len_j (g = 0 for mean_pool)
+    # (1-g) * DS_j / len_j (g = 0 for mean_pool); the gated path adds
+    # g * DS_j to the last item of prefix j
     per_slot = ((1.0 - g) if gated else 1.0) * DS / batch.lens[:, None]
-    flat_items = batch.pad[batch.mask]
-    flat_rows = np.repeat(np.arange(B), batch.lens)
-    np.add.at(dX, flat_items, per_slot[flat_rows])
+    index = batch.pad[batch.mask]
+    values = per_slot[np.repeat(rows, batch.lens)]
     dgate_raw = 0.0
     if gated:
-        np.add.at(dX, batch.last, g * DS)
+        index = np.concatenate([index, batch.last])
+        values = np.concatenate([values, g * DS])
         if want_gate_grad:
             dgate = float(np.sum(DS * (table[batch.last] - means)))
             dgate_raw = dgate * g * (1.0 - g)
+    dX += _scatter_rows(index, values, table.shape[0])
     dX += 2.0 * l2 * table
     return loss, dX, dgate_raw
 

@@ -55,6 +55,8 @@ class SlicePlan:
     @staticmethod
     def from_ratios(ratios) -> "SlicePlan":
         ratios = [float(r) for r in ratios]
+        if not all(0 < r < float("inf") for r in ratios):
+            raise ValueError("slice ratios must be positive and finite")
         total = sum(ratios)
         return SlicePlan([r / total for r in ratios])
 

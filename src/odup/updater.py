@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodebookStore, CodecConfig, CodecEncoder, harden, reconstruct_table, train_codec
-from .errors import LedgerDivergence, ProtocolError, StaleDeltaError
+from .errors import DimensionMismatch, LedgerDivergence, ProtocolError, StaleDeltaError
 
 STRATEGIES = ("full", "stack", "queue")
 
@@ -167,8 +167,10 @@ def apply_delta(
     reconstitute the embedding table from the delta's codes.
 
     Pure: returns new objects, so a failed validation leaves device state
-    untouched. Raises StaleDeltaError on an epoch gap and LedgerDivergence
-    when the slot list disagrees with the locally derived plan.
+    untouched. Raises StaleDeltaError on an epoch gap, DimensionMismatch
+    when the codes, beta or rows do not fit the device store, and
+    LedgerDivergence when the slot list disagrees with the locally derived
+    plan.
     """
     if delta.epoch != device_ledger.current_epoch + 1:
         raise StaleDeltaError(
@@ -178,8 +180,15 @@ def apply_delta(
         raise ProtocolError(
             f"delta strategy {delta.strategy!r} does not match session strategy {expected_strategy!r}"
         )
+    n, k = device_store.n, device_store.k
+    if delta.codes.ndim != 2 or delta.codes.shape[1] != n:
+        raise DimensionMismatch(f"delta codes have shape {delta.codes.shape}, device store has n = {n}")
+    if delta.codes.size and delta.codes.max() >= k:
+        raise DimensionMismatch(f"delta code value {delta.codes.max()} >= device store k = {k}")
+    if delta.beta > n * k:
+        raise DimensionMismatch(f"delta beta {delta.beta} exceeds device store nk = {n * k}")
     if delta.new_rows.shape[1] != device_store.d:
-        raise ProtocolError("delta row dimension does not match device store")
+        raise DimensionMismatch("delta row dimension does not match device store")
     expected_slots = plan_slots(device_ledger, delta.strategy, delta.beta)
     if list(delta.replaced_slots) != expected_slots:
         raise LedgerDivergence(

@@ -5,9 +5,9 @@ import pytest
 
 from odup.errors import ConfigError
 from odup.codec import (
-    CodebookStore, CodecConfig, CodecEncoder, check_capacity, codes_from_alpha,
-    encoder_forward, gumbel_relax, harden, init_codec, model_cr, reconstruct_item,
-    reconstruct_table, relaxed_loss, train_codec, _forward_backward,
+    TAU_ALT, TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity,
+    codes_from_alpha, encoder_forward, gumbel_relax, harden, init_codec, model_cr,
+    reconstruct_item, reconstruct_table, relaxed_loss, train_codec, _forward_backward,
 )
 from odup.numkit import Rng, grad_check, sample_gumbel, softmax
 
@@ -220,6 +220,18 @@ class TestTrainCodec:
         # direct computation at the same init: noise-free relaxed MSE
         direct = relaxed_loss(enc0, store0, X, cfg.tau)
         assert losses[0] == direct
+
+    def test_forward_only_loss_matches_forward_backward(self):
+        rng = Rng(42)
+        X = clustered_table(rng, 300, 16, n_clusters=6)
+        for tau in (TAU_DEFAULT, TAU_ALT):
+            cfg = CodecConfig(n=8, k=16, d=16, tau=tau, seed=2)
+            store, enc = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
+            G = np.zeros((X.shape[0], cfg.n, cfg.k))
+            with np.errstate(all="raise"):
+                forward_only = relaxed_loss(enc, store, X, cfg.tau)
+                full, _ = _forward_backward(enc, store.rows, X, G, cfg.tau, False, None)
+            assert forward_only == full
 
     def test_hardened_within_2x_of_relaxed(self):
         rng = Rng(42)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from odup.numkit import (
     Adam, Rng, grad_check, gumbel_from_uniform, log_softmax, sample_gumbel, sigmoid, softmax,
+    softplus,
 )
 
 
@@ -155,6 +158,59 @@ class TestAdam:
         for _ in range(10):
             adam.step([x], [np.zeros(2)])
         assert np.array_equal(x, orig)
+
+    def test_matches_expression_oracle_bitwise(self):
+        def oracle_step(params, grads, ms, vs, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for p, g, m, v in zip(params, grads, ms, vs):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+        rng = np.random.default_rng(4)
+        shapes = [(19, 7), (7,), (1,)]
+        params = [rng.normal(size=s) for s in shapes]
+        ref = [p.copy() for p in params]
+        ms = [np.zeros(s) for s in shapes]
+        vs = [np.zeros(s) for s in shapes]
+        adam = Adam(lr=0.03)
+        for t in range(1, 21):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
+            grads[0][rng.random(shapes[0]) < 0.3] = 0.0
+            adam.step(params, grads)
+            oracle_step(ref, grads, ms, vs, t, 0.03)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p, r)
+
+
+class TestSoftplus:
+    Z = np.linspace(-800.0, 800.0, 160001)
+
+    def test_matches_logaddexp_without_overflow(self):
+        # e^-|z| underflows to a subnormal or zero for |z| > 708, which is
+        # its correctly rounded value (the logaddexp reference underflows
+        # there too); overflow and invalid operations must not occur
+        with np.errstate(all="raise", under="ignore"):
+            sp = softplus(self.Z)
+            ref = np.logaddexp(0.0, self.Z)
+        assert np.max(np.abs(sp - ref)) <= 1e-15
+
+    def test_sigmoid_from_softplus(self):
+        with np.errstate(all="raise", under="ignore"):
+            derived = np.exp(self.Z - softplus(self.Z))
+            ref = sigmoid(self.Z)
+        # z - softplus(z) cancels for large positive z, so the absolute
+        # error grows with the rounding of softplus(z): half an ulp of |z|
+        assert np.all(np.abs(derived - ref) <= 1e-15 + 2.0**-53 * np.abs(self.Z))
+        small = np.abs(self.Z) <= 8.0
+        assert np.max(np.abs(derived - ref)[small]) <= 1e-15
+
+    def test_no_warning_under_default_errstate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.exp(self.Z - softplus(self.Z))
 
 
 def test_log_softmax_matches_log_of_softmax():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 import odup.cli as cli
-from odup.errors import ConfigError
+from odup import wire
+from odup.errors import ConfigError, DimensionMismatch
 from odup.pipeline import (
-    CSV_COLUMNS, ExperimentConfig, load_config, run_report, run_simulate, run_train,
+    CSV_COLUMNS, DeviceSim, ExperimentConfig, load_config, run_report, run_simulate, run_train,
 )
+from odup.updater import UpdateDelta, plan_slots
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -101,6 +104,49 @@ class TestRunTrain:
             a = (tmp_path / "a" / f"slice_{t:02d}.ckpt").read_bytes()
             b = (tmp_path / "b" / f"slice_{t:02d}.ckpt").read_bytes()
             assert a == b
+
+
+class TestDeviceSim:
+    V, N, K, D = 10, 2, 4, 3
+
+    def deployed(self):
+        rng = np.random.default_rng(3)
+        nk = self.N * self.K
+        codes = rng.integers(0, self.K, (self.V, self.N)).astype(np.int32)
+        deploy = UpdateDelta(1, "full", nk, rng.normal(size=(nk, self.D)), codes, list(range(nk)))
+        device = DeviceSim("queue", "mean_pool", 0.5)
+        device.receive(wire.encode_delta(deploy, vocab=self.V, d=self.D, n=self.N, k=self.K))
+        return device, rng
+
+    def frame(self, device, rng, vocab, n, k, beta=2):
+        # valid in every byte and next in epoch; only the dimensions differ
+        delta = UpdateDelta(
+            device.epoch + 1, "queue", beta, rng.normal(size=(beta, self.D)),
+            rng.integers(0, k, (vocab, n)).astype(np.int32),
+            plan_slots(device.ledger, "queue", beta),
+        )
+        return wire.encode_delta(delta, vocab=vocab, d=self.D, n=n, k=k)
+
+    @pytest.mark.parametrize("vocab,n,k", [
+        (V + 7, N, K),      # header vocabulary is not the deployment's
+        (V, 4, 2),          # same nk, different n
+        (V, N, 8),          # codes may reach past the device's k
+    ])
+    def test_dimension_mismatch_leaves_state_untouched(self, vocab, n, k):
+        device, rng = self.deployed()
+        store, ledger, table = device.store, device.ledger, device.table
+        rows_before, ledger_before, table_before = store.rows.copy(), copy.deepcopy(ledger), table.copy()
+        bad = self.frame(device, rng, vocab, n, k)
+        assert k <= self.K or wire.decode_delta(bad).codes.max() >= self.K
+        with pytest.raises(DimensionMismatch):
+            device.receive(bad)
+        assert device.store is store and device.ledger is ledger and device.table is table
+        assert np.array_equal(store.rows, rows_before)
+        assert ledger == ledger_before
+        assert np.array_equal(table, table_before)
+        # the deployment still accepts a matching frame afterwards
+        device.receive(self.frame(device, rng, self.V, self.N, self.K))
+        assert device.epoch == 2
 
 
 class TestSimulate:
@@ -269,6 +315,16 @@ class TestCli:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("strategy = heap\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "simulate"]) == 2
+
+    @pytest.mark.parametrize("line", [
+        "slices = 1:0:2", "slices = abc", "d = 1", "C = 5", "mmd_samples = 1", "rec_lr = 5",
+        "test_frac = 1.5",
+    ])
+    def test_invalid_setting_exit_2(self, tmp_path, line, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(line + "\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_missing_data_exit_3(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odup.errors import DataError, TrainingDiverged
-from odup.numkit import Rng, grad_check
+from odup.numkit import Rng, grad_check, log_softmax, sigmoid
 from odup.recommender import (
     PackedPairs, RecModel, TrainConfig, _loss_and_grads, encode_session, evaluate,
     init_model, load_checkpoint, save_checkpoint, score_all, train,
@@ -188,6 +188,54 @@ class TestTrain:
             point = np.concatenate([X.ravel(), [graw]])
             analytic = np.concatenate([dX.ravel(), [dg]])
             assert grad_check(f, analytic, point, h=1e-6) <= 1e-4
+
+    @staticmethod
+    def reference_loss_and_grads(table, gate_raw, kind, batch, l2):
+        """Unfused form: full log_softmax, exp of it, np.add.at scatters."""
+        B = batch.n
+        gated = kind == "last_gated"
+        g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
+        gathered = table[batch.pad] * batch.mask[:, :, None]
+        means = gathered.sum(axis=1) / batch.lens[:, None]
+        S = g * table[batch.last] + (1.0 - g) * means if gated else means
+        logp = log_softmax(S @ table.T, axis=-1)
+        rows = np.arange(B)
+        loss = float(-logp[rows, batch.labels].mean() + l2 * np.sum(table * table))
+        DY = np.exp(logp)
+        DY[rows, batch.labels] -= 1.0
+        DY /= B
+        dX = DY.T @ S
+        DS = DY @ table
+        per_slot = ((1.0 - g) if gated else 1.0) * DS / batch.lens[:, None]
+        np.add.at(dX, batch.pad[batch.mask], per_slot[np.repeat(rows, batch.lens)])
+        dgate_raw = 0.0
+        if gated:
+            np.add.at(dX, batch.last, g * DS)
+            dgate_raw = float(np.sum(DS * (table[batch.last] - means))) * g * (1.0 - g)
+        dX += 2.0 * l2 * table
+        return loss, dX, dgate_raw
+
+    @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 16.0])
+    def test_fused_kernels_match_reference(self, kind, scale):
+        # scale 16 gives |logits| up to ~1e3; prefixes repeat items, and the
+        # gated path scatters onto last items that also occur mid-prefix
+        rng = np.random.default_rng(int(scale * 10))
+        vocab, d = 40, 6
+        table = rng.normal(scale=scale, size=(vocab, d))
+        pairs = [([3, 3, 5, 3], 7), ([1], 2), ([5, 5], 5), ([0, 9, 0, 9, 0], 3),
+                 ([39, 2, 2], 39), ([7, 1, 7], 0)]
+        pairs += [(list(rng.integers(0, 8, rng.integers(1, 12))), int(rng.integers(0, vocab)))
+                  for _ in range(30)]
+        batch = PackedPairs(pairs)
+        with np.errstate(all="raise", under="ignore"):
+            loss, dX, dg = _loss_and_grads(table, 0.4, kind, batch, 1e-3, True)
+            ref_loss, ref_dX, ref_dg = self.reference_loss_and_grads(table, 0.4, kind, batch, 1e-3)
+        if scale == 16.0:  # the single-item prefix [1] scores table[1] @ table.T
+            assert np.max(np.abs(table[1] @ table.T)) > 1e3
+        assert abs(loss - ref_loss) <= 1e-12
+        assert np.max(np.abs(dX - ref_dX)) <= 1e-12
+        assert abs(dg - ref_dg) <= 1e-12
 
     def test_divergence_raises(self):
         m = toy_model(vocab=4, d=3)
