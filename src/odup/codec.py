@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .numkit import GUMBEL_EPS, Adam, Rng, log_softmax, sample_gumbel, softmax, softplus
+from .sealed import SealedReader, write_sealed
 
 TAU_DEFAULT = 0.1
 TAU_ALT = 0.2  # alternative preset; see CodecConfig.tau
@@ -343,31 +343,21 @@ def save_compressed_model(path, store: CodebookStore, codes: np.ndarray, vocab: 
         raise ValueError("codes shape mismatch")
     body = MODEL_MAGIC + struct.pack(_MODEL_HEADER, MODEL_VERSION, vocab, store.d, store.n, store.k)
     body += wire.pack_codes(codes, store.k)
-    body += store.rows.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    write_sealed(path, body + store.rows.astype("<f4").tobytes())
 
 
 def load_compressed_model(path) -> tuple[CodebookStore, np.ndarray]:
     from . import wire
 
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 4 + struct.calcsize(_MODEL_HEADER) + 4:
-        raise DataError(f"{path}: truncated compressed model")
-    body, crc = buf[:-4], struct.unpack("<I", buf[-4:])[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise DataError(f"{path}: compressed model CRC mismatch")
-    if body[:4] != MODEL_MAGIC:
-        raise DataError(f"{path}: bad magic")
-    version, vocab, d, n, k = struct.unpack_from(_MODEL_HEADER, body, 4)
+    r = SealedReader(path, "compressed model")
+    if r.take(4) != MODEL_MAGIC:
+        raise r.error("has bad magic")
+    version, vocab, d, n, k = r.unpack(_MODEL_HEADER)
     if version != MODEL_VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    off = 4 + struct.calcsize(_MODEL_HEADER)
-    n_code_bytes = wire.packed_code_bytes(vocab, n, k)
-    codes = wire.unpack_codes(body[off: off + n_code_bytes], vocab, n, k)
-    off += n_code_bytes
-    rows = np.frombuffer(body, "<f4", n * k * d, off).reshape(n * k, d).astype(np.float64)
-    if off + 4 * n * k * d != len(body):
-        raise DataError(f"{path}: size mismatch")
+        raise r.error(f"version {version} is unsupported")
+    if min(vocab, d, n, k) < 1:
+        raise r.error("has a zero dimension")
+    codes = wire.unpack_codes(r.take(wire.packed_code_bytes(vocab, n, k)), vocab, n, k)
+    rows = r.array("<f4", n * k * d).reshape(n * k, d).astype(np.float64)
+    r.finish()
     return CodebookStore(n, k, d, rows), codes

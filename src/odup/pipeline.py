@@ -8,6 +8,7 @@ ever reconstituted from decoded frames, never copied from server memory.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
@@ -19,15 +20,16 @@ import numpy as np
 from . import wire
 from .adaptive import AdaptiveConfig, MmdConfig, mmd2, choose_ratio
 from .codec import (
-    CodecConfig, CodebookStore, CodecEncoder, harden, model_cr, reconstruct_table, train_codec,
+    CodecConfig, CodebookStore, CodecEncoder, harden, model_cr, reconstruct_table,
+    save_compressed_model, train_codec,
 )
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
 from .recommender import (
-    RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint, train,
+    TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint, train,
 )
 from .sessions import (
-    SlicePlan, SessionDataset, augment_split, filter_and_index, holdout_split,
+    SlicePlan, SessionDataset, augment_split, check_synth_settings, filter_and_index, holdout_split,
     load_dataset_cache, read_event_log, save_dataset_cache, sessionize,
     synth_generate, temporal_slices,
 )
@@ -89,8 +91,6 @@ class ExperimentConfig:
     seed: int = 7
     out: str = "runs/out"
     timing: str = "wall"           # wall | zero
-    cold_start: bool = False
-    refresh_device_params: bool = False
 
     def __post_init__(self):
         if self.strategy not in ("full", "stack", "queue"):
@@ -113,6 +113,8 @@ class ExperimentConfig:
             self.rec_config(seed=self.seed, freeze_gate=False)
             self.mmd_config()
             self.adaptive_config()
+            check_synth_settings(self.synth_vocab, self.synth_sessions, self.synth_drift,
+                                 self.synth_clusters, (self.synth_len_min, self.synth_len_max))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -185,7 +187,7 @@ def load_config(path) -> ExperimentConfig:
                 if key not in _FIELD_TYPES:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _parse_value(key, raw)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return ExperimentConfig(**values)
 
@@ -307,11 +309,7 @@ class DeviceSim:
         return delta
 
     def metrics(self, dataset, ks=(5, 10)) -> list[float]:
-        out = []
-        for k in ks:
-            p, n = evaluate(self.table, dataset, k, encoder_kind=self.encoder_kind, gate=self.gate)
-            out.extend([p, n])
-        return out
+        return _metrics(self.table, dataset, ks, encoder_kind=self.encoder_kind, gate=self.gate)
 
 
 @dataclass
@@ -330,12 +328,9 @@ class SimulationResult:
     json_path: str
 
 
-def _cloud_metrics(model: RecModel, dataset, ks=(5, 10)) -> list[float]:
-    out = []
-    for k in ks:
-        p, n = evaluate(model, dataset, k)
-        out.extend([p, n])
-    return out
+def _metrics(model_or_table, dataset, ks=(5, 10), **encoder) -> list[float]:
+    """Prec@K and NDCG@K for each K in ``ks``, flattened."""
+    return [m for k in ks for m in evaluate(model_or_table, dataset, k, **encoder)]
 
 
 def write_reports(out_dir: str, reports: list[RoundReport]) -> tuple[str, str]:
@@ -362,10 +357,8 @@ def run_train(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
     model = init_model(data.vocab_size, cfg.d, rng.child("rec-init"), cfg.encoder)
     summaries = []
     for t, ds in enumerate(data.slices, start=1):
-        if cfg.cold_start and t > 1:
-            model = init_model(data.vocab_size, cfg.d, rng.child("rec-init"), cfg.encoder)
         losses = train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
-        p5, n5, p10, n10 = _cloud_metrics(model, data.test)
+        p5, n5, p10, n10 = _metrics(model, data.test)
         ckpt = os.path.join(out_dir, f"slice_{t:02d}.ckpt")
         save_checkpoint(ckpt, model.embeddings)
         meta = {
@@ -409,8 +402,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
     rounds: list[RoundState] = []
     for t, ds in enumerate(data.slices, start=1):
         start_time = time.perf_counter()
-        if cfg.cold_start and t > 1:
-            model = init_model(vocab, cfg.d, rng.child("rec-init"), cfg.encoder)
         train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
         table = model.embeddings
 
@@ -447,8 +438,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
                 ledger = advance_ledger(ledger, cfg.strategy, slots, upd.delta.epoch)
                 frame = wire.encode_delta(upd.delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k)
                 device.receive(frame)
-                if cfg.refresh_device_params:
-                    device.gate = model.gate
                 if device.ledger != ledger:
                     raise ProtocolError("server and device ledgers diverged")
 
@@ -458,7 +447,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
             with open(os.path.join(frames_dir, f"round_{t:02d}.odup"), "wb") as fh:
                 fh.write(frame)
 
-        cloud = _cloud_metrics(model, data.test)
+        cloud = _metrics(model, data.test)
         dev = device.metrics(data.test)
         cr_u = update_cr(cfg.n, cfg.k, cfg.d, vocab, beta) if beta else 0.0
         cr_t = end_to_end_cr(vocab, cfg.d, cfg.n, beta) if beta else 0.0
@@ -472,9 +461,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
         ))
         rounds.append(RoundState(
             report=reports[-1],
-            server_ledger=SlotLedger(list(ledger.epochs), list(ledger.seqs), ledger.current_epoch),
-            device_ledger=SlotLedger(list(device.ledger.epochs), list(device.ledger.seqs),
-                                     device.ledger.current_epoch),
+            server_ledger=copy.deepcopy(ledger),
+            device_ledger=copy.deepcopy(device.ledger),
             frame=frame,
         ))
         prev_table = table.copy()
@@ -486,8 +474,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
 def run_compress(cfg: ExperimentConfig, table_path: str, out_dir: str | None = None) -> dict:
     """Compress a checkpointed table with the configured codec and report
     element-count and measured-byte compression ratios."""
-    from .codec import save_compressed_model
-
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
     table = load_checkpoint(table_path)

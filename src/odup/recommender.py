@@ -11,13 +11,14 @@ hand-rolled gradients and Adam.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, TrainingDiverged
 from .numkit import Adam, Rng, sigmoid
+from .sealed import SealedReader, write_sealed
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
 
@@ -98,37 +99,29 @@ def score_all(model_or_table, s: np.ndarray) -> np.ndarray:
     return table @ s
 
 
-class PackedPairs:
-    """Padded prefix arrays for vectorized batching: ``pad`` is (P, Lmax)
-    with zeros past each prefix length, ``flat``/``rows`` scatter the
-    per-pair encoder gradient back onto item rows."""
+class Batch(NamedTuple):
+    """One batch of pairs; ``pad`` is (B, longest prefix), holding item 0
+    where ``mask`` is False."""
 
-    def __init__(self, pairs):
-        self.n = len(pairs)
-        self.lens = np.array([len(p) for p, _ in pairs], dtype=np.intp)
-        lmax = int(self.lens.max())
-        self.pad = np.zeros((self.n, lmax), dtype=np.intp)
-        mask = np.zeros((self.n, lmax), dtype=bool)
-        for j, (p, _) in enumerate(pairs):
-            self.pad[j, : len(p)] = p
-            mask[j, : len(p)] = True
-        self.mask = mask
-        self.last = np.array([p[-1] for p, _ in pairs], dtype=np.intp)
-        self.labels = np.array([l for _, l in pairs], dtype=np.intp)
-
-    def select(self, idx) -> "PackedPairs":
-        out = object.__new__(PackedPairs)
-        out.n = len(idx)
-        out.lens = self.lens[idx]
-        lmax = int(out.lens.max())
-        out.pad = self.pad[idx][:, :lmax]
-        out.mask = self.mask[idx][:, :lmax]
-        out.last = self.last[idx]
-        out.labels = self.labels[idx]
-        return out
+    n: int
+    pad: np.ndarray
+    mask: np.ndarray
+    lens: np.ndarray
+    last: np.ndarray
+    labels: np.ndarray
 
 
-def _encode_batch(table, gate_value, encoder_kind, batch: PackedPairs):
+def gather_batch(dataset, idx) -> Batch:
+    """The pairs ``idx`` (an index array or a slice) of a SessionDataset."""
+    starts, ends = dataset.starts[idx], dataset.ends[idx]
+    lens = ends - starts
+    cols = np.arange(int(lens.max()))
+    mask = cols < lens[:, None]
+    pad = np.where(mask, dataset.items.take(starts[:, None] + cols, mode="clip"), 0)
+    return Batch(len(lens), pad, mask, lens, dataset.items[ends - 1], dataset.items[ends])
+
+
+def _encode_batch(table, gate_value, encoder_kind, batch: Batch):
     gathered = table[batch.pad] * batch.mask[:, :, None]
     means = gathered.sum(axis=1) / batch.lens[:, None]
     if encoder_kind == "last_gated":
@@ -144,7 +137,7 @@ def _scatter_rows(index, values, vocab):
     return np.bincount(flat, weights=values.ravel(), minlength=vocab * d).reshape(vocab, d)
 
 
-def _loss_and_grads(table, gate_raw, encoder_kind, batch: PackedPairs, l2, want_gate_grad):
+def _loss_and_grads(table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
     """Mean softmax cross-entropy over the batch plus l2 * ||X||^2.
 
     Returns (loss, dX, dgate_raw). Pure in its inputs; used by train() and
@@ -190,10 +183,10 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
     """Mini-batch Adam on the cross-entropy objective; returns the per-epoch
     mean training loss. Raises TrainingDiverged if the loss goes non-finite.
     """
-    if not dataset.pairs:
+    n = len(dataset)
+    if n == 0:
         raise DataError("cannot train on an empty dataset")
-    packed = PackedPairs(dataset.pairs)
-    if packed.labels.max() >= model.vocab_size or packed.pad.max() >= model.vocab_size:
+    if dataset.items.min() < 0 or dataset.items.max() >= model.vocab_size:
         raise DataError("dataset item outside the model vocabulary")
     rng = Rng(cfg.seed).child("rec-shuffle")
     table = model.embeddings
@@ -201,14 +194,13 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
     train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
     adam = Adam(cfg.lr)
     losses: list[float] = []
-    n = packed.n
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for lo in range(0, n, cfg.batch):
-            sub = packed.select(order[lo: lo + cfg.batch])
+            batch = gather_batch(dataset, order[lo: lo + cfg.batch])
             loss, dX, dg = _loss_and_grads(
-                table, gate[0], model.encoder_kind, sub, cfg.l2, train_gate
+                table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
@@ -240,26 +232,21 @@ def evaluate(model_or_table, dataset, k: int, *, encoder_kind: str | None = None
     vocab = table.shape[0]
     if not 1 <= k <= vocab:
         raise ValueError(f"K must lie in [1, {vocab}]")
-    if not dataset.pairs:
+    if len(dataset) == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    packed = PackedPairs(dataset.pairs)
     idx = np.arange(vocab)
-    hits = []
-    gains = []
-    for lo in range(0, packed.n, chunk):
-        sub = packed.select(np.arange(lo, min(lo + chunk, packed.n)))
+    ranks = []
+    for lo in range(0, len(dataset), chunk):
+        sub = gather_batch(dataset, slice(lo, lo + chunk))
         S, _ = _encode_batch(table, g, kind, sub)
         scores = S @ table.T
         label_scores = scores[np.arange(sub.n), sub.labels]
         greater = (scores > label_scores[:, None]).sum(axis=1)
         ties_before = ((scores == label_scores[:, None]) & (idx[None, :] < sub.labels[:, None])).sum(axis=1)
-        rank = 1 + greater + ties_before
-        hit = rank <= k
-        hits.append(hit.astype(np.float64))
-        gains.append(np.where(hit, 1.0 / np.log2(rank + 1.0), 0.0))
-    hits = np.concatenate(hits)
-    gains = np.concatenate(gains)
-    return float(hits.mean()), float(gains.mean())
+        ranks.append(1 + greater + ties_before)
+    rank = np.concatenate(ranks)
+    hit = rank <= k
+    return float(hit.mean()), float(np.where(hit, 1.0 / np.log2(rank + 1.0), 0.0).mean())
 
 
 def save_checkpoint(path, table: np.ndarray) -> None:
@@ -268,23 +255,14 @@ def save_checkpoint(path, table: np.ndarray) -> None:
     """
     table = np.asarray(table)
     body = struct.pack("<BII", CHECKPOINT_VERSION, table.shape[0], table.shape[1])
-    body += table.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    write_sealed(path, body + table.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 13:
-        raise DataError(f"{path}: truncated checkpoint")
-    body, crc = buf[:-4], struct.unpack("<I", buf[-4:])[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise DataError(f"{path}: checkpoint CRC mismatch")
-    version, rows, cols = struct.unpack_from("<BII", body, 0)
+    r = SealedReader(path, "checkpoint")
+    version, rows, cols = r.unpack("<BII")
     if version != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    data = np.frombuffer(body, "<f4", rows * cols, 9)
-    if 9 + 4 * rows * cols != len(body):
-        raise DataError(f"{path}: checkpoint size mismatch")
+        raise r.error(f"version {version} is unsupported")
+    data = r.array("<f4", rows * cols)
+    r.finish()
     return data.reshape(rows, cols).astype(np.float64)

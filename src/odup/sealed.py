@@ -1,0 +1,49 @@
+"""Sealed files: a little-endian body and a u32 CRC-32 of it, the container
+of table checkpoints, compressed models and dataset caches."""
+
+import struct
+import zlib
+
+import numpy as np
+
+from .errors import DataError
+
+
+def write_sealed(path, body: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+class SealedReader:
+    """Reads a sealed body field by field. A missing file, a bad CRC and a
+    body shorter or longer than its fields all raise DataError."""
+
+    def __init__(self, path, what: str):
+        self.path, self.what, self.off = path, what, 0
+        try:
+            with open(path, "rb") as fh:
+                buf = fh.read()
+        except OSError as exc:
+            raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+        self.body = buf[:-4]
+        if len(buf) < 4 or zlib.crc32(self.body) & 0xFFFFFFFF != int.from_bytes(buf[-4:], "little"):
+            raise self.error("CRC mismatch")
+
+    def error(self, problem: str) -> DataError:
+        return DataError(f"{self.path}: {self.what} {problem}")
+
+    def take(self, size: int) -> bytes:
+        if self.off + size > len(self.body):
+            raise self.error("is truncated")
+        self.off += size
+        return self.body[self.off - size: self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype)
+
+    def finish(self) -> None:
+        if self.off != len(self.body):
+            raise self.error("has trailing bytes")

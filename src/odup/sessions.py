@@ -8,18 +8,20 @@ record per line. Slicing is cumulative: slice t contains every
 
 from __future__ import annotations
 
+import itertools
 import struct
-import zlib
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .numkit import Rng
+from .sealed import SealedReader, write_sealed
 
 Event = tuple[str, str, float]  # (user, item, seconds since epoch)
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass
@@ -32,12 +34,29 @@ class Session:
 
 @dataclass
 class SessionDataset:
-    pairs: list[tuple[list[int], int]]
+    """Pair j is ``(items[starts[j]:ends[j]], items[ends[j]])``; the slices
+    of one run are views of the same arrays, so items may outlast the pairs."""
+
+    items: np.ndarray   # intp item indices
+    starts: np.ndarray  # intp, one per pair
+    ends: np.ndarray    # intp, one per pair; starts < ends < len(items)
     vocab_size: int
     slice_id: int = 0
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.starts)
+
+    @property
+    def pairs(self) -> list[tuple[list[int], int]]:
+        """The pairs as Python lists, for inspection and tests."""
+        flat = self.items.tolist()
+        prefixes = map(flat.__getitem__, map(slice, self.starts.tolist(), self.ends.tolist()))
+        return list(zip(prefixes, self.items[self.ends].tolist()))
+
+    def head(self, n_pairs: int, slice_id: int) -> "SessionDataset":
+        """The first ``n_pairs`` pairs, as views of this dataset's arrays."""
+        return SessionDataset(self.items, self.starts[:n_pairs], self.ends[:n_pairs],
+                              self.vocab_size, slice_id)
 
 
 @dataclass
@@ -72,22 +91,25 @@ class SlicePlan:
 
 def read_event_log(path, delimiter: str = "\t") -> list[Event]:
     events: list[Event] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            user, item, ts = parts
-            try:
-                t = float(ts)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad timestamp {ts!r}") from None
-            if t < 0:
-                raise DataError(f"{path}:{lineno}: negative timestamp")
-            events.append((user, item, t))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(delimiter)
+                if len(parts) != 3:
+                    raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+                user, item, ts = parts
+                try:
+                    t = float(ts)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad timestamp {ts!r}") from None
+                if t < 0:
+                    raise DataError(f"{path}:{lineno}: negative timestamp")
+                events.append((user, item, t))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: event log is not UTF-8 text") from None
     return events
 
 
@@ -135,56 +157,46 @@ def filter_and_index(
     if max_len < min_len:
         raise ValueError("max_len must be >= min_len")
     kept = [s for s in sessions if min_len <= len(s.items) <= max_len]
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for s in kept:
-        for it in s.items:
-            counts[it] = counts.get(it, 0) + 1
-            if it not in first_seen:
-                first_seen[it] = len(first_seen)
-    ranked = sorted(counts, key=lambda it: (-counts[it], first_seen[it]))
-    if top_items is not None and top_items < len(ranked):
-        vocab_items = ranked[:top_items]
-        keep_set = set(vocab_items)
-        stripped = []
-        for s in kept:
-            items = [it for it in s.items if it in keep_set]
-            if min_len <= len(items) <= max_len:
-                stripped.append(Session(items, s.start))
-        kept = stripped
-    else:
-        vocab_items = ranked
+    # a Counter keeps first-seen order, and the stable sort keeps it for ties
+    counts = Counter(it for s in kept for it in s.items)
+    ranked = sorted(counts, key=lambda it: -counts[it])
+    vocab_items = ranked[:top_items]
     index = {it: i for i, it in enumerate(vocab_items)}
-    out = [Session([index[it] for it in s.items], s.start) for s in kept]
+    # dropping items outside a top_items vocabulary can shorten a session
+    indexed = (Session([index[it] for it in s.items if it in index], s.start) for s in kept)
+    out = [s for s in indexed if min_len <= len(s.items) <= max_len]
     if not out:
         raise DataError("all sessions were filtered out")
     return out, vocab_items
 
 
 def augment_split(sessions: list[Session], vocab_size: int, slice_id: int = 0) -> SessionDataset:
-    """Sequence splitting: [v1..vl] -> ([v1],v2), ([v1,v2],v3), ..."""
-    pairs: list[tuple[list[int], int]] = []
-    for s in sessions:
-        items = s.items
-        if len(items) < 2:
-            raise ValueError("augment_split requires sessions of length >= 2")
-        for end in range(1, len(items)):
-            pairs.append((list(items[:end]), items[end]))
-    return SessionDataset(pairs, vocab_size, slice_id)
+    """Sequence splitting: [v1..vl] -> ([v1],v2), ([v1,v2],v3), ...; every
+    item but a session's first is a label."""
+    lens = np.array([len(s.items) for s in sessions], dtype=np.intp)
+    if lens.size and lens.min() < 2:
+        raise ValueError("augment_split requires sessions of length >= 2")
+    items = np.fromiter(itertools.chain.from_iterable(s.items for s in sessions), np.intp, int(lens.sum()))
+    offsets = np.cumsum(lens) - lens
+    starts = np.repeat(offsets, lens - 1)
+    ends = np.delete(np.arange(len(items)), offsets)
+    return SessionDataset(items, starts, ends, vocab_size, slice_id)
 
 
 def temporal_slices(sessions: list[Session], plan: SlicePlan, vocab_size: int) -> list[SessionDataset]:
     """Cumulative temporal slices: slice t holds the earliest sum(f_1..f_t)
-    fraction of sessions, augmented into (prefix, label) pairs.
+    fraction of sessions, augmented into (prefix, label) pairs: views of
+    the first pairs of the last slice.
     """
     z = len(plan.fractions)
     if len(sessions) < z:
         raise DataError(f"need at least {z} sessions for {z} slices")
     ordered = sorted(sessions, key=lambda s: s.start)
-    bounds = plan.boundaries(len(ordered))
+    everything = augment_split(ordered, vocab_size)
+    pair_counts = np.cumsum([0] + [len(s.items) - 1 for s in ordered])
     return [
-        augment_split(ordered[:b], vocab_size, slice_id=t + 1)
-        for t, b in enumerate(bounds)
+        everything.head(int(pair_counts[b]), slice_id=t + 1)
+        for t, b in enumerate(plan.boundaries(len(ordered)))
     ]
 
 
@@ -213,6 +225,21 @@ class SynthResult:
         return self.sessions[lo: self.boundaries[t - 1]]
 
 
+def check_synth_settings(vocab_size, n_sessions, drift, n_clusters, len_range) -> None:
+    """Raise ValueError for settings synth_generate cannot work with."""
+    if vocab_size < 50:
+        raise ValueError("vocab_size must be at least 50")
+    if n_sessions < 100:
+        raise ValueError("n_sessions must be at least 100")
+    if not 0 <= drift <= 1:
+        raise ValueError("drift must lie in [0, 1]")
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be at least 1")
+    lo, hi = len_range
+    if lo < 2 or hi < lo:
+        raise ValueError("len_range must satisfy 2 <= lo <= hi")
+
+
 def synth_generate(
     rng: Rng,
     vocab_size: int,
@@ -233,16 +260,8 @@ def synth_generate(
 
     drift=0 keeps everything constant across slices. Deterministic per rng.
     """
-    if vocab_size < 50:
-        raise ValueError("vocab_size must be at least 50")
-    if n_sessions < 100:
-        raise ValueError("n_sessions must be at least 100")
-    if not 0 <= drift <= 1:
-        raise ValueError("drift must lie in [0, 1]")
+    check_synth_settings(vocab_size, n_sessions, drift, n_clusters, len_range)
     lo, hi = len_range
-    if lo < 2 or hi < lo:
-        raise ValueError("len_range must satisfy 2 <= lo <= hi")
-
     setup = rng.child("synth-setup")
     z = len(plan.fractions)
     # every item gets an intrinsic Zipf popularity weight (over a seeded
@@ -295,12 +314,9 @@ def synth_generate(
         items = pool[draw.choice(len(pool), length, replace=True, p=probs)]
         return Session([int(i) for i in items], start)
 
-    sessions: list[Session] = []
-    slice_idx = 0
-    for j in range(n_train):
-        while j >= bounds[slice_idx]:
-            slice_idx += 1
-        sessions.append(make_session(slice_idx, float(j) * 10.0))
+    # session j belongs to the first slice whose boundary exceeds j
+    slice_of = np.searchsorted(bounds, np.arange(n_train), side="right")
+    sessions = [make_session(int(t), float(j) * 10.0) for j, t in enumerate(slice_of)]
     test_sessions = [
         make_session(z - 1, float(n_train + j) * 10.0) for j in range(n_test)
     ]
@@ -310,73 +326,52 @@ def synth_generate(
     return SynthResult(sessions, bounds, slices, test_sessions, test, vocab_size)
 
 
-def _pack_dataset(ds: SessionDataset) -> bytes:
-    lens = np.array([len(p) for p, _ in ds.pairs], dtype="<u4")
-    flat = np.array([i for p, _ in ds.pairs for i in p], dtype="<u4")
-    labels = np.array([l for _, l in ds.pairs], dtype="<u4")
-    head = struct.pack("<III", len(ds.pairs), len(flat), ds.slice_id)
-    return head + lens.tobytes() + flat.tobytes() + labels.tobytes()
+def _pack_layout(ds: SessionDataset) -> bytes:
+    head = struct.pack("<III", len(ds.items), len(ds), ds.slice_id)
+    return head + b"".join(a.astype("<u4").tobytes() for a in (ds.items, ds.starts, ds.ends))
 
 
-def _unpack_dataset(buf: bytes, off: int, vocab_size: int) -> tuple[SessionDataset, int]:
-    n_pairs, total, slice_id = struct.unpack_from("<III", buf, off)
-    off += 12
-    lens = np.frombuffer(buf, "<u4", n_pairs, off)
-    off += 4 * n_pairs
-    flat = np.frombuffer(buf, "<u4", total, off)
-    off += 4 * total
-    labels = np.frombuffer(buf, "<u4", n_pairs, off)
-    off += 4 * n_pairs
-    pairs = []
-    pos = 0
-    for ln, lab in zip(lens, labels):
-        pairs.append(([int(x) for x in flat[pos: pos + ln]], int(lab)))
-        pos += ln
-    return SessionDataset(pairs, vocab_size, int(slice_id)), off
+def _read_layout(r: SealedReader, vocab_size: int) -> SessionDataset:
+    n_items, n_pairs, slice_id = r.unpack("<III")
+    items, starts, ends = (r.array("<u4", n).astype(np.intp) for n in (n_items, n_pairs, n_pairs))
+    if np.any(items >= vocab_size):
+        raise r.error("holds an item outside its vocabulary")
+    if np.any(starts >= ends) or np.any(ends >= n_items):
+        raise r.error("holds a pair outside its item array")
+    return SessionDataset(items, starts, ends, vocab_size, slice_id)
 
 
 def save_dataset_cache(path, slices: list[SessionDataset], test: SessionDataset, vocab: list[str]) -> None:
-    """Binary snapshot: version byte, vocab table, slice + test pair arrays,
-    trailing CRC-32. Re-slicing raw logs is only done once.
-    """
+    """Sealed little-endian snapshot: u8 version, u32 |V|, per item id a
+    u16 length and UTF-8 bytes, u8 slice count, per slice u32 pairs and u32
+    slice id, then the last slice's layout and the test layout. A layout is
+    u32 item count, pair count and slice id, then items, starts, ends."""
+    last = slices[-1]
+    if any(ds.items is not last.items or not np.array_equal(ds.ends, last.ends[: len(ds)]) for ds in slices):
+        raise ValueError("every cached slice must be a view of the last slice's arrays")
     parts = [struct.pack("<BI", CACHE_VERSION, len(vocab))]
     for item in vocab:
         enc = item.encode("utf-8")
         parts.append(struct.pack("<H", len(enc)) + enc)
     parts.append(struct.pack("<B", len(slices)))
-    for ds in slices:
-        parts.append(_pack_dataset(ds))
-    parts.append(_pack_dataset(test))
-    body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    parts.extend(struct.pack("<II", len(ds), ds.slice_id) for ds in slices)
+    parts += [_pack_layout(last), _pack_layout(test)]
+    write_sealed(path, b"".join(parts))
 
 
 def load_dataset_cache(path) -> tuple[list[SessionDataset], SessionDataset, list[str]]:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 10:
-        raise DataError(f"{path}: truncated dataset cache")
-    body, crc = buf[:-4], struct.unpack("<I", buf[-4:])[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise DataError(f"{path}: dataset cache CRC mismatch")
-    version, n_vocab = struct.unpack_from("<BI", body, 0)
+    r = SealedReader(path, "dataset cache")
+    version, n_vocab = r.unpack("<BI")
     if version != CACHE_VERSION:
-        raise DataError(f"{path}: unsupported cache version {version}")
-    off = 5
-    vocab = []
-    for _ in range(n_vocab):
-        (ln,) = struct.unpack_from("<H", body, off)
-        off += 2
-        vocab.append(body[off: off + ln].decode("utf-8"))
-        off += ln
-    (n_slices,) = struct.unpack_from("<B", body, off)
-    off += 1
-    slices = []
-    for _ in range(n_slices):
-        ds, off = _unpack_dataset(body, off, n_vocab)
-        slices.append(ds)
-    test, off = _unpack_dataset(body, off, n_vocab)
-    if off != len(body):
-        raise DataError(f"{path}: trailing bytes in dataset cache")
-    return slices, test, vocab
+        raise r.error(f"version {version} is unsupported; regenerate it with 'odup synth'")
+    try:
+        vocab = [r.take(r.unpack("<H")[0]).decode("utf-8") for _ in range(n_vocab)]
+    except UnicodeDecodeError:
+        raise r.error("holds an item id that is not UTF-8") from None
+    heads = [r.unpack("<II") for _ in range(r.unpack("<B")[0])]
+    last = _read_layout(r, n_vocab)
+    test = _read_layout(r, n_vocab)
+    r.finish()
+    if any(n_pairs > len(last) for n_pairs, _ in heads):
+        raise r.error("declares a slice longer than its pair arrays")
+    return [last.head(n_pairs, slice_id) for n_pairs, slice_id in heads], test, vocab

@@ -22,6 +22,7 @@ Frame layout (normative; every multi-byte integer little-endian):
     ...     4     u32 CRC-32 (IEEE) over all preceding bytes
 
 beta = 0 frames are invalid: a skipped update means "no frame at all".
+A full frame carries every row: its beta is n*k.
 Persisted frames use the ``.odup`` file extension.
 """
 
@@ -91,8 +92,8 @@ def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> b
     nk = n * k
     if delta.strategy not in STRATEGY_CODES:
         raise ValueError(f"unknown strategy {delta.strategy!r}")
-    if not 1 <= delta.beta <= nk:
-        raise ValueError(f"beta must lie in [1, {nk}]")
+    if not 1 <= delta.beta <= nk or (delta.strategy == "full" and delta.beta != nk):
+        raise ValueError(f"beta must lie in [1, {nk}], and a full frame carries all {nk} rows")
     if delta.codes.shape != (vocab, n):
         raise ValueError("codes shape does not match (vocab, n)")
     if delta.new_rows.shape != (delta.beta, d):
@@ -132,8 +133,8 @@ def decode_delta(buf: bytes) -> UpdateDelta:
     if min(vocab, n, k, d) < 1:
         raise FrameError("size", "zero dimension in header")
     nk = n * k
-    if not 1 <= beta <= nk:
-        raise FrameError("beta", f"beta {beta} outside [1, {nk}]")
+    if not 1 <= beta <= nk or (STRATEGY_NAMES[scode] == "full" and beta != nk):
+        raise FrameError("beta", f"beta {beta} outside [1, {nk}] or not {nk} in a full frame")
     expected = delta_bytes(vocab, n, k, d, beta)
     if len(buf) != expected:
         raise FrameError("size", f"frame is {len(buf)} bytes, layout requires {expected}")

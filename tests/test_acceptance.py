@@ -18,12 +18,14 @@ from odup.codec import CodecConfig, harden, model_cr, reconstruct_table, train_c
 from odup.errors import FrameError
 from odup.numkit import Rng, grad_check, sigmoid
 from odup.pipeline import ExperimentConfig, run_simulate
-from odup.recommender import PackedPairs, TrainConfig, _loss_and_grads, evaluate, init_model, train
+from odup.recommender import TrainConfig, _loss_and_grads, evaluate, gather_batch, init_model, train
 from odup.sessions import SlicePlan, synth_generate
 from odup.updater import (
     SlotLedger, beta_from_ratio, end_to_end_cr, plan_slots, update_cr,
 )
 from odup.wire import decode_delta, delta_bytes, encode_delta
+
+from helpers import dataset_of
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -193,7 +195,7 @@ def test_criterion_7_gradient_correctness():
     worst_rec = 0.0
     for kind in ("mean_pool", "last_gated"):
         model = init_model(4, 3, Rng(7).child("init"), kind)
-        batch = PackedPairs([([0], 2), ([1, 2], 0), ([0, 3, 3], 1), ([2], 3)])
+        batch = gather_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1), ([2], 3)], 4), slice(None))
         X = model.embeddings.copy()
         graw = model.gate_raw
         _, dX, dg = _loss_and_grads(X, graw, kind, batch, 1e-3, True)

@@ -3,13 +3,14 @@ import dataclasses
 import json
 import os
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
 import odup.cli as cli
 from odup import wire
-from odup.errors import ConfigError, DimensionMismatch
+from odup.errors import ConfigError, DimensionMismatch, FrameError
 from odup.pipeline import (
     CSV_COLUMNS, DeviceSim, ExperimentConfig, load_config, run_report, run_simulate, run_train,
 )
@@ -147,6 +148,25 @@ class TestDeviceSim:
         # the deployment still accepts a matching frame afterwards
         device.receive(self.frame(device, rng, self.V, self.N, self.K))
         assert device.epoch == 2
+
+    def test_full_frame_must_carry_every_row(self):
+        n, k, beta = 4, 2, 6
+        rng = np.random.default_rng(5)
+        delta = UpdateDelta(1, "full", beta, rng.normal(size=(beta, self.D)),
+                            rng.integers(0, k, (self.V, n)).astype(np.int32), list(range(beta)))
+        with pytest.raises(ValueError, match="full frame carries"):
+            wire.encode_delta(delta, vocab=self.V, d=self.D, n=n, k=k)
+        # the same frame built as a stack frame, relabelled full, CRC refreshed
+        stack = wire.encode_delta(dataclasses.replace(delta, strategy="stack"),
+                                  vocab=self.V, d=self.D, n=n, k=k)
+        body = bytearray(stack[:-4])
+        body[5] = wire.STRATEGY_CODES["full"]
+        frame = bytes(body) + zlib.crc32(body).to_bytes(4, "little")
+        device = DeviceSim("queue", "mean_pool", 0.5)
+        with pytest.raises(FrameError) as exc:
+            device.receive(frame)
+        assert exc.value.check == "beta"
+        assert device.store is None and device.ledger is None and device.table is None
 
 
 class TestSimulate:
@@ -318,7 +338,7 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "slices = 1:0:2", "slices = abc", "d = 1", "C = 5", "mmd_samples = 1", "rec_lr = 5",
-        "test_frac = 1.5",
+        "test_frac = 1.5", "synth_vocab = 10", "synth_sessions = 50", "synth_len_min = 1",
     ])
     def test_invalid_setting_exit_2(self, tmp_path, line, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -330,6 +350,19 @@ class TestCli:
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("data = /does/not/exist.tsv\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
+
+    def test_non_utf8_log_exit_3(self, tmp_path, capsys):
+        log = tmp_path / "latin1.tsv"
+        log.write_bytes("u1\tcaf\u00e9\t1.0\nu1\tb\t2.0\n".encode("latin-1"))
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"data = {log}\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_missing_checkpoint_exit_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ckpt"
+        assert cli.main(["--out", str(tmp_path / "o"), "compress", "--table", str(missing)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
 
     def test_empty_data_exit_3(self, tmp_path):
         empty = tmp_path / "empty.tsv"

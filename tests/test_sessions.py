@@ -92,6 +92,16 @@ class TestAugment:
         assert ds.pairs == [([4], 7)]
 
     @settings(max_examples=50)
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=8), min_size=0, max_size=10))
+    def test_matches_nested_loop(self, lists):
+        sessions = [Session(items, float(i)) for i, items in enumerate(lists)]
+        expected = []
+        for items in lists:
+            for end in range(1, len(items)):
+                expected.append((list(items[:end]), items[end]))
+        assert augment_split(sessions, vocab_size=10).pairs == expected
+
+    @settings(max_examples=50)
     @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=8), min_size=1, max_size=10))
     def test_pair_count(self, lists):
         sessions = [Session(items, float(i)) for i, items in enumerate(lists)]
@@ -135,6 +145,15 @@ class TestSlices:
         slices = temporal_slices(sessions, SlicePlan.from_ratios(ratios), vocab_size=6)
         for earlier, later in zip(slices, slices[1:]):
             assert later.pairs[: len(earlier.pairs)] == earlier.pairs
+
+    def test_slices_are_views_of_the_last(self):
+        sessions = [Session([i % 5, (i + 1) % 5, (i + 2) % 5], float(i)) for i in range(20)]
+        slices = temporal_slices(sessions, SlicePlan.from_ratios([1, 2, 3]), vocab_size=5)
+        last = slices[-1]
+        for ds in slices:
+            assert ds.pairs == last.pairs[: len(ds)]
+            assert ds.items is last.items
+            assert np.shares_memory(ds.starts, last.starts) and np.shares_memory(ds.ends, last.ends)
 
     def test_ordering_is_temporal(self):
         sessions = [Session([0, 1], 50.0), Session([2, 3], 1.0)]
