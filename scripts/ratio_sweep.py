@@ -1,17 +1,19 @@
 """Sweep the fixed update-compression ratio and tabulate accuracy vs bytes.
 
-Runs one simulation per ratio (shared data and seeds, so the cloud path is
-identical) and aggregates the runs with the report machinery.
+The cloud model is trained once (its path does not depend on the ratio) and
+replayed for each ratio; the runs are aggregated with the report machinery.
 
 Usage: python scripts/ratio_sweep.py [--out runs/sweep] [--seed 7]
        [--ratios 2,5,10,20,100]
 """
 
 import argparse
+import dataclasses
 import os
 import warnings
 
-from odup.pipeline import ExperimentConfig, run_report, run_simulate
+from odup.numkit import Rng
+from odup.pipeline import ExperimentConfig, cloud_trajectory, prepare_data, replay, run_report
 
 
 def main():
@@ -22,31 +24,31 @@ def main():
     args = parser.parse_args()
 
     ratios = [float(r) for r in args.ratios.split(",")]
+    base = ExperimentConfig(
+        data="synth",
+        slices="2:1:1:1:1",
+        synth_vocab=300,
+        synth_sessions=3000,
+        synth_drift=0.3,
+        synth_clusters=6,
+        d=16,
+        rec_epochs=20,
+        n=8,
+        k=16,
+        tau=0.2,
+        codec_epochs=250,
+        strategy="queue",
+        mmd_samples=0,
+        seed=args.seed,
+    )
     run_dirs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        data = prepare_data(base, Rng(base.seed))
+        trajectory = list(cloud_trajectory(base, data))
         for r in ratios:
             out = os.path.join(args.out, f"r{r:g}")
-            cfg = ExperimentConfig(
-                data="synth",
-                slices="2:1:1:1:1",
-                synth_vocab=300,
-                synth_sessions=3000,
-                synth_drift=0.3,
-                synth_clusters=6,
-                d=16,
-                rec_epochs=20,
-                n=8,
-                k=16,
-                tau=0.2,
-                codec_epochs=250,
-                strategy="queue",
-                r=r,
-                mmd_samples=0,
-                seed=args.seed,
-                out=out,
-            )
-            reports = run_simulate(cfg).reports
+            reports = replay(dataclasses.replace(base, r=r), data, trajectory, out).reports
             final = reports[-1]
             print(f"r={r:g}: beta={reports[1].beta} cum_bytes={final.cum_bytes} "
                   f"device P@10={final.dev_p10:.4f}")

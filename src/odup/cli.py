@@ -16,10 +16,9 @@ import sys
 from .errors import ConfigError, DataError, ProtocolError, TrainingDiverged
 from .numkit import Rng
 from .pipeline import (
-    ExperimentConfig, load_config, run_compress, run_report, run_simulate,
-    run_train, write_data_cache,
+    ExperimentConfig, load_config, run_compress, run_report, run_simulate, run_train,
 )
-from .sessions import synth_generate
+from .sessions import save_dataset_cache, synth_generate
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,14 +54,15 @@ def _cmd_synth(cfg: ExperimentConfig) -> int:
         len_range=(cfg.synth_len_min, cfg.synth_len_max),
         test_frac=cfg.test_frac,
     )
+    names = [f"i{j:06d}" for j in range(res.vocab_size)]
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "events.tsv")
     with open(path, "w", encoding="utf-8") as fh:
         for i, sess in enumerate(res.sessions + res.test_sessions):
             for j, item in enumerate(sess.items):
-                fh.write(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n")
+                fh.write(f"u{i:06d}\t{names[item]}\t{sess.start + j:.1f}\n")
     cache_path = os.path.join(cfg.out, "data.cache")
-    write_data_cache(cfg, cache_path)
+    save_dataset_cache(cache_path, res.slices, res.test, names)
     n_events = sum(len(s.items) for s in res.sessions + res.test_sessions)
     print(f"wrote {path}: {len(res.sessions) + len(res.test_sessions)} sessions, "
           f"{n_events} events, vocab {res.vocab_size}")

@@ -26,11 +26,11 @@ from .codec import (
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
 from .recommender import (
-    TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint, train,
+    RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint, train,
 )
 from .sessions import (
     SlicePlan, SessionDataset, augment_split, check_synth_settings, filter_and_index, holdout_split,
-    load_dataset_cache, read_event_log, save_dataset_cache, sessionize,
+    load_dataset_cache, read_event_log, sessionize,
     synth_generate, temporal_slices,
 )
 from .updater import (
@@ -265,13 +265,6 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
     return DataBundle(slices, test, len(vocab), vocab)
 
 
-def write_data_cache(cfg: ExperimentConfig, path: str) -> DataBundle:
-    """Slice once and snapshot to a binary cache loadable via data=<path>."""
-    bundle = prepare_data(cfg, Rng(cfg.seed))
-    save_dataset_cache(path, bundle.slices, bundle.test, bundle.vocab)
-    return bundle
-
-
 class DeviceSim:
     """Simulated on-device model. Consumes only wire frames; the embedding
     table is always reconstituted from decoded bytes."""
@@ -347,28 +340,50 @@ def write_reports(out_dir: str, reports: list[RoundReport]) -> tuple[str, str]:
     return csv_path, json_path
 
 
+@dataclass
+class CloudSlice:
+    """The cloud model after one slice (its table a read-only copy), its last
+    epoch's loss, held-out P@5/N@5/P@10/N@10, and seconds spent on them."""
+
+    model: RecModel
+    loss: float
+    metrics: list[float]
+    secs: float
+
+
+def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
+    """Train the cloud model per cumulative slice (warm-started), yielding a
+    CloudSlice each. Nothing here depends on the update strategy or ratio,
+    so one trajectory serves every update arm."""
+    model = init_model(data.vocab_size, cfg.d, Rng(cfg.seed).child("rec-init"), cfg.encoder)
+    for t, ds in enumerate(data.slices, start=1):
+        start_time = time.perf_counter()
+        losses = train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
+        table = model.embeddings.copy()
+        table.flags.writeable = False
+        yield CloudSlice(RecModel(table, model.encoder_kind, model.gate_raw), losses[-1],
+                         _metrics(model, data.test), time.perf_counter() - start_time)
+
+
 def run_train(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
-    """Train the cloud model per cumulative slice (warm-started), persisting
-    a checkpoint and a metrics sidecar for each."""
+    """Train the cloud model per cumulative slice, persisting a checkpoint
+    and a metrics sidecar for each."""
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
-    rng = Rng(cfg.seed)
-    data = prepare_data(cfg, rng)
-    model = init_model(data.vocab_size, cfg.d, rng.child("rec-init"), cfg.encoder)
+    data = prepare_data(cfg, Rng(cfg.seed))
     summaries = []
-    for t, ds in enumerate(data.slices, start=1):
-        losses = train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
-        p5, n5, p10, n10 = _metrics(model, data.test)
+    for t, cloud in enumerate(cloud_trajectory(cfg, data), start=1):
         ckpt = os.path.join(out_dir, f"slice_{t:02d}.ckpt")
-        save_checkpoint(ckpt, model.embeddings)
+        save_checkpoint(ckpt, cloud.model.embeddings)
+        p5, n5, p10, n10 = cloud.metrics
         meta = {
             "slice": t,
             "checkpoint": os.path.basename(ckpt),
-            "encoder": model.encoder_kind,
-            "gate_raw": model.gate_raw,
+            "encoder": cloud.model.encoder_kind,
+            "gate_raw": cloud.model.gate_raw,
             "vocab": data.vocab_size,
             "d": cfg.d,
-            "final_loss": losses[-1],
+            "final_loss": cloud.loss,
             "test_p5": p5, "test_n5": n5, "test_p10": p10, "test_n10": n10,
         }
         with open(os.path.join(out_dir, f"slice_{t:02d}.meta.json"), "w", encoding="utf-8") as fh:
@@ -379,17 +394,19 @@ def run_train(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> SimulationResult:
-    """The full loop: deploy at slice 1, then per slice measure drift,
-    choose the update size, retrain the slot rows, ship the frame, apply it
-    on the device, and evaluate both sides on the held-out test set."""
-    out_dir = out_dir or cfg.out
+    """The full loop: the cloud trajectory, replayed slice by slice as it trains."""
+    data = prepare_data(cfg, Rng(cfg.seed))
+    return replay(cfg, data, cloud_trajectory(cfg, data), out_dir or cfg.out)
+
+
+def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) -> SimulationResult:
+    """Deploy at slice 1, then per slice measure drift, choose the update
+    size, retrain the slot rows, ship the frame, apply it on the device, and
+    evaluate the device. A round's secs include the slice's cloud seconds."""
     frames_dir = os.path.join(out_dir, "frames")
     os.makedirs(frames_dir, exist_ok=True)
-    rng = Rng(cfg.seed)
-    data = prepare_data(cfg, rng)
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
-    model = init_model(vocab, cfg.d, rng.child("rec-init"), cfg.encoder)
     store: CodebookStore | None = None
     encoder: CodecEncoder | None = None
     ledger: SlotLedger | None = None
@@ -400,10 +417,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
 
     reports: list[RoundReport] = []
     rounds: list[RoundState] = []
-    for t, ds in enumerate(data.slices, start=1):
+    for t, cloud_slice in enumerate(trajectory, start=1):
         start_time = time.perf_counter()
-        train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
-        table = model.embeddings
+        table = cloud_slice.model.embeddings
 
         frame: bytes | None = None
         if t == 1:
@@ -412,7 +428,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
             ledger = SlotLedger.fresh(nk, epoch=1)
             delta = UpdateDelta(1, "full", nk, store.rows.copy(), codes, list(range(nk)))
             frame = wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k)
-            device = DeviceSim(cfg.strategy, model.encoder_kind, model.gate)
+            device = DeviceSim(cfg.strategy, cloud_slice.model.encoder_kind, cloud_slice.model.gate)
             device.receive(frame)
             mmd_val, r_val, beta = 0.0, 0.0, nk
         else:
@@ -447,11 +463,11 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
             with open(os.path.join(frames_dir, f"round_{t:02d}.odup"), "wb") as fh:
                 fh.write(frame)
 
-        cloud = _metrics(model, data.test)
+        cloud = cloud_slice.metrics
         dev = device.metrics(data.test)
         cr_u = update_cr(cfg.n, cfg.k, cfg.d, vocab, beta) if beta else 0.0
         cr_t = end_to_end_cr(vocab, cfg.d, cfg.n, beta) if beta else 0.0
-        secs = time.perf_counter() - start_time if cfg.timing == "wall" else 0.0
+        secs = cloud_slice.secs + time.perf_counter() - start_time if cfg.timing == "wall" else 0.0
         reports.append(RoundReport(
             slice=t, strategy=cfg.strategy, r=r_val, beta=beta, mmd=mmd_val,
             delta_bytes=nbytes, cum_bytes=cum_bytes,
@@ -465,7 +481,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
             device_ledger=copy.deepcopy(device.ledger),
             frame=frame,
         ))
-        prev_table = table.copy()
+        prev_table = table
 
     csv_path, json_path = write_reports(out_dir, reports)
     return SimulationResult(reports, rounds, csv_path, json_path)
@@ -510,14 +526,21 @@ def load_report(run_dir: str) -> list[dict]:
         raise DataError(f"missing or corrupt report: {path} ({exc})") from None
     if not isinstance(records, list) or not records:
         raise DataError(f"missing or corrupt report: {path} (no records)")
+    columns = set(CSV_COLUMNS.split(","))
+    if not all(isinstance(rec, dict) and columns <= rec.keys() for rec in records):
+        raise DataError(f"corrupt report: {path} (a record lacks a report column)")
     return records
 
 
 def run_report(run_dirs: list[str], out_dir: str) -> str:
     """Aggregate one or more simulation runs into a side-by-side summary
     plus plot-ready accuracy-vs-bytes and accuracy-vs-ratio tables."""
+    names = [os.path.basename(os.path.normpath(rd)) or rd for rd in run_dirs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"two runs are named {name!r}; runs are keyed by directory name")
+    runs = {name: load_report(rd) for name, rd in zip(names, run_dirs)}
     os.makedirs(out_dir, exist_ok=True)
-    runs = {os.path.basename(os.path.normpath(rd)) or rd: load_report(rd) for rd in run_dirs}
 
     lines = ["run,slice,strategy,r,beta,mmd,delta_bytes,cum_bytes,dev_p10,dev_n10,cloud_p10,cloud_n10"]
     for name, records in runs.items():

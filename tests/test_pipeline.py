@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import odup.cli as cli
-from odup import wire
-from odup.errors import ConfigError, DimensionMismatch, FrameError
+from odup import pipeline, wire
+from odup.errors import ConfigError, DataError, DimensionMismatch, FrameError
+from odup.numkit import Rng
 from odup.pipeline import (
-    CSV_COLUMNS, DeviceSim, ExperimentConfig, load_config, run_report, run_simulate, run_train,
+    CSV_COLUMNS, DeviceSim, ExperimentConfig, RoundReport, cloud_trajectory, load_config,
+    prepare_data, replay, run_report, run_simulate, run_train, write_reports,
 )
+from odup.recommender import load_checkpoint
 from odup.updater import UpdateDelta, plan_slots
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -105,6 +108,44 @@ class TestRunTrain:
             a = (tmp_path / "a" / f"slice_{t:02d}.ckpt").read_bytes()
             b = (tmp_path / "b" / f"slice_{t:02d}.ckpt").read_bytes()
             assert a == b
+
+
+def tree_bytes(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestCloudTrajectory:
+    def test_replay_matches_separate_runs(self, tmp_path):
+        base = small_config()
+        data = prepare_data(base, Rng(base.seed))
+        trajectory = list(cloud_trajectory(base, data))
+        for strategy in ("queue", "full"):
+            cfg = dataclasses.replace(base, strategy=strategy)
+            replay(cfg, data, trajectory, str(tmp_path / "replay" / strategy))
+            run_simulate(cfg, str(tmp_path / "sim" / strategy))
+            replayed = tree_bytes(tmp_path / "replay" / strategy)
+            assert {"report.csv", "report.json", "frames/round_01.odup"} <= replayed.keys()
+            assert replayed == tree_bytes(tmp_path / "sim" / strategy)
+
+    def test_tables_are_read_only_snapshots(self):
+        cfg = small_config(slices="1:1", rec_epochs=2)
+        first, second = cloud_trajectory(cfg, prepare_data(cfg, Rng(cfg.seed)))
+        for step in (first, second):
+            assert not step.model.embeddings.flags.writeable
+            with pytest.raises(ValueError):
+                step.model.embeddings[0, 0] = 0.0
+        # training slice 2 did not move the slice-1 snapshot
+        assert not np.array_equal(first.model.embeddings, second.model.embeddings)
+
+    def test_run_train_checkpoints_are_the_trajectory(self, tmp_path):
+        cfg = small_config(out=str(tmp_path / "train"), slices="1:1", rec_epochs=4)
+        metas = run_train(cfg)
+        trajectory = cloud_trajectory(cfg, prepare_data(cfg, Rng(cfg.seed)))
+        for meta, step in zip(metas, trajectory, strict=True):
+            ckpt = load_checkpoint(tmp_path / "train" / meta["checkpoint"])
+            assert np.array_equal(ckpt, step.model.embeddings.astype(np.float32))
+            assert meta["final_loss"] == step.loss
+            assert [meta[f"test_{m}"] for m in ("p5", "n5", "p10", "n10")] == step.metrics
 
 
 class TestDeviceSim:
@@ -295,6 +336,13 @@ class TestReport:
         with pytest.raises(DataError, match="report"):
             run_report([str(tmp_path / "nope")], str(tmp_path / "agg"))
 
+    @pytest.mark.parametrize("records", [[{"slice": 1}], [1]])
+    def test_record_without_report_columns_errors(self, tmp_path, records):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "report.json").write_text(json.dumps(records), encoding="utf-8")
+        with pytest.raises(DataError, match="report column"):
+            run_report([str(tmp_path / "run")], str(tmp_path / "agg"))
+
     def test_ratio_sweep_monotone_betas(self, tmp_path):
         from odup.updater import beta_from_ratio
 
@@ -400,6 +448,14 @@ class TestCli:
         run_simulate(cfg)
         assert cli.main(["--out", str(tmp_path / "agg"), "report", str(tmp_path / "runA")]) == 0
 
+    def test_report_same_run_names_exit_2(self, tmp_path, capsys):
+        rep = RoundReport(**{c: 0 for c in CSV_COLUMNS.split(",")})
+        runs = [str(tmp_path / side / "run") for side in ("a", "b")]
+        for run in runs:
+            write_reports(run, [rep])
+        assert cli.main(["--out", str(tmp_path / "agg"), "report", *runs]) == 2
+        assert "'run'" in capsys.readouterr().err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -416,6 +472,30 @@ class TestCli:
             cli, "run_simulate", lambda cfg: (_ for _ in ()).throw(ProtocolError("split"))
         )
         assert cli.main(["--out", str(tmp_path / "x"), "simulate"]) == 5
+
+    def test_synth_generates_once_and_caches_it(self, tmp_path, monkeypatch):
+        calls, synth_generate = [], pipeline.synth_generate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return synth_generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "synth_generate", counted)
+        monkeypatch.setattr(pipeline, "synth_generate", counted)
+        log = tmp_path / "other.tsv"
+        log.write_text("u1\ta\t1.0\nu1\tb\t2.0\nu2\tb\t3.0\nu2\ta\t4.0\n", encoding="utf-8")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"data = {log}\n", encoding="utf-8")
+        out = tmp_path / "sd"
+        assert cli.main(["--config", str(cfgfile), "--out", str(out), "--seed", "3", "synth"]) == 0
+        assert len(calls) == 1
+        # the cache holds the synthetic sessions, not the configured log's
+        synth_cfg = ExperimentConfig(seed=3)
+        direct = prepare_data(synth_cfg, Rng(3))
+        cached = prepare_data(dataclasses.replace(synth_cfg, data=str(out / "data.cache")), Rng(3))
+        assert cached.vocab == direct.vocab
+        assert [s.pairs for s in cached.slices] == [s.pairs for s in direct.slices]
+        assert cached.test.pairs == direct.test.pairs
 
     def test_synth_cache_round_trip(self, tmp_path):
         out = tmp_path / "sd"
