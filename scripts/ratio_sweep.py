@@ -1,4 +1,5 @@
-"""Sweep the fixed update-compression ratio and tabulate accuracy vs bytes.
+"""Sweep the fixed update-compression ratio of the demo config (demo.cfg,
+beside this script) and tabulate accuracy vs bytes.
 
 The cloud model is trained once (its path does not depend on the ratio) and
 replayed for each ratio; the runs are aggregated with the report machinery.
@@ -13,7 +14,9 @@ import os
 import warnings
 
 from odup.numkit import Rng
-from odup.pipeline import ExperimentConfig, cloud_trajectory, prepare_data, replay, run_report
+from odup.pipeline import cloud_trajectory, load_config, prepare_data, replay, run_report
+
+DEMO_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "demo.cfg")
 
 
 def main():
@@ -24,23 +27,7 @@ def main():
     args = parser.parse_args()
 
     ratios = [float(r) for r in args.ratios.split(",")]
-    base = ExperimentConfig(
-        data="synth",
-        slices="2:1:1:1:1",
-        synth_vocab=300,
-        synth_sessions=3000,
-        synth_drift=0.3,
-        synth_clusters=6,
-        d=16,
-        rec_epochs=20,
-        n=8,
-        k=16,
-        tau=0.2,
-        codec_epochs=250,
-        strategy="queue",
-        mmd_samples=0,
-        seed=args.seed,
-    )
+    base = dataclasses.replace(load_config(DEMO_CONFIG), seed=args.seed)
     run_dirs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

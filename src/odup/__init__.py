@@ -4,26 +4,4 @@ updates with a shared slot ledger, MMD-adaptive update sizing, and a
 bit-exact delta wire format.
 """
 
-from .adaptive import AdaptiveConfig, MmdConfig, choose_ratio, mmd2
-from .codec import (
-    CodebookStore, CodecConfig, CodecEncoder, encoder_forward, gumbel_relax, harden,
-    model_cr, reconstruct_item, reconstruct_table, train_codec,
-)
-from .errors import (
-    ConfigError, DataError, FrameError, LedgerDivergence, ProtocolError,
-    StaleDeltaError, TrainingDiverged,
-)
-from .numkit import Rng, grad_check, sample_gumbel, softmax
-from .pipeline import ExperimentConfig, RoundReport, run_report, run_simulate, run_train
-from .recommender import RecModel, TrainConfig, encode_session, evaluate, init_model, score_all, train
-from .sessions import (
-    SessionDataset, SlicePlan, augment_split, filter_and_index, sessionize,
-    synth_generate, temporal_slices,
-)
-from .updater import (
-    SlotLedger, UpdateDelta, apply_delta, beta_from_ratio, end_to_end_cr,
-    plan_slots, retrain_update, update_cr,
-)
-from .wire import decode_delta, delta_bytes, encode_delta
-
 __version__ = "0.1.0"

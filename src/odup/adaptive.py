@@ -5,9 +5,9 @@ The statistic is the biased V-statistic (diagonal terms included):
 
     MMD^2 = mean K(x_i, x_j) - 2 mean K(x_i, y_j) + mean K(y_i, y_j)
 
-with K(x, y) = exp(-||x - y||^2 / (2 sigma^2)). The bandwidth defaults to
-the median pairwise distance over the pooled sample (1.0 when that median
-is zero, i.e. all pooled rows coincide).
+with K(x, y) = exp(-||x - y||^2 / (2 sigma^2)), where sigma is the median
+pairwise distance over the pooled sample (1.0 when that median is zero,
+i.e. all pooled rows coincide).
 """
 
 from __future__ import annotations
@@ -22,21 +22,12 @@ from .numkit import Rng, sigmoid
 
 @dataclass
 class MmdConfig:
-    sample_n1: int | None = None    # None (or "full") uses every row
-    sample_n2: int | None = None
-    bandwidth: float | None = None  # None selects the median heuristic
+    samples: int | None = None  # rows drawn from each table; None uses every row
     seed: int = 0
-    paired: bool = False            # sample the same row indices from both tables
 
     def __post_init__(self):
-        for nm in ("sample_n1", "sample_n2"):
-            v = getattr(self, nm)
-            if v == "full":
-                setattr(self, nm, None)
-            elif v is not None and v < 2:
-                raise ValueError("sample counts must be >= 2 or the full sentinel")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("fixed bandwidth must be positive")
+        if self.samples is not None and self.samples < 2:
+            raise ValueError("sample count must be >= 2, or None for every row")
 
 
 @dataclass
@@ -73,8 +64,8 @@ def _sample_rows(x: np.ndarray, count: int | None, rng: Rng) -> np.ndarray:
 def mmd2(X_t: np.ndarray, X_t1: np.ndarray, cfg: MmdConfig = MmdConfig()) -> float:
     """Squared MMD between sampled rows of two tables, clamped at 0.
 
-    Sampling is deterministic per cfg.seed; rows are drawn independently
-    from each table unless cfg.paired.
+    Rows are drawn independently from each table, deterministically per
+    cfg.seed.
     """
     a = np.asarray(X_t, dtype=np.float64)
     b = np.asarray(X_t1, dtype=np.float64)
@@ -83,19 +74,9 @@ def mmd2(X_t: np.ndarray, X_t1: np.ndarray, cfg: MmdConfig = MmdConfig()) -> flo
     if len(a) == 0 or len(b) == 0:
         raise ValueError("tables must be non-empty")
     rng = Rng(cfg.seed)
-    if cfg.paired:
-        if len(a) != len(b):
-            raise ValueError("paired sampling requires equal row counts")
-        count = cfg.sample_n1 if cfg.sample_n1 is not None else cfg.sample_n2
-        if count is None or count >= len(a):
-            sx, sy = a, b
-        else:
-            idx = np.sort(rng.child("mmd-pair").choice(len(a), count, replace=False))
-            sx, sy = a[idx], b[idx]
-    else:
-        sx = _sample_rows(a, cfg.sample_n1, rng.child("mmd-x"))
-        sy = _sample_rows(b, cfg.sample_n2, rng.child("mmd-y"))
-    sigma = cfg.bandwidth if cfg.bandwidth is not None else median_heuristic(np.vstack([sx, sy]))
+    sx = _sample_rows(a, cfg.samples, rng.child("mmd-x"))
+    sy = _sample_rows(b, cfg.samples, rng.child("mmd-y"))
+    sigma = median_heuristic(np.vstack([sx, sy]))
     denom = 2.0 * sigma * sigma
     kxx = np.exp(-_pairwise_sq_dists(sx, sx) / denom).mean()
     kxy = np.exp(-_pairwise_sq_dists(sx, sy) / denom).mean()

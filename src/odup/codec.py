@@ -28,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .numkit import GUMBEL_EPS, Adam, Rng, log_softmax, sample_gumbel, softmax, softplus
+from .numkit import Adam, Rng, log_softmax, sample_gumbel, softmax, softplus
 from .sealed import SealedReader, write_sealed
 
 TAU_DEFAULT = 0.1
-TAU_ALT = 0.2  # alternative preset; see CodecConfig.tau
 
 MODEL_MAGIC = b"ODCM"
 MODEL_VERSION = 1
@@ -49,7 +48,6 @@ class CodecConfig:
     epochs: int = 300
     batch: int = 256
     seed: int = 0
-    straight_through: bool = False
 
     def __post_init__(self):
         if min(self.n, self.k, self.d) < 1:
@@ -145,30 +143,6 @@ def encoder_forward(enc: CodecEncoder, x: np.ndarray) -> np.ndarray:
     return alpha[0] if single else alpha
 
 
-def gumbel_relax(alpha_group: np.ndarray, rng: Rng | None, tau: float) -> np.ndarray:
-    """softmax((log alpha + G) / tau) with fresh Gumbel noise G.
-
-    rng=None fixes G = 0 (noise-free relaxation). Zero probabilities are
-    clamped to 1e-12 before the log.
-    """
-    a = np.asarray(alpha_group, dtype=np.float64)
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    g = np.zeros_like(a) if rng is None else sample_gumbel(rng, a.shape)
-    return softmax(np.log(np.maximum(a, GUMBEL_EPS)) + g, temperature=tau, axis=-1)
-
-
-def reconstruct_item(store: CodebookStore, code) -> np.ndarray:
-    """Sum of rows i*k + code_i of the concatenated store."""
-    code = np.asarray(code, dtype=np.intp)
-    if code.shape != (store.n,):
-        raise ValueError("code must have n components")
-    if code.min() < 0 or code.max() >= store.k:
-        raise ValueError("code component out of range [0, k)")
-    rows = np.arange(store.n) * store.k + code
-    return store.rows[rows].sum(axis=0)
-
-
 def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
     """Gather-sum reconstruction of every item row; equivalent to the
     one-hot matrix product X = O E."""
@@ -192,7 +166,7 @@ def harden(enc: CodecEncoder, target: np.ndarray) -> np.ndarray:
     return codes_from_alpha(encoder_forward(enc, np.asarray(target, dtype=np.float64)))
 
 
-def _relaxed_forward(enc, rows, xb, G, tau, straight_through):
+def _relaxed_forward(enc, rows, xb, G, tau):
     """Relaxed forward pass over a batch.
 
     Returns (loss, intermediates); the loss is the mean over B*d elements
@@ -208,26 +182,20 @@ def _relaxed_forward(enc, rows, xb, G, tau, straight_through):
     sp = softplus(z)
     logA = log_softmax(sp.reshape(B, n, k), axis=-1)
     O = softmax((logA + G) / tau, axis=-1)
-    if straight_through:
-        hard = np.zeros_like(O).reshape(B * n, k)
-        hard[np.arange(B * n), np.argmax(O.reshape(B * n, k), axis=-1)] = 1.0
-        Of = hard.reshape(B, n * k)
-    else:
-        Of = O.reshape(B, n * k)
-    diff = Of @ rows - xb
+    diff = O.reshape(B, n * k) @ rows - xb
     loss = float(np.sum(diff * diff) / (B * d))
-    return loss, (h, z, sp, logA, O, Of, diff)
+    return loss, (h, z, sp, logA, O, diff)
 
 
 def _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates):
     """Gradients of the ``_relaxed_forward`` loss, ordered [phi, b,
     phi_prime, b_prime, rows]."""
-    h, z, sp, logA, O, Of, diff = intermediates
+    h, z, sp, logA, O, diff = intermediates
     B, d = xb.shape
     n, k = enc.n, enc.k
 
     dR = (2.0 / (B * d)) * diff
-    dRows = Of.T @ dR
+    dRows = O.reshape(B, n * k).T @ dR
     if trainable_row_mask is not None:
         dRows[~trainable_row_mask] = 0.0
     dO = (dR @ rows.T).reshape(B, n, k)
@@ -245,9 +213,9 @@ def _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates):
     return [dphi, db, dphi_prime, db_prime, dRows]
 
 
-def _forward_backward(enc, rows, xb, G, tau, straight_through, trainable_row_mask):
+def _forward_backward(enc, rows, xb, G, tau, trainable_row_mask):
     """One relaxed forward/backward pass over a batch: (loss, grads)."""
-    loss, intermediates = _relaxed_forward(enc, rows, xb, G, tau, straight_through)
+    loss, intermediates = _relaxed_forward(enc, rows, xb, G, tau)
     return loss, _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates)
 
 
@@ -255,7 +223,7 @@ def relaxed_loss(enc: CodecEncoder, store: CodebookStore, target: np.ndarray, ta
     """Noise-free (G = 0) full-batch relaxed reconstruction MSE; a forward
     pass only."""
     X = np.asarray(target, dtype=np.float64)
-    loss, _ = _relaxed_forward(enc, store.rows, X, 0.0, tau, False)
+    loss, _ = _relaxed_forward(enc, store.rows, X, 0.0, tau)
     return loss
 
 
@@ -312,9 +280,7 @@ def train_codec(
         for lo in range(0, V, cfg.batch):
             sel = order[lo: lo + cfg.batch]
             G = sample_gumbel(noise_rng, (len(sel), cfg.n, cfg.k))
-            loss, grads = _forward_backward(
-                enc, store.rows, X[sel], G, cfg.tau, cfg.straight_through, trainable_mask
-            )
+            loss, grads = _forward_backward(enc, store.rows, X[sel], G, cfg.tau, trainable_mask)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"codec loss became non-finite ({loss})")
             adam.step(params, grads)

@@ -104,33 +104,6 @@ def softplus(z) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def grad_check(f, analytic_grad, point, h: float = 1e-5) -> float:
-    """Max relative error between central differences of ``f`` and
-    ``analytic_grad`` at ``point``.
-
-    Per-coordinate error is |cd - a| / max(1e-8, |a| + |cd|). Raises
-    ValueError if f evaluates to a non-finite value.
-    """
-    if not h > 0:
-        raise ValueError("h must be positive")
-    point = np.asarray(point, dtype=np.float64).ravel().copy()
-    grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
-    if grad.shape != point.shape:
-        raise ValueError("analytic gradient shape mismatch")
-    worst = 0.0
-    for i in range(point.size):
-        step = np.zeros_like(point)
-        step[i] = h
-        fp = float(f(point + step))
-        fm = float(f(point - step))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError("f returned a non-finite value during grad_check")
-        cd = (fp - fm) / (2.0 * h)
-        err = abs(cd - grad[i]) / max(1e-8, abs(grad[i]) + abs(cd))
-        worst = max(worst, err)
-    return worst
-
-
 class Adam:
     """Adam optimizer: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, with
     bias-corrected moments and update lr * mhat / (sqrt(vhat) + eps).

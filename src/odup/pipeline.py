@@ -29,8 +29,8 @@ from .recommender import (
     RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint, train,
 )
 from .sessions import (
-    SlicePlan, SessionDataset, augment_split, check_synth_settings, filter_and_index, holdout_split,
-    load_dataset_cache, read_event_log, sessionize,
+    SlicePlan, SessionDataset, augment_split, check_filter_settings, check_synth_settings,
+    filter_and_index, holdout_split, load_dataset_cache, read_event_log, sessionize,
     synth_generate, temporal_slices,
 )
 from .updater import (
@@ -56,7 +56,7 @@ class ExperimentConfig:
     max_len: int = 50
     top_items: int = 0             # 0 keeps every item
     test_frac: float = 0.1
-    slices: str = "1:3:6:10:15"    # ratio list a:b:c or comma fractions
+    slices: str = "1:3:6:10:15"    # ratio list a:b:c
 
     synth_vocab: int = 400
     synth_sessions: int = 3000
@@ -78,13 +78,11 @@ class ExperimentConfig:
     codec_lr: float = 0.01
     codec_epochs: int = 200
     codec_batch: int = 256
-    straight_through: bool = False
 
     strategy: str = "queue"        # full | stack | queue
     ratio_mode: str = "fixed"      # fixed | adaptive
     r: float = 10.0
     mmd_samples: int = 512         # 0 = use every row
-    mmd_bandwidth: float = 0.0     # 0 = median heuristic
     C: float = 0.2
     skip_threshold: float = 1e-6
 
@@ -107,22 +105,26 @@ class ExperimentConfig:
             raise ConfigError("d must be at least 2")
         if not 0 < self.test_frac < 1:
             raise ConfigError("test_frac must lie in (0, 1)")
+        if not self.delimiter:
+            raise ConfigError("delimiter must not be empty")
+        if not self.session_gap > 0:
+            raise ConfigError("session_gap must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         try:
             self.slice_plan()
             self.codec_config(seed=self.seed)
             self.rec_config(seed=self.seed, freeze_gate=False)
             self.mmd_config()
             self.adaptive_config()
+            check_filter_settings(self.min_len, self.max_len, self.top_items)
             check_synth_settings(self.synth_vocab, self.synth_sessions, self.synth_drift,
                                  self.synth_clusters, (self.synth_len_min, self.synth_len_max))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def slice_plan(self) -> SlicePlan:
-        text = self.slices
-        if ":" in text:
-            return SlicePlan.from_ratios([float(x) for x in text.split(":")])
-        return SlicePlan([float(x) for x in text.split(",")])
+        return SlicePlan.from_ratios([float(x) for x in self.slices.split(":")])
 
     def rec_config(self, seed: int, freeze_gate: bool) -> TrainConfig:
         return TrainConfig(lr=self.rec_lr, epochs=self.rec_epochs, batch=self.batch,
@@ -130,16 +132,10 @@ class ExperimentConfig:
 
     def codec_config(self, seed: int) -> CodecConfig:
         return CodecConfig(n=self.n, k=self.k, d=self.d, tau=self.tau, lr=self.codec_lr,
-                           epochs=self.codec_epochs, batch=self.codec_batch, seed=seed,
-                           straight_through=self.straight_through)
+                           epochs=self.codec_epochs, batch=self.codec_batch, seed=seed)
 
     def mmd_config(self) -> MmdConfig:
-        return MmdConfig(
-            sample_n1=None if self.mmd_samples == 0 else self.mmd_samples,
-            sample_n2=None if self.mmd_samples == 0 else self.mmd_samples,
-            bandwidth=None if self.mmd_bandwidth == 0 else self.mmd_bandwidth,
-            seed=self.seed,
-        )
+        return MmdConfig(samples=self.mmd_samples or None, seed=self.seed)
 
     def adaptive_config(self) -> AdaptiveConfig:
         return AdaptiveConfig(C=self.C, skip_threshold=self.skip_threshold)
@@ -151,12 +147,6 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 def _parse_value(key: str, raw: str):
     ftype = _FIELD_TYPES[key]
     raw = raw.strip()
-    if ftype == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean for {key}: {raw!r}")
     if ftype == "int":
         try:
             return int(raw)

@@ -37,6 +37,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.lr <= 1:
             raise ValueError("lr must lie in [0, 1]")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         if self.batch < 1:
             raise ValueError("batch must be at least 1")
         if self.l2 < 0:
@@ -76,27 +78,6 @@ def init_model(vocab_size: int, d: int, rng: Rng, encoder_kind: str = "mean_pool
     table = rng.uniform((vocab_size, d)) * 0.2 - 0.1
     gate_raw = float(rng.uniform() * 0.2 - 0.1)
     return RecModel(table, encoder_kind, gate_raw)
-
-
-def encode_session(model: RecModel, prefix) -> np.ndarray:
-    idx = np.asarray(prefix, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("empty session prefix")
-    if idx.min() < 0 or idx.max() >= model.vocab_size:
-        raise ValueError("prefix item index out of range")
-    mean = model.embeddings[idx].mean(axis=0)
-    if model.encoder_kind == "mean_pool":
-        return mean
-    g = model.gate
-    return g * model.embeddings[idx[-1]] + (1.0 - g) * mean
-
-
-def score_all(model_or_table, s: np.ndarray) -> np.ndarray:
-    table = model_or_table.embeddings if isinstance(model_or_table, RecModel) else np.asarray(model_or_table)
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (table.shape[1],):
-        raise ValueError("session embedding dimension mismatch")
-    return table @ s
 
 
 class Batch(NamedTuple):

@@ -1,5 +1,6 @@
-"""Sealed files: a little-endian body and a u32 CRC-32 of it, the container
-of table checkpoints, compressed models and dataset caches."""
+"""Sealed bytes: a little-endian body and a u32 CRC-32 of it, the trailer
+of delta frames and the container of table checkpoints, compressed models
+and dataset caches."""
 
 import struct
 import zlib
@@ -9,9 +10,19 @@ import numpy as np
 from .errors import DataError
 
 
+def seal(body: bytes) -> bytes:
+    """``body`` followed by its u32 CRC-32."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def crc_ok(buf: bytes) -> bool:
+    """True when ``buf`` ends in the u32 CRC-32 of the bytes before it."""
+    return len(buf) >= 4 and zlib.crc32(buf[:-4]) == int.from_bytes(buf[-4:], "little")
+
+
 def write_sealed(path, body: bytes) -> None:
     with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        fh.write(seal(body))
 
 
 class SealedReader:
@@ -26,7 +37,7 @@ class SealedReader:
         except OSError as exc:
             raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
         self.body = buf[:-4]
-        if len(buf) < 4 or zlib.crc32(self.body) & 0xFFFFFFFF != int.from_bytes(buf[-4:], "little"):
+        if not crc_ok(buf):
             raise self.error("CRC mismatch")
 
     def error(self, problem: str) -> DataError:

@@ -142,6 +142,16 @@ def sessionize(log: list[Event], gap: float) -> list[Session]:
     return sessions
 
 
+def check_filter_settings(min_len, max_len, top_items) -> None:
+    """Raise ValueError for settings filter_and_index cannot work with."""
+    if min_len < 2:
+        raise ValueError("min_len must be at least 2")
+    if max_len < min_len:
+        raise ValueError("max_len must be >= min_len")
+    if top_items is not None and top_items < 0:
+        raise ValueError("top_items must be non-negative")
+
+
 def filter_and_index(
     sessions: list[Session],
     min_len: int = 2,
@@ -152,10 +162,7 @@ def filter_and_index(
     most frequent items, and map item ids to dense indices by frequency rank
     (ties broken by first-seen order).
     """
-    if min_len < 2:
-        raise ValueError("min_len must be at least 2")
-    if max_len < min_len:
-        raise ValueError("max_len must be >= min_len")
+    check_filter_settings(min_len, max_len, top_items)
     kept = [s for s in sessions if min_len <= len(s.items) <= max_len]
     # a Counter keeps first-seen order, and the stable sort keeps it for ties
     counts = Counter(it for s in kept for it in s.items)
@@ -218,11 +225,6 @@ class SynthResult:
     test_sessions: list[Session]
     test: SessionDataset
     vocab_size: int
-
-    def slice_sessions(self, t: int) -> list[Session]:
-        """Sessions belonging to slice t (1-based), non-cumulative."""
-        lo = 0 if t == 1 else self.boundaries[t - 2]
-        return self.sessions[lo: self.boundaries[t - 1]]
 
 
 def check_synth_settings(vocab_size, n_sessions, drift, n_clusters, len_range) -> None:

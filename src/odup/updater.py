@@ -120,9 +120,7 @@ def beta_from_ratio(n: int, k: int, r: float) -> int:
 class UpdateResult:
     store: CodebookStore
     encoder: CodecEncoder
-    codes: np.ndarray
     delta: UpdateDelta
-    losses: list[float]
 
 
 def retrain_update(
@@ -143,17 +141,16 @@ def retrain_update(
     if len(slot_set) != len(slots) or not slot_set <= set(range(nk)):
         raise ValueError("slots must be distinct row indices in [0, nk)")
     frozen = sorted(set(range(nk)) - slot_set)
-    store, enc, losses = train_codec(new_target, cfg, frozen_rows=frozen, warm=(prev_store, prev_encoder))
-    codes = harden(enc, new_target)
+    store, enc, _ = train_codec(new_target, cfg, frozen_rows=frozen, warm=(prev_store, prev_encoder))
     delta = UpdateDelta(
         epoch=epoch,
         strategy=strategy,
         beta=len(slots),
         new_rows=store.rows[list(slots)].copy(),
-        codes=codes,
+        codes=harden(enc, new_target),
         replaced_slots=[int(s) for s in slots],
     )
-    return UpdateResult(store, enc, codes, delta, losses)
+    return UpdateResult(store, enc, delta)
 
 
 def apply_delta(

@@ -29,11 +29,11 @@ Persisted frames use the ``.odup`` file extension.
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 
 from .errors import FrameError
+from .sealed import crc_ok, seal
 from .updater import UpdateDelta
 
 MAGIC = b"ODUP"
@@ -107,13 +107,12 @@ def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> b
         _HEADER, MAGIC, VERSION, STRATEGY_CODES[delta.strategy],
         delta.epoch, vocab, n, k, d, delta.beta,
     )
-    body = (
+    return seal(
         head
         + pack_codes(delta.codes, k)
         + slots.astype("<u4").tobytes()
         + delta.new_rows.astype("<f4").tobytes()
     )
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
 def decode_delta(buf: bytes) -> UpdateDelta:
@@ -138,8 +137,7 @@ def decode_delta(buf: bytes) -> UpdateDelta:
     expected = delta_bytes(vocab, n, k, d, beta)
     if len(buf) != expected:
         raise FrameError("size", f"frame is {len(buf)} bytes, layout requires {expected}")
-    (crc,) = struct.unpack_from("<I", buf, len(buf) - 4)
-    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != crc:
+    if not crc_ok(buf):
         raise FrameError("crc", "CRC-32 mismatch")
     off = HEADER_LEN
     ncb = packed_code_bytes(vocab, n, k)

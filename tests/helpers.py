@@ -1,8 +1,15 @@
-"""Test-only builder for datasets given as explicit (prefix, label) pairs."""
+"""Test-only builders and reference oracles: straightforward per-item forms
+of what the package computes in batches, kept out of the package because
+only tests call them."""
 
 import numpy as np
 
-from odup.sessions import SessionDataset
+from odup.codec import CodebookStore
+from odup.numkit import GUMBEL_EPS, Rng, sample_gumbel, softmax
+from odup.recommender import RecModel
+from odup.sessions import Session, SessionDataset, SynthResult
+
+TAU_ALT = 0.2  # the temperature of the acceptance and demo configs
 
 
 def dataset_of(pairs, vocab_size: int) -> SessionDataset:
@@ -14,3 +21,81 @@ def dataset_of(pairs, vocab_size: int) -> SessionDataset:
         ends.append(len(items))
         items.append(int(label))
     return SessionDataset(*(np.array(xs, dtype=np.intp) for xs in (items, starts, ends)), vocab_size)
+
+
+def slice_sessions(res: SynthResult, t: int) -> list[Session]:
+    """Sessions belonging to slice t (1-based), non-cumulative."""
+    lo = 0 if t == 1 else res.boundaries[t - 2]
+    return res.sessions[lo: res.boundaries[t - 1]]
+
+
+def gumbel_relax(alpha_group: np.ndarray, rng: Rng | None, tau: float) -> np.ndarray:
+    """softmax((log alpha + G) / tau) with fresh Gumbel noise G.
+
+    rng=None fixes G = 0 (noise-free relaxation). Zero probabilities are
+    clamped to 1e-12 before the log.
+    """
+    a = np.asarray(alpha_group, dtype=np.float64)
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    g = np.zeros_like(a) if rng is None else sample_gumbel(rng, a.shape)
+    return softmax(np.log(np.maximum(a, GUMBEL_EPS)) + g, temperature=tau, axis=-1)
+
+
+def reconstruct_item(store: CodebookStore, code) -> np.ndarray:
+    """Sum of rows i*k + code_i of the concatenated store."""
+    code = np.asarray(code, dtype=np.intp)
+    if code.shape != (store.n,):
+        raise ValueError("code must have n components")
+    if code.min() < 0 or code.max() >= store.k:
+        raise ValueError("code component out of range [0, k)")
+    rows = np.arange(store.n) * store.k + code
+    return store.rows[rows].sum(axis=0)
+
+
+def encode_session(model: RecModel, prefix) -> np.ndarray:
+    idx = np.asarray(prefix, dtype=np.intp)
+    if idx.size == 0:
+        raise ValueError("empty session prefix")
+    if idx.min() < 0 or idx.max() >= model.vocab_size:
+        raise ValueError("prefix item index out of range")
+    mean = model.embeddings[idx].mean(axis=0)
+    if model.encoder_kind == "mean_pool":
+        return mean
+    g = model.gate
+    return g * model.embeddings[idx[-1]] + (1.0 - g) * mean
+
+
+def score_all(model_or_table, s: np.ndarray) -> np.ndarray:
+    table = model_or_table.embeddings if isinstance(model_or_table, RecModel) else np.asarray(model_or_table)
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape != (table.shape[1],):
+        raise ValueError("session embedding dimension mismatch")
+    return table @ s
+
+
+def grad_check(f, analytic_grad, point, h: float = 1e-5) -> float:
+    """Max relative error between central differences of ``f`` and
+    ``analytic_grad`` at ``point``.
+
+    Per-coordinate error is |cd - a| / max(1e-8, |a| + |cd|). Raises
+    ValueError if f evaluates to a non-finite value.
+    """
+    if not h > 0:
+        raise ValueError("h must be positive")
+    point = np.asarray(point, dtype=np.float64).ravel().copy()
+    grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
+    if grad.shape != point.shape:
+        raise ValueError("analytic gradient shape mismatch")
+    worst = 0.0
+    for i in range(point.size):
+        step = np.zeros_like(point)
+        step[i] = h
+        fp = float(f(point + step))
+        fm = float(f(point - step))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError("f returned a non-finite value during grad_check")
+        cd = (fp - fm) / (2.0 * h)
+        err = abs(cd - grad[i]) / max(1e-8, abs(grad[i]) + abs(cd))
+        worst = max(worst, err)
+    return worst

@@ -16,7 +16,7 @@ import pytest
 from odup.adaptive import AdaptiveConfig, MmdConfig, choose_ratio, mmd2
 from odup.codec import CodecConfig, harden, model_cr, reconstruct_table, train_codec
 from odup.errors import FrameError
-from odup.numkit import Rng, grad_check, sigmoid
+from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig, run_simulate
 from odup.recommender import TrainConfig, _loss_and_grads, evaluate, gather_batch, init_model, train
 from odup.sessions import SlicePlan, synth_generate
@@ -25,7 +25,7 @@ from odup.updater import (
 )
 from odup.wire import decode_delta, delta_bytes, encode_delta
 
-from helpers import dataset_of
+from helpers import dataset_of, grad_check
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -230,11 +230,11 @@ def test_criterion_7_gradient_correctness():
     def fc(vec):
         phi, b, pp, bp, rows = unflat(vec)
         e = CodecEncoder(cfg.n, cfg.k, phi, b, pp, bp)
-        loss, _ = _forward_backward(e, rows, X, G, cfg.tau, False, None)
+        loss, _ = _forward_backward(e, rows, X, G, cfg.tau, None)
         return loss
 
     point = np.concatenate([p.ravel() for p in enc.params() + [store.rows]])
-    _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau, False, None)
+    _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau, None)
     err_codec = grad_check(fc, np.concatenate([g.ravel() for g in grads]), point, h=1e-6)
     assert err_codec <= 1e-4
     report("7 gradient correctness",

@@ -15,20 +15,6 @@ class TestMmd2:
         X = rng.uniform((40, 8))
         assert mmd2(X, X.copy()) <= 1e-12
 
-    def test_identical_with_sampling_zero(self):
-        rng = Rng(1)
-        X = rng.uniform((60, 8))
-        cfg = MmdConfig(sample_n1=20, sample_n2=20, seed=5, paired=True)
-        assert mmd2(X, X.copy(), cfg) <= 1e-12
-
-    def test_single_rows_closed_form(self):
-        a = np.array([[0.0, 0.0]])
-        b = np.array([[1.0, 2.0]])
-        sigma = 0.7
-        got = mmd2(a, b, MmdConfig(bandwidth=sigma))
-        expected = 2.0 - 2.0 * math.exp(-(1.0 + 4.0) / (2 * sigma**2))
-        assert abs(got - expected) < 1e-12
-
     def test_median_heuristic_single_pair(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[3.0, 4.0]])
@@ -49,12 +35,12 @@ class TestMmd2:
         rng = Rng(9)
         A = rng.uniform((30, 5))
         B = rng.uniform((50, 5)) + 0.3
-        ab = mmd2(A, B, MmdConfig(sample_n1=20, sample_n2=30, seed=4, bandwidth=1.0))
-        ba = mmd2(B, A, MmdConfig(sample_n1=30, sample_n2=20, seed=4, bandwidth=1.0))
+        ab = mmd2(A, B, MmdConfig(samples=20, seed=4))
+        ba = mmd2(B, A, MmdConfig(samples=20, seed=4))
         # same kernel, swapped roles; x/y sample streams differ so compare
         # full-sample case for exactness
-        full_ab = mmd2(A, B, MmdConfig(bandwidth=1.0))
-        full_ba = mmd2(B, A, MmdConfig(bandwidth=1.0))
+        full_ab = mmd2(A, B)
+        full_ba = mmd2(B, A)
         assert abs(full_ab - full_ba) < 1e-15
         assert ab >= 0 and ba >= 0
 
@@ -62,17 +48,8 @@ class TestMmd2:
         rng = Rng(2)
         A = rng.uniform((100, 6))
         B = rng.uniform((100, 6)) + 0.1
-        cfg = MmdConfig(sample_n1=32, sample_n2=32, seed=11)
+        cfg = MmdConfig(samples=32, seed=11)
         assert mmd2(A, B, cfg) == mmd2(A, B, cfg)
-
-    def test_paired_flag(self):
-        rng = Rng(2)
-        A = rng.uniform((100, 6))
-        B = A + rng.normal(0.05, A.shape)
-        cfg_ind = MmdConfig(sample_n1=40, sample_n2=40, seed=1, paired=False)
-        cfg_pair = MmdConfig(sample_n1=40, sample_n2=40, seed=1, paired=True)
-        assert mmd2(A, B, cfg_ind) >= 0
-        assert mmd2(A, B, cfg_pair) >= 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -145,14 +122,6 @@ class TestChooseRatio:
 
 
 class TestMmdConfig:
-    def test_full_sentinel(self):
-        cfg = MmdConfig(sample_n1="full", sample_n2="full")
-        assert cfg.sample_n1 is None and cfg.sample_n2 is None
-
     def test_sample_count_bounds(self):
         with pytest.raises(ValueError):
-            MmdConfig(sample_n1=1)
-
-    def test_bandwidth_positive(self):
-        with pytest.raises(ValueError):
-            MmdConfig(bandwidth=0.0)
+            MmdConfig(samples=1)

@@ -5,11 +5,13 @@ import pytest
 
 from odup.errors import ConfigError
 from odup.codec import (
-    TAU_ALT, TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity,
-    codes_from_alpha, encoder_forward, gumbel_relax, harden, init_codec, model_cr,
-    reconstruct_item, reconstruct_table, relaxed_loss, train_codec, _forward_backward,
+    TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity,
+    codes_from_alpha, encoder_forward, harden, init_codec, model_cr,
+    reconstruct_table, relaxed_loss, train_codec, _forward_backward,
 )
-from odup.numkit import Rng, grad_check, sample_gumbel, softmax
+from odup.numkit import Rng, sample_gumbel, softmax
+
+from helpers import TAU_ALT, grad_check, gumbel_relax, reconstruct_item
 
 
 def clustered_table(rng: Rng, vocab, d, n_clusters=8, noise=0.05):
@@ -230,7 +232,7 @@ class TestTrainCodec:
             G = np.zeros((X.shape[0], cfg.n, cfg.k))
             with np.errstate(all="raise"):
                 forward_only = relaxed_loss(enc, store, X, cfg.tau)
-                full, _ = _forward_backward(enc, store.rows, X, G, cfg.tau, False, None)
+                full, _ = _forward_backward(enc, store.rows, X, G, cfg.tau, None)
             assert forward_only == full
 
     def test_hardened_within_2x_of_relaxed(self):
@@ -252,15 +254,6 @@ class TestTrainCodec:
         O = gumbel_relax(alpha, Rng(0).child("g"), cfg.tau)
         assert np.allclose(O.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(O >= 0)
-
-    def test_straight_through_runs(self):
-        rng = Rng(5)
-        X = clustered_table(rng, 24, 6, n_clusters=4)
-        cfg = CodecConfig(n=2, k=4, d=6, epochs=30, batch=16, seed=1, straight_through=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            store, enc, losses = train_codec(X, cfg)
-        assert losses[-1] < losses[0]
 
     def test_deterministic(self):
         rng = Rng(5)
@@ -297,11 +290,11 @@ class TestCodecGradients:
         def f(vec):
             phi, b, pp, bp, rows = unflat(vec)
             e = CodecEncoder(cfg.n, cfg.k, phi, b, pp, bp)
-            loss, _ = _forward_backward(e, rows, X, G, cfg.tau, False, None)
+            loss, _ = _forward_backward(e, rows, X, G, cfg.tau, None)
             return loss
 
         point = np.concatenate([p.ravel() for p in enc.params() + [store.rows]])
-        _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau, False, None)
+        _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau, None)
         analytic = np.concatenate([g.ravel() for g in grads])
         assert grad_check(f, analytic, point, h=1e-6) <= 1e-4
 
@@ -383,7 +376,7 @@ class TestCodecConfig:
             CodecConfig(n=1, k=3, d=4)
 
     def test_tau_presets(self):
-        from odup.codec import TAU_ALT, TAU_DEFAULT
+        from odup.codec import TAU_DEFAULT
 
         assert CodecConfig(n=2, k=4, d=4).tau == TAU_DEFAULT == 0.1
         assert TAU_ALT == 0.2

@@ -82,6 +82,16 @@ class TestConfigFile:
             ExperimentConfig(strategy="heap")
 
 
+class TestDemoConfig:
+    def test_demo_cfg_is_the_demo_experiment(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "demo.cfg")
+        assert load_config(path) == ExperimentConfig(
+            data="synth", slices="2:1:1:1:1", synth_vocab=300, synth_sessions=3000,
+            synth_drift=0.3, synth_clusters=6, d=16, rec_epochs=20, n=8, k=16, tau=0.2,
+            codec_epochs=250, strategy="queue", r=10.0, mmd_samples=0, seed=7, out="runs/demo",
+        )
+
+
 class TestRunTrain:
     def test_checkpoints_and_improvement(self, tmp_path):
         cfg = small_config(
@@ -126,6 +136,25 @@ class TestCloudTrajectory:
             replayed = tree_bytes(tmp_path / "replay" / strategy)
             assert {"report.csv", "report.json", "frames/round_01.odup"} <= replayed.keys()
             assert replayed == tree_bytes(tmp_path / "sim" / strategy)
+
+    def test_last_gated_gate_frozen_after_slice_1(self, tmp_path, monkeypatch):
+        cfg = small_config(encoder="last_gated")
+        data = prepare_data(cfg, Rng(cfg.seed))
+        trajectory = list(cloud_trajectory(cfg, data))
+        # the gate trains on slice 1 only; later slices keep its bits
+        first = trajectory[0].model.gate_raw
+        assert all(step.model.gate_raw.hex() == first.hex() for step in trajectory[1:])
+        devices = []
+
+        class RecordingDevice(DeviceSim):
+            def __init__(self, *args):
+                super().__init__(*args)
+                devices.append(self)
+
+        monkeypatch.setattr(pipeline, "DeviceSim", RecordingDevice)
+        replay(cfg, data, trajectory, str(tmp_path / "sim"))
+        [device] = devices
+        assert device.gate == trajectory[-1].model.gate
 
     def test_tables_are_read_only_snapshots(self):
         cfg = small_config(slices="1:1", rec_epochs=2)
@@ -387,11 +416,17 @@ class TestCli:
     @pytest.mark.parametrize("line", [
         "slices = 1:0:2", "slices = abc", "d = 1", "C = 5", "mmd_samples = 1", "rec_lr = 5",
         "test_frac = 1.5", "synth_vocab = 10", "synth_sessions = 50", "synth_len_min = 1",
+        "session_gap = 0", "min_len = 1", "max_len = 1", "delimiter =", "rec_epochs = 0",
+        "top_items = -1",
     ])
     def test_invalid_setting_exit_2(self, tmp_path, line, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(line + "\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert cli.main(["--seed", "-1", "--out", str(tmp_path / "o"), "simulate"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_missing_data_exit_3(self, tmp_path):

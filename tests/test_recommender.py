@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odup.errors import DataError, TrainingDiverged
-from odup.numkit import Rng, grad_check, log_softmax, sigmoid
+from odup.numkit import Rng, log_softmax, sigmoid
 from odup.recommender import (
-    RecModel, TrainConfig, _loss_and_grads, encode_session, evaluate, gather_batch,
-    init_model, load_checkpoint, save_checkpoint, score_all, train,
+    RecModel, TrainConfig, _loss_and_grads, evaluate, gather_batch,
+    init_model, load_checkpoint, save_checkpoint, train,
 )
 
-from helpers import dataset_of
+from helpers import dataset_of, encode_session, grad_check, score_all
 
 
 def toy_model(vocab=4, d=3, kind="mean_pool", seed=5):

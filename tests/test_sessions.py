@@ -11,6 +11,8 @@ from odup.sessions import (
     temporal_slices,
 )
 
+from helpers import slice_sessions
+
 HOUR = 3600.0
 
 
@@ -190,7 +192,7 @@ class TestSynth:
         freqs = np.zeros((z, res.vocab_size))
         lens = []
         for t in range(1, z + 1):
-            for sess in res.slice_sessions(t):
+            for sess in slice_sessions(res, t):
                 lens.append(len(sess.items))
                 for it in sess.items:
                     freqs[t - 1, it] += 1

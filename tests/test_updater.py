@@ -190,7 +190,7 @@ class TestRetrainUpdate:
             upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
         stale_codes = harden(enc, X1)
         stale_mse = float(((reconstruct_table(store, stale_codes) - X2) ** 2).mean())
-        new_mse = float(((reconstruct_table(upd.store, upd.codes) - X2) ** 2).mean())
+        new_mse = float(((reconstruct_table(upd.store, upd.delta.codes) - X2) ** 2).mean())
         assert new_mse <= stale_mse
 
     def test_frozen_row_conservation(self):
@@ -249,7 +249,7 @@ class TestApplyDelta:
         assert np.array_equal(
             dstore2.rows, upd.store.rows.astype(np.float32).astype(np.float64)
         )
-        assert np.array_equal(table, reconstruct_table(dstore2, upd.codes))
+        assert np.array_equal(table, reconstruct_table(dstore2, upd.delta.codes))
 
     def test_stale_epoch_rejected(self):
         cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
