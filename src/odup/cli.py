@@ -16,9 +16,16 @@ import sys
 from .errors import ConfigError, DataError, ProtocolError, TrainingDiverged
 from .numkit import Rng
 from .pipeline import (
-    ExperimentConfig, load_config, run_compress, run_report, run_simulate, run_train,
+    ExperimentConfig, load_config, run_compress, run_report, run_simulate, run_train, synth_data,
 )
-from .sessions import save_dataset_cache, synth_generate
+
+# package errors and the exit code and stderr label each one ends in
+EXIT_CODES = (
+    (ConfigError, 2, "config error"),
+    (DataError, 3, "data error"),
+    (TrainingDiverged, 4, "training diverged"),
+    (ProtocolError, 5, "protocol error"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,26 +54,16 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_synth(cfg: ExperimentConfig) -> int:
-    res = synth_generate(
-        Rng(cfg.seed).child("synth"), cfg.synth_vocab, cfg.synth_sessions,
-        cfg.synth_drift, cfg.slice_plan(),
-        n_clusters=cfg.synth_clusters,
-        len_range=(cfg.synth_len_min, cfg.synth_len_max),
-        test_frac=cfg.test_frac,
-    )
-    names = [f"i{j:06d}" for j in range(res.vocab_size)]
+    res = synth_data(cfg, Rng(cfg.seed))
+    sessions = res.sessions + res.test_sessions
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "events.tsv")
     with open(path, "w", encoding="utf-8") as fh:
-        for i, sess in enumerate(res.sessions + res.test_sessions):
+        for i, sess in enumerate(sessions):
             for j, item in enumerate(sess.items):
-                fh.write(f"u{i:06d}\t{names[item]}\t{sess.start + j:.1f}\n")
-    cache_path = os.path.join(cfg.out, "data.cache")
-    save_dataset_cache(cache_path, res.slices, res.test, names)
-    n_events = sum(len(s.items) for s in res.sessions + res.test_sessions)
-    print(f"wrote {path}: {len(res.sessions) + len(res.test_sessions)} sessions, "
-          f"{n_events} events, vocab {res.vocab_size}")
-    print(f"wrote {cache_path} (usable via 'data = {cache_path}')")
+                fh.write(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n")
+    n_events = sum(len(s.items) for s in sessions)
+    print(f"wrote {path}: {len(sessions)} sessions, {n_events} events, vocab {res.vocab_size}")
     return 0
 
 
@@ -100,36 +97,34 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def run_guarded(command, *args) -> int:
+    """``command(*args)``; a package error in EXIT_CODES is printed as one
+    labelled line on stderr and becomes its exit code."""
     try:
-        cfg = _load(args)
-        if args.command == "synth":
-            return _cmd_synth(cfg)
-        if args.command == "train":
-            return _cmd_train(cfg)
-        if args.command == "compress":
-            return _cmd_compress(cfg, args.table)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        if args.command == "report":
-            print(run_report(args.runs, cfg.out))
-            return 0
-        parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 4
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return 5
+        return command(*args)
+    except tuple(kind for kind, _, _ in EXIT_CODES) as exc:
+        for kind, code, label in EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+
+
+def _run(args) -> int:
+    cfg = _load(args)
+    if args.command == "synth":
+        return _cmd_synth(cfg)
+    if args.command == "train":
+        return _cmd_train(cfg)
+    if args.command == "compress":
+        return _cmd_compress(cfg, args.table)
+    if args.command == "simulate":
+        return _cmd_simulate(cfg)
+    print(run_report(args.runs, cfg.out))  # "report"; argparse admits no other command
     return 0
+
+
+def main(argv=None) -> int:
+    return run_guarded(_run, _build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

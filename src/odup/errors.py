@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-TrainingDiverged -> 4, ProtocolError (and subclasses) -> 5.
+``odup.cli.EXIT_CODES`` maps these onto exit codes: ConfigError -> 2,
+DataError -> 3, TrainingDiverged -> 4, ProtocolError (and subclasses) -> 5.
 """
 
 

@@ -26,22 +26,17 @@ from .codec import (
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
 from .recommender import (
-    RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint, train,
+    ENCODER_KINDS, RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint,
+    train,
 )
 from .sessions import (
-    SlicePlan, SessionDataset, augment_split, check_filter_settings, check_synth_settings,
-    filter_and_index, holdout_split, load_dataset_cache, read_event_log, sessionize,
+    SlicePlan, SessionDataset, SynthResult, augment_split, check_filter_settings,
+    check_synth_settings, filter_and_index, holdout_split, read_event_log, sessionize,
     synth_generate, temporal_slices,
 )
 from .updater import (
-    SlotLedger, UpdateDelta, advance_ledger, apply_delta, beta_from_ratio,
+    STRATEGIES, SlotLedger, UpdateDelta, advance_ledger, apply_delta, beta_from_ratio,
     end_to_end_cr, plan_slots, retrain_update, update_cr,
-)
-
-CSV_COLUMNS = (
-    "slice,strategy,r,beta,mmd,delta_bytes,cum_bytes,"
-    "cloud_p5,cloud_n5,cloud_p10,cloud_n10,dev_p5,dev_n5,dev_p10,dev_n10,"
-    "cr_model,cr_update,cr_total,secs"
 )
 
 
@@ -91,15 +86,15 @@ class ExperimentConfig:
     timing: str = "wall"           # wall | zero
 
     def __post_init__(self):
-        if self.strategy not in ("full", "stack", "queue"):
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.ratio_mode not in ("fixed", "adaptive"):
             raise ConfigError(f"unknown ratio_mode {self.ratio_mode!r}")
         if self.timing not in ("wall", "zero"):
             raise ConfigError(f"unknown timing mode {self.timing!r}")
-        if self.encoder not in ("mean_pool", "last_gated"):
+        if self.encoder not in ENCODER_KINDS:
             raise ConfigError(f"unknown encoder {self.encoder!r}")
-        if self.ratio_mode == "fixed" and self.strategy != "full" and self.r < 1:
+        if self.ratio_mode == "fixed" and self.strategy != "full" and not self.r >= 1:
             raise ConfigError("fixed ratio r must be >= 1")
         if self.d < 2:
             raise ConfigError("d must be at least 2")
@@ -208,8 +203,10 @@ class RoundReport:
         return dataclasses.asdict(self)
 
     def to_csv_row(self) -> str:
-        vals = [getattr(self, name) for name in CSV_COLUMNS.split(",")]
-        return ",".join(_fmt(v) for v in vals)
+        return ",".join(_fmt(getattr(self, name)) for name in CSV_COLUMNS.split(","))
+
+
+CSV_COLUMNS = ",".join(f.name for f in dataclasses.fields(RoundReport))
 
 
 def _fmt(v) -> str:
@@ -223,25 +220,24 @@ class DataBundle:
     slices: list[SessionDataset]
     test: SessionDataset
     vocab_size: int
-    vocab: list[str] | None = None  # item ids by index; synthetic ids for synth data
+
+
+def synth_data(cfg: ExperimentConfig, rng: Rng) -> SynthResult:
+    """The sessions of ``data = synth``; ``odup synth`` writes these same ones."""
+    return synth_generate(
+        rng.child("synth"), cfg.synth_vocab, cfg.synth_sessions, cfg.synth_drift, cfg.slice_plan(),
+        n_clusters=cfg.synth_clusters,
+        len_range=(cfg.synth_len_min, cfg.synth_len_max),
+        test_frac=cfg.test_frac,
+    )
 
 
 def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
-    plan = cfg.slice_plan()
     if cfg.data == "synth":
-        res = synth_generate(
-            rng.child("synth"), cfg.synth_vocab, cfg.synth_sessions, cfg.synth_drift, plan,
-            n_clusters=cfg.synth_clusters,
-            len_range=(cfg.synth_len_min, cfg.synth_len_max),
-            test_frac=cfg.test_frac,
-        )
-        names = [f"i{j:06d}" for j in range(res.vocab_size)]
-        return DataBundle(res.slices, res.test, res.vocab_size, names)
+        res = synth_data(cfg, rng)
+        return DataBundle(res.slices, res.test, res.vocab_size)
     if not os.path.exists(cfg.data):
         raise DataError(f"dataset not found: {cfg.data}")
-    if cfg.data.endswith(".cache"):
-        slices, test, vocab = load_dataset_cache(cfg.data)
-        return DataBundle(slices, test, len(vocab), vocab)
     events = read_event_log(cfg.data, cfg.delimiter)
     if not events:
         raise DataError(f"event log is empty: {cfg.data}")
@@ -250,9 +246,8 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
         sessions, cfg.min_len, cfg.max_len, cfg.top_items or None
     )
     train_sessions, test_sessions = holdout_split(indexed, cfg.test_frac)
-    slices = temporal_slices(train_sessions, plan, len(vocab))
-    test = augment_split(test_sessions, len(vocab), slice_id=0)
-    return DataBundle(slices, test, len(vocab), vocab)
+    slices = temporal_slices(train_sessions, cfg.slice_plan())
+    return DataBundle(slices, augment_split(test_sessions), len(vocab))
 
 
 class DeviceSim:

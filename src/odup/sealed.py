@@ -1,6 +1,6 @@
 """Sealed bytes: a little-endian body and a u32 CRC-32 of it, the trailer
-of delta frames and the container of table checkpoints, compressed models
-and dataset caches."""
+of delta frames and the container of table checkpoints and compressed
+models."""
 
 import struct
 import zlib
@@ -26,8 +26,9 @@ def write_sealed(path, body: bytes) -> None:
 
 
 class SealedReader:
-    """Reads a sealed body field by field. A missing file, a bad CRC and a
-    body shorter or longer than its fields all raise DataError."""
+    """Reads a sealed body field by field. A missing file, a bad CRC, a
+    body shorter or longer than its fields and a NaN or infinite float all
+    raise DataError."""
 
     def __init__(self, path, what: str):
         self.path, self.what, self.off = path, what, 0
@@ -53,7 +54,10 @@ class SealedReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype: str, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype)
+        out = np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype)
+        if not np.all(np.isfinite(out)):
+            raise self.error("holds a non-finite value")
+        return out
 
     def finish(self) -> None:
         if self.off != len(self.body):

@@ -9,7 +9,6 @@ record per line. Slicing is cumulative: slice t contains every
 from __future__ import annotations
 
 import itertools
-import struct
 from collections import Counter
 from dataclasses import dataclass
 
@@ -17,11 +16,8 @@ import numpy as np
 
 from .errors import DataError
 from .numkit import Rng
-from .sealed import SealedReader, write_sealed
 
 Event = tuple[str, str, float]  # (user, item, seconds since epoch)
-
-CACHE_VERSION = 2
 
 
 @dataclass
@@ -40,8 +36,6 @@ class SessionDataset:
     items: np.ndarray   # intp item indices
     starts: np.ndarray  # intp, one per pair
     ends: np.ndarray    # intp, one per pair; starts < ends < len(items)
-    vocab_size: int
-    slice_id: int = 0
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -53,10 +47,9 @@ class SessionDataset:
         prefixes = map(flat.__getitem__, map(slice, self.starts.tolist(), self.ends.tolist()))
         return list(zip(prefixes, self.items[self.ends].tolist()))
 
-    def head(self, n_pairs: int, slice_id: int) -> "SessionDataset":
+    def head(self, n_pairs: int) -> "SessionDataset":
         """The first ``n_pairs`` pairs, as views of this dataset's arrays."""
-        return SessionDataset(self.items, self.starts[:n_pairs], self.ends[:n_pairs],
-                              self.vocab_size, slice_id)
+        return SessionDataset(self.items, self.starts[:n_pairs], self.ends[:n_pairs])
 
 
 @dataclass
@@ -177,7 +170,7 @@ def filter_and_index(
     return out, vocab_items
 
 
-def augment_split(sessions: list[Session], vocab_size: int, slice_id: int = 0) -> SessionDataset:
+def augment_split(sessions: list[Session]) -> SessionDataset:
     """Sequence splitting: [v1..vl] -> ([v1],v2), ([v1,v2],v3), ...; every
     item but a session's first is a label."""
     lens = np.array([len(s.items) for s in sessions], dtype=np.intp)
@@ -187,10 +180,10 @@ def augment_split(sessions: list[Session], vocab_size: int, slice_id: int = 0) -
     offsets = np.cumsum(lens) - lens
     starts = np.repeat(offsets, lens - 1)
     ends = np.delete(np.arange(len(items)), offsets)
-    return SessionDataset(items, starts, ends, vocab_size, slice_id)
+    return SessionDataset(items, starts, ends)
 
 
-def temporal_slices(sessions: list[Session], plan: SlicePlan, vocab_size: int) -> list[SessionDataset]:
+def temporal_slices(sessions: list[Session], plan: SlicePlan) -> list[SessionDataset]:
     """Cumulative temporal slices: slice t holds the earliest sum(f_1..f_t)
     fraction of sessions, augmented into (prefix, label) pairs: views of
     the first pairs of the last slice.
@@ -199,12 +192,9 @@ def temporal_slices(sessions: list[Session], plan: SlicePlan, vocab_size: int) -
     if len(sessions) < z:
         raise DataError(f"need at least {z} sessions for {z} slices")
     ordered = sorted(sessions, key=lambda s: s.start)
-    everything = augment_split(ordered, vocab_size)
+    everything = augment_split(ordered)
     pair_counts = np.cumsum([0] + [len(s.items) - 1 for s in ordered])
-    return [
-        everything.head(int(pair_counts[b]), slice_id=t + 1)
-        for t, b in enumerate(plan.boundaries(len(ordered)))
-    ]
+    return [everything.head(int(pair_counts[b])) for b in plan.boundaries(len(ordered))]
 
 
 def holdout_split(sessions: list[Session], test_frac: float) -> tuple[list[Session], list[Session]]:
@@ -323,57 +313,6 @@ def synth_generate(
         make_session(z - 1, float(n_train + j) * 10.0) for j in range(n_test)
     ]
 
-    slices = temporal_slices(sessions, plan, vocab_size)
-    test = augment_split(test_sessions, vocab_size, slice_id=0)
-    return SynthResult(sessions, bounds, slices, test_sessions, test, vocab_size)
+    slices = temporal_slices(sessions, plan)
+    return SynthResult(sessions, bounds, slices, test_sessions, augment_split(test_sessions), vocab_size)
 
-
-def _pack_layout(ds: SessionDataset) -> bytes:
-    head = struct.pack("<III", len(ds.items), len(ds), ds.slice_id)
-    return head + b"".join(a.astype("<u4").tobytes() for a in (ds.items, ds.starts, ds.ends))
-
-
-def _read_layout(r: SealedReader, vocab_size: int) -> SessionDataset:
-    n_items, n_pairs, slice_id = r.unpack("<III")
-    items, starts, ends = (r.array("<u4", n).astype(np.intp) for n in (n_items, n_pairs, n_pairs))
-    if np.any(items >= vocab_size):
-        raise r.error("holds an item outside its vocabulary")
-    if np.any(starts >= ends) or np.any(ends >= n_items):
-        raise r.error("holds a pair outside its item array")
-    return SessionDataset(items, starts, ends, vocab_size, slice_id)
-
-
-def save_dataset_cache(path, slices: list[SessionDataset], test: SessionDataset, vocab: list[str]) -> None:
-    """Sealed little-endian snapshot: u8 version, u32 |V|, per item id a
-    u16 length and UTF-8 bytes, u8 slice count, per slice u32 pairs and u32
-    slice id, then the last slice's layout and the test layout. A layout is
-    u32 item count, pair count and slice id, then items, starts, ends."""
-    last = slices[-1]
-    if any(ds.items is not last.items or not np.array_equal(ds.ends, last.ends[: len(ds)]) for ds in slices):
-        raise ValueError("every cached slice must be a view of the last slice's arrays")
-    parts = [struct.pack("<BI", CACHE_VERSION, len(vocab))]
-    for item in vocab:
-        enc = item.encode("utf-8")
-        parts.append(struct.pack("<H", len(enc)) + enc)
-    parts.append(struct.pack("<B", len(slices)))
-    parts.extend(struct.pack("<II", len(ds), ds.slice_id) for ds in slices)
-    parts += [_pack_layout(last), _pack_layout(test)]
-    write_sealed(path, b"".join(parts))
-
-
-def load_dataset_cache(path) -> tuple[list[SessionDataset], SessionDataset, list[str]]:
-    r = SealedReader(path, "dataset cache")
-    version, n_vocab = r.unpack("<BI")
-    if version != CACHE_VERSION:
-        raise r.error(f"version {version} is unsupported; regenerate it with 'odup synth'")
-    try:
-        vocab = [r.take(r.unpack("<H")[0]).decode("utf-8") for _ in range(n_vocab)]
-    except UnicodeDecodeError:
-        raise r.error("holds an item id that is not UTF-8") from None
-    heads = [r.unpack("<II") for _ in range(r.unpack("<B")[0])]
-    last = _read_layout(r, n_vocab)
-    test = _read_layout(r, n_vocab)
-    r.finish()
-    if any(n_pairs > len(last) for n_pairs, _ in heads):
-        raise r.error("declares a slice longer than its pair arrays")
-    return [last.head(n_pairs, slice_id) for n_pairs, slice_id in heads], test, vocab

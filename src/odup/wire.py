@@ -18,7 +18,7 @@ Frame layout (normative; every multi-byte integer little-endian):
                   bits, most-significant-bit first, one continuous
                   bitstream zero-padded to a byte boundary at the end
     ...     4*b   slot list: beta u32 row indices in application order
-    ...     4*b*d rows: beta*d IEEE-754 binary32, row-major
+    ...     4*b*d rows: beta*d finite IEEE-754 binary32, row-major
     ...     4     u32 CRC-32 (IEEE) over all preceding bytes
 
 beta = 0 frames are invalid: a skipped update means "no frame at all".
@@ -118,7 +118,7 @@ def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> b
 def decode_delta(buf: bytes) -> UpdateDelta:
     """Inverse of encode_delta. Raises FrameError with ``check`` naming the
     failed validation: size, magic, version, strategy, beta, crc,
-    code_range, slot_range."""
+    code_range, slot_range, rows (a NaN or infinite row value)."""
     buf = bytes(buf)
     if len(buf) < HEADER_LEN + 4:
         raise FrameError("size", f"frame too short ({len(buf)} bytes)")
@@ -150,6 +150,8 @@ def decode_delta(buf: bytes) -> UpdateDelta:
         raise FrameError("slot_range", f"slot index >= nk ({nk})")
     off += 4 * beta
     rows = np.frombuffer(buf, "<f4", beta * d, off).reshape(beta, d).astype(np.float64)
+    if not np.all(np.isfinite(rows)):
+        raise FrameError("rows", "NaN or infinite row value")
     return UpdateDelta(
         epoch=epoch,
         strategy=STRATEGY_NAMES[scode],

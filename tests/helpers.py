@@ -12,7 +12,7 @@ from odup.sessions import Session, SessionDataset, SynthResult
 TAU_ALT = 0.2  # the temperature of the acceptance and demo configs
 
 
-def dataset_of(pairs, vocab_size: int) -> SessionDataset:
+def dataset_of(pairs) -> SessionDataset:
     """A SessionDataset whose ``pairs`` are exactly ``pairs``, in order."""
     items, starts, ends = [], [], []
     for prefix, label in pairs:
@@ -20,7 +20,7 @@ def dataset_of(pairs, vocab_size: int) -> SessionDataset:
         items.extend(int(i) for i in prefix)
         ends.append(len(items))
         items.append(int(label))
-    return SessionDataset(*(np.array(xs, dtype=np.intp) for xs in (items, starts, ends)), vocab_size)
+    return SessionDataset(*(np.array(xs, dtype=np.intp) for xs in (items, starts, ends)))
 
 
 def slice_sessions(res: SynthResult, t: int) -> list[Session]:

@@ -195,7 +195,7 @@ def test_criterion_7_gradient_correctness():
     worst_rec = 0.0
     for kind in ("mean_pool", "last_gated"):
         model = init_model(4, 3, Rng(7).child("init"), kind)
-        batch = gather_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1), ([2], 3)], 4), slice(None))
+        batch = gather_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1), ([2], 3)]), slice(None))
         X = model.embeddings.copy()
         graw = model.gate_raw
         _, dX, dg = _loss_and_grads(X, graw, kind, batch, 1e-3, True)

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import importlib.util
 import json
 import os
+import sys
 import warnings
 import zlib
 
@@ -16,7 +18,7 @@ from odup.pipeline import (
     CSV_COLUMNS, DeviceSim, ExperimentConfig, RoundReport, cloud_trajectory, load_config,
     prepare_data, replay, run_report, run_simulate, run_train, write_reports,
 )
-from odup.recommender import load_checkpoint
+from odup.recommender import load_checkpoint, save_checkpoint
 from odup.updater import UpdateDelta, plan_slots
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -90,6 +92,23 @@ class TestDemoConfig:
             synth_drift=0.3, synth_clusters=6, d=16, rec_epochs=20, n=8, k=16, tau=0.2,
             codec_epochs=250, strategy="queue", r=10.0, mmd_samples=0, seed=7, out="runs/demo",
         )
+
+
+class TestRatioSweepScript:
+    @pytest.mark.parametrize("argv", [
+        ["--ratios", "0.5"], ["--seed", "-1"], ["--ratios", "x"], ["--ratios", "2,nan"],
+    ])
+    def test_bad_argument_exit_2_before_any_data(self, tmp_path, monkeypatch, capsys, argv):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "ratio_sweep.py")
+        spec = importlib.util.spec_from_file_location("ratio_sweep", path)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        prepared = []
+        monkeypatch.setattr(sweep, "prepare_data", lambda *args: prepared.append(args))
+        monkeypatch.setattr(sys, "argv", ["ratio_sweep.py", "--out", str(tmp_path / "s"), *argv])
+        assert sweep.main() == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert prepared == []
 
 
 class TestRunTrain:
@@ -218,6 +237,34 @@ class TestDeviceSim:
         # the deployment still accepts a matching frame afterwards
         device.receive(self.frame(device, rng, self.V, self.N, self.K))
         assert device.epoch == 2
+
+    def test_nan_deploy_frame_leaves_device_undeployed(self):
+        rng = np.random.default_rng(4)
+        nk = self.N * self.K
+        rows = rng.normal(size=(nk, self.D))
+        rows[2, 1] = np.nan
+        codes = rng.integers(0, self.K, (self.V, self.N)).astype(np.int32)
+        frame = wire.encode_delta(UpdateDelta(1, "full", nk, rows, codes, list(range(nk))),
+                                  vocab=self.V, d=self.D, n=self.N, k=self.K)
+        device = DeviceSim("queue", "mean_pool", 0.5)
+        with pytest.raises(FrameError) as exc:
+            device.receive(frame)
+        assert exc.value.check == "rows"
+        assert device.store is None and device.ledger is None and device.table is None
+
+    def test_inf_update_frame_leaves_state_untouched(self):
+        device, rng = self.deployed()
+        store, ledger, table = device.store, device.ledger, device.table
+        rows_before, ledger_before, table_before = store.rows.copy(), copy.deepcopy(ledger), table.copy()
+        delta = wire.decode_delta(self.frame(device, rng, self.V, self.N, self.K))
+        delta.new_rows[0, 0] = np.inf
+        with pytest.raises(FrameError) as exc:
+            device.receive(wire.encode_delta(delta, vocab=self.V, d=self.D, n=self.N, k=self.K))
+        assert exc.value.check == "rows"
+        assert device.store is store and device.ledger is ledger and device.table is table
+        assert np.array_equal(store.rows, rows_before)
+        assert ledger == ledger_before
+        assert np.array_equal(table, table_before)
 
     def test_full_frame_must_carry_every_row(self):
         n, k, beta = 4, 2, 6
@@ -417,7 +464,7 @@ class TestCli:
         "slices = 1:0:2", "slices = abc", "d = 1", "C = 5", "mmd_samples = 1", "rec_lr = 5",
         "test_frac = 1.5", "synth_vocab = 10", "synth_sessions = 50", "synth_len_min = 1",
         "session_gap = 0", "min_len = 1", "max_len = 1", "delimiter =", "rec_epochs = 0",
-        "top_items = -1",
+        "top_items = -1", "r = nan",
     ])
     def test_invalid_setting_exit_2(self, tmp_path, line, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -515,7 +562,6 @@ class TestCli:
             calls.append(1)
             return synth_generate(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "synth_generate", counted)
         monkeypatch.setattr(pipeline, "synth_generate", counted)
         log = tmp_path / "other.tsv"
         log.write_text("u1\ta\t1.0\nu1\tb\t2.0\nu2\tb\t3.0\nu2\ta\t4.0\n", encoding="utf-8")
@@ -524,25 +570,24 @@ class TestCli:
         out = tmp_path / "sd"
         assert cli.main(["--config", str(cfgfile), "--out", str(out), "--seed", "3", "synth"]) == 0
         assert len(calls) == 1
-        # the cache holds the synthetic sessions, not the configured log's
-        synth_cfg = ExperimentConfig(seed=3)
-        direct = prepare_data(synth_cfg, Rng(3))
-        cached = prepare_data(dataclasses.replace(synth_cfg, data=str(out / "data.cache")), Rng(3))
-        assert cached.vocab == direct.vocab
-        assert [s.pairs for s in cached.slices] == [s.pairs for s in direct.slices]
-        assert cached.test.pairs == direct.test.pairs
 
-    def test_synth_cache_round_trip(self, tmp_path):
+    def test_synth_writes_the_event_log_only(self, tmp_path):
         out = tmp_path / "sd"
         assert cli.main(["--out", str(out), "--seed", "3", "synth"]) == 0
-        cache = out / "data.cache"
-        assert cache.exists()
-        # simulating from the cache reproduces the in-memory synth data
-        from odup.numkit import Rng
-        from odup.pipeline import prepare_data
+        assert os.listdir(out) == ["events.tsv"]
 
-        base = ExperimentConfig(seed=3)
-        direct = prepare_data(base, Rng(3))
-        cached = prepare_data(dataclasses.replace(base, data=str(cache)), Rng(3))
-        assert [s.pairs for s in cached.slices] == [s.pairs for s in direct.slices]
-        assert cached.test.pairs == direct.test.pairs
+    def test_old_dataset_cache_is_read_as_a_log_exit_3(self, tmp_path, capsys):
+        cache = tmp_path / "data.cache"
+        cache.write_bytes(b"\x02\x2c\x01\x00\x00\x07\x00i\xff\xfe")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"data = {cache}\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_compress_non_finite_checkpoint_exit_3(self, tmp_path, capsys):
+        ckpt = tmp_path / "nan.ckpt"
+        table = np.ones((40, 32))
+        table[5, 3] = np.nan
+        save_checkpoint(ckpt, table)
+        assert cli.main(["--out", str(tmp_path / "o"), "compress", "--table", str(ckpt)]) == 3
+        assert "non-finite" in capsys.readouterr().err

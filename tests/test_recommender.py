@@ -53,7 +53,7 @@ class TestScoreAll:
         m = toy_model()
         scores = score_all(m, np.zeros(3))
         assert np.all(scores == 0)
-        ds = dataset_of([([0], 3)], 4)
+        ds = dataset_of([([0], 3)])
         # all-zero table: every score ties, ranking = index order
         prec, ndcg = evaluate(np.zeros((4, 3)), ds, 3)
         assert prec == 0.0  # label 3 ranks 4th by tie-break
@@ -87,7 +87,7 @@ class TestEvaluate:
         table = np.zeros((5, 2))
         table[0] = [1.0, 0.0]
         table[3] = [2.0, 0.0]  # top score for s = e0 direction
-        ds = dataset_of([([0], 3)], 5)
+        ds = dataset_of([([0], 3)])
         prec, ndcg = evaluate(table, ds, 1)
         assert prec == 1.0 and ndcg == 1.0
 
@@ -97,7 +97,7 @@ class TestEvaluate:
         table[1] = [5.0, 0.0]
         table[2] = [4.0, 0.0]
         table[3] = [3.0, 0.0]  # label ranks 3rd
-        ds = dataset_of([([0], 3)], 6)
+        ds = dataset_of([([0], 3)])
         prec, ndcg = evaluate(table, ds, 5)
         assert prec == 1.0
         assert abs(ndcg - 0.5) < 1e-12  # 1/log2(4)
@@ -107,12 +107,12 @@ class TestEvaluate:
         table[0, 0] = 1.0
         for v in range(1, 12):
             table[v, 0] = 12.0 - v  # scores 11..1
-        ds = dataset_of([([0], 11)], 12)  # label has lowest score
+        ds = dataset_of([([0], 11)])  # label has lowest score
         prec, ndcg = evaluate(table, ds, 10)
         assert prec == 0.0 and ndcg == 0.0
 
     def test_k_bounds(self):
-        ds = dataset_of([([0], 1)], 4)
+        ds = dataset_of([([0], 1)])
         with pytest.raises(ValueError):
             evaluate(toy_model(), ds, 5)
         with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ class TestEvaluate:
     def test_rank_shift_invariance(self):
         rng = Rng(9)
         table = rng.uniform((8, 3))
-        ds = dataset_of([([1, 2], 5), ([0], 3)], 8)
+        ds = dataset_of([([1, 2], 5), ([0], 3)])
         base = evaluate(table, ds, 3)
         # adding a constant column shifts all scores for a fixed prefix by a
         # constant, leaving top-K unchanged; emulate by comparing to direct
@@ -132,7 +132,7 @@ class TestEvaluate:
         m = toy_model(vocab=20, d=4, kind="last_gated", seed=11)
         rng = Rng(3)
         pairs = [([int(a), int(b)], int(c)) for a, b, c in rng.integers(0, 20, (15, 3))]
-        ds = dataset_of(pairs, 20)
+        ds = dataset_of(pairs)
         for k in (1, 5, 10):
             got_model = evaluate(m, ds, k)
             got_table = evaluate(m.embeddings, ds, k, encoder_kind="last_gated", gate=m.gate)
@@ -144,14 +144,14 @@ class TestEvaluate:
         rng = Rng(seed)
         table = rng.uniform((10, 3)) * 2 - 1
         pairs = [([int(a)], int(b)) for a, b in rng.integers(0, 10, (12, 2))]
-        ds = dataset_of(pairs, 10)
+        ds = dataset_of(pairs)
         prec, ndcg = evaluate(table, ds, k)
         assert 0.0 <= ndcg <= prec <= 1.0
 
 
 class TestTrain:
-    def repeated_pair_dataset(self, vocab=5):
-        return dataset_of([([0], 3)] * 8, vocab)
+    def repeated_pair_dataset(self):
+        return dataset_of([([0], 3)] * 8)
 
     def test_repeated_pair_overfits(self):
         m = toy_model(vocab=5, d=4)
@@ -167,7 +167,7 @@ class TestTrain:
         m = toy_model()
         before_table = m.embeddings.copy()
         before_gate = m.gate_raw
-        ds = self.repeated_pair_dataset(vocab=4)
+        ds = self.repeated_pair_dataset()
         train(m, ds, TrainConfig(lr=0.0, epochs=3, batch=2, seed=0))
         assert np.array_equal(m.embeddings, before_table)
         assert m.gate_raw == before_gate
@@ -175,7 +175,7 @@ class TestTrain:
     def test_gradients_match_finite_differences(self):
         for kind in ("mean_pool", "last_gated"):
             m = toy_model(vocab=4, d=3, kind=kind, seed=7)
-            batch = gather_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1)], 4), slice(None))
+            batch = gather_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1)]), slice(None))
             X = m.embeddings.copy()
             graw = m.gate_raw
             loss, dX, dg = _loss_and_grads(X, graw, kind, batch, 1e-3, True)
@@ -228,7 +228,7 @@ class TestTrain:
                  ([39, 2, 2], 39), ([7, 1, 7], 0)]
         pairs += [(list(rng.integers(0, 8, rng.integers(1, 12))), int(rng.integers(0, vocab)))
                   for _ in range(30)]
-        batch = gather_batch(dataset_of(pairs, vocab), slice(None))
+        batch = gather_batch(dataset_of(pairs), slice(None))
         with np.errstate(all="raise", under="ignore"):
             loss, dX, dg = _loss_and_grads(table, 0.4, kind, batch, 1e-3, True)
             ref_loss, ref_dX, ref_dg = self.reference_loss_and_grads(table, 0.4, kind, batch, 1e-3)
@@ -241,7 +241,7 @@ class TestTrain:
     def test_divergence_raises(self):
         m = toy_model(vocab=4, d=3)
         m.embeddings[0, 0] = 1e308  # L2 term overflows to inf on first batch
-        ds = dataset_of([([1], 2)], 4)
+        ds = dataset_of([([1], 2)])
         with pytest.raises(TrainingDiverged):
             train(m, ds, TrainConfig(lr=0.01, epochs=1, batch=1, l2=1.0, seed=0))
 
@@ -249,7 +249,7 @@ class TestTrain:
         m = toy_model(vocab=6, d=4, seed=3)
         rng = Rng(1)
         pairs = [([int(a)], int(b)) for a, b in rng.integers(0, 6, (20, 2))]
-        ds = dataset_of(pairs, 6)
+        ds = dataset_of(pairs)
         losses = train(m, ds, TrainConfig(lr=0.01, epochs=50, batch=100, seed=4))
         tail = losses[int(len(losses) * 0.8):]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -259,7 +259,7 @@ class TestTrain:
             m = toy_model(vocab=6, d=4, seed=3)
             rng = Rng(1)
             pairs = [([int(a)], int(b)) for a, b in rng.integers(0, 6, (20, 2))]
-            ds = dataset_of(pairs, 6)
+            ds = dataset_of(pairs)
             losses = train(m, ds, TrainConfig(lr=0.02, epochs=10, batch=4, seed=4))
             return losses[-1], m.embeddings.copy()
 
@@ -270,16 +270,16 @@ class TestTrain:
     def test_item_outside_vocabulary(self):
         for pairs in ([([0, 4], 1)], [([0], 4)]):
             with pytest.raises(DataError):
-                train(toy_model(vocab=4), dataset_of(pairs, 5), TrainConfig(epochs=1))
+                train(toy_model(vocab=4), dataset_of(pairs), TrainConfig(epochs=1))
 
     def test_empty_dataset(self):
         with pytest.raises(DataError):
-            train(toy_model(), dataset_of([], 4), TrainConfig())
+            train(toy_model(), dataset_of([]), TrainConfig())
 
     def test_freeze_gate(self):
         m = toy_model(kind="last_gated", seed=2)
         before = m.gate_raw
-        ds = self.repeated_pair_dataset(vocab=4)
+        ds = self.repeated_pair_dataset()
         train(m, ds, TrainConfig(lr=0.05, epochs=5, batch=4, seed=1, freeze_gate=True))
         assert m.gate_raw == before
 

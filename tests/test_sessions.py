@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from odup.errors import DataError
 from odup.numkit import Rng
 from odup.sessions import (
-    Session, SessionDataset, SlicePlan, augment_split, filter_and_index, holdout_split,
-    load_dataset_cache, read_event_log, save_dataset_cache, sessionize, synth_generate,
-    temporal_slices,
+    Session, SlicePlan, augment_split, filter_and_index, holdout_split,
+    read_event_log, sessionize, synth_generate, temporal_slices,
 )
 
 from helpers import slice_sessions
@@ -86,11 +85,11 @@ class TestFilterAndIndex:
 
 class TestAugment:
     def test_three_items(self):
-        ds = augment_split([Session([0, 1, 2], 0.0)], vocab_size=3)
+        ds = augment_split([Session([0, 1, 2], 0.0)])
         assert ds.pairs == [([0], 1), ([0, 1], 2)]
 
     def test_two_items(self):
-        ds = augment_split([Session([4, 7], 0.0)], vocab_size=8)
+        ds = augment_split([Session([4, 7], 0.0)])
         assert ds.pairs == [([4], 7)]
 
     @settings(max_examples=50)
@@ -101,13 +100,13 @@ class TestAugment:
         for items in lists:
             for end in range(1, len(items)):
                 expected.append((list(items[:end]), items[end]))
-        assert augment_split(sessions, vocab_size=10).pairs == expected
+        assert augment_split(sessions).pairs == expected
 
     @settings(max_examples=50)
     @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=8), min_size=1, max_size=10))
     def test_pair_count(self, lists):
         sessions = [Session(items, float(i)) for i, items in enumerate(lists)]
-        ds = augment_split(sessions, vocab_size=10)
+        ds = augment_split(sessions)
         assert len(ds.pairs) == sum(len(s) - 1 for s in lists)
 
 
@@ -115,12 +114,12 @@ class TestSlices:
     def test_spec_boundaries(self):
         sessions = [Session([0, 1], float(i)) for i in range(100)]
         plan = SlicePlan([0.1, 0.2, 0.3, 0.4])
-        slices = temporal_slices(sessions, plan, vocab_size=2)
+        slices = temporal_slices(sessions, plan)
         assert [len(s.pairs) for s in slices] == [10, 30, 60, 100]
 
     def test_single_slice(self):
         sessions = [Session([0, 1], float(i)) for i in range(5)]
-        slices = temporal_slices(sessions, SlicePlan([1.0]), vocab_size=2)
+        slices = temporal_slices(sessions, SlicePlan([1.0]))
         assert len(slices) == 1 and len(slices[0].pairs) == 5
 
     def test_gowalla_ratios(self):
@@ -129,7 +128,7 @@ class TestSlices:
 
     def test_fewer_sessions_than_slices(self):
         with pytest.raises(DataError):
-            temporal_slices([Session([0, 1], 0.0)], SlicePlan([0.5, 0.5]), 2)
+            temporal_slices([Session([0, 1], 0.0)], SlicePlan([0.5, 0.5]))
 
     @settings(max_examples=30)
     @given(
@@ -144,13 +143,13 @@ class TestSlices:
             for _ in range(n_sessions)
         ]
         ratios = [float(rng.uniform() + 0.1) for _ in range(n_slices)]
-        slices = temporal_slices(sessions, SlicePlan.from_ratios(ratios), vocab_size=6)
+        slices = temporal_slices(sessions, SlicePlan.from_ratios(ratios))
         for earlier, later in zip(slices, slices[1:]):
             assert later.pairs[: len(earlier.pairs)] == earlier.pairs
 
     def test_slices_are_views_of_the_last(self):
         sessions = [Session([i % 5, (i + 1) % 5, (i + 2) % 5], float(i)) for i in range(20)]
-        slices = temporal_slices(sessions, SlicePlan.from_ratios([1, 2, 3]), vocab_size=5)
+        slices = temporal_slices(sessions, SlicePlan.from_ratios([1, 2, 3]))
         last = slices[-1]
         for ds in slices:
             assert ds.pairs == last.pairs[: len(ds)]
@@ -159,7 +158,7 @@ class TestSlices:
 
     def test_ordering_is_temporal(self):
         sessions = [Session([0, 1], 50.0), Session([2, 3], 1.0)]
-        slices = temporal_slices(sessions, SlicePlan([0.5, 0.5]), vocab_size=4)
+        slices = temporal_slices(sessions, SlicePlan([0.5, 0.5]))
         assert slices[0].pairs == [([2], 3)]
 
 
@@ -260,29 +259,6 @@ class TestEventLogFile(object):
         path.write_text("u1\ta\tzzz\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_event_log(path)
-
-
-class TestDatasetCache:
-    def test_round_trip(self, tmp_path):
-        res = synth_generate(Rng(3).child("s"), 60, 200, 0.3, SlicePlan.from_ratios([1, 2]))
-        vocab = [f"i{j}" for j in range(res.vocab_size)]
-        path = tmp_path / "data.bin"
-        save_dataset_cache(path, res.slices, res.test, vocab)
-        slices, test, vocab2 = load_dataset_cache(path)
-        assert vocab2 == vocab
-        assert [s.pairs for s in slices] == [s.pairs for s in res.slices]
-        assert test.pairs == res.test.pairs
-        assert [s.slice_id for s in slices] == [s.slice_id for s in res.slices]
-
-    def test_corruption_detected(self, tmp_path):
-        res = synth_generate(Rng(3).child("s"), 60, 200, 0.3, SlicePlan([1.0]))
-        path = tmp_path / "data.bin"
-        save_dataset_cache(path, res.slices, res.test, [f"i{j}" for j in range(60)])
-        raw = bytearray(path.read_bytes())
-        raw[10] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataError):
-            load_dataset_cache(path)
 
 
 class TestSlicePlan:

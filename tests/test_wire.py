@@ -193,6 +193,14 @@ class TestCorruption:
             decode_delta(self._refresh_crc(frame))
         assert exc.value.check == "beta"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_rows_error(self, value):
+        delta = random_delta(Rng(13), 4, 1, 4, 2, 2)
+        delta.new_rows[1, 0] = value
+        with pytest.raises(FrameError) as exc:
+            decode_delta(encode_delta(delta, vocab=4, d=2, n=1, k=4))
+        assert exc.value.check == "rows"
+
 
 def test_shared_packing_with_compressed_model(tmp_path):
     from odup.codec import CodebookStore, load_compressed_model, save_compressed_model
