@@ -30,7 +30,7 @@ class LedgerDivergence(ProtocolError):
 
 
 class DimensionMismatch(ProtocolError):
-    """A delta's vocabulary, code or row dimensions differ from the deployment."""
+    """A frame header's (vocab, n, k, d) differ from the device's deployment."""
 
 
 class FrameError(ProtocolError):

@@ -8,9 +8,9 @@ ever reconstituted from decoded frames, never copied from server memory.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -38,6 +38,8 @@ from .updater import (
     STRATEGIES, SlotLedger, UpdateDelta, advance_ledger, apply_delta, beta_from_ratio,
     end_to_end_cr, plan_slots, retrain_update, update_cr,
 )
+
+REPORT_KS = (5, 10)  # the K of every report's P@K and N@K
 
 
 @dataclass
@@ -86,6 +88,9 @@ class ExperimentConfig:
     timing: str = "wall"           # wall | zero
 
     def __post_init__(self):
+        bad = [f for f, t in _FIELD_TYPES.items() if t == "float" and not math.isfinite(getattr(self, f))]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.ratio_mode not in ("fixed", "adaptive"):
@@ -245,6 +250,8 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
     indexed, vocab = filter_and_index(
         sessions, cfg.min_len, cfg.max_len, cfg.top_items or None
     )
+    if len(vocab) < max(REPORT_KS):
+        raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
     train_sessions, test_sessions = holdout_split(indexed, cfg.test_frac)
     slices = temporal_slices(train_sessions, cfg.slice_plan())
     return DataBundle(slices, augment_split(test_sessions), len(vocab))
@@ -267,27 +274,27 @@ class DeviceSim:
         return 0 if self.ledger is None else self.ledger.current_epoch
 
     def receive(self, frame: bytes) -> UpdateDelta:
+        """Apply one frame; the first, a full frame, is applied to an
+        all-zero store and an epoch-0 ledger sized by its header."""
         delta = wire.decode_delta(frame)
+        dims = wire.frame_dims(frame)
         if self.store is None:
-            if delta.strategy != "full" or delta.epoch != 1:
-                raise ProtocolError("device must be deployed with a full epoch-1 frame")
-            n, k = delta.codes.shape[1], delta.new_rows.shape[0] // delta.codes.shape[1]
-            store = CodebookStore(n, k, delta.new_rows.shape[1], delta.new_rows.copy())
-            ledger = SlotLedger.fresh(n * k, epoch=1)
-            self.store, self.ledger = store, ledger
-            self.table = reconstruct_table(store, delta.codes)
-            return delta
-        if delta.codes.shape[0] != self.table.shape[0]:
-            raise DimensionMismatch(
-                f"delta codes cover {delta.codes.shape[0]} items, device holds {self.table.shape[0]}"
-            )
+            if delta.strategy != "full":
+                raise ProtocolError("device must be deployed with a full frame")
+            _, n, k, d = dims
+            store, ledger = CodebookStore(n, k, d, np.zeros((n * k, d))), SlotLedger.fresh(n * k, epoch=0)
+        else:
+            store, ledger = self.store, self.ledger
+            own = (len(self.table), store.n, store.k, store.d)
+            if dims != own:
+                raise DimensionMismatch(f"frame (vocab, n, k, d) = {dims}, device holds {own}")
         self.store, self.ledger, self.table = apply_delta(
-            self.store, self.ledger, delta, expected_strategy=self.strategy
+            store, ledger, delta, expected_strategy=self.strategy
         )
         return delta
 
-    def metrics(self, dataset, ks=(5, 10)) -> list[float]:
-        return _metrics(self.table, dataset, ks, encoder_kind=self.encoder_kind, gate=self.gate)
+    def metrics(self, dataset) -> list[float]:
+        return _metrics(self.table, dataset, encoder_kind=self.encoder_kind, gate=self.gate)
 
 
 @dataclass
@@ -306,9 +313,13 @@ class SimulationResult:
     json_path: str
 
 
-def _metrics(model_or_table, dataset, ks=(5, 10), **encoder) -> list[float]:
-    """Prec@K and NDCG@K for each K in ``ks``, flattened."""
-    return [m for k in ks for m in evaluate(model_or_table, dataset, k, **encoder)]
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _metrics(model_or_table, dataset, **encoder) -> list[float]:
+    """Prec@K and NDCG@K for each K in REPORT_KS, flattened."""
+    return [m for k in REPORT_KS for m in evaluate(model_or_table, dataset, k, **encoder)]
 
 
 def write_reports(out_dir: str, reports: list[RoundReport]) -> tuple[str, str]:
@@ -385,16 +396,17 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
 
 
 def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) -> SimulationResult:
-    """Deploy at slice 1, then per slice measure drift, choose the update
-    size, retrain the slot rows, ship the frame, apply it on the device, and
-    evaluate the device. A round's secs include the slice's cloud seconds."""
+    """Per slice: train the codec and deploy with a full frame (slice 1), or
+    measure drift, choose the update size and retrain the slot rows; ship the
+    frame, apply it on the device, check lockstep, and evaluate the device.
+    A round's secs include the slice's cloud seconds."""
     frames_dir = os.path.join(out_dir, "frames")
     os.makedirs(frames_dir, exist_ok=True)
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
-    store: CodebookStore | None = None
+    store = CodebookStore(cfg.n, cfg.k, cfg.d, np.zeros((nk, cfg.d)))
     encoder: CodecEncoder | None = None
-    ledger: SlotLedger | None = None
+    ledger = SlotLedger.fresh(nk, epoch=0)
     device: DeviceSim | None = None
     prev_table: np.ndarray | None = None
     cum_bytes = 0
@@ -406,47 +418,46 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
         start_time = time.perf_counter()
         table = cloud_slice.model.embeddings
 
-        frame: bytes | None = None
         if t == 1:
-            store, encoder, _ = train_codec(table, cfg.codec_config(seed=cfg.seed))
-            codes = harden(encoder, table)
-            ledger = SlotLedger.fresh(nk, epoch=1)
-            delta = UpdateDelta(1, "full", nk, store.rows.copy(), codes, list(range(nk)))
-            frame = wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k)
             device = DeviceSim(cfg.strategy, cloud_slice.model.encoder_kind, cloud_slice.model.gate)
-            device.receive(frame)
-            mmd_val, r_val, beta = 0.0, 0.0, nk
+            strategy, mmd_val, r_val, beta = "full", 0.0, 0.0, nk
         else:
-            mmd_val = mmd2(prev_table, table, cfg.mmd_config())
+            strategy, mmd_val = cfg.strategy, mmd2(prev_table, table, cfg.mmd_config())
             if cfg.strategy == "full":
                 r_chosen: float | None = 1.0
             elif cfg.ratio_mode == "adaptive":
                 r_chosen = choose_ratio(mmd_val, cfg.adaptive_config())
             else:
                 r_chosen = cfg.r
-            if r_chosen is None:
-                r_val, beta = 0.0, 0
-            else:
-                r_val = float(r_chosen)
-                beta = nk if cfg.strategy == "full" else beta_from_ratio(cfg.n, cfg.k, r_chosen)
-                slots = plan_slots(ledger, cfg.strategy, beta)
-                upd = retrain_update(
-                    store, encoder, table, slots,
-                    cfg.codec_config(seed=cfg.seed + 100 * t),
-                    epoch=ledger.current_epoch + 1, strategy=cfg.strategy,
-                )
-                store, encoder = upd.store, upd.encoder
-                ledger = advance_ledger(ledger, cfg.strategy, slots, upd.delta.epoch)
-                frame = wire.encode_delta(upd.delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k)
-                device.receive(frame)
-                if device.ledger != ledger:
-                    raise ProtocolError("server and device ledgers diverged")
+            r_val = 0.0 if r_chosen is None else float(r_chosen)
+            beta = 0 if r_chosen is None else beta_from_ratio(cfg.n, cfg.k, r_chosen)
 
-        nbytes = len(frame) if frame is not None else 0
-        cum_bytes += nbytes
-        if frame is not None:
+        frame, nbytes = None, 0
+        if beta:
+            slots = plan_slots(ledger, strategy, beta)
+            epoch = ledger.current_epoch + 1
+            before = store.rows
+            if t == 1:
+                store, encoder, _ = train_codec(table, cfg.codec_config(seed=cfg.seed))
+                delta = UpdateDelta(epoch, strategy, beta, store.rows.copy(), harden(encoder, table), slots)
+            else:
+                upd = retrain_update(store, encoder, table, slots, cfg.codec_config(seed=cfg.seed + 100 * t),
+                                     epoch=epoch, strategy=strategy)
+                store, encoder, delta = upd.store, upd.encoder, upd.delta
+            if not _same_bits(np.delete(before, slots, 0), np.delete(store.rows, slots, 0)):
+                raise ProtocolError("a frozen codebook row changed on the server")
+            ledger = advance_ledger(ledger, strategy, slots, epoch)
+            frame = wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k)
+            device.receive(frame)
+            narrowed = CodebookStore(cfg.n, cfg.k, cfg.d, store.rows.astype(np.float32))
+            if device.ledger != ledger or not _same_bits(
+                device.table, reconstruct_table(narrowed, delta.codes)
+            ):
+                raise ProtocolError("server and device are out of lockstep")
             with open(os.path.join(frames_dir, f"round_{t:02d}.odup"), "wb") as fh:
                 fh.write(frame)
+            nbytes = len(frame)
+        cum_bytes += nbytes
 
         cloud = cloud_slice.metrics
         dev = device.metrics(data.test)
@@ -460,12 +471,8 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
             dev_p5=dev[0], dev_n5=dev[1], dev_p10=dev[2], dev_n10=dev[3],
             cr_model=cr_m, cr_update=cr_u, cr_total=cr_t, secs=round(secs, 6),
         ))
-        rounds.append(RoundState(
-            report=reports[-1],
-            server_ledger=copy.deepcopy(ledger),
-            device_ledger=copy.deepcopy(device.ledger),
-            frame=frame,
-        ))
+        # ledgers are never mutated, only rebound, so the round keeps references
+        rounds.append(RoundState(reports[-1], ledger, device.ledger, frame))
         prev_table = table
 
     csv_path, json_path = write_reports(out_dir, reports)

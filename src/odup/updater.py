@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodebookStore, CodecConfig, CodecEncoder, harden, reconstruct_table, train_codec
-from .errors import DimensionMismatch, LedgerDivergence, ProtocolError, StaleDeltaError
+from .errors import LedgerDivergence, ProtocolError, StaleDeltaError
 
 STRATEGIES = ("full", "stack", "queue")
 
@@ -38,25 +38,22 @@ class SlotLedger:
     def fresh(nk: int, epoch: int = 1) -> "SlotLedger":
         return SlotLedger([epoch] * nk, list(range(nk)), epoch)
 
-    def advance(self, slots: list[int], epoch: int) -> "SlotLedger":
-        """New ledger with ``slots`` re-inserted at ``epoch``; sequence
-        numbers continue past the current maximum, in slot order."""
-        if epoch != self.current_epoch + 1:
-            raise ValueError("ledger epochs must advance by exactly 1")
-        epochs = list(self.epochs)
-        seqs = list(self.seqs)
-        base = max(seqs)
-        for j, row in enumerate(slots):
-            epochs[row] = epoch
-            seqs[row] = base + 1 + j
-        return SlotLedger(epochs, seqs, epoch)
-
 
 def advance_ledger(ledger: SlotLedger, strategy: str, slots: list[int], epoch: int) -> SlotLedger:
-    """Shared server/device ledger transition; full updates reset it."""
+    """Shared server/device ledger transition: a new ledger with ``slots``
+    re-inserted at ``epoch``, sequence numbers continuing past the current
+    maximum in slot order; full updates reset it."""
+    if epoch != ledger.current_epoch + 1:
+        raise ValueError("ledger epochs must advance by exactly 1")
     if strategy == "full":
         return SlotLedger.fresh(ledger.nk, epoch)
-    return ledger.advance(slots, epoch)
+    epochs = list(ledger.epochs)
+    seqs = list(ledger.seqs)
+    base = max(seqs)
+    for j, row in enumerate(slots):
+        epochs[row] = epoch
+        seqs[row] = base + 1 + j
+    return SlotLedger(epochs, seqs, epoch)
 
 
 @dataclass
@@ -164,10 +161,10 @@ def apply_delta(
     reconstitute the embedding table from the delta's codes.
 
     Pure: returns new objects, so a failed validation leaves device state
-    untouched. Raises StaleDeltaError on an epoch gap, DimensionMismatch
-    when the codes, beta or rows do not fit the device store, and
-    LedgerDivergence when the slot list disagrees with the locally derived
-    plan.
+    untouched. The caller checks that the delta's dimensions match the
+    store (``DeviceSim.receive`` compares the frame header once). Raises
+    StaleDeltaError on an epoch gap and LedgerDivergence when the slot list
+    disagrees with the locally derived plan.
     """
     if delta.epoch != device_ledger.current_epoch + 1:
         raise StaleDeltaError(
@@ -177,15 +174,6 @@ def apply_delta(
         raise ProtocolError(
             f"delta strategy {delta.strategy!r} does not match session strategy {expected_strategy!r}"
         )
-    n, k = device_store.n, device_store.k
-    if delta.codes.ndim != 2 or delta.codes.shape[1] != n:
-        raise DimensionMismatch(f"delta codes have shape {delta.codes.shape}, device store has n = {n}")
-    if delta.codes.size and delta.codes.max() >= k:
-        raise DimensionMismatch(f"delta code value {delta.codes.max()} >= device store k = {k}")
-    if delta.beta > n * k:
-        raise DimensionMismatch(f"delta beta {delta.beta} exceeds device store nk = {n * k}")
-    if delta.new_rows.shape[1] != device_store.d:
-        raise DimensionMismatch("delta row dimension does not match device store")
     expected_slots = plan_slots(device_ledger, delta.strategy, delta.beta)
     if list(delta.replaced_slots) != expected_slots:
         raise LedgerDivergence(

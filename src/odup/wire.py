@@ -115,6 +115,11 @@ def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> b
     )
 
 
+def frame_dims(buf: bytes) -> tuple[int, int, int, int]:
+    """The header's (vocab, n, k, d) of a frame that decode_delta accepted."""
+    return struct.unpack_from(_HEADER, buf)[4:8]
+
+
 def decode_delta(buf: bytes) -> UpdateDelta:
     """Inverse of encode_delta. Raises FrameError with ``check`` naming the
     failed validation: size, magic, version, strategy, beta, crc,

@@ -21,7 +21,7 @@ from odup.pipeline import ExperimentConfig, run_simulate
 from odup.recommender import TrainConfig, _loss_and_grads, evaluate, gather_batch, init_model, train
 from odup.sessions import SlicePlan, synth_generate
 from odup.updater import (
-    SlotLedger, beta_from_ratio, end_to_end_cr, plan_slots, update_cr,
+    SlotLedger, advance_ledger, beta_from_ratio, end_to_end_cr, plan_slots, update_cr,
 )
 from odup.wire import decode_delta, delta_bytes, encode_delta
 
@@ -123,14 +123,14 @@ def test_criterion_5_stack_queue_semantics():
     queue = SlotLedger.fresh(nk)
     stack = SlotLedger.fresh(nk)
     for epoch in (2, 3, 4):
-        queue = queue.advance(plan_slots(queue, "queue", beta), epoch)
-        stack = stack.advance(plan_slots(stack, "stack", beta), epoch)
+        queue = advance_ledger(queue, "queue", plan_slots(queue, "queue", beta), epoch)
+        stack = advance_ledger(stack, "stack", plan_slots(stack, "stack", beta), epoch)
     assert sum(1 for e in queue.epochs if e == 1) == nk - 3 * beta == nk // 4
     assert sum(1 for e in stack.epochs if e == 1) == nk - beta
 
     queue_full = SlotLedger.fresh(nk)
     for epoch in range(2, 2 + math.ceil(nk / beta)):
-        queue_full = queue_full.advance(plan_slots(queue_full, "queue", beta), epoch)
+        queue_full = advance_ledger(queue_full, "queue", plan_slots(queue_full, "queue", beta), epoch)
     assert sum(1 for e in queue_full.epochs if e == 1) == 0
     report("5 stack/queue semantics",
            f"after 3 updates at beta=nk/4: queue keeps {nk // 4} epoch-1 rows, "

@@ -12,7 +12,10 @@ import pytest
 
 import odup.cli as cli
 from odup import pipeline, wire
-from odup.errors import ConfigError, DataError, DimensionMismatch, FrameError
+from odup.errors import (
+    ConfigError, DataError, DimensionMismatch, FrameError, LedgerDivergence, ProtocolError,
+    StaleDeltaError,
+)
 from odup.numkit import Rng
 from odup.pipeline import (
     CSV_COLUMNS, DeviceSim, ExperimentConfig, RoundReport, cloud_trajectory, load_config,
@@ -221,6 +224,7 @@ class TestDeviceSim:
         (V + 7, N, K),      # header vocabulary is not the deployment's
         (V, 4, 2),          # same nk, different n
         (V, N, 8),          # codes may reach past the device's k
+        (V, N, 2),          # smaller k, every code below both
     ])
     def test_dimension_mismatch_leaves_state_untouched(self, vocab, n, k):
         device, rng = self.deployed()
@@ -237,6 +241,33 @@ class TestDeviceSim:
         # the deployment still accepts a matching frame afterwards
         device.receive(self.frame(device, rng, self.V, self.N, self.K))
         assert device.epoch == 2
+
+    def test_full_frame_with_smaller_k_leaves_state_untouched(self):
+        device, rng = self.deployed()
+        store, ledger, table = device.store, device.ledger, device.table
+        k = self.K // 2
+        nk = self.N * k
+        full = UpdateDelta(device.epoch + 1, "full", nk, rng.normal(size=(nk, self.D)),
+                           rng.integers(0, k, (self.V, self.N)).astype(np.int32), list(range(nk)))
+        with pytest.raises(DimensionMismatch):
+            device.receive(wire.encode_delta(full, vocab=self.V, d=self.D, n=self.N, k=k))
+        assert device.store is store and device.ledger is ledger and device.table is table
+
+    @pytest.mark.parametrize("strategy,epoch,slots,error", [
+        ("full", 1, list(range(N * K))[::-1], LedgerDivergence),  # reversed slot list
+        ("full", 1, [0] * (N * K), LedgerDivergence),             # one slot repeated
+        ("full", 2, list(range(N * K)), StaleDeltaError),         # deploy is epoch 1
+        ("queue", 1, [0, 1], ProtocolError),                      # deploy is a full frame
+    ])
+    def test_bad_first_frame_leaves_device_undeployed(self, strategy, epoch, slots, error):
+        rng = np.random.default_rng(6)
+        delta = UpdateDelta(epoch, strategy, len(slots), rng.normal(size=(len(slots), self.D)),
+                            rng.integers(0, self.K, (self.V, self.N)).astype(np.int32), slots)
+        device = DeviceSim("queue", "mean_pool", 0.5)
+        with pytest.raises(error) as exc:
+            device.receive(wire.encode_delta(delta, vocab=self.V, d=self.D, n=self.N, k=self.K))
+        assert type(exc.value) is error
+        assert device.store is None and device.ledger is None and device.table is None
 
     def test_nan_deploy_frame_leaves_device_undeployed(self):
         rng = np.random.default_rng(4)
@@ -356,6 +387,35 @@ class TestSimulate:
         # adaptive ratios bounded below by ceil(1/C) = 5 with the default C
         assert all(r.r >= 5 for r in drifted.reports[1:])
 
+    @pytest.mark.parametrize("epoch", [1, 2])
+    def test_device_table_one_ulp_off_raises(self, tmp_path, monkeypatch, epoch):
+        class DriftingDevice(DeviceSim):
+            def receive(self, frame):
+                delta = super().receive(frame)
+                if self.epoch == epoch:
+                    table = self.table.copy()
+                    table[0, 0] = np.nextafter(table[0, 0], np.inf)
+                    self.table = table
+                return delta
+
+        monkeypatch.setattr(pipeline, "DeviceSim", DriftingDevice)
+        with pytest.raises(ProtocolError, match="lockstep"):
+            run_simulate(small_config(out=str(tmp_path / "sim")))
+
+    def test_server_frozen_row_change_raises(self, tmp_path, monkeypatch):
+        retrain_update = pipeline.retrain_update
+
+        def moving_retrain(prev_store, prev_encoder, target, slots, *args, **kwargs):
+            upd = retrain_update(prev_store, prev_encoder, target, slots, *args, **kwargs)
+            frozen = min(set(range(prev_store.rows.shape[0])) - set(slots))
+            upd.store = upd.store.copy()
+            upd.store.rows[frozen, 0] = np.nextafter(upd.store.rows[frozen, 0], np.inf)
+            return upd
+
+        monkeypatch.setattr(pipeline, "retrain_update", moving_retrain)
+        with pytest.raises(ProtocolError, match="frozen"):
+            run_simulate(small_config(out=str(tmp_path / "sim")))
+
     def test_byte_identical_reports(self, tmp_path):
         cfg_a = small_config(out=str(tmp_path / "r1"))
         cfg_b = small_config(out=str(tmp_path / "r2"))
@@ -464,7 +524,8 @@ class TestCli:
         "slices = 1:0:2", "slices = abc", "d = 1", "C = 5", "mmd_samples = 1", "rec_lr = 5",
         "test_frac = 1.5", "synth_vocab = 10", "synth_sessions = 50", "synth_len_min = 1",
         "session_gap = 0", "min_len = 1", "max_len = 1", "delimiter =", "rec_epochs = 0",
-        "top_items = -1", "r = nan",
+        "top_items = -1", "r = nan", "codec_lr = nan", "l2 = nan", "skip_threshold = nan",
+        "codec_lr = inf",
     ])
     def test_invalid_setting_exit_2(self, tmp_path, line, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -488,6 +549,15 @@ class TestCli:
         cfgfile.write_text(f"data = {log}\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_vocabulary_below_report_k_exit_3(self, tmp_path, capsys):
+        log = tmp_path / "small.tsv"
+        log.write_text("".join(f"u{s}\ti{(s + j) % 10}\t{j}.0\n" for s in range(40) for j in range(4)),
+                       encoding="utf-8")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"data = {log}\ntop_items = 6\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
+        assert "6 items are fewer than" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_3(self, tmp_path, capsys):
         missing = tmp_path / "missing.ckpt"

@@ -9,7 +9,7 @@ from odup.codec import CodebookStore, CodecConfig, harden, init_codec, reconstru
 from odup.errors import LedgerDivergence, ProtocolError, StaleDeltaError
 from odup.numkit import Rng
 from odup.updater import (
-    SlotLedger, UpdateDelta, advance_ledger, apply_delta, beta_from_ratio,
+    STRATEGIES, SlotLedger, UpdateDelta, advance_ledger, apply_delta, beta_from_ratio,
     end_to_end_cr, plan_slots, retrain_update, update_cr,
 )
 
@@ -32,13 +32,13 @@ class TestPlanSlots:
     def test_stack_reuses_same_rows(self):
         ledger = SlotLedger.fresh(8)
         first = plan_slots(ledger, "stack", 3)
-        ledger = ledger.advance(first, 2)
+        ledger = advance_ledger(ledger, "stack", first, 2)
         assert plan_slots(ledger, "stack", 3) == first
 
     def test_queue_progresses_disjoint(self):
         ledger = SlotLedger.fresh(8)
         first = plan_slots(ledger, "queue", 3)
-        ledger = ledger.advance(first, 2)
+        ledger = advance_ledger(ledger, "queue", first, 2)
         second = plan_slots(ledger, "queue", 3)
         assert second == [3, 4, 5]
         assert not set(first) & set(second)
@@ -63,21 +63,28 @@ class TestLedgerInvariants:
         ledger = SlotLedger.fresh(nk)
         updates = -(-nk // beta)  # ceil
         for e in range(2, 2 + updates):
-            ledger = ledger.advance(plan_slots(ledger, "queue", beta), e)
+            ledger = advance_ledger(ledger, "queue", plan_slots(ledger, "queue", beta), e)
         assert sum(1 for ep in ledger.epochs if ep == 1) == 0
 
     def test_stack_retention(self):
         nk, beta = 16, 5
         ledger = SlotLedger.fresh(nk)
         for e in range(2, 9):
-            ledger = ledger.advance(plan_slots(ledger, "stack", beta), e)
+            ledger = advance_ledger(ledger, "stack", plan_slots(ledger, "stack", beta), e)
         assert sum(1 for ep in ledger.epochs if ep == 1) == nk - beta
 
     def test_seqs_stay_unique(self):
         ledger = SlotLedger.fresh(10)
         for e in range(2, 6):
-            ledger = ledger.advance(plan_slots(ledger, "queue", 3), e)
+            ledger = advance_ledger(ledger, "queue", plan_slots(ledger, "queue", 3), e)
             assert len(set(ledger.seqs)) == 10
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_epoch_must_advance_by_one(self, strategy):
+        ledger = SlotLedger.fresh(8)
+        slots = plan_slots(ledger, strategy, 8 if strategy == "full" else 3)
+        with pytest.raises(ValueError, match="advance by exactly 1"):
+            advance_ledger(ledger, strategy, slots, 3)
 
     def test_replay_determinism(self):
         a = SlotLedger.fresh(8)
