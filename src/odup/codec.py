@@ -32,6 +32,7 @@ from .numkit import Adam, Rng, log_softmax, sample_gumbel, softmax, softplus
 from .sealed import SealedReader, write_sealed
 
 TAU_DEFAULT = 0.1
+_RECONSTRUCT_BLOCK = 32768  # output elements per block of reconstruct_table
 
 MODEL_MAGIC = b"ODCM"
 MODEL_VERSION = 1
@@ -144,15 +145,29 @@ def encoder_forward(enc: CodecEncoder, x: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
-    """Gather-sum reconstruction of every item row; equivalent to the
-    one-hot matrix product X = O E."""
+    """Every item row as the sum of its n selected codeword rows; equivalent
+    to the one-hot matrix product X = O E.
+
+    Fills a (|V|, d) float64 output block by block, about 256 KiB of output
+    per block, adding the components in order 0..n-1. That is bitwise the
+    gather-sum ``store.rows[codes + offsets].sum(axis=1)`` without its
+    (|V|, n, d) temporary, except at d = 1 with n >= 8, where numpy sums
+    that gather with its unrolled pairwise loop instead.
+    """
     codes = np.asarray(codes, dtype=np.intp)
     if codes.ndim != 2 or codes.shape[1] != store.n:
         raise ValueError("codes must have shape (|V|, n)")
     if codes.size and (codes.min() < 0 or codes.max() >= store.k):
         raise ValueError("code component out of range [0, k)")
-    rows = codes + np.arange(store.n) * store.k
-    return store.rows[rows].sum(axis=1)
+    idx = codes + np.arange(store.n) * store.k
+    out = np.empty((len(idx), store.d))
+    step = max(1, _RECONSTRUCT_BLOCK // store.d)
+    for lo in range(0, len(idx), step):
+        block, acc = idx[lo: lo + step], out[lo: lo + step]
+        acc[...] = store.rows[block[:, 0]]
+        for i in range(1, store.n):
+            acc += store.rows[block[:, i]]
+    return out
 
 
 def codes_from_alpha(alpha: np.ndarray) -> np.ndarray:
@@ -237,8 +252,9 @@ def train_codec(
     minimize ||O E - X||^2 under the Gumbel relaxation.
 
     Rows listed in ``frozen_rows`` are bitwise unchanged on exit. ``warm``
-    continues from an existing (store, encoder) pair. The returned loss
-    curve holds the noise-free full-batch loss at init and after each epoch.
+    continues from an existing (store, encoder) pair. The returned losses
+    are ``[initial, final]``: the noise-free full-batch loss at init and
+    after the last epoch (equal when ``cfg.epochs`` is 0).
     """
     X = np.asarray(target, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.d:
@@ -274,7 +290,7 @@ def train_codec(
     adam = Adam(cfg.lr)
     params = enc.params() + [store.rows]
 
-    losses = [relaxed_loss(enc, store, X, cfg.tau)]
+    initial = relaxed_loss(enc, store, X, cfg.tau)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(V)
         for lo in range(0, V, cfg.batch):
@@ -285,9 +301,8 @@ def train_codec(
                 raise TrainingDiverged(f"codec loss became non-finite ({loss})")
             adam.step(params, grads)
         store.rows[frozen] = frozen_snapshot
-        losses.append(relaxed_loss(enc, store, X, cfg.tau))
     store.rows[frozen] = frozen_snapshot
-    return store, enc, losses
+    return store, enc, [initial, relaxed_loss(enc, store, X, cfg.tau)]
 
 
 def model_cr(vocab: int, d: int, n: int, k: int) -> float:

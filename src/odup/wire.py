@@ -57,26 +57,31 @@ def packed_code_bytes(vocab: int, n: int, k: int) -> int:
 
 
 def pack_codes(codes: np.ndarray, k: int) -> bytes:
-    """Pack a (vocab, n) code matrix MSB-first at code_bits(k) bits each."""
+    """Pack a (vocab, n) code matrix MSB-first at code_bits(k) bits each,
+    one bit plane at a time."""
     codes = np.asarray(codes)
     if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise ValueError("code value out of range [0, k)")
     b = code_bits(k)
-    flat = codes.ravel().astype(np.uint32)
-    shifts = np.arange(b - 1, -1, -1, dtype=np.uint32)
-    bits = ((flat[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    flat = codes.ravel()
+    bits = np.empty(flat.size * b, dtype=np.uint8)
+    for j in range(b):
+        bits[j::b] = (flat >> (b - 1 - j)) & 1
     return np.packbits(bits).tobytes()
 
 
 def unpack_codes(buf: bytes, vocab: int, n: int, k: int) -> np.ndarray:
+    """Inverse of pack_codes: an int32 (vocab, n) code matrix."""
     b = code_bits(k)
     total = vocab * n
     if len(buf) < (total * b + 7) // 8:
         raise ValueError("code buffer too short")
     bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=total * b)
-    weights = (1 << np.arange(b - 1, -1, -1)).astype(np.int64)
-    vals = bits.reshape(total, b).astype(np.int64) @ weights
-    return vals.reshape(vocab, n).astype(np.int32)
+    vals = np.zeros(total, dtype=np.int32)
+    for j in range(b):
+        vals <<= 1
+        vals |= bits[j::b]
+    return vals.reshape(vocab, n)
 
 
 def delta_bytes(vocab: int, n: int, k: int, d: int, beta: int) -> int:

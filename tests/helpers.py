@@ -8,6 +8,7 @@ from odup.codec import CodebookStore
 from odup.numkit import GUMBEL_EPS, Rng, sample_gumbel, softmax
 from odup.recommender import RecModel
 from odup.sessions import Session, SessionDataset, SynthResult
+from odup.wire import code_bits
 
 TAU_ALT = 0.2  # the temperature of the acceptance and demo configs
 
@@ -51,6 +52,32 @@ def reconstruct_item(store: CodebookStore, code) -> np.ndarray:
         raise ValueError("code component out of range [0, k)")
     rows = np.arange(store.n) * store.k + code
     return store.rows[rows].sum(axis=0)
+
+
+def gather_sum_table(store: CodebookStore, codes) -> np.ndarray:
+    """reconstruct_table as one gather: builds the (|V|, n, d) temporary."""
+    codes = np.asarray(codes, dtype=np.intp)
+    rows = codes + np.arange(store.n) * store.k
+    return store.rows[rows].sum(axis=1)
+
+
+def pack_codes_bit_matrix(codes, k: int) -> bytes:
+    """pack_codes through a (|V| n, b) bit matrix built with uint32 shifts."""
+    b = code_bits(k)
+    flat = np.asarray(codes).ravel().astype(np.uint32)
+    shifts = np.arange(b - 1, -1, -1, dtype=np.uint32)
+    bits = ((flat[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    return np.packbits(bits).tobytes()
+
+
+def unpack_codes_bit_matrix(buf: bytes, vocab: int, n: int, k: int) -> np.ndarray:
+    """unpack_codes as an int64 matmul of the bit matrix with the bit weights."""
+    b = code_bits(k)
+    total = vocab * n
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=total * b)
+    weights = (1 << np.arange(b - 1, -1, -1)).astype(np.int64)
+    vals = bits.reshape(total, b).astype(np.int64) @ weights
+    return vals.reshape(vocab, n).astype(np.int32)
 
 
 def encode_session(model: RecModel, prefix) -> np.ndarray:

@@ -1,17 +1,22 @@
 import warnings
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import odup.codec
 from odup.errors import ConfigError
 from odup.codec import (
     TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity,
     codes_from_alpha, encoder_forward, harden, init_codec, model_cr,
-    reconstruct_table, relaxed_loss, train_codec, _forward_backward,
+    reconstruct_table, relaxed_loss, train_codec, _forward_backward, _RECONSTRUCT_BLOCK,
 )
 from odup.numkit import Rng, sample_gumbel, softmax
 
-from helpers import TAU_ALT, grad_check, gumbel_relax, reconstruct_item
+from helpers import TAU_ALT, gather_sum_table, grad_check, gumbel_relax, reconstruct_item
 
 
 def clustered_table(rng: Rng, vocab, d, n_clusters=8, noise=0.05):
@@ -127,6 +132,30 @@ class TestReconstruct:
         codes = np.arange(4, dtype=np.int32)[:, None]
         assert np.array_equal(reconstruct_table(store, codes), rows)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_blocked_equals_gather_sum(self, data):
+        d = data.draw(st.sampled_from([1, 2, 3, 32, 33, _RECONSTRUCT_BLOCK + 1]))
+        n = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, 5))
+        step = max(1, _RECONSTRUCT_BLOCK // d)
+        vocab = data.draw(st.sampled_from([0, 1, step - 1, step, step + 1, 3 * step + 5]))
+        rng = Rng(data.draw(st.integers(0, 2**16)))
+        # row scales spread over 12 decades, so any change of summation order shows
+        rows = rng.normal(1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
+        store = CodebookStore(n, k, d, rows)
+        codes = rng.integers(0, k, (vocab, n))
+        table = reconstruct_table(store, codes)
+        assert table.dtype == np.float64 and table.shape == (vocab, d)
+        idx = codes + np.arange(n) * k
+        in_order = functools.reduce(np.add, (rows[idx[:, i]] for i in range(n)))
+        assert np.array_equal(table, in_order.reshape(vocab, d))
+        if d > 1 or n < 8:
+            assert np.array_equal(table, gather_sum_table(store, codes))
+        else:
+            # numpy sums a contiguous length->=8 axis with its unrolled pairwise loop
+            assert np.allclose(table, gather_sum_table(store, codes), rtol=1e-12, atol=0)
+
 
 class TestHarden:
     def test_argmax(self):
@@ -222,6 +251,26 @@ class TestTrainCodec:
         # direct computation at the same init: noise-free relaxed MSE
         direct = relaxed_loss(enc0, store0, X, cfg.tau)
         assert losses[0] == direct
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_loss_monitor_runs_at_init_and_end_only(self, monkeypatch, epochs):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return relaxed_loss(*args)
+
+        monkeypatch.setattr(odup.codec, "relaxed_loss", counted)
+        X = clustered_table(Rng(42), 64, 8, n_clusters=8)
+        cfg = CodecConfig(n=4, k=8, d=8, seed=0, epochs=epochs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            store, enc, losses = train_codec(X, cfg)
+        assert len(calls) == 2
+        assert len(losses) == 2
+        assert losses[-1] == relaxed_loss(enc, store, X, cfg.tau)
+        if epochs == 0:
+            assert losses[0] == losses[-1]
 
     def test_forward_only_loss_matches_forward_backward(self):
         rng = Rng(42)

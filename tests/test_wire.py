@@ -7,8 +7,11 @@ from odup.errors import FrameError
 from odup.numkit import Rng
 from odup.updater import UpdateDelta
 from odup.wire import (
-    code_bits, decode_delta, delta_bytes, encode_delta, pack_codes, unpack_codes,
+    code_bits, decode_delta, delta_bytes, encode_delta, pack_codes, packed_code_bytes,
+    unpack_codes,
 )
+
+from helpers import pack_codes_bit_matrix, unpack_codes_bit_matrix
 
 
 def random_delta(rng: Rng, vocab, n, k, d, beta, strategy="queue", epoch=2):
@@ -46,6 +49,31 @@ class TestPacking:
     def test_range_rejected(self):
         with pytest.raises(ValueError):
             pack_codes(np.array([[4]]), 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_planes_equal_bit_matrix(self, data):
+        b = data.draw(st.integers(1, 16))
+        k = data.draw(st.sampled_from([2**b, 2 ** (b - 1) + 1]))
+        assert code_bits(k) == b
+        dtype = data.draw(st.sampled_from([np.int32, np.int64, np.uint8]))
+        # odd vocab and n: the bit count vocab*n*b is a multiple of 8 only when b is
+        vocab, n = (data.draw(st.integers(0, 20).map(lambda i: 2 * i + 1)) for _ in range(2))
+        rng = Rng(data.draw(st.integers(0, 2**16)))
+        high = min(k, 256) if dtype is np.uint8 else k
+        codes = rng.integers(0, high, (vocab, n)).astype(dtype)
+        codes.flat[0] = high - 1
+        buf = pack_codes(codes, k)
+        assert buf == pack_codes_bit_matrix(codes, k)
+        assert len(buf) == packed_code_bytes(vocab, n, k)
+        out = unpack_codes(buf, vocab, n, k)
+        assert out.dtype == np.int32
+        assert np.array_equal(out, codes)
+        # any bit stream, including values >= k that decode_delta rejects afterwards
+        noise = rng.integers(0, 256, len(buf)).astype(np.uint8).tobytes()
+        decoded = unpack_codes(noise, vocab, n, k)
+        assert decoded.dtype == np.int32
+        assert np.array_equal(decoded, unpack_codes_bit_matrix(noise, vocab, n, k))
 
 
 class TestDeltaBytes:
