@@ -1,13 +1,11 @@
-import warnings
-
 import functools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import odup.codec
 from odup.errors import ConfigError
 from odup.codec import (
     TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity,
@@ -149,11 +147,11 @@ class TestReconstruct:
         assert table.dtype == np.float64 and table.shape == (vocab, d)
         idx = codes + np.arange(n) * k
         in_order = functools.reduce(np.add, (rows[idx[:, i]] for i in range(n)))
-        assert np.array_equal(table, in_order.reshape(vocab, d))
+        assert np.array_equal(table, in_order)
         if d > 1 or n < 8:
             assert np.array_equal(table, gather_sum_table(store, codes))
         else:
-            # numpy sums a contiguous length->=8 axis with its unrolled pairwise loop
+            # numpy sums a contiguous axis of 8 or more with its unrolled pairwise loop
             assert np.allclose(table, gather_sum_table(store, codes), rtol=1e-12, atol=0)
 
 
@@ -260,7 +258,7 @@ class TestTrainCodec:
             calls.append(args)
             return relaxed_loss(*args)
 
-        monkeypatch.setattr(odup.codec, "relaxed_loss", counted)
+        monkeypatch.setattr("odup.codec.relaxed_loss", counted)
         X = clustered_table(Rng(42), 64, 8, n_clusters=8)
         cfg = CodecConfig(n=4, k=8, d=8, seed=0, epochs=epochs)
         with warnings.catch_warnings():
