@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth", help="write a synthetic event log (events.tsv)")
     sub.add_parser("train", help="train the cloud model per slice, saving checkpoints")
-    p_compress = sub.add_parser("compress", help="compress a table checkpoint")
+    p_compress = sub.add_parser(
+        "compress", help="compress a table checkpoint into its deploy frame (model.odup)")
     p_compress.add_argument("--table", required=True, help="checkpoint path to compress")
     sub.add_parser("simulate", help="run the full cloud/device update loop")
     p_report = sub.add_parser("report", help="aggregate simulation reports")

@@ -21,7 +21,6 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -29,14 +28,9 @@ import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
 from .numkit import Adam, Rng, log_softmax, sample_gumbel, softmax, softplus
-from .sealed import SealedReader, write_sealed
 
 TAU_DEFAULT = 0.1
 _RECONSTRUCT_BLOCK = 32768  # output elements per block of reconstruct_table
-
-MODEL_MAGIC = b"ODCM"
-MODEL_VERSION = 1
-_MODEL_HEADER = "<B3xIIHH"  # version, pad, vocab, d, n, k (after the magic)
 
 
 @dataclass
@@ -310,35 +304,3 @@ def model_cr(vocab: int, d: int, n: int, k: int) -> float:
     if min(vocab, d, n, k) < 1:
         raise ValueError("all arguments must be positive")
     return (vocab * d) / (n * k * d + n * vocab)
-
-
-def save_compressed_model(path, store: CodebookStore, codes: np.ndarray, vocab: int) -> None:
-    """Compressed-model file: magic "ODCM", u8 version, 3 zero bytes,
-    u32 vocab, u32 d, u16 n, u16 k, bit-packed codes (wire packing rules),
-    nk*d float32 rows, trailing u32 CRC-32. Everything little-endian.
-    """
-    from . import wire
-
-    codes = np.asarray(codes)
-    if codes.shape != (vocab, store.n):
-        raise ValueError("codes shape mismatch")
-    body = MODEL_MAGIC + struct.pack(_MODEL_HEADER, MODEL_VERSION, vocab, store.d, store.n, store.k)
-    body += wire.pack_codes(codes, store.k)
-    write_sealed(path, body + store.rows.astype("<f4").tobytes())
-
-
-def load_compressed_model(path) -> tuple[CodebookStore, np.ndarray]:
-    from . import wire
-
-    r = SealedReader(path, "compressed model")
-    if r.take(4) != MODEL_MAGIC:
-        raise r.error("has bad magic")
-    version, vocab, d, n, k = r.unpack(_MODEL_HEADER)
-    if version != MODEL_VERSION:
-        raise r.error(f"version {version} is unsupported")
-    if min(vocab, d, n, k) < 1:
-        raise r.error("has a zero dimension")
-    codes = wire.unpack_codes(r.take(wire.packed_code_bytes(vocab, n, k)), vocab, n, k)
-    rows = r.array("<f4", n * k * d).reshape(n * k, d).astype(np.float64)
-    r.finish()
-    return CodebookStore(n, k, d, rows), codes

@@ -20,8 +20,7 @@ import numpy as np
 from . import wire
 from .adaptive import AdaptiveConfig, MmdConfig, mmd2, choose_ratio
 from .codec import (
-    CodecConfig, CodebookStore, CodecEncoder, harden, model_cr, reconstruct_table,
-    save_compressed_model, train_codec,
+    CodecConfig, CodebookStore, CodecEncoder, harden, model_cr, reconstruct_table, train_codec,
 )
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
@@ -395,6 +394,18 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> Simulatio
     return replay(cfg, data, cloud_trajectory(cfg, data), out_dir or cfg.out)
 
 
+def deploy(
+    cfg: ExperimentConfig, table: np.ndarray,
+) -> tuple[CodebookStore, CodecEncoder, UpdateDelta, float]:
+    """Train the codec on ``table`` and harden its codes: the store, the
+    encoder, the full epoch-1 delta that deploys them on a device, and the
+    final codec loss."""
+    store, encoder, losses = train_codec(table, cfg.codec_config(seed=cfg.seed))
+    nk = cfg.n * cfg.k
+    delta = UpdateDelta(1, "full", nk, store.rows.copy(), harden(encoder, table), list(range(nk)))
+    return store, encoder, delta, losses[-1]
+
+
 def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) -> SimulationResult:
     """Per slice: train the codec and deploy with a full frame (slice 1), or
     measure drift, choose the update size and retrain the slot rows; ship the
@@ -434,19 +445,18 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
 
         frame, nbytes = None, 0
         if beta:
-            slots = plan_slots(ledger, strategy, beta)
-            epoch = ledger.current_epoch + 1
             before = store.rows
             if t == 1:
-                store, encoder, _ = train_codec(table, cfg.codec_config(seed=cfg.seed))
-                delta = UpdateDelta(epoch, strategy, beta, store.rows.copy(), harden(encoder, table), slots)
+                store, encoder, delta, _ = deploy(cfg, table)
             else:
-                upd = retrain_update(store, encoder, table, slots, cfg.codec_config(seed=cfg.seed + 100 * t),
-                                     epoch=epoch, strategy=strategy)
+                upd = retrain_update(store, encoder, table, plan_slots(ledger, strategy, beta),
+                                     cfg.codec_config(seed=cfg.seed + 100 * t),
+                                     epoch=ledger.current_epoch + 1, strategy=strategy)
                 store, encoder, delta = upd.store, upd.encoder, upd.delta
+            slots = delta.replaced_slots
             if not _same_bits(np.delete(before, slots, 0), np.delete(store.rows, slots, 0)):
                 raise ProtocolError("a frozen codebook row changed on the server")
-            ledger = advance_ledger(ledger, strategy, slots, epoch)
+            ledger = advance_ledger(ledger, strategy, slots, delta.epoch)
             frame = wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k)
             device.receive(frame)
             narrowed = CodebookStore(cfg.n, cfg.k, cfg.d, store.rows.astype(np.float32))
@@ -480,27 +490,28 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
 
 
 def run_compress(cfg: ExperimentConfig, table_path: str, out_dir: str | None = None) -> dict:
-    """Compress a checkpointed table with the configured codec and report
-    element-count and measured-byte compression ratios."""
+    """Compress a checkpointed table with the configured codec, write the
+    full frame that deploys it (``model.odup``), and report element-count
+    and measured-byte compression ratios."""
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
     table = load_checkpoint(table_path)
     vocab, d = table.shape
     if d != cfg.d:
         raise ConfigError(f"checkpoint d={d} does not match config d={cfg.d}")
-    store, encoder, losses = train_codec(table, cfg.codec_config(seed=cfg.seed))
-    codes = harden(encoder, table)
-    out_path = os.path.join(out_dir, "model.odcm")
-    save_compressed_model(out_path, store, codes, vocab)
+    _, _, delta, final_loss = deploy(cfg, table)
+    frame = wire.encode_delta(delta, vocab=vocab, d=d, n=cfg.n, k=cfg.k)
+    out_path = os.path.join(out_dir, "model.odup")
+    with open(out_path, "wb") as fh:
+        fh.write(frame)
     raw_bytes = vocab * d * 4
-    packed = os.path.getsize(out_path)
     info = {
         "vocab": vocab, "d": d, "n": cfg.n, "k": cfg.k,
         "cr_model_elements": model_cr(vocab, d, cfg.n, cfg.k),
         "raw_table_bytes": raw_bytes,
-        "compressed_file_bytes": packed,
-        "cr_model_bytes": raw_bytes / packed,
-        "final_loss": losses[-1],
+        "compressed_file_bytes": len(frame),
+        "cr_model_bytes": raw_bytes / len(frame),
+        "final_loss": final_loss,
         "path": out_path,
     }
     with open(os.path.join(out_dir, "compress.json"), "w", encoding="utf-8") as fh:

@@ -244,6 +244,8 @@ def load_checkpoint(path) -> np.ndarray:
     version, rows, cols = r.unpack("<BII")
     if version != CHECKPOINT_VERSION:
         raise r.error(f"version {version} is unsupported")
+    if min(rows, cols) < 1:
+        raise r.error("has a zero dimension")
     data = r.array("<f4", rows * cols)
     r.finish()
     return data.reshape(rows, cols).astype(np.float64)

@@ -1,6 +1,5 @@
 """Sealed bytes: a little-endian body and a u32 CRC-32 of it, the trailer
-of delta frames and the container of table checkpoints and compressed
-models."""
+of delta frames and the container of table checkpoints."""
 
 import struct
 import zlib

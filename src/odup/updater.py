@@ -155,7 +155,7 @@ def apply_delta(
     device_ledger: SlotLedger,
     delta: UpdateDelta,
     *,
-    expected_strategy: str | None = None,
+    expected_strategy: str,
 ) -> tuple[CodebookStore, SlotLedger, np.ndarray]:
     """Write the delta rows into their slots, advance the ledger, and
     reconstitute the embedding table from the delta's codes.
@@ -170,7 +170,7 @@ def apply_delta(
         raise StaleDeltaError(
             f"delta epoch {delta.epoch} does not follow device epoch {device_ledger.current_epoch}"
         )
-    if expected_strategy is not None and delta.strategy not in ("full", expected_strategy):
+    if delta.strategy not in ("full", expected_strategy):
         raise ProtocolError(
             f"delta strategy {delta.strategy!r} does not match session strategy {expected_strategy!r}"
         )

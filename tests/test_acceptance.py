@@ -17,7 +17,7 @@ from odup.adaptive import AdaptiveConfig, MmdConfig, choose_ratio, mmd2
 from odup.codec import CodecConfig, harden, model_cr, reconstruct_table, train_codec
 from odup.errors import FrameError
 from odup.numkit import Rng, sigmoid
-from odup.pipeline import ExperimentConfig, run_simulate
+from odup.pipeline import ExperimentConfig, cloud_trajectory, prepare_data, replay, run_simulate
 from odup.recommender import TrainConfig, _loss_and_grads, evaluate, gather_batch, init_model, train
 from odup.sessions import SlicePlan, synth_generate
 from odup.updater import (
@@ -105,8 +105,13 @@ def c4_config(strategy: str, out: str) -> ExperimentConfig:
 
 def test_criterion_4_update_compression_quality(tmp_path):
     t0 = time.time()
-    queue = run_simulate(c4_config("queue", str(tmp_path / "queue"))).reports
-    full = run_simulate(c4_config("full", str(tmp_path / "full"))).reports
+    queue_cfg, full_cfg = (c4_config(s, str(tmp_path / s)) for s in ("queue", "full"))
+    # the cloud trajectory does not depend on the update strategy: train it
+    # once and replay it for both arms
+    data = prepare_data(queue_cfg, Rng(queue_cfg.seed))
+    trajectory = list(cloud_trajectory(queue_cfg, data))
+    queue = replay(queue_cfg, data, trajectory, queue_cfg.out).reports
+    full = replay(full_cfg, data, trajectory, full_cfg.out).reports
     assert len(queue) == len(full) == 5
     ratios = [q.dev_p10 / f.dev_p10 for q, f in zip(queue[1:], full[1:])]
     elapsed = time.time() - t0

@@ -392,31 +392,6 @@ class TestPermutationEquivariance:
         assert np.allclose(rb, ra[perm], atol=1e-8)
 
 
-class TestCompressedModelFile:
-    def test_round_trip(self, tmp_path):
-        from odup.codec import load_compressed_model, save_compressed_model
-
-        rng = Rng(5)
-        X = clustered_table(rng, 24, 6, n_clusters=4)
-        cfg = CodecConfig(n=2, k=4, d=6, epochs=10, batch=16, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            store, enc, _ = train_codec(X, cfg)
-        codes = harden(enc, X)
-        path = tmp_path / "model.odcm"
-        save_compressed_model(path, store, codes, 24)
-        store2, codes2 = load_compressed_model(path)
-        assert np.array_equal(codes2, codes)
-        assert np.array_equal(store2.rows, store.rows.astype(np.float32).astype(np.float64))
-        # device-side reconstruction from the file round-trips through f32
-        r_file = reconstruct_table(store2, codes2)
-        r_f32 = reconstruct_table(
-            CodebookStore(store.n, store.k, store.d, store.rows.astype(np.float32).astype(np.float64)),
-            codes,
-        )
-        assert np.array_equal(r_file, r_f32)
-
-
 class TestCodecConfig:
     def test_nk_must_be_even(self):
         with pytest.raises(ConfigError):

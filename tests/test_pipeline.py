@@ -12,6 +12,7 @@ import pytest
 
 import odup.cli as cli
 from odup import pipeline, wire
+from odup.codec import CodebookStore, reconstruct_table
 from odup.errors import (
     ConfigError, DataError, DimensionMismatch, FrameError, LedgerDivergence, ProtocolError,
     StaleDeltaError,
@@ -593,7 +594,21 @@ class TestCli:
             "--config", str(cfgfile), "--out", str(tmp_path / "comp"),
             "compress", "--table", str(ckpt),
         ]) == 0
-        assert (tmp_path / "comp" / "model.odcm").exists()
+        # model.odup is the deploy frame: a fresh device accepts it, and it is
+        # the byte-for-byte encoding of pipeline.deploy's delta
+        frame = (tmp_path / "comp" / "model.odup").read_bytes()
+        cfg, table = load_config(cfgfile), load_checkpoint(ckpt)
+        vocab, nk = len(table), cfg.n * cfg.k
+        assert len(frame) == wire.delta_bytes(vocab, cfg.n, cfg.k, cfg.d, nk)
+        info = json.loads((tmp_path / "comp" / "compress.json").read_text(encoding="utf-8"))
+        assert info["compressed_file_bytes"] == len(frame)
+        _, _, delta, _ = pipeline.deploy(cfg, table)
+        assert wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k) == frame
+        device = DeviceSim(cfg.strategy, cfg.encoder, 0.5)
+        device.receive(frame)
+        assert device.epoch == 1 and device.store.rows.shape == (nk, cfg.d)
+        f32 = CodebookStore(cfg.n, cfg.k, cfg.d, delta.new_rows.astype(np.float32))
+        assert np.array_equal(device.table, reconstruct_table(f32, delta.codes))
 
     def test_report_command(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "runA"))
@@ -653,6 +668,13 @@ class TestCli:
         cfgfile.write_text(f"data = {cache}\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(0, 32), (40, 0)], ids=["zero-rows", "zero-cols"])
+    def test_compress_zero_dimension_checkpoint_exit_3(self, tmp_path, capsys, shape):
+        ckpt = tmp_path / "empty.ckpt"
+        save_checkpoint(ckpt, np.zeros(shape))
+        assert cli.main(["--out", str(tmp_path / "o"), "compress", "--table", str(ckpt)]) == 3
+        assert "zero dimension" in capsys.readouterr().err
 
     def test_compress_non_finite_checkpoint_exit_3(self, tmp_path, capsys):
         ckpt = tmp_path / "nan.ckpt"

@@ -3,7 +3,6 @@ import zlib
 import numpy as np
 import pytest
 
-from odup.codec import CodebookStore, load_compressed_model, save_compressed_model
 from odup.errors import DataError
 from odup.recommender import load_checkpoint, save_checkpoint
 
@@ -13,13 +12,7 @@ def write_ckpt(path):
     return load_checkpoint
 
 
-def write_odcm(path):
-    store = CodebookStore(2, 4, 3, np.arange(24.0).reshape(8, 3))
-    save_compressed_model(path, store, np.zeros((5, 2), dtype=np.int32), 5)
-    return load_compressed_model
-
-
-WRITERS = {".ckpt": write_ckpt, ".odcm": write_odcm}
+WRITERS = {".ckpt": write_ckpt}
 
 
 def reseal(path, body: bytes):
@@ -58,7 +51,7 @@ class TestSealedFiles:
 def test_non_finite_float_rejected(tmp_path, suffix, value):
     path = tmp_path / f"f{suffix}"
     load = WRITERS[suffix](path)
-    # both formats end in float32 rows, so the last 4 body bytes are a float
+    # a checkpoint ends in float32 rows, so the last 4 body bytes are a float
     reseal(path, path.read_bytes()[:-8] + np.float32(value).astype("<f4").tobytes())
     with pytest.raises(DataError, match="non-finite"):
         load(path)

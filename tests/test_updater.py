@@ -262,7 +262,7 @@ class TestApplyDelta:
         cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
         upd.delta.epoch = 3
         with pytest.raises(StaleDeltaError):
-            apply_delta(dstore, dledger, upd.delta)
+            apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
 
     def test_strategy_mismatch_rejected(self):
         cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device("stack")
@@ -273,14 +273,14 @@ class TestApplyDelta:
         cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
         upd.delta.replaced_slots = list(reversed(upd.delta.replaced_slots))
         with pytest.raises(LedgerDivergence):
-            apply_delta(dstore, dledger, upd.delta)
+            apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
 
     def test_failed_apply_leaves_state(self):
         cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
         before = dstore.rows.copy()
         upd.delta.epoch = 9
         with pytest.raises(StaleDeltaError):
-            apply_delta(dstore, dledger, upd.delta)
+            apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
         assert np.array_equal(dstore.rows, before)
         assert dledger == SlotLedger.fresh(cfg.nk)
 
@@ -325,7 +325,7 @@ class TestPaperConcatenationForms:
         slots = plan_slots(ledger, "stack", beta)  # [2, 3]
         codes = rng.integers(0, nk, (6, 1)).astype(np.int32)
         delta = UpdateDelta(2, "stack", beta, new, codes, slots)
-        _, _, table = apply_delta(store, ledger, delta)
+        _, _, table = apply_delta(store, ledger, delta, expected_strategy="stack")
 
         # paper layout: store rows reversed, E* first, keep old[beta:]
         paper_store = np.vstack([new[::-1], old[::-1][beta:]])
@@ -347,7 +347,7 @@ class TestPaperConcatenationForms:
         slots = plan_slots(ledger, "queue", beta)  # [0, 1]
         codes = rng.integers(0, nk, (6, 1)).astype(np.int32)
         delta = UpdateDelta(2, "queue", beta, new, codes, slots)
-        _, _, table = apply_delta(store, ledger, delta)
+        _, _, table = apply_delta(store, ledger, delta, expected_strategy="queue")
 
         paper_store = np.vstack([new[::-1], old[::-1][: nk - beta]])
         onehot = np.zeros((6, nk))

@@ -229,21 +229,3 @@ class TestCorruption:
             decode_delta(encode_delta(delta, vocab=4, d=2, n=1, k=4))
         assert exc.value.check == "rows"
 
-
-def test_shared_packing_with_compressed_model(tmp_path):
-    from odup.codec import CodebookStore, load_compressed_model, save_compressed_model
-
-    rng = Rng(21)
-    n, k, d, vocab = 3, 8, 5, 40
-    store = CodebookStore(n, k, d, rng.uniform((n * k, d)))
-    codes = rng.integers(0, k, (vocab, n)).astype(np.int32)
-    path = tmp_path / "m.odcm"
-    save_compressed_model(path, store, codes, vocab)
-
-    raw = path.read_bytes()
-    packed = pack_codes(codes, k)
-    assert packed in raw  # same packing routine byte-for-byte
-
-    store2, codes2 = load_compressed_model(path)
-    assert np.array_equal(codes, codes2)
-    assert np.array_equal(store2.rows, store.rows.astype(np.float32).astype(np.float64))
