@@ -293,7 +293,7 @@ class DeviceSim:
         return delta
 
     def metrics(self, dataset) -> list[float]:
-        return _metrics(self.table, dataset, encoder_kind=self.encoder_kind, gate=self.gate)
+        return evaluate(self.table, dataset, REPORT_KS, encoder_kind=self.encoder_kind, gate=self.gate)
 
 
 @dataclass
@@ -314,11 +314,6 @@ class SimulationResult:
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _metrics(model_or_table, dataset, **encoder) -> list[float]:
-    """Prec@K and NDCG@K for each K in REPORT_KS, flattened."""
-    return [m for k in REPORT_KS for m in evaluate(model_or_table, dataset, k, **encoder)]
 
 
 def write_reports(out_dir: str, reports: list[RoundReport]) -> tuple[str, str]:
@@ -357,7 +352,7 @@ def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
         table = model.embeddings.copy()
         table.flags.writeable = False
         yield CloudSlice(RecModel(table, model.encoder_kind, model.gate_raw), losses[-1],
-                         _metrics(model, data.test), time.perf_counter() - start_time)
+                         evaluate(model, data.test, REPORT_KS), time.perf_counter() - start_time)
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:

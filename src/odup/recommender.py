@@ -200,9 +200,10 @@ def _eval_parts(model_or_table, encoder_kind, gate):
     return table, encoder_kind or "mean_pool", 0.5 if gate is None else float(gate)
 
 
-def evaluate(model_or_table, dataset, k: int, *, encoder_kind: str | None = None,
-             gate: float | None = None, chunk: int = 512) -> tuple[float, float]:
-    """(Prec@K, NDCG@K) over the dataset.
+def evaluate(model_or_table, dataset, ks, *, encoder_kind: str | None = None,
+             gate: float | None = None, chunk: int = 512) -> list[float]:
+    """[Prec@K, NDCG@K] for each K in ``ks``, flattened in that order, from
+    one ranking of the dataset.
 
     Prec@K is the hit rate of the single next-item label inside the top-K
     list (descending score, ties to the lower item index); the NDCG@K
@@ -211,7 +212,7 @@ def evaluate(model_or_table, dataset, k: int, *, encoder_kind: str | None = None
     """
     table, kind, g = _eval_parts(model_or_table, encoder_kind, gate)
     vocab = table.shape[0]
-    if not 1 <= k <= vocab:
+    if not all(1 <= k <= vocab for k in ks):
         raise ValueError(f"K must lie in [1, {vocab}]")
     if len(dataset) == 0:
         raise DataError("cannot evaluate on an empty dataset")
@@ -226,8 +227,12 @@ def evaluate(model_or_table, dataset, k: int, *, encoder_kind: str | None = None
         ties_before = ((scores == label_scores[:, None]) & (idx[None, :] < sub.labels[:, None])).sum(axis=1)
         ranks.append(1 + greater + ties_before)
     rank = np.concatenate(ranks)
-    hit = rank <= k
-    return float(hit.mean()), float(np.where(hit, 1.0 / np.log2(rank + 1.0), 0.0).mean())
+    gain = 1.0 / np.log2(rank + 1.0)
+    out = []
+    for k in ks:
+        hit = rank <= k
+        out += [float(hit.mean()), float(np.where(hit, gain, 0.0).mean())]
+    return out
 
 
 def save_checkpoint(path, table: np.ndarray) -> None:

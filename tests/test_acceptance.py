@@ -75,7 +75,7 @@ def test_criterion_3_codec_fidelity():
                           n_clusters=20, zipf_exponent=1.2)
     model = init_model(2000, 32, rng.child("rec-init"))
     train(model, data.slices[-1], TrainConfig(lr=0.01, epochs=25, batch=100, l2=1e-4, seed=1))
-    cloud_p10, _ = evaluate(model, data.test, 10)
+    cloud_p10, _ = evaluate(model, data.test, [10])
 
     table = model.embeddings
     cfg = CodecConfig(n=8, k=16, d=32, tau=0.2, lr=0.01, epochs=600, batch=256, seed=3)
@@ -83,7 +83,7 @@ def test_criterion_3_codec_fidelity():
     codes = harden(encoder, table)
     recon = reconstruct_table(store, codes)
     rel_mse = float(((recon - table) ** 2).sum() / (table ** 2).sum())
-    device_p10, _ = evaluate(recon, data.test, 10)
+    device_p10, _ = evaluate(recon, data.test, [10])
     elapsed = time.time() - t0
 
     assert rel_mse < 0.25
