@@ -5,14 +5,18 @@ rows from codebook i, and the item's vector is the sum of the n selected
 codeword rows. Codes come from a small two-layer MLP over the target row:
 
     h      = tanh(phi^T x + b)                      hidden width nk/2
-    logits = softplus(phi'^T h + b')                nk values
+    z      = phi'^T h + b'                          nk values
+    logits = softplus(z)
     alpha  = softmax per k-sized group              n distributions over k
 
-Training relaxes the discrete pick with Gumbel-Softmax,
-O = softmax((log alpha + G) / tau), and minimizes the reconstruction MSE
-of O @ E against the frozen target table end-to-end, so the encoder and
-the codebook rows both receive gradients. Hardening drops the noise and
-temperature and takes the per-group argmax.
+Training relaxes the discrete pick with Gumbel-Softmax and minimizes the
+reconstruction MSE of O @ E against the frozen target table end-to-end, so
+the encoder and the codebook rows both receive gradients. log alpha is the
+logits minus a per-group constant and softmax is shift-invariant within
+each k-group, so O = softmax((logits + G) / tau) equals the paper's
+softmax((log alpha + G) / tau), and alpha is never formed. Hardening drops
+the noise and temperature and takes the per-group argmax of z: softplus
+and softmax are both monotone, so that is the argmax of alpha.
 
 Gradients and Adam are hand-rolled (numpy only) and verified against
 central finite differences in the test suite.
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .numkit import Adam, Rng, log_softmax, sample_gumbel, softmax, softplus
+from .numkit import Adam, Rng, sample_gumbel, softmax, softplus
 
 TAU_DEFAULT = 0.1
 _RECONSTRUCT_BLOCK = 32768  # output elements per block of reconstruct_table
@@ -51,6 +55,8 @@ class CodecConfig:
             raise ConfigError("n*k must be even (encoder hidden width is nk/2)")
         if not self.tau > 0:
             raise ConfigError("tau must be positive")
+        if not 0 <= self.lr <= 1:
+            raise ConfigError("codec lr must lie in [0, 1]")
         if self.epochs < 0 or self.batch < 1:
             raise ConfigError("bad epochs/batch")
 
@@ -125,19 +131,6 @@ def init_codec(cfg: CodecConfig, rng: Rng) -> tuple[CodebookStore, CodecEncoder]
     return store, enc
 
 
-def encoder_forward(enc: CodecEncoder, x: np.ndarray) -> np.ndarray:
-    """alpha for one row (n, k) or a batch (B, n, k); each k-group sums to 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite encoder input")
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    h = np.tanh(xb @ enc.phi + enc.b)
-    logits = softplus(h @ enc.phi_prime + enc.b_prime)
-    alpha = softmax(logits.reshape(xb.shape[0], enc.n, enc.k), axis=-1)
-    return alpha[0] if single else alpha
-
-
 def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
     """Every item row as the sum of its n selected codeword rows; equivalent
     to the one-hot matrix product X = O E.
@@ -164,15 +157,15 @@ def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def codes_from_alpha(alpha: np.ndarray) -> np.ndarray:
-    """Per-group argmax; ties resolve to the lowest index."""
-    return np.argmax(np.asarray(alpha), axis=-1).astype(np.int32)
-
-
 def harden(enc: CodecEncoder, target: np.ndarray) -> np.ndarray:
-    """Deterministic code assignment: argmax of alpha, no noise, no
-    temperature."""
-    return codes_from_alpha(encoder_forward(enc, np.asarray(target, dtype=np.float64)))
+    """Deterministic code assignment, no noise, no temperature: the
+    per-group argmax of z = tanh(X phi + b) phi' + b', which is the argmax
+    of alpha. Ties resolve to the lowest index."""
+    X = np.asarray(target, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite encoder input")
+    z = np.tanh(X @ enc.phi + enc.b) @ enc.phi_prime + enc.b_prime
+    return np.argmax(z.reshape(z.shape[:-1] + (enc.n, enc.k)), axis=-1).astype(np.int32)
 
 
 def _relaxed_forward(enc, rows, xb, G, tau):
@@ -189,17 +182,16 @@ def _relaxed_forward(enc, rows, xb, G, tau):
     h = np.tanh(xb @ enc.phi + enc.b)
     z = h @ enc.phi_prime + enc.b_prime
     sp = softplus(z)
-    logA = log_softmax(sp.reshape(B, n, k), axis=-1)
-    O = softmax((logA + G) / tau, axis=-1)
+    O = softmax((sp.reshape(B, n, k) + G) / tau, axis=-1)
     diff = O.reshape(B, n * k) @ rows - xb
     loss = float(np.sum(diff * diff) / (B * d))
-    return loss, (h, z, sp, logA, O, diff)
+    return loss, (h, z, sp, O, diff)
 
 
 def _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates):
     """Gradients of the ``_relaxed_forward`` loss, ordered [phi, b,
     phi_prime, b_prime, rows]."""
-    h, z, sp, logA, O, diff = intermediates
+    h, z, sp, O, diff = intermediates
     B, d = xb.shape
     n, k = enc.n, enc.k
 
@@ -209,8 +201,8 @@ def _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates):
         dRows[~trainable_row_mask] = 0.0
     dO = (dR @ rows.T).reshape(B, n, k)
     dL = O * (dO - np.sum(dO * O, axis=-1, keepdims=True))
-    dlogA = dL / tau
-    dSp = dlogA - np.sum(dlogA, axis=-1, keepdims=True) * np.exp(logA)
+    # dL is the gradient at the relaxed softmax's input (sp + G) / tau
+    dSp = dL / tau
     # sigmoid(z) = exp(z - softplus(z)), reusing the forward's softplus
     dZ = dSp.reshape(B, n * k) * np.exp(z - sp)
     dphi_prime = h.T @ dZ

@@ -91,12 +91,6 @@ def softmax(v, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def log_softmax(z, axis: int = -1) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - _max_keepdims(z, axis)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
 def sigmoid(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)

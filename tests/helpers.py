@@ -4,8 +4,8 @@ only tests call them."""
 
 import numpy as np
 
-from odup.codec import CodebookStore
-from odup.numkit import GUMBEL_EPS, Rng, sample_gumbel, softmax
+from odup.codec import CodebookStore, CodecEncoder
+from odup.numkit import GUMBEL_EPS, Rng, sample_gumbel, softmax, softplus
 from odup.recommender import RecModel
 from odup.sessions import Session, SessionDataset, SynthResult
 from odup.wire import code_bits
@@ -28,6 +28,31 @@ def slice_sessions(res: SynthResult, t: int) -> list[Session]:
     """Sessions belonging to slice t (1-based), non-cumulative."""
     lo = 0 if t == 1 else res.boundaries[t - 2]
     return res.sessions[lo: res.boundaries[t - 1]]
+
+
+def log_softmax(z, axis: int = -1) -> np.ndarray:
+    """log of softmax along ``axis``, stabilized by max-subtraction."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - z.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
+def encoder_forward(enc: CodecEncoder, x: np.ndarray) -> np.ndarray:
+    """alpha for one row (n, k) or a batch (B, n, k); each k-group sums to 1."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite encoder input")
+    single = x.ndim == 1
+    xb = x[None, :] if single else x
+    h = np.tanh(xb @ enc.phi + enc.b)
+    logits = softplus(h @ enc.phi_prime + enc.b_prime)
+    alpha = softmax(logits.reshape(xb.shape[0], enc.n, enc.k), axis=-1)
+    return alpha[0] if single else alpha
+
+
+def codes_from_alpha(alpha: np.ndarray) -> np.ndarray:
+    """Per-group argmax; ties resolve to the lowest index."""
+    return np.argmax(np.asarray(alpha), axis=-1).astype(np.int32)
 
 
 def gumbel_relax(alpha_group: np.ndarray, rng: Rng | None, tau: float) -> np.ndarray:

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from odup.errors import ConfigError
 from odup.codec import (
-    TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity,
-    codes_from_alpha, encoder_forward, harden, init_codec, model_cr,
-    reconstruct_table, relaxed_loss, train_codec, _forward_backward, _RECONSTRUCT_BLOCK,
+    TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity, harden,
+    init_codec, model_cr, reconstruct_table, relaxed_loss, train_codec,
+    _forward_backward, _relaxed_forward, _RECONSTRUCT_BLOCK,
 )
-from odup.numkit import Rng, sample_gumbel, softmax
+from odup.numkit import Rng, sample_gumbel, softmax, softplus
 
-from helpers import TAU_ALT, gather_sum_table, grad_check, gumbel_relax, reconstruct_item
+from helpers import (
+    TAU_ALT, codes_from_alpha, encoder_forward, gather_sum_table, grad_check, gumbel_relax,
+    log_softmax, reconstruct_item,
+)
 
 
 def clustered_table(rng: Rng, vocab, d, n_clusters=8, noise=0.05):
@@ -171,6 +174,70 @@ class TestHarden:
         enc = CodecEncoder(2, 4, np.zeros((3, h)), np.zeros(h), np.zeros((h, cfg.nk)), np.zeros(cfg.nk))
         codes = harden(enc, Rng(1).uniform((5, 3)))
         assert np.array_equal(codes, np.zeros((5, 2), dtype=np.int32))
+
+    def test_equal_logits_take_lowest_index(self):
+        # constant logits per group: group 0 ties at indices 1 and 2, group 1 ties everywhere
+        h = 4
+        b_prime = np.array([0.1, 0.7, 0.7, -0.2, 0.3, 0.3, 0.3, 0.3])
+        enc = CodecEncoder(2, 4, Rng(2).uniform((3, h)), np.zeros(h), np.zeros((h, 8)), b_prime)
+        codes = harden(enc, Rng(1).uniform((5, 3)))
+        assert np.array_equal(codes, np.tile(np.array([1, 0], dtype=np.int32), (5, 1)))
+
+    def test_rejects_nonfinite(self):
+        cfg, store, enc = tiny_codec()
+        with pytest.raises(ValueError):
+            harden(enc, np.array([[0.0, np.inf, 0, 0]]))
+
+    def test_resolves_groups_that_alpha_rounds_to_a_tie(self):
+        # below z = -37, softplus(z) < 2^-53, so exp(logit - max) rounds to 1
+        # and alpha to a tie, although the larger z has the larger alpha
+        enc = CodecEncoder(1, 2, np.zeros((2, 1)), np.zeros(1), np.zeros((1, 2)), np.array([-50.0, -40.0]))
+        X = np.zeros((1, 2))
+        assert np.array_equal(encoder_forward(enc, X), [[[0.5, 0.5]]])
+        assert harden(enc, X)[0, 0] == 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_alpha_argmax_on_drawn_encoders(self, seed):
+        rng = Rng(seed)
+        n, k, d = (int(v) for v in rng.integers(1, 9, 3))
+        k += k % 2  # nk even
+        h = n * k // 2
+        # weight scales that keep z well above -37, where alpha resolves every group
+        scale = 10.0 ** rng.integers(-2, 1)
+
+        def w(*shape):
+            return rng.normal(scale, shape)
+
+        enc = CodecEncoder(n, k, w(d, h), w(h), w(h, n * k), w(n * k))
+        X = rng.normal(1.0, (50, d))
+        codes = harden(enc, X)
+        assert codes.dtype == np.int32 and codes.shape == (50, n)
+        assert np.array_equal(codes, codes_from_alpha(encoder_forward(enc, X)))
+
+    @pytest.mark.parametrize("vocab, d, tau, epochs, clusters", [
+        (300, 16, TAU_ALT, 300, 6),     # the c4-queue codec
+        (1846, 32, TAU_DEFAULT, 40, 20),  # the ingest-adaptive codec
+    ])
+    def test_matches_alpha_argmax_on_trained_codecs(self, vocab, d, tau, epochs, clusters):
+        X = clustered_table(Rng(vocab), vocab, d, n_clusters=clusters)
+        cfg = CodecConfig(n=8, k=16, d=d, tau=tau, epochs=epochs, seed=3)
+        store, enc, _ = train_codec(X, cfg)
+        assert np.array_equal(harden(enc, X), codes_from_alpha(encoder_forward(enc, X)))
+
+
+class TestRelaxedForward:
+    @pytest.mark.parametrize("tau", [TAU_DEFAULT, TAU_ALT, 1.0])
+    def test_matches_log_alpha_form(self, tau):
+        cfg = CodecConfig(n=8, k=16, d=16, tau=tau)
+        store, enc = init_codec(cfg, Rng(4).child("init"))
+        enc.phi_prime *= 50.0  # logits spread over tens, so the groups' log-sum-exp matters
+        X = clustered_table(Rng(5), 64, 16)
+        G = sample_gumbel(Rng(6), (64, cfg.n, cfg.k))
+        _, intermediates = _relaxed_forward(enc, store.rows, X, G, tau)
+        O = intermediates[-2]
+        sp = softplus(np.tanh(X @ enc.phi + enc.b) @ enc.phi_prime + enc.b_prime)
+        expected = softmax((log_softmax(sp.reshape(64, cfg.n, cfg.k)) + G) / tau)
+        assert np.max(np.abs(O - expected)) <= 1e-12
 
 
 class TestCapacity:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odup.numkit import (
-    Adam, Rng, gumbel_from_uniform, log_softmax, sample_gumbel, sigmoid, softmax, softplus,
+    Adam, Rng, gumbel_from_uniform, sample_gumbel, sigmoid, softmax, softplus,
 )
 
-from helpers import grad_check
+from helpers import grad_check, log_softmax
 
 
 class TestSoftmax:

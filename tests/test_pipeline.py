@@ -526,7 +526,7 @@ class TestCli:
         "test_frac = 1.5", "synth_vocab = 10", "synth_sessions = 50", "synth_len_min = 1",
         "session_gap = 0", "min_len = 1", "max_len = 1", "delimiter =", "rec_epochs = 0",
         "top_items = -1", "r = nan", "codec_lr = nan", "l2 = nan", "skip_threshold = nan",
-        "codec_lr = inf",
+        "codec_lr = inf", "codec_lr = -0.01", "codec_lr = 5",
     ])
     def test_invalid_setting_exit_2(self, tmp_path, line, capsys):
         cfgfile = tmp_path / "bad.cfg"
