@@ -18,6 +18,7 @@ from .numkit import Rng
 from .pipeline import (
     ExperimentConfig, load_config, run_compress, run_report, run_simulate, run_train, synth_data,
 )
+from .sealed import write_file
 
 # package errors and the exit code and stderr label each one ends in
 EXIT_CODES = (
@@ -57,12 +58,10 @@ def _load(args) -> ExperimentConfig:
 def _cmd_synth(cfg: ExperimentConfig) -> int:
     res = synth_data(cfg, Rng(cfg.seed))
     sessions = res.sessions + res.test_sessions
-    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "events.tsv")
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, sess in enumerate(sessions):
-            for j, item in enumerate(sess.items):
-                fh.write(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n")
+    write_file(path, "".join(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n"
+                             for i, sess in enumerate(sessions)
+                             for j, item in enumerate(sess.items)))
     n_events = sum(len(s.items) for s in sessions)
     print(f"wrote {path}: {len(sessions)} sessions, {n_events} events, vocab {res.vocab_size}")
     return 0

@@ -28,6 +28,7 @@ from .recommender import (
     ENCODER_KINDS, RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint,
     train,
 )
+from .sealed import make_dir, write_file
 from .sessions import (
     SlicePlan, SessionDataset, SynthResult, augment_split, check_filter_settings,
     check_synth_settings, filter_and_index, holdout_split, read_event_log, sessionize,
@@ -106,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError("test_frac must lie in (0, 1)")
         if not self.delimiter:
             raise ConfigError("delimiter must not be empty")
+        if not self.out:
+            raise ConfigError("out must not be empty")
         if not self.session_gap > 0:
             raise ConfigError("session_gap must be positive")
         if self.seed < 0:
@@ -203,20 +206,23 @@ class RoundReport:
     cr_total: float
     secs: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
-    def to_csv_row(self) -> str:
-        return ",".join(_fmt(getattr(self, name)) for name in CSV_COLUMNS.split(","))
-
-
-CSV_COLUMNS = ",".join(f.name for f in dataclasses.fields(RoundReport))
+REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(RoundReport))
+# the report command's tables: a run's directory name, then report columns
+BYTES_COLUMNS = ("run", "slice", "strategy", "r", "beta", "mmd", "delta_bytes", "cum_bytes",
+                 "dev_p10", "dev_n10", "cloud_p10", "cloud_n10")
+RATIO_COLUMNS = ("run", "slice", "r", "beta", "cr_update", "cr_total", "dev_p10")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _write_json(path: str, obj) -> None:
+    write_file(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: str, columns, records: list[dict]) -> None:
+    """A header of ``columns``, then each record's values in that order
+    (``str`` of a float is its shortest repr, so it reads back equal)."""
+    lines = [",".join(columns)] + [",".join(str(rec[c]) for c in columns) for rec in records]
+    write_file(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -317,16 +323,11 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def write_reports(out_dir: str, reports: list[RoundReport]) -> tuple[str, str]:
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
     json_path = os.path.join(out_dir, "report.json")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_COLUMNS + "\n")
-        for rep in reports:
-            fh.write(rep.to_csv_row() + "\n")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump([rep.to_dict() for rep in reports], fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    records = [dataclasses.asdict(rep) for rep in reports]
+    _write_csv(csv_path, REPORT_COLUMNS, records)
+    _write_json(json_path, records)
     return csv_path, json_path
 
 
@@ -358,8 +359,7 @@ def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
 def run_train(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
     """Train the cloud model per cumulative slice, persisting a checkpoint
     and a metrics sidecar for each."""
-    out_dir = out_dir or cfg.out
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = make_dir(out_dir or cfg.out)
     data = prepare_data(cfg, Rng(cfg.seed))
     summaries = []
     for t, cloud in enumerate(cloud_trajectory(cfg, data), start=1):
@@ -376,9 +376,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
             "final_loss": cloud.loss,
             "test_p5": p5, "test_n5": n5, "test_p10": p10, "test_n10": n10,
         }
-        with open(os.path.join(out_dir, f"slice_{t:02d}.meta.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, f"slice_{t:02d}.meta.json"), meta)
         summaries.append(meta)
     return summaries
 
@@ -406,8 +404,7 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
     measure drift, choose the update size and retrain the slot rows; ship the
     frame, apply it on the device, check lockstep, and evaluate the device.
     A round's secs include the slice's cloud seconds."""
-    frames_dir = os.path.join(out_dir, "frames")
-    os.makedirs(frames_dir, exist_ok=True)
+    frames_dir = make_dir(os.path.join(out_dir, "frames"))
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
     store = CodebookStore(cfg.n, cfg.k, cfg.d, np.zeros((nk, cfg.d)))
@@ -459,8 +456,7 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
                 device.table, reconstruct_table(narrowed, delta.codes)
             ):
                 raise ProtocolError("server and device are out of lockstep")
-            with open(os.path.join(frames_dir, f"round_{t:02d}.odup"), "wb") as fh:
-                fh.write(frame)
+            write_file(os.path.join(frames_dir, f"round_{t:02d}.odup"), frame)
             nbytes = len(frame)
         cum_bytes += nbytes
 
@@ -488,8 +484,7 @@ def run_compress(cfg: ExperimentConfig, table_path: str, out_dir: str | None = N
     """Compress a checkpointed table with the configured codec, write the
     full frame that deploys it (``model.odup``), and report element-count
     and measured-byte compression ratios."""
-    out_dir = out_dir or cfg.out
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = make_dir(out_dir or cfg.out)
     table = load_checkpoint(table_path)
     vocab, d = table.shape
     if d != cfg.d:
@@ -497,8 +492,7 @@ def run_compress(cfg: ExperimentConfig, table_path: str, out_dir: str | None = N
     _, _, delta, final_loss = deploy(cfg, table)
     frame = wire.encode_delta(delta, vocab=vocab, d=d, n=cfg.n, k=cfg.k)
     out_path = os.path.join(out_dir, "model.odup")
-    with open(out_path, "wb") as fh:
-        fh.write(frame)
+    write_file(out_path, frame)
     raw_bytes = vocab * d * 4
     info = {
         "vocab": vocab, "d": d, "n": cfg.n, "k": cfg.k,
@@ -509,10 +503,12 @@ def run_compress(cfg: ExperimentConfig, table_path: str, out_dir: str | None = N
         "final_loss": final_loss,
         "path": out_path,
     }
-    with open(os.path.join(out_dir, "compress.json"), "w", encoding="utf-8") as fh:
-        json.dump(info, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "compress.json"), info)
     return info
+
+
+# the JSON value types a report.json record may hold in a column of each type
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def load_report(run_dir: str) -> list[dict]:
@@ -524,9 +520,13 @@ def load_report(run_dir: str) -> list[dict]:
         raise DataError(f"missing or corrupt report: {path} ({exc})") from None
     if not isinstance(records, list) or not records:
         raise DataError(f"missing or corrupt report: {path} (no records)")
-    columns = set(CSV_COLUMNS.split(","))
-    if not all(isinstance(rec, dict) and columns <= rec.keys() for rec in records):
+    if not all(isinstance(rec, dict) and set(REPORT_COLUMNS) <= rec.keys() for rec in records):
         raise DataError(f"corrupt report: {path} (a record lacks a report column)")
+    for rec in records:
+        for f in dataclasses.fields(RoundReport):
+            if type(rec[f.name]) not in _JSON_TYPES[f.type]:
+                raise DataError(f"corrupt report: {path} "
+                                f"(report column {f.name} holds {rec[f.name]!r}, not {f.type})")
     return records
 
 
@@ -538,33 +538,10 @@ def run_report(run_dirs: list[str], out_dir: str) -> str:
         if names.count(name) > 1:
             raise ConfigError(f"two runs are named {name!r}; runs are keyed by directory name")
     runs = {name: load_report(rd) for name, rd in zip(names, run_dirs)}
-    os.makedirs(out_dir, exist_ok=True)
-
-    lines = ["run,slice,strategy,r,beta,mmd,delta_bytes,cum_bytes,dev_p10,dev_n10,cloud_p10,cloud_n10"]
-    for name, records in runs.items():
-        for rec in records:
-            lines.append(
-                f"{name},{rec['slice']},{rec['strategy']},{_fmt(rec['r'])},{rec['beta']},"
-                f"{_fmt(rec['mmd'])},{rec['delta_bytes']},{rec['cum_bytes']},"
-                f"{_fmt(rec['dev_p10'])},{_fmt(rec['dev_n10'])},"
-                f"{_fmt(rec['cloud_p10'])},{_fmt(rec['cloud_n10'])}"
-            )
-    bytes_csv = os.path.join(out_dir, "accuracy_vs_bytes.csv")
-    with open(bytes_csv, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    ratio_lines = ["run,slice,r,beta,cr_update,cr_total,dev_p10"]
-    for name, records in runs.items():
-        for rec in records:
-            if rec["slice"] == 1:
-                continue
-            ratio_lines.append(
-                f"{name},{rec['slice']},{_fmt(rec['r'])},{rec['beta']},"
-                f"{_fmt(rec['cr_update'])},{_fmt(rec['cr_total'])},{_fmt(rec['dev_p10'])}"
-            )
-    ratio_csv = os.path.join(out_dir, "accuracy_vs_ratio.csv")
-    with open(ratio_csv, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(ratio_lines) + "\n")
+    rows = [{**rec, "run": name} for name, records in runs.items() for rec in records]
+    _write_csv(os.path.join(out_dir, "accuracy_vs_bytes.csv"), BYTES_COLUMNS, rows)
+    _write_csv(os.path.join(out_dir, "accuracy_vs_ratio.csv"), RATIO_COLUMNS,
+               [row for row in rows if row["slice"] != 1])
 
     slices = sorted({rec["slice"] for records in runs.values() for rec in records})
     text = ["slice  " + "  ".join(f"{name}:dev_p10" for name in runs)]
@@ -575,6 +552,5 @@ def run_report(run_dirs: list[str], out_dir: str) -> str:
             row.append(f"{match[0]['dev_p10']:.4f}" if match else "-")
         text.append("  ".join(row))
     summary = "\n".join(text)
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(summary + "\n")
+    write_file(os.path.join(out_dir, "summary.txt"), summary + "\n")
     return summary

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, TrainingDiverged
 from .numkit import Adam, Rng, sigmoid
-from .sealed import SealedReader, write_sealed
+from .sealed import SealedReader, seal, write_file
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
 
@@ -241,7 +241,7 @@ def save_checkpoint(path, table: np.ndarray) -> None:
     """
     table = np.asarray(table)
     body = struct.pack("<BII", CHECKPOINT_VERSION, table.shape[0], table.shape[1])
-    write_sealed(path, body + table.astype("<f4").tobytes())
+    write_file(path, seal(body + table.astype("<f4").tobytes()))
 
 
 def load_checkpoint(path) -> np.ndarray:

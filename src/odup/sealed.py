@@ -1,12 +1,18 @@
 """Sealed bytes: a little-endian body and a u32 CRC-32 of it, the trailer
-of delta frames and the container of table checkpoints."""
+of delta frames and the container of table checkpoints.
 
+Also the one writer of every file a run leaves behind: ``write_file``
+writes text or bytes, making the parent directory first, and an output
+path that cannot be made or written is a ConfigError (exit 2), as an
+unreadable sealed file is a DataError (exit 3)."""
+
+import os
 import struct
 import zlib
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def seal(body: bytes) -> bytes:
@@ -19,9 +25,23 @@ def crc_ok(buf: bytes) -> bool:
     return len(buf) >= 4 and zlib.crc32(buf[:-4]) == int.from_bytes(buf[-4:], "little")
 
 
-def write_sealed(path, body: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(seal(body))
+def make_dir(path) -> str:
+    """Make the directory ``path`` (and its parents) if missing; return it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return path
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Write ``data`` to ``path``, str as UTF-8, in a directory made if missing."""
+    make_dir(os.path.dirname(path) or ".")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 class SealedReader:

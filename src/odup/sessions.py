@@ -103,6 +103,8 @@ def read_event_log(path, delimiter: str = "\t") -> list[Event]:
                 events.append((user, item, t))
     except UnicodeDecodeError:
         raise DataError(f"{path}: event log is not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"cannot read event log {path}: {exc.strerror or exc}") from None
     return events
 
 

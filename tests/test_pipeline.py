@@ -19,13 +19,33 @@ from odup.errors import (
 )
 from odup.numkit import Rng
 from odup.pipeline import (
-    CSV_COLUMNS, DeviceSim, ExperimentConfig, RoundReport, cloud_trajectory, load_config,
-    prepare_data, replay, run_report, run_simulate, run_train, write_reports,
+    BYTES_COLUMNS, RATIO_COLUMNS, REPORT_COLUMNS, DeviceSim, ExperimentConfig, RoundReport,
+    cloud_trajectory, load_config, prepare_data, replay, run_report, run_simulate, run_train,
+    write_reports,
 )
 from odup.recommender import load_checkpoint, save_checkpoint
 from odup.updater import UpdateDelta, plan_slots
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+
+
+def assert_rows_match(csv_path, records):
+    """The CSV at ``csv_path`` has one row per record, each cell equal to
+    the record's value in that column once read back as the value's type."""
+    with open(csv_path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh]
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        assert len(row) == len(header)
+        for col, cell in zip(header, row):
+            assert type(rec[col])(cell) == rec[col]
+    return header
+
+
+def valid_record(**overrides) -> dict:
+    """A report.json record whose every value has its column's type."""
+    return {**dict.fromkeys(REPORT_COLUMNS, 0), "strategy": "queue", **overrides}
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -431,7 +451,7 @@ class TestSimulate:
         ra = run_simulate(cfg_a).reports
         rb = run_simulate(cfg_b).reports
         for a, b in zip(ra, rb):
-            da, db = a.to_dict(), b.to_dict()
+            da, db = dataclasses.asdict(a), dataclasses.asdict(b)
             da.pop("secs"), db.pop("secs")
             assert da == db
 
@@ -440,18 +460,7 @@ class TestSimulate:
         result = run_simulate(cfg)
         with open(result.json_path, encoding="utf-8") as fh:
             records = json.load(fh)
-        with open(result.csv_path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh]
-        assert header == CSV_COLUMNS.split(",")
-        assert len(rows) == len(records)
-        for row, rec in zip(rows, records):
-            for col, cell in zip(header, row):
-                expected = rec[col]
-                if isinstance(expected, float):
-                    assert float(cell) == expected
-                else:
-                    assert type(expected)(cell) == expected
+        assert assert_rows_match(result.csv_path, records) == list(REPORT_COLUMNS)
 
 
 class TestReport:
@@ -466,6 +475,15 @@ class TestReport:
         assert bytes_csv.count("\n") == 1 + 2 * 3
         ratio_csv = (tmp_path / "agg" / "accuracy_vs_ratio.csv").read_text()
         assert "cr_total" in ratio_csv
+        # every table row equals its run's report.json record; the ratio
+        # table leaves out the slice-1 deploy
+        rows = [{**rec, "run": name} for name in ("queue", "stack")
+                for rec in json.loads((tmp_path / name / "report.json").read_text())]
+        header = assert_rows_match(tmp_path / "agg" / "accuracy_vs_bytes.csv", rows)
+        assert header == list(BYTES_COLUMNS)
+        header = assert_rows_match(tmp_path / "agg" / "accuracy_vs_ratio.csv",
+                                   [row for row in rows if row["slice"] != 1])
+        assert header == list(RATIO_COLUMNS)
 
     def test_missing_report_errors(self, tmp_path):
         from odup.errors import DataError
@@ -473,7 +491,12 @@ class TestReport:
         with pytest.raises(DataError, match="report"):
             run_report([str(tmp_path / "nope")], str(tmp_path / "agg"))
 
-    @pytest.mark.parametrize("records", [[{"slice": 1}], [1]])
+    @pytest.mark.parametrize("records", [
+        [{"slice": 1}], [1],
+        [valid_record(dev_p10="x")], [valid_record(dev_p10=None)], [valid_record(dev_p10=True)],
+        [valid_record(slice="a")], [valid_record(slice=[1])], [valid_record(slice=1.0)],
+        [valid_record(beta=False)], [valid_record(strategy=1)],
+    ])
     def test_record_without_report_columns_errors(self, tmp_path, records):
         (tmp_path / "run").mkdir()
         (tmp_path / "run" / "report.json").write_text(json.dumps(records), encoding="utf-8")
@@ -526,7 +549,7 @@ class TestCli:
         "test_frac = 1.5", "synth_vocab = 10", "synth_sessions = 50", "synth_len_min = 1",
         "session_gap = 0", "min_len = 1", "max_len = 1", "delimiter =", "rec_epochs = 0",
         "top_items = -1", "r = nan", "codec_lr = nan", "l2 = nan", "skip_threshold = nan",
-        "codec_lr = inf", "codec_lr = -0.01", "codec_lr = 5",
+        "codec_lr = inf", "codec_lr = -0.01", "codec_lr = 5", "out =",
     ])
     def test_invalid_setting_exit_2(self, tmp_path, line, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -564,6 +587,29 @@ class TestCli:
         missing = tmp_path / "missing.ckpt"
         assert cli.main(["--out", str(tmp_path / "o"), "compress", "--table", str(missing)]) == 3
         assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_directory_as_data_exit_3(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"data = {tmp_path}\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
+        assert capsys.readouterr().err.startswith("data error: cannot read event log")
+
+    @pytest.mark.parametrize("command", ["synth", "train", "simulate", "compress", "report"])
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained before the output directory was made")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        monkeypatch.setattr(pipeline, "train_codec", no_training)
+        save_checkpoint(tmp_path / "t.ckpt", np.ones((40, 32)))
+        write_reports(str(tmp_path / "run"), [RoundReport(**valid_record())])
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        args = {"compress": ["compress", "--table", str(tmp_path / "t.ckpt")],
+                "report": ["report", str(tmp_path / "run")]}.get(command, [command])
+        assert cli.main(["--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write") and err.count("\n") == 1
 
     def test_empty_data_exit_3(self, tmp_path):
         empty = tmp_path / "empty.tsv"
@@ -616,7 +662,7 @@ class TestCli:
         assert cli.main(["--out", str(tmp_path / "agg"), "report", str(tmp_path / "runA")]) == 0
 
     def test_report_same_run_names_exit_2(self, tmp_path, capsys):
-        rep = RoundReport(**{c: 0 for c in CSV_COLUMNS.split(",")})
+        rep = RoundReport(**valid_record())
         runs = [str(tmp_path / side / "run") for side in ("a", "b")]
         for run in runs:
             write_reports(run, [rep])
