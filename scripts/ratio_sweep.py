@@ -13,7 +13,6 @@ Usage: python scripts/ratio_sweep.py [--out runs/sweep] [--seed 7]
 import argparse
 import dataclasses
 import os
-import warnings
 
 from odup.cli import run_guarded
 from odup.errors import ConfigError
@@ -31,17 +30,15 @@ def sweep(args) -> int:
     base = dataclasses.replace(load_config(DEMO_CONFIG), seed=args.seed)
     arms = [dataclasses.replace(base, r=r) for r in ratios]
     run_dirs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        data = prepare_data(base, Rng(base.seed))
-        trajectory = list(cloud_trajectory(base, data))
-        for cfg in arms:
-            out = os.path.join(args.out, f"r{cfg.r:g}")
-            reports = replay(cfg, data, trajectory, out).reports
-            final = reports[-1]
-            print(f"r={cfg.r:g}: beta={reports[1].beta} cum_bytes={final.cum_bytes} "
-                  f"device P@10={final.dev_p10:.4f}")
-            run_dirs.append(out)
+    data = prepare_data(base, Rng(base.seed))
+    trajectory = list(cloud_trajectory(base, data))
+    for cfg in arms:
+        out = os.path.join(args.out, f"r{cfg.r:g}")
+        reports = replay(cfg, data, trajectory, out).reports
+        final = reports[-1]
+        print(f"r={cfg.r:g}: beta={reports[1].beta} cum_bytes={final.cum_bytes} "
+              f"device P@10={final.dev_p10:.4f}")
+        run_dirs.append(out)
 
     print()
     print(run_report(run_dirs, os.path.join(args.out, "aggregate")))

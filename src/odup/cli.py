@@ -18,7 +18,7 @@ from .numkit import Rng
 from .pipeline import (
     ExperimentConfig, load_config, run_compress, run_report, run_simulate, run_train, synth_data,
 )
-from .sealed import write_file
+from .sessions import write_event_log
 
 # package errors and the exit code and stderr label each one ends in
 EXIT_CODES = (
@@ -59,9 +59,7 @@ def _cmd_synth(cfg: ExperimentConfig) -> int:
     res = synth_data(cfg, Rng(cfg.seed))
     sessions = res.sessions + res.test_sessions
     path = os.path.join(cfg.out, "events.tsv")
-    write_file(path, "".join(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n"
-                             for i, sess in enumerate(sessions)
-                             for j, item in enumerate(sess.items)))
+    write_event_log(path, sessions)
     n_events = sum(len(s.items) for s in sessions)
     print(f"wrote {path}: {len(sessions)} sessions, {n_events} events, vocab {res.vocab_size}")
     return 0

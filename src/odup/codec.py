@@ -25,7 +25,6 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,10 +248,6 @@ def train_codec(
         raise ValueError("target table must be finite")
     V = X.shape[0]
     check_capacity(cfg.n, cfg.k, V)
-    if cfg.n >= cfg.d:
-        warnings.warn("n is not much smaller than d; compression will be weak", stacklevel=2)
-    if cfg.nk >= V:
-        warnings.warn("nk is not much smaller than |V|; compression will be weak", stacklevel=2)
 
     rng = Rng(cfg.seed)
     if warm is not None:

@@ -18,9 +18,9 @@ GUMBEL_EPS = 1e-12
 class Rng:
     """Seeded random source backed by numpy's PCG64.
 
-    ``child(tag)`` derives an independent stream keyed on
-    (seed, crc32(tag), index), so the components of a larger experiment can
-    draw without coupling each other's sequences.
+    ``child(tag)`` derives an independent stream keyed on (seed, crc32(tag),
+    0), so the components of a larger experiment draw without coupling each
+    other's sequences (the fixed trailing 0 keeps every existing stream).
     """
 
     def __init__(self, seed: int, _key: tuple = ()):
@@ -29,8 +29,8 @@ class Rng:
         ss = np.random.SeedSequence((self.seed, *self._key))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def child(self, tag: str, index: int = 0) -> "Rng":
-        return Rng(self.seed, self._key + (zlib.crc32(tag.encode()), int(index)))
+    def child(self, tag: str) -> "Rng":
+        return Rng(self.seed, self._key + (zlib.crc32(tag.encode()), 0))
 
     def uniform(self, size=None) -> np.ndarray:
         return self._gen.random(size)
@@ -73,21 +73,17 @@ def _max_keepdims(v: np.ndarray, axis: int) -> np.ndarray:
     return np.expand_dims(m, axis)
 
 
-def softmax(v, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
-    """Temperature softmax, stabilized by max-subtraction.
-
-    Raises ValueError on empty or non-finite input or non-positive
-    temperature. Output along ``axis`` sums to 1.
+def softmax(v, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis``, stabilized by max-subtraction (divide ``v``
+    by a temperature first). Raises ValueError on empty or non-finite
+    input. Output along ``axis`` sums to 1.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input to softmax")
-    if not (np.isfinite(temperature) and temperature > 0):
-        raise ValueError("temperature must be a positive finite real")
-    z = (v - _max_keepdims(v, axis)) / temperature
-    e = np.exp(z)
+    e = np.exp(v - _max_keepdims(v, axis))
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
@@ -111,15 +107,14 @@ class Adam:
     """Adam optimizer: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, with
     bias-corrected moments and update lr * mhat / (sqrt(vhat) + eps).
 
-    Defaults b1=0.9, b2=0.999, eps=1e-8. Parameters with identically zero
-    gradients never move (their moments stay zero).
+    b1=0.9, b2=0.999, eps=1e-8 are class constants. Parameters with
+    identically zero gradients never move (their moments stay zero).
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None

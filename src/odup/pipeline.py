@@ -243,23 +243,24 @@ def synth_data(cfg: ExperimentConfig, rng: Rng) -> SynthResult:
 
 
 def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
+    """The cumulative training slices and the test set of ``cfg.data``."""
     if cfg.data == "synth":
         res = synth_data(cfg, rng)
-        return DataBundle(res.slices, res.test, res.vocab_size)
-    if not os.path.exists(cfg.data):
-        raise DataError(f"dataset not found: {cfg.data}")
-    events = read_event_log(cfg.data, cfg.delimiter)
-    if not events:
-        raise DataError(f"event log is empty: {cfg.data}")
-    sessions = sessionize(events, cfg.session_gap)
-    indexed, vocab = filter_and_index(
-        sessions, cfg.min_len, cfg.max_len, cfg.top_items or None
-    )
-    if len(vocab) < max(REPORT_KS):
-        raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
-    train_sessions, test_sessions = holdout_split(indexed, cfg.test_frac)
+        train_sessions, test_sessions, vocab_size = res.sessions, res.test_sessions, res.vocab_size
+    else:
+        if not os.path.exists(cfg.data):
+            raise DataError(f"dataset not found: {cfg.data}")
+        events = read_event_log(cfg.data, cfg.delimiter)
+        if not events:
+            raise DataError(f"event log is empty: {cfg.data}")
+        sessions = sessionize(events, cfg.session_gap)
+        indexed, vocab = filter_and_index(sessions, cfg.min_len, cfg.max_len, cfg.top_items or None)
+        if len(vocab) < max(REPORT_KS):
+            raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
+        train_sessions, test_sessions = holdout_split(indexed, cfg.test_frac)
+        vocab_size = len(vocab)
     slices = temporal_slices(train_sessions, cfg.slice_plan())
-    return DataBundle(slices, augment_split(test_sessions), len(vocab))
+    return DataBundle(slices, augment_split(test_sessions), vocab_size)
 
 
 class DeviceSim:
@@ -356,10 +357,10 @@ def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
                          evaluate(model, data.test, REPORT_KS), time.perf_counter() - start_time)
 
 
-def run_train(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
+def run_train(cfg: ExperimentConfig) -> list[dict]:
     """Train the cloud model per cumulative slice, persisting a checkpoint
-    and a metrics sidecar for each."""
-    out_dir = make_dir(out_dir or cfg.out)
+    and a metrics sidecar for each in ``cfg.out``."""
+    out_dir = make_dir(cfg.out)
     data = prepare_data(cfg, Rng(cfg.seed))
     summaries = []
     for t, cloud in enumerate(cloud_trajectory(cfg, data), start=1):
@@ -381,10 +382,10 @@ def run_train(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
     return summaries
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> SimulationResult:
-    """The full loop: the cloud trajectory, replayed slice by slice as it trains."""
+def run_simulate(cfg: ExperimentConfig) -> SimulationResult:
+    """The full loop into ``cfg.out``: the cloud trajectory, replayed as it trains."""
     data = prepare_data(cfg, Rng(cfg.seed))
-    return replay(cfg, data, cloud_trajectory(cfg, data), out_dir or cfg.out)
+    return replay(cfg, data, cloud_trajectory(cfg, data), cfg.out)
 
 
 def deploy(
@@ -480,11 +481,11 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
     return SimulationResult(reports, rounds, csv_path, json_path)
 
 
-def run_compress(cfg: ExperimentConfig, table_path: str, out_dir: str | None = None) -> dict:
+def run_compress(cfg: ExperimentConfig, table_path: str) -> dict:
     """Compress a checkpointed table with the configured codec, write the
-    full frame that deploys it (``model.odup``), and report element-count
-    and measured-byte compression ratios."""
-    out_dir = make_dir(out_dir or cfg.out)
+    full frame that deploys it (``model.odup``) to ``cfg.out``, and report
+    element-count and measured-byte compression ratios."""
+    out_dir = make_dir(cfg.out)
     table = load_checkpoint(table_path)
     vocab, d = table.shape
     if d != cfg.d:
@@ -527,6 +528,10 @@ def load_report(run_dir: str) -> list[dict]:
             if type(rec[f.name]) not in _JSON_TYPES[f.type]:
                 raise DataError(f"corrupt report: {path} "
                                 f"(report column {f.name} holds {rec[f.name]!r}, not {f.type})")
+    slices = [rec["slice"] for rec in records]
+    for t in slices:
+        if t < 1 or slices.count(t) > 1:
+            raise DataError(f"corrupt report: {path} (report column slice holds {t}: repeated or below 1)")
     return records
 
 
@@ -543,14 +548,10 @@ def run_report(run_dirs: list[str], out_dir: str) -> str:
     _write_csv(os.path.join(out_dir, "accuracy_vs_ratio.csv"), RATIO_COLUMNS,
                [row for row in rows if row["slice"] != 1])
 
-    slices = sorted({rec["slice"] for records in runs.values() for rec in records})
+    dev_p10 = [{rec["slice"]: rec["dev_p10"] for rec in records} for records in runs.values()]
     text = ["slice  " + "  ".join(f"{name}:dev_p10" for name in runs)]
-    for s in slices:
-        row = [f"{s:5d}"]
-        for records in runs.values():
-            match = [rec for rec in records if rec["slice"] == s]
-            row.append(f"{match[0]['dev_p10']:.4f}" if match else "-")
-        text.append("  ".join(row))
+    for t in sorted(set().union(*dev_p10)):
+        text.append("  ".join([f"{t:5d}"] + [f"{p[t]:.4f}" if t in p else "-" for p in dev_p10]))
     summary = "\n".join(text)
     write_file(os.path.join(out_dir, "summary.txt"), summary + "\n")
     return summary

@@ -23,6 +23,7 @@ from .sealed import SealedReader, seal, write_file
 ENCODER_KINDS = ("mean_pool", "last_gated")
 
 CHECKPOINT_VERSION = 1
+_EVAL_CHUNK = 512  # test pairs ranked per block in evaluate
 
 
 @dataclass
@@ -201,7 +202,7 @@ def _eval_parts(model_or_table, encoder_kind, gate):
 
 
 def evaluate(model_or_table, dataset, ks, *, encoder_kind: str | None = None,
-             gate: float | None = None, chunk: int = 512) -> list[float]:
+             gate: float | None = None) -> list[float]:
     """[Prec@K, NDCG@K] for each K in ``ks``, flattened in that order, from
     one ranking of the dataset.
 
@@ -218,8 +219,8 @@ def evaluate(model_or_table, dataset, ks, *, encoder_kind: str | None = None,
         raise DataError("cannot evaluate on an empty dataset")
     idx = np.arange(vocab)
     ranks = []
-    for lo in range(0, len(dataset), chunk):
-        sub = gather_batch(dataset, slice(lo, lo + chunk))
+    for lo in range(0, len(dataset), _EVAL_CHUNK):
+        sub = gather_batch(dataset, slice(lo, lo + _EVAL_CHUNK))
         S, _ = _encode_batch(table, g, kind, sub)
         scores = S @ table.T
         label_scores = scores[np.arange(sub.n), sub.labels]

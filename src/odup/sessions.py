@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import DataError
 from .numkit import Rng
+from .sealed import write_file
 
 Event = tuple[str, str, float]  # (user, item, seconds since epoch)
+ZIPF_EXPONENT = 1.2  # synthetic item popularity falls as 1 / rank^ZIPF_EXPONENT
 
 
 @dataclass
@@ -106,6 +108,14 @@ def read_event_log(path, delimiter: str = "\t") -> list[Event]:
     except OSError as exc:
         raise DataError(f"cannot read event log {path}: {exc.strerror or exc}") from None
     return events
+
+
+def write_event_log(path, sessions: list[Session]) -> None:
+    """One ``u<i> TAB i<item> TAB start+j`` line per item (the j-th of session
+    i; numbers zero-padded to six digits): the format ``read_event_log`` reads."""
+    write_file(path, "".join(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n"
+                             for i, sess in enumerate(sessions)
+                             for j, item in enumerate(sess.items)))
 
 
 def sessionize(log: list[Event], gap: float) -> list[Session]:
@@ -212,10 +222,7 @@ def holdout_split(sessions: list[Session], test_frac: float) -> tuple[list[Sessi
 @dataclass
 class SynthResult:
     sessions: list[Session]          # training sessions, temporal order
-    boundaries: list[int]            # cumulative session counts per slice
-    slices: list[SessionDataset]
     test_sessions: list[Session]
-    test: SessionDataset
     vocab_size: int
 
 
@@ -242,15 +249,14 @@ def synth_generate(
     plan: SlicePlan,
     *,
     n_clusters: int = 8,
-    zipf_exponent: float = 1.2,
     len_range: tuple[int, int] = (3, 10),
     test_frac: float = 0.1,
 ) -> SynthResult:
-    """Sessions drawn from item-popularity clusters; ``drift`` shifts
+    """Training sessions (sliced by ``plan``), then test sessions, drawn from
+    clusters of Zipf(ZIPF_EXPONENT)-popular items; ``drift`` shifts
     preferences per slice on two channels: the cluster mixture weights
     rotate, and a drift-sized fraction of items migrates to the next
-    cluster (changing co-occurrence, which is what moves trained
-    embeddings between slices).
+    cluster (changing co-occurrence, which moves trained embeddings).
 
     drift=0 keeps everything constant across slices. Deterministic per rng.
     """
@@ -261,7 +267,7 @@ def synth_generate(
     # every item gets an intrinsic Zipf popularity weight (over a seeded
     # permutation) and a base cluster; cluster membership can migrate
     item_weight = 1.0 / np.power(
-        1.0 + setup.permutation(vocab_size).astype(np.float64), zipf_exponent
+        1.0 + setup.permutation(vocab_size).astype(np.float64), ZIPF_EXPONENT
     )
     membership = np.repeat(np.arange(n_clusters), -(-vocab_size // n_clusters))[:vocab_size]
     memberships = [membership.copy()]
@@ -314,7 +320,5 @@ def synth_generate(
     test_sessions = [
         make_session(z - 1, float(n_train + j) * 10.0) for j in range(n_test)
     ]
-
-    slices = temporal_slices(sessions, plan)
-    return SynthResult(sessions, bounds, slices, test_sessions, augment_split(test_sessions), vocab_size)
+    return SynthResult(sessions, test_sessions, vocab_size)
 

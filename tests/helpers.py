@@ -7,7 +7,7 @@ import numpy as np
 from odup.codec import CodebookStore, CodecEncoder
 from odup.numkit import GUMBEL_EPS, Rng, sample_gumbel, softmax, softplus
 from odup.recommender import RecModel
-from odup.sessions import Session, SessionDataset, SynthResult
+from odup.sessions import Session, SessionDataset, SlicePlan, SynthResult
 from odup.wire import code_bits
 
 TAU_ALT = 0.2  # the temperature of the acceptance and demo configs
@@ -24,10 +24,10 @@ def dataset_of(pairs) -> SessionDataset:
     return SessionDataset(*(np.array(xs, dtype=np.intp) for xs in (items, starts, ends)))
 
 
-def slice_sessions(res: SynthResult, t: int) -> list[Session]:
-    """Sessions belonging to slice t (1-based), non-cumulative."""
-    lo = 0 if t == 1 else res.boundaries[t - 2]
-    return res.sessions[lo: res.boundaries[t - 1]]
+def slice_sessions(res: SynthResult, plan: SlicePlan, t: int) -> list[Session]:
+    """Training sessions of slice t (1-based) under ``plan``, non-cumulative."""
+    bounds = [0] + plan.boundaries(len(res.sessions))
+    return res.sessions[bounds[t - 1]: bounds[t]]
 
 
 def log_softmax(z, axis: int = -1) -> np.ndarray:
@@ -65,7 +65,7 @@ def gumbel_relax(alpha_group: np.ndarray, rng: Rng | None, tau: float) -> np.nda
     if not tau > 0:
         raise ValueError("tau must be positive")
     g = np.zeros_like(a) if rng is None else sample_gumbel(rng, a.shape)
-    return softmax(np.log(np.maximum(a, GUMBEL_EPS)) + g, temperature=tau, axis=-1)
+    return softmax((np.log(np.maximum(a, GUMBEL_EPS)) + g) / tau, axis=-1)
 
 
 def reconstruct_item(store: CodebookStore, code) -> np.ndarray:

@@ -8,7 +8,6 @@ stated runtime budgets on a single laptop core.
 import math
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -19,15 +18,13 @@ from odup.errors import FrameError
 from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig, cloud_trajectory, prepare_data, replay, run_simulate
 from odup.recommender import TrainConfig, _loss_and_grads, evaluate, gather_batch, init_model, train
-from odup.sessions import SlicePlan, synth_generate
+from odup.sessions import SlicePlan, augment_split, synth_generate, temporal_slices
 from odup.updater import (
     SlotLedger, advance_ledger, beta_from_ratio, end_to_end_cr, plan_slots, update_cr,
 )
 from odup.wire import decode_delta, delta_bytes, encode_delta
 
 from helpers import dataset_of, grad_check
-
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def report(criterion: str, detail: str):
@@ -71,11 +68,13 @@ def test_criterion_2_formula_identities():
 def test_criterion_3_codec_fidelity():
     t0 = time.time()
     rng = Rng(2024)
-    data = synth_generate(rng.child("synth"), 2000, 6000, 0.0, SlicePlan([1.0]),
-                          n_clusters=20, zipf_exponent=1.2)
+    plan = SlicePlan([1.0])
+    data = synth_generate(rng.child("synth"), 2000, 6000, 0.0, plan, n_clusters=20)
+    test = augment_split(data.test_sessions)
     model = init_model(2000, 32, rng.child("rec-init"))
-    train(model, data.slices[-1], TrainConfig(lr=0.01, epochs=25, batch=100, l2=1e-4, seed=1))
-    cloud_p10, _ = evaluate(model, data.test, [10])
+    train(model, temporal_slices(data.sessions, plan)[-1],
+          TrainConfig(lr=0.01, epochs=25, batch=100, l2=1e-4, seed=1))
+    cloud_p10, _ = evaluate(model, test, [10])
 
     table = model.embeddings
     cfg = CodecConfig(n=8, k=16, d=32, tau=0.2, lr=0.01, epochs=600, batch=256, seed=3)
@@ -83,7 +82,7 @@ def test_criterion_3_codec_fidelity():
     codes = harden(encoder, table)
     recon = reconstruct_table(store, codes)
     rel_mse = float(((recon - table) ** 2).sum() / (table ** 2).sum())
-    device_p10, _ = evaluate(recon, data.test, [10])
+    device_p10, _ = evaluate(recon, test, [10])
     elapsed = time.time() - t0
 
     assert rel_mse < 0.25

@@ -14,11 +14,11 @@ from helpers import grad_check, log_softmax
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = softmax([0.0, 0.0, 0.0], temperature=1.0)
+        out = softmax([0.0, 0.0, 0.0])
         assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_argmax_limit(self):
-        out = softmax([10.0, 0.0, 0.0], temperature=0.01)
+        out = softmax(np.array([10.0, 0.0, 0.0]) / 0.01)
         assert out[0] >= 1 - 1e-9
 
     def test_frozen_values(self):
@@ -37,12 +37,6 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax([1.0, np.inf])
 
-    def test_rejects_bad_temperature(self):
-        with pytest.raises(ValueError):
-            softmax([1.0, 2.0], temperature=0.0)
-        with pytest.raises(ValueError):
-            softmax([1.0, 2.0], temperature=-1.0)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             softmax([])
@@ -53,7 +47,7 @@ class TestSoftmax:
         st.floats(0.01, 10.0),
     )
     def test_probability_vector(self, values, tau):
-        out = softmax(values, temperature=tau)
+        out = softmax(np.array(values) / tau)
         assert abs(out.sum() - 1.0) <= 1e-12
         assert np.all(out >= 0)
 

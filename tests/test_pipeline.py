@@ -4,7 +4,6 @@ import importlib.util
 import json
 import os
 import sys
-import warnings
 import zlib
 
 import numpy as np
@@ -26,8 +25,6 @@ from odup.pipeline import (
 from odup.recommender import load_checkpoint, save_checkpoint
 from odup.updater import UpdateDelta, plan_slots
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 def assert_rows_match(csv_path, records):
     """The CSV at ``csv_path`` has one row per record, each cell equal to
@@ -45,7 +42,7 @@ def assert_rows_match(csv_path, records):
 
 def valid_record(**overrides) -> dict:
     """A report.json record whose every value has its column's type."""
-    return {**dict.fromkeys(REPORT_COLUMNS, 0), "strategy": "queue", **overrides}
+    return {**dict.fromkeys(REPORT_COLUMNS, 0), "slice": 1, "strategy": "queue", **overrides}
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -175,7 +172,7 @@ class TestCloudTrajectory:
         for strategy in ("queue", "full"):
             cfg = dataclasses.replace(base, strategy=strategy)
             replay(cfg, data, trajectory, str(tmp_path / "replay" / strategy))
-            run_simulate(cfg, str(tmp_path / "sim" / strategy))
+            run_simulate(dataclasses.replace(cfg, out=str(tmp_path / "sim" / strategy)))
             replayed = tree_bytes(tmp_path / "replay" / strategy)
             assert {"report.csv", "report.json", "frames/round_01.odup"} <= replayed.keys()
             assert replayed == tree_bytes(tmp_path / "sim" / strategy)
@@ -496,6 +493,8 @@ class TestReport:
         [valid_record(dev_p10="x")], [valid_record(dev_p10=None)], [valid_record(dev_p10=True)],
         [valid_record(slice="a")], [valid_record(slice=[1])], [valid_record(slice=1.0)],
         [valid_record(beta=False)], [valid_record(strategy=1)],
+        [valid_record(slice=0)], [valid_record(slice=2), valid_record(slice=2)],
+        [valid_record(slice=s) for s in (1, 2, 2, -3)],
     ])
     def test_record_without_report_columns_errors(self, tmp_path, records):
         (tmp_path / "run").mkdir()

@@ -147,13 +147,14 @@ class TestEvaluate:
         prec, ndcg = evaluate(table, ds, [k])
         assert 0.0 <= ndcg <= prec <= 1.0
 
-    def test_several_k_from_one_ranking(self):
+    def test_several_k_from_one_ranking(self, monkeypatch):
         rng = Rng(4)
         table = rng.uniform((12, 3)) * 2 - 1
         ds = dataset_of([([int(a), int(b)], int(c)) for a, b, c in rng.integers(0, 12, (40, 3))])
         ks = (1, 3, 5, 10, 12)
         flat = [m for k in ks for m in evaluate(table, ds, [k])]
-        assert evaluate(table, ds, ks, chunk=7) == flat
+        monkeypatch.setattr("odup.recommender._EVAL_CHUNK", 7)
+        assert evaluate(table, ds, ks) == flat
         assert evaluate(table, ds, ()) == []
 
 

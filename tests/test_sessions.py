@@ -7,7 +7,7 @@ from odup.errors import DataError
 from odup.numkit import Rng
 from odup.sessions import (
     Session, SlicePlan, augment_split, filter_and_index, holdout_split,
-    read_event_log, sessionize, synth_generate, temporal_slices,
+    read_event_log, sessionize, synth_generate, temporal_slices, write_event_log,
 )
 
 from helpers import slice_sessions
@@ -46,6 +46,16 @@ class TestSessionize:
         log = [("u", "a", 0.0), ("u", "b", 10.0)]
         assert len(sessionize(log, gap=10.0)) == 1
         assert len(sessionize(log, gap=9.999)) == 2
+
+
+class TestWriteEventLog:
+    def test_round_trip(self, tmp_path):
+        res = synth_generate(Rng(3).child("s"), 60, 200, 0.3, SlicePlan.from_ratios([1, 1]))
+        sessions = res.sessions + res.test_sessions
+        write_event_log(tmp_path / "events.tsv", sessions)
+        back = sessionize(read_event_log(tmp_path / "events.tsv"), gap=8 * HOUR)
+        assert [s.items for s in back] == [[f"i{it:06d}" for it in s.items] for s in sessions]
+        assert [s.start for s in back] == [s.start for s in sessions]
 
 
 class TestFilterAndIndex:
@@ -178,20 +188,21 @@ class TestSynth:
         a = synth_generate(Rng(5).child("s"), 60, 200, 0.4, self.plan())
         b = synth_generate(Rng(5).child("s"), 60, 200, 0.4, self.plan())
         assert [s.items for s in a.sessions] == [s.items for s in b.sessions]
-        assert a.slices[-1].pairs == b.slices[-1].pairs
+        assert [s.items for s in a.test_sessions] == [s.items for s in b.test_sessions]
 
     def test_nesting_and_counts(self):
         res = synth_generate(Rng(8).child("s"), 60, 300, 0.2, self.plan())
-        for earlier, later in zip(res.slices, res.slices[1:]):
+        slices = temporal_slices(res.sessions, self.plan())
+        for earlier, later in zip(slices, slices[1:]):
             assert later.pairs[: len(earlier.pairs)] == earlier.pairs
-        assert res.boundaries[-1] == len(res.sessions)
+        assert len(slices[-1]) == sum(len(s.items) - 1 for s in res.sessions)
 
     def _slice_freqs(self, res):
-        z = len(res.boundaries)
+        z = len(self.plan().fractions)
         freqs = np.zeros((z, res.vocab_size))
         lens = []
         for t in range(1, z + 1):
-            for sess in slice_sessions(res, t):
+            for sess in slice_sessions(res, self.plan(), t):
                 lens.append(len(sess.items))
                 for it in sess.items:
                     freqs[t - 1, it] += 1

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,9 +157,7 @@ def make_update_setup(seed=1, vocab=24, d=6, n=2, k=4, epochs=8):
     X1 = clustered_table(rng, vocab, d)
     X2 = X1 + rng.normal(0.05, (vocab, d))
     cfg = CodecConfig(n=n, k=k, d=d, epochs=epochs, batch=16, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        store, enc, _ = train_codec(X1, cfg)
+    store, enc, _ = train_codec(X1, cfg)
     return rng, X1, X2, cfg, store, enc
 
 
@@ -170,10 +166,8 @@ class TestRetrainUpdate:
         rng, X1, X2, cfg, store, enc = make_update_setup()
         ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, "full", cfg.nk)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="full")
-            direct_store, direct_enc, _ = train_codec(X2, cfg, frozen_rows=[], warm=(store, enc))
+        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="full")
+        direct_store, direct_enc, _ = train_codec(X2, cfg, frozen_rows=[], warm=(store, enc))
         assert np.array_equal(upd.store.rows, direct_store.rows)
         assert np.array_equal(upd.encoder.phi, direct_enc.phi)
         assert upd.delta.beta == cfg.nk
@@ -182,9 +176,7 @@ class TestRetrainUpdate:
         rng, X1, X2, cfg, store, enc = make_update_setup()
         ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, "queue", 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
+        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
         assert upd.delta.new_rows.shape == (1, cfg.d)
         assert upd.delta.codes.shape == (24, cfg.n)
 
@@ -192,9 +184,7 @@ class TestRetrainUpdate:
         rng, X1, X2, cfg, store, enc = make_update_setup(epochs=25)
         ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, "queue", 4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
+        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
         stale_codes = harden(enc, X1)
         stale_mse = float(((reconstruct_table(store, stale_codes) - X2) ** 2).mean())
         new_mse = float(((reconstruct_table(upd.store, upd.delta.codes) - X2) ** 2).mean())
@@ -204,9 +194,7 @@ class TestRetrainUpdate:
         rng, X1, X2, cfg, store, enc = make_update_setup()
         ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, "stack", 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="stack")
+        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="stack")
         untouched = sorted(set(range(cfg.nk)) - set(slots))
         assert np.array_equal(upd.store.rows[untouched], store.rows[untouched])
 
@@ -216,9 +204,7 @@ class TestRetrainUpdate:
         ledger = SlotLedger.fresh(cfg.nk)
         beta = 5
         slots = plan_slots(ledger, "queue", beta)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
+        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
         assert upd.delta.new_rows.size + upd.delta.codes.shape[0] * cfg.n == beta * cfg.d + cfg.n * vocab
 
 
@@ -230,9 +216,7 @@ class TestApplyDelta:
                                      store.rows.astype(np.float32).astype(np.float64))
         device_ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, strategy, beta)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy=strategy)
+        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy=strategy)
         return cfg, store, enc, ledger, device_store, device_ledger, upd, slots
 
     def test_plans_agree_after_apply(self):
@@ -246,9 +230,7 @@ class TestApplyDelta:
         rng, X1, X2, cfg, store, enc = make_update_setup()
         dstore = CodebookStore(cfg.n, cfg.k, cfg.d, store.rows.astype(np.float32).astype(np.float64))
         dledger = SlotLedger.fresh(cfg.nk)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            upd = retrain_update(store, enc, X2, list(range(cfg.nk)), cfg, epoch=2, strategy="full")
+        upd = retrain_update(store, enc, X2, list(range(cfg.nk)), cfg, epoch=2, strategy="full")
         # the wire narrows rows to f32; emulate the lossy hop
         delta = upd.delta
         delta.new_rows = delta.new_rows.astype(np.float32).astype(np.float64)
@@ -295,9 +277,7 @@ class TestApplyDelta:
         target = X2
         for epoch in (2, 3, 4):
             slots = plan_slots(ledger, "queue", 3)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                upd = retrain_update(store, enc, target, slots, cfg, epoch=epoch, strategy="queue")
+            upd = retrain_update(store, enc, target, slots, cfg, epoch=epoch, strategy="queue")
             store, enc = upd.store, upd.encoder
             ledger = advance_ledger(ledger, "queue", slots, epoch)
             delta = upd.delta
