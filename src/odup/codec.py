@@ -33,6 +33,7 @@ from .errors import ConfigError, TrainingDiverged
 from .numkit import Adam, Rng, sample_gumbel, softmax, softplus
 
 TAU_DEFAULT = 0.1
+ICM_SWEEPS = 2  # passes over the n components per refine_codes call
 _RECONSTRUCT_BLOCK = 32768  # output elements per block of reconstruct_table
 
 
@@ -101,10 +102,6 @@ class CodecEncoder:
         if self.phi.shape[1] != nk // 2 or self.phi_prime.shape != (nk // 2, nk):
             raise ValueError("encoder weight shapes inconsistent with n, k")
 
-    def copy(self) -> "CodecEncoder":
-        return CodecEncoder(self.n, self.k, self.phi.copy(), self.b.copy(),
-                            self.phi_prime.copy(), self.b_prime.copy())
-
     def params(self) -> list[np.ndarray]:
         return [self.phi, self.b, self.phi_prime, self.b_prime]
 
@@ -167,6 +164,32 @@ def harden(enc: CodecEncoder, target: np.ndarray) -> np.ndarray:
     return np.argmax(z.reshape(z.shape[:-1] + (enc.n, enc.k)), axis=-1).astype(np.int32)
 
 
+def refine_codes(store: CodebookStore, codes: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """ICM_SWEEPS sweeps of iterated conditional modes from ``codes`` (Babenko
+    & Lempitsky, CVPR 2014): for component i = 0..n-1 in turn, each item
+    takes the codeword c of codebook i that minimises ||c||^2 - 2 r.c, where
+    r is its target minus its other components, and keeps its code on a
+    tie. Returns new int32 codes; no item's error rises, up to rounding in
+    the scores. The device sees only codes and rows, so any codes ship."""
+    X = np.asarray(target, dtype=np.float64)
+    codes = np.array(codes, dtype=np.int32)
+    if X.shape != (len(codes), store.d):
+        raise ValueError("target must be a |V| x d table matching the codes and store")
+    books = store.rows.reshape(store.n, store.k, store.d)
+    norms = np.sum(books * books, axis=2)
+    items = np.arange(len(codes))
+    resid = X - reconstruct_table(store, codes)
+    for _ in range(ICM_SWEEPS):
+        for i in range(store.n):
+            r = resid + books[i][codes[:, i]]
+            scores = norms[i] - 2.0 * (r @ books[i].T)
+            best = np.argmin(scores, axis=1)
+            better = scores[items, best] < scores[items, codes[:, i]]
+            codes[better, i] = best[better]
+            resid = r - books[i][codes[:, i]]
+    return codes
+
+
 def _relaxed_forward(enc, rows, xb, G, tau):
     """Relaxed forward pass over a batch.
 
@@ -187,7 +210,7 @@ def _relaxed_forward(enc, rows, xb, G, tau):
     return loss, (h, z, sp, O, diff)
 
 
-def _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates):
+def _relaxed_backward(enc, rows, xb, tau, intermediates):
     """Gradients of the ``_relaxed_forward`` loss, ordered [phi, b,
     phi_prime, b_prime, rows]."""
     h, z, sp, O, diff = intermediates
@@ -196,8 +219,6 @@ def _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates):
 
     dR = (2.0 / (B * d)) * diff
     dRows = O.reshape(B, n * k).T @ dR
-    if trainable_row_mask is not None:
-        dRows[~trainable_row_mask] = 0.0
     dO = (dR @ rows.T).reshape(B, n, k)
     dL = O * (dO - np.sum(dO * O, axis=-1, keepdims=True))
     # dL is the gradient at the relaxed softmax's input (sp + G) / tau
@@ -213,10 +234,10 @@ def _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates):
     return [dphi, db, dphi_prime, db_prime, dRows]
 
 
-def _forward_backward(enc, rows, xb, G, tau, trainable_row_mask):
+def _forward_backward(enc, rows, xb, G, tau):
     """One relaxed forward/backward pass over a batch: (loss, grads)."""
     loss, intermediates = _relaxed_forward(enc, rows, xb, G, tau)
-    return loss, _relaxed_backward(enc, rows, xb, tau, trainable_row_mask, intermediates)
+    return loss, _relaxed_backward(enc, rows, xb, tau, intermediates)
 
 
 def relaxed_loss(enc: CodecEncoder, store: CodebookStore, target: np.ndarray, tau: float) -> float:
@@ -227,19 +248,15 @@ def relaxed_loss(enc: CodecEncoder, store: CodebookStore, target: np.ndarray, ta
     return loss
 
 
-def train_codec(
-    target: np.ndarray,
-    cfg: CodecConfig,
-    frozen_rows=None,
-    warm: tuple[CodebookStore, CodecEncoder] | None = None,
-) -> tuple[CodebookStore, CodecEncoder, list[float]]:
-    """Jointly optimize the encoder and the non-frozen store rows to
-    minimize ||O E - X||^2 under the Gumbel relaxation.
+def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, CodecEncoder, list[float]]:
+    """Jointly optimize the encoder and the store rows to minimize
+    ||O E - X||^2 under the Gumbel relaxation.
 
-    Rows listed in ``frozen_rows`` are bitwise unchanged on exit. ``warm``
-    continues from an existing (store, encoder) pair. The returned losses
-    are ``[initial, final]``: the noise-free full-batch loss at init and
-    after the last epoch (equal when ``cfg.epochs`` is 0).
+    Each epoch draws its (|V|, n, k) noise in one call and slices it by
+    batch position, bitwise one draw per batch (numpy fills in C order).
+    The returned losses are ``[initial, final]``: the noise-free
+    full-batch loss at init and after the last epoch (equal when
+    ``cfg.epochs`` is 0).
     """
     X = np.asarray(target, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.d:
@@ -250,22 +267,7 @@ def train_codec(
     check_capacity(cfg.n, cfg.k, V)
 
     rng = Rng(cfg.seed)
-    if warm is not None:
-        store, enc = warm[0].copy(), warm[1].copy()
-        if store.rows.shape != (cfg.nk, cfg.d) or (enc.n, enc.k) != (cfg.n, cfg.k):
-            raise ValueError("warm start shapes do not match cfg")
-    else:
-        store, enc = init_codec(cfg, rng.child("codec-init"))
-
-    frozen = np.zeros(cfg.nk, dtype=bool)
-    if frozen_rows is not None:
-        idx = np.asarray(sorted(set(int(r) for r in frozen_rows)), dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= cfg.nk):
-            raise ValueError("frozen row index out of range")
-        frozen[idx] = True
-    frozen_snapshot = store.rows[frozen].copy()
-    trainable_mask = ~frozen
-
+    store, enc = init_codec(cfg, rng.child("codec-init"))
     noise_rng = rng.child("codec-noise")
     shuffle_rng = rng.child("codec-shuffle")
     adam = Adam(cfg.lr)
@@ -274,15 +276,13 @@ def train_codec(
     initial = relaxed_loss(enc, store, X, cfg.tau)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(V)
+        noise = sample_gumbel(noise_rng, (V, cfg.n, cfg.k))
         for lo in range(0, V, cfg.batch):
-            sel = order[lo: lo + cfg.batch]
-            G = sample_gumbel(noise_rng, (len(sel), cfg.n, cfg.k))
-            loss, grads = _forward_backward(enc, store.rows, X[sel], G, cfg.tau, trainable_mask)
+            hi = lo + cfg.batch
+            loss, grads = _forward_backward(enc, store.rows, X[order[lo:hi]], noise[lo:hi], cfg.tau)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"codec loss became non-finite ({loss})")
             adam.step(params, grads)
-        store.rows[frozen] = frozen_snapshot
-    store.rows[frozen] = frozen_snapshot
     return store, enc, [initial, relaxed_loss(enc, store, X, cfg.tau)]
 
 

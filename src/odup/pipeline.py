@@ -20,7 +20,7 @@ import numpy as np
 from . import wire
 from .adaptive import AdaptiveConfig, MmdConfig, mmd2, choose_ratio
 from .codec import (
-    CodecConfig, CodebookStore, CodecEncoder, harden, model_cr, reconstruct_table, train_codec,
+    CodecConfig, CodebookStore, harden, model_cr, reconstruct_table, refine_codes, train_codec,
 )
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
@@ -115,7 +115,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         try:
             self.slice_plan()
-            self.codec_config(seed=self.seed)
+            self.codec_config()
             self.rec_config(seed=self.seed, freeze_gate=False)
             self.mmd_config()
             self.adaptive_config()
@@ -132,9 +132,9 @@ class ExperimentConfig:
         return TrainConfig(lr=self.rec_lr, epochs=self.rec_epochs, batch=self.batch,
                            l2=self.l2, seed=seed, freeze_gate=freeze_gate)
 
-    def codec_config(self, seed: int) -> CodecConfig:
+    def codec_config(self) -> CodecConfig:
         return CodecConfig(n=self.n, k=self.k, d=self.d, tau=self.tau, lr=self.codec_lr,
-                           epochs=self.codec_epochs, batch=self.codec_batch, seed=seed)
+                           epochs=self.codec_epochs, batch=self.codec_batch, seed=self.seed)
 
     def mmd_config(self) -> MmdConfig:
         return MmdConfig(samples=self.mmd_samples or None, seed=self.seed)
@@ -388,28 +388,27 @@ def run_simulate(cfg: ExperimentConfig) -> SimulationResult:
     return replay(cfg, data, cloud_trajectory(cfg, data), cfg.out)
 
 
-def deploy(
-    cfg: ExperimentConfig, table: np.ndarray,
-) -> tuple[CodebookStore, CodecEncoder, UpdateDelta, float]:
-    """Train the codec on ``table`` and harden its codes: the store, the
-    encoder, the full epoch-1 delta that deploys them on a device, and the
-    final codec loss."""
-    store, encoder, losses = train_codec(table, cfg.codec_config(seed=cfg.seed))
+def deploy(cfg: ExperimentConfig, table: np.ndarray) -> tuple[CodebookStore, UpdateDelta, float]:
+    """Train the codec on ``table``, harden its codes and refine them by
+    ICM: the store, the full epoch-1 delta that deploys it on a device, and
+    the final codec loss."""
+    store, encoder, losses = train_codec(table, cfg.codec_config())
+    codes = refine_codes(store, harden(encoder, table), table)
     nk = cfg.n * cfg.k
-    delta = UpdateDelta(1, "full", nk, store.rows.copy(), harden(encoder, table), list(range(nk)))
-    return store, encoder, delta, losses[-1]
+    delta = UpdateDelta(1, "full", nk, store.rows.copy(), codes, list(range(nk)))
+    return store, delta, losses[-1]
 
 
 def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) -> SimulationResult:
     """Per slice: train the codec and deploy with a full frame (slice 1), or
-    measure drift, choose the update size and retrain the slot rows; ship the
-    frame, apply it on the device, check lockstep, and evaluate the device.
+    measure drift, choose the update size and refit the slot rows and codes;
+    ship the frame, apply it on the device, check lockstep, and evaluate it.
     A round's secs include the slice's cloud seconds."""
     frames_dir = make_dir(os.path.join(out_dir, "frames"))
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
     store = CodebookStore(cfg.n, cfg.k, cfg.d, np.zeros((nk, cfg.d)))
-    encoder: CodecEncoder | None = None
+    codes: np.ndarray | None = None
     ledger = SlotLedger.fresh(nk, epoch=0)
     device: DeviceSim | None = None
     prev_table: np.ndarray | None = None
@@ -440,12 +439,12 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
         if beta:
             before = store.rows
             if t == 1:
-                store, encoder, delta, _ = deploy(cfg, table)
+                store, delta, _ = deploy(cfg, table)
             else:
-                upd = retrain_update(store, encoder, table, plan_slots(ledger, strategy, beta),
-                                     cfg.codec_config(seed=cfg.seed + 100 * t),
+                upd = retrain_update(store, codes, table, plan_slots(ledger, strategy, beta),
                                      epoch=ledger.current_epoch + 1, strategy=strategy)
-                store, encoder, delta = upd.store, upd.encoder, upd.delta
+                store, delta = upd.store, upd.delta
+            codes = delta.codes
             slots = delta.replaced_slots
             if not _same_bits(np.delete(before, slots, 0), np.delete(store.rows, slots, 0)):
                 raise ProtocolError("a frozen codebook row changed on the server")
@@ -490,7 +489,7 @@ def run_compress(cfg: ExperimentConfig, table_path: str) -> dict:
     vocab, d = table.shape
     if d != cfg.d:
         raise ConfigError(f"checkpoint d={d} does not match config d={cfg.d}")
-    _, _, delta, final_loss = deploy(cfg, table)
+    _, delta, final_loss = deploy(cfg, table)
     frame = wire.encode_delta(delta, vocab=vocab, d=d, n=cfg.n, k=cfg.k)
     out_path = os.path.join(out_dir, "model.odup")
     write_file(out_path, frame)

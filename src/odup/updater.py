@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodebookStore, CodecConfig, CodecEncoder, harden, reconstruct_table, train_codec
+from .codec import CodebookStore, reconstruct_table, refine_codes
+from .codec import harden, train_codec  # noqa: F401 (unused, but perfbench/spans.py wraps them here)
 from .errors import LedgerDivergence, ProtocolError, StaleDeltaError
 
 STRATEGIES = ("full", "stack", "queue")
+LSQ_ALTERNATIONS = 8  # (ICM, least-squares slot rows) rounds per update before a last ICM
 
 
 @dataclass
@@ -116,38 +118,33 @@ def beta_from_ratio(n: int, k: int, r: float) -> int:
 @dataclass
 class UpdateResult:
     store: CodebookStore
-    encoder: CodecEncoder
     delta: UpdateDelta
 
 
-def retrain_update(
-    prev_store: CodebookStore,
-    prev_encoder: CodecEncoder,
-    new_target: np.ndarray,
-    slots: list[int],
-    cfg: CodecConfig,
-    *,
-    epoch: int,
-    strategy: str,
-) -> UpdateResult:
-    """Retrain only the slot rows (everything else frozen, warm-started from
-    the previous state) against the new target table, and build the delta
-    carrying the new codes plus the retrained rows."""
-    nk = cfg.nk
+def retrain_update(prev_store: CodebookStore, prev_codes: np.ndarray, new_target: np.ndarray,
+                   slots: list[int], *, epoch: int, strategy: str) -> UpdateResult:
+    """Refit the slot rows and codes to the new target in closed form and
+    build the delta carrying the new codes plus the slot rows. As LSQ++
+    (Martinez et al., ECCV 2018): from ``prev_codes``, LSQ_ALTERNATIONS
+    times ICM (``refine_codes``), then least squares for the slot rows some
+    item uses against the target minus every other row's contribution; then
+    a last ICM. No step raises the error, up to rounding. Only used slot
+    rows change, and ``prev_store`` is not written."""
+    nk = prev_store.n * prev_store.k
     slot_set = set(int(s) for s in slots)
     if len(slot_set) != len(slots) or not slot_set <= set(range(nk)):
         raise ValueError("slots must be distinct row indices in [0, nk)")
-    frozen = sorted(set(range(nk)) - slot_set)
-    store, enc, _ = train_codec(new_target, cfg, frozen_rows=frozen, warm=(prev_store, prev_encoder))
-    delta = UpdateDelta(
-        epoch=epoch,
-        strategy=strategy,
-        beta=len(slots),
-        new_rows=store.rows[list(slots)].copy(),
-        codes=harden(enc, new_target),
-        replaced_slots=[int(s) for s in slots],
-    )
-    return UpdateResult(store, enc, delta)
+    target, rows = np.asarray(new_target, dtype=np.float64), np.asarray(slots, dtype=np.intp)
+    store, codes = prev_store.copy(), prev_codes
+    for _ in range(LSQ_ALTERNATIONS):
+        codes = refine_codes(store, codes, target)
+        picks = codes[:, rows // store.k] == rows % store.k  # column j: the items using rows[j]
+        used, A = rows[picks.any(axis=0)], picks[:, picks.any(axis=0)].astype(np.float64)
+        others = target - reconstruct_table(store, codes) + A @ store.rows[used]
+        store.rows[used] = np.linalg.lstsq(A, others, rcond=None)[0]
+    codes = refine_codes(store, codes, target)
+    delta = UpdateDelta(epoch, strategy, len(slots), store.rows[rows], codes, rows.tolist())
+    return UpdateResult(store, delta)
 
 
 def apply_delta(

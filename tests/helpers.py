@@ -4,8 +4,10 @@ only tests call them."""
 
 import numpy as np
 
-from odup.codec import CodebookStore, CodecEncoder
-from odup.numkit import GUMBEL_EPS, Rng, sample_gumbel, softmax, softplus
+from odup.codec import (
+    CodebookStore, CodecConfig, CodecEncoder, _forward_backward, init_codec, relaxed_loss,
+)
+from odup.numkit import GUMBEL_EPS, Adam, Rng, sample_gumbel, softmax, softplus
 from odup.recommender import RecModel
 from odup.sessions import Session, SessionDataset, SlicePlan, SynthResult
 from odup.wire import code_bits
@@ -66,6 +68,50 @@ def gumbel_relax(alpha_group: np.ndarray, rng: Rng | None, tau: float) -> np.nda
         raise ValueError("tau must be positive")
     g = np.zeros_like(a) if rng is None else sample_gumbel(rng, a.shape)
     return softmax((np.log(np.maximum(a, GUMBEL_EPS)) + g) / tau, axis=-1)
+
+
+def train_codec_per_batch_noise(target: np.ndarray, cfg: CodecConfig):
+    """train_codec with one Gumbel draw per batch, shaped (batch, n, k),
+    in place of one (|V|, n, k) draw per epoch."""
+    X = np.asarray(target, dtype=np.float64)
+    V = X.shape[0]
+    rng = Rng(cfg.seed)
+    store, enc = init_codec(cfg, rng.child("codec-init"))
+    noise_rng, shuffle_rng = rng.child("codec-noise"), rng.child("codec-shuffle")
+    adam = Adam(cfg.lr)
+    params = enc.params() + [store.rows]
+    initial = relaxed_loss(enc, store, X, cfg.tau)
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(V)
+        for lo in range(0, V, cfg.batch):
+            sel = order[lo: lo + cfg.batch]
+            G = sample_gumbel(noise_rng, (len(sel), cfg.n, cfg.k))
+            _, grads = _forward_backward(enc, store.rows, X[sel], G, cfg.tau)
+            adam.step(params, grads)
+    return store, enc, [initial, relaxed_loss(enc, store, X, cfg.tau)]
+
+
+def item_errors(store: CodebookStore, codes, target) -> np.ndarray:
+    """Each item's squared reconstruction error, summed over d."""
+    return np.sum((gather_sum_table(store, codes) - np.asarray(target)) ** 2, axis=1)
+
+
+def best_component(store: CodebookStore, codes, target, i: int) -> np.ndarray:
+    """Brute force: for each item, the codeword of codebook i whose sum with
+    the item's other n-1 components is nearest ``target``; ties take the
+    current code, then the lowest index."""
+    codes = np.asarray(codes)
+    out = codes[:, i].copy()
+    for v in range(len(codes)):
+        trial = codes[v].copy()
+        errs = []
+        for c in range(store.k):
+            trial[i] = c
+            errs.append(float(np.sum((reconstruct_item(store, trial) - target[v]) ** 2)))
+        best = int(np.argmin(errs))
+        if errs[best] < errs[out[v]]:
+            out[v] = best
+    return out
 
 
 def reconstruct_item(store: CodebookStore, code) -> np.ndarray:

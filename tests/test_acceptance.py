@@ -234,11 +234,11 @@ def test_criterion_7_gradient_correctness():
     def fc(vec):
         phi, b, pp, bp, rows = unflat(vec)
         e = CodecEncoder(cfg.n, cfg.k, phi, b, pp, bp)
-        loss, _ = _forward_backward(e, rows, X, G, cfg.tau, None)
+        loss, _ = _forward_backward(e, rows, X, G, cfg.tau)
         return loss
 
     point = np.concatenate([p.ravel() for p in enc.params() + [store.rows]])
-    _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau, None)
+    _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau)
     err_codec = grad_check(fc, np.concatenate([g.ravel() for g in grads]), point, h=1e-6)
     assert err_codec <= 1e-4
     report("7 gradient correctness",

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from odup.errors import ConfigError
 from odup.codec import (
-    TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity, harden,
-    init_codec, model_cr, reconstruct_table, relaxed_loss, train_codec,
+    ICM_SWEEPS, TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity, harden,
+    init_codec, model_cr, reconstruct_table, refine_codes, relaxed_loss, train_codec,
     _forward_backward, _relaxed_forward, _RECONSTRUCT_BLOCK,
 )
 from odup.numkit import Rng, sample_gumbel, softmax
 
 from helpers import (
-    TAU_ALT, codes_from_alpha, encoder_forward, gather_sum_table, grad_check, gumbel_relax,
-    log_softmax, reconstruct_item,
+    TAU_ALT, best_component, codes_from_alpha, encoder_forward, gather_sum_table, grad_check,
+    gumbel_relax, item_errors, log_softmax, reconstruct_item, train_codec_per_batch_noise,
 )
 
 
@@ -270,26 +270,6 @@ class TestModelCr:
 
 
 class TestTrainCodec:
-    def test_freeze_all_rows(self):
-        rng = Rng(5)
-        X = clustered_table(rng, 24, 6, n_clusters=4)
-        cfg = CodecConfig(n=2, k=4, d=6, epochs=5, batch=16, seed=1)
-        store0, enc0 = init_codec(cfg, Rng(2).child("w"))
-        store, enc, _ = train_codec(X, cfg, frozen_rows=range(cfg.nk), warm=(store0, enc0))
-        assert np.array_equal(store.rows, store0.rows)
-        assert not np.array_equal(enc.phi, enc0.phi)
-
-    def test_partial_freeze_bitwise(self):
-        rng = Rng(5)
-        X = clustered_table(rng, 24, 6, n_clusters=4)
-        cfg = CodecConfig(n=2, k=4, d=6, epochs=8, batch=16, seed=1)
-        frozen = [0, 3, 5]
-        store0, enc0 = init_codec(cfg, Rng(2).child("w"))
-        store, _, _ = train_codec(X, cfg, frozen_rows=frozen, warm=(store0, enc0))
-        assert np.array_equal(store.rows[frozen], store0.rows[frozen])
-        moved = sorted(set(range(cfg.nk)) - set(frozen))
-        assert not np.array_equal(store.rows[moved], store0.rows[moved])
-
     def test_tiny_convergence(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8, noise=0.05)
@@ -335,7 +315,7 @@ class TestTrainCodec:
             G = np.zeros((X.shape[0], cfg.n, cfg.k))
             with np.errstate(all="raise"):
                 forward_only = relaxed_loss(enc, store, X, cfg.tau)
-                full, _ = _forward_backward(enc, store.rows, X, G, cfg.tau, None)
+                full, _ = _forward_backward(enc, store.rows, X, G, cfg.tau)
             assert forward_only == full
 
     def test_hardened_within_2x_of_relaxed(self):
@@ -356,6 +336,17 @@ class TestTrainCodec:
         assert np.allclose(O.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(O >= 0)
 
+    @pytest.mark.parametrize("vocab, batch", [(300, 256), (37, 8), (5, 16)])
+    def test_one_noise_draw_per_epoch_equals_per_batch_draws(self, vocab, batch):
+        X = clustered_table(Rng(vocab), vocab, 6, n_clusters=4)
+        cfg = CodecConfig(n=4, k=4, d=6, epochs=3, batch=batch, seed=4)
+        store, enc, losses = train_codec(X, cfg)
+        store_o, enc_o, losses_o = train_codec_per_batch_noise(X, cfg)
+        assert losses == losses_o
+        assert np.array_equal(store.rows, store_o.rows)
+        for got, want in zip(enc.params(), enc_o.params()):
+            assert np.array_equal(got, want)
+
     def test_deterministic(self):
         rng = Rng(5)
         X = clustered_table(rng, 24, 6, n_clusters=4)
@@ -365,6 +356,72 @@ class TestTrainCodec:
         assert l1 == l2
         assert np.array_equal(s1.rows, s2.rows)
         assert np.array_equal(e1.phi, e2.phi)
+
+
+def icm_rounding(store: CodebookStore, target: np.ndarray) -> np.ndarray:
+    """Per-item rounding allowance of refine_codes. Every score
+    ||c||^2 - 2 r.c and every residual update is a sum of at most d
+    products of terms no larger than M = ||x|| + sum_i max_c ||c_i||; each
+    carries a relative error below d eps, and ICM_SWEEPS * n of them feed
+    the final error. The allowance is 4 ICM_SWEEPS n d eps M^2."""
+    books = store.rows.reshape(store.n, store.k, store.d)
+    M = np.linalg.norm(target, axis=1) + np.linalg.norm(books, axis=2).max(axis=1).sum()
+    return 4 * ICM_SWEEPS * store.n * store.d * np.finfo(float).eps * M * M
+
+
+class TestRefineCodes:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_no_item_error_rises(self, data):
+        n, k, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 9)), data.draw(st.integers(1, 12))
+        vocab = data.draw(st.integers(0, 60))
+        rng = Rng(data.draw(st.integers(0, 2**16)))
+        # row and target scales spread over 12 decades
+        rows = rng.normal(1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
+        store = CodebookStore(n, k, d, rows)
+        codes = rng.integers(0, k, (vocab, n)).astype(np.int32)
+        X = rng.normal(1.0, (vocab, d)) * 10.0 ** rng.integers(-6, 7, (vocab, 1))
+        refined = refine_codes(store, codes, X)
+        assert refined.dtype == np.int32 and refined.shape == codes.shape
+        assert np.all((refined >= 0) & (refined < k))
+        after, before = item_errors(store, refined, X), item_errors(store, codes, X)
+        assert np.all(after <= before + icm_rounding(store, X))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_component_matches_brute_force(self, seed):
+        rng = Rng(seed)
+        n, k, d = (int(v) for v in rng.integers(1, 5, 3))
+        store = CodebookStore(n, k, d, rng.normal(1.0, (n * k, d)))
+        codes = rng.integers(0, k, (30, n)).astype(np.int32)
+        X = rng.normal(1.0, (30, d))
+        expected = codes.copy()
+        for _ in range(ICM_SWEEPS):
+            for i in range(n):
+                expected[:, i] = best_component(store, expected, X, i)
+        assert np.array_equal(refine_codes(store, codes, X), expected)
+
+    def test_ties_keep_the_current_code(self):
+        # two identical codewords in codebook 0: either is optimal, so no code moves
+        rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        store = CodebookStore(2, 2, 2, rows)
+        codes = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.int32)
+        X = reconstruct_table(store, codes)
+        assert np.array_equal(refine_codes(store, codes, X), codes)
+
+    def test_deterministic_and_input_untouched(self):
+        X = clustered_table(Rng(3), 200, 8)
+        store = CodebookStore(4, 8, 8, Rng(4).normal(0.3, (32, 8)))
+        codes = Rng(5).integers(0, 8, (200, 4)).astype(np.int32)
+        before = codes.copy()
+        first = refine_codes(store, codes, X)
+        assert np.array_equal(refine_codes(store, codes, X), first)
+        assert np.array_equal(codes, before)
+        assert not np.array_equal(first, codes)
+
+    def test_rejects_a_mismatched_target(self):
+        store = CodebookStore(2, 2, 3, np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            refine_codes(store, np.zeros((5, 2), dtype=np.int32), np.zeros((4, 3)))
 
 
 class TestCodecGradients:
@@ -389,11 +446,11 @@ class TestCodecGradients:
         def f(vec):
             phi, b, pp, bp, rows = unflat(vec)
             e = CodecEncoder(cfg.n, cfg.k, phi, b, pp, bp)
-            loss, _ = _forward_backward(e, rows, X, G, cfg.tau, None)
+            loss, _ = _forward_backward(e, rows, X, G, cfg.tau)
             return loss
 
         point = np.concatenate([p.ravel() for p in enc.params() + [store.rows]])
-        _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau, None)
+        _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau)
         analytic = np.concatenate([g.ravel() for g in grads])
         assert grad_check(f, analytic, point, h=1e-6) <= 1e-4
 

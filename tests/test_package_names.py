@@ -13,7 +13,10 @@ command line through; the console script passes none.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,3 +176,21 @@ def test_flags_a_default_only_tests_pass(tmp_path):
 
 def test_every_package_default_is_passed_by_a_non_test_caller():
     assert unpassed_defaults(PACKAGE, USERS) == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
+    """perfbench/spans.py patches each (module, attribute) of WRAPPED and
+    fails on a missing one, so the package must keep every such name bound."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    missing = []
+    for module_name, attr, _ in spans.WRAPPED:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

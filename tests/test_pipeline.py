@@ -423,8 +423,8 @@ class TestSimulate:
     def test_server_frozen_row_change_raises(self, tmp_path, monkeypatch):
         retrain_update = pipeline.retrain_update
 
-        def moving_retrain(prev_store, prev_encoder, target, slots, *args, **kwargs):
-            upd = retrain_update(prev_store, prev_encoder, target, slots, *args, **kwargs)
+        def moving_retrain(prev_store, prev_codes, target, slots, *args, **kwargs):
+            upd = retrain_update(prev_store, prev_codes, target, slots, *args, **kwargs)
             frozen = min(set(range(prev_store.rows.shape[0])) - set(slots))
             upd.store = upd.store.copy()
             upd.store.rows[frozen, 0] = np.nextafter(upd.store.rows[frozen, 0], np.inf)
@@ -647,7 +647,7 @@ class TestCli:
         assert len(frame) == wire.delta_bytes(vocab, cfg.n, cfg.k, cfg.d, nk)
         info = json.loads((tmp_path / "comp" / "compress.json").read_text(encoding="utf-8"))
         assert info["compressed_file_bytes"] == len(frame)
-        _, _, delta, _ = pipeline.deploy(cfg, table)
+        _, delta, _ = pipeline.deploy(cfg, table)
         assert wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k) == frame
         device = DeviceSim(cfg.strategy, cfg.encoder, 0.5)
         device.receive(frame)

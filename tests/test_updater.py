@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odup.codec import CodebookStore, CodecConfig, harden, init_codec, reconstruct_table, train_codec
+from odup.codec import CodebookStore, CodecConfig, harden, reconstruct_table, train_codec
 from odup.errors import LedgerDivergence, ProtocolError, StaleDeltaError
 from odup.numkit import Rng
 from odup.updater import (
@@ -153,84 +153,118 @@ def model_cr_times_update(vocab, d, n, k, beta):
 
 
 def make_update_setup(seed=1, vocab=24, d=6, n=2, k=4, epochs=8):
+    """A codec trained on X1 and its hardened codes, and X2, a drifted X1."""
     rng = Rng(seed)
     X1 = clustered_table(rng, vocab, d)
     X2 = X1 + rng.normal(0.05, (vocab, d))
     cfg = CodecConfig(n=n, k=k, d=d, epochs=epochs, batch=16, seed=seed)
     store, enc, _ = train_codec(X1, cfg)
-    return rng, X1, X2, cfg, store, enc
+    return rng, X1, X2, cfg, store, harden(enc, X1)
+
+
+def sq_error(store, codes, target) -> float:
+    return float(np.sum((reconstruct_table(store, codes) - target) ** 2))
 
 
 class TestRetrainUpdate:
-    def test_all_slots_equals_full_retrain(self):
-        rng, X1, X2, cfg, store, enc = make_update_setup()
-        ledger = SlotLedger.fresh(cfg.nk)
-        slots = plan_slots(ledger, "full", cfg.nk)
-        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="full")
-        direct_store, direct_enc, _ = train_codec(X2, cfg, frozen_rows=[], warm=(store, enc))
-        assert np.array_equal(upd.store.rows, direct_store.rows)
-        assert np.array_equal(upd.encoder.phi, direct_enc.phi)
-        assert upd.delta.beta == cfg.nk
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_error_no_higher_than_previous_store_and_codes(self, strategy, seed):
+        rng, X1, X2, cfg, store, codes = make_update_setup(seed=seed, vocab=60, d=8, n=4, k=4)
+        beta = cfg.nk if strategy == "full" else 5
+        slots = plan_slots(SlotLedger.fresh(cfg.nk), strategy, beta)
+        upd = retrain_update(store, codes, X2, slots, epoch=2, strategy=strategy)
+        before = sq_error(store, codes, X2)
+        assert sq_error(upd.store, upd.delta.codes, X2) <= before * (1 + 1e-12)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rows_outside_used_slots_unchanged_and_prev_store_not_written(self, strategy):
+        rng, X1, X2, cfg, store, codes = make_update_setup(vocab=60, n=2, k=8)
+        slots = plan_slots(SlotLedger.fresh(cfg.nk), strategy, cfg.nk if strategy == "full" else 4)
+        # a slot row far from every item, so no code ever picks it
+        far, book = slots[0], slots[0] // cfg.k
+        store.rows[far] = 1e3
+        codes[codes[:, book] == far % cfg.k, book] = (far + 1) % cfg.k
+        prev_rows = store.rows.copy()
+        upd = retrain_update(store, codes, X2, slots, epoch=2, strategy=strategy)
+        assert store.rows.tobytes() == prev_rows.tobytes()
+        unchanged = sorted(set(range(cfg.nk)) - set(slots)) + [far]
+        assert upd.store.rows[unchanged].tobytes() == prev_rows[unchanged].tobytes()
+        assert not np.array_equal(upd.store.rows[slots], prev_rows[slots])
+
+    def test_a_slot_no_item_uses_is_left_as_is(self):
+        rng, X1, X2, cfg, store, codes = make_update_setup()
+        store.rows[0] = 1e3
+        codes[codes[:, 0] == 0, 0] = 1
+        upd = retrain_update(store, codes, X2, [0], epoch=2, strategy="queue")
+        assert upd.store.rows.tobytes() == store.rows.tobytes()
+        assert sq_error(upd.store, upd.delta.codes, X2) <= sq_error(store, codes, X2) * (1 + 1e-12)
+
+    def test_deterministic(self):
+        rng, X1, X2, cfg, store, codes = make_update_setup()
+        slots = plan_slots(SlotLedger.fresh(cfg.nk), "queue", 3)
+        a = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
+        b = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
+        assert a.delta == b.delta and a.store.rows.tobytes() == b.store.rows.tobytes()
 
     def test_beta_one_payload(self):
-        rng, X1, X2, cfg, store, enc = make_update_setup()
+        rng, X1, X2, cfg, store, codes = make_update_setup()
         ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, "queue", 1)
-        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
+        upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
         assert upd.delta.new_rows.shape == (1, cfg.d)
         assert upd.delta.codes.shape == (24, cfg.n)
 
     def test_update_beats_stale(self):
-        rng, X1, X2, cfg, store, enc = make_update_setup(epochs=25)
+        rng, X1, X2, cfg, store, codes = make_update_setup(epochs=25)
         ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, "queue", 4)
-        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
-        stale_codes = harden(enc, X1)
-        stale_mse = float(((reconstruct_table(store, stale_codes) - X2) ** 2).mean())
+        upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
+        stale_mse = float(((reconstruct_table(store, codes) - X2) ** 2).mean())
         new_mse = float(((reconstruct_table(upd.store, upd.delta.codes) - X2) ** 2).mean())
         assert new_mse <= stale_mse
 
     def test_frozen_row_conservation(self):
-        rng, X1, X2, cfg, store, enc = make_update_setup()
+        rng, X1, X2, cfg, store, codes = make_update_setup()
         ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, "stack", 3)
-        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="stack")
+        upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="stack")
         untouched = sorted(set(range(cfg.nk)) - set(slots))
         assert np.array_equal(upd.store.rows[untouched], store.rows[untouched])
 
     def test_payload_element_accounting(self):
-        rng, X1, X2, cfg, store, enc = make_update_setup()
+        rng, X1, X2, cfg, store, codes = make_update_setup()
         vocab = X2.shape[0]
         ledger = SlotLedger.fresh(cfg.nk)
         beta = 5
         slots = plan_slots(ledger, "queue", beta)
-        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy="queue")
+        upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
         assert upd.delta.new_rows.size + upd.delta.codes.shape[0] * cfg.n == beta * cfg.d + cfg.n * vocab
 
 
 class TestApplyDelta:
     def roundtrip_device(self, strategy="queue", beta=3):
-        rng, X1, X2, cfg, store, enc = make_update_setup()
+        rng, X1, X2, cfg, store, codes = make_update_setup()
         ledger = SlotLedger.fresh(cfg.nk)
         device_store = CodebookStore(cfg.n, cfg.k, cfg.d,
                                      store.rows.astype(np.float32).astype(np.float64))
         device_ledger = SlotLedger.fresh(cfg.nk)
         slots = plan_slots(ledger, strategy, beta)
-        upd = retrain_update(store, enc, X2, slots, cfg, epoch=2, strategy=strategy)
-        return cfg, store, enc, ledger, device_store, device_ledger, upd, slots
+        upd = retrain_update(store, codes, X2, slots, epoch=2, strategy=strategy)
+        return cfg, store, codes, ledger, device_store, device_ledger, upd, slots
 
     def test_plans_agree_after_apply(self):
-        cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
+        cfg, store, codes, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
         server_ledger = advance_ledger(ledger, "queue", slots, 2)
         dstore2, dledger2, _ = apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
         assert dledger2 == server_ledger
         assert plan_slots(server_ledger, "queue", 3) == plan_slots(dledger2, "queue", 3)
 
     def test_full_strategy_matches_server_post_f32(self):
-        rng, X1, X2, cfg, store, enc = make_update_setup()
+        rng, X1, X2, cfg, store, codes = make_update_setup()
         dstore = CodebookStore(cfg.n, cfg.k, cfg.d, store.rows.astype(np.float32).astype(np.float64))
         dledger = SlotLedger.fresh(cfg.nk)
-        upd = retrain_update(store, enc, X2, list(range(cfg.nk)), cfg, epoch=2, strategy="full")
+        upd = retrain_update(store, codes, X2, list(range(cfg.nk)), epoch=2, strategy="full")
         # the wire narrows rows to f32; emulate the lossy hop
         delta = upd.delta
         delta.new_rows = delta.new_rows.astype(np.float32).astype(np.float64)
@@ -241,24 +275,24 @@ class TestApplyDelta:
         assert np.array_equal(table, reconstruct_table(dstore2, upd.delta.codes))
 
     def test_stale_epoch_rejected(self):
-        cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
+        cfg, store, codes, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
         upd.delta.epoch = 3
         with pytest.raises(StaleDeltaError):
             apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
 
     def test_strategy_mismatch_rejected(self):
-        cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device("stack")
+        cfg, store, codes, ledger, dstore, dledger, upd, slots = self.roundtrip_device("stack")
         with pytest.raises(ProtocolError):
             apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
 
     def test_tampered_slots_diverge(self):
-        cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
+        cfg, store, codes, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
         upd.delta.replaced_slots = list(reversed(upd.delta.replaced_slots))
         with pytest.raises(LedgerDivergence):
             apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
 
     def test_failed_apply_leaves_state(self):
-        cfg, store, enc, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
+        cfg, store, codes, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
         before = dstore.rows.copy()
         upd.delta.epoch = 9
         with pytest.raises(StaleDeltaError):
@@ -267,7 +301,7 @@ class TestApplyDelta:
         assert dledger == SlotLedger.fresh(cfg.nk)
 
     def test_replay_two_devices_identical(self):
-        rng, X1, X2, cfg, store, enc = make_update_setup(epochs=6)
+        rng, X1, X2, cfg, store, codes = make_update_setup(epochs=6)
         ledger = SlotLedger.fresh(cfg.nk)
         f32 = store.rows.astype(np.float32).astype(np.float64)
         devices = [
@@ -277,8 +311,8 @@ class TestApplyDelta:
         target = X2
         for epoch in (2, 3, 4):
             slots = plan_slots(ledger, "queue", 3)
-            upd = retrain_update(store, enc, target, slots, cfg, epoch=epoch, strategy="queue")
-            store, enc = upd.store, upd.encoder
+            upd = retrain_update(store, codes, target, slots, epoch=epoch, strategy="queue")
+            store, codes = upd.store, upd.delta.codes
             ledger = advance_ledger(ledger, "queue", slots, epoch)
             delta = upd.delta
             delta.new_rows = delta.new_rows.astype(np.float32).astype(np.float64)
