@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .numkit import Adam, Rng, sample_gumbel, softmax, softplus
+from .numkit import Adam, Rng, gumbel_from_uniform, softmax, softplus
 
 TAU_DEFAULT = 0.1
 ICM_SWEEPS = 2  # passes over the n components per refine_codes call
@@ -252,8 +252,9 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     """Jointly optimize the encoder and the store rows to minimize
     ||O E - X||^2 under the Gumbel relaxation.
 
-    Each epoch draws its (|V|, n, k) noise in one call and slices it by
-    batch position, bitwise one draw per batch (numpy fills in C order).
+    Each epoch draws its (|V|, n, k) uniforms in one call and turns each
+    batch's slice into Gumbel noise, bitwise one draw per batch (numpy
+    fills in C order).
     The returned losses are ``[initial, final]``: the noise-free
     full-batch loss at init and after the last epoch (equal when
     ``cfg.epochs`` is 0).
@@ -276,10 +277,11 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     initial = relaxed_loss(enc, store, X, cfg.tau)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(V)
-        noise = sample_gumbel(noise_rng, (V, cfg.n, cfg.k))
+        uniform = noise_rng.uniform((V, cfg.n, cfg.k))
         for lo in range(0, V, cfg.batch):
             hi = lo + cfg.batch
-            loss, grads = _forward_backward(enc, store.rows, X[order[lo:hi]], noise[lo:hi], cfg.tau)
+            noise = gumbel_from_uniform(uniform[lo:hi])
+            loss, grads = _forward_backward(enc, store.rows, X[order[lo:hi]], noise, cfg.tau)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"codec loss became non-finite ({loss})")
             adam.step(params, grads)

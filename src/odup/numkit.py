@@ -1,7 +1,8 @@
 """Deterministic float64 numerics shared by all training code.
 
-All internal arithmetic is 64-bit (wire formats narrow to float32 at the
-boundary). Randomness goes through :class:`Rng`, a seeded PCG64 generator
+All internal arithmetic is 64-bit. Float32 appears only where rows reach
+the device: an ``UpdateDelta`` keeps the float32 values of its rows, and
+the wire and checkpoint formats store float32. Randomness goes through :class:`Rng`, a seeded PCG64 generator
 wrapped so that identical seeds reproduce identical draw sequences on any
 platform; the process-global numpy state is never touched.
 """
@@ -52,16 +53,6 @@ def gumbel_from_uniform(u) -> np.ndarray:
     """-log(-log u) with u clamped into [eps, 1-eps] so output stays finite."""
     u = np.clip(np.asarray(u, dtype=np.float64), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
     return -np.log(-np.log(u))
-
-
-def sample_gumbel(rng: Rng, count) -> np.ndarray:
-    """Draw standard Gumbel noise, deterministic per rng state.
-
-    ``count`` may be an int or a shape tuple.
-    """
-    if np.prod(count) < 1:
-        raise ValueError("count must be at least 1")
-    return gumbel_from_uniform(rng.uniform(count))
 
 
 def _max_keepdims(v: np.ndarray, axis: int) -> np.ndarray:

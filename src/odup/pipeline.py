@@ -19,9 +19,8 @@ import numpy as np
 
 from . import wire
 from .adaptive import AdaptiveConfig, MmdConfig, mmd2, choose_ratio
-from .codec import (
-    CodecConfig, CodebookStore, harden, model_cr, reconstruct_table, refine_codes, train_codec,
-)
+from .codec import CodecConfig, CodebookStore, harden, model_cr, refine_codes, train_codec
+from .codec import reconstruct_table  # noqa: F401 (unused, but perfbench/spans.py wraps it here)
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
 from .recommender import (
@@ -35,8 +34,8 @@ from .sessions import (
     synth_generate, temporal_slices,
 )
 from .updater import (
-    STRATEGIES, SlotLedger, UpdateDelta, advance_ledger, apply_delta, beta_from_ratio,
-    end_to_end_cr, plan_slots, retrain_update, update_cr,
+    STRATEGIES, SlotLedger, UpdateDelta, apply_delta, beta_from_ratio, end_to_end_cr, plan_slots,
+    retrain_update, update_cr,
 )
 
 REPORT_KS = (5, 10)  # the K of every report's P@K and N@K
@@ -388,22 +387,23 @@ def run_simulate(cfg: ExperimentConfig) -> SimulationResult:
     return replay(cfg, data, cloud_trajectory(cfg, data), cfg.out)
 
 
-def deploy(cfg: ExperimentConfig, table: np.ndarray) -> tuple[CodebookStore, UpdateDelta, float]:
+def deploy(cfg: ExperimentConfig, table: np.ndarray) -> tuple[UpdateDelta, float]:
     """Train the codec on ``table``, harden its codes and refine them by
-    ICM: the store, the full epoch-1 delta that deploys it on a device, and
-    the final codec loss."""
+    ICM: the full epoch-1 delta that deploys it on a device, and the final
+    codec loss."""
     store, encoder, losses = train_codec(table, cfg.codec_config())
     codes = refine_codes(store, harden(encoder, table), table)
     nk = cfg.n * cfg.k
-    delta = UpdateDelta(1, "full", nk, store.rows.copy(), codes, list(range(nk)))
-    return store, delta, losses[-1]
+    return UpdateDelta(1, "full", nk, store.rows, codes, list(range(nk))), losses[-1]
 
 
 def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) -> SimulationResult:
     """Per slice: train the codec and deploy with a full frame (slice 1), or
     measure drift, choose the update size and refit the slot rows and codes;
-    ship the frame, apply it on the device, check lockstep, and evaluate it.
-    A round's secs include the slice's cloud seconds."""
+    ship the frame and apply it on the device; the server applies the same
+    delta to its own store and ledger, so lockstep is equal ledgers and
+    tables. Then evaluate the device. A round's secs include the slice's
+    cloud seconds."""
     frames_dir = make_dir(os.path.join(out_dir, "frames"))
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
@@ -437,24 +437,20 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
 
         frame, nbytes = None, 0
         if beta:
-            before = store.rows
             if t == 1:
-                store, delta, _ = deploy(cfg, table)
+                delta, _ = deploy(cfg, table)
             else:
-                upd = retrain_update(store, codes, table, plan_slots(ledger, strategy, beta),
+                slots = plan_slots(ledger, strategy, beta)
+                upd = retrain_update(store, codes, table, slots,
                                      epoch=ledger.current_epoch + 1, strategy=strategy)
-                store, delta = upd.store, upd.delta
+                if not _same_bits(np.delete(store.rows, slots, 0), np.delete(upd.store.rows, slots, 0)):
+                    raise ProtocolError("a frozen codebook row changed on the server")
+                delta = upd.delta
             codes = delta.codes
-            slots = delta.replaced_slots
-            if not _same_bits(np.delete(before, slots, 0), np.delete(store.rows, slots, 0)):
-                raise ProtocolError("a frozen codebook row changed on the server")
-            ledger = advance_ledger(ledger, strategy, slots, delta.epoch)
             frame = wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k)
             device.receive(frame)
-            narrowed = CodebookStore(cfg.n, cfg.k, cfg.d, store.rows.astype(np.float32))
-            if device.ledger != ledger or not _same_bits(
-                device.table, reconstruct_table(narrowed, delta.codes)
-            ):
+            store, ledger, server_table = apply_delta(store, ledger, delta, expected_strategy=cfg.strategy)
+            if device.ledger != ledger or not _same_bits(device.table, server_table):
                 raise ProtocolError("server and device are out of lockstep")
             write_file(os.path.join(frames_dir, f"round_{t:02d}.odup"), frame)
             nbytes = len(frame)
@@ -489,7 +485,7 @@ def run_compress(cfg: ExperimentConfig, table_path: str) -> dict:
     vocab, d = table.shape
     if d != cfg.d:
         raise ConfigError(f"checkpoint d={d} does not match config d={cfg.d}")
-    _, delta, final_loss = deploy(cfg, table)
+    delta, final_loss = deploy(cfg, table)
     frame = wire.encode_delta(delta, vocab=vocab, d=d, n=cfg.n, k=cfg.k)
     out_path = os.path.join(out_dir, "model.odup")
     write_file(out_path, frame)

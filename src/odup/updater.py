@@ -60,6 +60,11 @@ def advance_ledger(ledger: SlotLedger, strategy: str, slots: list[int], epoch: i
 
 @dataclass
 class UpdateDelta:
+    """One update as the device receives it. The device holds float32 rows,
+    so ``new_rows`` keeps only their float32 values (widened to float64):
+    the wire carries them exactly, and a server that applies the delta
+    holds the device's rows bit for bit."""
+
     epoch: int
     strategy: str            # "full" | "stack" | "queue"
     beta: int
@@ -68,7 +73,7 @@ class UpdateDelta:
     replaced_slots: list[int]
 
     def __post_init__(self):
-        self.new_rows = np.asarray(self.new_rows, dtype=np.float64)
+        self.new_rows = np.asarray(self.new_rows, dtype=np.float32).astype(np.float64)
         self.codes = np.asarray(self.codes)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")

@@ -92,8 +92,9 @@ def delta_bytes(vocab: int, n: int, k: int, d: int, beta: int) -> int:
 
 
 def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> bytes:
-    """Serialize a delta to the frame layout above. Rows are narrowed to
-    float32 here; this is the only lossy step in the protocol."""
+    """Serialize a delta to the frame layout above. ``UpdateDelta`` holds
+    float32 row values, so the rows are written exactly and
+    ``decode_delta(encode_delta(delta)) == delta``."""
     nk = n * k
     if delta.strategy not in STRATEGY_CODES:
         raise ValueError(f"unknown strategy {delta.strategy!r}")
@@ -159,7 +160,7 @@ def decode_delta(buf: bytes) -> UpdateDelta:
     if slots.size and slots.max() >= nk:
         raise FrameError("slot_range", f"slot index >= nk ({nk})")
     off += 4 * beta
-    rows = np.frombuffer(buf, "<f4", beta * d, off).reshape(beta, d).astype(np.float64)
+    rows = np.frombuffer(buf, "<f4", beta * d, off).reshape(beta, d)
     if not np.all(np.isfinite(rows)):
         raise FrameError("rows", "NaN or infinite row value")
     return UpdateDelta(

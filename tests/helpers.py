@@ -7,7 +7,7 @@ import numpy as np
 from odup.codec import (
     CodebookStore, CodecConfig, CodecEncoder, _forward_backward, init_codec, relaxed_loss,
 )
-from odup.numkit import GUMBEL_EPS, Adam, Rng, sample_gumbel, softmax, softplus
+from odup.numkit import GUMBEL_EPS, Adam, Rng, gumbel_from_uniform, softmax, softplus
 from odup.recommender import RecModel
 from odup.sessions import Session, SessionDataset, SlicePlan, SynthResult
 from odup.wire import code_bits
@@ -55,6 +55,14 @@ def encoder_forward(enc: CodecEncoder, x: np.ndarray) -> np.ndarray:
 def codes_from_alpha(alpha: np.ndarray) -> np.ndarray:
     """Per-group argmax; ties resolve to the lowest index."""
     return np.argmax(np.asarray(alpha), axis=-1).astype(np.int32)
+
+
+def sample_gumbel(rng: Rng, count) -> np.ndarray:
+    """Standard Gumbel noise, deterministic per rng state; ``count`` may be
+    an int or a shape tuple."""
+    if np.prod(count) < 1:
+        raise ValueError("count must be at least 1")
+    return gumbel_from_uniform(rng.uniform(count))
 
 
 def gumbel_relax(alpha_group: np.ndarray, rng: Rng | None, tau: float) -> np.ndarray:

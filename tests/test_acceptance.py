@@ -8,6 +8,7 @@ stated runtime budgets on a single laptop core.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_criterion_6_protocol_soundness(tmp_path):
         from odup.updater import UpdateDelta
 
         codes = rng.integers(0, k, (vocab, n)).astype(np.int32)
-        rows = rng.uniform((beta, d)).astype(np.float32).astype(np.float64)
+        rows = rng.uniform((beta, d))
         slots = [int(s) for s in np.sort(rng.choice(n * k, beta, replace=False))]
         delta = UpdateDelta(int(rng.integers(1, 1000)), strategy, beta, rows, codes, slots)
         frame = encode_delta(delta, vocab=vocab, d=d, n=n, k=k)
@@ -291,10 +292,10 @@ def test_criterion_9_determinism(tmp_path):
 
     ra = run_simulate(cfg(str(tmp_path / "a")))
     rb = run_simulate(cfg(str(tmp_path / "b")))
-    csv_a = open(ra.csv_path, "rb").read()
-    csv_b = open(rb.csv_path, "rb").read()
-    json_a = open(ra.json_path, "rb").read()
-    json_b = open(rb.json_path, "rb").read()
+    csv_a = Path(ra.csv_path).read_bytes()
+    csv_b = Path(rb.csv_path).read_bytes()
+    json_a = Path(ra.json_path).read_bytes()
+    json_b = Path(rb.json_path).read_bytes()
     assert csv_a == csv_b
     assert json_a == json_b
     # frames are byte-identical too

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odup.numkit import (
-    Adam, Rng, gumbel_from_uniform, sample_gumbel, sigmoid, softmax, softplus,
-)
+from odup.numkit import Adam, Rng, gumbel_from_uniform, sigmoid, softmax, softplus
 
-from helpers import grad_check, log_softmax
+from helpers import grad_check, log_softmax, sample_gumbel
 
 
 class TestSoftmax:

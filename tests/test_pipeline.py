@@ -11,7 +11,6 @@ import pytest
 
 import odup.cli as cli
 from odup import pipeline, wire
-from odup.codec import CodebookStore, reconstruct_table
 from odup.errors import (
     ConfigError, DataError, DimensionMismatch, FrameError, LedgerDivergence, ProtocolError,
     StaleDeltaError,
@@ -434,6 +433,19 @@ class TestSimulate:
         with pytest.raises(ProtocolError, match="frozen"):
             run_simulate(small_config(out=str(tmp_path / "sim")))
 
+    def test_updates_start_from_the_device_rows(self, tmp_path, monkeypatch):
+        retrain_update, prev_rows = pipeline.retrain_update, []
+
+        def recording_retrain(prev_store, *args, **kwargs):
+            prev_rows.append(prev_store.rows)
+            return retrain_update(prev_store, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "retrain_update", recording_retrain)
+        run_simulate(small_config(out=str(tmp_path / "sim")))
+        assert prev_rows
+        for rows in prev_rows:
+            assert np.array_equal(rows, rows.astype(np.float32))
+
     def test_byte_identical_reports(self, tmp_path):
         cfg_a = small_config(out=str(tmp_path / "r1"))
         cfg_b = small_config(out=str(tmp_path / "r2"))
@@ -647,13 +659,12 @@ class TestCli:
         assert len(frame) == wire.delta_bytes(vocab, cfg.n, cfg.k, cfg.d, nk)
         info = json.loads((tmp_path / "comp" / "compress.json").read_text(encoding="utf-8"))
         assert info["compressed_file_bytes"] == len(frame)
-        _, delta, _ = pipeline.deploy(cfg, table)
+        delta, _ = pipeline.deploy(cfg, table)
         assert wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k) == frame
         device = DeviceSim(cfg.strategy, cfg.encoder, 0.5)
         device.receive(frame)
-        assert device.epoch == 1 and device.store.rows.shape == (nk, cfg.d)
-        f32 = CodebookStore(cfg.n, cfg.k, cfg.d, delta.new_rows.astype(np.float32))
-        assert np.array_equal(device.table, reconstruct_table(f32, delta.codes))
+        assert device.epoch == 1
+        assert np.array_equal(device.store.rows, delta.new_rows)
 
     def test_report_command(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "runA"))

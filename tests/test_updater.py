@@ -265,10 +265,7 @@ class TestApplyDelta:
         dstore = CodebookStore(cfg.n, cfg.k, cfg.d, store.rows.astype(np.float32).astype(np.float64))
         dledger = SlotLedger.fresh(cfg.nk)
         upd = retrain_update(store, codes, X2, list(range(cfg.nk)), epoch=2, strategy="full")
-        # the wire narrows rows to f32; emulate the lossy hop
-        delta = upd.delta
-        delta.new_rows = delta.new_rows.astype(np.float32).astype(np.float64)
-        dstore2, dledger2, table = apply_delta(dstore, dledger, delta, expected_strategy="queue")
+        dstore2, dledger2, table = apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
         assert np.array_equal(
             dstore2.rows, upd.store.rows.astype(np.float32).astype(np.float64)
         )
@@ -314,10 +311,8 @@ class TestApplyDelta:
             upd = retrain_update(store, codes, target, slots, epoch=epoch, strategy="queue")
             store, codes = upd.store, upd.delta.codes
             ledger = advance_ledger(ledger, "queue", slots, epoch)
-            delta = upd.delta
-            delta.new_rows = delta.new_rows.astype(np.float32).astype(np.float64)
             devices = [
-                apply_delta(ds, dl, delta, expected_strategy="queue")[:2]
+                apply_delta(ds, dl, upd.delta, expected_strategy="queue")[:2]
                 for ds, dl in devices
             ]
             target = target + rng.normal(0.02, target.shape)
@@ -342,7 +337,7 @@ class TestPaperConcatenationForms:
         _, _, table = apply_delta(store, ledger, delta, expected_strategy="stack")
 
         # paper layout: store rows reversed, E* first, keep old[beta:]
-        paper_store = np.vstack([new[::-1], old[::-1][beta:]])
+        paper_store = np.vstack([delta.new_rows[::-1], old[::-1][beta:]])
         onehot = np.zeros((6, nk))
         onehot[np.arange(6), nk - 1 - codes[:, 0]] = 1.0
         expected = onehot @ paper_store
@@ -363,7 +358,7 @@ class TestPaperConcatenationForms:
         delta = UpdateDelta(2, "queue", beta, new, codes, slots)
         _, _, table = apply_delta(store, ledger, delta, expected_strategy="queue")
 
-        paper_store = np.vstack([new[::-1], old[::-1][: nk - beta]])
+        paper_store = np.vstack([delta.new_rows[::-1], old[::-1][: nk - beta]])
         onehot = np.zeros((6, nk))
         onehot[np.arange(6), (nk - 1 + beta - codes[:, 0]) % nk] = 1.0
         expected = onehot @ paper_store

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from odup.errors import FrameError
 from odup.numkit import Rng
@@ -16,7 +17,7 @@ from helpers import pack_codes_bit_matrix, unpack_codes_bit_matrix
 
 def random_delta(rng: Rng, vocab, n, k, d, beta, strategy="queue", epoch=2):
     codes = rng.integers(0, k, (vocab, n)).astype(np.int32)
-    rows = rng.uniform((beta, d)).astype(np.float32).astype(np.float64)
+    rows = rng.uniform((beta, d))
     slots = [int(s) for s in np.sort(rng.choice(n * k, beta, replace=False))]
     return UpdateDelta(epoch, strategy, beta, rows, codes, slots)
 
@@ -125,6 +126,16 @@ class TestRoundTrip:
             out = decode_delta(frame)
             assert out == delta
             assert encode_delta(out, vocab=vocab, d=d, n=n, k=k) == frame
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), k=st.integers(1, 8), d=st.integers(1, 6), data=st.data())
+    def test_unrounded_rows_roundtrip(self, n, k, d, data):
+        beta = data.draw(st.integers(1, n * k))
+        f32_max = float(np.finfo(np.float32).max)
+        rows = data.draw(arrays(np.float64, (beta, d), elements=st.floats(-f32_max, f32_max)))
+        d0 = random_delta(Rng(0), 7, n, k, d, beta)
+        delta = UpdateDelta(d0.epoch, d0.strategy, beta, rows, d0.codes, d0.replaced_slots)
+        assert decode_delta(encode_delta(delta, vocab=7, d=d, n=n, k=k)) == delta
 
     def test_encode_decode_encode_idempotent(self):
         delta = random_delta(Rng(3), 50, 4, 8, 6, 9)
