@@ -275,16 +275,18 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     params = enc.params() + [store.rows]
 
     initial = relaxed_loss(enc, store, X, cfg.tau)
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(V)
-        uniform = noise_rng.uniform((V, cfg.n, cfg.k))
-        for lo in range(0, V, cfg.batch):
-            hi = lo + cfg.batch
-            noise = gumbel_from_uniform(uniform[lo:hi])
-            loss, grads = _forward_backward(enc, store.rows, X[order[lo:hi]], noise, cfg.tau)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"codec loss became non-finite ({loss})")
-            adam.step(params, grads)
+    # an overflow is reported as TrainingDiverged, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(V)
+            uniform = noise_rng.uniform((V, cfg.n, cfg.k))
+            for lo in range(0, V, cfg.batch):
+                hi = lo + cfg.batch
+                noise = gumbel_from_uniform(uniform[lo:hi])
+                loss, grads = _forward_backward(enc, store.rows, X[order[lo:hi]], noise, cfg.tau)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"codec loss became non-finite ({loss})")
+                adam.step(params, grads)
     return store, enc, [initial, relaxed_loss(enc, store, X, cfg.tau)]
 
 

@@ -73,7 +73,10 @@ class UpdateDelta:
     replaced_slots: list[int]
 
     def __post_init__(self):
-        self.new_rows = np.asarray(self.new_rows, dtype=np.float32).astype(np.float64)
+        with np.errstate(over="ignore"):
+            self.new_rows = np.asarray(self.new_rows, dtype=np.float32).astype(np.float64)
+        if not np.all(np.isfinite(self.new_rows)):
+            raise ValueError("rows must be finite in float32")
         self.codes = np.asarray(self.codes)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")

@@ -2,13 +2,16 @@
 of what the package computes in batches, kept out of the package because
 only tests call them."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from odup.codec import (
     CodebookStore, CodecConfig, CodecEncoder, _forward_backward, init_codec, relaxed_loss,
 )
-from odup.numkit import GUMBEL_EPS, Adam, Rng, gumbel_from_uniform, softmax, softplus
-from odup.recommender import RecModel
+from odup.errors import TrainingDiverged
+from odup.numkit import GUMBEL_EPS, Adam, Rng, gumbel_from_uniform, sigmoid, softmax, softplus
+from odup.recommender import RecModel, TrainConfig, _scatter_rows, plan_batches
 from odup.sessions import Session, SessionDataset, SlicePlan, SynthResult
 from odup.wire import code_bits
 
@@ -205,3 +208,119 @@ def grad_check(f, analytic_grad, point, h: float = 1e-5) -> float:
         err = abs(cd - grad[i]) / max(1e-8, abs(grad[i]) + abs(cd))
         worst = max(worst, err)
     return worst
+
+
+def whole_batch(dataset, vocab: int):
+    """Every pair of ``dataset``, in order, as one recommender batch."""
+    return next(plan_batches(dataset, slice(None), len(dataset), vocab))
+
+
+class MaskedBatch(NamedTuple):
+    """One batch of pairs; ``pad`` is (B, longest prefix), holding item 0
+    where ``mask`` is False."""
+
+    n: int
+    pad: np.ndarray
+    mask: np.ndarray
+    lens: np.ndarray
+    last: np.ndarray
+    labels: np.ndarray
+
+
+def gather_batch_masked(dataset, idx) -> MaskedBatch:
+    """The pairs ``idx`` (an index array or a slice) of a SessionDataset,
+    padded with item 0 and a mask."""
+    starts, ends = dataset.starts[idx], dataset.ends[idx]
+    lens = ends - starts
+    cols = np.arange(int(lens.max()))
+    mask = cols < lens[:, None]
+    pad = np.where(mask, dataset.items.take(starts[:, None] + cols, mode="clip"), 0)
+    return MaskedBatch(len(lens), pad, mask, lens, dataset.items[ends - 1], dataset.items[ends])
+
+
+def encode_batch_masked(table, gate_value, encoder_kind, batch: MaskedBatch):
+    """Session embeddings (S, means) from an unpadded table, zeroing the
+    padded slots with the mask."""
+    gathered = table[batch.pad] * batch.mask[:, :, None]
+    means = gathered.sum(axis=1) / batch.lens[:, None]
+    if encoder_kind == "last_gated":
+        return gate_value * table[batch.last] + (1.0 - gate_value) * means, means
+    return means, means
+
+
+def loss_and_grads_masked(table, gate_raw, encoder_kind, batch: MaskedBatch, l2, want_gate_grad):
+    """The fused loss and gradients of recommender._loss_and_grads, on an
+    unpadded table and a masked batch."""
+    B = batch.n
+    gated = encoder_kind == "last_gated"
+    g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
+    S, means = encode_batch_masked(table, g, encoder_kind, batch)
+    Y = S @ table.T
+    rows = np.arange(B)
+    label_logits = Y[rows, batch.labels]
+    m = np.max(Y, axis=-1, keepdims=True)
+    DY = np.exp(np.subtract(Y, m, out=Y), out=Y)
+    total = np.sum(DY, axis=-1, keepdims=True)
+    ce = m[:, 0] + np.log(total[:, 0]) - label_logits
+    loss = float(ce.mean() + l2 * np.sum(table * table))
+    DY /= total * B
+    DY[rows, batch.labels] -= 1.0 / B
+    dX = DY.T @ S
+    DS = DY @ table
+    per_slot = ((1.0 - g) if gated else 1.0) * DS / batch.lens[:, None]
+    index = batch.pad[batch.mask]
+    values = per_slot[np.repeat(rows, batch.lens)]
+    dgate_raw = 0.0
+    if gated:
+        index = np.concatenate([index, batch.last])
+        values = np.concatenate([values, g * DS])
+        if want_gate_grad:
+            dgate = float(np.sum(DS * (table[batch.last] - means)))
+            dgate_raw = dgate * g * (1.0 - g)
+    dX += _scatter_rows(index, values, table.shape[0])
+    dX += 2.0 * l2 * table
+    return loss, dX, dgate_raw
+
+
+def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
+    """recommender.train as one masked gather per batch, training
+    ``model.embeddings`` in place and stepping Adam on the table and the
+    gate together (a frozen gate's gradient is 0)."""
+    rng = Rng(cfg.seed).child("rec-shuffle")
+    table = model.embeddings
+    gate = np.array([model.gate_raw], dtype=np.float64)
+    train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
+    adam = Adam(cfg.lr)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(dataset))
+        epoch_losses = []
+        for lo in range(0, len(dataset), cfg.batch):
+            batch = gather_batch_masked(dataset, order[lo: lo + cfg.batch])
+            loss, dX, dg = loss_and_grads_masked(
+                table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
+            )
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
+            adam.step([table, gate], [dX, np.array([dg])])
+            epoch_losses.append(loss)
+        losses.append(float(np.mean(epoch_losses)))
+    model.gate_raw = float(gate[0])
+    return losses
+
+
+def rank_metrics(table, pairs, ks, encoder_kind="mean_pool", gate=0.5) -> list[float]:
+    """evaluate()'s [Prec@K, NDCG@K] list, ranking each pair by a loop over
+    the items: rank = 1 + #(score > label's) + #(lower index, equal score)."""
+    table = np.asarray(table, dtype=np.float64)
+    ranks = []
+    for prefix, label in pairs:
+        s = sum(table[i] for i in prefix) / len(prefix)
+        if encoder_kind == "last_gated":
+            s = gate * table[prefix[-1]] + (1.0 - gate) * s
+        scores = [float(row @ s) for row in table]
+        ranks.append(1 + sum(x > scores[label] for x in scores)
+                     + sum(x == scores[label] for x in scores[:label]))
+    rank = np.array(ranks)
+    gain = 1.0 / np.log2(rank + 1.0)
+    return [m for k in ks for m in (float((rank <= k).mean()), float(np.where(rank <= k, gain, 0.0).mean()))]

@@ -18,14 +18,14 @@ from odup.codec import CodecConfig, harden, model_cr, reconstruct_table, train_c
 from odup.errors import FrameError
 from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig, cloud_trajectory, prepare_data, replay, run_simulate
-from odup.recommender import TrainConfig, _loss_and_grads, evaluate, gather_batch, init_model, train
+from odup.recommender import TrainConfig, _loss_and_grads, evaluate, init_model, padded_table, train
 from odup.sessions import SlicePlan, augment_split, synth_generate, temporal_slices
 from odup.updater import (
     SlotLedger, advance_ledger, beta_from_ratio, end_to_end_cr, plan_slots, update_cr,
 )
 from odup.wire import decode_delta, delta_bytes, encode_delta
 
-from helpers import dataset_of, grad_check
+from helpers import dataset_of, grad_check, whole_batch
 
 
 def report(criterion: str, detail: str):
@@ -200,13 +200,14 @@ def test_criterion_7_gradient_correctness():
     worst_rec = 0.0
     for kind in ("mean_pool", "last_gated"):
         model = init_model(4, 3, Rng(7).child("init"), kind)
-        batch = gather_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1), ([2], 3)]), slice(None))
+        batch = whole_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1), ([2], 3)]), 4)
         X = model.embeddings.copy()
         graw = model.gate_raw
-        _, dX, dg = _loss_and_grads(X, graw, kind, batch, 1e-3, True)
+        _, dX, dg = _loss_and_grads(padded_table(X), graw, kind, batch, 1e-3, True)
 
         def f(vec, kind=kind, batch=batch):
-            loss, _, _ = _loss_and_grads(vec[:-1].reshape(4, 3), vec[-1], kind, batch, 1e-3, True)
+            loss, _, _ = _loss_and_grads(padded_table(vec[:-1].reshape(4, 3)), vec[-1], kind, batch,
+                                         1e-3, True)
             return loss
 
         err = grad_check(f, np.concatenate([dX.ravel(), [dg]]),

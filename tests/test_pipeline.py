@@ -290,10 +290,10 @@ class TestDeviceSim:
         rng = np.random.default_rng(4)
         nk = self.N * self.K
         rows = rng.normal(size=(nk, self.D))
-        rows[2, 1] = np.nan
         codes = rng.integers(0, self.K, (self.V, self.N)).astype(np.int32)
-        frame = wire.encode_delta(UpdateDelta(1, "full", nk, rows, codes, list(range(nk))),
-                                  vocab=self.V, d=self.D, n=self.N, k=self.K)
+        delta = UpdateDelta(1, "full", nk, rows, codes, list(range(nk)))
+        delta.new_rows[2, 1] = np.nan  # UpdateDelta itself refuses non-finite rows
+        frame = wire.encode_delta(delta, vocab=self.V, d=self.D, n=self.N, k=self.K)
         device = DeviceSim("queue", "mean_pool", 0.5)
         with pytest.raises(FrameError) as exc:
             device.receive(frame)

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from odup.errors import DataError, TrainingDiverged
 from odup.numkit import Rng, sigmoid
 from odup.recommender import (
-    RecModel, TrainConfig, _loss_and_grads, evaluate, gather_batch,
-    init_model, load_checkpoint, save_checkpoint, train,
+    RecModel, TrainConfig, _loss_and_grads, evaluate, init_model, load_checkpoint,
+    padded_table, save_checkpoint, train,
 )
 
-from helpers import dataset_of, encode_session, grad_check, log_softmax, score_all
+from helpers import (
+    dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, log_softmax,
+    rank_metrics, score_all, train_reference, whole_batch,
+)
 
 
 def toy_model(vocab=4, d=3, kind="mean_pool", seed=5):
@@ -147,6 +151,36 @@ class TestEvaluate:
         prec, ndcg = evaluate(table, ds, [k])
         assert 0.0 <= ndcg <= prec <= 1.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(table=arrays(np.float64, (9, 2), elements=st.integers(-2, 2).map(float)),
+           kind=st.sampled_from(["mean_pool", "last_gated"]),
+           raw=st.lists(st.tuples(st.lists(st.integers(0, 8), min_size=1, max_size=4), st.integers(0, 8)),
+                        min_size=1, max_size=30))
+    def test_ranks_match_oracle_with_ties(self, table, kind, raw):
+        # integer entries and prefixes of 1, 2 or 4 items keep every score
+        # exact, so the many ties are the same ties the oracle sees
+        pairs = [(prefix[:1 << (len(prefix).bit_length() - 1)], label) for prefix, label in raw]
+        ks = (1, 3, 9)
+        got = evaluate(table, dataset_of(pairs), ks, encoder_kind=kind, gate=0.5)
+        assert got == rank_metrics(table, pairs, ks, kind, 0.5)
+
+    def test_pad_row_never_ranked(self, monkeypatch):
+        # with gate 3, S = 2 x_last - x_first, which points against every
+        # row: all real scores are negative, so a ranked zero row would come
+        # first and push every label down one place
+        table = np.array([[4.0, 0.0], [1.0, 0.0], [3.0, 1.0], [2.0, -1.0], [4.0, 2.0], [3.0, 0.0]])
+        pairs = [([0, 1], 1), ([0, 1], 0), ([4, 1], 5), ([2, 1], 3), ([5, 1], 4), ([4, 1], 2)]
+        ds = dataset_of(pairs)
+        for prefix, _ in pairs:
+            s = 3.0 * table[prefix[-1]] - 2.0 * table[prefix].mean(axis=0)
+            assert np.all(table @ s < 0)
+        ks = (1, 2, 6)
+        expected = rank_metrics(table, pairs, ks, "last_gated", 3.0)
+        assert evaluate(table, ds, ks, encoder_kind="last_gated", gate=3.0) == expected
+        assert expected[:2] == [1 / 6, 1 / 6]  # only ([0, 1], 1) ranks its label first
+        monkeypatch.setattr("odup.recommender._EVAL_CHUNK", 4)
+        assert evaluate(table, ds, ks, encoder_kind="last_gated", gate=3.0) == expected
+
     def test_several_k_from_one_ranking(self, monkeypatch):
         rng = Rng(4)
         table = rng.uniform((12, 3)) * 2 - 1
@@ -184,14 +218,14 @@ class TestTrain:
     def test_gradients_match_finite_differences(self):
         for kind in ("mean_pool", "last_gated"):
             m = toy_model(vocab=4, d=3, kind=kind, seed=7)
-            batch = gather_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1)]), slice(None))
+            batch = whole_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1)]), 4)
             X = m.embeddings.copy()
             graw = m.gate_raw
-            loss, dX, dg = _loss_and_grads(X, graw, kind, batch, 1e-3, True)
+            loss, dX, dg = _loss_and_grads(padded_table(X), graw, kind, batch, 1e-3, True)
 
             def f(vec):
                 l, _, _ = _loss_and_grads(
-                    vec[:-1].reshape(4, 3), vec[-1], kind, batch, 1e-3, True
+                    padded_table(vec[:-1].reshape(4, 3)), vec[-1], kind, batch, 1e-3, True
                 )
                 return l
 
@@ -205,9 +239,7 @@ class TestTrain:
         B = batch.n
         gated = kind == "last_gated"
         g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
-        gathered = table[batch.pad] * batch.mask[:, :, None]
-        means = gathered.sum(axis=1) / batch.lens[:, None]
-        S = g * table[batch.last] + (1.0 - g) * means if gated else means
+        S, means = encode_batch_masked(table, g, kind, batch)
         logp = log_softmax(S @ table.T, axis=-1)
         rows = np.arange(B)
         loss = float(-logp[rows, batch.labels].mean() + l2 * np.sum(table * table))
@@ -237,10 +269,11 @@ class TestTrain:
                  ([39, 2, 2], 39), ([7, 1, 7], 0)]
         pairs += [(list(rng.integers(0, 8, rng.integers(1, 12))), int(rng.integers(0, vocab)))
                   for _ in range(30)]
-        batch = gather_batch(dataset_of(pairs), slice(None))
+        batch = whole_batch(dataset_of(pairs), vocab)
+        masked = gather_batch_masked(dataset_of(pairs), slice(None))
         with np.errstate(all="raise", under="ignore"):
-            loss, dX, dg = _loss_and_grads(table, 0.4, kind, batch, 1e-3, True)
-            ref_loss, ref_dX, ref_dg = self.reference_loss_and_grads(table, 0.4, kind, batch, 1e-3)
+            loss, dX, dg = _loss_and_grads(padded_table(table), 0.4, kind, batch, 1e-3, True)
+            ref_loss, ref_dX, ref_dg = self.reference_loss_and_grads(table, 0.4, kind, masked, 1e-3)
         if scale == 16.0:  # the single-item prefix [1] scores table[1] @ table.T
             assert np.max(np.abs(table[1] @ table.T)) > 1e3
         assert abs(loss - ref_loss) <= 1e-12
@@ -291,6 +324,44 @@ class TestTrain:
         ds = self.repeated_pair_dataset()
         train(m, ds, TrainConfig(lr=0.05, epochs=5, batch=4, seed=1, freeze_gate=True))
         assert m.gate_raw == before
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+class TestTrainMatchesReference:
+    """train() is bitwise the masked per-batch loop of tests/helpers.py."""
+
+    @staticmethod
+    def check(table, kind, gate_raw, pairs, cfg):
+        ds = dataset_of(pairs)
+        got, ref = RecModel(table.copy(), kind, gate_raw), RecModel(table.copy(), kind, gate_raw)
+        got_losses, ref_losses = train(got, ds, cfg), train_reference(ref, ds, cfg)
+        bits = lambda x: np.asarray(x, dtype=np.float64).view(np.uint64)  # noqa: E731
+        assert np.array_equal(bits(got.embeddings), bits(ref.embeddings))
+        assert bits(got.gate_raw) == bits(ref.gate_raw)
+        assert np.array_equal(bits(got_losses), bits(ref_losses))
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=arrays(np.float64, st.tuples(st.integers(2, 9), st.integers(2, 4)), elements=_ENTRIES),
+           kind=st.sampled_from(["mean_pool", "last_gated"]), freeze_gate=st.booleans(),
+           gate_raw=st.floats(-2.0, 2.0), batch=st.integers(1, 7), epochs=st.integers(1, 3),
+           lr=st.sampled_from([0.0, 0.01, 0.3]), l2=st.sampled_from([0.0, 1e-3]),
+           seed=st.integers(0, 50), data=st.data())
+    def test_bitwise_equal_to_reference(self, table, kind, freeze_gate, gate_raw, batch, epochs,
+                                        lr, l2, seed, data):
+        item = st.integers(0, table.shape[0] - 1)
+        pairs = data.draw(st.lists(st.tuples(st.lists(item, min_size=1, max_size=12), item),
+                                   min_size=1, max_size=20))
+        cfg = TrainConfig(lr=lr, epochs=epochs, batch=batch, l2=l2, seed=seed, freeze_gate=freeze_gate)
+        self.check(table, kind, gate_raw, pairs, cfg)
+
+    @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
+    def test_signed_zero_padding(self, kind):
+        # item 1 is all -0.0 and item 0 all negative, so the masked loop's
+        # padded slots of the prefix [1] hold -0.0 where the zero row's hold +0.0
+        table = np.array([[-0.5, -0.25], [-0.0, -0.0], [0.0, 0.5]])
+        self.check(table, kind, 0.0, [([1], 2), ([1, 2, 0], 1)], TrainConfig(lr=0.01, epochs=2, batch=2))
 
 
 class TestCheckpoint:

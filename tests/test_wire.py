@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -136,6 +136,21 @@ class TestRoundTrip:
         d0 = random_delta(Rng(0), 7, n, k, d, beta)
         delta = UpdateDelta(d0.epoch, d0.strategy, beta, rows, d0.codes, d0.replaced_slots)
         assert decode_delta(encode_delta(delta, vocab=7, d=d, n=n, k=k)) == delta
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                       elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(rows=np.array([[1e39, 0.0], [1.0, 0.0]]))
+    @example(rows=np.array([[float(np.finfo(np.float32).max) * (1 + 2.0 ** -25)]]))
+    def test_finite_rows_construct_only_if_they_roundtrip(self, rows):
+        beta, d = rows.shape
+        try:
+            delta = UpdateDelta(1, "stack", beta, rows, np.zeros((5, 1), dtype=np.int32), list(range(beta)))
+        except ValueError:
+            with np.errstate(over="ignore"):
+                assert not np.all(np.isfinite(rows.astype(np.float32)))
+            return
+        assert decode_delta(encode_delta(delta, vocab=5, d=d, n=1, k=4)) == delta
 
     def test_encode_decode_encode_idempotent(self):
         delta = random_delta(Rng(3), 50, 4, 8, 6, 9)
