@@ -13,33 +13,10 @@ i.e. all pooled rows coincide).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numkit import Rng, sigmoid
-
-
-@dataclass
-class MmdConfig:
-    samples: int | None = None  # rows drawn from each table; None uses every row
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples is not None and self.samples < 2:
-            raise ValueError("sample count must be >= 2, or None for every row")
-
-
-@dataclass
-class AdaptiveConfig:
-    C: float = 0.2
-    skip_threshold: float = 1e-6
-
-    def __post_init__(self):
-        if not 0 < self.C <= 1:
-            raise ValueError("C must lie in (0, 1]")
-        if self.skip_threshold < 0:
-            raise ValueError("skip_threshold must be non-negative")
 
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,17 +32,17 @@ def median_heuristic(pooled: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def _sample_rows(x: np.ndarray, count: int | None, rng: Rng) -> np.ndarray:
-    if count is None or count >= len(x):
+def _sample_rows(x: np.ndarray, count: int, rng: Rng) -> np.ndarray:
+    if count == 0 or count >= len(x):
         return x
     return x[np.sort(rng.choice(len(x), count, replace=False))]
 
 
-def mmd2(X_t: np.ndarray, X_t1: np.ndarray, cfg: MmdConfig = MmdConfig()) -> float:
+def mmd2(X_t: np.ndarray, X_t1: np.ndarray, samples: int, seed: int) -> float:
     """Squared MMD between sampled rows of two tables, clamped at 0.
 
-    Rows are drawn independently from each table, deterministically per
-    cfg.seed.
+    ``samples`` rows (0: every row) are drawn independently from each table,
+    deterministically per ``seed``.
     """
     a = np.asarray(X_t, dtype=np.float64)
     b = np.asarray(X_t1, dtype=np.float64)
@@ -73,9 +50,9 @@ def mmd2(X_t: np.ndarray, X_t1: np.ndarray, cfg: MmdConfig = MmdConfig()) -> flo
         raise ValueError("tables must be 2-D with equal embedding dimension")
     if len(a) == 0 or len(b) == 0:
         raise ValueError("tables must be non-empty")
-    rng = Rng(cfg.seed)
-    sx = _sample_rows(a, cfg.samples, rng.child("mmd-x"))
-    sy = _sample_rows(b, cfg.samples, rng.child("mmd-y"))
+    rng = Rng(seed)
+    sx = _sample_rows(a, samples, rng.child("mmd-x"))
+    sy = _sample_rows(b, samples, rng.child("mmd-y"))
     sigma = median_heuristic(np.vstack([sx, sy]))
     denom = 2.0 * sigma * sigma
     kxx = np.exp(-_pairwise_sq_dists(sx, sx) / denom).mean()
@@ -84,15 +61,15 @@ def mmd2(X_t: np.ndarray, X_t1: np.ndarray, cfg: MmdConfig = MmdConfig()) -> flo
     return max(0.0, float(kxx - 2.0 * kxy + kyy))
 
 
-def choose_ratio(mmd: float, cfg: AdaptiveConfig = AdaptiveConfig()) -> int | None:
+def choose_ratio(mmd: float, C: float, skip_threshold: float) -> int | None:
     """ceil(1 / (C * (2 sigmoid(mmd) - 1))), or None (skip the update)
-    when mmd is at or below the skip threshold.
+    when mmd is at or below ``skip_threshold``.
 
     Non-increasing in mmd and bounded below by ceil(1/C).
     """
     if mmd < 0:
         raise ValueError("mmd must be non-negative")
-    if mmd <= cfg.skip_threshold:
+    if mmd <= skip_threshold:
         return None
-    denom = cfg.C * (2.0 * float(sigmoid(np.float64(mmd))) - 1.0)
+    denom = C * (2.0 * float(sigmoid(np.float64(mmd))) - 1.0)
     return math.ceil(1.0 / denom)

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ConfigError, TrainingDiverged
 from .numkit import Adam, Rng, gumbel_from_uniform, softmax, softplus
 
-TAU_DEFAULT = 0.1
 ICM_SWEEPS = 2  # passes over the n components per refine_codes call
 _RECONSTRUCT_BLOCK = 32768  # output elements per block of reconstruct_table
 
@@ -42,11 +41,11 @@ class CodecConfig:
     n: int
     k: int
     d: int
-    tau: float = TAU_DEFAULT
-    lr: float = 0.01
-    epochs: int = 300
-    batch: int = 256
-    seed: int = 0
+    tau: float
+    lr: float
+    epochs: int
+    batch: int
+    seed: int
 
     def __post_init__(self):
         if min(self.n, self.k, self.d) < 1:

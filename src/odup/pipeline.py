@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
-from .adaptive import AdaptiveConfig, MmdConfig, mmd2, choose_ratio
-from .codec import CodecConfig, CodebookStore, harden, model_cr, refine_codes, train_codec
+from .adaptive import mmd2, choose_ratio
+from .codec import (
+    CodecConfig, CodebookStore, check_capacity, harden, model_cr, refine_codes, train_codec,
+)
 from .codec import reconstruct_table  # noqa: F401 (unused, but perfbench/spans.py wraps it here)
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
@@ -112,12 +114,16 @@ class ExperimentConfig:
             raise ConfigError("session_gap must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.mmd_samples != 0 and self.mmd_samples < 2:
+            raise ConfigError("sample count must be >= 2, or 0 for every row")
+        if not 0 < self.C <= 1:
+            raise ConfigError("C must lie in (0, 1]")
+        if self.skip_threshold < 0:
+            raise ConfigError("skip_threshold must be non-negative")
         try:
             self.slice_plan()
             self.codec_config()
             self.rec_config(seed=self.seed, freeze_gate=False)
-            self.mmd_config()
-            self.adaptive_config()
             check_filter_settings(self.min_len, self.max_len, self.top_items)
             check_synth_settings(self.synth_vocab, self.synth_sessions, self.synth_drift,
                                  self.synth_clusters, (self.synth_len_min, self.synth_len_max))
@@ -134,12 +140,6 @@ class ExperimentConfig:
     def codec_config(self) -> CodecConfig:
         return CodecConfig(n=self.n, k=self.k, d=self.d, tau=self.tau, lr=self.codec_lr,
                            epochs=self.codec_epochs, batch=self.codec_batch, seed=self.seed)
-
-    def mmd_config(self) -> MmdConfig:
-        return MmdConfig(samples=self.mmd_samples or None, seed=self.seed)
-
-    def adaptive_config(self) -> AdaptiveConfig:
-        return AdaptiveConfig(C=self.C, skip_threshold=self.skip_threshold)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -242,7 +242,9 @@ def synth_data(cfg: ExperimentConfig, rng: Rng) -> SynthResult:
 
 
 def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
-    """The cumulative training slices and the test set of ``cfg.data``."""
+    """The cumulative training slices and the test set of ``cfg.data``; a
+    vocabulary too large for the code space is a ConfigError before any
+    training."""
     if cfg.data == "synth":
         res = synth_data(cfg, rng)
         train_sessions, test_sessions, vocab_size = res.sessions, res.test_sessions, res.vocab_size
@@ -258,6 +260,7 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
             raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
         train_sessions, test_sessions = holdout_split(indexed, cfg.test_frac)
         vocab_size = len(vocab)
+    check_capacity(cfg.n, cfg.k, vocab_size)
     slices = temporal_slices(train_sessions, cfg.slice_plan())
     return DataBundle(slices, augment_split(test_sessions), vocab_size)
 
@@ -299,7 +302,7 @@ class DeviceSim:
         return delta
 
     def metrics(self, dataset) -> list[float]:
-        return evaluate(self.table, dataset, REPORT_KS, encoder_kind=self.encoder_kind, gate=self.gate)
+        return evaluate(self.table, dataset, REPORT_KS, self.encoder_kind, self.gate)
 
 
 @dataclass
@@ -353,7 +356,8 @@ def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
         table = model.embeddings.copy()
         table.flags.writeable = False
         yield CloudSlice(RecModel(table, model.encoder_kind, model.gate_raw), losses[-1],
-                         evaluate(model, data.test, REPORT_KS), time.perf_counter() - start_time)
+                         evaluate(model.embeddings, data.test, REPORT_KS, model.encoder_kind, model.gate),
+                         time.perf_counter() - start_time)
 
 
 def run_train(cfg: ExperimentConfig) -> list[dict]:
@@ -425,11 +429,11 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
             device = DeviceSim(cfg.strategy, cloud_slice.model.encoder_kind, cloud_slice.model.gate)
             strategy, mmd_val, r_val, beta = "full", 0.0, 0.0, nk
         else:
-            strategy, mmd_val = cfg.strategy, mmd2(prev_table, table, cfg.mmd_config())
+            strategy, mmd_val = cfg.strategy, mmd2(prev_table, table, cfg.mmd_samples, cfg.seed)
             if cfg.strategy == "full":
                 r_chosen: float | None = 1.0
             elif cfg.ratio_mode == "adaptive":
-                r_chosen = choose_ratio(mmd_val, cfg.adaptive_config())
+                r_chosen = choose_ratio(mmd_val, cfg.C, cfg.skip_threshold)
             else:
                 r_chosen = cfg.r
             r_val = 0.0 if r_chosen is None else float(r_chosen)
@@ -535,6 +539,9 @@ def run_report(run_dirs: list[str], out_dir: str) -> str:
     plus plot-ready accuracy-vs-bytes and accuracy-vs-ratio tables."""
     names = [os.path.basename(os.path.normpath(rd)) or rd for rd in run_dirs]
     for name in names:
+        if any(c in name for c in ',"\r\n'):
+            raise ConfigError(f"run name {name!r} holds a comma, quote or line break; "
+                              "the report's CSV files hold it unquoted")
         if names.count(name) > 1:
             raise ConfigError(f"two runs are named {name!r}; runs are keyed by directory name")
     runs = {name: load_report(rd) for name, rd in zip(names, run_dirs)}

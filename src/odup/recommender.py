@@ -18,22 +18,23 @@ import numpy as np
 
 from .errors import DataError, TrainingDiverged
 from .numkit import Adam, Rng, sigmoid
-from .sealed import SealedReader, seal, write_file
+from .sealed import crc_ok, seal, write_file
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
 
 CHECKPOINT_VERSION = 1
+_CKPT_HEADER = struct.Struct("<BII")  # version, rows, cols
 _EVAL_CHUNK = 512  # test pairs ranked per block in evaluate
 
 
 @dataclass
 class TrainConfig:
-    lr: float = 0.01
-    epochs: int = 30
-    batch: int = 100
-    l2: float = 1e-5
-    seed: int = 0
-    freeze_gate: bool = False
+    lr: float
+    epochs: int
+    batch: int
+    l2: float
+    seed: int
+    freeze_gate: bool
 
     def __post_init__(self):
         if not 0 <= self.lr <= 1:
@@ -49,8 +50,8 @@ class TrainConfig:
 @dataclass
 class RecModel:
     embeddings: np.ndarray          # (|V|, d) float64
-    encoder_kind: str = "mean_pool"
-    gate_raw: float = 0.0           # gate = sigmoid(gate_raw)
+    encoder_kind: str
+    gate_raw: float                 # gate = sigmoid(gate_raw)
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
@@ -74,7 +75,7 @@ class RecModel:
         return float(sigmoid(np.float64(self.gate_raw)))
 
 
-def init_model(vocab_size: int, d: int, rng: Rng, encoder_kind: str = "mean_pool") -> RecModel:
+def init_model(vocab_size: int, d: int, rng: Rng, encoder_kind: str) -> RecModel:
     """Uniform(-0.1, 0.1) initialization for the table and gate."""
     table = rng.uniform((vocab_size, d)) * 0.2 - 0.1
     gate_raw = float(rng.uniform() * 0.2 - 0.1)
@@ -247,25 +248,17 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
     return losses
 
 
-def _eval_parts(model_or_table, encoder_kind, gate):
-    if isinstance(model_or_table, RecModel):
-        m = model_or_table
-        return m.embeddings, m.encoder_kind, m.gate
-    table = np.asarray(model_or_table, dtype=np.float64)
-    return table, encoder_kind or "mean_pool", 0.5 if gate is None else float(gate)
-
-
-def evaluate(model_or_table, dataset, ks, *, encoder_kind: str | None = None,
-             gate: float | None = None) -> list[float]:
+def evaluate(table, dataset, ks, encoder_kind: str, gate: float) -> list[float]:
     """[Prec@K, NDCG@K] for each K in ``ks``, flattened in that order, from
     one ranking of the dataset.
 
     Prec@K is the hit rate of the single next-item label inside the top-K
     list (descending score, ties to the lower item index); the NDCG@K
-    contribution of a hit at rank r is 1/log2(r + 1). Accepts a RecModel or
-    a bare embedding table (device-side evaluation) plus encoder settings.
+    contribution of a hit at rank r is 1/log2(r + 1). Sessions are encoded
+    from ``table`` by ``encoder_kind``; ``gate`` is the sigmoid gate value
+    that ``last_gated`` uses.
     """
-    table, kind, g = _eval_parts(model_or_table, encoder_kind, gate)
+    table = np.asarray(table, dtype=np.float64)
     vocab = table.shape[0]
     if not all(1 <= k <= vocab for k in ks):
         raise ValueError(f"K must lie in [1, {vocab}]")
@@ -276,7 +269,7 @@ def evaluate(model_or_table, dataset, ks, *, encoder_kind: str | None = None,
     ranks = []
     for lo in range(0, len(dataset), _EVAL_CHUNK):
         sub = next(plan_batches(dataset, slice(lo, lo + _EVAL_CHUNK), _EVAL_CHUNK, vocab))
-        S, _ = _encode_batch(padded, g, kind, sub)
+        S, _ = _encode_batch(padded, gate, encoder_kind, sub)
         scores = S @ table.T
         label_scores = scores.reshape(-1)[sub.label_pos][:, None]
         rank = 1 + np.count_nonzero(scores > label_scores, axis=1)
@@ -299,17 +292,37 @@ def save_checkpoint(path, table: np.ndarray) -> None:
     little-endian data, trailing u32 CRC-32 over all preceding bytes.
     """
     table = np.asarray(table)
-    body = struct.pack("<BII", CHECKPOINT_VERSION, table.shape[0], table.shape[1])
+    body = _CKPT_HEADER.pack(CHECKPOINT_VERSION, table.shape[0], table.shape[1])
     write_file(path, seal(body + table.astype("<f4").tobytes()))
 
 
 def load_checkpoint(path) -> np.ndarray:
-    r = SealedReader(path, "checkpoint")
-    version, rows, cols = r.unpack("<BII")
+    """Inverse of save_checkpoint. An unreadable file, a bad CRC, a body
+    shorter or longer than its header's rows x cols, an unsupported version,
+    a zero dimension and a NaN or infinite value raise DataError."""
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+
+    def bad(problem: str) -> DataError:
+        return DataError(f"{path}: checkpoint {problem}")
+
+    if not crc_ok(buf):
+        raise bad("CRC mismatch")
+    body_len = len(buf) - 4
+    if body_len < _CKPT_HEADER.size:
+        raise bad("is truncated")
+    version, rows, cols = _CKPT_HEADER.unpack_from(buf)
     if version != CHECKPOINT_VERSION:
-        raise r.error(f"version {version} is unsupported")
+        raise bad(f"version {version} is unsupported")
     if min(rows, cols) < 1:
-        raise r.error("has a zero dimension")
-    data = r.array("<f4", rows * cols)
-    r.finish()
+        raise bad("has a zero dimension")
+    expected = _CKPT_HEADER.size + 4 * rows * cols
+    if body_len != expected:
+        raise bad("is truncated" if body_len < expected else "has trailing bytes")
+    data = np.frombuffer(buf, "<f4", rows * cols, _CKPT_HEADER.size)
+    if not np.all(np.isfinite(data)):
+        raise bad("holds a non-finite value")
     return data.reshape(rows, cols).astype(np.float64)

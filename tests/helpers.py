@@ -15,7 +15,18 @@ from odup.recommender import RecModel, TrainConfig, _scatter_rows, plan_batches
 from odup.sessions import Session, SessionDataset, SlicePlan, SynthResult
 from odup.wire import code_bits
 
+TAU_DEFAULT = 0.1  # ExperimentConfig's temperature
 TAU_ALT = 0.2  # the temperature of the acceptance and demo configs
+
+
+def codec_config(n, k, d, tau=TAU_DEFAULT, lr=0.01, epochs=300, batch=256, seed=0) -> CodecConfig:
+    """A CodecConfig with the settings codec tests use where they name none."""
+    return CodecConfig(n, k, d, tau, lr, epochs, batch, seed)
+
+
+def train_config(lr=0.01, epochs=30, batch=100, l2=1e-5, seed=0, freeze_gate=False) -> TrainConfig:
+    """A TrainConfig with the settings recommender tests use where they name none."""
+    return TrainConfig(lr, epochs, batch, l2, seed, freeze_gate)
 
 
 def dataset_of(pairs) -> SessionDataset:

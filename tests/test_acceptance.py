@@ -13,19 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odup.adaptive import AdaptiveConfig, MmdConfig, choose_ratio, mmd2
-from odup.codec import CodecConfig, harden, model_cr, reconstruct_table, train_codec
+from odup.adaptive import choose_ratio, mmd2
+from odup.codec import harden, model_cr, reconstruct_table, train_codec
 from odup.errors import FrameError
 from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig, cloud_trajectory, prepare_data, replay, run_simulate
-from odup.recommender import TrainConfig, _loss_and_grads, evaluate, init_model, padded_table, train
+from odup.recommender import _loss_and_grads, evaluate, init_model, padded_table, train
 from odup.sessions import SlicePlan, augment_split, synth_generate, temporal_slices
 from odup.updater import (
     SlotLedger, advance_ledger, beta_from_ratio, end_to_end_cr, plan_slots, update_cr,
 )
 from odup.wire import decode_delta, delta_bytes, encode_delta
 
-from helpers import dataset_of, grad_check, whole_batch
+from helpers import codec_config, dataset_of, grad_check, train_config, whole_batch
 
 
 def report(criterion: str, detail: str):
@@ -72,18 +72,18 @@ def test_criterion_3_codec_fidelity():
     plan = SlicePlan([1.0])
     data = synth_generate(rng.child("synth"), 2000, 6000, 0.0, plan, n_clusters=20)
     test = augment_split(data.test_sessions)
-    model = init_model(2000, 32, rng.child("rec-init"))
+    model = init_model(2000, 32, rng.child("rec-init"), "mean_pool")
     train(model, temporal_slices(data.sessions, plan)[-1],
-          TrainConfig(lr=0.01, epochs=25, batch=100, l2=1e-4, seed=1))
-    cloud_p10, _ = evaluate(model, test, [10])
+          train_config(lr=0.01, epochs=25, batch=100, l2=1e-4, seed=1))
+    cloud_p10, _ = evaluate(model.embeddings, test, [10], model.encoder_kind, model.gate)
 
     table = model.embeddings
-    cfg = CodecConfig(n=8, k=16, d=32, tau=0.2, lr=0.01, epochs=600, batch=256, seed=3)
+    cfg = codec_config(n=8, k=16, d=32, tau=0.2, lr=0.01, epochs=600, batch=256, seed=3)
     store, encoder, _ = train_codec(table, cfg)
     codes = harden(encoder, table)
     recon = reconstruct_table(store, codes)
     rel_mse = float(((recon - table) ** 2).sum() / (table ** 2).sum())
-    device_p10, _ = evaluate(recon, test, [10])
+    device_p10, _ = evaluate(recon, test, [10], "mean_pool", 0.5)
     elapsed = time.time() - t0
 
     assert rel_mse < 0.25
@@ -218,7 +218,7 @@ def test_criterion_7_gradient_correctness():
     # codec MSE loss with Gumbel noise fixed to 0 on the toy instance
     from odup.codec import CodecEncoder, _forward_backward, init_codec
 
-    cfg = CodecConfig(n=2, k=4, d=4, seed=3)
+    cfg = codec_config(n=2, k=4, d=4, seed=3)
     rng = Rng(11)
     store, enc = init_codec(cfg, rng)
     X = rng.uniform((8, 4)) * 0.4 - 0.2
@@ -251,15 +251,15 @@ def test_criterion_7_gradient_correctness():
 def test_criterion_8_mmd_and_adaptive(tmp_path):
     rng = Rng(88)
     X = rng.uniform((80, 16))
-    assert mmd2(X, X.copy()) <= 1e-12
+    assert mmd2(X, X.copy(), 0, 0) <= 1e-12
 
     levels = (0.01, 0.05, 0.1, 0.5, 1.0)
-    vals = [mmd2(X, X + Rng(3).normal(s, X.shape), MmdConfig(seed=2)) for s in levels]
+    vals = [mmd2(X, X + Rng(3).normal(s, X.shape), 0, 2) for s in levels]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    assert choose_ratio(0.5, AdaptiveConfig(C=0.2)) == 21
-    assert choose_ratio(50.0, AdaptiveConfig(C=0.2)) == 5
-    assert choose_ratio(200.0, AdaptiveConfig(C=0.2)) == 5
+    assert choose_ratio(0.5, 0.2, 1e-6) == 21
+    assert choose_ratio(50.0, 0.2, 1e-6) == 5
+    assert choose_ratio(200.0, 0.2, 1e-6) == 5
 
     # adaptive mode on drift-free data: nothing ships after deployment.
     # incremental retraining jitters the table even without drift, so the

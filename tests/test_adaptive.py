@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odup.adaptive import AdaptiveConfig, MmdConfig, choose_ratio, median_heuristic, mmd2
+from odup.adaptive import choose_ratio, median_heuristic, mmd2
+from odup.errors import ConfigError
 from odup.numkit import Rng, sigmoid
+from odup.pipeline import ExperimentConfig
 
 
 class TestMmd2:
     def test_identical_tables_zero(self):
         rng = Rng(1)
         X = rng.uniform((40, 8))
-        assert mmd2(X, X.copy()) <= 1e-12
+        assert mmd2(X, X.copy(), 0, 0) <= 1e-12
 
     def test_median_heuristic_single_pair(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[3.0, 4.0]])
         # pooled median distance = 5 -> K(a,b) = exp(-25/50)
-        got = mmd2(a, b)
+        got = mmd2(a, b, 0, 0)
         assert abs(got - (2.0 - 2.0 * math.exp(-0.5))) < 1e-12
 
     def test_noise_scale_monotone(self):
@@ -28,19 +30,19 @@ class TestMmd2:
         vals = []
         for s in (0.01, 0.05, 0.1, 0.5, 1.0):
             noisy = X + Rng(3).normal(s, X.shape)
-            vals.append(mmd2(X, noisy, MmdConfig(seed=2)))
+            vals.append(mmd2(X, noisy, 0, 2))
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_symmetry_under_swap(self):
         rng = Rng(9)
         A = rng.uniform((30, 5))
         B = rng.uniform((50, 5)) + 0.3
-        ab = mmd2(A, B, MmdConfig(samples=20, seed=4))
-        ba = mmd2(B, A, MmdConfig(samples=20, seed=4))
+        ab = mmd2(A, B, 20, 4)
+        ba = mmd2(B, A, 20, 4)
         # same kernel, swapped roles; x/y sample streams differ so compare
         # full-sample case for exactness
-        full_ab = mmd2(A, B)
-        full_ba = mmd2(B, A)
+        full_ab = mmd2(A, B, 0, 0)
+        full_ba = mmd2(B, A, 0, 0)
         assert abs(full_ab - full_ba) < 1e-15
         assert ab >= 0 and ba >= 0
 
@@ -48,23 +50,22 @@ class TestMmd2:
         rng = Rng(2)
         A = rng.uniform((100, 6))
         B = rng.uniform((100, 6)) + 0.1
-        cfg = MmdConfig(samples=32, seed=11)
-        assert mmd2(A, B, cfg) == mmd2(A, B, cfg)
+        assert mmd2(A, B, 32, 11) == mmd2(A, B, 32, 11)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mmd2(np.zeros((3, 4)), np.zeros((3, 5)))
+            mmd2(np.zeros((3, 4)), np.zeros((3, 5)), 0, 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mmd2(np.zeros((0, 4)), np.zeros((3, 4)))
+            mmd2(np.zeros((0, 4)), np.zeros((3, 4)), 0, 0)
 
     def test_nonnegative_clamp(self):
         rng = Rng(5)
         for seed in range(5):
             A = Rng(seed).uniform((20, 4))
             B = Rng(seed + 100).uniform((20, 4))
-            assert mmd2(A, B, MmdConfig(seed=seed)) >= 0.0
+            assert mmd2(A, B, 0, seed) >= 0.0
 
 
 class TestMedianHeuristic:
@@ -78,50 +79,51 @@ class TestMedianHeuristic:
 
 class TestChooseRatio:
     def test_zero_mmd_skips(self):
-        assert choose_ratio(0.0) is None
+        assert choose_ratio(0.0, 0.2, 1e-6) is None
 
     def test_below_threshold_skips(self):
-        cfg = AdaptiveConfig(C=0.2, skip_threshold=1e-3)
-        assert choose_ratio(5e-4, cfg) is None
+        assert choose_ratio(5e-4, 0.2, 1e-3) is None
 
     def test_half_mmd_oracle(self):
         # 1 / (0.2 * (2*sigmoid(0.5) - 1)) = 20.4149 -> ceil 21
-        got = choose_ratio(0.5, AdaptiveConfig(C=0.2))
+        got = choose_ratio(0.5, 0.2, 1e-6)
         inner = 1.0 / (0.2 * (2.0 * float(sigmoid(np.float64(0.5))) - 1.0))
         assert math.ceil(inner) == got == 21
 
     def test_saturates_at_ceil_inv_c(self):
         # sigmoid rounds to 1.0 in float64 once mmd > ~37
-        assert choose_ratio(50.0, AdaptiveConfig(C=0.2)) == 5
-        assert choose_ratio(100.0, AdaptiveConfig(C=0.2)) == 5
+        assert choose_ratio(50.0, 0.2, 1e-6) == 5
+        assert choose_ratio(100.0, 0.2, 1e-6) == 5
 
     def test_non_increasing_in_mmd(self):
-        cfg = AdaptiveConfig(C=0.2)
         grid = [0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0]
-        rs = [choose_ratio(m, cfg) for m in grid]
+        rs = [choose_ratio(m, 0.2, 1e-6) for m in grid]
         assert all(a >= b for a, b in zip(rs, rs[1:]))
         assert all(r >= 5 for r in rs)
 
     @settings(max_examples=100)
     @given(mmd=st.floats(1e-5, 100.0), c=st.floats(0.05, 1.0))
     def test_lower_bound(self, mmd, c):
-        r = choose_ratio(mmd, AdaptiveConfig(C=c, skip_threshold=0.0))
+        r = choose_ratio(mmd, c, 0.0)
         assert r >= math.ceil(1.0 / c)
 
     def test_negative_mmd_rejected(self):
         with pytest.raises(ValueError):
-            choose_ratio(-0.1)
+            choose_ratio(-0.1, 0.2, 1e-6)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveConfig(C=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(C=1.5)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(skip_threshold=-1.0)
+        with pytest.raises(ConfigError, match="C must lie"):
+            ExperimentConfig(C=0.0)
+        with pytest.raises(ConfigError, match="C must lie"):
+            ExperimentConfig(C=1.5)
+        with pytest.raises(ConfigError, match="skip_threshold must be non-negative"):
+            ExperimentConfig(skip_threshold=-1.0)
 
 
 class TestMmdConfig:
     def test_sample_count_bounds(self):
-        with pytest.raises(ValueError):
-            MmdConfig(samples=1)
+        for samples in (1, -1):
+            with pytest.raises(ConfigError, match="sample count"):
+                ExperimentConfig(mmd_samples=samples)
+        ExperimentConfig(mmd_samples=0)
+        ExperimentConfig(mmd_samples=2)

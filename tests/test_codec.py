@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from odup.errors import ConfigError
 from odup.codec import (
-    ICM_SWEEPS, TAU_DEFAULT, CodebookStore, CodecConfig, CodecEncoder, check_capacity, harden,
+    ICM_SWEEPS, CodebookStore, CodecEncoder, check_capacity, harden,
     init_codec, model_cr, reconstruct_table, refine_codes, relaxed_loss, train_codec,
     _forward_backward, _relaxed_forward, _RECONSTRUCT_BLOCK,
 )
 from odup.numkit import Rng, softmax
+from odup.pipeline import ExperimentConfig
 
 from helpers import (
-    TAU_ALT, best_component, codes_from_alpha, encoder_forward, gather_sum_table, grad_check,
-    gumbel_relax, item_errors, log_softmax, reconstruct_item, sample_gumbel,
-    train_codec_per_batch_noise,
+    TAU_ALT, TAU_DEFAULT, best_component, codec_config, codes_from_alpha, encoder_forward,
+    gather_sum_table, grad_check, gumbel_relax, item_errors, log_softmax, reconstruct_item,
+    sample_gumbel, train_codec_per_batch_noise,
 )
 
 
@@ -27,14 +28,14 @@ def clustered_table(rng: Rng, vocab, d, n_clusters=8, noise=0.05):
 
 
 def tiny_codec(seed=0):
-    cfg = CodecConfig(n=2, k=4, d=4, seed=seed)
+    cfg = codec_config(n=2, k=4, d=4, seed=seed)
     store, enc = init_codec(cfg, Rng(11).child("init"))
     return cfg, store, enc
 
 
 class TestEncoderForward:
     def test_zero_weights_give_uniform(self):
-        cfg = CodecConfig(n=3, k=4, d=5)
+        cfg = codec_config(n=3, k=4, d=5)
         h = cfg.nk // 2
         enc = CodecEncoder(3, 4, np.zeros((5, h)), np.zeros(h), np.zeros((h, cfg.nk)), np.zeros(cfg.nk))
         alpha = encoder_forward(enc, np.array([0.3, -1.0, 0.2, 0.0, 2.0]))
@@ -169,7 +170,7 @@ class TestHarden:
         assert codes_from_alpha(np.array([[0.5, 0.5]]))[0] == 0
 
     def test_uniform_encoder_all_zero_codes(self):
-        cfg = CodecConfig(n=2, k=4, d=3)
+        cfg = codec_config(n=2, k=4, d=3)
         h = cfg.nk // 2
         enc = CodecEncoder(2, 4, np.zeros((3, h)), np.zeros(h), np.zeros((h, cfg.nk)), np.zeros(cfg.nk))
         codes = harden(enc, Rng(1).uniform((5, 3)))
@@ -220,7 +221,7 @@ class TestHarden:
     ])
     def test_matches_alpha_argmax_on_trained_codecs(self, vocab, d, tau, epochs, clusters):
         X = clustered_table(Rng(vocab), vocab, d, n_clusters=clusters)
-        cfg = CodecConfig(n=8, k=16, d=d, tau=tau, epochs=epochs, seed=3)
+        cfg = codec_config(n=8, k=16, d=d, tau=tau, epochs=epochs, seed=3)
         _, enc, _ = train_codec(X, cfg)
         assert np.array_equal(harden(enc, X), codes_from_alpha(encoder_forward(enc, X)))
 
@@ -228,7 +229,7 @@ class TestHarden:
 class TestRelaxedForward:
     @pytest.mark.parametrize("tau", [TAU_DEFAULT, TAU_ALT, 1.0])
     def test_matches_log_alpha_form(self, tau):
-        cfg = CodecConfig(n=8, k=16, d=16, tau=tau)
+        cfg = codec_config(n=8, k=16, d=16, tau=tau)
         store, enc = init_codec(cfg, Rng(4).child("init"))
         enc.phi_prime *= 50.0  # logits spread over tens, so the groups' log-sum-exp matters
         X = clustered_table(Rng(5), 64, 16)
@@ -251,7 +252,7 @@ class TestCapacity:
             check_capacity(2, 2, 6)  # binom(4,2)=6 <= 6
 
     def test_train_enforces(self):
-        cfg = CodecConfig(n=1, k=2, d=4)
+        cfg = codec_config(n=1, k=2, d=4)
         with pytest.raises(ConfigError):
             train_codec(np.zeros((10, 4)), cfg)
 
@@ -274,7 +275,7 @@ class TestTrainCodec:
     def test_tiny_convergence(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8, noise=0.05)
-        cfg = CodecConfig(n=4, k=8, d=8, seed=0)
+        cfg = codec_config(n=4, k=8, d=8, seed=0)
         store, enc, losses = train_codec(X, cfg)
         rel_relaxed = losses[-1] * X.size / float((X**2).sum())
         assert rel_relaxed < 0.3
@@ -282,7 +283,7 @@ class TestTrainCodec:
     def test_initial_loss_matches_direct_evaluation(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8)
-        cfg = CodecConfig(n=4, k=8, d=8, seed=0, epochs=2)
+        cfg = codec_config(n=4, k=8, d=8, seed=0, epochs=2)
         store0, enc0 = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
         _, _, losses = train_codec(X, cfg)
         # direct computation at the same init: noise-free relaxed MSE
@@ -299,7 +300,7 @@ class TestTrainCodec:
 
         monkeypatch.setattr("odup.codec.relaxed_loss", counted)
         X = clustered_table(Rng(42), 64, 8, n_clusters=8)
-        cfg = CodecConfig(n=4, k=8, d=8, seed=0, epochs=epochs)
+        cfg = codec_config(n=4, k=8, d=8, seed=0, epochs=epochs)
         store, enc, losses = train_codec(X, cfg)
         assert len(calls) == 2
         assert len(losses) == 2
@@ -311,7 +312,7 @@ class TestTrainCodec:
         rng = Rng(42)
         X = clustered_table(rng, 300, 16, n_clusters=6)
         for tau in (TAU_DEFAULT, TAU_ALT):
-            cfg = CodecConfig(n=8, k=16, d=16, tau=tau, seed=2)
+            cfg = codec_config(n=8, k=16, d=16, tau=tau, seed=2)
             store, enc = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
             G = np.zeros((X.shape[0], cfg.n, cfg.k))
             with np.errstate(all="raise"):
@@ -322,7 +323,7 @@ class TestTrainCodec:
     def test_hardened_within_2x_of_relaxed(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8)
-        cfg = CodecConfig(n=4, k=8, d=8, seed=0)
+        cfg = codec_config(n=4, k=8, d=8, seed=0)
         store, enc, losses = train_codec(X, cfg)
         codes = harden(enc, X)
         hard_mse = float(((reconstruct_table(store, codes) - X) ** 2).mean())
@@ -340,7 +341,7 @@ class TestTrainCodec:
     @pytest.mark.parametrize("vocab, batch", [(300, 256), (37, 8), (5, 16)])
     def test_one_noise_draw_per_epoch_equals_per_batch_draws(self, vocab, batch):
         X = clustered_table(Rng(vocab), vocab, 6, n_clusters=4)
-        cfg = CodecConfig(n=4, k=4, d=6, epochs=3, batch=batch, seed=4)
+        cfg = codec_config(n=4, k=4, d=6, epochs=3, batch=batch, seed=4)
         store, enc, losses = train_codec(X, cfg)
         store_o, enc_o, losses_o = train_codec_per_batch_noise(X, cfg)
         assert losses == losses_o
@@ -351,7 +352,7 @@ class TestTrainCodec:
     def test_deterministic(self):
         rng = Rng(5)
         X = clustered_table(rng, 24, 6, n_clusters=4)
-        cfg = CodecConfig(n=2, k=4, d=6, epochs=5, batch=16, seed=9)
+        cfg = codec_config(n=2, k=4, d=6, epochs=5, batch=16, seed=9)
         s1, e1, l1 = train_codec(X, cfg)
         s2, e2, l2 = train_codec(X, cfg)
         assert l1 == l2
@@ -428,7 +429,7 @@ class TestRefineCodes:
 class TestCodecGradients:
     def test_matches_finite_differences(self):
         # toy instance from the spec invariants: V=8, d=4, n=2, k=4, G=0
-        cfg = CodecConfig(n=2, k=4, d=4, seed=3)
+        cfg = codec_config(n=2, k=4, d=4, seed=3)
         rng = Rng(11)
         store, enc = init_codec(cfg, rng)
         X = rng.uniform((8, 4)) * 0.4 - 0.2
@@ -460,7 +461,7 @@ class TestPermutationEquivariance:
     def test_trained_encoder_is_row_equivariant(self):
         rng = Rng(5)
         X = clustered_table(rng, 24, 6, n_clusters=4)
-        cfg = CodecConfig(n=2, k=4, d=6, epochs=20, batch=16, seed=1)
+        cfg = codec_config(n=2, k=4, d=6, epochs=20, batch=16, seed=1)
         store, enc, _ = train_codec(X, cfg)
         perm = Rng(7).permutation(24)
         codes = harden(enc, X)
@@ -475,7 +476,7 @@ class TestPermutationEquivariance:
         rng = Rng(5)
         X = clustered_table(rng, 24, 6, n_clusters=4)
         perm = Rng(7).permutation(24)
-        cfg = CodecConfig(n=2, k=4, d=6, epochs=10, batch=64, seed=1)
+        cfg = codec_config(n=2, k=4, d=6, epochs=10, batch=64, seed=1)
 
         import odup.codec as codec_mod
 
@@ -497,10 +498,8 @@ class TestPermutationEquivariance:
 class TestCodecConfig:
     def test_nk_must_be_even(self):
         with pytest.raises(ConfigError):
-            CodecConfig(n=1, k=3, d=4)
+            codec_config(n=1, k=3, d=4)
 
     def test_tau_presets(self):
-        from odup.codec import TAU_DEFAULT
-
-        assert CodecConfig(n=2, k=4, d=4).tau == TAU_DEFAULT == 0.1
+        assert ExperimentConfig().tau == TAU_DEFAULT == 0.1
         assert TAU_ALT == 0.2

@@ -679,6 +679,34 @@ class TestCli:
         assert cli.main(["--out", str(tmp_path / "agg"), "report", *runs]) == 2
         assert "'run'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_report_run_name_unfit_for_csv_exit_2(self, tmp_path, capsys, name):
+        run = tmp_path / name
+        write_reports(str(run), [RoundReport(**valid_record())])
+        assert cli.main(["--out", str(tmp_path / "agg"), "report", str(run)]) == 2
+        assert "run name" in capsys.readouterr().err
+        assert not (tmp_path / "agg").exists()
+
+    @pytest.mark.parametrize("source", ["synth", "log"])
+    def test_code_space_checked_before_training_exit_2(self, tmp_path, monkeypatch, capsys, source):
+        # binom(2, 1) = 2 codes cannot tell 12 (or 120) items apart
+        calls = []
+        monkeypatch.setattr(pipeline, "train", lambda *args: calls.append(args))
+        lines = "n = 1\nk = 2\n"
+        if source == "synth":
+            lines += "synth_vocab = 120\nsynth_sessions = 300\n"
+        else:
+            log = tmp_path / "events.tsv"
+            log.write_text("".join(f"u{s}\ti{(s + j) % 12}\t{j}.0\n" for s in range(40) for j in range(4)),
+                           encoding="utf-8")
+            lines += f"data = {log}\n"
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(lines, encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert "code space binom(2,1)" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -7,13 +7,13 @@ from hypothesis.extra.numpy import arrays
 from odup.errors import DataError, TrainingDiverged
 from odup.numkit import Rng, sigmoid
 from odup.recommender import (
-    RecModel, TrainConfig, _loss_and_grads, evaluate, init_model, load_checkpoint,
+    RecModel, _loss_and_grads, evaluate, init_model, load_checkpoint,
     padded_table, save_checkpoint, train,
 )
 
 from helpers import (
     dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, log_softmax,
-    rank_metrics, score_all, train_reference, whole_batch,
+    rank_metrics, score_all, train_config, train_reference, whole_batch,
 )
 
 
@@ -49,7 +49,7 @@ class TestEncodeSession:
 class TestScoreAll:
     def test_unit_rows_self_match(self):
         table = np.eye(4)
-        m = RecModel(table, "mean_pool")
+        m = RecModel(table, "mean_pool", 0.0)
         scores = score_all(m, table[2])
         assert np.argmax(scores) == 2
 
@@ -59,7 +59,7 @@ class TestScoreAll:
         assert np.all(scores == 0)
         ds = dataset_of([([0], 3)])
         # all-zero table: every score ties, ranking = index order
-        prec, ndcg = evaluate(np.zeros((4, 3)), ds, [3])
+        prec, ndcg = evaluate(np.zeros((4, 3)), ds, [3], "mean_pool", 0.5)
         assert prec == 0.0  # label 3 ranks 4th by tie-break
 
     def test_brute_force_oracle(self):
@@ -92,7 +92,7 @@ class TestEvaluate:
         table[0] = [1.0, 0.0]
         table[3] = [2.0, 0.0]  # top score for s = e0 direction
         ds = dataset_of([([0], 3)])
-        prec, ndcg = evaluate(table, ds, [1])
+        prec, ndcg = evaluate(table, ds, [1], "mean_pool", 0.5)
         assert prec == 1.0 and ndcg == 1.0
 
     def test_rank3_k5_ndcg_half(self):
@@ -102,7 +102,7 @@ class TestEvaluate:
         table[2] = [4.0, 0.0]
         table[3] = [3.0, 0.0]  # label ranks 3rd
         ds = dataset_of([([0], 3)])
-        prec, ndcg = evaluate(table, ds, [5])
+        prec, ndcg = evaluate(table, ds, [5], "mean_pool", 0.5)
         assert prec == 1.0
         assert abs(ndcg - 0.5) < 1e-12  # 1/log2(4)
 
@@ -112,34 +112,33 @@ class TestEvaluate:
         for v in range(1, 12):
             table[v, 0] = 12.0 - v  # scores 11..1
         ds = dataset_of([([0], 11)])  # label has lowest score
-        prec, ndcg = evaluate(table, ds, [10])
+        prec, ndcg = evaluate(table, ds, [10], "mean_pool", 0.5)
         assert prec == 0.0 and ndcg == 0.0
 
     def test_k_bounds(self):
         ds = dataset_of([([0], 1)])
         with pytest.raises(ValueError):
-            evaluate(toy_model(), ds, [5])
+            evaluate(toy_model().embeddings, ds, [5], "mean_pool", 0.5)
         with pytest.raises(ValueError):
-            evaluate(toy_model(), ds, [1, 0])
+            evaluate(toy_model().embeddings, ds, [1, 0], "mean_pool", 0.5)
 
     def test_rank_shift_invariance(self):
         rng = Rng(9)
         table = rng.uniform((8, 3))
         ds = dataset_of([([1, 2], 5), ([0], 3)])
-        base = evaluate(table, ds, [3])
+        base = evaluate(table, ds, [3], "mean_pool", 0.5)
         # adding a constant column shifts all scores for a fixed prefix by a
         # constant, leaving top-K unchanged; emulate by comparing to direct
         # score ranking
-        assert base == evaluate(table.copy(), ds, [3])
+        assert base == evaluate(table.copy(), ds, [3], "mean_pool", 0.5)
 
     def test_model_equals_extracted_table(self):
         m = toy_model(vocab=20, d=4, kind="last_gated", seed=11)
         rng = Rng(3)
         pairs = [([int(a), int(b)], int(c)) for a, b, c in rng.integers(0, 20, (15, 3))]
         ds = dataset_of(pairs)
-        got_model = evaluate(m, ds, (1, 5, 10))
-        got_table = evaluate(m.embeddings, ds, (1, 5, 10), encoder_kind="last_gated", gate=m.gate)
-        assert got_model == got_table
+        got = evaluate(m.embeddings, ds, (1, 5, 10), m.encoder_kind, m.gate)
+        assert got == rank_metrics(m.embeddings, pairs, (1, 5, 10), "last_gated", m.gate)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000), k=st.integers(1, 10))
@@ -148,7 +147,7 @@ class TestEvaluate:
         table = rng.uniform((10, 3)) * 2 - 1
         pairs = [([int(a)], int(b)) for a, b in rng.integers(0, 10, (12, 2))]
         ds = dataset_of(pairs)
-        prec, ndcg = evaluate(table, ds, [k])
+        prec, ndcg = evaluate(table, ds, [k], "mean_pool", 0.5)
         assert 0.0 <= ndcg <= prec <= 1.0
 
     @settings(max_examples=40, deadline=None)
@@ -161,7 +160,7 @@ class TestEvaluate:
         # exact, so the many ties are the same ties the oracle sees
         pairs = [(prefix[:1 << (len(prefix).bit_length() - 1)], label) for prefix, label in raw]
         ks = (1, 3, 9)
-        got = evaluate(table, dataset_of(pairs), ks, encoder_kind=kind, gate=0.5)
+        got = evaluate(table, dataset_of(pairs), ks, kind, 0.5)
         assert got == rank_metrics(table, pairs, ks, kind, 0.5)
 
     def test_pad_row_never_ranked(self, monkeypatch):
@@ -176,20 +175,20 @@ class TestEvaluate:
             assert np.all(table @ s < 0)
         ks = (1, 2, 6)
         expected = rank_metrics(table, pairs, ks, "last_gated", 3.0)
-        assert evaluate(table, ds, ks, encoder_kind="last_gated", gate=3.0) == expected
+        assert evaluate(table, ds, ks, "last_gated", 3.0) == expected
         assert expected[:2] == [1 / 6, 1 / 6]  # only ([0, 1], 1) ranks its label first
         monkeypatch.setattr("odup.recommender._EVAL_CHUNK", 4)
-        assert evaluate(table, ds, ks, encoder_kind="last_gated", gate=3.0) == expected
+        assert evaluate(table, ds, ks, "last_gated", 3.0) == expected
 
     def test_several_k_from_one_ranking(self, monkeypatch):
         rng = Rng(4)
         table = rng.uniform((12, 3)) * 2 - 1
         ds = dataset_of([([int(a), int(b)], int(c)) for a, b, c in rng.integers(0, 12, (40, 3))])
         ks = (1, 3, 5, 10, 12)
-        flat = [m for k in ks for m in evaluate(table, ds, [k])]
+        flat = [m for k in ks for m in evaluate(table, ds, [k], "mean_pool", 0.5)]
         monkeypatch.setattr("odup.recommender._EVAL_CHUNK", 7)
-        assert evaluate(table, ds, ks) == flat
-        assert evaluate(table, ds, ()) == []
+        assert evaluate(table, ds, ks, "mean_pool", 0.5) == flat
+        assert evaluate(table, ds, (), "mean_pool", 0.5) == []
 
 
 class TestTrain:
@@ -199,7 +198,7 @@ class TestTrain:
     def test_repeated_pair_overfits(self):
         m = toy_model(vocab=5, d=4)
         ds = self.repeated_pair_dataset()
-        train(m, ds, TrainConfig(lr=0.05, epochs=120, batch=8, l2=0.0, seed=2))
+        train(m, ds, train_config(lr=0.05, epochs=120, batch=8, l2=0.0, seed=2))
         s = encode_session(m, [0])
         scores = score_all(m, s)
         p = np.exp(scores - scores.max())
@@ -211,7 +210,7 @@ class TestTrain:
         before_table = m.embeddings.copy()
         before_gate = m.gate_raw
         ds = self.repeated_pair_dataset()
-        train(m, ds, TrainConfig(lr=0.0, epochs=3, batch=2, seed=0))
+        train(m, ds, train_config(lr=0.0, epochs=3, batch=2, seed=0))
         assert np.array_equal(m.embeddings, before_table)
         assert m.gate_raw == before_gate
 
@@ -285,14 +284,14 @@ class TestTrain:
         m.embeddings[0, 0] = 1e308  # L2 term overflows to inf on first batch
         ds = dataset_of([([1], 2)])
         with pytest.raises(TrainingDiverged):
-            train(m, ds, TrainConfig(lr=0.01, epochs=1, batch=1, l2=1.0, seed=0))
+            train(m, ds, train_config(lr=0.01, epochs=1, batch=1, l2=1.0, seed=0))
 
     def test_loss_tail_non_increasing(self):
         m = toy_model(vocab=6, d=4, seed=3)
         rng = Rng(1)
         pairs = [([int(a)], int(b)) for a, b in rng.integers(0, 6, (20, 2))]
         ds = dataset_of(pairs)
-        losses = train(m, ds, TrainConfig(lr=0.01, epochs=50, batch=100, seed=4))
+        losses = train(m, ds, train_config(lr=0.01, epochs=50, batch=100, seed=4))
         tail = losses[int(len(losses) * 0.8):]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
@@ -302,7 +301,7 @@ class TestTrain:
             rng = Rng(1)
             pairs = [([int(a)], int(b)) for a, b in rng.integers(0, 6, (20, 2))]
             ds = dataset_of(pairs)
-            losses = train(m, ds, TrainConfig(lr=0.02, epochs=10, batch=4, seed=4))
+            losses = train(m, ds, train_config(lr=0.02, epochs=10, batch=4, seed=4))
             return losses[-1], m.embeddings.copy()
 
         (l1, e1), (l2, e2) = run(), run()
@@ -312,17 +311,17 @@ class TestTrain:
     def test_item_outside_vocabulary(self):
         for pairs in ([([0, 4], 1)], [([0], 4)]):
             with pytest.raises(DataError):
-                train(toy_model(vocab=4), dataset_of(pairs), TrainConfig(epochs=1))
+                train(toy_model(vocab=4), dataset_of(pairs), train_config(epochs=1))
 
     def test_empty_dataset(self):
         with pytest.raises(DataError):
-            train(toy_model(), dataset_of([]), TrainConfig())
+            train(toy_model(), dataset_of([]), train_config())
 
     def test_freeze_gate(self):
         m = toy_model(kind="last_gated", seed=2)
         before = m.gate_raw
         ds = self.repeated_pair_dataset()
-        train(m, ds, TrainConfig(lr=0.05, epochs=5, batch=4, seed=1, freeze_gate=True))
+        train(m, ds, train_config(lr=0.05, epochs=5, batch=4, seed=1, freeze_gate=True))
         assert m.gate_raw == before
 
 
@@ -353,7 +352,7 @@ class TestTrainMatchesReference:
         item = st.integers(0, table.shape[0] - 1)
         pairs = data.draw(st.lists(st.tuples(st.lists(item, min_size=1, max_size=12), item),
                                    min_size=1, max_size=20))
-        cfg = TrainConfig(lr=lr, epochs=epochs, batch=batch, l2=l2, seed=seed, freeze_gate=freeze_gate)
+        cfg = train_config(lr=lr, epochs=epochs, batch=batch, l2=l2, seed=seed, freeze_gate=freeze_gate)
         self.check(table, kind, gate_raw, pairs, cfg)
 
     @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
@@ -361,7 +360,7 @@ class TestTrainMatchesReference:
         # item 1 is all -0.0 and item 0 all negative, so the masked loop's
         # padded slots of the prefix [1] hold -0.0 where the zero row's hold +0.0
         table = np.array([[-0.5, -0.25], [-0.0, -0.0], [0.0, 0.5]])
-        self.check(table, kind, 0.0, [([1], 2), ([1, 2, 0], 1)], TrainConfig(lr=0.01, epochs=2, batch=2))
+        self.check(table, kind, 0.0, [([1], 2), ([1, 2, 0], 1)], train_config(lr=0.01, epochs=2, batch=2))
 
 
 class TestCheckpoint:
@@ -386,8 +385,8 @@ class TestCheckpoint:
 class TestTrainConfig:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            TrainConfig(lr=1.5)
+            train_config(lr=1.5)
         with pytest.raises(ValueError):
-            TrainConfig(batch=0)
+            train_config(batch=0)
         with pytest.raises(ValueError):
-            TrainConfig(l2=-1e-6)
+            train_config(l2=-1e-6)

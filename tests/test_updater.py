@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odup.codec import CodebookStore, CodecConfig, harden, reconstruct_table, train_codec
+from odup.codec import CodebookStore, harden, reconstruct_table, train_codec
 from odup.errors import LedgerDivergence, ProtocolError, StaleDeltaError
 from odup.numkit import Rng
 from odup.updater import (
     STRATEGIES, SlotLedger, UpdateDelta, advance_ledger, apply_delta, beta_from_ratio,
     end_to_end_cr, plan_slots, retrain_update, update_cr,
 )
+
+from helpers import codec_config
 
 
 def clustered_table(rng: Rng, vocab, d, n_clusters=4, noise=0.05):
@@ -157,7 +159,7 @@ def make_update_setup(seed=1, vocab=24, d=6, n=2, k=4, epochs=8):
     rng = Rng(seed)
     X1 = clustered_table(rng, vocab, d)
     X2 = X1 + rng.normal(0.05, (vocab, d))
-    cfg = CodecConfig(n=n, k=k, d=d, epochs=epochs, batch=16, seed=seed)
+    cfg = codec_config(n=n, k=k, d=d, epochs=epochs, batch=16, seed=seed)
     store, enc, _ = train_codec(X1, cfg)
     return rng, X1, X2, cfg, store, harden(enc, X1)
 
