@@ -203,7 +203,7 @@ def _relaxed_forward(enc, rows, xb, G, tau):
     h = np.tanh(xb @ enc.phi + enc.b)
     z = h @ enc.phi_prime + enc.b_prime
     sp = softplus(z)
-    O = softmax((sp.reshape(B, n, k) + G) / tau, axis=-1)
+    O = softmax((sp.reshape(B, n, k) + G) / tau)
     diff = O.reshape(B, n * k) @ rows - xb
     loss = float(np.sum(diff * diff) / (B * d))
     return loss, (h, z, sp, O, diff)
@@ -233,12 +233,6 @@ def _relaxed_backward(enc, rows, xb, tau, intermediates):
     return [dphi, db, dphi_prime, db_prime, dRows]
 
 
-def _forward_backward(enc, rows, xb, G, tau):
-    """One relaxed forward/backward pass over a batch: (loss, grads)."""
-    loss, intermediates = _relaxed_forward(enc, rows, xb, G, tau)
-    return loss, _relaxed_backward(enc, rows, xb, tau, intermediates)
-
-
 def relaxed_loss(enc: CodecEncoder, store: CodebookStore, target: np.ndarray, tau: float) -> float:
     """Noise-free (G = 0) full-batch relaxed reconstruction MSE; a forward
     pass only."""
@@ -247,16 +241,14 @@ def relaxed_loss(enc: CodecEncoder, store: CodebookStore, target: np.ndarray, ta
     return loss
 
 
-def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, CodecEncoder, list[float]]:
+def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, CodecEncoder, float]:
     """Jointly optimize the encoder and the store rows to minimize
     ||O E - X||^2 under the Gumbel relaxation.
 
     Each epoch draws its (|V|, n, k) uniforms in one call and turns each
     batch's slice into Gumbel noise, bitwise one draw per batch (numpy
-    fills in C order).
-    The returned losses are ``[initial, final]``: the noise-free
-    full-batch loss at init and after the last epoch (equal when
-    ``cfg.epochs`` is 0).
+    fills in C order). Returns the store, the encoder and the noise-free
+    full-batch loss after the last epoch.
     """
     X = np.asarray(target, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.d:
@@ -273,7 +265,6 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     adam = Adam(cfg.lr)
     params = enc.params() + [store.rows]
 
-    initial = relaxed_loss(enc, store, X, cfg.tau)
     # an overflow is reported as TrainingDiverged, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
@@ -282,11 +273,12 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
             for lo in range(0, V, cfg.batch):
                 hi = lo + cfg.batch
                 noise = gumbel_from_uniform(uniform[lo:hi])
-                loss, grads = _forward_backward(enc, store.rows, X[order[lo:hi]], noise, cfg.tau)
+                xb = X[order[lo:hi]]
+                loss, intermediates = _relaxed_forward(enc, store.rows, xb, noise, cfg.tau)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"codec loss became non-finite ({loss})")
-                adam.step(params, grads)
-    return store, enc, [initial, relaxed_loss(enc, store, X, cfg.tau)]
+                adam.step(params, _relaxed_backward(enc, store.rows, xb, cfg.tau, intermediates))
+    return store, enc, relaxed_loss(enc, store, X, cfg.tau)
 
 
 def model_cr(vocab: int, d: int, n: int, k: int) -> float:

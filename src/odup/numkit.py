@@ -42,10 +42,7 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def normal(self, scale: float = 1.0, size=None) -> np.ndarray:
-        return self._gen.normal(0.0, scale, size=size)
-
-    def choice(self, n: int, size: int, replace: bool = False, p=None) -> np.ndarray:
+    def choice(self, n: int, size: int, replace: bool, p=None) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace, p=p)
 
 
@@ -55,27 +52,27 @@ def gumbel_from_uniform(u) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def _max_keepdims(v: np.ndarray, axis: int) -> np.ndarray:
-    """``np.max(v, axis, keepdims=True)``, taken over a contiguous copy with
-    ``axis`` leading: numpy reduces a short strided axis (the codec's
+def _max_keepdims(v: np.ndarray) -> np.ndarray:
+    """``np.max(v, -1, keepdims=True)``, taken over a contiguous copy with
+    the last axis leading: numpy reduces a short strided axis (the codec's
     k-sized groups) several times slower. Max is exact, so the values are
     identical."""
-    m = np.ascontiguousarray(np.moveaxis(v, axis, 0)).max(axis=0)
-    return np.expand_dims(m, axis)
+    m = np.ascontiguousarray(np.moveaxis(v, -1, 0)).max(axis=0)
+    return m[..., None]
 
 
-def softmax(v, axis: int = -1) -> np.ndarray:
-    """Softmax along ``axis``, stabilized by max-subtraction (divide ``v``
-    by a temperature first). Raises ValueError on empty or non-finite
-    input. Output along ``axis`` sums to 1.
+def softmax(v) -> np.ndarray:
+    """Softmax along the last axis, stabilized by max-subtraction (divide
+    ``v`` by a temperature first). Raises ValueError on empty or non-finite
+    input. Output along the last axis sums to 1.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input to softmax")
-    e = np.exp(v - _max_keepdims(v, axis))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(v - _max_keepdims(v))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def sigmoid(z) -> np.ndarray:

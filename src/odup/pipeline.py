@@ -29,7 +29,7 @@ from .recommender import (
     ENCODER_KINDS, RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint,
     train,
 )
-from .sealed import make_dir, write_file
+from .sealed import make_dir, remove_stale, write_file
 from .sessions import (
     SlicePlan, SessionDataset, SynthResult, augment_split, check_filter_settings,
     check_synth_settings, filter_and_index, holdout_split, read_event_log, sessionize,
@@ -255,7 +255,7 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
         if not events:
             raise DataError(f"event log is empty: {cfg.data}")
         sessions = sessionize(events, cfg.session_gap)
-        indexed, vocab = filter_and_index(sessions, cfg.min_len, cfg.max_len, cfg.top_items or None)
+        indexed, vocab = filter_and_index(sessions, cfg.min_len, cfg.max_len, cfg.top_items)
         if len(vocab) < max(REPORT_KS):
             raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
         train_sessions, test_sessions = holdout_split(indexed, cfg.test_frac)
@@ -365,6 +365,7 @@ def run_train(cfg: ExperimentConfig) -> list[dict]:
     and a metrics sidecar for each in ``cfg.out``."""
     out_dir = make_dir(cfg.out)
     data = prepare_data(cfg, Rng(cfg.seed))
+    remove_stale(out_dir, r"slice_\d{2,}\.(ckpt|meta\.json)")
     summaries = []
     for t, cloud in enumerate(cloud_trajectory(cfg, data), start=1):
         ckpt = os.path.join(out_dir, f"slice_{t:02d}.ckpt")
@@ -395,10 +396,10 @@ def deploy(cfg: ExperimentConfig, table: np.ndarray) -> tuple[UpdateDelta, float
     """Train the codec on ``table``, harden its codes and refine them by
     ICM: the full epoch-1 delta that deploys it on a device, and the final
     codec loss."""
-    store, encoder, losses = train_codec(table, cfg.codec_config())
+    store, encoder, final_loss = train_codec(table, cfg.codec_config())
     codes = refine_codes(store, harden(encoder, table), table)
     nk = cfg.n * cfg.k
-    return UpdateDelta(1, "full", nk, store.rows, codes, list(range(nk))), losses[-1]
+    return UpdateDelta(1, "full", nk, store.rows, codes, list(range(nk))), final_loss
 
 
 def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) -> SimulationResult:
@@ -409,6 +410,8 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
     tables. Then evaluate the device. A round's secs include the slice's
     cloud seconds."""
     frames_dir = make_dir(os.path.join(out_dir, "frames"))
+    remove_stale(frames_dir, r"round_\d{2,}\.odup")
+    remove_stale(out_dir, r"report\.(csv|json)")
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
     store = CodebookStore(cfg.n, cfg.k, cfg.d, np.zeros((nk, cfg.d)))

@@ -67,10 +67,6 @@ class RecModel:
         return self.embeddings.shape[0]
 
     @property
-    def d(self) -> int:
-        return self.embeddings.shape[1]
-
-    @property
     def gate(self) -> float:
         return float(sigmoid(np.float64(self.gate_raw)))
 

@@ -4,10 +4,13 @@ reader checks ``crc_ok`` and its own layout in one place (``decode_delta``,
 ``load_checkpoint``).
 
 Also the one writer of every file a run leaves behind: ``write_file``
-writes text or bytes, making the parent directory first, and an output
-path that cannot be made or written is a ConfigError (exit 2)."""
+writes text or bytes, making the parent directory first, and
+``remove_stale`` deletes what an earlier run left under the names a
+command writes. An output path that cannot be made, written or removed is
+a ConfigError (exit 2)."""
 
 import os
+import re
 import struct
 import zlib
 
@@ -41,3 +44,16 @@ def write_file(path, data: str | bytes) -> None:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def remove_stale(directory, pattern: str) -> None:
+    """Delete the files in ``directory`` whose names fully match the regular
+    expression ``pattern``, so a run leaves none of an earlier run's files
+    under the names it writes. Nothing else in the directory is touched."""
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        if re.fullmatch(pattern, name) and os.path.isfile(path):
+            try:
+                os.remove(path)
+            except OSError as exc:
+                raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from None

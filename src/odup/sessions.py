@@ -9,6 +9,7 @@ record per line. Slicing is cumulative: slice t contains every
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ class SlicePlan:
         return bounds
 
 
-def read_event_log(path, delimiter: str = "\t") -> list[Event]:
+def read_event_log(path, delimiter: str) -> list[Event]:
     events: list[Event] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,8 +101,8 @@ def read_event_log(path, delimiter: str = "\t") -> list[Event]:
                     t = float(ts)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad timestamp {ts!r}") from None
-                if t < 0:
-                    raise DataError(f"{path}:{lineno}: negative timestamp")
+                if not 0 <= t < math.inf:
+                    raise DataError(f"{path}:{lineno}: timestamp {ts!r} is negative or not finite")
                 events.append((user, item, t))
     except UnicodeDecodeError:
         raise DataError(f"{path}: event log is not UTF-8 text") from None
@@ -153,26 +154,23 @@ def check_filter_settings(min_len, max_len, top_items) -> None:
         raise ValueError("min_len must be at least 2")
     if max_len < min_len:
         raise ValueError("max_len must be >= min_len")
-    if top_items is not None and top_items < 0:
+    if top_items < 0:
         raise ValueError("top_items must be non-negative")
 
 
 def filter_and_index(
-    sessions: list[Session],
-    min_len: int = 2,
-    max_len: int = 50,
-    top_items: int | None = None,
+    sessions: list[Session], min_len: int, max_len: int, top_items: int,
 ) -> tuple[list[Session], list[str]]:
-    """Drop sessions outside [min_len, max_len], optionally keep only the
-    most frequent items, and map item ids to dense indices by frequency rank
-    (ties broken by first-seen order).
+    """Drop sessions outside [min_len, max_len], keep only the ``top_items``
+    most frequent items (0: every item), and map item ids to dense indices
+    by frequency rank (ties broken by first-seen order).
     """
     check_filter_settings(min_len, max_len, top_items)
     kept = [s for s in sessions if min_len <= len(s.items) <= max_len]
     # a Counter keeps first-seen order, and the stable sort keeps it for ties
     counts = Counter(it for s in kept for it in s.items)
     ranked = sorted(counts, key=lambda it: -counts[it])
-    vocab_items = ranked[:top_items]
+    vocab_items = ranked[:top_items or None]
     index = {it: i for i, it in enumerate(vocab_items)}
     # dropping items outside a top_items vocabulary can shorten a session
     indexed = (Session([index[it] for it in s.items if it in index], s.start) for s in kept)

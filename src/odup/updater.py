@@ -37,7 +37,7 @@ class SlotLedger:
         return len(self.epochs)
 
     @staticmethod
-    def fresh(nk: int, epoch: int = 1) -> "SlotLedger":
+    def fresh(nk: int, epoch: int) -> "SlotLedger":
         return SlotLedger([epoch] * nk, list(range(nk)), epoch)
 
 

@@ -7,7 +7,8 @@ from typing import NamedTuple
 import numpy as np
 
 from odup.codec import (
-    CodebookStore, CodecConfig, CodecEncoder, _forward_backward, init_codec, relaxed_loss,
+    CodebookStore, CodecConfig, CodecEncoder, _relaxed_backward, _relaxed_forward, init_codec,
+    relaxed_loss,
 )
 from odup.errors import TrainingDiverged
 from odup.numkit import GUMBEL_EPS, Adam, Rng, gumbel_from_uniform, sigmoid, softmax, softplus
@@ -53,6 +54,18 @@ def log_softmax(z, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
+def normal(rng: Rng, scale, size) -> np.ndarray:
+    """Normal(0, scale) draws of shape ``size`` from the generator ``rng`` wraps."""
+    return rng._gen.normal(0.0, scale, size=size)
+
+
+def forward_backward(enc: CodecEncoder, rows, xb, G, tau: float):
+    """One relaxed forward/backward pass over a batch, composed as train_codec
+    composes it: (loss, grads)."""
+    loss, intermediates = _relaxed_forward(enc, rows, xb, G, tau)
+    return loss, _relaxed_backward(enc, rows, xb, tau, intermediates)
+
+
 def encoder_forward(enc: CodecEncoder, x: np.ndarray) -> np.ndarray:
     """alpha for one row (n, k) or a batch (B, n, k); each k-group sums to 1."""
     x = np.asarray(x, dtype=np.float64)
@@ -62,7 +75,7 @@ def encoder_forward(enc: CodecEncoder, x: np.ndarray) -> np.ndarray:
     xb = x[None, :] if single else x
     h = np.tanh(xb @ enc.phi + enc.b)
     logits = softplus(h @ enc.phi_prime + enc.b_prime)
-    alpha = softmax(logits.reshape(xb.shape[0], enc.n, enc.k), axis=-1)
+    alpha = softmax(logits.reshape(xb.shape[0], enc.n, enc.k))
     return alpha[0] if single else alpha
 
 
@@ -89,7 +102,7 @@ def gumbel_relax(alpha_group: np.ndarray, rng: Rng | None, tau: float) -> np.nda
     if not tau > 0:
         raise ValueError("tau must be positive")
     g = np.zeros_like(a) if rng is None else sample_gumbel(rng, a.shape)
-    return softmax((np.log(np.maximum(a, GUMBEL_EPS)) + g) / tau, axis=-1)
+    return softmax((np.log(np.maximum(a, GUMBEL_EPS)) + g) / tau)
 
 
 def train_codec_per_batch_noise(target: np.ndarray, cfg: CodecConfig):
@@ -102,15 +115,14 @@ def train_codec_per_batch_noise(target: np.ndarray, cfg: CodecConfig):
     noise_rng, shuffle_rng = rng.child("codec-noise"), rng.child("codec-shuffle")
     adam = Adam(cfg.lr)
     params = enc.params() + [store.rows]
-    initial = relaxed_loss(enc, store, X, cfg.tau)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(V)
         for lo in range(0, V, cfg.batch):
             sel = order[lo: lo + cfg.batch]
             G = sample_gumbel(noise_rng, (len(sel), cfg.n, cfg.k))
-            _, grads = _forward_backward(enc, store.rows, X[sel], G, cfg.tau)
+            _, grads = forward_backward(enc, store.rows, X[sel], G, cfg.tau)
             adam.step(params, grads)
-    return store, enc, [initial, relaxed_loss(enc, store, X, cfg.tau)]
+    return store, enc, relaxed_loss(enc, store, X, cfg.tau)
 
 
 def item_errors(store: CodebookStore, codes, target) -> np.ndarray:

@@ -25,7 +25,9 @@ from odup.updater import (
 )
 from odup.wire import decode_delta, delta_bytes, encode_delta
 
-from helpers import codec_config, dataset_of, grad_check, train_config, whole_batch
+from helpers import (
+    codec_config, dataset_of, forward_backward, grad_check, normal, train_config, whole_batch,
+)
 
 
 def report(criterion: str, detail: str):
@@ -125,15 +127,15 @@ def test_criterion_4_update_compression_quality(tmp_path):
 def test_criterion_5_stack_queue_semantics():
     nk = 32
     beta = nk // 4
-    queue = SlotLedger.fresh(nk)
-    stack = SlotLedger.fresh(nk)
+    queue = SlotLedger.fresh(nk, epoch=1)
+    stack = SlotLedger.fresh(nk, epoch=1)
     for epoch in (2, 3, 4):
         queue = advance_ledger(queue, "queue", plan_slots(queue, "queue", beta), epoch)
         stack = advance_ledger(stack, "stack", plan_slots(stack, "stack", beta), epoch)
     assert sum(1 for e in queue.epochs if e == 1) == nk - 3 * beta == nk // 4
     assert sum(1 for e in stack.epochs if e == 1) == nk - beta
 
-    queue_full = SlotLedger.fresh(nk)
+    queue_full = SlotLedger.fresh(nk, epoch=1)
     for epoch in range(2, 2 + math.ceil(nk / beta)):
         queue_full = advance_ledger(queue_full, "queue", plan_slots(queue_full, "queue", beta), epoch)
     assert sum(1 for e in queue_full.epochs if e == 1) == 0
@@ -216,7 +218,7 @@ def test_criterion_7_gradient_correctness():
     assert worst_rec <= 1e-4
 
     # codec MSE loss with Gumbel noise fixed to 0 on the toy instance
-    from odup.codec import CodecEncoder, _forward_backward, init_codec
+    from odup.codec import CodecEncoder, init_codec
 
     cfg = codec_config(n=2, k=4, d=4, seed=3)
     rng = Rng(11)
@@ -236,11 +238,11 @@ def test_criterion_7_gradient_correctness():
     def fc(vec):
         phi, b, pp, bp, rows = unflat(vec)
         e = CodecEncoder(cfg.n, cfg.k, phi, b, pp, bp)
-        loss, _ = _forward_backward(e, rows, X, G, cfg.tau)
+        loss, _ = forward_backward(e, rows, X, G, cfg.tau)
         return loss
 
     point = np.concatenate([p.ravel() for p in enc.params() + [store.rows]])
-    _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau)
+    _, grads = forward_backward(enc, store.rows, X, G, cfg.tau)
     err_codec = grad_check(fc, np.concatenate([g.ravel() for g in grads]), point, h=1e-6)
     assert err_codec <= 1e-4
     report("7 gradient correctness",
@@ -254,7 +256,7 @@ def test_criterion_8_mmd_and_adaptive(tmp_path):
     assert mmd2(X, X.copy(), 0, 0) <= 1e-12
 
     levels = (0.01, 0.05, 0.1, 0.5, 1.0)
-    vals = [mmd2(X, X + Rng(3).normal(s, X.shape), 0, 2) for s in levels]
+    vals = [mmd2(X, X + normal(Rng(3), s, X.shape), 0, 2) for s in levels]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
     assert choose_ratio(0.5, 0.2, 1e-6) == 21

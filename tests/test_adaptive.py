@@ -10,6 +10,8 @@ from odup.errors import ConfigError
 from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig
 
+from helpers import normal
+
 
 class TestMmd2:
     def test_identical_tables_zero(self):
@@ -29,7 +31,7 @@ class TestMmd2:
         X = rng.uniform((80, 8))
         vals = []
         for s in (0.01, 0.05, 0.1, 0.5, 1.0):
-            noisy = X + Rng(3).normal(s, X.shape)
+            noisy = X + normal(Rng(3), s, X.shape)
             vals.append(mmd2(X, noisy, 0, 2))
         assert all(a < b for a, b in zip(vals, vals[1:]))
 

@@ -9,22 +9,22 @@ from odup.errors import ConfigError
 from odup.codec import (
     ICM_SWEEPS, CodebookStore, CodecEncoder, check_capacity, harden,
     init_codec, model_cr, reconstruct_table, refine_codes, relaxed_loss, train_codec,
-    _forward_backward, _relaxed_forward, _RECONSTRUCT_BLOCK,
+    _relaxed_forward, _RECONSTRUCT_BLOCK,
 )
 from odup.numkit import Rng, softmax
 from odup.pipeline import ExperimentConfig
 
 from helpers import (
     TAU_ALT, TAU_DEFAULT, best_component, codec_config, codes_from_alpha, encoder_forward,
-    gather_sum_table, grad_check, gumbel_relax, item_errors, log_softmax, reconstruct_item,
-    sample_gumbel, train_codec_per_batch_noise,
+    forward_backward, gather_sum_table, grad_check, gumbel_relax, item_errors, log_softmax, normal,
+    reconstruct_item, sample_gumbel, train_codec_per_batch_noise,
 )
 
 
 def clustered_table(rng: Rng, vocab, d, n_clusters=8, noise=0.05):
     centroids = rng.uniform((n_clusters, d)) - 0.5
     assign = rng.integers(0, n_clusters, vocab)
-    return centroids[assign] + rng.normal(noise, (vocab, d))
+    return centroids[assign] + normal(rng, noise, (vocab, d))
 
 
 def tiny_codec(seed=0):
@@ -144,7 +144,7 @@ class TestReconstruct:
         vocab = data.draw(st.sampled_from([0, 1, step - 1, step, step + 1, 3 * step + 5]))
         rng = Rng(data.draw(st.integers(0, 2**16)))
         # row scales spread over 12 decades, so any change of summation order shows
-        rows = rng.normal(1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
+        rows = normal(rng, 1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
         store = CodebookStore(n, k, d, rows)
         codes = rng.integers(0, k, (vocab, n))
         table = reconstruct_table(store, codes)
@@ -207,10 +207,10 @@ class TestHarden:
         scale = 10.0 ** rng.integers(-2, 1)
 
         def w(*shape):
-            return rng.normal(scale, shape)
+            return normal(rng, scale, shape)
 
         enc = CodecEncoder(n, k, w(d, h), w(h), w(h, n * k), w(n * k))
-        X = rng.normal(1.0, (50, d))
+        X = normal(rng, 1.0, (50, d))
         codes = harden(enc, X)
         assert codes.dtype == np.int32 and codes.shape == (50, n)
         assert np.array_equal(codes, codes_from_alpha(encoder_forward(enc, X)))
@@ -276,22 +276,22 @@ class TestTrainCodec:
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8, noise=0.05)
         cfg = codec_config(n=4, k=8, d=8, seed=0)
-        store, enc, losses = train_codec(X, cfg)
-        rel_relaxed = losses[-1] * X.size / float((X**2).sum())
+        store, enc, loss = train_codec(X, cfg)
+        rel_relaxed = loss * X.size / float((X**2).sum())
         assert rel_relaxed < 0.3
 
     def test_initial_loss_matches_direct_evaluation(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8)
-        cfg = codec_config(n=4, k=8, d=8, seed=0, epochs=2)
+        cfg = codec_config(n=4, k=8, d=8, seed=0, epochs=0)
         store0, enc0 = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
-        _, _, losses = train_codec(X, cfg)
-        # direct computation at the same init: noise-free relaxed MSE
+        _, _, loss = train_codec(X, cfg)
+        # with no epochs the loss is the init's: noise-free relaxed MSE
         direct = relaxed_loss(enc0, store0, X, cfg.tau)
-        assert losses[0] == direct
+        assert loss == direct
 
     @pytest.mark.parametrize("epochs", [0, 1, 3])
-    def test_loss_monitor_runs_at_init_and_end_only(self, monkeypatch, epochs):
+    def test_loss_monitor_runs_once_after_the_last_epoch(self, monkeypatch, epochs):
         calls = []
 
         def counted(*args):
@@ -301,12 +301,9 @@ class TestTrainCodec:
         monkeypatch.setattr("odup.codec.relaxed_loss", counted)
         X = clustered_table(Rng(42), 64, 8, n_clusters=8)
         cfg = codec_config(n=4, k=8, d=8, seed=0, epochs=epochs)
-        store, enc, losses = train_codec(X, cfg)
-        assert len(calls) == 2
-        assert len(losses) == 2
-        assert losses[-1] == relaxed_loss(enc, store, X, cfg.tau)
-        if epochs == 0:
-            assert losses[0] == losses[-1]
+        store, enc, loss = train_codec(X, cfg)
+        assert len(calls) == 1
+        assert loss == relaxed_loss(enc, store, X, cfg.tau)
 
     def test_forward_only_loss_matches_forward_backward(self):
         rng = Rng(42)
@@ -317,17 +314,17 @@ class TestTrainCodec:
             G = np.zeros((X.shape[0], cfg.n, cfg.k))
             with np.errstate(all="raise"):
                 forward_only = relaxed_loss(enc, store, X, cfg.tau)
-                full, _ = _forward_backward(enc, store.rows, X, G, cfg.tau)
+                full, _ = forward_backward(enc, store.rows, X, G, cfg.tau)
             assert forward_only == full
 
     def test_hardened_within_2x_of_relaxed(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8)
         cfg = codec_config(n=4, k=8, d=8, seed=0)
-        store, enc, losses = train_codec(X, cfg)
+        store, enc, loss = train_codec(X, cfg)
         codes = harden(enc, X)
         hard_mse = float(((reconstruct_table(store, codes) - X) ** 2).mean())
-        assert hard_mse <= 2 * losses[-1] + 1e-12
+        assert hard_mse <= 2 * loss + 1e-12
 
     def test_relaxed_rows_are_probability_vectors(self):
         cfg, store, enc = tiny_codec()
@@ -342,9 +339,9 @@ class TestTrainCodec:
     def test_one_noise_draw_per_epoch_equals_per_batch_draws(self, vocab, batch):
         X = clustered_table(Rng(vocab), vocab, 6, n_clusters=4)
         cfg = codec_config(n=4, k=4, d=6, epochs=3, batch=batch, seed=4)
-        store, enc, losses = train_codec(X, cfg)
-        store_o, enc_o, losses_o = train_codec_per_batch_noise(X, cfg)
-        assert losses == losses_o
+        store, enc, loss = train_codec(X, cfg)
+        store_o, enc_o, loss_o = train_codec_per_batch_noise(X, cfg)
+        assert loss == loss_o
         assert np.array_equal(store.rows, store_o.rows)
         for got, want in zip(enc.params(), enc_o.params()):
             assert np.array_equal(got, want)
@@ -379,10 +376,10 @@ class TestRefineCodes:
         vocab = data.draw(st.integers(0, 60))
         rng = Rng(data.draw(st.integers(0, 2**16)))
         # row and target scales spread over 12 decades
-        rows = rng.normal(1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
+        rows = normal(rng, 1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
         store = CodebookStore(n, k, d, rows)
         codes = rng.integers(0, k, (vocab, n)).astype(np.int32)
-        X = rng.normal(1.0, (vocab, d)) * 10.0 ** rng.integers(-6, 7, (vocab, 1))
+        X = normal(rng, 1.0, (vocab, d)) * 10.0 ** rng.integers(-6, 7, (vocab, 1))
         refined = refine_codes(store, codes, X)
         assert refined.dtype == np.int32 and refined.shape == codes.shape
         assert np.all((refined >= 0) & (refined < k))
@@ -393,9 +390,9 @@ class TestRefineCodes:
     def test_each_component_matches_brute_force(self, seed):
         rng = Rng(seed)
         n, k, d = (int(v) for v in rng.integers(1, 5, 3))
-        store = CodebookStore(n, k, d, rng.normal(1.0, (n * k, d)))
+        store = CodebookStore(n, k, d, normal(rng, 1.0, (n * k, d)))
         codes = rng.integers(0, k, (30, n)).astype(np.int32)
-        X = rng.normal(1.0, (30, d))
+        X = normal(rng, 1.0, (30, d))
         expected = codes.copy()
         for _ in range(ICM_SWEEPS):
             for i in range(n):
@@ -412,7 +409,7 @@ class TestRefineCodes:
 
     def test_deterministic_and_input_untouched(self):
         X = clustered_table(Rng(3), 200, 8)
-        store = CodebookStore(4, 8, 8, Rng(4).normal(0.3, (32, 8)))
+        store = CodebookStore(4, 8, 8, normal(Rng(4), 0.3, (32, 8)))
         codes = Rng(5).integers(0, 8, (200, 4)).astype(np.int32)
         before = codes.copy()
         first = refine_codes(store, codes, X)
@@ -448,11 +445,11 @@ class TestCodecGradients:
         def f(vec):
             phi, b, pp, bp, rows = unflat(vec)
             e = CodecEncoder(cfg.n, cfg.k, phi, b, pp, bp)
-            loss, _ = _forward_backward(e, rows, X, G, cfg.tau)
+            loss, _ = forward_backward(e, rows, X, G, cfg.tau)
             return loss
 
         point = np.concatenate([p.ravel() for p in enc.params() + [store.rows]])
-        _, grads = _forward_backward(enc, store.rows, X, G, cfg.tau)
+        _, grads = forward_backward(enc, store.rows, X, G, cfg.tau)
         analytic = np.concatenate([g.ravel() for g in grads])
         assert grad_check(f, analytic, point, h=1e-6) <= 1e-4
 

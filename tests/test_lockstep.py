@@ -22,6 +22,8 @@ from odup.numkit import Rng
 from odup.pipeline import DeviceSim
 from odup.updater import STRATEGIES, SlotLedger, UpdateDelta, apply_delta, plan_slots
 
+from helpers import normal
+
 VOCAB, N, K, D = 6, 2, 4, 3
 NK = N * K
 
@@ -53,7 +55,7 @@ class Lockstep(RuleBasedStateMachine):
         beta = NK if strategy == "full" else beta
         rng = Rng(seed)
         slots = plan_slots(self.ledger, strategy, beta)
-        delta = UpdateDelta(self.ledger.current_epoch + 1, strategy, beta, rng.normal(1.0, (beta, D)),
+        delta = UpdateDelta(self.ledger.current_epoch + 1, strategy, beta, normal(rng, 1.0, (beta, D)),
                             rng.integers(0, K, (VOCAB, N)), slots)
         self.sent.append((wire.encode_delta(delta, vocab=VOCAB, d=D, n=N, k=K), delta))
 

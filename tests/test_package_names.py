@@ -10,6 +10,10 @@ same users: by keyword, positionally past its index, or through ``*`` or
 ``**`` unpacking. A value that no run sets is a constant, not a parameter.
 The one exception is ``cli.main``'s ``argv``, the seam tests drive the
 command line through; the console script passes none.
+
+Every such default is also left unset by some call in those users: a
+default that every run overrides is a value only tests use, so the
+parameter should be required.
 """
 
 import ast
@@ -102,9 +106,11 @@ def passes(call: ast.Call, param: str, position: int | None) -> bool:
         len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args))
 
 
-def unpassed_defaults(package: Path, users) -> list[str]:
-    """Labels of the defaulted parameters of ``package`` that no call in the
-    ``.py`` files under ``users`` passes, UNPASSED_ALLOWED aside."""
+def _defaults_by_calls(package: Path, users, flagged) -> list[str]:
+    """Labels of the defaulted parameters of ``package``, UNPASSED_ALLOWED
+    aside, for which ``flagged(calls, param, position)`` holds, ``calls``
+    being every call in the ``.py`` files under ``users`` that names the
+    parameter's callee."""
     calls: dict[str, list[ast.Call]] = {}
     for path in (p for d in users for p in sorted(d.rglob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -115,8 +121,23 @@ def unpassed_defaults(package: Path, users) -> list[str]:
         for path in sorted(package.glob("*.py"))
         for callee, where, param, position in defaulted_params(path.read_text(encoding="utf-8"), path.stem)
         if f"{where}:{param}" not in UNPASSED_ALLOWED
-        and not any(passes(call, param, position) for call in calls.get(callee, ()))
+        and flagged(calls.get(callee, ()), param, position)
     )
+
+
+def unpassed_defaults(package: Path, users) -> list[str]:
+    """Labels of the defaulted parameters of ``package`` that no call in the
+    ``.py`` files under ``users`` passes, UNPASSED_ALLOWED aside."""
+    return _defaults_by_calls(package, users, lambda calls, param, position: not any(
+        passes(call, param, position) for call in calls))
+
+
+def overridden_defaults(package: Path, users) -> list[str]:
+    """Labels of the defaulted parameters of ``package`` that every call in
+    the ``.py`` files under ``users`` may pass, UNPASSED_ALLOWED aside: no
+    run leaves them at their default."""
+    return _defaults_by_calls(package, users, lambda calls, param, position: all(
+        passes(call, param, position) for call in calls))
 
 
 def test_top_level_names_cover_defs_classes_and_constants():
@@ -176,6 +197,31 @@ def test_flags_a_default_only_tests_pass(tmp_path):
 
 def test_every_package_default_is_passed_by_a_non_test_caller():
     assert unpassed_defaults(PACKAGE, USERS) == []
+
+
+def test_flags_a_default_every_call_overrides(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "def always(x, scale=1.0):\n    return x * scale\n\n"
+        "def sometimes(x, scale=1.0):\n    return x * scale\n\n"
+        "def by_position(x, y=0):\n    return x + y\n\n"
+        "def by_double_star(*, key=1):\n    return key\n\n"
+        "class Opt:\n    def __init__(self, lr, beta=0.9):\n        self.lr = lr\n")
+    (pkg / "cli.py").write_text("def main(argv=None):\n    return 0\n")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "run.py").write_text(
+        "always(2, scale=3)\nalways(1, 2)\nsometimes(2, scale=3)\nsometimes(1)\n"
+        "by_position(1)\nby_position(1, 2)\nkw = {'key': 2}\nby_double_star(**kw)\n"
+        "Opt(0.1, 0.8)\nOpt(0.1, beta=0.7)\nmain([])\n")
+    assert overridden_defaults(pkg, (pkg, scripts)) == [
+        "a.Opt.__init__:beta", "a.always:scale", "a.by_double_star:key",
+    ]
+
+
+def test_every_package_default_is_left_unset_by_a_run():
+    assert overridden_defaults(PACKAGE, USERS) == []
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):

@@ -148,6 +148,15 @@ class TestRunTrain:
         # distribution, so held-out precision should not degrade
         assert metas[1]["test_p10"] >= metas[0]["test_p10"]
 
+    def test_rerun_removes_stale_checkpoints(self, tmp_path):
+        out = tmp_path / "train"
+        run_train(small_config(out=str(out), slices="1:1:1", rec_epochs=2))
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        run_train(small_config(out=str(out), slices="1:1", rec_epochs=2))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "notes.txt", "slice_01.ckpt", "slice_01.meta.json", "slice_02.ckpt", "slice_02.meta.json",
+        ]
+
     def test_bitwise_deterministic_checkpoints(self, tmp_path):
         cfg1 = small_config(out=str(tmp_path / "a"), slices="1:1", rec_epochs=4)
         cfg2 = small_config(out=str(tmp_path / "b"), slices="1:1", rec_epochs=4)
@@ -351,6 +360,35 @@ class TestSimulate:
             assert rep.r == cfg.r
         # frames persisted with the .odup extension
         assert (tmp_path / "sim" / "frames" / "round_01.odup").exists()
+
+    def test_rerun_removes_stale_frames(self, tmp_path):
+        out = tmp_path / "sim"
+        run_simulate(small_config(out=str(out), rec_epochs=2, codec_epochs=5))
+        (out / "frames" / "notes.txt").write_text("kept", encoding="utf-8")
+        run_simulate(small_config(out=str(out), slices="1:1", rec_epochs=2, codec_epochs=5))
+        assert sorted(p.name for p in (out / "frames").iterdir()) == [
+            "notes.txt", "round_01.odup", "round_02.odup",
+        ]
+        assert len(json.loads((out / "report.json").read_text(encoding="utf-8"))) == 2
+
+    def test_deploy_frame_rows_are_the_train_codec_store(self, tmp_path, monkeypatch):
+        """perfbench's ServerTap takes the deploy store as
+        ``pipeline.train_codec(...)[0]`` and checks device tables against its
+        rows narrowed to float32. A deploy built by the update's own solver
+        (ROADMAP item 3) must change this test and the tap together."""
+        stores, train_codec = [], pipeline.train_codec
+
+        def tap(*args, **kwargs):
+            out = train_codec(*args, **kwargs)
+            stores.append(out[0])
+            return out
+
+        monkeypatch.setattr(pipeline, "train_codec", tap)
+        run_simulate(small_config(out=str(tmp_path / "sim")))
+        [store] = stores
+        frame = (tmp_path / "sim" / "frames" / "round_01.odup").read_bytes()
+        narrowed = store.rows.astype(np.float32).astype(np.float64)
+        assert wire.decode_delta(frame).new_rows.tobytes() == narrowed.tobytes()
 
     def test_stack_queue_differ_only_in_device_metrics(self, tmp_path):
         cfg_q = small_config(out=str(tmp_path / "q"), strategy="queue")

@@ -53,7 +53,7 @@ class TestWriteEventLog:
         res = synth_generate(Rng(3).child("s"), 60, 200, 0.3, SlicePlan.from_ratios([1, 1]))
         sessions = res.sessions + res.test_sessions
         write_event_log(tmp_path / "events.tsv", sessions)
-        back = sessionize(read_event_log(tmp_path / "events.tsv"), gap=8 * HOUR)
+        back = sessionize(read_event_log(tmp_path / "events.tsv", "\t"), gap=8 * HOUR)
         assert [s.items for s in back] == [[f"i{it:06d}" for it in s.items] for s in sessions]
         assert [s.start for s in back] == [s.start for s in sessions]
 
@@ -64,33 +64,33 @@ class TestFilterAndIndex:
 
     def test_short_sessions_dropped(self):
         sessions = self.make([["a"], ["a", "b"]])
-        out, vocab = filter_and_index(sessions, min_len=2, max_len=50)
+        out, vocab = filter_and_index(sessions, 2, 50, 0)
         assert len(out) == 1
 
     def test_long_sessions_dropped(self):
         sessions = self.make([["x"] * 51, ["a", "b"]])
-        out, _ = filter_and_index(sessions, min_len=2, max_len=50)
+        out, _ = filter_and_index(sessions, 2, 50, 0)
         assert len(out) == 1
 
     def test_top_items_vocab_size(self):
         sessions = self.make([["a", "b"], ["a", "c"], ["a", "b", "c"], ["d", "e"]])
-        out, vocab = filter_and_index(sessions, min_len=2, max_len=50, top_items=3)
+        out, vocab = filter_and_index(sessions, 2, 50, 3)
         assert len(vocab) == 3
         assert vocab[0] == "a"  # most frequent gets index 0
 
     def test_frequency_rank_indexing(self):
         sessions = self.make([["b", "a"], ["a", "b"], ["a", "c"]])
-        out, vocab = filter_and_index(sessions)
+        out, vocab = filter_and_index(sessions, 2, 50, 0)
         assert vocab.index("a") == 0  # a appears 3 times
         assert set(vocab) == {"a", "b", "c"}
 
     def test_all_filtered_is_error(self):
         with pytest.raises(DataError):
-            filter_and_index(self.make([["a"]]))
+            filter_and_index(self.make([["a"]]), 2, 50, 0)
 
     def test_min_len_must_be_two(self):
         with pytest.raises(ValueError):
-            filter_and_index(self.make([["a", "b"]]), min_len=1)
+            filter_and_index(self.make([["a", "b"]]), 1, 50, 0)
 
 
 class TestAugment:
@@ -250,26 +250,35 @@ class TestEventLogFile(object):
     def test_round_trip(self, tmp_path):
         path = tmp_path / "events.tsv"
         path.write_text("u1\ta\t0\nu1\tb\t10\nu2\tc\t5\n", encoding="utf-8")
-        events = read_event_log(path)
+        events = read_event_log(path, "\t")
         assert events == [("u1", "a", 0.0), ("u1", "b", 10.0), ("u2", "c", 5.0)]
         assert len(sessionize(events, gap=100.0)) == 2
 
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("u1,a,0\n", encoding="utf-8")
-        assert read_event_log(path, delimiter=",") == [("u1", "a", 0.0)]
+        assert read_event_log(path, ",") == [("u1", "a", 0.0)]
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("u1\ta\t0\nu1\tb\n", encoding="utf-8")
         with pytest.raises(DataError, match="2"):
-            read_event_log(path)
+            read_event_log(path, "\t")
 
     def test_bad_timestamp(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("u1\ta\tzzz\n", encoding="utf-8")
         with pytest.raises(DataError):
-            read_event_log(path)
+            read_event_log(path, "\t")
+
+    @pytest.mark.parametrize("ts", ["nan", "inf", "-inf", "-1"])
+    def test_negative_or_non_finite_timestamp_rejected(self, tmp_path, ts):
+        # float() parses nan and inf, and every comparison with nan is false,
+        # so sessionize would merge the events around one into one session
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"u1\ta\t0\nu1\tb\t{ts}\nu1\tc\t5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":2: timestamp"):
+            read_event_log(path, "\t")
 
 
 class TestSlicePlan:

@@ -11,32 +11,32 @@ from odup.updater import (
     end_to_end_cr, plan_slots, retrain_update, update_cr,
 )
 
-from helpers import codec_config
+from helpers import codec_config, normal
 
 
 def clustered_table(rng: Rng, vocab, d, n_clusters=4, noise=0.05):
     centroids = rng.uniform((n_clusters, d)) - 0.5
     assign = rng.integers(0, n_clusters, vocab)
-    return centroids[assign] + rng.normal(noise, (vocab, d))
+    return centroids[assign] + normal(rng, noise, (vocab, d))
 
 
 class TestPlanSlots:
     def test_fresh_stack_takes_top(self):
-        ledger = SlotLedger.fresh(8)
+        ledger = SlotLedger.fresh(8, epoch=1)
         assert plan_slots(ledger, "stack", 3) == [5, 6, 7]
 
     def test_fresh_queue_takes_front(self):
-        ledger = SlotLedger.fresh(8)
+        ledger = SlotLedger.fresh(8, epoch=1)
         assert plan_slots(ledger, "queue", 3) == [0, 1, 2]
 
     def test_stack_reuses_same_rows(self):
-        ledger = SlotLedger.fresh(8)
+        ledger = SlotLedger.fresh(8, epoch=1)
         first = plan_slots(ledger, "stack", 3)
         ledger = advance_ledger(ledger, "stack", first, 2)
         assert plan_slots(ledger, "stack", 3) == first
 
     def test_queue_progresses_disjoint(self):
-        ledger = SlotLedger.fresh(8)
+        ledger = SlotLedger.fresh(8, epoch=1)
         first = plan_slots(ledger, "queue", 3)
         ledger = advance_ledger(ledger, "queue", first, 2)
         second = plan_slots(ledger, "queue", 3)
@@ -44,13 +44,13 @@ class TestPlanSlots:
         assert not set(first) & set(second)
 
     def test_full_plan(self):
-        ledger = SlotLedger.fresh(4)
+        ledger = SlotLedger.fresh(4, epoch=1)
         assert plan_slots(ledger, "full", 4) == [0, 1, 2, 3]
         with pytest.raises(ValueError):
             plan_slots(ledger, "full", 2)
 
     def test_beta_bounds(self):
-        ledger = SlotLedger.fresh(4)
+        ledger = SlotLedger.fresh(4, epoch=1)
         with pytest.raises(ValueError):
             plan_slots(ledger, "stack", 0)
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestPlanSlots:
 class TestLedgerInvariants:
     def test_queue_coverage(self):
         nk, beta = 16, 5
-        ledger = SlotLedger.fresh(nk)
+        ledger = SlotLedger.fresh(nk, epoch=1)
         updates = -(-nk // beta)  # ceil
         for e in range(2, 2 + updates):
             ledger = advance_ledger(ledger, "queue", plan_slots(ledger, "queue", beta), e)
@@ -68,27 +68,27 @@ class TestLedgerInvariants:
 
     def test_stack_retention(self):
         nk, beta = 16, 5
-        ledger = SlotLedger.fresh(nk)
+        ledger = SlotLedger.fresh(nk, epoch=1)
         for e in range(2, 9):
             ledger = advance_ledger(ledger, "stack", plan_slots(ledger, "stack", beta), e)
         assert sum(1 for ep in ledger.epochs if ep == 1) == nk - beta
 
     def test_seqs_stay_unique(self):
-        ledger = SlotLedger.fresh(10)
+        ledger = SlotLedger.fresh(10, epoch=1)
         for e in range(2, 6):
             ledger = advance_ledger(ledger, "queue", plan_slots(ledger, "queue", 3), e)
             assert len(set(ledger.seqs)) == 10
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_epoch_must_advance_by_one(self, strategy):
-        ledger = SlotLedger.fresh(8)
+        ledger = SlotLedger.fresh(8, epoch=1)
         slots = plan_slots(ledger, strategy, 8 if strategy == "full" else 3)
         with pytest.raises(ValueError, match="advance by exactly 1"):
             advance_ledger(ledger, strategy, slots, 3)
 
     def test_replay_determinism(self):
-        a = SlotLedger.fresh(8)
-        b = SlotLedger.fresh(8)
+        a = SlotLedger.fresh(8, epoch=1)
+        b = SlotLedger.fresh(8, epoch=1)
         for e in range(2, 5):
             slots = plan_slots(a, "queue", 3)
             a = advance_ledger(a, "queue", slots, e)
@@ -158,7 +158,7 @@ def make_update_setup(seed=1, vocab=24, d=6, n=2, k=4, epochs=8):
     """A codec trained on X1 and its hardened codes, and X2, a drifted X1."""
     rng = Rng(seed)
     X1 = clustered_table(rng, vocab, d)
-    X2 = X1 + rng.normal(0.05, (vocab, d))
+    X2 = X1 + normal(rng, 0.05, (vocab, d))
     cfg = codec_config(n=n, k=k, d=d, epochs=epochs, batch=16, seed=seed)
     store, enc, _ = train_codec(X1, cfg)
     return rng, X1, X2, cfg, store, harden(enc, X1)
@@ -174,7 +174,7 @@ class TestRetrainUpdate:
     def test_error_no_higher_than_previous_store_and_codes(self, strategy, seed):
         rng, X1, X2, cfg, store, codes = make_update_setup(seed=seed, vocab=60, d=8, n=4, k=4)
         beta = cfg.nk if strategy == "full" else 5
-        slots = plan_slots(SlotLedger.fresh(cfg.nk), strategy, beta)
+        slots = plan_slots(SlotLedger.fresh(cfg.nk, epoch=1), strategy, beta)
         upd = retrain_update(store, codes, X2, slots, epoch=2, strategy=strategy)
         before = sq_error(store, codes, X2)
         assert sq_error(upd.store, upd.delta.codes, X2) <= before * (1 + 1e-12)
@@ -182,7 +182,7 @@ class TestRetrainUpdate:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rows_outside_used_slots_unchanged_and_prev_store_not_written(self, strategy):
         rng, X1, X2, cfg, store, codes = make_update_setup(vocab=60, n=2, k=8)
-        slots = plan_slots(SlotLedger.fresh(cfg.nk), strategy, cfg.nk if strategy == "full" else 4)
+        slots = plan_slots(SlotLedger.fresh(cfg.nk, epoch=1), strategy, cfg.nk if strategy == "full" else 4)
         # a slot row far from every item, so no code ever picks it
         far, book = slots[0], slots[0] // cfg.k
         store.rows[far] = 1e3
@@ -204,14 +204,14 @@ class TestRetrainUpdate:
 
     def test_deterministic(self):
         rng, X1, X2, cfg, store, codes = make_update_setup()
-        slots = plan_slots(SlotLedger.fresh(cfg.nk), "queue", 3)
+        slots = plan_slots(SlotLedger.fresh(cfg.nk, epoch=1), "queue", 3)
         a = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
         b = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
         assert a.delta == b.delta and a.store.rows.tobytes() == b.store.rows.tobytes()
 
     def test_beta_one_payload(self):
         rng, X1, X2, cfg, store, codes = make_update_setup()
-        ledger = SlotLedger.fresh(cfg.nk)
+        ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         slots = plan_slots(ledger, "queue", 1)
         upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
         assert upd.delta.new_rows.shape == (1, cfg.d)
@@ -219,7 +219,7 @@ class TestRetrainUpdate:
 
     def test_update_beats_stale(self):
         rng, X1, X2, cfg, store, codes = make_update_setup(epochs=25)
-        ledger = SlotLedger.fresh(cfg.nk)
+        ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         slots = plan_slots(ledger, "queue", 4)
         upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
         stale_mse = float(((reconstruct_table(store, codes) - X2) ** 2).mean())
@@ -228,7 +228,7 @@ class TestRetrainUpdate:
 
     def test_frozen_row_conservation(self):
         rng, X1, X2, cfg, store, codes = make_update_setup()
-        ledger = SlotLedger.fresh(cfg.nk)
+        ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         slots = plan_slots(ledger, "stack", 3)
         upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="stack")
         untouched = sorted(set(range(cfg.nk)) - set(slots))
@@ -237,7 +237,7 @@ class TestRetrainUpdate:
     def test_payload_element_accounting(self):
         rng, X1, X2, cfg, store, codes = make_update_setup()
         vocab = X2.shape[0]
-        ledger = SlotLedger.fresh(cfg.nk)
+        ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         beta = 5
         slots = plan_slots(ledger, "queue", beta)
         upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
@@ -247,10 +247,10 @@ class TestRetrainUpdate:
 class TestApplyDelta:
     def roundtrip_device(self, strategy="queue", beta=3):
         rng, X1, X2, cfg, store, codes = make_update_setup()
-        ledger = SlotLedger.fresh(cfg.nk)
+        ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         device_store = CodebookStore(cfg.n, cfg.k, cfg.d,
                                      store.rows.astype(np.float32).astype(np.float64))
-        device_ledger = SlotLedger.fresh(cfg.nk)
+        device_ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         slots = plan_slots(ledger, strategy, beta)
         upd = retrain_update(store, codes, X2, slots, epoch=2, strategy=strategy)
         return cfg, store, codes, ledger, device_store, device_ledger, upd, slots
@@ -265,7 +265,7 @@ class TestApplyDelta:
     def test_full_strategy_matches_server_post_f32(self):
         rng, X1, X2, cfg, store, codes = make_update_setup()
         dstore = CodebookStore(cfg.n, cfg.k, cfg.d, store.rows.astype(np.float32).astype(np.float64))
-        dledger = SlotLedger.fresh(cfg.nk)
+        dledger = SlotLedger.fresh(cfg.nk, epoch=1)
         upd = retrain_update(store, codes, X2, list(range(cfg.nk)), epoch=2, strategy="full")
         dstore2, dledger2, table = apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
         assert np.array_equal(
@@ -297,14 +297,14 @@ class TestApplyDelta:
         with pytest.raises(StaleDeltaError):
             apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
         assert np.array_equal(dstore.rows, before)
-        assert dledger == SlotLedger.fresh(cfg.nk)
+        assert dledger == SlotLedger.fresh(cfg.nk, epoch=1)
 
     def test_replay_two_devices_identical(self):
         rng, X1, X2, cfg, store, codes = make_update_setup(epochs=6)
-        ledger = SlotLedger.fresh(cfg.nk)
+        ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         f32 = store.rows.astype(np.float32).astype(np.float64)
         devices = [
-            (CodebookStore(cfg.n, cfg.k, cfg.d, f32.copy()), SlotLedger.fresh(cfg.nk))
+            (CodebookStore(cfg.n, cfg.k, cfg.d, f32.copy()), SlotLedger.fresh(cfg.nk, epoch=1))
             for _ in range(2)
         ]
         target = X2
@@ -317,7 +317,7 @@ class TestApplyDelta:
                 apply_delta(ds, dl, upd.delta, expected_strategy="queue")[:2]
                 for ds, dl in devices
             ]
-            target = target + rng.normal(0.02, target.shape)
+            target = target + normal(rng, 0.02, target.shape)
         (s1, l1), (s2, l2) = devices
         assert np.array_equal(s1.rows, s2.rows)
         assert l1 == l2
@@ -332,7 +332,7 @@ class TestPaperConcatenationForms:
         old = rng.uniform((nk, d))
         new = rng.uniform((beta, d))
         store = CodebookStore(1, nk, d, old.copy())
-        ledger = SlotLedger.fresh(nk)
+        ledger = SlotLedger.fresh(nk, epoch=1)
         slots = plan_slots(ledger, "stack", beta)  # [2, 3]
         codes = rng.integers(0, nk, (6, 1)).astype(np.int32)
         delta = UpdateDelta(2, "stack", beta, new, codes, slots)
@@ -354,7 +354,7 @@ class TestPaperConcatenationForms:
         old = rng.uniform((nk, d))
         new = rng.uniform((beta, d))
         store = CodebookStore(1, nk, d, old.copy())
-        ledger = SlotLedger.fresh(nk)
+        ledger = SlotLedger.fresh(nk, epoch=1)
         slots = plan_slots(ledger, "queue", beta)  # [0, 1]
         codes = rng.integers(0, nk, (6, 1)).astype(np.int32)
         delta = UpdateDelta(2, "queue", beta, new, codes, slots)
