@@ -18,6 +18,8 @@ import numpy as np
 
 from .numkit import Rng, sigmoid
 
+RATIO_C = 0.2  # the C of every run's choose_ratio, so an adaptive r is never below ceil(1/C) = 5
+
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d2 = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * (a @ b.T)

@@ -248,7 +248,8 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     Each epoch draws its (|V|, n, k) uniforms in one call and turns each
     batch's slice into Gumbel noise, bitwise one draw per batch (numpy
     fills in C order). Returns the store, the encoder and the noise-free
-    full-batch loss after the last epoch.
+    full-batch loss after the last epoch. A batch or final loss that is not
+    finite, say from logits / tau overflowing, raises TrainingDiverged.
     """
     X = np.asarray(target, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.d:
@@ -278,7 +279,10 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"codec loss became non-finite ({loss})")
                 adam.step(params, _relaxed_backward(enc, store.rows, xb, cfg.tau, intermediates))
-    return store, enc, relaxed_loss(enc, store, X, cfg.tau)
+        final_loss = relaxed_loss(enc, store, X, cfg.tau)
+    if not np.isfinite(final_loss):
+        raise TrainingDiverged(f"final codec loss is non-finite ({final_loss})")
+    return store, enc, final_loss
 
 
 def model_cr(vocab: int, d: int, n: int, k: int) -> float:

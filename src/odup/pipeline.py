@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
-from .adaptive import mmd2, choose_ratio
+from .adaptive import RATIO_C, mmd2, choose_ratio
 from .codec import (
     CodecConfig, CodebookStore, check_capacity, harden, model_cr, refine_codes, train_codec,
 )
@@ -31,9 +31,8 @@ from .recommender import (
 )
 from .sealed import make_dir, remove_stale, write_file
 from .sessions import (
-    SlicePlan, SessionDataset, SynthResult, augment_split, check_filter_settings,
-    check_synth_settings, filter_and_index, holdout_split, read_event_log, sessionize,
-    synth_generate, temporal_slices,
+    SESSION_GAP, SlicePlan, SessionDataset, SynthResult, augment_split, check_synth_settings,
+    filter_and_index, holdout_split, read_event_log, sessionize, synth_generate, temporal_slices,
 )
 from .updater import (
     STRATEGIES, SlotLedger, UpdateDelta, apply_delta, beta_from_ratio, end_to_end_cr, plan_slots,
@@ -41,6 +40,8 @@ from .updater import (
 )
 
 REPORT_KS = (5, 10)  # the K of every report's P@K and N@K
+REC_LR, REC_BATCH = 0.01, 100  # the cloud recommender's Adam step size and pairs per batch
+CODEC_LR = 0.01  # the deploy codec's Adam step size
 
 
 @dataclass
@@ -49,31 +50,21 @@ class ExperimentConfig:
 
     data: str = "synth"            # "synth" or a path to an event-log file
     delimiter: str = "\t"
-    session_gap: float = 8 * 3600.0
-    min_len: int = 2
-    max_len: int = 50
-    top_items: int = 0             # 0 keeps every item
-    test_frac: float = 0.1
     slices: str = "1:3:6:10:15"    # ratio list a:b:c
 
     synth_vocab: int = 400
     synth_sessions: int = 3000
     synth_drift: float = 0.3
     synth_clusters: int = 8
-    synth_len_min: int = 3
-    synth_len_max: int = 10
 
     d: int = 32
     encoder: str = "mean_pool"
-    rec_lr: float = 0.01
     rec_epochs: int = 20
-    batch: int = 100
     l2: float = 1e-5
 
     n: int = 8
     k: int = 16
     tau: float = 0.1
-    codec_lr: float = 0.01
     codec_epochs: int = 200
     codec_batch: int = 256
 
@@ -81,7 +72,6 @@ class ExperimentConfig:
     ratio_mode: str = "fixed"      # fixed | adaptive
     r: float = 10.0
     mmd_samples: int = 512         # 0 = use every row
-    C: float = 0.2
     skip_threshold: float = 1e-6
 
     seed: int = 7
@@ -104,29 +94,22 @@ class ExperimentConfig:
             raise ConfigError("fixed ratio r must be >= 1")
         if self.d < 2:
             raise ConfigError("d must be at least 2")
-        if not 0 < self.test_frac < 1:
-            raise ConfigError("test_frac must lie in (0, 1)")
         if not self.delimiter:
             raise ConfigError("delimiter must not be empty")
         if not self.out:
             raise ConfigError("out must not be empty")
-        if not self.session_gap > 0:
-            raise ConfigError("session_gap must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.mmd_samples != 0 and self.mmd_samples < 2:
             raise ConfigError("sample count must be >= 2, or 0 for every row")
-        if not 0 < self.C <= 1:
-            raise ConfigError("C must lie in (0, 1]")
         if self.skip_threshold < 0:
             raise ConfigError("skip_threshold must be non-negative")
         try:
             self.slice_plan()
             self.codec_config()
             self.rec_config(seed=self.seed, freeze_gate=False)
-            check_filter_settings(self.min_len, self.max_len, self.top_items)
             check_synth_settings(self.synth_vocab, self.synth_sessions, self.synth_drift,
-                                 self.synth_clusters, (self.synth_len_min, self.synth_len_max))
+                                 self.synth_clusters)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -134,11 +117,11 @@ class ExperimentConfig:
         return SlicePlan.from_ratios([float(x) for x in self.slices.split(":")])
 
     def rec_config(self, seed: int, freeze_gate: bool) -> TrainConfig:
-        return TrainConfig(lr=self.rec_lr, epochs=self.rec_epochs, batch=self.batch,
+        return TrainConfig(lr=REC_LR, epochs=self.rec_epochs, batch=REC_BATCH,
                            l2=self.l2, seed=seed, freeze_gate=freeze_gate)
 
     def codec_config(self) -> CodecConfig:
-        return CodecConfig(n=self.n, k=self.k, d=self.d, tau=self.tau, lr=self.codec_lr,
+        return CodecConfig(n=self.n, k=self.k, d=self.d, tau=self.tau, lr=CODEC_LR,
                            epochs=self.codec_epochs, batch=self.codec_batch, seed=self.seed)
 
 
@@ -236,8 +219,6 @@ def synth_data(cfg: ExperimentConfig, rng: Rng) -> SynthResult:
     return synth_generate(
         rng.child("synth"), cfg.synth_vocab, cfg.synth_sessions, cfg.synth_drift, cfg.slice_plan(),
         n_clusters=cfg.synth_clusters,
-        len_range=(cfg.synth_len_min, cfg.synth_len_max),
-        test_frac=cfg.test_frac,
     )
 
 
@@ -254,11 +235,10 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
         events = read_event_log(cfg.data, cfg.delimiter)
         if not events:
             raise DataError(f"event log is empty: {cfg.data}")
-        sessions = sessionize(events, cfg.session_gap)
-        indexed, vocab = filter_and_index(sessions, cfg.min_len, cfg.max_len, cfg.top_items)
+        indexed, vocab = filter_and_index(sessionize(events, SESSION_GAP))
         if len(vocab) < max(REPORT_KS):
             raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
-        train_sessions, test_sessions = holdout_split(indexed, cfg.test_frac)
+        train_sessions, test_sessions = holdout_split(indexed)
         vocab_size = len(vocab)
     check_capacity(cfg.n, cfg.k, vocab_size)
     slices = temporal_slices(train_sessions, cfg.slice_plan())
@@ -436,7 +416,7 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
             if cfg.strategy == "full":
                 r_chosen: float | None = 1.0
             elif cfg.ratio_mode == "adaptive":
-                r_chosen = choose_ratio(mmd_val, cfg.C, cfg.skip_threshold)
+                r_chosen = choose_ratio(mmd_val, RATIO_C, cfg.skip_threshold)
             else:
                 r_chosen = cfg.r
             r_val = 0.0 if r_chosen is None else float(r_chosen)

@@ -263,8 +263,7 @@ def evaluate(table, dataset, ks, encoder_kind: str, gate: float) -> list[float]:
     idx = np.arange(vocab)
     padded = padded_table(table)
     ranks = []
-    for lo in range(0, len(dataset), _EVAL_CHUNK):
-        sub = next(plan_batches(dataset, slice(lo, lo + _EVAL_CHUNK), _EVAL_CHUNK, vocab))
+    for sub in plan_batches(dataset, slice(None), _EVAL_CHUNK, vocab):
         S, _ = _encode_batch(padded, gate, encoder_kind, sub)
         scores = S @ table.T
         label_scores = scores.reshape(-1)[sub.label_pos][:, None]

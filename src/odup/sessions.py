@@ -21,6 +21,10 @@ from .sealed import write_file
 
 Event = tuple[str, str, float]  # (user, item, seconds since epoch)
 ZIPF_EXPONENT = 1.2  # synthetic item popularity falls as 1 / rank^ZIPF_EXPONENT
+SESSION_GAP = 8 * 3600.0  # seconds between a user's events that split an event log's sessions
+MIN_LEN, MAX_LEN = 2, 50  # the session lengths an event log's run keeps
+TEST_FRAC = 0.1  # the temporally last share of sessions held out as the test set
+SYNTH_LEN_RANGE = (3, 10)  # the shortest and longest synthetic session
 
 
 @dataclass
@@ -125,12 +129,8 @@ def sessionize(log: list[Event], gap: float) -> list[Session]:
     Records are sorted internally by (user, timestamp, item), so the result
     is invariant under shuffling of the input.
     """
-    if not gap > 0:
-        raise ValueError("gap must be positive")
     sessions: list[Session] = []
     ordered = sorted(log, key=lambda e: (e[0], e[2], e[1]))
-    if ordered and min(e[2] for e in ordered) < 0:
-        raise DataError("negative timestamp in event log")
     cur_user = None
     cur_items: list = []
     cur_start = 0.0
@@ -148,36 +148,19 @@ def sessionize(log: list[Event], gap: float) -> list[Session]:
     return sessions
 
 
-def check_filter_settings(min_len, max_len, top_items) -> None:
-    """Raise ValueError for settings filter_and_index cannot work with."""
-    if min_len < 2:
-        raise ValueError("min_len must be at least 2")
-    if max_len < min_len:
-        raise ValueError("max_len must be >= min_len")
-    if top_items < 0:
-        raise ValueError("top_items must be non-negative")
-
-
-def filter_and_index(
-    sessions: list[Session], min_len: int, max_len: int, top_items: int,
-) -> tuple[list[Session], list[str]]:
-    """Drop sessions outside [min_len, max_len], keep only the ``top_items``
-    most frequent items (0: every item), and map item ids to dense indices
-    by frequency rank (ties broken by first-seen order).
+def filter_and_index(sessions: list[Session]) -> tuple[list[Session], list[str]]:
+    """Drop sessions outside [MIN_LEN, MAX_LEN] and map item ids to dense
+    indices by frequency rank (ties broken by first-seen order); every item
+    of a kept session is in the vocabulary.
     """
-    check_filter_settings(min_len, max_len, top_items)
-    kept = [s for s in sessions if min_len <= len(s.items) <= max_len]
+    kept = [s for s in sessions if MIN_LEN <= len(s.items) <= MAX_LEN]
+    if not kept:
+        raise DataError("all sessions were filtered out")
     # a Counter keeps first-seen order, and the stable sort keeps it for ties
     counts = Counter(it for s in kept for it in s.items)
-    ranked = sorted(counts, key=lambda it: -counts[it])
-    vocab_items = ranked[:top_items or None]
+    vocab_items = sorted(counts, key=lambda it: -counts[it])
     index = {it: i for i, it in enumerate(vocab_items)}
-    # dropping items outside a top_items vocabulary can shorten a session
-    indexed = (Session([index[it] for it in s.items if it in index], s.start) for s in kept)
-    out = [s for s in indexed if min_len <= len(s.items) <= max_len]
-    if not out:
-        raise DataError("all sessions were filtered out")
-    return out, vocab_items
+    return [Session([index[it] for it in s.items], s.start) for s in kept], vocab_items
 
 
 def augment_split(sessions: list[Session]) -> SessionDataset:
@@ -207,12 +190,10 @@ def temporal_slices(sessions: list[Session], plan: SlicePlan) -> list[SessionDat
     return [everything.head(int(pair_counts[b])) for b in plan.boundaries(len(ordered))]
 
 
-def holdout_split(sessions: list[Session], test_frac: float) -> tuple[list[Session], list[Session]]:
-    """Temporally last ``test_frac`` of sessions held out as the test set."""
-    if not 0 < test_frac < 1:
-        raise ValueError("test_frac must be in (0, 1)")
+def holdout_split(sessions: list[Session]) -> tuple[list[Session], list[Session]]:
+    """Temporally last TEST_FRAC of sessions held out as the test set."""
     ordered = sorted(sessions, key=lambda s: s.start)
-    n_test = int(round(len(ordered) * test_frac))
+    n_test = int(round(len(ordered) * TEST_FRAC))
     n_test = min(max(n_test, 1), len(ordered) - 1)
     return ordered[: len(ordered) - n_test], ordered[len(ordered) - n_test:]
 
@@ -224,7 +205,7 @@ class SynthResult:
     vocab_size: int
 
 
-def check_synth_settings(vocab_size, n_sessions, drift, n_clusters, len_range) -> None:
+def check_synth_settings(vocab_size, n_sessions, drift, n_clusters) -> None:
     """Raise ValueError for settings synth_generate cannot work with."""
     if vocab_size < 50:
         raise ValueError("vocab_size must be at least 50")
@@ -234,9 +215,6 @@ def check_synth_settings(vocab_size, n_sessions, drift, n_clusters, len_range) -
         raise ValueError("drift must lie in [0, 1]")
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
-    lo, hi = len_range
-    if lo < 2 or hi < lo:
-        raise ValueError("len_range must satisfy 2 <= lo <= hi")
 
 
 def synth_generate(
@@ -247,19 +225,18 @@ def synth_generate(
     plan: SlicePlan,
     *,
     n_clusters: int = 8,
-    len_range: tuple[int, int] = (3, 10),
-    test_frac: float = 0.1,
 ) -> SynthResult:
-    """Training sessions (sliced by ``plan``), then test sessions, drawn from
-    clusters of Zipf(ZIPF_EXPONENT)-popular items; ``drift`` shifts
+    """Training sessions (sliced by ``plan``), then the last TEST_FRAC of
+    ``n_sessions`` as test sessions, each of a length in SYNTH_LEN_RANGE,
+    drawn from clusters of Zipf(ZIPF_EXPONENT)-popular items; ``drift`` shifts
     preferences per slice on two channels: the cluster mixture weights
     rotate, and a drift-sized fraction of items migrates to the next
     cluster (changing co-occurrence, which moves trained embeddings).
 
     drift=0 keeps everything constant across slices. Deterministic per rng.
     """
-    check_synth_settings(vocab_size, n_sessions, drift, n_clusters, len_range)
-    lo, hi = len_range
+    check_synth_settings(vocab_size, n_sessions, drift, n_clusters)
+    lo, hi = SYNTH_LEN_RANGE
     setup = rng.child("synth-setup")
     z = len(plan.fractions)
     # every item gets an intrinsic Zipf popularity weight (over a seeded
@@ -295,7 +272,7 @@ def synth_generate(
         w = (1.0 - drift) * base_w + drift * np.roll(base_w, t)
         return w / w.sum()
 
-    n_test = min(max(int(round(n_sessions * test_frac)), 1), n_sessions - z)
+    n_test = min(max(int(round(n_sessions * TEST_FRAC)), 1), n_sessions - z)
     n_train = n_sessions - n_test
     bounds = plan.boundaries(n_train)
 

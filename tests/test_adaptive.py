@@ -114,10 +114,6 @@ class TestChooseRatio:
             choose_ratio(-0.1, 0.2, 1e-6)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError, match="C must lie"):
-            ExperimentConfig(C=0.0)
-        with pytest.raises(ConfigError, match="C must lie"):
-            ExperimentConfig(C=1.5)
         with pytest.raises(ConfigError, match="skip_threshold must be non-negative"):
             ExperimentConfig(skip_threshold=-1.0)
 

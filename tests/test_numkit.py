@@ -29,11 +29,11 @@ class TestSoftmax:
         out = softmax(v)
         assert np.array_equal(np.argsort(out), np.argsort(v))
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            softmax([1.0, np.nan])
-        with pytest.raises(ValueError):
-            softmax([1.0, np.inf])
+    def test_nonfinite_input_gives_nan(self):
+        # no scan: train_codec's loss check reports the NaN as divergence
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(softmax([1.0, np.nan])).all()
+            assert np.isnan(softmax([1.0, np.inf])).all()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

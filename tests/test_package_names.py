@@ -14,19 +14,33 @@ command line through; the console script passes none.
 Every such default is also left unset by some call in those users: a
 default that every run overrides is a value only tests use, so the
 parameter should be required.
+
+The same holds for config keys, which ``load_config`` passes on as
+``ExperimentConfig(**values)``: every key is set by some run, that is by a
+``scripts/*.cfg`` file, by a keyword of an ``ExperimentConfig(...)`` or
+``replace(...)`` call in those users, or by a ``key = value`` line that a
+CI workflow step echoes into a config. UNSET_KEYS_ALLOWED names the keys
+that stay settings although no run sets them, each with its reason.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
 import sys
 from pathlib import Path
 
+from odup.pipeline import ExperimentConfig
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "odup"
 USERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 UNPASSED_ALLOWED = {"cli.main:argv"}
+UNSET_KEYS_ALLOWED = {
+    "delimiter": "the field separator of the event log at data, a property of that file",
+    "skip_threshold": "acceptance criterion 8 raises it to show the skip rule on drift-free data",
+}
 
 
 def top_level_names(source: str) -> list[str]:
@@ -222,6 +236,54 @@ def test_flags_a_default_every_call_overrides(tmp_path):
 
 def test_every_package_default_is_left_unset_by_a_run():
     assert overridden_defaults(PACKAGE, USERS) == []
+
+
+def config_keys_set_by_runs(users, cfg_dir: Path, workflows: Path) -> set[str]:
+    """The keys of every ``key = value`` line of the ``.cfg`` files in
+    ``cfg_dir``, every keyword of an ``ExperimentConfig(...)`` or
+    ``replace(...)`` call in the ``.py`` files under ``users`` (a ``**``
+    unpacking names none), and every key a step of the ``.yml`` files in
+    ``workflows`` echoes as ``echo "key = value"``."""
+    keys = set()
+    for path in sorted(cfg_dir.glob("*.cfg")):
+        lines = (line.split("#", 1)[0] for line in path.read_text(encoding="utf-8").splitlines())
+        keys.update(line.split("=", 1)[0].strip() for line in lines if "=" in line)
+    for path in (p for d in users for p in sorted(d.rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _callee(node.func) in ("ExperimentConfig", "replace"):
+                keys.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    for path in sorted(workflows.glob("*.yml")):
+        keys.update(re.findall(r'echo "(\w+) = ', path.read_text(encoding="utf-8")))
+    return keys
+
+
+def unset_config_keys(keys, users, cfg_dir: Path, workflows: Path) -> list[str]:
+    """The ``keys`` that no run sets, UNSET_KEYS_ALLOWED aside."""
+    set_keys = config_keys_set_by_runs(users, cfg_dir, workflows)
+    return sorted(k for k in keys if k not in set_keys and k not in UNSET_KEYS_ALLOWED)
+
+
+def test_flags_a_config_key_no_run_sets(tmp_path):
+    pkg, scripts, workflows = (tmp_path / name for name in ("pkg", "scripts", "workflows"))
+    for d in (pkg, scripts, workflows):
+        d.mkdir()
+    (pkg / "a.py").write_text(
+        "import dataclasses\ncfg = ExperimentConfig(by_call=1, **extra)\n"
+        "cfg = dataclasses.replace(cfg, by_replace=2)\nother(by_other_call=3)\n")
+    (scripts / "demo.cfg").write_text("# commented = 4\nby_file = 5  # trailing note\n")
+    (scripts / "notes.txt").write_text("by_text = 6\n")
+    (workflows / "ci.yml").write_text(
+        'steps:\n  - run: |\n      echo "by_step = 7" >> "$RUNNER_TEMP/x.cfg"\n')
+    keys = ["by_call", "by_replace", "by_other_call", "commented", "by_file", "by_text",
+            "by_step", "delimiter", "skip_threshold"]
+    assert unset_config_keys(keys, (pkg,), scripts, workflows) == [
+        "by_other_call", "by_text", "commented",
+    ]
+
+
+def test_every_config_key_is_set_by_a_run():
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert unset_config_keys(keys, USERS, ROOT / "scripts", ROOT / ".github" / "workflows") == []
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):

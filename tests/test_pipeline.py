@@ -571,9 +571,6 @@ class TestCli:
         cfgfile.write_text(
             f"data = {events}\n"
             "slices = 1:1\n"
-            "session_gap = 1000000\n"
-            "min_len = 2\n"
-            "max_len = 50\n"
             "d = 8\n"
             "rec_epochs = 2\n"
             "n = 4\n"
@@ -593,6 +590,9 @@ class TestCli:
         cfgfile.write_text("strategy = heap\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "simulate"]) == 2
 
+    # a line that sets session_gap, min_len, max_len, top_items, test_frac,
+    # synth_len_min, rec_lr, codec_lr or C sets a constant, not a key, and
+    # is refused as an unknown key
     @pytest.mark.parametrize("line", [
         "slices = 1:0:2", "slices = abc", "d = 1", "C = 5", "mmd_samples = 1", "rec_lr = 5",
         "test_frac = 1.5", "synth_vocab = 10", "synth_sessions = 50", "synth_len_min = 1",
@@ -605,6 +605,32 @@ class TestCli:
         cfgfile.write_text(line + "\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("key", [
+        "session_gap", "min_len", "max_len", "top_items", "test_frac", "synth_len_min",
+        "synth_len_max", "rec_lr", "batch", "codec_lr", "C",
+    ])
+    def test_constant_is_an_unknown_key_exit_2(self, tmp_path, key, capsys):
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text(f"{key} = 1\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "synth"]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, epochs", [("simulate", 1), ("compress", 0)])
+    def test_tiny_tau_diverges_exit_4(self, tmp_path, capsys, command, epochs):
+        # logits / tau overflow; without a codec epoch the final loss is the
+        # one that is non-finite, and compress.json is not written with it
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("slices = 1:1\nsynth_vocab = 60\nsynth_sessions = 200\nd = 4\n"
+                           f"rec_epochs = 1\nn = 4\nk = 8\ntau = 1e-320\ncodec_epochs = {epochs}\n",
+                           encoding="utf-8")
+        save_checkpoint(tmp_path / "t.ckpt", Rng(1).uniform((60, 4)))
+        args = ["compress", "--table", str(tmp_path / "t.ckpt")] if command == "compress" else [command]
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(cfgfile), "--out", str(out), *args]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: ") and "codec loss" in err
+        assert not (out / "compress.json").exists() and not (out / "report.json").exists()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         assert cli.main(["--seed", "-1", "--out", str(tmp_path / "o"), "simulate"]) == 2
@@ -625,10 +651,10 @@ class TestCli:
 
     def test_vocabulary_below_report_k_exit_3(self, tmp_path, capsys):
         log = tmp_path / "small.tsv"
-        log.write_text("".join(f"u{s}\ti{(s + j) % 10}\t{j}.0\n" for s in range(40) for j in range(4)),
+        log.write_text("".join(f"u{s}\ti{(s + j) % 6}\t{j}.0\n" for s in range(40) for j in range(4)),
                        encoding="utf-8")
         cfgfile = tmp_path / "exp.cfg"
-        cfgfile.write_text(f"data = {log}\ntop_items = 6\n", encoding="utf-8")
+        cfgfile.write_text(f"data = {log}\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert "6 items are fewer than" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from odup.errors import DataError
 from odup.numkit import Rng
 from odup.sessions import (
-    Session, SlicePlan, augment_split, filter_and_index, holdout_split,
+    MAX_LEN, Session, SlicePlan, augment_split, filter_and_index, holdout_split,
     read_event_log, sessionize, synth_generate, temporal_slices, write_event_log,
 )
 
@@ -64,33 +64,24 @@ class TestFilterAndIndex:
 
     def test_short_sessions_dropped(self):
         sessions = self.make([["a"], ["a", "b"]])
-        out, vocab = filter_and_index(sessions, 2, 50, 0)
+        out, vocab = filter_and_index(sessions)
         assert len(out) == 1
 
     def test_long_sessions_dropped(self):
-        sessions = self.make([["x"] * 51, ["a", "b"]])
-        out, _ = filter_and_index(sessions, 2, 50, 0)
+        sessions = self.make([["x"] * (MAX_LEN + 1), ["a", "b"]])
+        out, _ = filter_and_index(sessions)
         assert len(out) == 1
-
-    def test_top_items_vocab_size(self):
-        sessions = self.make([["a", "b"], ["a", "c"], ["a", "b", "c"], ["d", "e"]])
-        out, vocab = filter_and_index(sessions, 2, 50, 3)
-        assert len(vocab) == 3
-        assert vocab[0] == "a"  # most frequent gets index 0
 
     def test_frequency_rank_indexing(self):
         sessions = self.make([["b", "a"], ["a", "b"], ["a", "c"]])
-        out, vocab = filter_and_index(sessions, 2, 50, 0)
+        out, vocab = filter_and_index(sessions)
         assert vocab.index("a") == 0  # a appears 3 times
         assert set(vocab) == {"a", "b", "c"}
+        assert [[vocab[i] for i in s.items] for s in out] == [["b", "a"], ["a", "b"], ["a", "c"]]
 
     def test_all_filtered_is_error(self):
         with pytest.raises(DataError):
-            filter_and_index(self.make([["a"]]), 2, 50, 0)
-
-    def test_min_len_must_be_two(self):
-        with pytest.raises(ValueError):
-            filter_and_index(self.make([["a", "b"]]), 1, 50, 0)
+            filter_and_index(self.make([["a"]]))
 
 
 class TestAugment:
@@ -174,9 +165,9 @@ class TestSlices:
 
 class TestHoldout:
     def test_last_fraction(self):
-        sessions = [Session([0, 1], float(i)) for i in range(10)]
-        train, test = holdout_split(sessions, 0.2)
-        assert len(train) == 8 and len(test) == 2
+        sessions = [Session([0, 1], float(i)) for i in range(20)]
+        train, test = holdout_split(sessions)
+        assert len(train) == 18 and len(test) == 2
         assert min(s.start for s in test) > max(s.start for s in train)
 
 
