@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-Subcommands: synth, train, compress, simulate, report. Global flags
---config, --seed, --out override the config file. Exit codes: 0 success,
-2 usage/config error, 3 data error, 4 numeric divergence, 5 protocol
-divergence.
+Subcommands: synth, simulate, report. Global flags --config, --seed,
+--out override the config file. Exit codes: 0 success, 2 usage/config
+error, 3 data error, 4 numeric divergence, 5 protocol divergence.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import sys
 
 from .errors import ConfigError, DataError, ProtocolError, TrainingDiverged
 from .numkit import Rng
-from .pipeline import (
-    ExperimentConfig, load_config, run_compress, run_report, run_simulate, run_train, synth_data,
-)
+from .pipeline import ExperimentConfig, load_config, run_report, run_simulate, synth_data
 from .sessions import write_event_log
 
 # package errors and the exit code and stderr label each one ends in
@@ -36,10 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="override the config output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth", help="write a synthetic event log (events.tsv)")
-    sub.add_parser("train", help="train the cloud model per slice, saving checkpoints")
-    p_compress = sub.add_parser(
-        "compress", help="compress a table checkpoint into its deploy frame (model.odup)")
-    p_compress.add_argument("--table", required=True, help="checkpoint path to compress")
     sub.add_parser("simulate", help="run the full cloud/device update loop")
     p_report = sub.add_parser("report", help="aggregate simulation reports")
     p_report.add_argument("runs", nargs="+", help="simulation output directories")
@@ -62,25 +55,6 @@ def _cmd_synth(cfg: ExperimentConfig) -> int:
     write_event_log(path, sessions)
     n_events = sum(len(s.items) for s in sessions)
     print(f"wrote {path}: {len(sessions)} sessions, {n_events} events, vocab {res.vocab_size}")
-    return 0
-
-
-def _cmd_train(cfg: ExperimentConfig) -> int:
-    for meta in run_train(cfg):
-        print(f"slice {meta['slice']}: loss {meta['final_loss']:.4f} "
-              f"test Prec@10 {meta['test_p10']:.4f} NDCG@10 {meta['test_n10']:.4f}")
-    print(f"checkpoints in {cfg.out}")
-    return 0
-
-
-def _cmd_compress(cfg: ExperimentConfig, table: str) -> int:
-    info = run_compress(cfg, table)
-    print(f"compressed {info['vocab']}x{info['d']} table with n={info['n']}, k={info['k']}")
-    print(f"  element-count CR {info['cr_model_elements']:.2f} "
-          f"(rounds to {round(info['cr_model_elements'])})")
-    print(f"  wire bytes {info['compressed_file_bytes']} vs raw {info['raw_table_bytes']} "
-          f"-> {info['cr_model_bytes']:.2f}x")
-    print(f"  wrote {info['path']}")
     return 0
 
 
@@ -111,10 +85,6 @@ def _run(args) -> int:
     cfg = _load(args)
     if args.command == "synth":
         return _cmd_synth(cfg)
-    if args.command == "train":
-        return _cmd_train(cfg)
-    if args.command == "compress":
-        return _cmd_compress(cfg, args.table)
     if args.command == "simulate":
         return _cmd_simulate(cfg)
     print(run_report(args.runs, cfg.out))  # "report"; argparse admits no other command

@@ -2,9 +2,10 @@
 
 All internal arithmetic is 64-bit. Float32 appears only where rows reach
 the device: an ``UpdateDelta`` keeps the float32 values of its rows, and
-the wire and checkpoint formats store float32. Randomness goes through :class:`Rng`, a seeded PCG64 generator
-wrapped so that identical seeds reproduce identical draw sequences on any
-platform; the process-global numpy state is never touched.
+the wire format stores float32. Randomness goes through :class:`Rng`, a
+seeded PCG64 generator wrapped so that identical seeds reproduce identical
+draw sequences on any platform; the process-global numpy state is never
+touched.
 """
 
 from __future__ import annotations

@@ -18,17 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
-from .adaptive import RATIO_C, mmd2, choose_ratio
+from .adaptive import MMD_POOL_MAX, RATIO_C, mmd2, choose_ratio
 from .codec import (
     CodecConfig, CodebookStore, check_capacity, harden, model_cr, refine_codes, train_codec,
 )
 from .codec import reconstruct_table  # noqa: F401 (unused, but perfbench/spans.py wraps it here)
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
-from .recommender import (
-    ENCODER_KINDS, RecModel, TrainConfig, evaluate, init_model, load_checkpoint, save_checkpoint,
-    train,
-)
+from .recommender import ENCODER_KINDS, RecModel, TrainConfig, evaluate, init_model, train
 from .sealed import make_dir, remove_stale, write_file
 from .sessions import (
     SESSION_GAP, SlicePlan, SessionDataset, SynthResult, augment_split, check_synth_settings,
@@ -224,7 +221,8 @@ def synth_data(cfg: ExperimentConfig, rng: Rng) -> SynthResult:
 
 def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
     """The cumulative training slices and the test set of ``cfg.data``; a
-    vocabulary too large for the code space is a ConfigError before any
+    vocabulary too large for the code space, or one that makes the MMD
+    sample pool more than MMD_POOL_MAX rows, is a ConfigError before any
     training."""
     if cfg.data == "synth":
         res = synth_data(cfg, rng)
@@ -241,6 +239,10 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
         train_sessions, test_sessions = holdout_split(indexed)
         vocab_size = len(vocab)
     check_capacity(cfg.n, cfg.k, vocab_size)
+    pooled = 2 * min(cfg.mmd_samples or vocab_size, vocab_size)
+    if pooled > MMD_POOL_MAX:
+        raise ConfigError(f"the MMD sample pools {pooled} rows of |V| = {vocab_size}, more than "
+                          f"{MMD_POOL_MAX}; set mmd_samples to at most {MMD_POOL_MAX // 2}")
     slices = temporal_slices(train_sessions, cfg.slice_plan())
     return DataBundle(slices, augment_split(test_sessions), vocab_size)
 
@@ -316,11 +318,10 @@ def write_reports(out_dir: str, reports: list[RoundReport]) -> tuple[str, str]:
 
 @dataclass
 class CloudSlice:
-    """The cloud model after one slice (its table a read-only copy), its last
-    epoch's loss, held-out P@5/N@5/P@10/N@10, and seconds spent on them."""
+    """The cloud model after one slice (its table a read-only copy), its
+    held-out P@5/N@5/P@10/N@10, and seconds spent on them."""
 
     model: RecModel
-    loss: float
     metrics: list[float]
     secs: float
 
@@ -332,38 +333,12 @@ def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
     model = init_model(data.vocab_size, cfg.d, Rng(cfg.seed).child("rec-init"), cfg.encoder)
     for t, ds in enumerate(data.slices, start=1):
         start_time = time.perf_counter()
-        losses = train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
+        train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
         table = model.embeddings.copy()
         table.flags.writeable = False
-        yield CloudSlice(RecModel(table, model.encoder_kind, model.gate_raw), losses[-1],
+        yield CloudSlice(RecModel(table, model.encoder_kind, model.gate_raw),
                          evaluate(model.embeddings, data.test, REPORT_KS, model.encoder_kind, model.gate),
                          time.perf_counter() - start_time)
-
-
-def run_train(cfg: ExperimentConfig) -> list[dict]:
-    """Train the cloud model per cumulative slice, persisting a checkpoint
-    and a metrics sidecar for each in ``cfg.out``."""
-    out_dir = make_dir(cfg.out)
-    data = prepare_data(cfg, Rng(cfg.seed))
-    remove_stale(out_dir, r"slice_\d{2,}\.(ckpt|meta\.json)")
-    summaries = []
-    for t, cloud in enumerate(cloud_trajectory(cfg, data), start=1):
-        ckpt = os.path.join(out_dir, f"slice_{t:02d}.ckpt")
-        save_checkpoint(ckpt, cloud.model.embeddings)
-        p5, n5, p10, n10 = cloud.metrics
-        meta = {
-            "slice": t,
-            "checkpoint": os.path.basename(ckpt),
-            "encoder": cloud.model.encoder_kind,
-            "gate_raw": cloud.model.gate_raw,
-            "vocab": data.vocab_size,
-            "d": cfg.d,
-            "final_loss": cloud.loss,
-            "test_p5": p5, "test_n5": n5, "test_p10": p10, "test_n10": n10,
-        }
-        _write_json(os.path.join(out_dir, f"slice_{t:02d}.meta.json"), meta)
-        summaries.append(meta)
-    return summaries
 
 
 def run_simulate(cfg: ExperimentConfig) -> SimulationResult:
@@ -372,14 +347,13 @@ def run_simulate(cfg: ExperimentConfig) -> SimulationResult:
     return replay(cfg, data, cloud_trajectory(cfg, data), cfg.out)
 
 
-def deploy(cfg: ExperimentConfig, table: np.ndarray) -> tuple[UpdateDelta, float]:
+def deploy(cfg: ExperimentConfig, table: np.ndarray) -> UpdateDelta:
     """Train the codec on ``table``, harden its codes and refine them by
-    ICM: the full epoch-1 delta that deploys it on a device, and the final
-    codec loss."""
-    store, encoder, final_loss = train_codec(table, cfg.codec_config())
+    ICM: the full epoch-1 delta that deploys it on a device."""
+    store, encoder, _ = train_codec(table, cfg.codec_config())
     codes = refine_codes(store, harden(encoder, table), table)
     nk = cfg.n * cfg.k
-    return UpdateDelta(1, "full", nk, store.rows, codes, list(range(nk))), final_loss
+    return UpdateDelta(1, "full", nk, store.rows, codes, list(range(nk)))
 
 
 def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) -> SimulationResult:
@@ -425,7 +399,7 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
         frame, nbytes = None, 0
         if beta:
             if t == 1:
-                delta, _ = deploy(cfg, table)
+                delta = deploy(cfg, table)
             else:
                 slots = plan_slots(ledger, strategy, beta)
                 upd = retrain_update(store, codes, table, slots,
@@ -461,33 +435,6 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
 
     csv_path, json_path = write_reports(out_dir, reports)
     return SimulationResult(reports, rounds, csv_path, json_path)
-
-
-def run_compress(cfg: ExperimentConfig, table_path: str) -> dict:
-    """Compress a checkpointed table with the configured codec, write the
-    full frame that deploys it (``model.odup``) to ``cfg.out``, and report
-    element-count and measured-byte compression ratios."""
-    out_dir = make_dir(cfg.out)
-    table = load_checkpoint(table_path)
-    vocab, d = table.shape
-    if d != cfg.d:
-        raise ConfigError(f"checkpoint d={d} does not match config d={cfg.d}")
-    delta, final_loss = deploy(cfg, table)
-    frame = wire.encode_delta(delta, vocab=vocab, d=d, n=cfg.n, k=cfg.k)
-    out_path = os.path.join(out_dir, "model.odup")
-    write_file(out_path, frame)
-    raw_bytes = vocab * d * 4
-    info = {
-        "vocab": vocab, "d": d, "n": cfg.n, "k": cfg.k,
-        "cr_model_elements": model_cr(vocab, d, cfg.n, cfg.k),
-        "raw_table_bytes": raw_bytes,
-        "compressed_file_bytes": len(frame),
-        "cr_model_bytes": raw_bytes / len(frame),
-        "final_loss": final_loss,
-        "path": out_path,
-    }
-    _write_json(os.path.join(out_dir, "compress.json"), info)
-    return info
 
 
 # the JSON value types a report.json record may hold in a column of each type

@@ -10,7 +10,6 @@ hand-rolled gradients and Adam.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,12 +17,8 @@ import numpy as np
 
 from .errors import DataError, TrainingDiverged
 from .numkit import Adam, Rng, sigmoid
-from .sealed import crc_ok, seal, write_file
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
-
-CHECKPOINT_VERSION = 1
-_CKPT_HEADER = struct.Struct("<BII")  # version, rows, cols
 _EVAL_CHUNK = 512  # test pairs ranked per block in evaluate
 
 
@@ -281,43 +276,3 @@ def evaluate(table, dataset, ks, encoder_kind: str, gate: float) -> list[float]:
         out += [float(hit.mean()), float(np.where(hit, gain, 0.0).mean())]
     return out
 
-
-def save_checkpoint(path, table: np.ndarray) -> None:
-    """Table checkpoint: u8 version, u32 rows, u32 cols, row-major float32
-    little-endian data, trailing u32 CRC-32 over all preceding bytes.
-    """
-    table = np.asarray(table)
-    body = _CKPT_HEADER.pack(CHECKPOINT_VERSION, table.shape[0], table.shape[1])
-    write_file(path, seal(body + table.astype("<f4").tobytes()))
-
-
-def load_checkpoint(path) -> np.ndarray:
-    """Inverse of save_checkpoint. An unreadable file, a bad CRC, a body
-    shorter or longer than its header's rows x cols, an unsupported version,
-    a zero dimension and a NaN or infinite value raise DataError."""
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
-
-    def bad(problem: str) -> DataError:
-        return DataError(f"{path}: checkpoint {problem}")
-
-    if not crc_ok(buf):
-        raise bad("CRC mismatch")
-    body_len = len(buf) - 4
-    if body_len < _CKPT_HEADER.size:
-        raise bad("is truncated")
-    version, rows, cols = _CKPT_HEADER.unpack_from(buf)
-    if version != CHECKPOINT_VERSION:
-        raise bad(f"version {version} is unsupported")
-    if min(rows, cols) < 1:
-        raise bad("has a zero dimension")
-    expected = _CKPT_HEADER.size + 4 * rows * cols
-    if body_len != expected:
-        raise bad("is truncated" if body_len < expected else "has trailing bytes")
-    data = np.frombuffer(buf, "<f4", rows * cols, _CKPT_HEADER.size)
-    if not np.all(np.isfinite(data)):
-        raise bad("holds a non-finite value")
-    return data.reshape(rows, cols).astype(np.float64)

@@ -1,7 +1,6 @@
 """Sealed bytes: a little-endian body and a u32 CRC-32 of it, the trailer
-of delta frames and the container of table checkpoints. Each format's
-reader checks ``crc_ok`` and its own layout in one place (``decode_delta``,
-``load_checkpoint``).
+of delta frames. ``wire.decode_delta`` checks ``crc_ok`` and the frame
+layout in one place.
 
 Also the one writer of every file a run leaves behind: ``write_file``
 writes text or bytes, making the parent directory first, and

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from odup.adaptive import choose_ratio, median_heuristic, mmd2
+from odup.adaptive import RATIO_MAX, choose_ratio, median_heuristic, mmd2
 from odup.errors import ConfigError
 from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig
@@ -108,6 +108,17 @@ class TestChooseRatio:
     def test_lower_bound(self, mmd, c):
         r = choose_ratio(mmd, c, 0.0)
         assert r >= math.ceil(1.0 / c)
+
+    @settings(max_examples=200)
+    @given(a=st.floats(0.0, 1e-5, exclude_min=True, allow_subnormal=True),
+           b=st.floats(0.0, 1e-5, exclude_min=True, allow_subnormal=True))
+    @example(a=5e-324, b=1e-16)  # mmd / 2 rounds to 0; 2 sigmoid(mmd) - 1 rounds to 0
+    @example(a=1e-310, b=1e-5)  # 1 / (C tanh(mmd / 2)) overflows to inf
+    def test_tiny_mmd_gives_a_finite_non_increasing_ratio(self, a, b):
+        lo, hi = sorted((a, b))
+        r_lo, r_hi = choose_ratio(lo, 0.2, 0.0), choose_ratio(hi, 0.2, 0.0)
+        assert type(r_lo) is int and type(r_hi) is int
+        assert 5 <= r_hi <= r_lo <= RATIO_MAX
 
     def test_negative_mmd_rejected(self):
         with pytest.raises(ValueError):

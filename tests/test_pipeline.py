@@ -18,10 +18,8 @@ from odup.errors import (
 from odup.numkit import Rng
 from odup.pipeline import (
     BYTES_COLUMNS, RATIO_COLUMNS, REPORT_COLUMNS, DeviceSim, ExperimentConfig, RoundReport,
-    cloud_trajectory, load_config, prepare_data, replay, run_report, run_simulate, run_train,
-    write_reports,
+    cloud_trajectory, load_config, prepare_data, replay, run_report, run_simulate, write_reports,
 )
-from odup.recommender import load_checkpoint, save_checkpoint
 from odup.updater import UpdateDelta, plan_slots
 
 
@@ -131,43 +129,6 @@ class TestRatioSweepScript:
         assert prepared == []
 
 
-class TestRunTrain:
-    def test_checkpoints_and_improvement(self, tmp_path):
-        cfg = small_config(
-            out=str(tmp_path / "train"),
-            slices="1:1",
-            synth_drift=0.0,
-            rec_epochs=8,
-            synth_sessions=900,
-        )
-        metas = run_train(cfg)
-        assert len(metas) == 2
-        for t in (1, 2):
-            assert os.path.exists(tmp_path / "train" / f"slice_{t:02d}.ckpt")
-        # drift-free data: the slice-2 model saw strictly more of the same
-        # distribution, so held-out precision should not degrade
-        assert metas[1]["test_p10"] >= metas[0]["test_p10"]
-
-    def test_rerun_removes_stale_checkpoints(self, tmp_path):
-        out = tmp_path / "train"
-        run_train(small_config(out=str(out), slices="1:1:1", rec_epochs=2))
-        (out / "notes.txt").write_text("kept", encoding="utf-8")
-        run_train(small_config(out=str(out), slices="1:1", rec_epochs=2))
-        assert sorted(p.name for p in out.iterdir()) == [
-            "notes.txt", "slice_01.ckpt", "slice_01.meta.json", "slice_02.ckpt", "slice_02.meta.json",
-        ]
-
-    def test_bitwise_deterministic_checkpoints(self, tmp_path):
-        cfg1 = small_config(out=str(tmp_path / "a"), slices="1:1", rec_epochs=4)
-        cfg2 = small_config(out=str(tmp_path / "b"), slices="1:1", rec_epochs=4)
-        run_train(cfg1)
-        run_train(cfg2)
-        for t in (1, 2):
-            a = (tmp_path / "a" / f"slice_{t:02d}.ckpt").read_bytes()
-            b = (tmp_path / "b" / f"slice_{t:02d}.ckpt").read_bytes()
-            assert a == b
-
-
 def tree_bytes(root) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -204,6 +165,13 @@ class TestCloudTrajectory:
         [device] = devices
         assert device.gate == trajectory[-1].model.gate
 
+    def test_drift_free_slice_2_does_not_lose_precision(self):
+        # drift-free data: the slice-2 model saw strictly more of the same
+        # distribution, so held-out precision should not degrade
+        cfg = small_config(slices="1:1", synth_drift=0.0, rec_epochs=8, synth_sessions=900)
+        first, second = cloud_trajectory(cfg, prepare_data(cfg, Rng(cfg.seed)))
+        assert second.metrics[2] >= first.metrics[2]
+
     def test_tables_are_read_only_snapshots(self):
         cfg = small_config(slices="1:1", rec_epochs=2)
         first, second = cloud_trajectory(cfg, prepare_data(cfg, Rng(cfg.seed)))
@@ -213,17 +181,6 @@ class TestCloudTrajectory:
                 step.model.embeddings[0, 0] = 0.0
         # training slice 2 did not move the slice-1 snapshot
         assert not np.array_equal(first.model.embeddings, second.model.embeddings)
-
-    def test_run_train_checkpoints_are_the_trajectory(self, tmp_path):
-        cfg = small_config(out=str(tmp_path / "train"), slices="1:1", rec_epochs=4)
-        metas = run_train(cfg)
-        trajectory = cloud_trajectory(cfg, prepare_data(cfg, Rng(cfg.seed)))
-        for meta, step in zip(metas, trajectory, strict=True):
-            ckpt = load_checkpoint(tmp_path / "train" / meta["checkpoint"])
-            assert np.array_equal(ckpt, step.model.embeddings.astype(np.float32))
-            assert meta["final_loss"] == step.loss
-            assert [meta[f"test_{m}"] for m in ("p5", "n5", "p10", "n10")] == step.metrics
-
 
 class TestDeviceSim:
     V, N, K, D = 10, 2, 4, 3
@@ -442,6 +399,13 @@ class TestSimulate:
         # adaptive ratios bounded below by ceil(1/C) = 5 with the default C
         assert all(r.r >= 5 for r in drifted.reports[1:])
 
+    def test_adaptive_tiny_mmd_ships_one_row(self, tmp_path, monkeypatch):
+        # 2 sigmoid(1e-16) - 1 rounds to 0; the ratio is still finite and beta 1
+        monkeypatch.setattr(pipeline, "mmd2", lambda *args: 1e-16)
+        cfg = small_config(out=str(tmp_path / "ad"), ratio_mode="adaptive", skip_threshold=0.0)
+        result = run_simulate(cfg)
+        assert all(r.beta == 1 and r.delta_bytes > 0 for r in result.reports[1:])
+
     @pytest.mark.parametrize("epoch", [1, 2])
     def test_device_table_one_ulp_off_raises(self, tmp_path, monkeypatch, epoch):
         class DriftingDevice(DeviceSim):
@@ -616,21 +580,19 @@ class TestCli:
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "synth"]) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, epochs", [("simulate", 1), ("compress", 0)])
+    @pytest.mark.parametrize("command, epochs", [("simulate", 1), ("simulate", 0)])
     def test_tiny_tau_diverges_exit_4(self, tmp_path, capsys, command, epochs):
         # logits / tau overflow; without a codec epoch the final loss is the
-        # one that is non-finite, and compress.json is not written with it
+        # one that is non-finite, and no report is written with it
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("slices = 1:1\nsynth_vocab = 60\nsynth_sessions = 200\nd = 4\n"
                            f"rec_epochs = 1\nn = 4\nk = 8\ntau = 1e-320\ncodec_epochs = {epochs}\n",
                            encoding="utf-8")
-        save_checkpoint(tmp_path / "t.ckpt", Rng(1).uniform((60, 4)))
-        args = ["compress", "--table", str(tmp_path / "t.ckpt")] if command == "compress" else [command]
         out = tmp_path / "o"
-        assert cli.main(["--config", str(cfgfile), "--out", str(out), *args]) == 4
+        assert cli.main(["--config", str(cfgfile), "--out", str(out), command]) == 4
         err = capsys.readouterr().err
         assert err.startswith("training diverged: ") and "codec loss" in err
-        assert not (out / "compress.json").exists() and not (out / "report.json").exists()
+        assert not (out / "report.json").exists()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         assert cli.main(["--seed", "-1", "--out", str(tmp_path / "o"), "simulate"]) == 2
@@ -658,30 +620,23 @@ class TestCli:
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert "6 items are fewer than" in capsys.readouterr().err
 
-    def test_missing_checkpoint_exit_3(self, tmp_path, capsys):
-        missing = tmp_path / "missing.ckpt"
-        assert cli.main(["--out", str(tmp_path / "o"), "compress", "--table", str(missing)]) == 3
-        assert capsys.readouterr().err.startswith("data error: ")
-
     def test_directory_as_data_exit_3(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"data = {tmp_path}\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert capsys.readouterr().err.startswith("data error: cannot read event log")
 
-    @pytest.mark.parametrize("command", ["synth", "train", "simulate", "compress", "report"])
+    @pytest.mark.parametrize("command", ["synth", "simulate", "report"])
     def test_out_naming_a_file_exit_2(self, tmp_path, capsys, monkeypatch, command):
         def no_training(*args, **kwargs):
             raise AssertionError("a model was trained before the output directory was made")
 
         monkeypatch.setattr(pipeline, "train", no_training)
         monkeypatch.setattr(pipeline, "train_codec", no_training)
-        save_checkpoint(tmp_path / "t.ckpt", np.ones((40, 32)))
         write_reports(str(tmp_path / "run"), [RoundReport(**valid_record())])
         out = tmp_path / "taken"
         out.write_text("not a directory\n", encoding="utf-8")
-        args = {"compress": ["compress", "--table", str(tmp_path / "t.ckpt")],
-                "report": ["report", str(tmp_path / "run")]}.get(command, [command])
+        args = ["report", str(tmp_path / "run")] if command == "report" else [command]
         assert cli.main(["--out", str(out), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write") and err.count("\n") == 1
@@ -692,43 +647,6 @@ class TestCli:
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"data = {empty}\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
-
-    def test_train_and_compress(self, tmp_path):
-        out = tmp_path / "train"
-        cfgfile = tmp_path / "exp.cfg"
-        cfgfile.write_text(
-            "slices = 1:1\n"
-            "synth_vocab = 80\n"
-            "synth_sessions = 300\n"
-            "d = 8\n"
-            "rec_epochs = 2\n"
-            "n = 2\n"
-            "k = 8\n"
-            "codec_epochs = 15\n"
-            "timing = zero\n",
-            encoding="utf-8",
-        )
-        assert cli.main(["--config", str(cfgfile), "--out", str(out), "train"]) == 0
-        ckpt = out / "slice_02.ckpt"
-        assert ckpt.exists()
-        assert cli.main([
-            "--config", str(cfgfile), "--out", str(tmp_path / "comp"),
-            "compress", "--table", str(ckpt),
-        ]) == 0
-        # model.odup is the deploy frame: a fresh device accepts it, and it is
-        # the byte-for-byte encoding of pipeline.deploy's delta
-        frame = (tmp_path / "comp" / "model.odup").read_bytes()
-        cfg, table = load_config(cfgfile), load_checkpoint(ckpt)
-        vocab, nk = len(table), cfg.n * cfg.k
-        assert len(frame) == wire.delta_bytes(vocab, cfg.n, cfg.k, cfg.d, nk)
-        info = json.loads((tmp_path / "comp" / "compress.json").read_text(encoding="utf-8"))
-        assert info["compressed_file_bytes"] == len(frame)
-        delta, _ = pipeline.deploy(cfg, table)
-        assert wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k) == frame
-        device = DeviceSim(cfg.strategy, cfg.encoder, 0.5)
-        device.receive(frame)
-        assert device.epoch == 1
-        assert np.array_equal(device.store.rows, delta.new_rows)
 
     def test_report_command(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "runA"))
@@ -776,6 +694,28 @@ class TestCli:
             cli.main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["train"], ["compress", "--table", "t.ckpt"]],
+                             ids=["train", "compress"])
+    def test_removed_subcommand_exit_2(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out", str(tmp_path / "o"), *argv])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_mmd_sample_too_large_exit_2(self, tmp_path, monkeypatch, capsys):
+        # every row of 5000 items pools 10000 rows, over MMD_POOL_MAX = 8192
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained before the MMD sample was checked")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("synth_vocab = 5000\nmmd_samples = 0\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "pools 10000 rows" in err
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_exit_4(self, monkeypatch, tmp_path):
         from odup.errors import ProtocolError, TrainingDiverged
 
@@ -817,17 +757,3 @@ class TestCli:
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert "not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("shape", [(0, 32), (40, 0)], ids=["zero-rows", "zero-cols"])
-    def test_compress_zero_dimension_checkpoint_exit_3(self, tmp_path, capsys, shape):
-        ckpt = tmp_path / "empty.ckpt"
-        save_checkpoint(ckpt, np.zeros(shape))
-        assert cli.main(["--out", str(tmp_path / "o"), "compress", "--table", str(ckpt)]) == 3
-        assert "zero dimension" in capsys.readouterr().err
-
-    def test_compress_non_finite_checkpoint_exit_3(self, tmp_path, capsys):
-        ckpt = tmp_path / "nan.ckpt"
-        table = np.ones((40, 32))
-        table[5, 3] = np.nan
-        save_checkpoint(ckpt, table)
-        assert cli.main(["--out", str(tmp_path / "o"), "compress", "--table", str(ckpt)]) == 3
-        assert "non-finite" in capsys.readouterr().err

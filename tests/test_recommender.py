@@ -6,10 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from odup.errors import DataError, TrainingDiverged
 from odup.numkit import Rng, sigmoid
-from odup.recommender import (
-    RecModel, _loss_and_grads, evaluate, init_model, load_checkpoint,
-    padded_table, save_checkpoint, train,
-)
+from odup.recommender import RecModel, _loss_and_grads, evaluate, init_model, padded_table, train
 
 from helpers import (
     dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, log_softmax,
@@ -361,25 +358,6 @@ class TestTrainMatchesReference:
         # padded slots of the prefix [1] hold -0.0 where the zero row's hold +0.0
         table = np.array([[-0.5, -0.25], [-0.0, -0.0], [0.0, 0.5]])
         self.check(table, kind, 0.0, [([1], 2), ([1, 2, 0], 1)], train_config(lr=0.01, epochs=2, batch=2))
-
-
-class TestCheckpoint:
-    def test_round_trip_f32(self, tmp_path):
-        rng = Rng(6)
-        table = rng.uniform((7, 4))
-        path = tmp_path / "t.ckpt"
-        save_checkpoint(path, table)
-        out = load_checkpoint(path)
-        assert np.array_equal(out, table.astype(np.float32).astype(np.float64))
-
-    def test_corruption_rejected(self, tmp_path):
-        path = tmp_path / "t.ckpt"
-        save_checkpoint(path, np.zeros((2, 2)))
-        raw = bytearray(path.read_bytes())
-        raw[9] ^= 0x10
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataError):
-            load_checkpoint(path)
 
 
 class TestTrainConfig:
