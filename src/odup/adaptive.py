@@ -29,10 +29,12 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def median_heuristic(pooled: np.ndarray) -> float:
-    """Median pairwise Euclidean distance over the pooled rows."""
+    """Median pairwise Euclidean distance over the pooled rows. The upper
+    triangle is copied once, through a boolean mask an eighth the matrix's
+    size, and its square root and median are taken in place."""
     d2 = _pairwise_sq_dists(pooled, pooled)
-    iu = np.triu_indices(len(pooled), k=1)
-    med = float(np.median(np.sqrt(d2[iu]))) if iu[0].size else 0.0
+    upper = d2[~np.tri(len(pooled), dtype=bool)]
+    med = float(np.median(np.sqrt(upper, out=upper), overwrite_input=True)) if upper.size else 0.0
     return med if med > 0 else 1.0
 
 

@@ -47,18 +47,6 @@ class CodecConfig:
     batch: int
     seed: int
 
-    def __post_init__(self):
-        if min(self.n, self.k, self.d) < 1:
-            raise ConfigError("n, k, d must be positive")
-        if (self.n * self.k) % 2 != 0:
-            raise ConfigError("n*k must be even (encoder hidden width is nk/2)")
-        if not self.tau > 0:
-            raise ConfigError("tau must be positive")
-        if not 0 <= self.lr <= 1:
-            raise ConfigError("codec lr must lie in [0, 1]")
-        if self.epochs < 0 or self.batch < 1:
-            raise ConfigError("bad epochs/batch")
-
     @property
     def nk(self) -> int:
         return self.n * self.k
@@ -257,7 +245,6 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     if not np.all(np.isfinite(X)):
         raise ValueError("target table must be finite")
     V = X.shape[0]
-    check_capacity(cfg.n, cfg.k, V)
 
     rng = Rng(cfg.seed)
     store, enc = init_codec(cfg, rng.child("codec-init"))

@@ -28,8 +28,8 @@ from .numkit import Rng
 from .recommender import ENCODER_KINDS, RecModel, TrainConfig, evaluate, init_model, train
 from .sealed import make_dir, remove_stale, write_file
 from .sessions import (
-    SESSION_GAP, SlicePlan, SessionDataset, SynthResult, augment_split, check_synth_settings,
-    filter_and_index, holdout_split, read_event_log, sessionize, synth_generate, temporal_slices,
+    SESSION_GAP, SlicePlan, SessionDataset, SynthResult, augment_split, filter_and_index,
+    holdout_split, read_event_log, sessionize, synth_generate, temporal_slices,
 )
 from .updater import (
     STRATEGIES, SlotLedger, UpdateDelta, apply_delta, beta_from_ratio, end_to_end_cr, plan_slots,
@@ -39,11 +39,16 @@ from .updater import (
 REPORT_KS = (5, 10)  # the K of every report's P@K and N@K
 REC_LR, REC_BATCH = 0.01, 100  # the cloud recommender's Adam step size and pairs per batch
 CODEC_LR = 0.01  # the deploy codec's Adam step size
+# each numeric key's least value; a synthetic log has at least 50 items and 100 sessions
+_LEAST = {"d": 2, "rec_epochs": 1, "l2": 0, "n": 1, "k": 1, "codec_epochs": 0, "codec_batch": 1,
+          "synth_vocab": 50, "synth_sessions": 100, "synth_clusters": 1, "seed": 0}
 
 
 @dataclass
 class ExperimentConfig:
-    """Mirrors the ``key = value`` config file; see README for key docs."""
+    """Mirrors the ``key = value`` config file; see README for key docs.
+    ``__post_init__`` is the one range check of every key, and each
+    ConfigError it raises starts with the key it rejects."""
 
     data: str = "synth"            # "synth" or a path to an event-log file
     delimiter: str = "\t"
@@ -88,27 +93,28 @@ class ExperimentConfig:
         if self.encoder not in ENCODER_KINDS:
             raise ConfigError(f"unknown encoder {self.encoder!r}")
         if self.ratio_mode == "fixed" and self.strategy != "full" and not self.r >= 1:
-            raise ConfigError("fixed ratio r must be >= 1")
-        if self.d < 2:
-            raise ConfigError("d must be at least 2")
+            raise ConfigError("r must be >= 1 when ratio_mode is fixed")
+        for key, least in _LEAST.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be " + (f"at least {least}" if least else "non-negative"))
+        if self.n * self.k % 2:
+            raise ConfigError("n * k must be even (the codec encoder's hidden width is n * k / 2)")
+        if not self.tau > 0:
+            raise ConfigError("tau must be positive")
+        if not 0 <= self.synth_drift <= 1:
+            raise ConfigError("synth_drift must lie in [0, 1]")
         if not self.delimiter:
             raise ConfigError("delimiter must not be empty")
         if not self.out:
             raise ConfigError("out must not be empty")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if self.mmd_samples != 0 and self.mmd_samples < 2:
-            raise ConfigError("sample count must be >= 2, or 0 for every row")
+            raise ConfigError("mmd_samples must be >= 2, or 0 for every row")
         if self.skip_threshold < 0:
             raise ConfigError("skip_threshold must be non-negative")
         try:
             self.slice_plan()
-            self.codec_config()
-            self.rec_config(seed=self.seed, freeze_gate=False)
-            check_synth_settings(self.synth_vocab, self.synth_sessions, self.synth_drift,
-                                 self.synth_clusters)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"slices: {exc}") from None
 
     def slice_plan(self) -> SlicePlan:
         return SlicePlan.from_ratios([float(x) for x in self.slices.split(":")])

@@ -31,16 +31,6 @@ class TrainConfig:
     seed: int
     freeze_gate: bool
 
-    def __post_init__(self):
-        if not 0 <= self.lr <= 1:
-            raise ValueError("lr must lie in [0, 1]")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch < 1:
-            raise ValueError("batch must be at least 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
-
 
 @dataclass
 class RecModel:

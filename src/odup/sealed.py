@@ -1,29 +1,13 @@
-"""Sealed bytes: a little-endian body and a u32 CRC-32 of it, the trailer
-of delta frames. ``wire.decode_delta`` checks ``crc_ok`` and the frame
-layout in one place.
-
-Also the one writer of every file a run leaves behind: ``write_file``
-writes text or bytes, making the parent directory first, and
-``remove_stale`` deletes what an earlier run left under the names a
-command writes. An output path that cannot be made, written or removed is
-a ConfigError (exit 2)."""
+"""The one writer of every file a run leaves behind: ``write_file`` writes
+text or bytes, making the parent directory first, and ``remove_stale``
+deletes what an earlier run left under the names a command writes. An
+output path that cannot be made, written or removed is a ConfigError
+(exit 2)."""
 
 import os
 import re
-import struct
-import zlib
 
 from .errors import ConfigError
-
-
-def seal(body: bytes) -> bytes:
-    """``body`` followed by its u32 CRC-32."""
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
-def crc_ok(buf: bytes) -> bool:
-    """True when ``buf`` ends in the u32 CRC-32 of the bytes before it."""
-    return len(buf) >= 4 and zlib.crc32(buf[:-4]) == int.from_bytes(buf[-4:], "little")
 
 
 def make_dir(path) -> str:

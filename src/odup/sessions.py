@@ -205,18 +205,6 @@ class SynthResult:
     vocab_size: int
 
 
-def check_synth_settings(vocab_size, n_sessions, drift, n_clusters) -> None:
-    """Raise ValueError for settings synth_generate cannot work with."""
-    if vocab_size < 50:
-        raise ValueError("vocab_size must be at least 50")
-    if n_sessions < 100:
-        raise ValueError("n_sessions must be at least 100")
-    if not 0 <= drift <= 1:
-        raise ValueError("drift must lie in [0, 1]")
-    if n_clusters < 1:
-        raise ValueError("n_clusters must be at least 1")
-
-
 def synth_generate(
     rng: Rng,
     vocab_size: int,
@@ -235,7 +223,6 @@ def synth_generate(
 
     drift=0 keeps everything constant across slices. Deterministic per rng.
     """
-    check_synth_settings(vocab_size, n_sessions, drift, n_clusters)
     lo, hi = SYNTH_LEN_RANGE
     setup = rng.child("synth-setup")
     z = len(plan.fractions)

@@ -29,11 +29,11 @@ Persisted frames use the ``.odup`` file extension.
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 
 from .errors import FrameError
-from .sealed import crc_ok, seal
 from .updater import UpdateDelta
 
 MAGIC = b"ODUP"
@@ -113,12 +113,13 @@ def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> b
         _HEADER, MAGIC, VERSION, STRATEGY_CODES[delta.strategy],
         delta.epoch, vocab, n, k, d, delta.beta,
     )
-    return seal(
+    body = (
         head
         + pack_codes(delta.codes, k)
         + slots.astype("<u4").tobytes()
         + delta.new_rows.astype("<f4").tobytes()
     )
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def frame_dims(buf: bytes) -> tuple[int, int, int, int]:
@@ -148,7 +149,7 @@ def decode_delta(buf: bytes) -> UpdateDelta:
     expected = delta_bytes(vocab, n, k, d, beta)
     if len(buf) != expected:
         raise FrameError("size", f"frame is {len(buf)} bytes, layout requires {expected}")
-    if not crc_ok(buf):
+    if zlib.crc32(buf[:-4]) != int.from_bytes(buf[-4:], "little"):
         raise FrameError("crc", "CRC-32 mismatch")
     off = HEADER_LEN
     ncb = packed_code_bytes(vocab, n, k)

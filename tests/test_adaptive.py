@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from odup.adaptive import RATIO_MAX, choose_ratio, median_heuristic, mmd2
+from odup.adaptive import RATIO_MAX, _pairwise_sq_dists, choose_ratio, median_heuristic, mmd2
 from odup.errors import ConfigError
 from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig
@@ -78,6 +79,23 @@ class TestMedianHeuristic:
         pool = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert abs(median_heuristic(pool) - 5.0) < 1e-12
 
+    @pytest.mark.parametrize("rows", [2, 3, 600, 1024, 1537])
+    def test_matches_triu_indices_form(self, rows):
+        pool = normal(Rng(rows), 1.0, (rows, 32))
+        d2 = _pairwise_sq_dists(pool, pool)
+        iu = np.triu_indices(rows, k=1)
+        assert median_heuristic(pool) == float(np.median(np.sqrt(d2[iu])))
+
+    def test_peak_memory_near_the_distance_matrix(self):
+        pool = normal(Rng(0), 1.0, (2048, 32))
+        tracemalloc.start()
+        try:
+            median_heuristic(pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 2048 * 2048 * 8
+
 
 class TestChooseRatio:
     def test_zero_mmd_skips(self):
@@ -132,7 +150,7 @@ class TestChooseRatio:
 class TestMmdConfig:
     def test_sample_count_bounds(self):
         for samples in (1, -1):
-            with pytest.raises(ConfigError, match="sample count"):
+            with pytest.raises(ConfigError, match="mmd_samples must be >= 2"):
                 ExperimentConfig(mmd_samples=samples)
         ExperimentConfig(mmd_samples=0)
         ExperimentConfig(mmd_samples=2)

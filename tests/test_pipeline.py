@@ -570,6 +570,20 @@ class TestCli:
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("lines, key", [
+        ("rec_epochs = 0", "rec_epochs"), ("codec_epochs = -1", "codec_epochs"),
+        ("codec_batch = 0", "codec_batch"), ("n = 0", "n"), ("k = 0", "k"), ("n = 3\nk = 3", "n * k"),
+        ("tau = 0", "tau"), ("l2 = -1", "l2"), ("synth_vocab = 10", "synth_vocab"),
+        ("synth_sessions = 50", "synth_sessions"), ("synth_drift = 1.5", "synth_drift"),
+        ("synth_clusters = 0", "synth_clusters"), ("mmd_samples = 1", "mmd_samples"),
+        ("slices = 1:0:2", "slices"),
+    ])
+    def test_out_of_range_setting_names_its_key(self, tmp_path, lines, key, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(lines + "\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert capsys.readouterr().err.startswith((f"config error: {key} ", f"config error: {key}: "))
+
     @pytest.mark.parametrize("key", [
         "session_gap", "min_len", "max_len", "top_items", "test_frac", "synth_len_min",
         "synth_len_max", "rec_lr", "batch", "codec_lr", "C",

@@ -358,13 +358,3 @@ class TestTrainMatchesReference:
         # padded slots of the prefix [1] hold -0.0 where the zero row's hold +0.0
         table = np.array([[-0.5, -0.25], [-0.0, -0.0], [0.0, 0.5]])
         self.check(table, kind, 0.0, [([1], 2), ([1, 2, 0], 1)], train_config(lr=0.01, epochs=2, batch=2))
-
-
-class TestTrainConfig:
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            train_config(lr=1.5)
-        with pytest.raises(ValueError):
-            train_config(batch=0)
-        with pytest.raises(ValueError):
-            train_config(l2=-1e-6)

@@ -230,12 +230,6 @@ class TestSynth:
 
         assert tv_first_last(0.5) > tv_first_last(0.1)
 
-    def test_rejects_too_small(self):
-        with pytest.raises(ValueError):
-            synth_generate(Rng(0), 10, 200, 0.1, self.plan())
-        with pytest.raises(ValueError):
-            synth_generate(Rng(0), 60, 50, 0.1, self.plan())
-
 
 class TestEventLogFile(object):
     def test_round_trip(self, tmp_path):
