@@ -34,6 +34,7 @@ from .numkit import Adam, Rng, gumbel_from_uniform, softmax, softplus
 
 ICM_SWEEPS = 2  # passes over the n components per refine_codes call
 _RECONSTRUCT_BLOCK = 32768  # output elements per block of reconstruct_table
+_LOSS_BLOCK = 32768  # (item, codeword) pairs per block of relaxed_loss
 
 
 @dataclass
@@ -123,20 +124,38 @@ def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
     gather-sum ``store.rows[codes + offsets].sum(axis=1)`` without its
     (|V|, n, d) temporary, except at d = 1 with n >= 8, where numpy sums
     that gather with its unrolled pairwise loop instead.
+
+    Each codeword row is copied whole, as one 8d-byte record, straight from
+    codebook i by code component i, so no (|V|, n) index array is built.
+    When n >= 2 and k * k <= |V|, each item starts from a lead table of the
+    k * k first-pair sums ``r0 + r1``, which is the same single addition
+    the in-order sum makes first; the bound keeps that table no larger
+    than the output. Otherwise each item starts from r0.
     """
-    codes = np.asarray(codes, dtype=np.intp)
-    if codes.ndim != 2 or codes.shape[1] != store.n:
+    codes = np.asarray(codes)
+    n, k, d = store.n, store.k, store.d
+    if codes.ndim != 2 or codes.shape[1] != n:
         raise ValueError("codes must have shape (|V|, n)")
-    if codes.size and (codes.min() < 0 or codes.max() >= store.k):
+    if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise ValueError("code component out of range [0, k)")
-    idx = codes + np.arange(store.n) * store.k
-    out = np.empty((len(idx), store.d))
-    step = max(1, _RECONSTRUCT_BLOCK // store.d)
-    for lo in range(0, len(idx), step):
-        block, acc = idx[lo: lo + step], out[lo: lo + step]
-        acc[...] = store.rows[block[:, 0]]
-        for i in range(1, store.n):
-            acc += store.rows[block[:, i]]
+    out = np.empty((len(codes), d))
+    rows = np.ascontiguousarray(store.rows)  # a record view needs contiguous rows
+    if n >= 2 and k * k <= len(codes):
+        first, lead = 2, (rows[:k, None] + rows[None, k: 2 * k]).reshape(k * k, d)
+    else:
+        first, lead = 1, rows[:k]
+    record = np.dtype((np.void, 8 * d))
+    books = rows.view(record).reshape(n, k, 1)  # books[i][c]: row c of codebook i
+    lead, out_rows = lead.view(record), out.view(record)
+    step = max(1, _RECONSTRUCT_BLOCK // d)
+    for lo in range(0, len(codes), step):
+        block, acc = codes[lo: lo + step].astype(np.intp), out[lo: lo + step]
+        at = block[:, 0] if first == 1 else block[:, 0] * k + block[:, 1]
+        # codes were range-checked above; mode="clip" lets take write into
+        # the output directly, where the default mode buffers it
+        np.take(lead, at, axis=0, out=out_rows[lo: lo + step], mode="clip")
+        for i in range(first, n):
+            acc += books[i][block[:, i]].view(np.float64)
     return out
 
 
@@ -223,10 +242,17 @@ def _relaxed_backward(enc, rows, xb, tau, intermediates):
 
 def relaxed_loss(enc: CodecEncoder, store: CodebookStore, target: np.ndarray, tau: float) -> float:
     """Noise-free (G = 0) full-batch relaxed reconstruction MSE; a forward
-    pass only."""
+    pass only. It runs over blocks of about _LOSS_BLOCK (item, codeword)
+    pairs and weights each block's mean by its item count, so its
+    intermediates stay a block's size, not (|V|, n, k)."""
     X = np.asarray(target, dtype=np.float64)
-    loss, _ = _relaxed_forward(enc, store.rows, X, 0.0, tau)
-    return loss
+    step = max(1, _LOSS_BLOCK // (enc.n * enc.k))
+    total = 0.0
+    for lo in range(0, len(X), step):
+        xb = X[lo: lo + step]
+        loss, _ = _relaxed_forward(enc, store.rows, xb, 0.0, tau)
+        total += loss * len(xb)
+    return total / len(X)
 
 
 def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, CodecEncoder, float]:

@@ -6,7 +6,6 @@ stated runtime budgets on a single laptop core.
 """
 
 import math
-import os
 import time
 from pathlib import Path
 
@@ -16,12 +15,12 @@ import pytest
 from odup.adaptive import choose_ratio, mmd2
 from odup.codec import harden, model_cr, reconstruct_table, train_codec
 from odup.errors import FrameError
-from odup.numkit import Rng, sigmoid
+from odup.numkit import Rng
 from odup.pipeline import ExperimentConfig, cloud_trajectory, prepare_data, replay, run_simulate
 from odup.recommender import _loss_and_grads, evaluate, init_model, padded_table, train
 from odup.sessions import SlicePlan, augment_split, synth_generate, temporal_slices
 from odup.updater import (
-    SlotLedger, advance_ledger, beta_from_ratio, end_to_end_cr, plan_slots, update_cr,
+    SlotLedger, advance_ledger, end_to_end_cr, plan_slots, update_cr,
 )
 from odup.wire import decode_delta, delta_bytes, encode_delta
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from odup.errors import ConfigError
 from odup.codec import (
     ICM_SWEEPS, CodebookStore, CodecEncoder, check_capacity, harden,
     init_codec, model_cr, reconstruct_table, refine_codes, relaxed_loss, train_codec,
-    _relaxed_forward, _RECONSTRUCT_BLOCK,
+    _relaxed_forward, _LOSS_BLOCK, _RECONSTRUCT_BLOCK,
 )
 from odup.numkit import Rng, softmax
 from odup.pipeline import ExperimentConfig
@@ -134,24 +135,36 @@ class TestReconstruct:
         codes = np.arange(4, dtype=np.int32)[:, None]
         assert np.array_equal(reconstruct_table(store, codes), rows)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_blocked_equals_gather_sum(self, data):
         d = data.draw(st.sampled_from([1, 2, 3, 32, 33, _RECONSTRUCT_BLOCK + 1]))
-        n = data.draw(st.integers(1, 10))
+        n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 10)))
         k = data.draw(st.integers(1, 5))
         step = max(1, _RECONSTRUCT_BLOCK // d)
-        vocab = data.draw(st.sampled_from([0, 1, step - 1, step, step + 1, 3 * step + 5]))
+        # k * k - 1 and k * k lie on both sides of the first-pair table's bound
+        vocab = data.draw(st.sampled_from(
+            [0, 1, k * k - 1, k * k, step - 1, step, step + 1, 3 * step + 5]))
         rng = Rng(data.draw(st.integers(0, 2**16)))
-        # row scales spread over 12 decades, so any change of summation order shows
+        # row scales spread over 12 decades, so any change of summation order shows,
+        # and a fifth of the entries are signed zeros, whose sign an addition can flip
         rows = normal(rng, 1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
+        zero = rng.uniform((n * k, d)) < 0.2
+        rows[zero] = np.copysign(0.0, rows[zero])
+        # the store's rows need not be C-contiguous
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+        if layout == "F":
+            rows = np.asfortranarray(rows)
+        elif layout == "strided":
+            rows = np.repeat(rows, 2, axis=1)[:, ::2]
         store = CodebookStore(n, k, d, rows)
-        codes = rng.integers(0, k, (vocab, n))
+        dtype = data.draw(st.sampled_from([np.int32, np.intp]))  # decode_delta gives int32
+        codes = rng.integers(0, k, (vocab, n)).astype(dtype)
         table = reconstruct_table(store, codes)
         assert table.dtype == np.float64 and table.shape == (vocab, d)
         idx = codes + np.arange(n) * k
         in_order = functools.reduce(np.add, (rows[idx[:, i]] for i in range(n)))
-        assert np.array_equal(table, in_order)
+        assert np.array_equal(table.view(np.uint64), in_order.view(np.uint64))
         if d > 1 or n < 8:
             assert np.array_equal(table, gather_sum_table(store, codes))
         else:
@@ -160,6 +173,19 @@ class TestReconstruct:
             # a bound relative to the result fails wherever the terms cancel.
             bound = n * np.finfo(float).eps * np.abs(rows[idx]).sum(axis=1)
             assert np.all(np.abs(table - gather_sum_table(store, codes)) <= bound)
+
+    def test_lead_table_never_outgrows_the_output(self):
+        # k * k > |V| here; a first-pair table would hold k * k = 2^20 rows, 16 MiB
+        rng = Rng(10)
+        store = CodebookStore(2, 1024, 2, normal(rng, 1.0, (2048, 2)))
+        codes = rng.integers(0, 1024, (1000, 2)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            reconstruct_table(store, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
 
 
 class TestHarden:
@@ -307,10 +333,30 @@ class TestTrainCodec:
             cfg = codec_config(n=8, k=16, d=16, tau=tau, seed=2)
             store, enc = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
             G = np.zeros((X.shape[0], cfg.n, cfg.k))
+            # relaxed_loss weights each block's mean by its item count; 300 items make two blocks
+            step = _LOSS_BLOCK // cfg.nk
+            assert step < len(X)
+            blocked = 0.0
             with np.errstate(all="raise"):
                 forward_only = relaxed_loss(enc, store, X, cfg.tau)
-                full, _ = forward_backward(enc, store.rows, X, G, cfg.tau)
-            assert forward_only == full
+                for lo in range(0, len(X), step):
+                    loss, _ = forward_backward(
+                        enc, store.rows, X[lo: lo + step], G[lo: lo + step], cfg.tau)
+                    blocked += loss * len(X[lo: lo + step])
+            assert forward_only == blocked / len(X)
+
+    def test_loss_monitor_memory_does_not_grow_with_vocab(self):
+        # the full-batch form held about 27.7 KiB per item here, 222 MiB at 8192 items
+        X = clustered_table(Rng(5), 8192, 32)
+        cfg = codec_config(n=8, k=16, d=32)
+        store, enc = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
+        tracemalloc.start()
+        try:
+            relaxed_loss(enc, store, X, cfg.tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * _LOSS_BLOCK * 8
 
     def test_hardened_within_2x_of_relaxed(self):
         rng = Rng(42)
