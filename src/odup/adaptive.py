@@ -18,7 +18,7 @@ import numpy as np
 
 from .numkit import Rng
 
-RATIO_C = 0.2  # the C of every run's choose_ratio, so an adaptive r is never below ceil(1/C) = 5
+RATIO_C = 0.2  # choose_ratio's C, so an adaptive r is never below ceil(1/C) = 5
 RATIO_MAX = 2**53  # the largest r choose_ratio returns; above it a float64 skips integers
 MMD_POOL_MAX = 8192  # rows a run's MMD may pool: their float64 distance matrix is then 512 MiB
 
@@ -67,17 +67,17 @@ def mmd2(X_t: np.ndarray, X_t1: np.ndarray, samples: int, seed: int) -> float:
     return max(0.0, float(kxx - 2.0 * kxy + kyy))
 
 
-def choose_ratio(mmd: float, C: float, skip_threshold: float) -> int | None:
-    """ceil(1 / (C * (2 sigmoid(mmd) - 1))), at most RATIO_MAX, or None
-    (skip the update) when mmd is at or below ``skip_threshold``.
+def choose_ratio(mmd: float, skip_threshold: float) -> int | None:
+    """ceil(1 / (RATIO_C * (2 sigmoid(mmd) - 1))), at most RATIO_MAX, or
+    None (skip the update) when mmd is at or below ``skip_threshold``.
 
     2 sigmoid(mmd) - 1 is computed as tanh(mmd / 2), which does not cancel
-    for a tiny mmd. Non-increasing in mmd and bounded below by ceil(1/C).
+    for a tiny mmd. Non-increasing in mmd and bounded below by ceil(1/RATIO_C).
     """
     if mmd < 0:
         raise ValueError("mmd must be non-negative")
     if mmd <= skip_threshold:
         return None
-    denom = C * math.tanh(mmd / 2.0)
+    denom = RATIO_C * math.tanh(mmd / 2.0)
     # RATIO_MAX is a power of two, so this test is exact and 1 / denom < RATIO_MAX past it
     return math.ceil(1.0 / denom) if denom * RATIO_MAX > 1.0 else RATIO_MAX

@@ -54,18 +54,17 @@ def _cmd_synth(cfg: ExperimentConfig) -> int:
     path = os.path.join(cfg.out, "events.tsv")
     write_event_log(path, sessions)
     n_events = sum(len(s.items) for s in sessions)
-    print(f"wrote {path}: {len(sessions)} sessions, {n_events} events, vocab {res.vocab_size}")
+    print(f"wrote {path}: {len(sessions)} sessions, {n_events} events, vocab {cfg.synth_vocab}")
     return 0
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    result = run_simulate(cfg)
-    for rep in result.reports:
+    for rep in run_simulate(cfg).reports:
         action = "deploy" if rep.slice == 1 else ("skip" if rep.delta_bytes == 0 else f"r={rep.r:g}")
         print(f"slice {rep.slice} [{action}]: mmd {rep.mmd:.6f} beta {rep.beta} "
               f"bytes {rep.delta_bytes} cum {rep.cum_bytes} "
               f"cloud P@10 {rep.cloud_p10:.4f} device P@10 {rep.dev_p10:.4f}")
-    print(f"reports: {result.csv_path}, {result.json_path}")
+    print(f"reports: {os.path.join(cfg.out, 'report.csv')}, {os.path.join(cfg.out, 'report.json')}")
     return 0
 
 

@@ -85,8 +85,6 @@ class CodecEncoder:
 
     def __post_init__(self):
         nk = self.n * self.k
-        if nk % 2 != 0:
-            raise ValueError("n*k must be even")
         if self.phi.shape[1] != nk // 2 or self.phi_prime.shape != (nk // 2, nk):
             raise ValueError("encoder weight shapes inconsistent with n, k")
 
@@ -259,10 +257,10 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     """Jointly optimize the encoder and the store rows to minimize
     ||O E - X||^2 under the Gumbel relaxation.
 
-    Each epoch draws its (|V|, n, k) uniforms in one call and turns each
-    batch's slice into Gumbel noise, bitwise one draw per batch (numpy
-    fills in C order). Returns the store, the encoder and the noise-free
-    full-batch loss after the last epoch. A batch or final loss that is not
+    Each batch draws its own (batch, n, k) uniforms and turns them into
+    Gumbel noise, so the noise is never larger than one batch. Returns the
+    store, the encoder and the noise-free full-batch loss after the last
+    epoch. A batch or final loss that is not
     finite, say from logits / tau overflowing, raises TrainingDiverged.
     """
     X = np.asarray(target, dtype=np.float64)
@@ -283,11 +281,9 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = shuffle_rng.permutation(V)
-            uniform = noise_rng.uniform((V, cfg.n, cfg.k))
             for lo in range(0, V, cfg.batch):
-                hi = lo + cfg.batch
-                noise = gumbel_from_uniform(uniform[lo:hi])
-                xb = X[order[lo:hi]]
+                xb = X[order[lo: lo + cfg.batch]]
+                noise = gumbel_from_uniform(noise_rng.uniform((len(xb), cfg.n, cfg.k)))
                 loss, intermediates = _relaxed_forward(enc, store.rows, xb, noise, cfg.tau)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"codec loss became non-finite ({loss})")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
-from .adaptive import MMD_POOL_MAX, RATIO_C, mmd2, choose_ratio
+from .adaptive import MMD_POOL_MAX, mmd2, choose_ratio
 from .codec import (
     CodecConfig, CodebookStore, check_capacity, harden, model_cr, refine_codes, train_codec,
 )
@@ -97,6 +97,10 @@ class ExperimentConfig:
         for key, least in _LEAST.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be " + (f"at least {least}" if least else "non-negative"))
+        for key in ("n", "k"):
+            bits = wire.FIELD_BITS[key]
+            if getattr(self, key) >= 2**bits:
+                raise ConfigError(f"{key} must be at most {2**bits - 1} (a u{bits} frame header field)")
         if self.n * self.k % 2:
             raise ConfigError("n * k must be even (the codec encoder's hidden width is n * k / 2)")
         if not self.tau > 0:
@@ -232,7 +236,7 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
     training."""
     if cfg.data == "synth":
         res = synth_data(cfg, rng)
-        train_sessions, test_sessions, vocab_size = res.sessions, res.test_sessions, res.vocab_size
+        train_sessions, test_sessions, vocab_size = res.sessions, res.test_sessions, cfg.synth_vocab
     else:
         if not os.path.exists(cfg.data):
             raise DataError(f"dataset not found: {cfg.data}")
@@ -303,23 +307,21 @@ class RoundState:
 
 @dataclass
 class SimulationResult:
-    reports: list[RoundReport]
     rounds: list[RoundState]
-    csv_path: str
-    json_path: str
+
+    @property
+    def reports(self) -> list[RoundReport]:
+        return [s.report for s in self.rounds]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def write_reports(out_dir: str, reports: list[RoundReport]) -> tuple[str, str]:
-    csv_path = os.path.join(out_dir, "report.csv")
-    json_path = os.path.join(out_dir, "report.json")
+def write_reports(out_dir: str, reports: list[RoundReport]) -> None:
     records = [dataclasses.asdict(rep) for rep in reports]
-    _write_csv(csv_path, REPORT_COLUMNS, records)
-    _write_json(json_path, records)
-    return csv_path, json_path
+    _write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS, records)
+    _write_json(os.path.join(out_dir, "report.json"), records)
 
 
 @dataclass
@@ -350,7 +352,7 @@ def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
 def run_simulate(cfg: ExperimentConfig) -> SimulationResult:
     """The full loop into ``cfg.out``: the cloud trajectory, replayed as it trains."""
     data = prepare_data(cfg, Rng(cfg.seed))
-    return replay(cfg, data, cloud_trajectory(cfg, data), cfg.out)
+    return replay(cfg, data, cloud_trajectory(cfg, data))
 
 
 def deploy(cfg: ExperimentConfig, table: np.ndarray) -> UpdateDelta:
@@ -362,16 +364,16 @@ def deploy(cfg: ExperimentConfig, table: np.ndarray) -> UpdateDelta:
     return UpdateDelta(1, "full", nk, store.rows, codes, list(range(nk)))
 
 
-def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) -> SimulationResult:
+def replay(cfg: ExperimentConfig, data: DataBundle, trajectory) -> SimulationResult:
     """Per slice: train the codec and deploy with a full frame (slice 1), or
     measure drift, choose the update size and refit the slot rows and codes;
     ship the frame and apply it on the device; the server applies the same
     delta to its own store and ledger, so lockstep is equal ledgers and
     tables. Then evaluate the device. A round's secs include the slice's
-    cloud seconds."""
-    frames_dir = make_dir(os.path.join(out_dir, "frames"))
+    cloud seconds. Frames and reports are written under ``cfg.out``."""
+    frames_dir = make_dir(os.path.join(cfg.out, "frames"))
     remove_stale(frames_dir, r"round_\d{2,}\.odup")
-    remove_stale(out_dir, r"report\.(csv|json)")
+    remove_stale(cfg.out, r"report\.(csv|json)")
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
     store = CodebookStore(cfg.n, cfg.k, cfg.d, np.zeros((nk, cfg.d)))
@@ -382,7 +384,6 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
     cum_bytes = 0
     cr_m = model_cr(vocab, cfg.d, cfg.n, cfg.k)
 
-    reports: list[RoundReport] = []
     rounds: list[RoundState] = []
     for t, cloud_slice in enumerate(trajectory, start=1):
         start_time = time.perf_counter()
@@ -396,7 +397,7 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
             if cfg.strategy == "full":
                 r_chosen: float | None = 1.0
             elif cfg.ratio_mode == "adaptive":
-                r_chosen = choose_ratio(mmd_val, RATIO_C, cfg.skip_threshold)
+                r_chosen = choose_ratio(mmd_val, cfg.skip_threshold)
             else:
                 r_chosen = cfg.r
             r_val = 0.0 if r_chosen is None else float(r_chosen)
@@ -428,19 +429,20 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory, out_dir: str) ->
         cr_u = update_cr(cfg.n, cfg.k, cfg.d, vocab, beta) if beta else 0.0
         cr_t = end_to_end_cr(vocab, cfg.d, cfg.n, beta) if beta else 0.0
         secs = cloud_slice.secs + time.perf_counter() - start_time if cfg.timing == "wall" else 0.0
-        reports.append(RoundReport(
+        report = RoundReport(
             slice=t, strategy=cfg.strategy, r=r_val, beta=beta, mmd=mmd_val,
             delta_bytes=nbytes, cum_bytes=cum_bytes,
             cloud_p5=cloud[0], cloud_n5=cloud[1], cloud_p10=cloud[2], cloud_n10=cloud[3],
             dev_p5=dev[0], dev_n5=dev[1], dev_p10=dev[2], dev_n10=dev[3],
             cr_model=cr_m, cr_update=cr_u, cr_total=cr_t, secs=round(secs, 6),
-        ))
+        )
         # ledgers are never mutated, only rebound, so the round keeps references
-        rounds.append(RoundState(reports[-1], ledger, device.ledger, frame))
+        rounds.append(RoundState(report, ledger, device.ledger, frame))
         prev_table = table
 
-    csv_path, json_path = write_reports(out_dir, reports)
-    return SimulationResult(reports, rounds, csv_path, json_path)
+    result = SimulationResult(rounds)
+    write_reports(cfg.out, result.reports)
+    return result
 
 
 # the JSON value types a report.json record may hold in a column of each type

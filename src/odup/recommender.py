@@ -73,7 +73,6 @@ class Batch(NamedTuple):
     the (B, |V|) scores.
     """
 
-    n: int
     pad: np.ndarray
     lens: np.ndarray
     last: np.ndarray
@@ -127,7 +126,7 @@ def plan_batches(dataset, order, size: int, vocab: int):
     his = los + counts
     for lo, hi, w, b0, p0, p1 in zip(los.tolist(), his.tolist(), widths.tolist(), blocks.tolist(),
                                      begins[los].tolist(), slot_ends[his - 1].tolist()):
-        yield Batch(hi - lo, pad[b0: b0 + w * (hi - lo)].reshape(w, hi - lo), lens[lo:hi],
+        yield Batch(pad[b0: b0 + w * (hi - lo)].reshape(w, hi - lo), lens[lo:hi],
                     last[lo:hi], labels[lo:hi], prefix[p0:p1], slot_rows[p0:p1], label_pos[lo:hi])
 
 
@@ -154,7 +153,7 @@ def _loss_and_grads(table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_g
     Returns (loss, dX, dgate_raw). Pure in its inputs; used by train() and
     by the finite-difference gradient tests.
     """
-    B = batch.n
+    B = len(batch.lens)
     X = table[:-1]
     gated = encoder_kind == "last_gated"
     g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0

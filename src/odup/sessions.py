@@ -202,7 +202,6 @@ def holdout_split(sessions: list[Session]) -> tuple[list[Session], list[Session]
 class SynthResult:
     sessions: list[Session]          # training sessions, temporal order
     test_sessions: list[Session]
-    vocab_size: int
 
 
 def synth_generate(
@@ -282,5 +281,5 @@ def synth_generate(
     test_sessions = [
         make_session(z - 1, float(n_train + j) * 10.0) for j in range(n_test)
     ]
-    return SynthResult(sessions, test_sessions, vocab_size)
+    return SynthResult(sessions, test_sessions)
 

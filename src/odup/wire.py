@@ -41,6 +41,9 @@ VERSION = 1
 HEADER_LEN = 28
 _HEADER = "<4sBB2xIIHHII"
 
+# the width in bits of each header field encode_delta fills from its arguments
+FIELD_BITS = {"epoch": 32, "vocab": 32, "n": 16, "k": 16, "d": 32}
+
 STRATEGY_CODES = {"full": 0, "stack": 1, "queue": 2}
 STRATEGY_NAMES = {v: k for k, v in STRATEGY_CODES.items()}
 
@@ -95,6 +98,9 @@ def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> b
     """Serialize a delta to the frame layout above. ``UpdateDelta`` holds
     float32 row values, so the rows are written exactly and
     ``decode_delta(encode_delta(delta)) == delta``."""
+    for name, value in (("epoch", delta.epoch), ("vocab", vocab), ("n", n), ("k", k), ("d", d)):
+        if not 0 <= value < 2 ** FIELD_BITS[name]:
+            raise ValueError(f"{name} = {value} does not fit in the header's u{FIELD_BITS[name]}")
     nk = n * k
     if delta.strategy not in STRATEGY_CODES:
         raise ValueError(f"unknown strategy {delta.strategy!r}")
@@ -107,8 +113,6 @@ def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> b
     slots = np.asarray(delta.replaced_slots, dtype=np.int64)
     if slots.min() < 0 or slots.max() >= nk:
         raise ValueError("slot index out of range [0, nk)")
-    if not 0 <= delta.epoch < 2**32:
-        raise ValueError("epoch does not fit in u32")
     head = struct.pack(
         _HEADER, MAGIC, VERSION, STRATEGY_CODES[delta.strategy],
         delta.epoch, vocab, n, k, d, delta.beta,

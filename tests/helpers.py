@@ -106,8 +106,8 @@ def gumbel_relax(alpha_group: np.ndarray, rng: Rng | None, tau: float) -> np.nda
 
 
 def train_codec_per_batch_noise(target: np.ndarray, cfg: CodecConfig):
-    """train_codec with one Gumbel draw per batch, shaped (batch, n, k),
-    in place of one (|V|, n, k) draw per epoch."""
+    """train_codec rebuilt, batch by batch, from sample_gumbel (one
+    (batch, n, k) Gumbel draw) and forward_backward."""
     X = np.asarray(target, dtype=np.float64)
     V = X.shape[0]
     rng = Rng(cfg.seed)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from odup.adaptive import RATIO_MAX, _pairwise_sq_dists, choose_ratio, median_heuristic, mmd2
+from odup.adaptive import RATIO_C, RATIO_MAX, _pairwise_sq_dists, choose_ratio, median_heuristic, mmd2
 from odup.errors import ConfigError
 from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig
@@ -99,33 +99,32 @@ class TestMedianHeuristic:
 
 class TestChooseRatio:
     def test_zero_mmd_skips(self):
-        assert choose_ratio(0.0, 0.2, 1e-6) is None
+        assert choose_ratio(0.0, 1e-6) is None
 
     def test_below_threshold_skips(self):
-        assert choose_ratio(5e-4, 0.2, 1e-3) is None
+        assert choose_ratio(5e-4, 1e-3) is None
 
     def test_half_mmd_oracle(self):
         # 1 / (0.2 * (2*sigmoid(0.5) - 1)) = 20.4149 -> ceil 21
-        got = choose_ratio(0.5, 0.2, 1e-6)
+        got = choose_ratio(0.5, 1e-6)
         inner = 1.0 / (0.2 * (2.0 * float(sigmoid(np.float64(0.5))) - 1.0))
         assert math.ceil(inner) == got == 21
 
     def test_saturates_at_ceil_inv_c(self):
         # sigmoid rounds to 1.0 in float64 once mmd > ~37
-        assert choose_ratio(50.0, 0.2, 1e-6) == 5
-        assert choose_ratio(100.0, 0.2, 1e-6) == 5
+        assert choose_ratio(50.0, 1e-6) == 5
+        assert choose_ratio(100.0, 1e-6) == 5
 
     def test_non_increasing_in_mmd(self):
         grid = [0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0]
-        rs = [choose_ratio(m, 0.2, 1e-6) for m in grid]
+        rs = [choose_ratio(m, 1e-6) for m in grid]
         assert all(a >= b for a, b in zip(rs, rs[1:]))
         assert all(r >= 5 for r in rs)
 
     @settings(max_examples=100)
-    @given(mmd=st.floats(1e-5, 100.0), c=st.floats(0.05, 1.0))
-    def test_lower_bound(self, mmd, c):
-        r = choose_ratio(mmd, c, 0.0)
-        assert r >= math.ceil(1.0 / c)
+    @given(mmd=st.floats(1e-5, 100.0))
+    def test_lower_bound(self, mmd):
+        assert choose_ratio(mmd, 0.0) >= math.ceil(1.0 / RATIO_C)
 
     @settings(max_examples=200)
     @given(a=st.floats(0.0, 1e-5, exclude_min=True, allow_subnormal=True),
@@ -134,13 +133,13 @@ class TestChooseRatio:
     @example(a=1e-310, b=1e-5)  # 1 / (C tanh(mmd / 2)) overflows to inf
     def test_tiny_mmd_gives_a_finite_non_increasing_ratio(self, a, b):
         lo, hi = sorted((a, b))
-        r_lo, r_hi = choose_ratio(lo, 0.2, 0.0), choose_ratio(hi, 0.2, 0.0)
+        r_lo, r_hi = choose_ratio(lo, 0.0), choose_ratio(hi, 0.0)
         assert type(r_lo) is int and type(r_hi) is int
         assert 5 <= r_hi <= r_lo <= RATIO_MAX
 
     def test_negative_mmd_rejected(self):
         with pytest.raises(ValueError):
-            choose_ratio(-0.1, 0.2, 1e-6)
+            choose_ratio(-0.1, 1e-6)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="skip_threshold must be non-negative"):

@@ -358,6 +358,18 @@ class TestTrainCodec:
             tracemalloc.stop()
         assert peak <= 12 * _LOSS_BLOCK * 8
 
+    def test_noise_memory_does_not_grow_with_vocab(self):
+        # one (|V|, n, k) draw per epoch took the peak to 12.28 MiB here
+        X = clustered_table(Rng(5), 8192, 32)
+        cfg = codec_config(n=8, k=16, d=32, epochs=1)
+        tracemalloc.start()
+        try:
+            train_codec(X, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192 * cfg.nk * 8
+
     def test_hardened_within_2x_of_relaxed(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8)
@@ -377,7 +389,7 @@ class TestTrainCodec:
         assert np.all(O >= 0)
 
     @pytest.mark.parametrize("vocab, batch", [(300, 256), (37, 8), (5, 16)])
-    def test_one_noise_draw_per_epoch_equals_per_batch_draws(self, vocab, batch):
+    def test_equals_loop_of_sample_gumbel_and_forward_backward(self, vocab, batch):
         X = clustered_table(Rng(vocab), vocab, 6, n_clusters=4)
         cfg = codec_config(n=4, k=4, d=6, epochs=3, batch=batch, seed=4)
         store, enc, loss = train_codec(X, cfg)

@@ -232,7 +232,7 @@ class TestTrain:
     @staticmethod
     def reference_loss_and_grads(table, gate_raw, kind, batch, l2):
         """Unfused form: full log_softmax, exp of it, np.add.at scatters."""
-        B = batch.n
+        B = len(batch.lens)
         gated = kind == "last_gated"
         g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
         S, means = encode_batch_masked(table, g, kind, batch)

@@ -190,7 +190,7 @@ class TestSynth:
 
     def _slice_freqs(self, res):
         z = len(self.plan().fractions)
-        freqs = np.zeros((z, res.vocab_size))
+        freqs = np.zeros((z, 60))
         lens = []
         for t in range(1, z + 1):
             for sess in slice_sessions(res, self.plan(), t):

@@ -164,6 +164,14 @@ class TestRoundTrip:
         assert len(frame) == delta_bytes(30, 2, 1, 4, 2)
         assert np.array_equal(decode_delta(frame).codes, delta.codes)
 
+    @pytest.mark.parametrize("field, n, k, epoch", [
+        ("k", 1, 70000, 2), ("n", 65536, 1, 2), ("epoch", 1, 4, 2**32),
+    ])
+    def test_header_field_out_of_range_is_named(self, field, n, k, epoch):
+        delta = random_delta(Rng(5), 3, n, k, 2, 1, epoch=epoch)
+        with pytest.raises(ValueError, match=f"^{field} = .* does not fit in the header's u(16|32)$"):
+            encode_delta(delta, vocab=3, d=2, n=n, k=k)
+
 
 class TestCorruption:
     def test_every_single_bit_flip_rejected(self):
