@@ -113,6 +113,13 @@ def init_codec(cfg: CodecConfig, rng: Rng) -> tuple[CodebookStore, CodecEncoder]
     return store, enc
 
 
+def check_integer_codes(codes: np.ndarray) -> None:
+    """Refuse a code array that is not of an integer dtype: a cast would
+    truncate 3.7 to 3 without a word."""
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"codes must be an integer array, not {codes.dtype}")
+
+
 def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
     """Every item row as the sum of its n selected codeword rows; equivalent
     to the one-hot matrix product X = O E.
@@ -131,6 +138,7 @@ def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
     than the output. Otherwise each item starts from r0.
     """
     codes = np.asarray(codes)
+    check_integer_codes(codes)
     n, k, d = store.n, store.k, store.d
     if codes.ndim != 2 or codes.shape[1] != n:
         raise ValueError("codes must have shape (|V|, n)")

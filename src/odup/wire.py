@@ -28,11 +28,13 @@ Persisted frames use the ``.odup`` file extension.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
+from .codec import check_integer_codes
 from .errors import FrameError
 from .updater import UpdateDelta
 
@@ -59,32 +61,73 @@ def packed_code_bytes(vocab: int, n: int, k: int) -> int:
     return (vocab * n * code_bits(k) + 7) // 8
 
 
+def _byte_lanes(b: int):
+    """The byte-lane plan for codes of b bits: g = 8 / gcd(b, 8) consecutive
+    codes fill L = lcm(b, 8) / 8 whole bytes. Code r of a group starts at
+    byte (r b) // 8, bit (r b) % 8, and spans m <= 3 bytes, since b <= 16.
+    Returns (g, L, lanes, w): lanes[r] = (first byte, m, left shift that
+    puts the code's last bit at the end of its m-byte window), and w is the
+    narrowest unsigned dtype that holds every window."""
+    g = 8 // math.gcd(b, 8)
+    lanes = []
+    for r in range(g):
+        first, phase = divmod(r * b, 8)
+        m = (phase + b + 7) // 8
+        lanes.append((first, m, 8 * m - phase - b))
+    w = np.dtype((np.uint8, np.uint16, np.uint32)[max(m for _, m, _ in lanes) - 1])
+    return g, b * g // 8, lanes, w
+
+
 def pack_codes(codes: np.ndarray, k: int) -> bytes:
-    """Pack a (vocab, n) code matrix MSB-first at code_bits(k) bits each,
-    one bit plane at a time."""
+    """Pack a (vocab, n) integer code matrix MSB-first at code_bits(k) bits
+    each, as one continuous bitstream zero-padded to a byte boundary.
+
+    Works by byte lanes (see _byte_lanes): each group of g codes fills L
+    whole bytes, so code r of every group is ORed into the same <= 3 byte
+    columns at once. The layout and the bytes are unchanged: exactly those
+    of a bit-by-bit MSB-first packer, which golden bytes in the tests pin."""
     codes = np.asarray(codes)
+    check_integer_codes(codes)
     if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise ValueError("code value out of range [0, k)")
     b = code_bits(k)
-    flat = codes.ravel()
-    bits = np.empty(flat.size * b, dtype=np.uint8)
-    for j in range(b):
-        bits[j::b] = (flat >> (b - 1 - j)) & 1
-    return np.packbits(bits).tobytes()
+    g, L, lanes, w = _byte_lanes(b)
+    total = codes.size
+    groups = -(-total // g)
+    vals = np.zeros(groups * g, dtype=w)  # the partial last group is zero-padded
+    vals[:total] = codes.ravel()
+    vals = vals.reshape(groups, g)
+    out = np.zeros((groups, L), dtype=np.uint8)
+    for r, (first, m, shift) in enumerate(lanes):
+        window = vals[:, r] << w.type(shift)
+        for t in range(m):
+            out[:, first + t] |= (window >> w.type(8 * (m - 1 - t))).astype(np.uint8, copy=False)
+    return out.reshape(-1)[: (total * b + 7) // 8].tobytes()
 
 
 def unpack_codes(buf: bytes, vocab: int, n: int, k: int) -> np.ndarray:
-    """Inverse of pack_codes: an int32 (vocab, n) code matrix."""
+    """Inverse of pack_codes: an int32 (vocab, n) code matrix. Reads the
+    same byte lanes back, so any byte stream decodes exactly as a
+    bit-by-bit reader would, values >= k included."""
     b = code_bits(k)
+    g, L, lanes, w = _byte_lanes(b)
     total = vocab * n
-    if len(buf) < (total * b + 7) // 8:
+    nbytes = (total * b + 7) // 8
+    if len(buf) < nbytes:
         raise ValueError("code buffer too short")
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=total * b)
-    vals = np.zeros(total, dtype=np.int32)
-    for j in range(b):
-        vals <<= 1
-        vals |= bits[j::b]
-    return vals.reshape(vocab, n)
+    groups = -(-total // g)
+    src = np.zeros(groups * L, dtype=np.uint8)  # the partial last group reads zeros
+    src[:nbytes] = np.frombuffer(buf, dtype=np.uint8, count=nbytes)
+    src = src.reshape(groups, L)
+    vals = np.empty((groups, g), dtype=np.int32)
+    mask = w.type((1 << b) - 1)
+    for r, (first, m, shift) in enumerate(lanes):
+        window = src[:, first].astype(w)
+        for t in range(1, m):
+            window <<= w.type(8)
+            window |= src[:, first + t]
+        vals[:, r] = (window >> w.type(shift)) & mask
+    return vals.reshape(-1)[:total].reshape(vocab, n)
 
 
 def delta_bytes(vocab: int, n: int, k: int, d: int, beta: int) -> int:

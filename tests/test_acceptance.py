@@ -248,7 +248,7 @@ def test_criterion_7_gradient_correctness():
            f"codec {err_codec:.2e} (both <= 1e-4)")
 
 
-def test_criterion_8_mmd_and_adaptive(tmp_path):
+def test_criterion_8_mmd_and_adaptive(calm_adaptive_run):
     rng = Rng(88)
     X = rng.uniform((80, 16))
     assert mmd2(X, X.copy(), 0, 0) <= 1e-12
@@ -261,17 +261,8 @@ def test_criterion_8_mmd_and_adaptive(tmp_path):
     assert choose_ratio(50.0, 1e-6) == 5
     assert choose_ratio(200.0, 1e-6) == 5
 
-    # adaptive mode on drift-free data: nothing ships after deployment.
-    # incremental retraining jitters the table even without drift, so the
-    # skip threshold sits above that jitter (and far below drifted MMD).
-    cfg = ExperimentConfig(
-        data="synth", slices="2:1:1", synth_vocab=120, synth_sessions=2000,
-        synth_drift=0.0, synth_clusters=6, d=16, rec_epochs=16, n=4, k=8,
-        codec_epochs=60, codec_batch=64, strategy="queue", ratio_mode="adaptive",
-        skip_threshold=0.0015, mmd_samples=0, seed=11, timing="zero",
-        out=str(tmp_path / "adaptive"),
-    )
-    result = run_simulate(cfg)
+    # adaptive mode on drift-free data: nothing ships after deployment
+    _, result = calm_adaptive_run
     deploy_bytes = result.reports[0].delta_bytes
     assert deploy_bytes > 0
     assert all(r.delta_bytes == 0 for r in result.reports[1:])

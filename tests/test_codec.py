@@ -174,6 +174,12 @@ class TestReconstruct:
             bound = n * np.finfo(float).eps * np.abs(rows[idx]).sum(axis=1)
             assert np.all(np.abs(table - gather_sum_table(store, codes)) <= bound)
 
+    def test_non_integer_codes_refused(self):
+        # a cast to an index would truncate 3.7 to 3 and rebuild the wrong row
+        store = CodebookStore(2, 4, 3, np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="integer"):
+            reconstruct_table(store, np.array([[3.7, 1.0]]))
+
     def test_lead_table_never_outgrows_the_output(self):
         # k * k > |V| here; a first-pair table would hold k * k = 2^20 rows, 16 MiB
         rng = Rng(10)

@@ -382,9 +382,12 @@ class TestSimulate:
             skip_threshold=0.0015,
         )
 
-    def test_adaptive_updates_under_drift(self, tmp_path):
-        drifted = run_simulate(self.adaptive_config(str(tmp_path / "ad2"), drift=0.6))
-        calm = run_simulate(self.adaptive_config(str(tmp_path / "ad0"), drift=0.0))
+    def test_adaptive_updates_under_drift(self, tmp_path, calm_adaptive_run):
+        calm_cfg, calm = calm_adaptive_run
+        drifted_cfg = self.adaptive_config(str(tmp_path / "ad2"), drift=0.6)
+        # the calm arm is this run without drift; r is not read when ratio_mode is adaptive
+        assert dataclasses.replace(drifted_cfg, synth_drift=0.0, r=calm_cfg.r, out=calm_cfg.out) == calm_cfg
+        drifted = run_simulate(drifted_cfg)
         drift_mmds = [r.mmd for r in drifted.reports[1:]]
         calm_mmds = [r.mmd for r in calm.reports[1:]]
         assert max(calm_mmds) < min(drift_mmds)

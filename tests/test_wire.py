@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +52,42 @@ class TestPacking:
     def test_range_rejected(self):
         with pytest.raises(ValueError):
             pack_codes(np.array([[4]]), 4)
+
+    def test_non_integer_codes_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            pack_codes(np.array([[3.0, 1.5]]), 16)
+
+    # golden bytes of the code layout that devices read; a packer change must not move a bit
+    @pytest.mark.parametrize("k, codes, golden", [
+        (8, [[7, 0, 5], [1, 6, 2], [3, 4, 7]], "e29c9ce0"),
+        (8, [[1, 2, 3, 4, 5, 6, 7, 0]], "29cbb8"),
+        (16, [[15, 1, 0], [9, 10, 3]], "f109a3"),
+        (16, [[5]], "50"),
+        (300, [[299, 0, 1], [256, 17, 128]], "95800030008a00"),
+        (512, [[511, 0, 1, 2, 3, 4, 5, 6], [7, 300, 255, 256, 100, 1, 0, 511]],
+         "ff8000202018100a0603cb1ff003200401ff"),
+    ])
+    def test_golden_bytes(self, k, codes, golden):
+        codes = np.array(codes, dtype=np.int32)
+        assert pack_codes(codes, k).hex() == golden
+        assert np.array_equal(unpack_codes(bytes.fromhex(golden), *codes.shape, k), codes)
+
+    @pytest.mark.parametrize("b", range(1, 17))
+    def test_every_width_and_residue_equals_bit_matrix(self, b):
+        # g codes fill a whole number of bytes; totals 1..2g+1 end on every residue mod g
+        g = 8 // math.gcd(b, 8)
+        rng = Rng(b)
+        for k in (2**b, 2 ** (b - 1) + 1):
+            assert code_bits(k) == b
+            for total in range(1, 2 * g + 2):
+                codes = rng.integers(0, k, (total, 1)).astype(np.int64)
+                codes[-1, 0] = k - 1
+                buf = pack_codes(codes, k)
+                assert buf == pack_codes_bit_matrix(codes, k)
+                assert np.array_equal(unpack_codes(buf, total, 1, k), codes)
+                noise = rng.integers(0, 256, len(buf)).astype(np.uint8).tobytes()
+                assert np.array_equal(unpack_codes(noise, total, 1, k),
+                                      unpack_codes_bit_matrix(noise, total, 1, k))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
