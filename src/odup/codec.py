@@ -24,7 +24,6 @@ central finite differences in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +92,11 @@ class CodecEncoder:
 
 
 def check_capacity(n: int, k: int, vocab: int) -> None:
-    """binom(nk, n) must exceed |V| so every item can get a unique code;
-    compared in the log domain to avoid overflow."""
-    nk = n * k
-    log_binom = math.lgamma(nk + 1) - math.lgamma(n + 1) - math.lgamma(nk - n + 1)
-    if log_binom <= math.log(vocab):
-        raise ConfigError(f"code space binom({nk},{n}) <= vocab {vocab}; increase n or k")
+    """k**n must exceed |V| so every item can get a unique code (component i
+    picks one of the k rows of codebook i). Exact without forming k**n for
+    large n: any k >= 2 passes |V| within bit_length(|V|) factors."""
+    if k ** min(n, vocab.bit_length()) <= vocab:
+        raise ConfigError(f"code space k^n = {k}^{n} <= vocab {vocab}; increase n or k")
 
 
 def init_codec(cfg: CodecConfig, rng: Rng) -> tuple[CodebookStore, CodecEncoder]:

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass
 
@@ -41,7 +42,9 @@ REC_LR, REC_BATCH = 0.01, 100  # the cloud recommender's Adam step size and pair
 CODEC_LR = 0.01  # the deploy codec's Adam step size
 # each numeric key's least value; a synthetic log has at least 50 items and 100 sessions
 _LEAST = {"d": 2, "rec_epochs": 1, "l2": 0, "n": 1, "k": 1, "codec_epochs": 0, "codec_batch": 1,
-          "synth_vocab": 50, "synth_sessions": 100, "synth_clusters": 1, "seed": 0}
+          "synth_vocab": 50, "synth_sessions": 100, "synth_clusters": 1, "seed": 0, "skip_threshold": 0}
+_CHOICES = {"strategy": STRATEGIES, "ratio_mode": ("fixed", "adaptive"), "timing": ("wall", "zero"),
+            "encoder": ENCODER_KINDS}  # each choice key's values
 
 
 @dataclass
@@ -84,14 +87,9 @@ class ExperimentConfig:
         bad = [f for f, t in _FIELD_TYPES.items() if t == "float" and not math.isfinite(getattr(self, f))]
         if bad:
             raise ConfigError(f"{', '.join(bad)} must be finite")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.ratio_mode not in ("fixed", "adaptive"):
-            raise ConfigError(f"unknown ratio_mode {self.ratio_mode!r}")
-        if self.timing not in ("wall", "zero"):
-            raise ConfigError(f"unknown timing mode {self.timing!r}")
-        if self.encoder not in ENCODER_KINDS:
-            raise ConfigError(f"unknown encoder {self.encoder!r}")
+        for key, values in _CHOICES.items():
+            if getattr(self, key) not in values:
+                raise ConfigError(f"{key} must be one of {', '.join(values)}, not {getattr(self, key)!r}")
         if self.ratio_mode == "fixed" and self.strategy != "full" and not self.r >= 1:
             raise ConfigError("r must be >= 1 when ratio_mode is fixed")
         for key, least in _LEAST.items():
@@ -107,14 +105,11 @@ class ExperimentConfig:
             raise ConfigError("tau must be positive")
         if not 0 <= self.synth_drift <= 1:
             raise ConfigError("synth_drift must lie in [0, 1]")
-        if not self.delimiter:
-            raise ConfigError("delimiter must not be empty")
-        if not self.out:
-            raise ConfigError("out must not be empty")
+        for key in ("delimiter", "out"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must not be empty")
         if self.mmd_samples != 0 and self.mmd_samples < 2:
             raise ConfigError("mmd_samples must be >= 2, or 0 for every row")
-        if self.skip_threshold < 0:
-            raise ConfigError("skip_threshold must be non-negative")
         try:
             self.slice_plan()
         except ValueError as exc:
@@ -133,43 +128,46 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+_PARSERS = {"int": (int, "integer"), "float": (float, "number")}  # a typed key's parser and noun
 
 
 def _parse_value(key: str, raw: str):
-    ftype = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if ftype == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"bad integer for {key}: {raw!r}") from None
-    if ftype == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad number for {key}: {raw!r}") from None
     if key == "delimiter" and raw == "\\t":
         return "\t"
-    return raw
+    if _FIELD_TYPES[key] not in _PARSERS:
+        return raw
+    parse, noun = _PARSERS[_FIELD_TYPES[key]]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"bad {noun} for {key}: {raw!r}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    """Line-oriented ``key = value`` config; '#' starts a comment."""
-    values = {}
+def config_entries(path):
+    """Yield (line number, key, raw value) for each ``key = value`` line of
+    a config file. '#' starts a comment at the start of a line or after
+    whitespace, so ``out = runs/run#2`` keeps its '#'."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
+                line = re.sub(r"(^|\s)#.*", "", line).strip()
                 if not line:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in _FIELD_TYPES:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _parse_value(key, raw)
+                yield lineno, key, raw
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    """A config file's ``key = value`` lines (see ``config_entries``)."""
+    values = {}
+    for lineno, key, raw in config_entries(path):
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = _parse_value(key, raw)
     return ExperimentConfig(**values)
 
 
@@ -259,7 +257,8 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
 
 class DeviceSim:
     """Simulated on-device model. Consumes only wire frames; the embedding
-    table is always reconstituted from decoded bytes."""
+    table is always reconstituted from decoded bytes. ``apply_delta``
+    deploys it from its first frame."""
 
     def __init__(self, strategy: str, encoder_kind: str, gate: float):
         self.strategy = strategy
@@ -274,22 +273,15 @@ class DeviceSim:
         return 0 if self.ledger is None else self.ledger.current_epoch
 
     def receive(self, frame: bytes) -> UpdateDelta:
-        """Apply one frame; the first, a full frame, is applied to an
-        all-zero store and an epoch-0 ledger sized by its header."""
+        """Apply one frame; a deployed device checks the header's dimensions."""
         delta = wire.decode_delta(frame)
-        dims = wire.frame_dims(frame)
-        if self.store is None:
-            if delta.strategy != "full":
-                raise ProtocolError("device must be deployed with a full frame")
-            _, n, k, d = dims
-            store, ledger = CodebookStore(n, k, d, np.zeros((n * k, d))), SlotLedger.fresh(n * k, epoch=0)
-        else:
-            store, ledger = self.store, self.ledger
-            own = (len(self.table), store.n, store.k, store.d)
+        if self.store is not None:
+            dims = wire.frame_dims(frame)
+            own = (len(self.table), self.store.n, self.store.k, self.store.d)
             if dims != own:
                 raise DimensionMismatch(f"frame (vocab, n, k, d) = {dims}, device holds {own}")
         self.store, self.ledger, self.table = apply_delta(
-            store, ledger, delta, expected_strategy=self.strategy
+            self.store, self.ledger, delta, expected_strategy=self.strategy
         )
         return delta
 
@@ -376,9 +368,9 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory) -> SimulationRes
     remove_stale(cfg.out, r"report\.(csv|json)")
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
-    store = CodebookStore(cfg.n, cfg.k, cfg.d, np.zeros((nk, cfg.d)))
+    store: CodebookStore | None = None
     codes: np.ndarray | None = None
-    ledger = SlotLedger.fresh(nk, epoch=0)
+    ledger: SlotLedger | None = None
     device: DeviceSim | None = None
     prev_table: np.ndarray | None = None
     cum_bytes = 0
@@ -391,9 +383,9 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory) -> SimulationRes
 
         if t == 1:
             device = DeviceSim(cfg.strategy, cloud_slice.model.encoder_kind, cloud_slice.model.gate)
-            strategy, mmd_val, r_val, beta = "full", 0.0, 0.0, nk
+            mmd_val, r_val, beta = 0.0, 0.0, nk
         else:
-            strategy, mmd_val = cfg.strategy, mmd2(prev_table, table, cfg.mmd_samples, cfg.seed)
+            mmd_val = mmd2(prev_table, table, cfg.mmd_samples, cfg.seed)
             if cfg.strategy == "full":
                 r_chosen: float | None = 1.0
             elif cfg.ratio_mode == "adaptive":
@@ -408,9 +400,9 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory) -> SimulationRes
             if t == 1:
                 delta = deploy(cfg, table)
             else:
-                slots = plan_slots(ledger, strategy, beta)
+                slots = plan_slots(ledger, cfg.strategy, beta)
                 upd = retrain_update(store, codes, table, slots,
-                                     epoch=ledger.current_epoch + 1, strategy=strategy)
+                                     epoch=ledger.current_epoch + 1, strategy=cfg.strategy)
                 if not _same_bits(np.delete(store.rows, slots, 0), np.delete(upd.store.rows, slots, 0)):
                     raise ProtocolError("a frozen codebook row changed on the server")
                 delta = upd.delta

@@ -80,12 +80,11 @@ class SlicePlan:
         return SlicePlan([r / total for r in ratios])
 
     def boundaries(self, n: int) -> list[int]:
-        """Cumulative session counts per slice; the last is always n."""
+        """Cumulative session counts per slice; the last is always n. The
+        fractions are positive, so the counts never decrease."""
         cum = np.cumsum(self.fractions)
         bounds = [min(n, int(round(c * n))) for c in cum]
         bounds[-1] = n
-        for i in range(1, len(bounds)):
-            bounds[i] = max(bounds[i], bounds[i - 1])
         return bounds
 
 

@@ -156,14 +156,17 @@ def retrain_update(prev_store: CodebookStore, prev_codes: np.ndarray, new_target
 
 
 def apply_delta(
-    device_store: CodebookStore,
-    device_ledger: SlotLedger,
+    device_store: CodebookStore | None,
+    device_ledger: SlotLedger | None,
     delta: UpdateDelta,
     *,
     expected_strategy: str,
 ) -> tuple[CodebookStore, SlotLedger, np.ndarray]:
     """Write the delta rows into their slots, advance the ledger, and
-    reconstitute the embedding table from the delta's codes.
+    reconstitute the embedding table from the delta's codes. The one place
+    a replica, device or server, is deployed: given no store and ledger
+    (None), it takes only a full delta, applied to an all-zero store and an
+    epoch-0 ledger, so a deploy passes every update's checks.
 
     Pure: returns new objects, so a failed validation leaves device state
     untouched. The caller checks that the delta's dimensions match the
@@ -171,6 +174,12 @@ def apply_delta(
     StaleDeltaError on an epoch gap and LedgerDivergence when the slot list
     disagrees with the locally derived plan.
     """
+    if device_store is None:
+        if delta.strategy != "full":
+            raise ProtocolError("device must be deployed with a full frame")
+        n, d = delta.codes.shape[1], delta.new_rows.shape[1]
+        device_store = CodebookStore(n, delta.beta // n, d, np.zeros((delta.beta, d)))
+        device_ledger = SlotLedger.fresh(delta.beta, epoch=0)
     if delta.epoch != device_ledger.current_epoch + 1:
         raise StaleDeltaError(
             f"delta epoch {delta.epoch} does not follow device epoch {device_ledger.current_epoch}"

@@ -274,14 +274,26 @@ class TestRelaxedForward:
 class TestCapacity:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError):
-            check_capacity(1, 4, 4)  # binom(4,1)=4 <= 4
+            check_capacity(1, 4, 4)  # k^n = 4 <= 4
+        with pytest.raises(ConfigError):
+            check_capacity(40, 1, 1)  # one row per codebook is one code
 
     def test_large_values_no_overflow(self):
-        check_capacity(20, 32, 37722)  # binom(640, 20) vastly exceeds |V|
+        check_capacity(20, 32, 37722)  # 32^20 vastly exceeds |V|
+        check_capacity(65535, 65535, 2**62)  # forms 65535^63 at most, never 65535^65535
 
     def test_equality_rejected(self):
         with pytest.raises(ConfigError):
-            check_capacity(2, 2, 6)  # binom(4,2)=6 <= 6
+            check_capacity(2, 2, 6)  # k^n = 4 <= 6
+        with pytest.raises(ConfigError):
+            check_capacity(2, 3, 9)  # k^n = 9 <= 9
+        check_capacity(2, 3, 8)
+
+    def test_counts_codes_not_row_subsets(self):
+        # binom(16, 2) = 120 exceeds 100, but two codebooks of 8 rows form 64 codes
+        with pytest.raises(ConfigError, match="8\\^2 <= vocab 100"):
+            check_capacity(2, 8, 100)
+        check_capacity(2, 8, 63)
 
 
 class TestModelCr:

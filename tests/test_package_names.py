@@ -31,7 +31,7 @@ import re
 import sys
 from pathlib import Path
 
-from odup.pipeline import ExperimentConfig
+from odup.pipeline import ExperimentConfig, config_entries
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "odup"
@@ -240,14 +240,14 @@ def test_every_package_default_is_left_unset_by_a_run():
 
 def config_keys_set_by_runs(users, cfg_dir: Path, workflows: Path) -> set[str]:
     """The keys of every ``key = value`` line of the ``.cfg`` files in
-    ``cfg_dir``, every keyword of an ``ExperimentConfig(...)`` or
-    ``replace(...)`` call in the ``.py`` files under ``users`` (a ``**``
-    unpacking names none), and every key a step of the ``.yml`` files in
-    ``workflows`` echoes as ``echo "key = value"``."""
+    ``cfg_dir`` (read by the program's ``config_entries``), every keyword
+    of an ``ExperimentConfig(...)`` or ``replace(...)`` call in the ``.py``
+    files under ``users`` (a ``**`` unpacking names none), and every key a
+    step of the ``.yml`` files in ``workflows`` echoes as
+    ``echo "key = value"``."""
     keys = set()
     for path in sorted(cfg_dir.glob("*.cfg")):
-        lines = (line.split("#", 1)[0] for line in path.read_text(encoding="utf-8").splitlines())
-        keys.update(line.split("=", 1)[0].strip() for line in lines if "=" in line)
+        keys.update(key for _, key, _ in config_entries(path))
     for path in (p for d in users for p in sorted(d.rglob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and _callee(node.func) in ("ExperimentConfig", "replace"):

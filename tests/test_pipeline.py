@@ -85,6 +85,40 @@ class TestConfigFile:
         assert cfg.slice_plan().fractions == pytest.approx([1 / 6, 2 / 6, 3 / 6])
         assert cfg.d == ExperimentConfig().d  # untouched default
 
+    def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "#out = commented\n"
+            "  # indented comment\n"
+            "out = results/run#2  # a note\n"
+            "r = 10\t# ten\n"
+            "slices = 1:1#2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="slices"):  # 1:1#2 is the value, not 1:1
+            load_config(path)
+        path.write_text(path.read_text(encoding="utf-8").replace("slices = 1:1#2", "seed = 3"),
+                        encoding="utf-8")
+        cfg = load_config(path)
+        assert (cfg.out, cfg.r, cfg.seed) == ("results/run#2", 10.0, 3)
+
+    def test_out_holding_a_hash_writes_there(self, tmp_path):
+        sentinel = tmp_path / "run" / "report.json"
+        sentinel.parent.mkdir()
+        sentinel.write_text("another run's report\n", encoding="utf-8")
+        cfg = small_config(slices="1:1")
+        text = "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in dataclasses.fields(cfg)
+                       if f.name not in ("delimiter", "out"))
+        path = tmp_path / "exp.cfg"
+        path.write_text(text + f"out = {tmp_path / 'run#2'}\n", encoding="utf-8")
+        loaded = load_config(path)
+        assert loaded == dataclasses.replace(cfg, out=str(tmp_path / "run#2"))
+        run_simulate(loaded)
+        assert (tmp_path / "run#2" / "report.json").is_file()
+        assert (tmp_path / "run#2" / "frames" / "round_01.odup").is_file()
+        assert sentinel.read_text(encoding="utf-8") == "another run's report\n"
+        assert not (sentinel.parent / "frames").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("no_such_key = 1\n", encoding="utf-8")
@@ -569,6 +603,8 @@ class TestCli:
         ("synth_sessions = 50", "synth_sessions"), ("synth_drift = 1.5", "synth_drift"),
         ("synth_clusters = 0", "synth_clusters"), ("mmd_samples = 1", "mmd_samples"),
         ("slices = 1:0:2", "slices"), ("n = 65536", "n"), ("k = 65536", "k"),
+        ("strategy = heap", "strategy"), ("ratio_mode = auto", "ratio_mode"),
+        ("timing = cpu", "timing"), ("encoder = gru", "encoder"),
     ])
     def test_out_of_range_setting_names_its_key(self, tmp_path, lines, key, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -677,7 +713,7 @@ class TestCli:
 
     @pytest.mark.parametrize("source", ["synth", "log"])
     def test_code_space_checked_before_training_exit_2(self, tmp_path, monkeypatch, capsys, source):
-        # binom(2, 1) = 2 codes cannot tell 12 (or 120) items apart
+        # k^n = 2^1 = 2 codes cannot tell 12 (or 120) items apart
         calls = []
         monkeypatch.setattr(pipeline, "train", lambda *args: calls.append(args))
         lines = "n = 1\nk = 2\n"
@@ -691,7 +727,7 @@ class TestCli:
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(lines, encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
-        assert "code space binom(2,1)" in capsys.readouterr().err
+        assert "code space k^n = 2^1 <= vocab" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "o").exists()
 

@@ -127,6 +127,13 @@ class TestSlices:
         plan = SlicePlan.from_ratios([1, 3, 6, 10, 15])
         assert plan.boundaries(35) == [1, 4, 10, 20, 35]
 
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=12), st.integers(0, 10_000))
+    def test_boundaries_never_decrease_and_end_at_n(self, ratios, n):
+        bounds = SlicePlan.from_ratios(ratios).boundaries(n)
+        assert len(bounds) == len(ratios) and bounds[-1] == n
+        assert all(0 <= a <= b for a, b in zip(bounds, bounds[1:]))
+
     def test_fewer_sessions_than_slices(self):
         with pytest.raises(DataError):
             temporal_slices([Session([0, 1], 0.0)], SlicePlan([0.5, 0.5]))

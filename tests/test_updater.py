@@ -323,6 +323,51 @@ class TestApplyDelta:
         assert l1 == l2
 
 
+class TestDeployRule:
+    """apply_delta deploys a replica of store and ledger None exactly as it
+    applies the delta to an all-zero store and an epoch-0 ledger."""
+
+    N, K, D, V = 4, 4, 5, 30
+
+    def delta(self, seed, epoch, strategy, slots):
+        rng = np.random.default_rng(seed)
+        return UpdateDelta(epoch, strategy, len(slots), rng.normal(size=(len(slots), self.D)),
+                           rng.integers(0, self.K, (self.V, self.N)).astype(np.int32), slots)
+
+    def blank(self):
+        nk = self.N * self.K
+        return CodebookStore(self.N, self.K, self.D, np.zeros((nk, self.D))), SlotLedger.fresh(nk, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_full_deploy_equals_apply_to_blank_replica(self, seed, strategy):
+        delta = self.delta(seed, 1, "full", list(range(self.N * self.K)))
+        store, ledger, table = apply_delta(None, None, delta, expected_strategy=strategy)
+        want_store, want_ledger, want_table = apply_delta(*self.blank(), delta,
+                                                          expected_strategy=strategy)
+        assert (store.n, store.k, store.d) == (self.N, self.K, self.D)
+        assert store.rows.tobytes() == want_store.rows.tobytes()
+        assert ledger == want_ledger == SlotLedger.fresh(self.N * self.K, 1)
+        assert table.tobytes() == want_table.tobytes()
+
+    @pytest.mark.parametrize("strategy,epoch,slots,error", [
+        ("full", 1, list(range(N * K))[::-1], LedgerDivergence),  # reversed slot list
+        ("full", 1, [0] * (N * K), LedgerDivergence),             # one slot repeated
+        ("full", 2, list(range(N * K)), StaleDeltaError),         # deploy is epoch 1
+        ("queue", 1, [0, 1], ProtocolError),                      # deploy is a full frame
+    ])
+    def test_bad_deploy_raises_as_on_blank_replica(self, strategy, epoch, slots, error):
+        # a deploy is checked as an update of a full session: a queue delta
+        # would pass a queue session's checks on a blank replica
+        delta = self.delta(6, epoch, strategy, slots)
+        for store, ledger in ((None, None), self.blank()):
+            with pytest.raises(error) as exc:
+                apply_delta(store, ledger, delta, expected_strategy="full")
+            assert type(exc.value) is error
+        with pytest.raises(error):
+            apply_delta(None, None, delta, expected_strategy="queue")
+
+
 class TestPaperConcatenationForms:
     def test_stack_matches_concat_formula(self):
         # our stack top = highest row indices; the paper writes the top as
