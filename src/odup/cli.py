@@ -2,7 +2,8 @@
 
 Subcommands: synth, simulate, report. Global flags --config, --seed,
 --out override the config file. Exit codes: 0 success, 2 usage/config
-error, 3 data error, 4 numeric divergence, 5 protocol divergence.
+error (out of memory included), 3 data error, 4 numeric divergence,
+5 protocol divergence.
 """
 
 from __future__ import annotations
@@ -70,9 +71,15 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def run_guarded(command, *args) -> int:
     """``command(*args)``; a package error in EXIT_CODES is printed as one
-    labelled line on stderr and becomes its exit code."""
+    labelled line on stderr and becomes its exit code, and so does running
+    out of memory, as a config error: the config asked for more than the
+    machine holds."""
     try:
         return command(*args)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"config error: out of memory{detail}", file=sys.stderr)
+        return 2
     except tuple(kind for kind, _, _ in EXIT_CODES) as exc:
         for kind, code, label in EXIT_CODES:
             if isinstance(exc, kind):

@@ -10,7 +10,10 @@ hand-rolled gradients and Adam.
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +23,12 @@ from .numkit import Adam, Rng, sigmoid
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
 _EVAL_CHUNK = 512  # test pairs ranked per block in evaluate
+# Elements that the table and the helper's half of a batch's (B, |V|)
+# scores must each hold before train shares its work with a helper thread.
+# Smaller, the round trip (about 25 us on a 2-CPU VM), the two threads'
+# turns at the GIL and the scores moving between the cores' caches cost
+# more than the halves save.
+SPLIT_MIN = 1 << 15
 
 
 @dataclass
@@ -146,35 +155,60 @@ def _scatter_rows(index, values, vocab):
     return np.bincount(flat, weights=values.ravel(), minlength=vocab * d).reshape(vocab, d)
 
 
-def _loss_and_grads(table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
-    """Mean softmax cross-entropy over the batch plus l2 * ||X||^2, where
-    ``table`` is the padded (|V| + 1, d) table and X its first |V| rows.
+def _pair(pool, helper, main):
+    """``(helper(), main())``, with ``helper`` on ``pool``'s thread beside
+    ``main`` on the calling thread. The helper runs under the caller's numpy
+    error state, which numpy does not pass to threads."""
+    err = np.geterr()
 
-    Returns (loss, dX, dgate_raw). Pure in its inputs; used by train() and
-    by the finite-difference gradient tests.
-    """
-    B = len(batch.lens)
+    def task():
+        with np.errstate(**err):
+            return helper()
+
+    future = pool.submit(task)
+    try:
+        mine = main()
+    finally:
+        future.exception()  # waits: the helper writes into arrays the caller reads next
+    return future.result(), mine
+
+
+def _l2_terms(X, l2):
+    """The loss's l2 * ||X||^2 and its gradient 2 * l2 * X."""
+    return l2 * (X * X).sum(), 2.0 * l2 * X
+
+
+def _forward(table, g, encoder_kind, batch: Batch):
+    """(S, means, Y): the session embeddings and their scores S @ X.T."""
+    S, means = _encode_batch(table, g, encoder_kind, batch)
+    return S, means, S @ table[:-1].T
+
+
+def _softmax_rows(Y, label_pos, rows: slice):
+    """Rows ``rows`` of the (B, |V|) scores Y become DY = (softmax - onehot)
+    / B in place; returns their cross-entropy. Every step is row by row, so
+    any split of the rows gives the same bits."""
+    B = len(Y)
+    flat_Y = Y.reshape(-1)
+    pos = label_pos[rows]
+    label_logits = flat_Y[pos]
+    E = Y[rows]
+    m = E.max(axis=-1, keepdims=True)
+    np.exp(np.subtract(E, m, out=E), out=E)
+    total = E.sum(axis=-1, keepdims=True)
+    ce = m[:, 0] + np.log(total[:, 0]) - label_logits
+    E /= total * B
+    flat_Y[pos] -= 1.0 / B
+    return ce
+
+
+def _scatter_grads(table, g, encoder_kind, batch: Batch, DY, means, want_gate_grad):
+    """DS = DY @ X scattered to the table, (scatter, dgate_raw): each prefix
+    occurrence of item v gets (1-g) * DS_j / len_j; the gated path adds
+    g * DS_j to the last item of prefix j."""
     X = table[:-1]
     gated = encoder_kind == "last_gated"
-    g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
-    S, means = _encode_batch(table, g, encoder_kind, batch)
-    Y = S @ X.T
-    flat_Y = Y.reshape(-1)
-    label_logits = flat_Y[batch.label_pos]
-    m = Y.max(axis=-1, keepdims=True)
-    # Y becomes E = exp(Y - m), then DY = (softmax - onehot) / B, in place
-    DY = np.exp(np.subtract(Y, m, out=Y), out=Y)
-    total = DY.sum(axis=-1, keepdims=True)
-    ce = m[:, 0] + np.log(total[:, 0]) - label_logits
-    loss = float(ce.mean() + l2 * (X * X).sum())
-
-    DY /= total * B
-    flat_Y[batch.label_pos] -= 1.0 / B
-    dX = DY.T @ S
     DS = DY @ X
-    # scatter the mean-path gradient: each prefix occurrence of item v gets
-    # (1-g) * DS_j / len_j; the gated path adds g * DS_j to the last item
-    # of prefix j
     per_slot = ((1.0 - g) * DS if gated else DS) / batch.lens[:, None]
     index = batch.prefix
     values = per_slot[batch.slot_rows]
@@ -185,15 +219,98 @@ def _loss_and_grads(table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_g
         if want_gate_grad:
             dgate = float(np.sum(DS * (table[batch.last] - means)))
             dgate_raw = dgate * g * (1.0 - g)
-    dX += _scatter_rows(index, values, X.shape[0])
-    dX += 2.0 * l2 * X
-    return loss, dX, dgate_raw
+    return _scatter_rows(index, values, X.shape[0]), dgate_raw
+
+
+def _gate_value(gate_raw, encoder_kind) -> float:
+    """The g that ``last_gated`` mixes the last item in by; 0.0 otherwise."""
+    return float(sigmoid(np.float64(gate_raw))) if encoder_kind == "last_gated" else 0.0
+
+
+def _loss_and_grads(table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
+    """Mean softmax cross-entropy over the batch plus l2 * ||X||^2, where
+    ``table`` is the padded (|V| + 1, d) table and X its first |V| rows.
+
+    Returns (loss, dX, dgate_raw). Pure in its inputs; train() runs it when
+    it has no helper thread, and the finite-difference gradient tests call
+    it. ``_split_loss_and_grads`` runs the same phases in pairs.
+    """
+    g = _gate_value(gate_raw, encoder_kind)
+    S, means, Y = _forward(table, g, encoder_kind, batch)
+    ce = _softmax_rows(Y, batch.label_pos, slice(None))
+    dX = Y.T @ S
+    scatter, dgate_raw = _scatter_grads(table, g, encoder_kind, batch, Y, means, want_gate_grad)
+    dX += scatter
+    del scatter  # freed first, so the l2 terms add one (|V|, d) array to the peak, not two
+    reg, l2_grad = _l2_terms(table[:-1], l2)
+    dX += l2_grad
+    return float(ce.mean() + reg), dX, dgate_raw
+
+
+def _split_loss_and_grads(pool, table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
+    """``_loss_and_grads`` with its phases in pairs, each pair side by side
+    on this thread and ``pool``'s helper: the l2 terms beside the encode
+    and the score product, batch rows [B/2, B) beside [0, B/2) through the
+    softmax, and ``DY.T @ S`` beside ``DY @ X`` and the scatter. No product
+    is split, so the bits are those of ``_loss_and_grads``."""
+    B = len(batch.lens)
+    X = table[:-1]
+    g = _gate_value(gate_raw, encoder_kind)
+    (reg, l2_grad), (S, means, Y) = _pair(pool, lambda: _l2_terms(X, l2),
+                                          lambda: _forward(table, g, encoder_kind, batch))
+    ce_hi, ce_lo = _pair(pool, lambda: _softmax_rows(Y, batch.label_pos, slice(B // 2, B)),
+                         lambda: _softmax_rows(Y, batch.label_pos, slice(0, B // 2)))
+    ce = np.concatenate([ce_lo, ce_hi])
+    dX, (scatter, dgate_raw) = _pair(pool, lambda: Y.T @ S,
+                                     lambda: _scatter_grads(table, g, encoder_kind, batch, Y, means,
+                                                            want_gate_grad))
+    dX += scatter
+    dX += l2_grad
+    return float(ce.mean() + reg), dX, dgate_raw
+
+
+def _adam_stepper(pool, lr, X, gates):
+    """``step(dX, dgates)``: Adam over the table rows X and ``gates``, as
+    one instance, or with a ``pool`` as two, rows [0, |V|/2) on the calling
+    thread beside the rest and the gates on the helper. Adam is elementwise, so the bits
+    are the same."""
+    if pool is None:
+        adam = Adam(lr)
+        return lambda dX, dgates: adam.step([X] + gates, [dX] + dgates)
+    cut = len(X) // 2
+    lo, hi = Adam(lr), Adam(lr)
+    return lambda dX, dgates: _pair(pool, lambda: hi.step([X[cut:]] + gates, [dX[cut:]] + dgates),
+                                    lambda: lo.step([X[:cut]], [dX[:cut]]))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _helper_pool(table_size: int, half_scores: int):
+    """A context giving train's one-thread helper pool when the table and
+    the helper's half of a batch's scores both hold SPLIT_MIN elements or
+    more and the process may use 2 or more CPUs; otherwise one giving
+    None."""
+    if min(table_size, half_scores) < SPLIT_MIN or _usable_cpus() < 2:
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # imported only by runs that split
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def train(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
     """Mini-batch Adam on the cross-entropy objective; returns the per-epoch
     mean training loss. Raises TrainingDiverged if the loss goes non-finite,
     leaving ``model`` as it was.
+
+    On 2 or more CPUs, and when the table and the batches are large
+    enough (SPLIT_MIN), a helper thread takes half of each batch's work
+    (``_split_loss_and_grads``) and half of Adam's (``_adam_stepper``), with
+    the same bits.
     """
     n = len(dataset)
     if n == 0:
@@ -206,24 +323,28 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
     gate = np.array([model.gate_raw], dtype=np.float64)
     train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
     # a gate with no gradient never moves under Adam, so only a trained one steps
-    params = [table[:-1], gate] if train_gate else [table[:-1]]
-    adam = Adam(cfg.lr)
+    gates = [gate] if train_gate else []
+    X = table[:-1]
     losses: list[float] = []
-    # an overflow is reported as TrainingDiverged, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
-            epoch_losses = []
-            for batch in plan_batches(dataset, rng.permutation(n), cfg.batch, vocab):
-                loss, dX, dg = _loss_and_grads(
-                    table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
-                )
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
-                adam.step(params, [dX, np.array([dg])] if train_gate else [dX])
-                epoch_losses.append(loss)
-            del batch  # its views would hold this epoch's plan while the next is built
-            losses.append(float(np.mean(epoch_losses)))
-    model.embeddings[...] = table[:-1]
+    rows = min(cfg.batch, n)
+    with _helper_pool(X.size, (rows - rows // 2) * vocab) as pool:
+        loss_and_grads = _loss_and_grads if pool is None else partial(_split_loss_and_grads, pool)
+        adam_step = _adam_stepper(pool, cfg.lr, X, gates)
+        # an overflow is reported as TrainingDiverged, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.epochs):
+                epoch_losses = []
+                for batch in plan_batches(dataset, rng.permutation(n), cfg.batch, vocab):
+                    loss, dX, dg = loss_and_grads(
+                        table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
+                    )
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
+                    adam_step(dX, [np.array([dg])] if train_gate else [])
+                    epoch_losses.append(loss)
+                del batch  # its views would hold this epoch's plan while the next is built
+                losses.append(float(np.mean(epoch_losses)))
+    model.embeddings[...] = X
     model.gate_raw = float(gate[0])
     return losses
 

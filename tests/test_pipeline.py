@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import zlib
 
@@ -554,6 +555,38 @@ class TestReport:
         assert betas == sorted(betas, reverse=True)
 
 
+class TestBlasThreads:
+    BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS")
+
+    def test_report_bits_do_not_depend_on_blas_env(self, tmp_path):
+        # at |V| 2000 and d 32 the products S @ X.T and DY @ X give other
+        # bits at 2 BLAS threads than at 1, and two epochs over three slices
+        # carry that into the report; importing odup pins BLAS to one thread
+        # before numpy loads, so an unset environment gives the bits of one
+        # set to 1
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("slices = 1:1:1\nsynth_vocab = 2000\nsynth_sessions = 3000\nd = 32\n"
+                           "rec_epochs = 2\nn = 4\nk = 16\ncodec_epochs = 2\ntiming = zero\n",
+                           encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        reports = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in self.BLAS_ENV}
+            if threads is not None:
+                env.update(dict.fromkeys(self.BLAS_ENV, threads))
+            env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+            out = tmp_path / f"threads-{threads}"
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from odup.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "--config", str(cfgfile), "--out", str(out), "simulate"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestCli:
     def test_synth_then_simulate_from_file(self, tmp_path):
         out = tmp_path / "synthdata"
@@ -682,6 +715,14 @@ class TestCli:
         assert cli.main(["--out", str(out), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write") and err.count("\n") == 1
+
+    def test_out_of_memory_exit_2(self, capsys):
+        def command():
+            raise MemoryError("Unable to allocate 95.4 GiB for an array with shape (100000000, 128)")
+
+        assert cli.run_guarded(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: Unable to allocate") and err.count("\n") == 1
 
     def test_empty_data_exit_3(self, tmp_path):
         empty = tmp_path / "empty.tsv"

@@ -1,9 +1,14 @@
+import sys
+from contextlib import contextmanager, nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from odup import recommender
 from odup.errors import DataError, TrainingDiverged
 from odup.numkit import Rng, sigmoid
 from odup.recommender import RecModel, _loss_and_grads, evaluate, init_model, padded_table, train
@@ -16,6 +21,21 @@ from helpers import (
 
 def toy_model(vocab=4, d=3, kind="mean_pool", seed=5):
     return init_model(vocab, d, Rng(seed).child("init"), kind)
+
+
+@contextmanager
+def helper_forced():
+    """train's helper thread takes its half of every batch, however small,
+    on any number of CPUs, and the two threads trade the interpreter lock
+    as often as they can, so a missed wait on the helper shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(recommender, "SPLIT_MIN", 0), \
+                mock.patch.object(recommender, "_usable_cpus", lambda: 2):
+            yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestEncodeSession:
@@ -283,6 +303,19 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(m, ds, train_config(lr=0.01, epochs=1, batch=1, l2=1.0, seed=0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_raises_with_helper(self):
+        # the overflow happens on the helper thread too (the l2 term and the
+        # second half of the rows); a warning there would escape the caller's
+        # errstate and surface instead of TrainingDiverged
+        m = toy_model(vocab=4, d=3, kind="last_gated")
+        m.embeddings[0, 0] = 1e308
+        before, gate = m.embeddings.copy(), m.gate_raw
+        ds = dataset_of([([0], 2), ([0, 1], 3), ([2, 0], 1)])
+        with helper_forced(), pytest.raises(TrainingDiverged):
+            train(m, ds, train_config(lr=0.01, epochs=1, batch=3, l2=1.0, seed=0))
+        assert np.array_equal(m.embeddings, before) and m.gate_raw == gate
+
     def test_loss_tail_non_increasing(self):
         m = toy_model(vocab=6, d=4, seed=3)
         rng = Rng(1)
@@ -343,14 +376,32 @@ class TestTrainMatchesReference:
            kind=st.sampled_from(["mean_pool", "last_gated"]), freeze_gate=st.booleans(),
            gate_raw=st.floats(-2.0, 2.0), batch=st.integers(1, 7), epochs=st.integers(1, 3),
            lr=st.sampled_from([0.0, 0.01, 0.3]), l2=st.sampled_from([0.0, 1e-3]),
-           seed=st.integers(0, 50), data=st.data())
+           seed=st.integers(0, 50), helper=st.booleans(), data=st.data())
     def test_bitwise_equal_to_reference(self, table, kind, freeze_gate, gate_raw, batch, epochs,
-                                        lr, l2, seed, data):
+                                        lr, l2, seed, helper, data):
         item = st.integers(0, table.shape[0] - 1)
         pairs = data.draw(st.lists(st.tuples(st.lists(item, min_size=1, max_size=12), item),
                                    min_size=1, max_size=20))
         cfg = train_config(lr=lr, epochs=epochs, batch=batch, l2=l2, seed=seed, freeze_gate=freeze_gate)
-        self.check(table, kind, gate_raw, pairs, cfg)
+        with helper_forced() if helper else nullcontext():
+            self.check(table, kind, gate_raw, pairs, cfg)
+
+    @pytest.mark.parametrize("kind, freeze_gate", [
+        ("mean_pool", False), ("last_gated", False), ("last_gated", True),
+    ])
+    def test_bitwise_equal_with_helper_at_width(self, kind, freeze_gate):
+        # |V| 300, d 32 and B 100 with a short last batch: a product this
+        # wide takes other bits when its rows are split (except at multiples
+        # of the BLAS kernel's row width), so none may be. Entries in
+        # (-1, 1) make scores large enough that a last-bit change in one
+        # survives the softmax.
+        rng = Rng(8)
+        pairs = [([int(i) for i in rng.integers(0, 300, int(rng.integers(1, 9)))], int(rng.integers(0, 300)))
+                 for _ in range(250)]
+        table = rng.uniform((300, 32)) * 2.0 - 1.0
+        cfg = train_config(lr=0.01, epochs=2, batch=100, l2=1e-3, seed=4, freeze_gate=freeze_gate)
+        with helper_forced():
+            self.check(table, kind, 0.3, pairs, cfg)
 
     @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
     def test_signed_zero_padding(self, kind):
@@ -358,3 +409,17 @@ class TestTrainMatchesReference:
         # padded slots of the prefix [1] hold -0.0 where the zero row's hold +0.0
         table = np.array([[-0.5, -0.25], [-0.0, -0.0], [0.0, 0.5]])
         self.check(table, kind, 0.0, [([1], 2), ([1, 2, 0], 1)], train_config(lr=0.01, epochs=2, batch=2))
+
+
+class TestHelperPool:
+    def test_pool_only_for_a_large_table_and_batch_on_two_cpus(self, monkeypatch):
+        big = recommender.SPLIT_MIN
+        monkeypatch.setattr(recommender, "_usable_cpus", lambda: 2)
+        for sizes in [(big - 1, big), (big, big - 1)]:
+            with recommender._helper_pool(*sizes) as pool:
+                assert pool is None
+        with recommender._helper_pool(big, big) as pool:
+            assert pool is not None
+        monkeypatch.setattr(recommender, "_usable_cpus", lambda: 1)
+        with recommender._helper_pool(big, big) as pool:
+            assert pool is None
