@@ -34,6 +34,7 @@ from .numkit import Adam, Rng, gumbel_from_uniform, softmax, softplus
 ICM_SWEEPS = 2  # passes over the n components per refine_codes call
 _RECONSTRUCT_BLOCK = 32768  # output elements per block of reconstruct_table
 _LOSS_BLOCK = 32768  # (item, codeword) pairs per block of relaxed_loss
+CODEC_LR = 0.01  # Adam's step size in train_codec
 
 
 @dataclass
@@ -42,7 +43,6 @@ class CodecConfig:
     k: int
     d: int
     tau: float
-    lr: float
     epochs: int
     batch: int
     seed: int
@@ -280,7 +280,7 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     store, enc = init_codec(cfg, rng.child("codec-init"))
     noise_rng = rng.child("codec-noise")
     shuffle_rng = rng.child("codec-shuffle")
-    adam = Adam(cfg.lr)
+    adam = Adam(CODEC_LR)
     params = enc.params() + [store.rows]
 
     # an overflow is reported as TrainingDiverged, not as a numpy warning

@@ -38,8 +38,6 @@ from .updater import (
 )
 
 REPORT_KS = (5, 10)  # the K of every report's P@K and N@K
-REC_LR, REC_BATCH = 0.01, 100  # the cloud recommender's Adam step size and pairs per batch
-CODEC_LR = 0.01  # the deploy codec's Adam step size
 # each numeric key's least value; a synthetic log has at least 50 items and 100 sessions
 _LEAST = {"d": 2, "rec_epochs": 1, "l2": 0, "n": 1, "k": 1, "codec_epochs": 0, "codec_batch": 1,
           "synth_vocab": 50, "synth_sessions": 100, "synth_clusters": 1, "seed": 0, "skip_threshold": 0}
@@ -119,12 +117,11 @@ class ExperimentConfig:
         return SlicePlan.from_ratios([float(x) for x in self.slices.split(":")])
 
     def rec_config(self, seed: int, freeze_gate: bool) -> TrainConfig:
-        return TrainConfig(lr=REC_LR, epochs=self.rec_epochs, batch=REC_BATCH,
-                           l2=self.l2, seed=seed, freeze_gate=freeze_gate)
+        return TrainConfig(epochs=self.rec_epochs, l2=self.l2, seed=seed, freeze_gate=freeze_gate)
 
     def codec_config(self) -> CodecConfig:
-        return CodecConfig(n=self.n, k=self.k, d=self.d, tau=self.tau, lr=CODEC_LR,
-                           epochs=self.codec_epochs, batch=self.codec_batch, seed=self.seed)
+        return CodecConfig(n=self.n, k=self.k, d=self.d, tau=self.tau, epochs=self.codec_epochs,
+                           batch=self.codec_batch, seed=self.seed)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}

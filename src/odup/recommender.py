@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import BLAS_ONE_THREAD
 from .errors import DataError, TrainingDiverged
 from .numkit import Adam, Rng, sigmoid
 
@@ -29,13 +30,12 @@ _EVAL_CHUNK = 512  # test pairs ranked per block in evaluate
 # turns at the GIL and the scores moving between the cores' caches cost
 # more than the halves save.
 SPLIT_MIN = 1 << 15
+REC_LR, REC_BATCH = 0.01, 100  # Adam's step size and the pairs per batch of train
 
 
 @dataclass
 class TrainConfig:
-    lr: float
     epochs: int
-    batch: int
     l2: float
     seed: int
     freeze_gate: bool
@@ -294,18 +294,19 @@ def _usable_cpus() -> int:
 def _helper_pool(table_size: int, half_scores: int):
     """A context giving train's one-thread helper pool when the table and
     the helper's half of a batch's scores both hold SPLIT_MIN elements or
-    more and the process may use 2 or more CPUs; otherwise one giving
-    None."""
-    if min(table_size, half_scores) < SPLIT_MIN or _usable_cpus() < 2:
+    more, the process may use 2 or more CPUs and BLAS runs one thread;
+    otherwise one giving None. Beside BLAS's own threads the helper only
+    costs time."""
+    if min(table_size, half_scores) < SPLIT_MIN or _usable_cpus() < 2 or not BLAS_ONE_THREAD:
         return nullcontext()
     from concurrent.futures import ThreadPoolExecutor  # imported only by runs that split
     return ThreadPoolExecutor(max_workers=1)
 
 
-def train(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
-    """Mini-batch Adam on the cross-entropy objective; returns the per-epoch
-    mean training loss. Raises TrainingDiverged if the loss goes non-finite,
-    leaving ``model`` as it was.
+def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
+    """Mini-batch Adam on the cross-entropy objective, REC_BATCH pairs per
+    batch at step size REC_LR. Raises TrainingDiverged if a batch's loss
+    goes non-finite, leaving ``model`` as it was.
 
     On 2 or more CPUs, and when the table and the batches are large
     enough (SPLIT_MIN), a helper thread takes half of each batch's work
@@ -325,28 +326,23 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
     # a gate with no gradient never moves under Adam, so only a trained one steps
     gates = [gate] if train_gate else []
     X = table[:-1]
-    losses: list[float] = []
-    rows = min(cfg.batch, n)
+    rows = min(REC_BATCH, n)
     with _helper_pool(X.size, (rows - rows // 2) * vocab) as pool:
         loss_and_grads = _loss_and_grads if pool is None else partial(_split_loss_and_grads, pool)
-        adam_step = _adam_stepper(pool, cfg.lr, X, gates)
+        adam_step = _adam_stepper(pool, REC_LR, X, gates)
         # an overflow is reported as TrainingDiverged, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(cfg.epochs):
-                epoch_losses = []
-                for batch in plan_batches(dataset, rng.permutation(n), cfg.batch, vocab):
+                for batch in plan_batches(dataset, rng.permutation(n), REC_BATCH, vocab):
                     loss, dX, dg = loss_and_grads(
                         table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
                     )
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
                     adam_step(dX, [np.array([dg])] if train_gate else [])
-                    epoch_losses.append(loss)
                 del batch  # its views would hold this epoch's plan while the next is built
-                losses.append(float(np.mean(epoch_losses)))
     model.embeddings[...] = X
     model.gate_raw = float(gate[0])
-    return losses
 
 
 def evaluate(table, dataset, ks, encoder_kind: str, gate: float) -> list[float]:

@@ -58,12 +58,12 @@ def advance_ledger(ledger: SlotLedger, strategy: str, slots: list[int], epoch: i
     return SlotLedger(epochs, seqs, epoch)
 
 
-@dataclass
+@dataclass(eq=False)
 class UpdateDelta:
     """One update as the device receives it. The device holds float32 rows,
     so ``new_rows`` keeps only their float32 values (widened to float64):
     the wire carries them exactly, and a server that applies the delta
-    holds the device's rows bit for bit."""
+    holds the device's rows bit for bit. Two deltas compare by identity."""
 
     epoch: int
     strategy: str            # "full" | "stack" | "queue"
@@ -82,18 +82,6 @@ class UpdateDelta:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not (self.beta == len(self.replaced_slots) == self.new_rows.shape[0] >= 1):
             raise ValueError("beta must equal the slot and row counts and be >= 1")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UpdateDelta):
-            return NotImplemented
-        return (
-            self.epoch == other.epoch
-            and self.strategy == other.strategy
-            and self.beta == other.beta
-            and self.replaced_slots == other.replaced_slots
-            and np.array_equal(self.new_rows, other.new_rows)
-            and np.array_equal(self.codes, other.codes)
-        )
 
 
 def plan_slots(ledger: SlotLedger, strategy: str, beta: int) -> list[int]:

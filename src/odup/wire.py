@@ -140,7 +140,8 @@ def delta_bytes(vocab: int, n: int, k: int, d: int, beta: int) -> int:
 def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> bytes:
     """Serialize a delta to the frame layout above. ``UpdateDelta`` holds
     float32 row values, so the rows are written exactly and
-    ``decode_delta(encode_delta(delta)) == delta``."""
+    ``decode_delta(encode_delta(delta))`` holds every field of ``delta``
+    bit for bit."""
     for name, value in (("epoch", delta.epoch), ("vocab", vocab), ("n", n), ("k", k), ("d", d)):
         if not 0 <= value < 2 ** FIELD_BITS[name]:
             raise ValueError(f"{name} = {value} does not fit in the header's u{FIELD_BITS[name]}")

@@ -6,28 +6,42 @@ from typing import NamedTuple
 
 import numpy as np
 
+from odup import recommender
 from odup.codec import (
-    CodebookStore, CodecConfig, CodecEncoder, _relaxed_backward, _relaxed_forward, init_codec,
-    relaxed_loss,
+    CODEC_LR, CodebookStore, CodecConfig, CodecEncoder, _relaxed_backward, _relaxed_forward,
+    init_codec, relaxed_loss,
 )
 from odup.errors import TrainingDiverged
 from odup.numkit import GUMBEL_EPS, Adam, Rng, gumbel_from_uniform, sigmoid, softmax, softplus
 from odup.recommender import RecModel, TrainConfig, _scatter_rows, plan_batches
 from odup.sessions import Session, SessionDataset, SlicePlan, SynthResult
+from odup.updater import UpdateDelta
 from odup.wire import code_bits
 
 TAU_DEFAULT = 0.1  # ExperimentConfig's temperature
 TAU_ALT = 0.2  # the temperature of the acceptance and demo configs
 
 
-def codec_config(n, k, d, tau=TAU_DEFAULT, lr=0.01, epochs=300, batch=256, seed=0) -> CodecConfig:
+def codec_config(n, k, d, tau=TAU_DEFAULT, epochs=300, batch=256, seed=0) -> CodecConfig:
     """A CodecConfig with the settings codec tests use where they name none."""
-    return CodecConfig(n, k, d, tau, lr, epochs, batch, seed)
+    return CodecConfig(n, k, d, tau, epochs, batch, seed)
 
 
-def train_config(lr=0.01, epochs=30, batch=100, l2=1e-5, seed=0, freeze_gate=False) -> TrainConfig:
+def train_config(epochs=30, l2=1e-5, seed=0, freeze_gate=False) -> TrainConfig:
     """A TrainConfig with the settings recommender tests use where they name none."""
-    return TrainConfig(lr, epochs, batch, l2, seed, freeze_gate)
+    return TrainConfig(epochs, l2, seed, freeze_gate)
+
+
+def same_delta(a: UpdateDelta, b: UpdateDelta) -> bool:
+    """Whether two deltas carry the same update bit for bit: the same rows
+    and codes, as bit patterns of one dtype and shape (so -0.0 is not
+    +0.0), and the same epoch, strategy, beta and slots."""
+    def bits(x):
+        return x.dtype, x.shape, x.tobytes()
+
+    return (bits(a.new_rows) == bits(b.new_rows) and bits(a.codes) == bits(b.codes)
+            and (a.epoch, a.strategy, a.beta, a.replaced_slots)
+            == (b.epoch, b.strategy, b.beta, b.replaced_slots))
 
 
 def dataset_of(pairs) -> SessionDataset:
@@ -113,7 +127,7 @@ def train_codec_per_batch_noise(target: np.ndarray, cfg: CodecConfig):
     rng = Rng(cfg.seed)
     store, enc = init_codec(cfg, rng.child("codec-init"))
     noise_rng, shuffle_rng = rng.child("codec-noise"), rng.child("codec-shuffle")
-    adam = Adam(cfg.lr)
+    adam = Adam(CODEC_LR)
     params = enc.params() + [store.rows]
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(V)
@@ -305,31 +319,29 @@ def loss_and_grads_masked(table, gate_raw, encoder_kind, batch: MaskedBatch, l2,
     return loss, dX, dgate_raw
 
 
-def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> list[float]:
+def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> None:
     """recommender.train as one masked gather per batch, training
     ``model.embeddings`` in place and stepping Adam on the table and the
-    gate together (a frozen gate's gradient is 0)."""
+    gate together (a frozen gate's gradient is 0). Reads the step size and
+    batch from recommender.REC_LR and REC_BATCH when called, so a test that
+    patches them trains both forms alike."""
+    lr, size = recommender.REC_LR, recommender.REC_BATCH
     rng = Rng(cfg.seed).child("rec-shuffle")
     table = model.embeddings
     gate = np.array([model.gate_raw], dtype=np.float64)
     train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
-    adam = Adam(cfg.lr)
-    losses = []
+    adam = Adam(lr)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(dataset))
-        epoch_losses = []
-        for lo in range(0, len(dataset), cfg.batch):
-            batch = gather_batch_masked(dataset, order[lo: lo + cfg.batch])
+        for lo in range(0, len(dataset), size):
+            batch = gather_batch_masked(dataset, order[lo: lo + size])
             loss, dX, dg = loss_and_grads_masked(
                 table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
             adam.step([table, gate], [dX, np.array([dg])])
-            epoch_losses.append(loss)
-        losses.append(float(np.mean(epoch_losses)))
     model.gate_raw = float(gate[0])
-    return losses
 
 
 def rank_metrics(table, pairs, ks, encoder_kind="mean_pool", gate=0.5) -> list[float]:

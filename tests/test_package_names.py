@@ -21,6 +21,16 @@ The same holds for config keys, which ``load_config`` passes on as
 ``replace(...)`` call in those users, or by a ``key = value`` line that a
 CI workflow step echoes into a config. UNSET_KEYS_ALLOWED names the keys
 that stay settings although no run sets them, each with its reason.
+
+Every dataclass field with no default is varied by those users: some two
+constructions pass it different values, or one passes it something other
+than a literal or an UPPER_CASE constant, or unpacks ``*``/``**``. A field
+every run fills with one constant is that constant, read where it is used.
+
+Every function or method that returns a value has its result read by some
+direct call in those users: a call that is not a bare expression statement.
+A result every run throws away is work for nothing, so the function should
+return nothing.
 """
 
 import ast
@@ -74,6 +84,14 @@ def _callee(node) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
+def dataclass_fields(node) -> list[ast.AnnAssign] | None:
+    """The fields of ``node`` in order when it is a dataclass, else None."""
+    if not (isinstance(node, ast.ClassDef)
+            and "dataclass" in {_callee(getattr(d, "func", d)) for d in node.decorator_list}):
+        return None
+    return [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+
+
 def defaulted_params(source: str, module: str) -> list[tuple[str, str, str, int | None]]:
     """(callee, label, parameter, position) for every parameter with a
     default in ``source``. A call names ``callee``: the function, or the
@@ -87,11 +105,8 @@ def defaulted_params(source: str, module: str) -> list[tuple[str, str, str, int 
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 where = f"{qual}.{child.name}"
-                if "dataclass" in {_callee(getattr(d, "func", d)) for d in child.decorator_list}:
-                    fields = [f for f in child.body
-                              if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
-                    found.extend((child.name, where, f.target.id, i)
-                                 for i, f in enumerate(fields) if f.value is not None)
+                found.extend((child.name, where, f.target.id, i)
+                             for i, f in enumerate(dataclass_fields(child) or ()) if f.value is not None)
                 visit(child, where, child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a, where = child.args, f"{qual}.{child.name}"
@@ -120,16 +135,27 @@ def passes(call: ast.Call, param: str, position: int | None) -> bool:
         len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args))
 
 
+def user_trees(users) -> list[ast.Module]:
+    """The parsed ``.py`` files under ``users``."""
+    return [ast.parse(p.read_text(encoding="utf-8")) for d in users for p in sorted(d.rglob("*.py"))]
+
+
+def calls_by_callee(trees) -> dict[str, list[ast.Call]]:
+    """Every call in ``trees``, by the name it calls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node.func), []).append(node)
+    return calls
+
+
 def _defaults_by_calls(package: Path, users, flagged) -> list[str]:
     """Labels of the defaulted parameters of ``package``, UNPASSED_ALLOWED
     aside, for which ``flagged(calls, param, position)`` holds, ``calls``
     being every call in the ``.py`` files under ``users`` that names the
     parameter's callee."""
-    calls: dict[str, list[ast.Call]] = {}
-    for path in (p for d in users for p in sorted(d.rglob("*.py"))):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                calls.setdefault(_callee(node.func), []).append(node)
+    calls = calls_by_callee(user_trees(users))
     return sorted(
         f"{where}:{param}"
         for path in sorted(package.glob("*.py"))
@@ -236,6 +262,129 @@ def test_flags_a_default_every_call_overrides(tmp_path):
 
 def test_every_package_default_is_left_unset_by_a_run():
     assert overridden_defaults(PACKAGE, USERS) == []
+
+
+def _is_constant(node) -> bool:
+    """Whether ``node`` is a literal, as ``ast.literal_eval`` reads one, or
+    an UPPER_CASE name or attribute."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return re.fullmatch(r"[A-Z][A-Z0-9_]*", _callee(node)) is not None
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+    return True
+
+
+def _passed_value(call: ast.Call, param: str, position: int):
+    """The expression ``call`` passes to ``param``, by keyword or at
+    ``position``; None when it passes none or unpacks ``*``/``**``, which
+    may pass anything."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return None
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    return call.args[position] if position < len(call.args) else None
+
+
+def constant_fields(package: Path, users) -> list[str]:
+    """Labels ``module.Class:field`` of the dataclass fields of ``package``
+    with no default to which every construction in the ``.py`` files under
+    ``users`` passes one and the same constant (see ``_is_constant``): a
+    value no run varies belongs in the code that reads it."""
+    calls = calls_by_callee(user_trees(users))
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for i, f in enumerate(dataclass_fields(cls) or ()):
+                passed = [_passed_value(call, f.target.id, i) for call in calls.get(cls.name, ())]
+                if (f.value is None and passed and all(v is not None and _is_constant(v) for v in passed)
+                        and len({ast.dump(v) for v in passed}) == 1):
+                    found.append(f"{path.stem}.{cls.name}:{f.target.id}")
+    return sorted(found)
+
+
+def test_flags_a_field_every_construction_sets_alike(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "from dataclasses import dataclass\nRATE = 0.5\n\n"
+        "@dataclass\nclass Cfg:\n    lr: float\n    size: int\n    seed: int\n"
+        "    rate: float\n    tag: str = 'x'\n\n"
+        "@dataclass(eq=False)\nclass Unpacked:\n    lr: float\n")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "run.py").write_text(
+        "Cfg(0.01, 4, seed, RATE, tag='x')\nCfg(lr=0.01, size=4, seed=seed + 1, rate=RATE, tag='y')\n"
+        "Cfg(0.01, 8, 0, RATE)\nkw = {'lr': 0.01}\nUnpacked(**kw)\nUnpacked(0.01)\n")
+    assert constant_fields(pkg, (pkg, scripts)) == ["a.Cfg:lr", "a.Cfg:rate"]
+
+
+def test_every_required_field_varies_across_runs():
+    assert constant_fields(PACKAGE, USERS) == []
+
+
+def _returns_value(func) -> bool:
+    """Whether ``func`` has a ``return`` of a value other than None in its
+    own body, the bodies of nested functions and classes aside."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return) and node.value is not None and not (
+                isinstance(node.value, ast.Constant) and node.value.value is None):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def unread_results(package: Path, users) -> list[str]:
+    """Labels ``module.Qualified.name`` of the functions and methods of
+    ``package`` that return a value which every direct call in the ``.py``
+    files under ``users`` throws away, as an expression statement: a
+    result no run reads is work for nothing."""
+    trees = user_trees(users)
+    calls = calls_by_callee(trees)
+    dropped = {id(node.value) for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)}
+    found = []
+
+    def visit(node, qual: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{qual}.{child.name}"
+                named = calls.get(child.name, ())
+                if (not isinstance(child, ast.ClassDef) and _returns_value(child) and named
+                        and all(id(call) in dropped for call in named)):
+                    found.append(where)
+                visit(child, where)
+            else:
+                visit(child, qual)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(found)
+
+
+def test_flags_a_result_every_call_drops(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "def fit(x):\n    return [x]\n\n"
+        "def read(x):\n    return x\n\n"
+        "def step(x):\n    x.append(1)\n    return None\n\n"
+        "class Model:\n    def update(self, x):\n        def inner():\n            return x\n"
+        "        return inner()\n")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "run.py").write_text(
+        "fit(1)\nfit(2)\nread(1)\ny = read(2)\nstep([])\nm.update(3)\n")
+    assert unread_results(pkg, (pkg, scripts)) == ["a.Model.update", "a.fit"]
+
+
+def test_every_package_result_is_read_by_a_run():
+    assert unread_results(PACKAGE, USERS) == []
 
 
 def config_keys_set_by_runs(users, cfg_dir: Path, workflows: Path) -> set[str]:

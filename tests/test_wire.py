@@ -14,7 +14,7 @@ from odup.wire import (
     unpack_codes,
 )
 
-from helpers import pack_codes_bit_matrix, unpack_codes_bit_matrix
+from helpers import pack_codes_bit_matrix, same_delta, unpack_codes_bit_matrix
 
 
 def random_delta(rng: Rng, vocab, n, k, d, beta, strategy="queue", epoch=2):
@@ -162,7 +162,7 @@ class TestRoundTrip:
             delta = random_delta(rng, vocab, n, k, d, beta, strategy, epoch=trial + 1)
             frame = encode_delta(delta, vocab=vocab, d=d, n=n, k=k)
             out = decode_delta(frame)
-            assert out == delta
+            assert same_delta(out, delta)
             assert encode_delta(out, vocab=vocab, d=d, n=n, k=k) == frame
 
     @settings(max_examples=60, deadline=None)
@@ -173,7 +173,7 @@ class TestRoundTrip:
         rows = data.draw(arrays(np.float64, (beta, d), elements=st.floats(-f32_max, f32_max)))
         d0 = random_delta(Rng(0), 7, n, k, d, beta)
         delta = UpdateDelta(d0.epoch, d0.strategy, beta, rows, d0.codes, d0.replaced_slots)
-        assert decode_delta(encode_delta(delta, vocab=7, d=d, n=n, k=k)) == delta
+        assert same_delta(decode_delta(encode_delta(delta, vocab=7, d=d, n=n, k=k)), delta)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3)),
@@ -188,7 +188,22 @@ class TestRoundTrip:
             with np.errstate(over="ignore"):
                 assert not np.all(np.isfinite(rows.astype(np.float32)))
             return
-        assert decode_delta(encode_delta(delta, vocab=5, d=d, n=1, k=4)) == delta
+        assert same_delta(decode_delta(encode_delta(delta, vocab=5, d=d, n=1, k=4)), delta)
+
+    def test_signed_zeros_and_subnormals_roundtrip(self):
+        # the rows' float32 bits come back as sent: -0.0 stays -0.0, and the
+        # least subnormal and the greatest survive their float64 widening
+        tiny = np.finfo(np.float32).smallest_subnormal
+        f32 = np.array([[-0.0, 0.0, tiny], [-tiny, np.finfo(np.float32).smallest_normal - tiny, -0.0]],
+                       dtype=np.float32)
+        d0 = random_delta(Rng(6), 5, 1, 4, 3, 2)
+        delta = UpdateDelta(d0.epoch, d0.strategy, 2, f32.astype(np.float64), d0.codes, d0.replaced_slots)
+        out = decode_delta(encode_delta(delta, vocab=5, d=3, n=1, k=4))
+        assert same_delta(out, delta)
+        assert out.new_rows.astype(np.float32).tobytes() == f32.tobytes()
+        # x + 0.0 turns -0.0 to +0.0 and leaves every other value as it is
+        unsigned = UpdateDelta(d0.epoch, d0.strategy, 2, delta.new_rows + 0.0, d0.codes, d0.replaced_slots)
+        assert np.array_equal(unsigned.new_rows, out.new_rows) and not same_delta(out, unsigned)
 
     def test_encode_decode_encode_idempotent(self):
         delta = random_delta(Rng(3), 50, 4, 8, 6, 9)
