@@ -8,10 +8,11 @@ import os
 import sys
 
 # One BLAS thread, set before numpy loads: a product's bits depend on the
-# BLAS thread count, and the recommender's own helper thread is then the
-# only parallelism. A caller that set one of these, or imported numpy
-# first, keeps its own setting; BLAS_ONE_THREAD records whether BLAS runs
-# one thread all the same, since the helper only slows BLAS's own threads.
+# BLAS thread count, and the helper thread that training and the table
+# rebuild share (numkit.shared_helper) is then the only parallelism. A
+# caller that set one of these, or imported numpy first, keeps its own
+# setting; BLAS_ONE_THREAD records whether BLAS runs one thread all the
+# same, since the helper only slows BLAS's own threads.
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
               "VECLIB_MAXIMUM_THREADS")
 # a variable left unset reads as "1" once the defaults below are in, unless numpy loaded first

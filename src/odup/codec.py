@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .numkit import Adam, Rng, gumbel_from_uniform, softmax, softplus
+from .numkit import Adam, Rng, _pair, gumbel_from_uniform, shared_helper, softmax, softplus
 
 ICM_SWEEPS = 2  # passes over the n components per refine_codes call
-_RECONSTRUCT_BLOCK = 32768  # output elements per block of reconstruct_table
+_RECONSTRUCT_BLOCK = 65536  # output elements per block of reconstruct_table
 _LOSS_BLOCK = 32768  # (item, codeword) pairs per block of relaxed_loss
 CODEC_LR = 0.01  # Adam's step size in train_codec
 
@@ -122,11 +122,16 @@ def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
     """Every item row as the sum of its n selected codeword rows; equivalent
     to the one-hot matrix product X = O E.
 
-    Fills a (|V|, d) float64 output block by block, about 256 KiB of output
+    Fills a (|V|, d) float64 output block by block, about 512 KiB of output
     per block, adding the components in order 0..n-1. That is bitwise the
     gather-sum ``store.rows[codes + offsets].sum(axis=1)`` without its
     (|V|, n, d) temporary, except at d = 1 with n >= 8, where numpy sums
     that gather with its unrolled pairwise loop instead.
+
+    When the output holds two blocks or more and the process has its
+    helper thread (``numkit.shared_helper``), the helper fills rows
+    [|V|/2, |V|) beside the calling thread's [0, |V|/2), by the same block
+    loop. Each row is summed alone, so the bits are the same either way.
 
     Each codeword row is copied whole, as one 8d-byte record, straight from
     codebook i by code component i, so no (|V|, n) index array is built.
@@ -152,14 +157,25 @@ def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
     books = rows.view(record).reshape(n, k, 1)  # books[i][c]: row c of codebook i
     lead, out_rows = lead.view(record), out.view(record)
     step = max(1, _RECONSTRUCT_BLOCK // d)
-    for lo in range(0, len(codes), step):
-        block, acc = codes[lo: lo + step].astype(np.intp), out[lo: lo + step]
-        at = block[:, 0] if first == 1 else block[:, 0] * k + block[:, 1]
-        # codes were range-checked above; mode="clip" lets take write into
-        # the output directly, where the default mode buffers it
-        np.take(lead, at, axis=0, out=out_rows[lo: lo + step], mode="clip")
-        for i in range(first, n):
-            acc += books[i][block[:, i]].view(np.float64)
+
+    def fill(start, stop):
+        """Rows [start, stop) of the output, block by block."""
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            block, acc = codes[lo:hi].astype(np.intp), out[lo:hi]
+            at = block[:, 0] if first == 1 else block[:, 0] * k + block[:, 1]
+            # codes were range-checked above; mode="clip" lets take write into
+            # the output directly, where the default mode buffers it
+            np.take(lead, at, axis=0, out=out_rows[lo:hi], mode="clip")
+            for i in range(first, n):
+                acc += books[i][block[:, i]].view(np.float64)
+
+    pool = shared_helper() if out.size >= 2 * _RECONSTRUCT_BLOCK else None
+    if pool is None:
+        fill(0, len(codes))
+    else:
+        cut = len(codes) // 2
+        _pair(pool, lambda: fill(cut, len(codes)), lambda: fill(0, cut))
     return out
 
 

@@ -6,15 +6,25 @@ the wire format stores float32. Randomness goes through :class:`Rng`, a
 seeded PCG64 generator wrapped so that identical seeds reproduce identical
 draw sequences on any platform; the process-global numpy state is never
 touched.
+
+The process has one helper thread, started on first use, that the table
+rebuild and recommender training hand half of their work to
+(``shared_helper`` and ``_pair``).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import zlib
 
 import numpy as np
 
+from . import BLAS_ONE_THREAD
+
 GUMBEL_EPS = 1e-12
+_helper = None  # the process's one-worker executor, once started
+_helper_lock = threading.Lock()
 
 
 class Rng:
@@ -134,3 +144,57 @@ class Adam:
             num *= self.lr
             num /= den
             p -= num
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def shared_helper():
+    """The process's one helper thread, as a one-worker executor started on
+    first use; None when the process may use fewer than 2 CPUs or BLAS runs
+    more than one thread, since beside BLAS's own threads the helper only
+    costs time. A task running on the helper must not submit to it: the
+    one worker would wait on itself."""
+    global _helper
+    if _usable_cpus() < 2 or not BLAS_ONE_THREAD:
+        return None
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor  # imported only by runs that split
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="odup-helper")
+        return _helper
+
+
+def _forget_helper():
+    """A forked child holds no thread of its parent's, so its first use
+    starts a helper of its own."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _pair(pool, helper, main):
+    """``(helper(), main())``, with ``helper`` on ``pool``'s thread beside
+    ``main`` on the calling thread. The helper runs under the caller's numpy
+    error state, which numpy does not pass to threads. An exception from
+    either comes out here, once both have finished."""
+    err = np.geterr()
+
+    def task():
+        with np.errstate(**err):
+            return helper()
+
+    future = pool.submit(task)
+    try:
+        mine = main()
+    finally:
+        future.exception()  # waits: the helper writes into arrays the caller reads next
+    return future.result(), mine

@@ -10,22 +10,19 @@ hand-rolled gradients and Adam.
 
 from __future__ import annotations
 
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from . import BLAS_ONE_THREAD
 from .errors import DataError, TrainingDiverged
-from .numkit import Adam, Rng, sigmoid
+from .numkit import Adam, Rng, _pair, shared_helper, sigmoid
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
 _EVAL_CHUNK = 512  # test pairs ranked per block in evaluate
 # Elements that the table and the helper's half of a batch's (B, |V|)
-# scores must each hold before train shares its work with a helper thread.
+# scores must each hold before train shares its work with the helper thread.
 # Smaller, the round trip (about 25 us on a 2-CPU VM), the two threads'
 # turns at the GIL and the scores moving between the cores' caches cost
 # more than the halves save.
@@ -155,24 +152,6 @@ def _scatter_rows(index, values, vocab):
     return np.bincount(flat, weights=values.ravel(), minlength=vocab * d).reshape(vocab, d)
 
 
-def _pair(pool, helper, main):
-    """``(helper(), main())``, with ``helper`` on ``pool``'s thread beside
-    ``main`` on the calling thread. The helper runs under the caller's numpy
-    error state, which numpy does not pass to threads."""
-    err = np.geterr()
-
-    def task():
-        with np.errstate(**err):
-            return helper()
-
-    future = pool.submit(task)
-    try:
-        mine = main()
-    finally:
-        future.exception()  # waits: the helper writes into arrays the caller reads next
-    return future.result(), mine
-
-
 def _l2_terms(X, l2):
     """The loss's l2 * ||X||^2 and its gradient 2 * l2 * X."""
     return l2 * (X * X).sum(), 2.0 * l2 * X
@@ -283,35 +262,15 @@ def _adam_stepper(pool, lr, X, gates):
                                     lambda: lo.step([X[:cut]], [dX[:cut]]))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _helper_pool(table_size: int, half_scores: int):
-    """A context giving train's one-thread helper pool when the table and
-    the helper's half of a batch's scores both hold SPLIT_MIN elements or
-    more, the process may use 2 or more CPUs and BLAS runs one thread;
-    otherwise one giving None. Beside BLAS's own threads the helper only
-    costs time."""
-    if min(table_size, half_scores) < SPLIT_MIN or _usable_cpus() < 2 or not BLAS_ONE_THREAD:
-        return nullcontext()
-    from concurrent.futures import ThreadPoolExecutor  # imported only by runs that split
-    return ThreadPoolExecutor(max_workers=1)
-
-
 def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     """Mini-batch Adam on the cross-entropy objective, REC_BATCH pairs per
     batch at step size REC_LR. Raises TrainingDiverged if a batch's loss
     goes non-finite, leaving ``model`` as it was.
 
     On 2 or more CPUs, and when the table and the batches are large
-    enough (SPLIT_MIN), a helper thread takes half of each batch's work
-    (``_split_loss_and_grads``) and half of Adam's (``_adam_stepper``), with
-    the same bits.
+    enough (SPLIT_MIN), the process's helper thread takes half of each
+    batch's work (``_split_loss_and_grads``) and half of Adam's
+    (``_adam_stepper``), with the same bits.
     """
     n = len(dataset)
     if n == 0:
@@ -327,20 +286,20 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     gates = [gate] if train_gate else []
     X = table[:-1]
     rows = min(REC_BATCH, n)
-    with _helper_pool(X.size, (rows - rows // 2) * vocab) as pool:
-        loss_and_grads = _loss_and_grads if pool is None else partial(_split_loss_and_grads, pool)
-        adam_step = _adam_stepper(pool, REC_LR, X, gates)
-        # an overflow is reported as TrainingDiverged, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(cfg.epochs):
-                for batch in plan_batches(dataset, rng.permutation(n), REC_BATCH, vocab):
-                    loss, dX, dg = loss_and_grads(
-                        table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
-                    )
-                    if not np.isfinite(loss):
-                        raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
-                    adam_step(dX, [np.array([dg])] if train_gate else [])
-                del batch  # its views would hold this epoch's plan while the next is built
+    pool = shared_helper() if min(X.size, (rows - rows // 2) * vocab) >= SPLIT_MIN else None
+    loss_and_grads = _loss_and_grads if pool is None else partial(_split_loss_and_grads, pool)
+    adam_step = _adam_stepper(pool, REC_LR, X, gates)
+    # an overflow is reported as TrainingDiverged, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            for batch in plan_batches(dataset, rng.permutation(n), REC_BATCH, vocab):
+                loss, dX, dg = loss_and_grads(
+                    table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
+                )
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
+                adam_step(dX, [np.array([dg])] if train_gate else [])
+            del batch  # its views would hold this epoch's plan while the next is built
     model.embeddings[...] = X
     model.gate_raw = float(gate[0])
 

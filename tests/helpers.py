@@ -2,11 +2,14 @@
 of what the package computes in batches, kept out of the package because
 only tests call them."""
 
+import sys
+from contextlib import contextmanager
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
-from odup import recommender
+from odup import numkit, recommender
 from odup.codec import (
     CODEC_LR, CodebookStore, CodecConfig, CodecEncoder, _relaxed_backward, _relaxed_forward,
     init_codec, relaxed_loss,
@@ -30,6 +33,21 @@ def codec_config(n, k, d, tau=TAU_DEFAULT, epochs=300, batch=256, seed=0) -> Cod
 def train_config(epochs=30, l2=1e-5, seed=0, freeze_gate=False) -> TrainConfig:
     """A TrainConfig with the settings recommender tests use where they name none."""
     return TrainConfig(epochs, l2, seed, freeze_gate)
+
+
+@contextmanager
+def helper_on():
+    """The process's helper thread is there on any machine (as on 2 CPUs
+    with one BLAS thread), and threads trade the interpreter lock as often
+    as they can, so a missed wait on the helper shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(numkit, "_usable_cpus", lambda: 2), \
+                mock.patch.object(numkit, "BLAS_ONE_THREAD", True):
+            yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def same_delta(a: UpdateDelta, b: UpdateDelta) -> bool:

@@ -1,11 +1,15 @@
 import functools
+import threading
 import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odup import codec, numkit
 from odup.errors import ConfigError
 from odup.codec import (
     ICM_SWEEPS, CodebookStore, CodecEncoder, check_capacity, harden,
@@ -17,8 +21,8 @@ from odup.pipeline import ExperimentConfig
 
 from helpers import (
     TAU_ALT, TAU_DEFAULT, best_component, codec_config, codes_from_alpha, encoder_forward,
-    forward_backward, gather_sum_table, grad_check, gumbel_relax, item_errors, log_softmax, normal,
-    reconstruct_item, sample_gumbel, train_codec_per_batch_noise,
+    forward_backward, gather_sum_table, grad_check, gumbel_relax, helper_on, item_errors, log_softmax,
+    normal, reconstruct_item, sample_gumbel, train_codec_per_batch_noise,
 )
 
 
@@ -135,16 +139,22 @@ class TestReconstruct:
         codes = np.arange(4, dtype=np.int32)[:, None]
         assert np.array_equal(reconstruct_table(store, codes), rows)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=160, deadline=None)
     @given(st.data())
     def test_blocked_equals_gather_sum(self, data):
         d = data.draw(st.sampled_from([1, 2, 3, 32, 33, _RECONSTRUCT_BLOCK + 1]))
         n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 10)))
         k = data.draw(st.integers(1, 5))
-        step = max(1, _RECONSTRUCT_BLOCK // d)
-        # k * k - 1 and k * k lie on both sides of the first-pair table's bound
+        # split: the helper thread is there, and tables of two blocks or
+        # more split, at the real block or at one small enough that most do
+        split = data.draw(st.booleans())
+        block = data.draw(st.sampled_from([1, 64, _RECONSTRUCT_BLOCK])) if split else _RECONSTRUCT_BLOCK
+        step = max(1, block // d)
+        # k * k - 1 and k * k lie on both sides of the first-pair table's
+        # bound, 2 * step - 1 and 2 * step + 1 (odd) on both sides of the split's
         vocab = data.draw(st.sampled_from(
-            [0, 1, k * k - 1, k * k, step - 1, step, step + 1, 3 * step + 5]))
+            [0, 1, k * k - 1, k * k, step - 1, step, step + 1, 2 * step - 1, 2 * step + 1,
+             3 * step + 5]))
         rng = Rng(data.draw(st.integers(0, 2**16)))
         # row scales spread over 12 decades, so any change of summation order shows,
         # and a fifth of the entries are signed zeros, whose sign an addition can flip
@@ -160,7 +170,9 @@ class TestReconstruct:
         store = CodebookStore(n, k, d, rows)
         dtype = data.draw(st.sampled_from([np.int32, np.intp]))  # decode_delta gives int32
         codes = rng.integers(0, k, (vocab, n)).astype(dtype)
-        table = reconstruct_table(store, codes)
+        with helper_on() if split else nullcontext(), \
+                mock.patch.object(codec, "_RECONSTRUCT_BLOCK", block):
+            table = reconstruct_table(store, codes)
         assert table.dtype == np.float64 and table.shape == (vocab, d)
         idx = codes + np.arange(n) * k
         in_order = functools.reduce(np.add, (rows[idx[:, i]] for i in range(n)))
@@ -179,6 +191,30 @@ class TestReconstruct:
         store = CodebookStore(2, 4, 3, np.zeros((8, 3)))
         with pytest.raises(ValueError, match="integer"):
             reconstruct_table(store, np.array([[3.7, 1.0]]))
+
+    def test_split_rebuilds_share_one_helper_thread(self):
+        # |V| d = 2 blocks, the least output that splits
+        rng = Rng(12)
+        d = 64
+        store = CodebookStore(3, 4, d, normal(rng, 1.0, (12, d)))
+        codes = rng.integers(0, 4, (2 * _RECONSTRUCT_BLOCK // d, 3)).astype(np.int32)
+        first = reconstruct_table(store, codes)
+        before = threading.active_count()
+        with helper_on():
+            assert all(np.array_equal(reconstruct_table(store, codes), first) for _ in range(200))
+        assert numkit._helper is not None
+        assert threading.active_count() <= before + 1
+
+    def test_a_small_table_starts_no_thread(self, monkeypatch):
+        # c4-queue's shape: |V| 300, n 8, k 16, d 16; 4,800 elements, far below two blocks
+        monkeypatch.setattr(numkit, "_helper", None)
+        rng = Rng(13)
+        store = CodebookStore(8, 16, 16, normal(rng, 1.0, (128, 16)))
+        codes = rng.integers(0, 16, (300, 8)).astype(np.int32)
+        before = threading.active_count()
+        with helper_on():
+            reconstruct_table(store, codes)
+        assert numkit._helper is None and threading.active_count() == before
 
     def test_lead_table_never_outgrows_the_output(self):
         # k * k > |V| here; a first-pair table would hold k * k = 2^20 rows, 16 MiB

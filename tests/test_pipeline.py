@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
+import odup
 import odup.cli as cli
-from odup import pipeline, wire
+from odup import codec, pipeline, wire
 from odup.errors import (
     ConfigError, DataError, DimensionMismatch, FrameError, LedgerDivergence, ProtocolError,
     StaleDeltaError,
@@ -22,6 +24,8 @@ from odup.pipeline import (
     cloud_trajectory, load_config, prepare_data, replay, run_report, run_simulate, write_reports,
 )
 from odup.updater import UpdateDelta, plan_slots
+
+from helpers import helper_on
 
 
 def assert_rows_match(csv_path, records):
@@ -316,6 +320,29 @@ class TestDeviceSim:
         assert ledger == ledger_before
         assert np.array_equal(table, table_before)
 
+    def test_raise_on_the_helper_thread_leaves_state_untouched(self, monkeypatch):
+        # one-element blocks split the rebuild at this size; the helper's
+        # half fills its rows, then raises
+        device, rng = self.deployed()
+        store, ledger, table = device.store, device.ledger, device.table
+        table_before = table.copy()
+        pair, threads = codec._pair, []
+
+        def failing_half(pool, helper, main):
+            def half():
+                threads.append(threading.current_thread())
+                helper()
+                raise RuntimeError("the helper's half failed")
+            return pair(pool, half, main)
+
+        monkeypatch.setattr(codec, "_pair", failing_half)
+        monkeypatch.setattr(codec, "_RECONSTRUCT_BLOCK", 1)
+        with helper_on(), pytest.raises(RuntimeError, match="helper's half"):
+            device.receive(self.frame(device, rng, self.V, self.N, self.K))
+        assert threads and threads[0] is not threading.current_thread()
+        assert device.store is store and device.ledger is ledger and device.table is table
+        assert np.array_equal(table, table_before)
+
     def test_full_frame_must_carry_every_row(self):
         n, k, beta = 4, 2, 6
         rng = np.random.default_rng(5)
@@ -556,9 +583,6 @@ class TestReport:
 
 
 class TestBlasThreads:
-    BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS")
-
     def test_report_bits_do_not_depend_on_blas_env(self, tmp_path):
         # at |V| 2000 and d 32 the products S @ X.T and DY @ X give other
         # bits at 2 BLAS threads than at 1, and two epochs over three slices
@@ -572,9 +596,9 @@ class TestBlasThreads:
         src = os.path.dirname(os.path.dirname(cli.__file__))
         reports = []
         for threads in (None, "1"):
-            env = {k: v for k, v in os.environ.items() if k not in self.BLAS_ENV}
+            env = {k: v for k, v in os.environ.items() if k not in odup._BLAS_VARS}
             if threads is not None:
-                env.update(dict.fromkeys(self.BLAS_ENV, threads))
+                env.update(dict.fromkeys(odup._BLAS_VARS, threads))
             env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
             out = tmp_path / f"threads-{threads}"
             run = subprocess.run(

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import odup
-from odup import recommender
+from odup import numkit, recommender
 from odup.errors import DataError, TrainingDiverged
 from odup.numkit import Rng, sigmoid
 from odup.recommender import RecModel, _loss_and_grads, evaluate, init_model, padded_table, train
 
 from helpers import (
-    dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, log_softmax,
-    rank_metrics, score_all, train_config, train_reference, whole_batch,
+    dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, helper_on,
+    log_softmax, rank_metrics, score_all, train_config, train_reference, whole_batch,
 )
 
 
@@ -29,17 +29,9 @@ def toy_model(vocab=4, d=3, kind="mean_pool", seed=5):
 @contextmanager
 def helper_forced():
     """train's helper thread takes its half of every batch, however small,
-    on any number of CPUs, and the two threads trade the interpreter lock
-    as often as they can, so a missed wait on the helper shows."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(recommender, "SPLIT_MIN", 0), \
-                mock.patch.object(recommender, "_usable_cpus", lambda: 2), \
-                mock.patch.object(recommender, "BLAS_ONE_THREAD", True):
-            yield
-    finally:
-        sys.setswitchinterval(interval)
+    on any number of CPUs."""
+    with helper_on(), mock.patch.object(recommender, "SPLIT_MIN", 0):
+        yield
 
 
 @contextmanager
@@ -436,21 +428,27 @@ class TestTrainMatchesReference:
 
 class TestHelperPool:
     def test_pool_only_for_a_large_table_and_batch_on_two_cpus(self, monkeypatch):
-        big = recommender.SPLIT_MIN
-        monkeypatch.setattr(recommender, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(recommender, "BLAS_ONE_THREAD", True)
-        for sizes in [(big - 1, big), (big, big - 1)]:
-            with recommender._helper_pool(*sizes) as pool:
-                assert pool is None
-        with recommender._helper_pool(big, big) as pool:
-            assert pool is not None
-        monkeypatch.setattr(recommender, "_usable_cpus", lambda: 1)
-        with recommender._helper_pool(big, big) as pool:
-            assert pool is None
-        monkeypatch.setattr(recommender, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(recommender, "BLAS_ONE_THREAD", False)
-        with recommender._helper_pool(big, big) as pool:
-            assert pool is None
+        monkeypatch.setattr(numkit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(numkit, "BLAS_ONE_THREAD", True)
+        pool = numkit.shared_helper()
+        assert pool is not None and numkit.shared_helper() is pool
+        monkeypatch.setattr(numkit, "_usable_cpus", lambda: 1)
+        assert numkit.shared_helper() is None
+        monkeypatch.setattr(numkit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(numkit, "BLAS_ONE_THREAD", False)
+        assert numkit.shared_helper() is None
+        # train asks for the helper only when the table (|V| d) and the
+        # helper's half of a batch's scores ((B - B // 2) |V|) both hold SPLIT_MIN
+        calls = []
+        monkeypatch.setattr(recommender, "shared_helper", lambda: calls.append(1))  # gives None
+        for d, batch, split_min, asked in [(2, 5, 8, True), (2, 5, 9, False),  # table 8, half 12
+                                           (4, 3, 8, True), (4, 3, 9, False)]:  # table 16, half 8
+            calls.clear()
+            monkeypatch.setattr(recommender, "SPLIT_MIN", split_min)
+            ds = dataset_of([([i % 4], (i + 1) % 4) for i in range(batch)])
+            with rec_steps(batch=batch):
+                train(toy_model(vocab=4, d=d), ds, train_config(epochs=1))
+            assert bool(calls) == asked, (d, batch, split_min)
 
     @pytest.mark.parametrize("threads, pooled", [(None, False), ("1", True)])
     def test_numpy_loaded_first_keeps_the_helper_only_at_one_blas_thread(self, threads, pooled):
@@ -462,10 +460,30 @@ class TestHelperPool:
             env.update(dict.fromkeys(odup._BLAS_VARS, threads))
         src = os.path.dirname(os.path.dirname(recommender.__file__))
         env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = ("import numpy\nfrom odup import recommender\nrecommender._usable_cpus = lambda: 2\n"
-                "with recommender._helper_pool(recommender.SPLIT_MIN, recommender.SPLIT_MIN) as pool:\n"
-                "    print(pool is not None)\n")
+        code = ("import numpy\nfrom odup import numkit\nnumkit._usable_cpus = lambda: 2\n"
+                "print(numkit.shared_helper() is not None)\n")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == str(pooled)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_starts_its_own_helper(self):
+        # the child of a fork has none of its parent's threads; a helper
+        # inherited from the parent would take the child's task and never run it
+        src = os.path.dirname(os.path.dirname(recommender.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import os, signal\nfrom odup import numkit\nnumkit._usable_cpus = lambda: 2\n"
+                "def both():\n"
+                "    return numkit._pair(numkit.shared_helper(), lambda: 1, lambda: 2)\n"
+                "both()\n"
+                "pid = os.fork()\n"
+                "if pid == 0:\n"
+                "    signal.alarm(30)  # a child waiting on its parent's helper ends here\n"
+                "    os._exit(0 if both() == (1, 2) else 1)\n"
+                "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "0"
