@@ -1,11 +1,13 @@
 """Deterministic float64 numerics shared by all training code.
 
-All internal arithmetic is 64-bit. Float32 appears only where rows reach
-the device: an ``UpdateDelta`` keeps the float32 values of its rows, and
-the wire format stores float32. Randomness goes through :class:`Rng`, a
-seeded PCG64 generator wrapped so that identical seeds reproduce identical
-draw sequences on any platform; the process-global numpy state is never
-touched.
+Parameters and optimizer state are 64-bit. Float32 appears in two places:
+the recommender computes each training batch in float32 on a float32
+mirror of its float64 table (``recommender.train``), and rows reaching the
+device are float32 (an ``UpdateDelta`` keeps the float32 values of its
+rows, and the wire format stores float32). Randomness goes through
+:class:`Rng`, a seeded PCG64 generator wrapped so that identical seeds
+reproduce identical draw sequences on any platform; the process-global
+numpy state is never touched.
 
 The process has one helper thread, started on first use, that the table
 rebuild and recommender training hand half of their work to

@@ -6,6 +6,11 @@ g * x_last + (1 - g) * mean with a learned scalar gate ("last_gated").
 Scores are plain dot products against every item row; training minimizes
 softmax cross-entropy of the next-item label plus L2 on the table, with
 hand-rolled gradients and Adam.
+
+Training is mixed precision (Micikevicius et al., "Mixed Precision
+Training", ICLR 2018): each batch computes in float32 on a float32 mirror
+of the table, while the table itself, the l2 terms, the summed gradient and
+Adam stay float64. ``evaluate`` ranks in float64.
 """
 
 from __future__ import annotations
@@ -137,10 +142,11 @@ def plan_batches(dataset, order, size: int, vocab: int):
 
 
 def _encode_batch(table, gate_value, encoder_kind, batch: Batch):
-    """Session embeddings from the padded table; returns (S, means)."""
-    means = table[batch.pad].sum(axis=0) / batch.lens[:, None]
+    """Session embeddings from the padded table, in its dtype; returns (S, means)."""
+    dt = table.dtype.type
+    means = table[batch.pad].sum(axis=0) / batch.lens.astype(dt)[:, None]
     if encoder_kind == "last_gated":
-        return gate_value * table[batch.last] + (1.0 - gate_value) * means, means
+        return dt(gate_value) * table[batch.last] + dt(1.0 - gate_value) * means, means
     return means, means
 
 
@@ -158,7 +164,8 @@ def _l2_terms(X, l2):
 
 
 def _forward(table, g, encoder_kind, batch: Batch):
-    """(S, means, Y): the session embeddings and their scores S @ X.T."""
+    """(S, means, Y): the session embeddings and their scores S @ X.T, in
+    the dtype of the padded ``table``."""
     S, means = _encode_batch(table, g, encoder_kind, batch)
     return S, means, S @ table[:-1].T
 
@@ -168,6 +175,7 @@ def _softmax_rows(Y, label_pos, rows: slice):
     / B in place; returns their cross-entropy. Every step is row by row, so
     any split of the rows gives the same bits."""
     B = len(Y)
+    dt = Y.dtype.type
     flat_Y = Y.reshape(-1)
     pos = label_pos[rows]
     label_logits = flat_Y[pos]
@@ -176,25 +184,27 @@ def _softmax_rows(Y, label_pos, rows: slice):
     np.exp(np.subtract(E, m, out=E), out=E)
     total = E.sum(axis=-1, keepdims=True)
     ce = m[:, 0] + np.log(total[:, 0]) - label_logits
-    E /= total * B
-    flat_Y[pos] -= 1.0 / B
+    E /= total * dt(B)
+    flat_Y[pos] -= dt(1.0 / B)
     return ce
 
 
 def _scatter_grads(table, g, encoder_kind, batch: Batch, DY, means, want_gate_grad):
     """DS = DY @ X scattered to the table, (scatter, dgate_raw): each prefix
     occurrence of item v gets (1-g) * DS_j / len_j; the gated path adds
-    g * DS_j to the last item of prefix j."""
+    g * DS_j to the last item of prefix j. DS and the per-slot values are
+    in the dtype of the padded ``table``; the scatter sums them in float64."""
     X = table[:-1]
+    dt = table.dtype.type
     gated = encoder_kind == "last_gated"
     DS = DY @ X
-    per_slot = ((1.0 - g) * DS if gated else DS) / batch.lens[:, None]
+    per_slot = (dt(1.0 - g) * DS if gated else DS) / batch.lens.astype(dt)[:, None]
     index = batch.prefix
     values = per_slot[batch.slot_rows]
     dgate_raw = 0.0
     if gated:
         index = np.concatenate([index, batch.last])
-        values = np.concatenate([values, g * DS])
+        values = np.concatenate([values, dt(g) * DS])
         if want_gate_grad:
             dgate = float(np.sum(DS * (table[batch.last] - means)))
             dgate_raw = dgate * g * (1.0 - g)
@@ -206,27 +216,32 @@ def _gate_value(gate_raw, encoder_kind) -> float:
     return float(sigmoid(np.float64(gate_raw))) if encoder_kind == "last_gated" else 0.0
 
 
-def _loss_and_grads(table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
+def _loss_and_grads(table, mirror, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
     """Mean softmax cross-entropy over the batch plus l2 * ||X||^2, where
-    ``table`` is the padded (|V| + 1, d) table and X its first |V| rows.
+    ``table`` is the padded (|V| + 1, d) float64 table and X its first |V|
+    rows. The batch computes in the dtype of ``mirror``, the padded table
+    rounded to it (train passes a float32 copy; ``table`` itself gives the
+    float64 function); the l2 terms come from ``table``.
 
-    Returns (loss, dX, dgate_raw). Pure in its inputs; train() runs it when
-    it has no helper thread, and the finite-difference gradient tests call
-    it. ``_split_loss_and_grads`` runs the same phases in pairs.
+    Returns (loss, dX, dgate_raw), dX in float64: ``DY.T @ S`` widened, plus
+    the scatter, plus the l2 gradient. Pure in its inputs; train() runs it
+    when it has no helper thread, and the finite-difference gradient tests
+    call it. ``_split_loss_and_grads`` runs the same phases in pairs.
     """
     g = _gate_value(gate_raw, encoder_kind)
-    S, means, Y = _forward(table, g, encoder_kind, batch)
+    S, means, Y = _forward(mirror, g, encoder_kind, batch)
     ce = _softmax_rows(Y, batch.label_pos, slice(None))
-    dX = Y.T @ S
-    scatter, dgate_raw = _scatter_grads(table, g, encoder_kind, batch, Y, means, want_gate_grad)
-    dX += scatter
-    del scatter  # freed first, so the l2 terms add one (|V|, d) array to the peak, not two
+    product = Y.T @ S
+    dX, dgate_raw = _scatter_grads(mirror, g, encoder_kind, batch, Y, means, want_gate_grad)
+    dX += product  # the scatter's float64 sum plus the product: the same bits either way round
+    del product, Y  # freed before the l2 terms add their (|V|, d) gradient to the peak
     reg, l2_grad = _l2_terms(table[:-1], l2)
     dX += l2_grad
     return float(ce.mean() + reg), dX, dgate_raw
 
 
-def _split_loss_and_grads(pool, table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
+def _split_loss_and_grads(pool, table, mirror, gate_raw, encoder_kind, batch: Batch, l2,
+                          want_gate_grad):
     """``_loss_and_grads`` with its phases in pairs, each pair side by side
     on this thread and ``pool``'s helper: the l2 terms beside the encode
     and the score product, batch rows [B/2, B) beside [0, B/2) through the
@@ -236,36 +251,51 @@ def _split_loss_and_grads(pool, table, gate_raw, encoder_kind, batch: Batch, l2,
     X = table[:-1]
     g = _gate_value(gate_raw, encoder_kind)
     (reg, l2_grad), (S, means, Y) = _pair(pool, lambda: _l2_terms(X, l2),
-                                          lambda: _forward(table, g, encoder_kind, batch))
+                                          lambda: _forward(mirror, g, encoder_kind, batch))
     ce_hi, ce_lo = _pair(pool, lambda: _softmax_rows(Y, batch.label_pos, slice(B // 2, B)),
                          lambda: _softmax_rows(Y, batch.label_pos, slice(0, B // 2)))
     ce = np.concatenate([ce_lo, ce_hi])
-    dX, (scatter, dgate_raw) = _pair(pool, lambda: Y.T @ S,
-                                     lambda: _scatter_grads(table, g, encoder_kind, batch, Y, means,
+    product, (dX, dgate_raw) = _pair(pool, lambda: Y.T @ S,
+                                     lambda: _scatter_grads(mirror, g, encoder_kind, batch, Y, means,
                                                             want_gate_grad))
-    dX += scatter
+    dX += product
     dX += l2_grad
     return float(ce.mean() + reg), dX, dgate_raw
 
 
-def _adam_stepper(pool, lr, X, gates):
-    """``step(dX, dgates)``: Adam over the table rows X and ``gates``, as
-    one instance, or with a ``pool`` as two, rows [0, |V|/2) on the calling
-    thread beside the rest and the gates on the helper. Adam is elementwise, so the bits
-    are the same."""
+def _refresh(mirror, X) -> bool:
+    """Round the master rows X into their ``mirror`` rows; whether every
+    mirrored entry is finite (an entry beyond float32's range is not)."""
+    mirror[...] = X
+    return bool(np.isfinite(mirror).all())
+
+
+def _adam_stepper(pool, lr, X, mirror, gates):
+    """``step(dX, dgates)``: Adam over the table rows X and ``gates``, then
+    the rows' refresh into their ``mirror`` rows, as one instance, or with
+    a ``pool`` as two, rows [0, |V|/2) on the calling thread beside the
+    rest and the gates on the helper. Adam and the refresh are elementwise,
+    so the bits are the same. The step returns ``_refresh``'s verdict."""
+    def step_rows(adam, rows, dX, gates, dgates):
+        adam.step([X[rows]] + gates, [dX[rows]] + dgates)
+        return _refresh(mirror[rows], X[rows])
+
     if pool is None:
         adam = Adam(lr)
-        return lambda dX, dgates: adam.step([X] + gates, [dX] + dgates)
+        return lambda dX, dgates: step_rows(adam, slice(None), dX, gates, dgates)
     cut = len(X) // 2
     lo, hi = Adam(lr), Adam(lr)
-    return lambda dX, dgates: _pair(pool, lambda: hi.step([X[cut:]] + gates, [dX[cut:]] + dgates),
-                                    lambda: lo.step([X[:cut]], [dX[:cut]]))
+    return lambda dX, dgates: all(_pair(pool, lambda: step_rows(hi, slice(cut, None), dX, gates, dgates),
+                                        lambda: step_rows(lo, slice(0, cut), dX, [], [])))
 
 
 def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     """Mini-batch Adam on the cross-entropy objective, REC_BATCH pairs per
-    batch at step size REC_LR. Raises TrainingDiverged if a batch's loss
-    goes non-finite, leaving ``model`` as it was.
+    batch at step size REC_LR, each batch in float32 on a mirror of the
+    float64 table (``_loss_and_grads``). Raises TrainingDiverged, leaving
+    ``model`` as it was, in the first batch whose loss goes non-finite or
+    whose mirror holds a non-finite entry (a table entry beyond float32's
+    range, about 3.4e38, included).
 
     On 2 or more CPUs, and when the table and the batches are large
     enough (SPLIT_MIN), the process's helper thread takes half of each
@@ -285,20 +315,25 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     # a gate with no gradient never moves under Adam, so only a trained one steps
     gates = [gate] if train_gate else []
     X = table[:-1]
+    mirror = np.zeros(table.shape, dtype=np.float32)  # its last row stays the zero row
     rows = min(REC_BATCH, n)
     pool = shared_helper() if min(X.size, (rows - rows // 2) * vocab) >= SPLIT_MIN else None
     loss_and_grads = _loss_and_grads if pool is None else partial(_split_loss_and_grads, pool)
-    adam_step = _adam_stepper(pool, REC_LR, X, gates)
+    adam_step = _adam_stepper(pool, REC_LR, X, mirror[:-1], gates)
     # an overflow is reported as TrainingDiverged, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        finite = _refresh(mirror[:-1], X)
         for _ in range(cfg.epochs):
             for batch in plan_batches(dataset, rng.permutation(n), REC_BATCH, vocab):
+                # every batch scores every row, so a non-finite mirror entry is read here
+                if not finite:
+                    raise TrainingDiverged("recommender table entry became non-finite in float32")
                 loss, dX, dg = loss_and_grads(
-                    table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
+                    table, mirror, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
                 )
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
-                adam_step(dX, [np.array([dg])] if train_gate else [])
+                finite = adam_step(dX, [np.array([dg])] if train_gate else [])
             del batch  # its views would hold this epoch's plan while the next is built
     model.embeddings[...] = X
     model.gate_raw = float(gate[0])

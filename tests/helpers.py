@@ -294,23 +294,27 @@ def gather_batch_masked(dataset, idx) -> MaskedBatch:
 
 
 def encode_batch_masked(table, gate_value, encoder_kind, batch: MaskedBatch):
-    """Session embeddings (S, means) from an unpadded table, zeroing the
-    padded slots with the mask."""
+    """Session embeddings (S, means) from an unpadded table, in its dtype,
+    zeroing the padded slots with the mask."""
+    dt = table.dtype.type
     gathered = table[batch.pad] * batch.mask[:, :, None]
-    means = gathered.sum(axis=1) / batch.lens[:, None]
+    means = gathered.sum(axis=1) / batch.lens.astype(dt)[:, None]
     if encoder_kind == "last_gated":
-        return gate_value * table[batch.last] + (1.0 - gate_value) * means, means
+        return dt(gate_value) * table[batch.last] + dt(1.0 - gate_value) * means, means
     return means, means
 
 
-def loss_and_grads_masked(table, gate_raw, encoder_kind, batch: MaskedBatch, l2, want_gate_grad):
+def loss_and_grads_masked(table, mirror, gate_raw, encoder_kind, batch: MaskedBatch, l2, want_gate_grad):
     """The fused loss and gradients of recommender._loss_and_grads, on an
-    unpadded table and a masked batch."""
+    unpadded float64 table and a masked batch: every batch step in the
+    dtype of ``mirror`` (the table rounded to float32, or the table), the
+    l2 terms from ``table``, and dX in float64."""
     B = batch.n
+    dt = mirror.dtype.type
     gated = encoder_kind == "last_gated"
     g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
-    S, means = encode_batch_masked(table, g, encoder_kind, batch)
-    Y = S @ table.T
+    S, means = encode_batch_masked(mirror, g, encoder_kind, batch)
+    Y = S @ mirror.T
     rows = np.arange(B)
     label_logits = Y[rows, batch.labels]
     m = np.max(Y, axis=-1, keepdims=True)
@@ -318,19 +322,19 @@ def loss_and_grads_masked(table, gate_raw, encoder_kind, batch: MaskedBatch, l2,
     total = np.sum(DY, axis=-1, keepdims=True)
     ce = m[:, 0] + np.log(total[:, 0]) - label_logits
     loss = float(ce.mean() + l2 * np.sum(table * table))
-    DY /= total * B
-    DY[rows, batch.labels] -= 1.0 / B
-    dX = DY.T @ S
-    DS = DY @ table
-    per_slot = ((1.0 - g) if gated else 1.0) * DS / batch.lens[:, None]
+    DY /= total * dt(B)
+    DY[rows, batch.labels] -= dt(1.0 / B)
+    dX = (DY.T @ S).astype(np.float64)
+    DS = DY @ mirror
+    per_slot = (dt(1.0 - g) if gated else dt(1.0)) * DS / batch.lens.astype(dt)[:, None]
     index = batch.pad[batch.mask]
     values = per_slot[np.repeat(rows, batch.lens)]
     dgate_raw = 0.0
     if gated:
         index = np.concatenate([index, batch.last])
-        values = np.concatenate([values, g * DS])
+        values = np.concatenate([values, dt(g) * DS])
         if want_gate_grad:
-            dgate = float(np.sum(DS * (table[batch.last] - means)))
+            dgate = float(np.sum(DS * (mirror[batch.last] - means)))
             dgate_raw = dgate * g * (1.0 - g)
     dX += _scatter_rows(index, values, table.shape[0])
     dX += 2.0 * l2 * table
@@ -340,9 +344,10 @@ def loss_and_grads_masked(table, gate_raw, encoder_kind, batch: MaskedBatch, l2,
 def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> None:
     """recommender.train as one masked gather per batch, training
     ``model.embeddings`` in place and stepping Adam on the table and the
-    gate together (a frozen gate's gradient is 0). Reads the step size and
-    batch from recommender.REC_LR and REC_BATCH when called, so a test that
-    patches them trains both forms alike."""
+    gate together (a frozen gate's gradient is 0). Each batch computes on
+    the table rounded to float32, read afresh per batch. Reads the step
+    size and batch from recommender.REC_LR and REC_BATCH when called, so a
+    test that patches them trains both forms alike."""
     lr, size = recommender.REC_LR, recommender.REC_BATCH
     rng = Rng(cfg.seed).child("rec-shuffle")
     table = model.embeddings
@@ -353,8 +358,12 @@ def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> None:
         order = rng.permutation(len(dataset))
         for lo in range(0, len(dataset), size):
             batch = gather_batch_masked(dataset, order[lo: lo + size])
+            with np.errstate(over="ignore"):
+                mirror = table.astype(np.float32)
+            if not np.all(np.isfinite(mirror)):
+                raise TrainingDiverged("recommender table entry became non-finite in float32")
             loss, dX, dg = loss_and_grads_masked(
-                table, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
+                table, mirror, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"recommender loss became non-finite ({loss})")

@@ -204,11 +204,12 @@ def test_criterion_7_gradient_correctness():
         batch = whole_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1), ([2], 3)]), 4)
         X = model.embeddings.copy()
         graw = model.gate_raw
-        _, dX, dg = _loss_and_grads(padded_table(X), graw, kind, batch, 1e-3, True)
+        table = padded_table(X)  # the float64 function: the table is its own mirror
+        _, dX, dg = _loss_and_grads(table, table, graw, kind, batch, 1e-3, True)
 
         def f(vec, kind=kind, batch=batch):
-            loss, _, _ = _loss_and_grads(padded_table(vec[:-1].reshape(4, 3)), vec[-1], kind, batch,
-                                         1e-3, True)
+            table = padded_table(vec[:-1].reshape(4, 3))
+            loss, _, _ = _loss_and_grads(table, table, vec[-1], kind, batch, 1e-3, True)
             return loss
 
         err = grad_check(f, np.concatenate([dX.ravel(), [dg]]),

@@ -243,12 +243,12 @@ class TestTrain:
             batch = whole_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1)]), 4)
             X = m.embeddings.copy()
             graw = m.gate_raw
-            loss, dX, dg = _loss_and_grads(padded_table(X), graw, kind, batch, 1e-3, True)
+            table = padded_table(X)  # the float64 function: the table is its own mirror
+            loss, dX, dg = _loss_and_grads(table, table, graw, kind, batch, 1e-3, True)
 
             def f(vec):
-                l, _, _ = _loss_and_grads(
-                    padded_table(vec[:-1].reshape(4, 3)), vec[-1], kind, batch, 1e-3, True
-                )
+                table = padded_table(vec[:-1].reshape(4, 3))
+                l, _, _ = _loss_and_grads(table, table, vec[-1], kind, batch, 1e-3, True)
                 return l
 
             point = np.concatenate([X.ravel(), [graw]])
@@ -294,7 +294,8 @@ class TestTrain:
         batch = whole_batch(dataset_of(pairs), vocab)
         masked = gather_batch_masked(dataset_of(pairs), slice(None))
         with np.errstate(all="raise", under="ignore"):
-            loss, dX, dg = _loss_and_grads(padded_table(table), 0.4, kind, batch, 1e-3, True)
+            padded = padded_table(table)
+            loss, dX, dg = _loss_and_grads(padded, padded, 0.4, kind, batch, 1e-3, True)
             ref_loss, ref_dX, ref_dg = self.reference_loss_and_grads(table, 0.4, kind, masked, 1e-3)
         if scale == 16.0:  # the single-item prefix [1] scores table[1] @ table.T
             assert np.max(np.abs(table[1] @ table.T)) > 1e3
@@ -304,7 +305,7 @@ class TestTrain:
 
     def test_divergence_raises(self):
         m = toy_model(vocab=4, d=3)
-        m.embeddings[0, 0] = 1e308  # L2 term overflows to inf on first batch
+        m.embeddings[0, 0] = 1e308  # beyond float32: the first batch's mirror holds inf
         ds = dataset_of([([1], 2)])
         with rec_steps(batch=1), pytest.raises(TrainingDiverged):
             train(m, ds, train_config(epochs=1, l2=1.0, seed=0))
@@ -312,8 +313,8 @@ class TestTrain:
     @pytest.mark.filterwarnings("error")
     def test_divergence_raises_with_helper(self):
         # the overflow happens on the helper thread too (the l2 term and the
-        # second half of the rows); a warning there would escape the caller's
-        # errstate and surface instead of TrainingDiverged
+        # refresh of the second half of the rows); a warning there would
+        # escape the caller's errstate and surface instead of TrainingDiverged
         m = toy_model(vocab=4, d=3, kind="last_gated")
         m.embeddings[0, 0] = 1e308
         before, gate = m.embeddings.copy(), m.gate_raw
@@ -333,8 +334,8 @@ class TestTrain:
         batch = whole_batch(ds, 6)
 
         def objective():
-            return _loss_and_grads(padded_table(m.embeddings), m.gate_raw, m.encoder_kind, batch,
-                                   1e-5, False)[0]
+            table = padded_table(m.embeddings)
+            return _loss_and_grads(table, table, m.gate_raw, m.encoder_kind, batch, 1e-5, False)[0]
 
         before = objective()
         train(m, ds, train_config(epochs=50, seed=4))
@@ -367,6 +368,133 @@ class TestTrain:
         with rec_steps(lr=0.05, batch=4):
             train(m, ds, train_config(epochs=5, seed=1, freeze_gate=True))
         assert m.gate_raw == before
+
+
+class TestMixedPrecision:
+    """train computes each batch in float32 on a mirror of the table; the
+    table, the summed gradient and Adam stay float64."""
+
+    @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
+    @pytest.mark.parametrize("vocab, d, split", [(300, 16, False), (1850, 32, True)])
+    def test_batch_in_float32_gradient_and_adam_in_float64(self, monkeypatch, kind, vocab, d, split):
+        # c4-queue's shape runs inline; at ingest-adaptive's the helper takes
+        # half of every phase. A scalar or int array that promoted a float32
+        # product to float64 would show here and nowhere else.
+        seen, adams = {}, []
+        forward, softmax_rows, scatter_grads = (recommender._forward, recommender._softmax_rows,
+                                                recommender._scatter_grads)
+
+        def note(name, x):
+            seen.setdefault(name, set()).add(x.dtype)
+
+        def spy_forward(*args):
+            S, means, Y = forward(*args)
+            note("S", S)
+            note("scores", Y)
+            return S, means, Y
+
+        def spy_softmax_rows(Y, *args):
+            ce = softmax_rows(Y, *args)
+            note("DY", Y)
+            note("ce", ce)
+            return ce
+
+        def spy_scatter_grads(table, g, kind, batch, DY, *args):
+            note("DY", DY)
+            scatter, dgate_raw = scatter_grads(table, g, kind, batch, DY, *args)
+            note("scatter", scatter)
+            return scatter, dgate_raw
+
+        class SpyAdam(numkit.Adam):
+            def step(self, params, grads):
+                super().step(params, grads)
+                adams.append(self)
+                for grad in grads:
+                    note("grads", grad)
+
+        pairs = Rng(3).integers(0, vocab, (250, 3))
+        ds = dataset_of([([int(a), int(b)], int(c)) for a, b, c in pairs])
+        for name, fn in [("_forward", spy_forward), ("_softmax_rows", spy_softmax_rows),
+                         ("_scatter_grads", spy_scatter_grads), ("Adam", SpyAdam)]:
+            monkeypatch.setattr(recommender, name, fn)
+        pair_calls = []
+        monkeypatch.setattr(recommender, "_pair", lambda *a: pair_calls.append(1) or numkit._pair(*a))
+        with helper_on():
+            train(toy_model(vocab=vocab, d=d, kind=kind), ds, train_config(epochs=1, l2=1e-4))
+        f32, f64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
+        assert bool(pair_calls) == split
+        assert seen == {"S": f32, "scores": f32, "DY": f32, "ce": f32, "scatter": f64, "grads": f64}
+        assert adams and all(m.dtype == v.dtype == np.float64 for a in adams for m, v in zip(a._m, a._v))
+
+    @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
+    def test_float32_agrees_with_float64_within_float32_tolerance(self, kind):
+        rng = Rng(12)
+        vocab, d = 300, 16
+        table = padded_table(rng.uniform((vocab, d)) * 2.0 - 1.0)
+        ds = dataset_of([([int(i) for i in rng.integers(0, vocab, int(rng.integers(1, 9)))],
+                          int(rng.integers(0, vocab))) for _ in range(100)])
+        batch = whole_batch(ds, vocab)
+        loss, dX, dg = _loss_and_grads(table, table.astype(np.float32), 0.3, kind, batch, 1e-3, True)
+        ref_loss, ref_dX, ref_dg = _loss_and_grads(table, table, 0.3, kind, batch, 1e-3, True)
+        assert dX.dtype == np.float64
+        assert abs(loss - ref_loss) <= 1e-6 * abs(ref_loss)
+        assert np.max(np.abs(dX - ref_dX)) <= 1e-5 * np.max(np.abs(ref_dX))
+        assert abs(dg - ref_dg) <= 1e-5 * abs(ref_dg)  # both 0.0 for mean_pool
+
+
+class TestBeyondFloat32:
+    """A table entry that is non-finite, or finite but beyond float32's
+    range, raises TrainingDiverged in the batch that reads it and leaves the
+    model as it was, inline and on the helper thread."""
+
+    VOCAB, UNSEEN = 6, 5  # no prefix and no label holds item 5
+    PAIRS = [([0, 1], 2), ([3], 4), ([2, 4, 1], 0), ([1], 3)]
+    STEPS = 4  # two epochs of two batches
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39, -1e39])
+    @pytest.mark.parametrize("item", [UNSEEN, 1])
+    @pytest.mark.parametrize("after_steps", [0, STEPS - 1])
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_raises_in_the_batch_that_reads_it(self, monkeypatch, value, item, after_steps, helper):
+        # every entry is positive, so every session embedding is too: an
+        # entry at -inf in float32 scores -inf, which the softmax turns into
+        # a zero probability and a finite loss. after_steps = 3 puts the
+        # entry in the table before the last batch of the last epoch.
+        m = toy_model(vocab=self.VOCAB, d=3, kind="last_gated", seed=4)
+        m.embeddings[...] = np.abs(m.embeddings) + 0.5
+        tables, stepped = [], []
+        real_padded_table = recommender.padded_table
+
+        def spy_padded_table(table):
+            tables.append(real_padded_table(table))
+            return tables[-1]
+
+        class InjectingAdam(numkit.Adam):
+            def step(self, params, grads):
+                super().step(params, grads)
+                stepped.append(self.t)
+                if self.t == after_steps and np.shares_memory(params[0], tables[0][item]):
+                    tables[0][item, 1] = value
+
+        monkeypatch.setattr(recommender, "padded_table", spy_padded_table)
+        monkeypatch.setattr(recommender, "Adam", InjectingAdam)
+        if after_steps == 0:
+            m.embeddings[item, 1] = value
+        before, gate = m.embeddings.tobytes(), m.gate_raw
+        with helper_forced() if helper else nullcontext(), rec_steps(batch=2):
+            with pytest.raises(TrainingDiverged):
+                train(m, dataset_of(self.PAIRS), train_config(epochs=2, l2=0.0))
+        assert m.embeddings.tobytes() == before and m.gate_raw == gate
+        assert max(stepped, default=0) == after_steps  # no step after the entry appeared
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_float32_is_in_range(self):
+        m = toy_model(vocab=self.VOCAB, d=3)
+        m.embeddings[self.UNSEEN, 1] = float(np.finfo(np.float32).max)
+        with rec_steps(batch=2):
+            train(m, dataset_of(self.PAIRS), train_config(epochs=2, l2=0.0))
+        assert np.all(np.isfinite(m.embeddings.astype(np.float32)))
 
 
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
