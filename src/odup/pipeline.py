@@ -38,6 +38,7 @@ from .updater import (
 )
 
 REPORT_KS = (5, 10)  # the K of every report's P@K and N@K
+REPLAY_FRAC = 0.25  # slice t > 1 also trains on this many earlier pairs per new pair
 # each numeric key's least value; a synthetic log has at least 50 items and 100 sessions
 _LEAST = {"d": 2, "rec_epochs": 1, "l2": 0, "n": 1, "k": 1, "codec_epochs": 0, "codec_batch": 1,
           "synth_vocab": 50, "synth_sessions": 100, "synth_clusters": 1, "seed": 0, "skip_threshold": 0}
@@ -225,10 +226,10 @@ def synth_data(cfg: ExperimentConfig, rng: Rng) -> SynthResult:
 
 
 def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
-    """The cumulative training slices and the test set of ``cfg.data``; a
-    vocabulary too large for the code space, or one that makes the MMD
-    sample pool more than MMD_POOL_MAX rows, is a ConfigError before any
-    training."""
+    """The training slices, each holding its own pairs, and the test set of
+    ``cfg.data``; a vocabulary too large for the code space, or one that
+    makes the MMD sample pool more than MMD_POOL_MAX rows, is a ConfigError
+    before any training."""
     if cfg.data == "synth":
         res = synth_data(cfg, rng)
         train_sessions, test_sessions, vocab_size = res.sessions, res.test_sessions, cfg.synth_vocab
@@ -323,13 +324,30 @@ class CloudSlice:
     secs: float
 
 
+def with_replay(new: SessionDataset, earlier: list[SessionDataset], rng: Rng) -> SessionDataset:
+    """A uniform sample, without repeats and in temporal order, of
+    min(earlier pairs, round(REPLAY_FRAC * len(new))) pairs of the
+    ``earlier`` slices, then every pair of ``new``."""
+    starts = np.concatenate([ds.starts for ds in earlier])
+    ends = np.concatenate([ds.ends for ds in earlier])
+    size = min(len(starts), round(REPLAY_FRAC * len(new)))
+    pick = np.sort(rng.choice(len(starts), size, replace=False))
+    return SessionDataset(new.items, np.concatenate([starts[pick], new.starts]),
+                          np.concatenate([ends[pick], new.ends]))
+
+
 def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
-    """Train the cloud model per cumulative slice (warm-started), yielding a
-    CloudSlice each. Nothing here depends on the update strategy or ratio,
-    so one trajectory serves every update arm."""
+    """Train the cloud model per slice, warm-started, yielding a CloudSlice
+    each. Slice 1 trains on its pairs; each later slice on its new pairs
+    plus a replay sample of earlier ones (``with_replay``), drawn from its
+    own stream. Nothing here depends on the update strategy or ratio, so
+    one trajectory serves every update arm."""
     model = init_model(data.vocab_size, cfg.d, Rng(cfg.seed).child("rec-init"), cfg.encoder)
+    replay_rng = Rng(cfg.seed).child("rec-replay")
     for t, ds in enumerate(data.slices, start=1):
         start_time = time.perf_counter()
+        if t > 1:
+            ds = with_replay(ds, data.slices[:t - 1], replay_rng)
         train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
         table = model.embeddings.copy()
         table.flags.writeable = False

@@ -2,8 +2,9 @@
 synthetic drifting-session generator for desk-scale experiments.
 
 Event logs are delimiter-separated text, one ``user<sep>item<sep>unix_seconds``
-record per line. Slicing is cumulative: slice t contains every
-(prefix, label) pair of slice t-1 plus the next temporal chunk.
+record per line. Slices partition the training pairs: slice t holds the
+(prefix, label) pairs of the t-th temporal chunk of sessions, and every
+slice is a view of one flat pair layout.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class SessionDataset:
         flat = self.items.tolist()
         prefixes = map(flat.__getitem__, map(slice, self.starts.tolist(), self.ends.tolist()))
         return list(zip(prefixes, self.items[self.ends].tolist()))
-
-    def head(self, n_pairs: int) -> "SessionDataset":
-        """The first ``n_pairs`` pairs, as views of this dataset's arrays."""
-        return SessionDataset(self.items, self.starts[:n_pairs], self.ends[:n_pairs])
 
 
 @dataclass
@@ -176,9 +173,10 @@ def augment_split(sessions: list[Session]) -> SessionDataset:
 
 
 def temporal_slices(sessions: list[Session], plan: SlicePlan) -> list[SessionDataset]:
-    """Cumulative temporal slices: slice t holds the earliest sum(f_1..f_t)
-    fraction of sessions, augmented into (prefix, label) pairs: views of
-    the first pairs of the last slice.
+    """Temporal slices: slice t holds the sessions between the earliest
+    sum(f_1..f_t-1) and sum(f_1..f_t) fractions, augmented into (prefix,
+    label) pairs. The slices are consecutive views of one ``augment_split``
+    of the time-ordered sessions, so together they hold each pair once.
     """
     z = len(plan.fractions)
     if len(sessions) < z:
@@ -186,7 +184,9 @@ def temporal_slices(sessions: list[Session], plan: SlicePlan) -> list[SessionDat
     ordered = sorted(sessions, key=lambda s: s.start)
     everything = augment_split(ordered)
     pair_counts = np.cumsum([0] + [len(s.items) - 1 for s in ordered])
-    return [everything.head(int(pair_counts[b])) for b in plan.boundaries(len(ordered))]
+    ends = [int(pair_counts[b]) for b in plan.boundaries(len(ordered))]
+    return [SessionDataset(everything.items, everything.starts[a:b], everything.ends[a:b])
+            for a, b in zip([0] + ends, ends)]
 
 
 def holdout_split(sessions: list[Session]) -> tuple[list[Session], list[Session]]:

@@ -74,7 +74,7 @@ def dataset_of(pairs) -> SessionDataset:
 
 
 def slice_sessions(res: SynthResult, plan: SlicePlan, t: int) -> list[Session]:
-    """Training sessions of slice t (1-based) under ``plan``, non-cumulative."""
+    """Training sessions of slice t (1-based) under ``plan``."""
     bounds = [0] + plan.boundaries(len(res.sessions))
     return res.sessions[bounds[t - 1]: bounds[t]]
 

@@ -392,8 +392,8 @@ def config_keys_set_by_runs(users, cfg_dir: Path, workflows: Path) -> set[str]:
     ``cfg_dir`` (read by the program's ``config_entries``), every keyword
     of an ``ExperimentConfig(...)`` or ``replace(...)`` call in the ``.py``
     files under ``users`` (a ``**`` unpacking names none), and every key a
-    step of the ``.yml`` files in ``workflows`` echoes as
-    ``echo "key = value"``."""
+    step of the ``.yml`` files in ``workflows`` writes as
+    ``echo "key = value"`` or as a line of ``printf 'key = value\\n...'``."""
     keys = set()
     for path in sorted(cfg_dir.glob("*.cfg")):
         keys.update(key for _, key, _ in config_entries(path))
@@ -402,7 +402,10 @@ def config_keys_set_by_runs(users, cfg_dir: Path, workflows: Path) -> set[str]:
             if isinstance(node, ast.Call) and _callee(node.func) in ("ExperimentConfig", "replace"):
                 keys.update(kw.arg for kw in node.keywords if kw.arg is not None)
     for path in sorted(workflows.glob("*.yml")):
-        keys.update(re.findall(r'echo "(\w+) = ', path.read_text(encoding="utf-8")))
+        text = path.read_text(encoding="utf-8")
+        keys.update(re.findall(r'echo "(\w+) = ', text))
+        for lines in re.findall(r"printf '([^']*)'", text):
+            keys.update(re.findall(r"(?:^|\\n)(\w+) = ", lines))
     return keys
 
 
@@ -422,11 +425,13 @@ def test_flags_a_config_key_no_run_sets(tmp_path):
     (scripts / "demo.cfg").write_text("# commented = 4\nby_file = 5  # trailing note\n")
     (scripts / "notes.txt").write_text("by_text = 6\n")
     (workflows / "ci.yml").write_text(
-        'steps:\n  - run: |\n      echo "by_step = 7" >> "$RUNNER_TEMP/x.cfg"\n')
+        'steps:\n  - run: |\n      echo "by_step = 7" >> "$RUNNER_TEMP/x.cfg"\n'
+        "  - run: |\n      printf 'by_printf = 8\\nby_printf_too = 9\\n' > \"$RUNNER_TEMP/y.cfg\"\n"
+        "  - run: printf 'by_printf_text is 10\\n'\n")
     keys = ["by_call", "by_replace", "by_other_call", "commented", "by_file", "by_text",
-            "by_step", "delimiter", "skip_threshold"]
+            "by_step", "by_printf", "by_printf_too", "by_printf_text", "delimiter", "skip_threshold"]
     assert unset_config_keys(keys, (pkg,), scripts, workflows) == [
-        "by_other_call", "by_text", "commented",
+        "by_other_call", "by_printf_text", "by_text", "commented",
     ]
 
 

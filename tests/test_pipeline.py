@@ -222,6 +222,53 @@ class TestCloudTrajectory:
         # training slice 2 did not move the slice-1 snapshot
         assert not np.array_equal(first.model.embeddings, second.model.embeddings)
 
+class TestReplaySample:
+    @staticmethod
+    def training_sets(cfg, monkeypatch):
+        """The prepared data and the dataset each slice's ``train`` call gets."""
+        seen = []
+        monkeypatch.setattr(pipeline, "train", lambda model, ds, tcfg: seen.append(ds))
+        data = prepare_data(cfg, Rng(cfg.seed))
+        assert len(list(cloud_trajectory(cfg, data))) == len(data.slices)
+        return data, seen
+
+    @pytest.mark.parametrize("frac", [pipeline.REPLAY_FRAC, 0.0, 0.5, 100.0])
+    def test_new_pairs_plus_a_sample_of_earlier_ones(self, monkeypatch, frac):
+        monkeypatch.setattr(pipeline, "REPLAY_FRAC", frac)
+        data, seen = self.training_sets(small_config(slices="1:1:1:2"), monkeypatch)
+        assert seen[0] is data.slices[0]
+        for t in range(1, len(data.slices)):
+            new, ds = data.slices[t], seen[t]
+            earlier_ends = np.concatenate([e.ends for e in data.slices[:t]])
+            size = min(len(earlier_ends), round(frac * len(new)))
+            assert len(ds) == size + len(new)
+            # the sample comes first, from earlier slices only, then the new pairs
+            assert np.isin(ds.ends[:size], earlier_ends).all()
+            assert np.array_equal(ds.starts[size:], new.starts) and np.array_equal(ds.ends[size:], new.ends)
+            # an end is the label position of one pair, so no pair repeats
+            assert np.all(np.diff(ds.ends) > 0)
+        if frac == 100.0:  # the cap: the whole history, once
+            assert np.array_equal(seen[-1].ends[:-len(data.slices[-1])],
+                                  np.concatenate([e.ends for e in data.slices[:-1]]))
+
+    def test_same_seed_same_sample(self, monkeypatch):
+        cfg = small_config(slices="1:1:1:2")
+        _, first = self.training_sets(cfg, monkeypatch)
+        _, again = self.training_sets(cfg, monkeypatch)
+        for a, b in zip(first, again):
+            assert np.array_equal(a.starts, b.starts) and np.array_equal(a.ends, b.ends)
+
+    def test_sample_draws_from_its_own_stream(self, monkeypatch):
+        # not the training shuffle's stream, so the sample and the batch order are independent
+        cfg = small_config(slices="1:1:1:2")
+        data, seen = self.training_sets(cfg, monkeypatch)
+        rng = Rng(cfg.seed).child("rec-replay")
+        for t in range(1, len(data.slices)):
+            expected = pipeline.with_replay(data.slices[t], data.slices[:t], rng)
+            assert np.array_equal(seen[t].starts, expected.starts)
+            assert np.array_equal(seen[t].ends, expected.ends)
+
+
 class TestDeviceSim:
     V, N, K, D = 10, 2, 4, 3
 

@@ -116,7 +116,8 @@ class TestSlices:
         sessions = [Session([0, 1], float(i)) for i in range(100)]
         plan = SlicePlan([0.1, 0.2, 0.3, 0.4])
         slices = temporal_slices(sessions, plan)
-        assert [len(s.pairs) for s in slices] == [10, 30, 60, 100]
+        assert [len(s.pairs) for s in slices] == [10, 20, 30, 40]
+        assert sum((s.pairs for s in slices), []) == augment_split(sessions).pairs
 
     def test_single_slice(self):
         sessions = [Session([0, 1], float(i)) for i in range(5)]
@@ -144,25 +145,34 @@ class TestSlices:
         n_slices=st.integers(1, 4),
         seed=st.integers(0, 10_000),
     )
-    def test_nesting_invariant(self, n_sessions, n_slices, seed):
+    def test_partition_invariant(self, n_sessions, n_slices, seed):
         rng = Rng(seed)
         sessions = [
             Session([int(x) for x in rng.integers(0, 6, int(rng.integers(2, 6)))], float(rng.uniform() * 100))
             for _ in range(n_sessions)
         ]
         ratios = [float(rng.uniform() + 0.1) for _ in range(n_slices)]
-        slices = temporal_slices(sessions, SlicePlan.from_ratios(ratios))
-        for earlier, later in zip(slices, slices[1:]):
-            assert later.pairs[: len(earlier.pairs)] == earlier.pairs
+        plan = SlicePlan.from_ratios(ratios)
+        slices = temporal_slices(sessions, plan)
+        ordered = sorted(sessions, key=lambda s: s.start)
+        # slice t holds the pairs of exactly the sessions its plan boundaries name
+        bounds = [0] + plan.boundaries(n_sessions)
+        for ds, lo, hi in zip(slices, bounds, bounds[1:]):
+            assert ds.pairs == augment_split(ordered[lo:hi]).pairs
+        assert sum((ds.pairs for ds in slices), []) == augment_split(ordered).pairs
 
-    def test_slices_are_views_of_the_last(self):
+    def test_slices_are_views_of_one_layout(self):
         sessions = [Session([i % 5, (i + 1) % 5, (i + 2) % 5], float(i)) for i in range(20)]
         slices = temporal_slices(sessions, SlicePlan.from_ratios([1, 2, 3]))
-        last = slices[-1]
+        whole = augment_split(sessions)
+        first = slices[0]
+        offset = 0
         for ds in slices:
-            assert ds.pairs == last.pairs[: len(ds)]
-            assert ds.items is last.items
-            assert np.shares_memory(ds.starts, last.starts) and np.shares_memory(ds.ends, last.ends)
+            assert ds.pairs == whole.pairs[offset: offset + len(ds)]
+            offset += len(ds)
+            assert ds.items is first.items
+            assert ds.starts.base is first.starts.base and ds.ends.base is first.ends.base
+        assert offset == len(whole)
 
     def test_ordering_is_temporal(self):
         sessions = [Session([0, 1], 50.0), Session([2, 3], 1.0)]
@@ -188,12 +198,13 @@ class TestSynth:
         assert [s.items for s in a.sessions] == [s.items for s in b.sessions]
         assert [s.items for s in a.test_sessions] == [s.items for s in b.test_sessions]
 
-    def test_nesting_and_counts(self):
+    def test_partition_and_counts(self):
         res = synth_generate(Rng(8).child("s"), 60, 300, 0.2, self.plan())
         slices = temporal_slices(res.sessions, self.plan())
-        for earlier, later in zip(slices, slices[1:]):
-            assert later.pairs[: len(earlier.pairs)] == earlier.pairs
-        assert len(slices[-1]) == sum(len(s.items) - 1 for s in res.sessions)
+        for t, ds in enumerate(slices, start=1):
+            assert ds.pairs == augment_split(slice_sessions(res, self.plan(), t)).pairs
+            assert len(ds) == sum(len(s.items) - 1 for s in slice_sessions(res, self.plan(), t))
+        assert sum((ds.pairs for ds in slices), []) == augment_split(res.sessions).pairs
 
     def _slice_freqs(self, res):
         z = len(self.plan().fractions)
