@@ -1,17 +1,16 @@
-"""Deterministic float64 numerics shared by all training code.
+"""Deterministic numerics shared by all training code.
 
-Parameters and optimizer state are 64-bit. Float32 appears in two places:
-the recommender computes each training batch in float32 on a float32
-mirror of its float64 table (``recommender.train``), and rows reaching the
-device are float32 (an ``UpdateDelta`` keeps the float32 values of its
-rows, and the wire format stores float32). Randomness goes through
-:class:`Rng`, a seeded PCG64 generator wrapped so that identical seeds
-reproduce identical draw sequences on any platform; the process-global
-numpy state is never touched.
+Codec training and the recommender's gate are float64. Float32 appears in
+two places: ``recommender.train`` keeps its table, its batches and the
+table's Adam moments in float32, and rows reaching the device are float32
+(an ``UpdateDelta`` keeps the float32 values of its rows, and the wire
+format stores float32). ``Adam`` steps each parameter in that parameter's
+dtype. Randomness goes through :class:`Rng`, a seeded PCG64 generator
+wrapped so that identical seeds reproduce identical draw sequences on any
+platform; the process-global numpy state is never touched.
 
 The process has one helper thread, started on first use, that the table
-rebuild and recommender training hand half of their work to
-(``shared_helper`` and ``_pair``).
+rebuild hands half of its work to (``shared_helper`` and ``_pair``).
 """
 
 from __future__ import annotations
@@ -107,8 +106,10 @@ class Adam:
     """Adam optimizer: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, with
     bias-corrected moments and update lr * mhat / (sqrt(vhat) + eps).
 
-    b1=0.9, b2=0.999, eps=1e-8 are class constants. Parameters with
-    identically zero gradients never move (their moments stay zero).
+    b1=0.9, b2=0.999, eps=1e-8 are class constants. Each parameter's
+    moments and arithmetic take its dtype (float32 for the recommender's
+    table). Parameters with identically zero gradients never move (their
+    moments stay zero).
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -183,20 +184,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _pair(pool, helper, main):
-    """``(helper(), main())``, with ``helper`` on ``pool``'s thread beside
-    ``main`` on the calling thread. The helper runs under the caller's numpy
-    error state, which numpy does not pass to threads. An exception from
-    either comes out here, once both have finished."""
+def _pair(pool, helper, main) -> None:
+    """Runs ``helper`` on ``pool``'s thread beside ``main`` on the calling
+    thread, and returns once both have finished. The helper runs under the
+    caller's numpy error state, which numpy does not pass to threads. An
+    exception from either comes out here."""
     err = np.geterr()
 
     def task():
         with np.errstate(**err):
-            return helper()
+            helper()
 
     future = pool.submit(task)
     try:
-        mine = main()
+        main()
     finally:
         future.exception()  # waits: the helper writes into arrays the caller reads next
-    return future.result(), mine
+    future.result()

@@ -7,31 +7,25 @@ Scores are plain dot products against every item row; training minimizes
 softmax cross-entropy of the next-item label plus L2 on the table, with
 hand-rolled gradients and Adam.
 
-Training is mixed precision (Micikevicius et al., "Mixed Precision
-Training", ICLR 2018): each batch computes in float32 on a float32 mirror
-of the table, while the table itself, the l2 terms, the summed gradient and
-Adam stay float64. ``evaluate`` ranks in float64.
+Training runs in float32 on the calling thread: the table, each batch and
+the table's Adam moments are float32. ``RecModel.embeddings`` stays
+float64, and ``init_model`` draws values that float32 holds exactly, so a
+drawn or trained table enters training without rounding. The gate and
+``evaluate`` stay float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, TrainingDiverged
-from .numkit import Adam, Rng, _pair, shared_helper, sigmoid
+from .numkit import Adam, Rng, sigmoid
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
-_EVAL_CHUNK = 512  # test pairs ranked per block in evaluate
-# Elements that the table and the helper's half of a batch's (B, |V|)
-# scores must each hold before train shares its work with the helper thread.
-# Smaller, the round trip (about 25 us on a 2-CPU VM), the two threads'
-# turns at the GIL and the scores moving between the cores' caches cost
-# more than the halves save.
-SPLIT_MIN = 1 << 15
+_EVAL_CHUNK = 256  # test pairs ranked per block in evaluate
 REC_LR, REC_BATCH = 0.01, 100  # Adam's step size and the pairs per batch of train
 
 
@@ -68,8 +62,9 @@ class RecModel:
 
 
 def init_model(vocab_size: int, d: int, rng: Rng, encoder_kind: str) -> RecModel:
-    """Uniform(-0.1, 0.1) initialization for the table and gate."""
-    table = rng.uniform((vocab_size, d)) * 0.2 - 0.1
+    """Uniform(-0.1, 0.1) initialization for the table and gate; the
+    table's entries are rounded to float32, in which ``train`` runs."""
+    table = (rng.uniform((vocab_size, d)) * 0.2 - 0.1).astype(np.float32).astype(np.float64)
     gate_raw = float(rng.uniform() * 0.2 - 0.1)
     return RecModel(table, encoder_kind, gate_raw)
 
@@ -94,9 +89,10 @@ class Batch(NamedTuple):
 
 
 def padded_table(table) -> np.ndarray:
-    """``table`` with a zero row |V| appended: the row padded slots gather."""
-    table = np.asarray(table, dtype=np.float64)
-    out = np.zeros((table.shape[0] + 1, table.shape[1]))
+    """``table`` with a zero row |V| appended, in its dtype: the row padded
+    slots gather."""
+    table = np.asarray(table)
+    out = np.zeros((table.shape[0] + 1, table.shape[1]), dtype=table.dtype)
     out[:-1] = table
     return out
 
@@ -158,42 +154,27 @@ def _scatter_rows(index, values, vocab):
     return np.bincount(flat, weights=values.ravel(), minlength=vocab * d).reshape(vocab, d)
 
 
-def _l2_terms(X, l2):
-    """The loss's l2 * ||X||^2 and its gradient 2 * l2 * X."""
-    return l2 * (X * X).sum(), 2.0 * l2 * X
-
-
-def _forward(table, g, encoder_kind, batch: Batch):
-    """(S, means, Y): the session embeddings and their scores S @ X.T, in
-    the dtype of the padded ``table``."""
-    S, means = _encode_batch(table, g, encoder_kind, batch)
-    return S, means, S @ table[:-1].T
-
-
-def _softmax_rows(Y, label_pos, rows: slice):
-    """Rows ``rows`` of the (B, |V|) scores Y become DY = (softmax - onehot)
-    / B in place; returns their cross-entropy. Every step is row by row, so
-    any split of the rows gives the same bits."""
+def _softmax_rows(Y, label_pos):
+    """The (B, |V|) scores Y become DY = (softmax - onehot) / B in place;
+    returns each row's cross-entropy."""
     B = len(Y)
     dt = Y.dtype.type
     flat_Y = Y.reshape(-1)
-    pos = label_pos[rows]
-    label_logits = flat_Y[pos]
-    E = Y[rows]
-    m = E.max(axis=-1, keepdims=True)
-    np.exp(np.subtract(E, m, out=E), out=E)
-    total = E.sum(axis=-1, keepdims=True)
+    label_logits = flat_Y[label_pos]
+    m = Y.max(axis=-1, keepdims=True)
+    np.exp(np.subtract(Y, m, out=Y), out=Y)
+    total = Y.sum(axis=-1, keepdims=True)
     ce = m[:, 0] + np.log(total[:, 0]) - label_logits
-    E /= total * dt(B)
-    flat_Y[pos] -= dt(1.0 / B)
+    Y /= total * dt(B)
+    flat_Y[label_pos] -= dt(1.0 / B)
     return ce
 
 
 def _scatter_grads(table, g, encoder_kind, batch: Batch, DY, means, want_gate_grad):
     """DS = DY @ X scattered to the table, (scatter, dgate_raw): each prefix
     occurrence of item v gets (1-g) * DS_j / len_j; the gated path adds
-    g * DS_j to the last item of prefix j. DS and the per-slot values are
-    in the dtype of the padded ``table``; the scatter sums them in float64."""
+    g * DS_j to the last item of prefix j. Everything is in the dtype of
+    the padded ``table``; the scatter sums in float64 and is cast once."""
     X = table[:-1]
     dt = table.dtype.type
     gated = encoder_kind == "last_gated"
@@ -208,99 +189,46 @@ def _scatter_grads(table, g, encoder_kind, batch: Batch, DY, means, want_gate_gr
         if want_gate_grad:
             dgate = float(np.sum(DS * (table[batch.last] - means)))
             dgate_raw = dgate * g * (1.0 - g)
-    return _scatter_rows(index, values, X.shape[0]), dgate_raw
+    return _scatter_rows(index, values, X.shape[0]).astype(dt, copy=False), dgate_raw
 
 
-def _gate_value(gate_raw, encoder_kind) -> float:
-    """The g that ``last_gated`` mixes the last item in by; 0.0 otherwise."""
-    return float(sigmoid(np.float64(gate_raw))) if encoder_kind == "last_gated" else 0.0
+def _loss_and_grads(table, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
+    """Mean softmax cross-entropy over the batch, and the gradients of it
+    plus l2 * ||X||^2, where ``table`` is the padded (|V| + 1, d) table and
+    X its first |V| rows. Computes in the dtype of ``table`` (train passes
+    float32; the finite-difference tests pass float64).
 
-
-def _loss_and_grads(table, mirror, gate_raw, encoder_kind, batch: Batch, l2, want_gate_grad):
-    """Mean softmax cross-entropy over the batch plus l2 * ||X||^2, where
-    ``table`` is the padded (|V| + 1, d) float64 table and X its first |V|
-    rows. The batch computes in the dtype of ``mirror``, the padded table
-    rounded to it (train passes a float32 copy; ``table`` itself gives the
-    float64 function); the l2 terms come from ``table``.
-
-    Returns (loss, dX, dgate_raw), dX in float64: ``DY.T @ S`` widened, plus
-    the scatter, plus the l2 gradient. Pure in its inputs; train() runs it
-    when it has no helper thread, and the finite-difference gradient tests
-    call it. ``_split_loss_and_grads`` runs the same phases in pairs.
+    Returns (loss, dX, dgate_raw): the loss leaves the l2 term out, which
+    train never reads; dX is the scatter, plus ``DY.T @ S``, plus the l2
+    gradient (2 * l2) * X. Pure in its inputs.
     """
-    g = _gate_value(gate_raw, encoder_kind)
-    S, means, Y = _forward(mirror, g, encoder_kind, batch)
-    ce = _softmax_rows(Y, batch.label_pos, slice(None))
-    product = Y.T @ S
-    dX, dgate_raw = _scatter_grads(mirror, g, encoder_kind, batch, Y, means, want_gate_grad)
-    dX += product  # the scatter's float64 sum plus the product: the same bits either way round
-    del product, Y  # freed before the l2 terms add their (|V|, d) gradient to the peak
-    reg, l2_grad = _l2_terms(table[:-1], l2)
-    dX += l2_grad
-    return float(ce.mean() + reg), dX, dgate_raw
+    dt = table.dtype.type
+    g = float(sigmoid(np.float64(gate_raw))) if encoder_kind == "last_gated" else 0.0
+    S, means = _encode_batch(table, g, encoder_kind, batch)
+    Y = S @ table[:-1].T
+    ce = _softmax_rows(Y, batch.label_pos)
+    dX, dgate_raw = _scatter_grads(table, g, encoder_kind, batch, Y, means, want_gate_grad)
+    dX += Y.T @ S
+    del Y  # freed before the l2 gradient adds its (|V|, d) array to the peak
+    dX += dt(2.0 * l2) * table[:-1]
+    return float(ce.mean()), dX, dgate_raw
 
 
-def _split_loss_and_grads(pool, table, mirror, gate_raw, encoder_kind, batch: Batch, l2,
-                          want_gate_grad):
-    """``_loss_and_grads`` with its phases in pairs, each pair side by side
-    on this thread and ``pool``'s helper: the l2 terms beside the encode
-    and the score product, batch rows [B/2, B) beside [0, B/2) through the
-    softmax, and ``DY.T @ S`` beside ``DY @ X`` and the scatter. No product
-    is split, so the bits are those of ``_loss_and_grads``."""
-    B = len(batch.lens)
-    X = table[:-1]
-    g = _gate_value(gate_raw, encoder_kind)
-    (reg, l2_grad), (S, means, Y) = _pair(pool, lambda: _l2_terms(X, l2),
-                                          lambda: _forward(mirror, g, encoder_kind, batch))
-    ce_hi, ce_lo = _pair(pool, lambda: _softmax_rows(Y, batch.label_pos, slice(B // 2, B)),
-                         lambda: _softmax_rows(Y, batch.label_pos, slice(0, B // 2)))
-    ce = np.concatenate([ce_lo, ce_hi])
-    product, (dX, dgate_raw) = _pair(pool, lambda: Y.T @ S,
-                                     lambda: _scatter_grads(mirror, g, encoder_kind, batch, Y, means,
-                                                            want_gate_grad))
-    dX += product
-    dX += l2_grad
-    return float(ce.mean() + reg), dX, dgate_raw
-
-
-def _refresh(mirror, X) -> bool:
-    """Round the master rows X into their ``mirror`` rows; whether every
-    mirrored entry is finite (an entry beyond float32's range is not)."""
-    mirror[...] = X
-    return bool(np.isfinite(mirror).all())
-
-
-def _adam_stepper(pool, lr, X, mirror, gates):
-    """``step(dX, dgates)``: Adam over the table rows X and ``gates``, then
-    the rows' refresh into their ``mirror`` rows, as one instance, or with
-    a ``pool`` as two, rows [0, |V|/2) on the calling thread beside the
-    rest and the gates on the helper. Adam and the refresh are elementwise,
-    so the bits are the same. The step returns ``_refresh``'s verdict."""
-    def step_rows(adam, rows, dX, gates, dgates):
-        adam.step([X[rows]] + gates, [dX[rows]] + dgates)
-        return _refresh(mirror[rows], X[rows])
-
-    if pool is None:
-        adam = Adam(lr)
-        return lambda dX, dgates: step_rows(adam, slice(None), dX, gates, dgates)
-    cut = len(X) // 2
-    lo, hi = Adam(lr), Adam(lr)
-    return lambda dX, dgates: all(_pair(pool, lambda: step_rows(hi, slice(cut, None), dX, gates, dgates),
-                                        lambda: step_rows(lo, slice(0, cut), dX, [], [])))
+def _require_finite(X):
+    if not np.isfinite(X).all():
+        raise TrainingDiverged("recommender table entry became non-finite in float32")
 
 
 def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     """Mini-batch Adam on the cross-entropy objective, REC_BATCH pairs per
-    batch at step size REC_LR, each batch in float32 on a mirror of the
-    float64 table (``_loss_and_grads``). Raises TrainingDiverged, leaving
-    ``model`` as it was, in the first batch whose loss goes non-finite or
-    whose mirror holds a non-finite entry (a table entry beyond float32's
-    range, about 3.4e38, included).
-
-    On 2 or more CPUs, and when the table and the batches are large
-    enough (SPLIT_MIN), the process's helper thread takes half of each
-    batch's work (``_split_loss_and_grads``) and half of Adam's
-    (``_adam_stepper``), with the same bits.
+    batch at step size REC_LR, in float32 throughout: the padded table,
+    every batch (``_loss_and_grads``) and the table's Adam moments. The
+    trained values are written back to ``model.embeddings`` widened, which
+    is exact. Raises TrainingDiverged, leaving ``model`` as it was, when the
+    table narrowed to float32 holds a non-finite entry (one beyond
+    float32's range, about 3.4e38, included), in the first batch whose loss
+    goes non-finite, or in the first whose Adam step leaves a non-finite
+    table entry.
     """
     n = len(dataset)
     if n == 0:
@@ -309,31 +237,24 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     if dataset.items.min() < 0 or dataset.items.max() >= vocab:
         raise DataError("dataset item outside the model vocabulary")
     rng = Rng(cfg.seed).child("rec-shuffle")
-    table = padded_table(model.embeddings)
     gate = np.array([model.gate_raw], dtype=np.float64)
     train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
-    # a gate with no gradient never moves under Adam, so only a trained one steps
-    gates = [gate] if train_gate else []
-    X = table[:-1]
-    mirror = np.zeros(table.shape, dtype=np.float32)  # its last row stays the zero row
-    rows = min(REC_BATCH, n)
-    pool = shared_helper() if min(X.size, (rows - rows // 2) * vocab) >= SPLIT_MIN else None
-    loss_and_grads = _loss_and_grads if pool is None else partial(_split_loss_and_grads, pool)
-    adam_step = _adam_stepper(pool, REC_LR, X, mirror[:-1], gates)
+    adam = Adam(REC_LR)
     # an overflow is reported as TrainingDiverged, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = _refresh(mirror[:-1], X)
+        table = padded_table(model.embeddings.astype(np.float32))
+        X = table[:-1]
+        _require_finite(X)
+        # a gate with no gradient never moves under Adam, so only a trained one steps
+        params = [X, gate] if train_gate else [X]
         for _ in range(cfg.epochs):
             for batch in plan_batches(dataset, rng.permutation(n), REC_BATCH, vocab):
-                # every batch scores every row, so a non-finite mirror entry is read here
-                if not finite:
-                    raise TrainingDiverged("recommender table entry became non-finite in float32")
-                loss, dX, dg = loss_and_grads(
-                    table, mirror, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
-                )
+                loss, dX, dg = _loss_and_grads(table, gate[0], model.encoder_kind, batch, cfg.l2,
+                                               train_gate)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
-                finite = adam_step(dX, [np.array([dg])] if train_gate else [])
+                adam.step(params, [dX, np.array([dg])] if train_gate else [dX])
+                _require_finite(X)
             del batch  # its views would hold this epoch's plan while the next is built
     model.embeddings[...] = X
     model.gate_raw = float(gate[0])

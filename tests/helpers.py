@@ -304,28 +304,26 @@ def encode_batch_masked(table, gate_value, encoder_kind, batch: MaskedBatch):
     return means, means
 
 
-def loss_and_grads_masked(table, mirror, gate_raw, encoder_kind, batch: MaskedBatch, l2, want_gate_grad):
+def loss_and_grads_masked(table, gate_raw, encoder_kind, batch: MaskedBatch, l2, want_gate_grad):
     """The fused loss and gradients of recommender._loss_and_grads, on an
-    unpadded float64 table and a masked batch: every batch step in the
-    dtype of ``mirror`` (the table rounded to float32, or the table), the
-    l2 terms from ``table``, and dX in float64."""
+    unpadded table and a masked batch, every step in the table's dtype:
+    the mean cross-entropy (no l2 term), and dX as the scatter (summed in
+    float64, cast once), plus DY.T @ S, plus the l2 gradient."""
     B = batch.n
-    dt = mirror.dtype.type
+    dt = table.dtype.type
     gated = encoder_kind == "last_gated"
     g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
-    S, means = encode_batch_masked(mirror, g, encoder_kind, batch)
-    Y = S @ mirror.T
+    S, means = encode_batch_masked(table, g, encoder_kind, batch)
+    Y = S @ table.T
     rows = np.arange(B)
     label_logits = Y[rows, batch.labels]
     m = np.max(Y, axis=-1, keepdims=True)
     DY = np.exp(np.subtract(Y, m, out=Y), out=Y)
     total = np.sum(DY, axis=-1, keepdims=True)
     ce = m[:, 0] + np.log(total[:, 0]) - label_logits
-    loss = float(ce.mean() + l2 * np.sum(table * table))
     DY /= total * dt(B)
     DY[rows, batch.labels] -= dt(1.0 / B)
-    dX = (DY.T @ S).astype(np.float64)
-    DS = DY @ mirror
+    DS = DY @ table
     per_slot = (dt(1.0 - g) if gated else dt(1.0)) * DS / batch.lens.astype(dt)[:, None]
     index = batch.pad[batch.mask]
     values = per_slot[np.repeat(rows, batch.lens)]
@@ -334,40 +332,46 @@ def loss_and_grads_masked(table, mirror, gate_raw, encoder_kind, batch: MaskedBa
         index = np.concatenate([index, batch.last])
         values = np.concatenate([values, dt(g) * DS])
         if want_gate_grad:
-            dgate = float(np.sum(DS * (mirror[batch.last] - means)))
+            dgate = float(np.sum(DS * (table[batch.last] - means)))
             dgate_raw = dgate * g * (1.0 - g)
-    dX += _scatter_rows(index, values, table.shape[0])
-    dX += 2.0 * l2 * table
-    return loss, dX, dgate_raw
+    dX = _scatter_rows(index, values, table.shape[0]).astype(dt)
+    dX += DY.T @ S
+    dX += dt(2.0 * l2) * table
+    return float(ce.mean()), dX, dgate_raw
 
 
 def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> None:
-    """recommender.train as one masked gather per batch, training
-    ``model.embeddings`` in place and stepping Adam on the table and the
-    gate together (a frozen gate's gradient is 0). Each batch computes on
-    the table rounded to float32, read afresh per batch. Reads the step
-    size and batch from recommender.REC_LR and REC_BATCH when called, so a
-    test that patches them trains both forms alike."""
+    """recommender.train as one masked gather per batch on a float32 copy
+    of ``model.embeddings``, written back when training ends, stepping Adam
+    on the table and the gate together (a frozen gate's gradient is 0).
+    Checks the table before the first batch and after every step. Reads
+    the step size and batch from recommender.REC_LR and REC_BATCH when
+    called, so a test that patches them trains both forms alike."""
     lr, size = recommender.REC_LR, recommender.REC_BATCH
     rng = Rng(cfg.seed).child("rec-shuffle")
-    table = model.embeddings
+    with np.errstate(over="ignore"):
+        table = model.embeddings.astype(np.float32)
     gate = np.array([model.gate_raw], dtype=np.float64)
     train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
     adam = Adam(lr)
+
+    def check():
+        if not np.all(np.isfinite(table)):
+            raise TrainingDiverged("recommender table entry became non-finite in float32")
+
+    check()
     for _ in range(cfg.epochs):
         order = rng.permutation(len(dataset))
         for lo in range(0, len(dataset), size):
             batch = gather_batch_masked(dataset, order[lo: lo + size])
-            with np.errstate(over="ignore"):
-                mirror = table.astype(np.float32)
-            if not np.all(np.isfinite(mirror)):
-                raise TrainingDiverged("recommender table entry became non-finite in float32")
-            loss, dX, dg = loss_and_grads_masked(
-                table, mirror, gate[0], model.encoder_kind, batch, cfg.l2, train_gate
-            )
+            loss, dX, dg = loss_and_grads_masked(table, gate[0], model.encoder_kind, batch, cfg.l2,
+                                                 train_gate)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
-            adam.step([table, gate], [dX, np.array([dg])])
+            with np.errstate(over="ignore", invalid="ignore"):
+                adam.step([table, gate], [dX, np.array([dg])])
+            check()
+    model.embeddings[...] = table
     model.gate_raw = float(gate[0])
 
 

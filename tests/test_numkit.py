@@ -152,16 +152,17 @@ class TestAdam:
             adam.step([x], [np.zeros(2)])
         assert np.array_equal(x, orig)
 
-    def test_matches_expression_oracle_bitwise(self):
-        def oracle_step(params, grads, ms, vs, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-            for p, g, m, v in zip(params, grads, ms, vs):
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    @staticmethod
+    def oracle_step(params, grads, ms, vs, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
+    def test_matches_expression_oracle_bitwise(self):
         rng = np.random.default_rng(4)
         shapes = [(19, 7), (7,), (1,)]
         params = [rng.normal(size=s) for s in shapes]
@@ -173,9 +174,30 @@ class TestAdam:
             grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
             grads[0][rng.random(shapes[0]) < 0.3] = 0.0
             adam.step(params, grads)
-            oracle_step(ref, grads, ms, vs, t, 0.03)
+            self.oracle_step(ref, grads, ms, vs, t, 0.03)
             for p, r in zip(params, ref):
                 assert np.array_equal(p, r)
+
+    def test_float32_parameters_step_in_float32(self):
+        # as the recommender steps its float32 table beside its float64
+        # gate: each parameter's moments take its dtype, and each step is
+        # the expression evaluated in that dtype, bit for bit
+        rng = np.random.default_rng(5)
+        shapes, dtypes = [(19, 7), (1,)], [np.float32, np.float64]
+        params = [rng.normal(size=s).astype(dt) for s, dt in zip(shapes, dtypes)]
+        ref = [p.copy() for p in params]
+        ms = [np.zeros(s, dt) for s, dt in zip(shapes, dtypes)]
+        vs = [np.zeros(s, dt) for s, dt in zip(shapes, dtypes)]
+        adam = Adam(lr=0.01)
+        for t in range(1, 21):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s).astype(dt)
+                     for s, dt in zip(shapes, dtypes)]
+            adam.step(params, grads)
+            self.oracle_step(ref, grads, ms, vs, t, 0.01)
+            for p, r, dt in zip(params, ref, dtypes):
+                assert p.dtype == r.dtype == dt and p.tobytes() == r.tobytes()
+        moments = [(m.dtype, v.dtype) for m, v in zip(adam._m, adam._v)]
+        assert moments == [(np.dtype(dt),) * 2 for dt in dtypes]
 
 
 class TestSoftplus:

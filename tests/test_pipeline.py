@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -656,6 +657,31 @@ class TestBlasThreads:
             assert run.returncode == 0, run.stderr
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestHeapTop:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt's M_TOP_PAD is glibc's")
+    def test_repeated_training_faults_in_few_fresh_pages(self):
+        # importing odup keeps 64 MiB of freed heap top mapped; glibc's
+        # default trims it, and a train_codec call at c4-queue's shape then
+        # faults tens of thousands of pages back in for its temporaries
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import resource\n"
+                "import odup\n"
+                "from odup.codec import CodecConfig, train_codec\n"
+                "from odup.numkit import Rng\n"
+                "X = Rng(1).uniform((300, 16)) * 0.2 - 0.1\n"
+                "cfg = CodecConfig(8, 16, 16, 0.2, 100, 256, 1)\n"
+                "train_codec(X, cfg)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "train_codec(X, cfg)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 1000
 
 
 class TestCli:

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -24,14 +24,6 @@ from helpers import (
 
 def toy_model(vocab=4, d=3, kind="mean_pool", seed=5):
     return init_model(vocab, d, Rng(seed).child("init"), kind)
-
-
-@contextmanager
-def helper_forced():
-    """train's helper thread takes its half of every batch, however small,
-    on any number of CPUs."""
-    with helper_on(), mock.patch.object(recommender, "SPLIT_MIN", 0):
-        yield
 
 
 @contextmanager
@@ -228,14 +220,21 @@ class TestTrain:
         assert p[3] >= 0.95
 
     def test_lr_zero_bitwise_unchanged(self):
+        # init_model draws float32 values, so the float32 table that train
+        # steps holds them exactly and writes the same bits back; a table
+        # float32 cannot hold comes back rounded to float32
         m = toy_model()
         before_table = m.embeddings.copy()
         before_gate = m.gate_raw
+        assert np.array_equal(before_table.astype(np.float32).astype(np.float64), before_table)
         ds = self.repeated_pair_dataset()
         with rec_steps(lr=0.0, batch=2):
             train(m, ds, train_config(epochs=3, seed=0))
-        assert np.array_equal(m.embeddings, before_table)
-        assert m.gate_raw == before_gate
+            assert np.array_equal(m.embeddings, before_table)
+            assert m.gate_raw == before_gate
+            m.embeddings[...] = 0.1
+            train(m, ds, train_config(epochs=1, seed=0))
+        assert np.all(m.embeddings == float(np.float32(0.1))) and m.embeddings[0, 0] != 0.1
 
     def test_gradients_match_finite_differences(self):
         for kind in ("mean_pool", "last_gated"):
@@ -243,13 +242,12 @@ class TestTrain:
             batch = whole_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1)]), 4)
             X = m.embeddings.copy()
             graw = m.gate_raw
-            table = padded_table(X)  # the float64 function: the table is its own mirror
-            loss, dX, dg = _loss_and_grads(table, table, graw, kind, batch, 1e-3, True)
+            _, dX, dg = _loss_and_grads(padded_table(X), graw, kind, batch, 1e-3, True)
 
             def f(vec):
-                table = padded_table(vec[:-1].reshape(4, 3))
-                l, _, _ = _loss_and_grads(table, table, vec[-1], kind, batch, 1e-3, True)
-                return l
+                table = vec[:-1].reshape(4, 3)
+                ce, _, _ = _loss_and_grads(padded_table(table), vec[-1], kind, batch, 1e-3, True)
+                return ce + 1e-3 * np.sum(table * table)  # dX carries the l2 term's gradient
 
             point = np.concatenate([X.ravel(), [graw]])
             analytic = np.concatenate([dX.ravel(), [dg]])
@@ -257,14 +255,15 @@ class TestTrain:
 
     @staticmethod
     def reference_loss_and_grads(table, gate_raw, kind, batch, l2):
-        """Unfused form: full log_softmax, exp of it, np.add.at scatters."""
+        """Unfused form: full log_softmax, exp of it, np.add.at scatters;
+        the cross-entropy, and the gradients of it plus l2 * ||X||^2."""
         B = len(batch.lens)
         gated = kind == "last_gated"
         g = float(sigmoid(np.float64(gate_raw))) if gated else 0.0
         S, means = encode_batch_masked(table, g, kind, batch)
         logp = log_softmax(S @ table.T, axis=-1)
         rows = np.arange(B)
-        loss = float(-logp[rows, batch.labels].mean() + l2 * np.sum(table * table))
+        loss = float(-logp[rows, batch.labels].mean())
         DY = np.exp(logp)
         DY[rows, batch.labels] -= 1.0
         DY /= B
@@ -294,8 +293,7 @@ class TestTrain:
         batch = whole_batch(dataset_of(pairs), vocab)
         masked = gather_batch_masked(dataset_of(pairs), slice(None))
         with np.errstate(all="raise", under="ignore"):
-            padded = padded_table(table)
-            loss, dX, dg = _loss_and_grads(padded, padded, 0.4, kind, batch, 1e-3, True)
+            loss, dX, dg = _loss_and_grads(padded_table(table), 0.4, kind, batch, 1e-3, True)
             ref_loss, ref_dX, ref_dg = self.reference_loss_and_grads(table, 0.4, kind, masked, 1e-3)
         if scale == 16.0:  # the single-item prefix [1] scores table[1] @ table.T
             assert np.max(np.abs(table[1] @ table.T)) > 1e3
@@ -305,22 +303,27 @@ class TestTrain:
 
     def test_divergence_raises(self):
         m = toy_model(vocab=4, d=3)
-        m.embeddings[0, 0] = 1e308  # beyond float32: the first batch's mirror holds inf
+        m.embeddings[0, 0] = 1e308  # beyond float32: the float32 table holds inf
         ds = dataset_of([([1], 2)])
         with rec_steps(batch=1), pytest.raises(TrainingDiverged):
             train(m, ds, train_config(epochs=1, l2=1.0, seed=0))
 
     @pytest.mark.filterwarnings("error")
-    def test_divergence_raises_with_helper(self):
-        # the overflow happens on the helper thread too (the l2 term and the
-        # refresh of the second half of the rows); a warning there would
-        # escape the caller's errstate and surface instead of TrainingDiverged
-        m = toy_model(vocab=4, d=3, kind="last_gated")
-        m.embeddings[0, 0] = 1e308
+    def test_divergence_raises_when_the_l2_gradient_overflows(self):
+        # item 3 is in no pair, and column 0 of every other row is 0, so its
+        # 1e38 scores 0 and the loss stays finite; with the l2 term off the
+        # loss, only the table check sees the l2 gradient 2e39 overflow
+        # float32 and Adam step the entry to NaN
+        m = RecModel(np.array([[0.0, 0.1, 0.2], [0.0, 0.3, -0.1], [0.0, -0.2, 0.1], [1e38, 0.1, 0.1]]),
+                     "last_gated", 0.2)
         before, gate = m.embeddings.copy(), m.gate_raw
-        ds = dataset_of([([0], 2), ([0, 1], 3), ([2, 0], 1)])
-        with helper_forced(), rec_steps(batch=3), pytest.raises(TrainingDiverged):
-            train(m, ds, train_config(epochs=1, l2=1.0, seed=0))
+        ds = dataset_of([([0], 2), ([0, 1], 2), ([2, 0], 1)])
+        with np.errstate(over="ignore"):
+            loss, dX, _ = _loss_and_grads(padded_table(m.embeddings.astype(np.float32)), gate,
+                                          m.encoder_kind, whole_batch(ds, 4), 10.0, True)
+        assert np.isfinite(loss) and np.isinf(dX[3, 0])
+        with rec_steps(batch=3), pytest.raises(TrainingDiverged, match="non-finite in float32"):
+            train(m, ds, train_config(epochs=1, l2=10.0, seed=0))
         assert np.array_equal(m.embeddings, before) and m.gate_raw == gate
 
     @staticmethod
@@ -335,7 +338,8 @@ class TestTrain:
 
         def objective():
             table = padded_table(m.embeddings)
-            return _loss_and_grads(table, table, m.gate_raw, m.encoder_kind, batch, 1e-5, False)[0]
+            ce = _loss_and_grads(table, m.gate_raw, m.encoder_kind, batch, 1e-5, False)[0]
+            return ce + 1e-5 * np.sum(m.embeddings * m.embeddings)
 
         before = objective()
         train(m, ds, train_config(epochs=50, seed=4))
@@ -371,37 +375,36 @@ class TestTrain:
 
 
 class TestMixedPrecision:
-    """train computes each batch in float32 on a mirror of the table; the
-    table, the summed gradient and Adam stay float64."""
+    """train runs on the calling thread in float32: the table, every batch
+    step, dX and the table's Adam moments. The gate and its moments stay
+    float64, as does the model's table at the API."""
 
     @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
-    @pytest.mark.parametrize("vocab, d, split", [(300, 16, False), (1850, 32, True)])
-    def test_batch_in_float32_gradient_and_adam_in_float64(self, monkeypatch, kind, vocab, d, split):
-        # c4-queue's shape runs inline; at ingest-adaptive's the helper takes
-        # half of every phase. A scalar or int array that promoted a float32
-        # product to float64 would show here and nowhere else.
+    @pytest.mark.parametrize("vocab, d", [(300, 16), (1850, 32)])
+    def test_batch_gradient_and_adam_in_float32(self, monkeypatch, kind, vocab, d):
+        # c4-queue's and ingest-adaptive's shapes. A scalar or int array that
+        # promoted a float32 step to float64 would show here and nowhere else.
         seen, adams = {}, []
-        forward, softmax_rows, scatter_grads = (recommender._forward, recommender._softmax_rows,
-                                                recommender._scatter_grads)
+        encode_batch, softmax_rows, scatter_grads = (recommender._encode_batch, recommender._softmax_rows,
+                                                     recommender._scatter_grads)
 
         def note(name, x):
             seen.setdefault(name, set()).add(x.dtype)
 
-        def spy_forward(*args):
-            S, means, Y = forward(*args)
+        def spy_encode_batch(*args):
+            S, means = encode_batch(*args)
             note("S", S)
-            note("scores", Y)
-            return S, means, Y
+            return S, means
 
         def spy_softmax_rows(Y, *args):
+            note("scores", Y)
             ce = softmax_rows(Y, *args)
             note("DY", Y)
             note("ce", ce)
             return ce
 
-        def spy_scatter_grads(table, g, kind, batch, DY, *args):
-            note("DY", DY)
-            scatter, dgate_raw = scatter_grads(table, g, kind, batch, DY, *args)
+        def spy_scatter_grads(*args):
+            scatter, dgate_raw = scatter_grads(*args)
             note("scatter", scatter)
             return scatter, dgate_raw
 
@@ -409,22 +412,24 @@ class TestMixedPrecision:
             def step(self, params, grads):
                 super().step(params, grads)
                 adams.append(self)
-                for grad in grads:
-                    note("grads", grad)
+                note("dX", grads[0])
 
         pairs = Rng(3).integers(0, vocab, (250, 3))
         ds = dataset_of([([int(a), int(b)], int(c)) for a, b, c in pairs])
-        for name, fn in [("_forward", spy_forward), ("_softmax_rows", spy_softmax_rows),
+        for name, fn in [("_encode_batch", spy_encode_batch), ("_softmax_rows", spy_softmax_rows),
                          ("_scatter_grads", spy_scatter_grads), ("Adam", SpyAdam)]:
             monkeypatch.setattr(recommender, name, fn)
-        pair_calls = []
-        monkeypatch.setattr(recommender, "_pair", lambda *a: pair_calls.append(1) or numkit._pair(*a))
-        with helper_on():
-            train(toy_model(vocab=vocab, d=d, kind=kind), ds, train_config(epochs=1, l2=1e-4))
-        f32, f64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
-        assert bool(pair_calls) == split
-        assert seen == {"S": f32, "scores": f32, "DY": f32, "ce": f32, "scatter": f64, "grads": f64}
-        assert adams and all(m.dtype == v.dtype == np.float64 for a in adams for m, v in zip(a._m, a._v))
+        monkeypatch.setattr(numkit, "_helper", None)
+        m = toy_model(vocab=vocab, d=d, kind=kind)
+        with helper_on():  # the helper thread is there to take, and train takes none
+            train(m, ds, train_config(epochs=1, l2=1e-4))
+        assert numkit._helper is None
+        f32 = {np.dtype(np.float32)}
+        assert seen == {"S": f32, "scores": f32, "DY": f32, "ce": f32, "scatter": f32, "dX": f32}
+        moments = [(x.dtype, y.dtype) for x, y in zip(adams[0]._m, adams[0]._v)]
+        gate = [(np.dtype(np.float64),) * 2] if kind == "last_gated" else []
+        assert moments == [(np.dtype(np.float32),) * 2] + gate
+        assert m.embeddings.dtype == np.float64
 
     @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
     def test_float32_agrees_with_float64_within_float32_tolerance(self, kind):
@@ -434,9 +439,9 @@ class TestMixedPrecision:
         ds = dataset_of([([int(i) for i in rng.integers(0, vocab, int(rng.integers(1, 9)))],
                           int(rng.integers(0, vocab))) for _ in range(100)])
         batch = whole_batch(ds, vocab)
-        loss, dX, dg = _loss_and_grads(table, table.astype(np.float32), 0.3, kind, batch, 1e-3, True)
-        ref_loss, ref_dX, ref_dg = _loss_and_grads(table, table, 0.3, kind, batch, 1e-3, True)
-        assert dX.dtype == np.float64
+        loss, dX, dg = _loss_and_grads(table.astype(np.float32), 0.3, kind, batch, 1e-3, True)
+        ref_loss, ref_dX, ref_dg = _loss_and_grads(table, 0.3, kind, batch, 1e-3, True)
+        assert dX.dtype == np.float32 and ref_dX.dtype == np.float64
         assert abs(loss - ref_loss) <= 1e-6 * abs(ref_loss)
         assert np.max(np.abs(dX - ref_dX)) <= 1e-5 * np.max(np.abs(ref_dX))
         assert abs(dg - ref_dg) <= 1e-5 * abs(ref_dg)  # both 0.0 for mean_pool
@@ -444,8 +449,8 @@ class TestMixedPrecision:
 
 class TestBeyondFloat32:
     """A table entry that is non-finite, or finite but beyond float32's
-    range, raises TrainingDiverged in the batch that reads it and leaves the
-    model as it was, inline and on the helper thread."""
+    range, raises TrainingDiverged before any batch reads it and leaves the
+    model as it was, for both encoders."""
 
     VOCAB, UNSEEN = 6, 5  # no prefix and no label holds item 5
     PAIRS = [([0, 1], 2), ([3], 4), ([2, 4, 1], 0), ([1], 3)]
@@ -455,16 +460,20 @@ class TestBeyondFloat32:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39, -1e39])
     @pytest.mark.parametrize("item", [UNSEEN, 1])
     @pytest.mark.parametrize("after_steps", [0, STEPS - 1])
-    @pytest.mark.parametrize("helper", [False, True])
-    def test_raises_in_the_batch_that_reads_it(self, monkeypatch, value, item, after_steps, helper):
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_raises_in_the_batch_that_reads_it(self, monkeypatch, value, item, after_steps, gated):
         # every entry is positive, so every session embedding is too: an
         # entry at -inf in float32 scores -inf, which the softmax turns into
-        # a zero probability and a finite loss. after_steps = 3 puts the
-        # entry in the table before the last batch of the last epoch.
-        m = toy_model(vocab=self.VOCAB, d=3, kind="last_gated", seed=4)
+        # a zero probability and a finite loss. after_steps = 0 puts the
+        # entry in the model's float64 table; after_steps = 3 puts it in the
+        # float32 table that train steps, before the last batch of the last
+        # epoch, where +-1e39 can only be +-inf.
+        m = toy_model(vocab=self.VOCAB, d=3, kind="last_gated" if gated else "mean_pool", seed=4)
         m.embeddings[...] = np.abs(m.embeddings) + 0.5
         tables, stepped = [], []
         real_padded_table = recommender.padded_table
+        with np.errstate(over="ignore"):
+            narrowed = np.float32(value)
 
         def spy_padded_table(table):
             tables.append(real_padded_table(table))
@@ -475,25 +484,28 @@ class TestBeyondFloat32:
                 super().step(params, grads)
                 stepped.append(self.t)
                 if self.t == after_steps and np.shares_memory(params[0], tables[0][item]):
-                    tables[0][item, 1] = value
+                    tables[0][item, 1] = narrowed
 
         monkeypatch.setattr(recommender, "padded_table", spy_padded_table)
         monkeypatch.setattr(recommender, "Adam", InjectingAdam)
         if after_steps == 0:
             m.embeddings[item, 1] = value
         before, gate = m.embeddings.tobytes(), m.gate_raw
-        with helper_forced() if helper else nullcontext(), rec_steps(batch=2):
-            with pytest.raises(TrainingDiverged):
-                train(m, dataset_of(self.PAIRS), train_config(epochs=2, l2=0.0))
+        with rec_steps(batch=2), pytest.raises(TrainingDiverged):
+            train(m, dataset_of(self.PAIRS), train_config(epochs=2, l2=0.0))
+        assert tables[0].dtype == np.float32
         assert m.embeddings.tobytes() == before and m.gate_raw == gate
         assert max(stepped, default=0) == after_steps  # no step after the entry appeared
 
     @pytest.mark.filterwarnings("error")
     def test_largest_float32_is_in_range(self):
         m = toy_model(vocab=self.VOCAB, d=3)
-        m.embeddings[self.UNSEEN, 1] = float(np.finfo(np.float32).max)
+        largest = float(np.finfo(np.float32).max)
+        m.embeddings[self.UNSEEN, 1] = largest
         with rec_steps(batch=2):
             train(m, dataset_of(self.PAIRS), train_config(epochs=2, l2=0.0))
+        # Adam moves the entry by at most about REC_LR, which rounds back to it
+        assert m.embeddings[self.UNSEEN, 1] == largest
         assert np.all(np.isfinite(m.embeddings.astype(np.float32)))
 
 
@@ -518,31 +530,31 @@ class TestTrainMatchesReference:
            kind=st.sampled_from(["mean_pool", "last_gated"]), freeze_gate=st.booleans(),
            gate_raw=st.floats(-2.0, 2.0), batch=st.integers(1, 7), epochs=st.integers(1, 3),
            lr=st.sampled_from([0.0, 0.01, 0.3]), l2=st.sampled_from([0.0, 1e-3]),
-           seed=st.integers(0, 50), helper=st.booleans(), data=st.data())
+           seed=st.integers(0, 50), data=st.data())
     def test_bitwise_equal_to_reference(self, table, kind, freeze_gate, gate_raw, batch, epochs,
-                                        lr, l2, seed, helper, data):
+                                        lr, l2, seed, data):
         item = st.integers(0, table.shape[0] - 1)
         pairs = data.draw(st.lists(st.tuples(st.lists(item, min_size=1, max_size=12), item),
                                    min_size=1, max_size=20))
         cfg = train_config(epochs=epochs, l2=l2, seed=seed, freeze_gate=freeze_gate)
-        with rec_steps(lr=lr, batch=batch), helper_forced() if helper else nullcontext():
+        with rec_steps(lr=lr, batch=batch):
             self.check(table, kind, gate_raw, pairs, cfg)
 
     @pytest.mark.parametrize("kind, freeze_gate", [
         ("mean_pool", False), ("last_gated", False), ("last_gated", True),
     ])
     def test_bitwise_equal_with_helper_at_width(self, kind, freeze_gate):
-        # |V| 300, d 32 and B 100 with a short last batch: a product this
-        # wide takes other bits when its rows are split (except at multiples
-        # of the BLAS kernel's row width), so none may be. Entries in
-        # (-1, 1) make scores large enough that a last-bit change in one
-        # survives the softmax.
+        # |V| 300, d 32 and B 100 with a short last batch, with the helper
+        # thread there to take work: a product this wide takes other bits
+        # when its rows are split (except at multiples of the BLAS kernel's
+        # row width), so none may be. Entries in (-1, 1) make scores large
+        # enough that a last-bit change in one survives the softmax.
         rng = Rng(8)
         pairs = [([int(i) for i in rng.integers(0, 300, int(rng.integers(1, 9)))], int(rng.integers(0, 300)))
                  for _ in range(250)]
         table = rng.uniform((300, 32)) * 2.0 - 1.0
         cfg = train_config(epochs=2, l2=1e-3, seed=4, freeze_gate=freeze_gate)
-        with helper_forced():
+        with helper_on():
             self.check(table, kind, 0.3, pairs, cfg)
 
     @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
@@ -555,7 +567,7 @@ class TestTrainMatchesReference:
 
 
 class TestHelperPool:
-    def test_pool_only_for_a_large_table_and_batch_on_two_cpus(self, monkeypatch):
+    def test_pool_only_on_two_cpus_at_one_blas_thread(self, monkeypatch):
         monkeypatch.setattr(numkit, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(numkit, "BLAS_ONE_THREAD", True)
         pool = numkit.shared_helper()
@@ -565,18 +577,6 @@ class TestHelperPool:
         monkeypatch.setattr(numkit, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(numkit, "BLAS_ONE_THREAD", False)
         assert numkit.shared_helper() is None
-        # train asks for the helper only when the table (|V| d) and the
-        # helper's half of a batch's scores ((B - B // 2) |V|) both hold SPLIT_MIN
-        calls = []
-        monkeypatch.setattr(recommender, "shared_helper", lambda: calls.append(1))  # gives None
-        for d, batch, split_min, asked in [(2, 5, 8, True), (2, 5, 9, False),  # table 8, half 12
-                                           (4, 3, 8, True), (4, 3, 9, False)]:  # table 16, half 8
-            calls.clear()
-            monkeypatch.setattr(recommender, "SPLIT_MIN", split_min)
-            ds = dataset_of([([i % 4], (i + 1) % 4) for i in range(batch)])
-            with rec_steps(batch=batch):
-                train(toy_model(vocab=4, d=d), ds, train_config(epochs=1))
-            assert bool(calls) == asked, (d, batch, split_min)
 
     @pytest.mark.parametrize("threads, pooled", [(None, False), ("1", True)])
     def test_numpy_loaded_first_keeps_the_helper_only_at_one_blas_thread(self, threads, pooled):
@@ -604,12 +604,14 @@ class TestHelperPool:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = ("import os, signal\nfrom odup import numkit\nnumkit._usable_cpus = lambda: 2\n"
                 "def both():\n"
-                "    return numkit._pair(numkit.shared_helper(), lambda: 1, lambda: 2)\n"
+                "    ran = []\n"
+                "    numkit._pair(numkit.shared_helper(), lambda: ran.append(1), lambda: ran.append(2))\n"
+                "    return sorted(ran)\n"
                 "both()\n"
                 "pid = os.fork()\n"
                 "if pid == 0:\n"
                 "    signal.alarm(30)  # a child waiting on its parent's helper ends here\n"
-                "    os._exit(0 if both() == (1, 2) else 1)\n"
+                "    os._exit(0 if both() == [1, 2] else 1)\n"
                 "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              timeout=120)
