@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .numkit import Adam, Rng, _pair, gumbel_from_uniform, shared_helper, softmax, softplus
+from .numkit import Adam, Rng, gumbel_from_uniform, softmax, softplus
 
 ICM_SWEEPS = 2  # passes over the n components per refine_codes call
 _RECONSTRUCT_BLOCK = 65536  # output elements per block of reconstruct_table
@@ -118,27 +118,25 @@ def check_integer_codes(codes: np.ndarray) -> None:
         raise ValueError(f"codes must be an integer array, not {codes.dtype}")
 
 
-def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
+def reconstruct_table(store: CodebookStore, codes: np.ndarray, dtype=np.float32) -> np.ndarray:
     """Every item row as the sum of its n selected codeword rows; equivalent
     to the one-hot matrix product X = O E.
 
-    Fills a (|V|, d) float64 output block by block, about 512 KiB of output
-    per block, adding the components in order 0..n-1. That is bitwise the
-    gather-sum ``store.rows[codes + offsets].sum(axis=1)`` without its
+    The rows are rounded to ``dtype`` once, and each item's n codewords are
+    added in that dtype in order 0..n-1, on the calling thread. The default
+    is the device's float32 table (``apply_delta``); the server's solver
+    passes float64. Blocks of about _RECONSTRUCT_BLOCK output elements are
+    filled in turn. That is bitwise the gather-sum
+    ``store.rows.astype(dtype)[codes + offsets].sum(axis=1)`` without its
     (|V|, n, d) temporary, except at d = 1 with n >= 8, where numpy sums
     that gather with its unrolled pairwise loop instead.
 
-    When the output holds two blocks or more and the process has its
-    helper thread (``numkit.shared_helper``), the helper fills rows
-    [|V|/2, |V|) beside the calling thread's [0, |V|/2), by the same block
-    loop. Each row is summed alone, so the bits are the same either way.
-
-    Each codeword row is copied whole, as one 8d-byte record, straight from
-    codebook i by code component i, so no (|V|, n) index array is built.
-    When n >= 2 and k * k <= |V|, each item starts from a lead table of the
-    k * k first-pair sums ``r0 + r1``, which is the same single addition
-    the in-order sum makes first; the bound keeps that table no larger
-    than the output. Otherwise each item starts from r0.
+    Each codeword row is copied whole, as one record of d elements, straight
+    from codebook i by code component i, so no (|V|, n) index array is
+    built. When n >= 2 and k * k <= |V|, each item starts from a lead table
+    of the k * k first-pair sums ``r0 + r1``, which is the same single
+    addition the in-order sum makes first; the bound keeps that table no
+    larger than the output. Otherwise each item starts from r0.
     """
     codes = np.asarray(codes)
     check_integer_codes(codes)
@@ -147,35 +145,24 @@ def reconstruct_table(store: CodebookStore, codes: np.ndarray) -> np.ndarray:
         raise ValueError("codes must have shape (|V|, n)")
     if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise ValueError("code component out of range [0, k)")
-    out = np.empty((len(codes), d))
-    rows = np.ascontiguousarray(store.rows)  # a record view needs contiguous rows
+    out = np.empty((len(codes), d), dtype=dtype)
+    rows = np.ascontiguousarray(store.rows, dtype=dtype)  # a record view needs contiguous rows
     if n >= 2 and k * k <= len(codes):
         first, lead = 2, (rows[:k, None] + rows[None, k: 2 * k]).reshape(k * k, d)
     else:
         first, lead = 1, rows[:k]
-    record = np.dtype((np.void, 8 * d))
+    record = np.dtype((np.void, rows.itemsize * d))
     books = rows.view(record).reshape(n, k, 1)  # books[i][c]: row c of codebook i
     lead, out_rows = lead.view(record), out.view(record)
     step = max(1, _RECONSTRUCT_BLOCK // d)
-
-    def fill(start, stop):
-        """Rows [start, stop) of the output, block by block."""
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            block, acc = codes[lo:hi].astype(np.intp), out[lo:hi]
-            at = block[:, 0] if first == 1 else block[:, 0] * k + block[:, 1]
-            # codes were range-checked above; mode="clip" lets take write into
-            # the output directly, where the default mode buffers it
-            np.take(lead, at, axis=0, out=out_rows[lo:hi], mode="clip")
-            for i in range(first, n):
-                acc += books[i][block[:, i]].view(np.float64)
-
-    pool = shared_helper() if out.size >= 2 * _RECONSTRUCT_BLOCK else None
-    if pool is None:
-        fill(0, len(codes))
-    else:
-        cut = len(codes) // 2
-        _pair(pool, lambda: fill(cut, len(codes)), lambda: fill(0, cut))
+    for lo in range(0, len(codes), step):
+        block, acc = codes[lo:lo + step].astype(np.intp), out[lo:lo + step]
+        at = block[:, 0] if first == 1 else block[:, 0] * k + block[:, 1]
+        # codes were range-checked above; mode="clip" lets take write into
+        # the output directly, where the default mode buffers it
+        np.take(lead, at, axis=0, out=out_rows[lo:lo + step], mode="clip")
+        for i in range(first, n):
+            acc += books[i][block[:, i]].view(dtype)
     return out
 
 
@@ -204,7 +191,7 @@ def refine_codes(store: CodebookStore, codes: np.ndarray, target: np.ndarray) ->
     books = store.rows.reshape(store.n, store.k, store.d)
     norms = np.sum(books * books, axis=2)
     items = np.arange(len(codes))
-    resid = X - reconstruct_table(store, codes)
+    resid = X - reconstruct_table(store, codes, np.float64)
     for _ in range(ICM_SWEEPS):
         for i in range(store.n):
             r = resid + books[i][codes[:, i]]

@@ -2,30 +2,24 @@
 
 Codec training and the recommender's gate are float64. Float32 appears in
 two places: ``recommender.train`` keeps its table, its batches and the
-table's Adam moments in float32, and rows reaching the device are float32
-(an ``UpdateDelta`` keeps the float32 values of its rows, and the wire
-format stores float32). ``Adam`` steps each parameter in that parameter's
-dtype. Randomness goes through :class:`Rng`, a seeded PCG64 generator
-wrapped so that identical seeds reproduce identical draw sequences on any
-platform; the process-global numpy state is never touched.
-
-The process has one helper thread, started on first use, that the table
-rebuild hands half of its work to (``shared_helper`` and ``_pair``).
+table's Adam moments in float32, and the device is float32 (an
+``UpdateDelta`` keeps the float32 values of its rows, the wire format
+stores float32, and ``codec.reconstruct_table`` rebuilds the device's
+table in float32, while the server's solver asks it for float64).
+``Adam`` steps each parameter in that parameter's dtype. Randomness goes
+through :class:`Rng`, a seeded PCG64 generator wrapped so that identical
+seeds reproduce identical draw sequences on any platform; the
+process-global numpy state is never touched. Everything runs on the
+calling thread, and ``odup`` pins BLAS to one thread.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import zlib
 
 import numpy as np
 
-from . import BLAS_ONE_THREAD
-
 GUMBEL_EPS = 1e-12
-_helper = None  # the process's one-worker executor, once started
-_helper_lock = threading.Lock()
 
 
 class Rng:
@@ -148,56 +142,3 @@ class Adam:
             num /= den
             p -= num
 
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def shared_helper():
-    """The process's one helper thread, as a one-worker executor started on
-    first use; None when the process may use fewer than 2 CPUs or BLAS runs
-    more than one thread, since beside BLAS's own threads the helper only
-    costs time. A task running on the helper must not submit to it: the
-    one worker would wait on itself."""
-    global _helper
-    if _usable_cpus() < 2 or not BLAS_ONE_THREAD:
-        return None
-    with _helper_lock:
-        if _helper is None:
-            from concurrent.futures import ThreadPoolExecutor  # imported only by runs that split
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="odup-helper")
-        return _helper
-
-
-def _forget_helper():
-    """A forked child holds no thread of its parent's, so its first use
-    starts a helper of its own."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _pair(pool, helper, main) -> None:
-    """Runs ``helper`` on ``pool``'s thread beside ``main`` on the calling
-    thread, and returns once both have finished. The helper runs under the
-    caller's numpy error state, which numpy does not pass to threads. An
-    exception from either comes out here."""
-    err = np.geterr()
-
-    def task():
-        with np.errstate(**err):
-            helper()
-
-    future = pool.submit(task)
-    try:
-        main()
-    finally:
-        future.exception()  # waits: the helper writes into arrays the caller reads next
-    future.result()

@@ -249,14 +249,19 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
     if pooled > MMD_POOL_MAX:
         raise ConfigError(f"the MMD sample pools {pooled} rows of |V| = {vocab_size}, more than "
                           f"{MMD_POOL_MAX}; set mmd_samples to at most {MMD_POOL_MAX // 2}")
-    slices = temporal_slices(train_sessions, cfg.slice_plan())
+    try:
+        slices = temporal_slices(train_sessions, cfg.slice_plan())
+    except DataError as exc:
+        raise DataError(f"slices = {cfg.slices}: {exc}") from None
     return DataBundle(slices, augment_split(test_sessions), vocab_size)
 
 
 class DeviceSim:
     """Simulated on-device model. Consumes only wire frames; the embedding
-    table is always reconstituted from decoded bytes. ``apply_delta``
-    deploys it from its first frame."""
+    table is always reconstituted from decoded bytes, in float32, on the
+    calling thread. ``apply_delta`` deploys it from its first frame, and a
+    frame that fails any check, or a rebuild that raises, leaves the store,
+    ledger and table as they were."""
 
     def __init__(self, strategy: str, encoder_kind: str, gate: float):
         self.strategy = strategy

@@ -176,15 +176,17 @@ def temporal_slices(sessions: list[Session], plan: SlicePlan) -> list[SessionDat
     """Temporal slices: slice t holds the sessions between the earliest
     sum(f_1..f_t-1) and sum(f_1..f_t) fractions, augmented into (prefix,
     label) pairs. The slices are consecutive views of one ``augment_split``
-    of the time-ordered sessions, so together they hold each pair once.
+    of the time-ordered sessions, so together they hold each pair once. A
+    slice that rounding leaves with no session is a DataError.
     """
-    z = len(plan.fractions)
-    if len(sessions) < z:
-        raise DataError(f"need at least {z} sessions for {z} slices")
+    bounds = plan.boundaries(len(sessions))
+    for t, (a, b) in enumerate(zip([0] + bounds, bounds), start=1):
+        if a == b:
+            raise DataError(f"slice {t} of {len(bounds)} gets none of the {len(sessions)} training sessions")
     ordered = sorted(sessions, key=lambda s: s.start)
     everything = augment_split(ordered)
     pair_counts = np.cumsum([0] + [len(s.items) - 1 for s in ordered])
-    ends = [int(pair_counts[b]) for b in plan.boundaries(len(ordered))]
+    ends = [int(pair_counts[b]) for b in bounds]
     return [SessionDataset(everything.items, everything.starts[a:b], everything.ends[a:b])
             for a, b in zip([0] + ends, ends)]
 

@@ -136,7 +136,7 @@ def retrain_update(prev_store: CodebookStore, prev_codes: np.ndarray, new_target
         codes = refine_codes(store, codes, target)
         picks = codes[:, rows // store.k] == rows % store.k  # column j: the items using rows[j]
         used, A = rows[picks.any(axis=0)], picks[:, picks.any(axis=0)].astype(np.float64)
-        others = target - reconstruct_table(store, codes) + A @ store.rows[used]
+        others = target - reconstruct_table(store, codes, np.float64) + A @ store.rows[used]
         store.rows[used] = np.linalg.lstsq(A, others, rcond=None)[0]
     codes = refine_codes(store, codes, target)
     delta = UpdateDelta(epoch, strategy, len(slots), store.rows[rows], codes, rows.tolist())
@@ -151,10 +151,10 @@ def apply_delta(
     expected_strategy: str,
 ) -> tuple[CodebookStore, SlotLedger, np.ndarray]:
     """Write the delta rows into their slots, advance the ledger, and
-    reconstitute the embedding table from the delta's codes. The one place
-    a replica, device or server, is deployed: given no store and ledger
-    (None), it takes only a full delta, applied to an all-zero store and an
-    epoch-0 ledger, so a deploy passes every update's checks.
+    reconstitute the float32 embedding table from the delta's codes. The
+    one place a replica, device or server, is deployed: given no store and
+    ledger (None), it takes only a full delta, applied to an all-zero store
+    and an epoch-0 ledger, so a deploy passes every update's checks.
 
     Pure: returns new objects, so a failed validation leaves device state
     untouched. The caller checks that the delta's dimensions match the

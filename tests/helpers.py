@@ -2,14 +2,11 @@
 of what the package computes in batches, kept out of the package because
 only tests call them."""
 
-import sys
-from contextlib import contextmanager
 from typing import NamedTuple
-from unittest import mock
 
 import numpy as np
 
-from odup import numkit, recommender
+from odup import recommender
 from odup.codec import (
     CODEC_LR, CodebookStore, CodecConfig, CodecEncoder, _relaxed_backward, _relaxed_forward,
     init_codec, relaxed_loss,
@@ -33,21 +30,6 @@ def codec_config(n, k, d, tau=TAU_DEFAULT, epochs=300, batch=256, seed=0) -> Cod
 def train_config(epochs=30, l2=1e-5, seed=0, freeze_gate=False) -> TrainConfig:
     """A TrainConfig with the settings recommender tests use where they name none."""
     return TrainConfig(epochs, l2, seed, freeze_gate)
-
-
-@contextmanager
-def helper_on():
-    """The process's helper thread is there on any machine (as on 2 CPUs
-    with one BLAS thread), and threads trade the interpreter lock as often
-    as they can, so a missed wait on the helper shows."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(numkit, "_usable_cpus", lambda: 2), \
-                mock.patch.object(numkit, "BLAS_ONE_THREAD", True):
-            yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def same_delta(a: UpdateDelta, b: UpdateDelta) -> bool:
@@ -180,22 +162,23 @@ def best_component(store: CodebookStore, codes, target, i: int) -> np.ndarray:
     return out
 
 
-def reconstruct_item(store: CodebookStore, code) -> np.ndarray:
-    """Sum of rows i*k + code_i of the concatenated store."""
+def reconstruct_item(store: CodebookStore, code, dtype=np.float64) -> np.ndarray:
+    """Sum of rows i*k + code_i of the concatenated store, rounded to
+    ``dtype`` and added in order."""
     code = np.asarray(code, dtype=np.intp)
     if code.shape != (store.n,):
         raise ValueError("code must have n components")
     if code.min() < 0 or code.max() >= store.k:
         raise ValueError("code component out of range [0, k)")
     rows = np.arange(store.n) * store.k + code
-    return store.rows[rows].sum(axis=0)
+    return store.rows.astype(dtype)[rows].sum(axis=0)
 
 
-def gather_sum_table(store: CodebookStore, codes) -> np.ndarray:
+def gather_sum_table(store: CodebookStore, codes, dtype=np.float64) -> np.ndarray:
     """reconstruct_table as one gather: builds the (|V|, n, d) temporary."""
     codes = np.asarray(codes, dtype=np.intp)
     rows = codes + np.arange(store.n) * store.k
-    return store.rows[rows].sum(axis=1)
+    return store.rows.astype(dtype)[rows].sum(axis=1)
 
 
 def pack_codes_bit_matrix(codes, k: int) -> bytes:

@@ -1,7 +1,6 @@
 import functools
 import threading
 import tracemalloc
-from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odup import codec, numkit
+from odup import codec
 from odup.errors import ConfigError
 from odup.codec import (
     ICM_SWEEPS, CodebookStore, CodecEncoder, check_capacity, harden,
@@ -21,7 +20,7 @@ from odup.pipeline import ExperimentConfig
 
 from helpers import (
     TAU_ALT, TAU_DEFAULT, best_component, codec_config, codes_from_alpha, encoder_forward,
-    forward_backward, gather_sum_table, grad_check, gumbel_relax, helper_on, item_errors, log_softmax,
+    forward_backward, gather_sum_table, grad_check, gumbel_relax, item_errors, log_softmax,
     normal, reconstruct_item, sample_gumbel, train_codec_per_batch_noise,
 )
 
@@ -124,17 +123,19 @@ class TestReconstruct:
             reconstruct_item(store, [2])
 
     def test_table_matches_per_item(self):
+        # float32-exact rows, as every device store holds
         rng = Rng(8)
-        store = CodebookStore(3, 5, 6, rng.uniform((15, 6)))
+        store = CodebookStore(3, 5, 6, rng.uniform((15, 6)).astype(np.float32))
         codes = rng.integers(0, 5, (100, 3)).astype(np.int32)
-        table = reconstruct_table(store, codes)
-        for v in range(100):
-            assert np.array_equal(table[v], reconstruct_item(store, codes[v]))
+        for dtype in (np.float32, np.float64):
+            table = reconstruct_table(store, codes, dtype)
+            for v in range(100):
+                assert np.array_equal(table[v], reconstruct_item(store, codes[v], dtype))
 
     def test_identity_toy(self):
         # |V| = k with n=1: code v -> v reproduces the chosen rows exactly
         rng = Rng(9)
-        rows = rng.uniform((4, 3))
+        rows = rng.uniform((4, 3)).astype(np.float32).astype(np.float64)
         store = CodebookStore(1, 4, 3, rows)
         codes = np.arange(4, dtype=np.int32)[:, None]
         assert np.array_equal(reconstruct_table(store, codes), rows)
@@ -145,13 +146,11 @@ class TestReconstruct:
         d = data.draw(st.sampled_from([1, 2, 3, 32, 33, _RECONSTRUCT_BLOCK + 1]))
         n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 10)))
         k = data.draw(st.integers(1, 5))
-        # split: the helper thread is there, and tables of two blocks or
-        # more split, at the real block or at one small enough that most do
-        split = data.draw(st.booleans())
-        block = data.draw(st.sampled_from([1, 64, _RECONSTRUCT_BLOCK])) if split else _RECONSTRUCT_BLOCK
+        # at the real block, or at one small enough that most tables span several
+        block = data.draw(st.sampled_from([1, 64, _RECONSTRUCT_BLOCK]))
         step = max(1, block // d)
         # k * k - 1 and k * k lie on both sides of the first-pair table's
-        # bound, 2 * step - 1 and 2 * step + 1 (odd) on both sides of the split's
+        # bound, step - 1 to 3 * step + 5 on both sides of block edges
         vocab = data.draw(st.sampled_from(
             [0, 1, k * k - 1, k * k, step - 1, step, step + 1, 2 * step - 1, 2 * step + 1,
              3 * step + 5]))
@@ -168,23 +167,25 @@ class TestReconstruct:
         elif layout == "strided":
             rows = np.repeat(rows, 2, axis=1)[:, ::2]
         store = CodebookStore(n, k, d, rows)
-        dtype = data.draw(st.sampled_from([np.int32, np.intp]))  # decode_delta gives int32
-        codes = rng.integers(0, k, (vocab, n)).astype(dtype)
-        with helper_on() if split else nullcontext(), \
-                mock.patch.object(codec, "_RECONSTRUCT_BLOCK", block):
-            table = reconstruct_table(store, codes)
-        assert table.dtype == np.float64 and table.shape == (vocab, d)
+        code_dtype = data.draw(st.sampled_from([np.int32, np.intp]))  # decode_delta gives int32
+        codes = rng.integers(0, k, (vocab, n)).astype(code_dtype)
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        with mock.patch.object(codec, "_RECONSTRUCT_BLOCK", block):
+            table = reconstruct_table(store, codes, dtype)
+        assert table.dtype == dtype and table.shape == (vocab, d)
         idx = codes + np.arange(n) * k
-        in_order = functools.reduce(np.add, (rows[idx[:, i]] for i in range(n)))
-        assert np.array_equal(table.view(np.uint64), in_order.view(np.uint64))
+        rounded = rows.astype(dtype)
+        in_order = functools.reduce(np.add, (rounded[idx[:, i]] for i in range(n)))
+        as_bits = np.uint32 if dtype == np.float32 else np.uint64
+        assert np.array_equal(table.view(as_bits), in_order.view(as_bits))
         if d > 1 or n < 8:
-            assert np.array_equal(table, gather_sum_table(store, codes))
+            assert np.array_equal(table, gather_sum_table(store, codes, dtype))
         else:
             # numpy sums a contiguous axis of 8 or more with its unrolled pairwise loop.
             # Two summation orders of n terms differ by at most (n - 1) eps sum|x_i|;
             # a bound relative to the result fails wherever the terms cancel.
-            bound = n * np.finfo(float).eps * np.abs(rows[idx]).sum(axis=1)
-            assert np.all(np.abs(table - gather_sum_table(store, codes)) <= bound)
+            bound = n * np.finfo(dtype).eps * np.abs(rounded[idx]).sum(axis=1)
+            assert np.all(np.abs(table - gather_sum_table(store, codes, dtype)) <= bound)
 
     def test_non_integer_codes_refused(self):
         # a cast to an index would truncate 3.7 to 3 and rebuild the wrong row
@@ -192,29 +193,25 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="integer"):
             reconstruct_table(store, np.array([[3.7, 1.0]]))
 
-    def test_split_rebuilds_share_one_helper_thread(self):
-        # |V| d = 2 blocks, the least output that splits
+    def test_a_two_block_rebuild_starts_no_thread(self):
+        # |V| d = 2 blocks: the rebuild runs on the calling thread at any size
         rng = Rng(12)
         d = 64
         store = CodebookStore(3, 4, d, normal(rng, 1.0, (12, d)))
         codes = rng.integers(0, 4, (2 * _RECONSTRUCT_BLOCK // d, 3)).astype(np.int32)
-        first = reconstruct_table(store, codes)
         before = threading.active_count()
-        with helper_on():
-            assert all(np.array_equal(reconstruct_table(store, codes), first) for _ in range(200))
-        assert numkit._helper is not None
-        assert threading.active_count() <= before + 1
+        reconstruct_table(store, codes)
+        assert threading.active_count() == before
 
-    def test_a_small_table_starts_no_thread(self, monkeypatch):
+    def test_a_small_table_starts_no_thread(self):
         # c4-queue's shape: |V| 300, n 8, k 16, d 16; 4,800 elements, far below two blocks
-        monkeypatch.setattr(numkit, "_helper", None)
         rng = Rng(13)
         store = CodebookStore(8, 16, 16, normal(rng, 1.0, (128, 16)))
         codes = rng.integers(0, 16, (300, 8)).astype(np.int32)
         before = threading.active_count()
-        with helper_on():
-            reconstruct_table(store, codes)
-        assert numkit._helper is None and threading.active_count() == before
+        table = reconstruct_table(store, codes)
+        assert threading.active_count() == before
+        assert np.array_equal(table, gather_sum_table(store, codes, np.float32))
 
     def test_lead_table_never_outgrows_the_output(self):
         # k * k > |V| here; a first-pair table would hold k * k = 2^20 rows, 16 MiB

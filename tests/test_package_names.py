@@ -31,6 +31,10 @@ Every function or method that returns a value has its result read by some
 direct call in those users: a call that is not a bare expression statement.
 A result every run throws away is work for nothing, so the function should
 return nothing.
+
+Every CI workflow step names only what is there: its config files and
+scripts, its benchmark workloads and the config keys it writes. No runner
+is needed to see a step that would fail on a name.
 """
 
 import ast
@@ -402,10 +406,16 @@ def config_keys_set_by_runs(users, cfg_dir: Path, workflows: Path) -> set[str]:
             if isinstance(node, ast.Call) and _callee(node.func) in ("ExperimentConfig", "replace"):
                 keys.update(kw.arg for kw in node.keywords if kw.arg is not None)
     for path in sorted(workflows.glob("*.yml")):
-        text = path.read_text(encoding="utf-8")
-        keys.update(re.findall(r'echo "(\w+) = ', text))
-        for lines in re.findall(r"printf '([^']*)'", text):
-            keys.update(re.findall(r"(?:^|\\n)(\w+) = ", lines))
+        keys.update(step_config_keys(path.read_text(encoding="utf-8")))
+    return keys
+
+
+def step_config_keys(text: str) -> set[str]:
+    """Every key a workflow's steps write into a config, as
+    ``echo "key = value"`` or as a line of ``printf 'key = value\\n...'``."""
+    keys = set(re.findall(r'echo "(\w+) = ', text))
+    for lines in re.findall(r"printf '([^']*)'", text):
+        keys.update(re.findall(r"(?:^|\\n)(\w+) = ", lines))
     return keys
 
 
@@ -438,6 +448,65 @@ def test_flags_a_config_key_no_run_sets(tmp_path):
 def test_every_config_key_is_set_by_a_run():
     keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert unset_config_keys(keys, USERS, ROOT / "scripts", ROOT / ".github" / "workflows") == []
+
+
+def workflow_faults(text: str, root: Path) -> list[str]:
+    """What a workflow's steps name that is not there: a ``--config``,
+    ``scripts/`` or ``perfbench/`` path missing under ``root`` (a path the
+    step makes itself holds a ``$``), a ``--workload`` that
+    ``perfbench/run.py`` does not offer, a key a step writes that is no
+    ExperimentConfig field, and a step name used twice in one job (a job
+    is a two-space-indented key)."""
+    faults = []
+    paths = set(re.findall(r"--config (\S+)", text))
+    paths.update(re.findall(r"\b((?:scripts|perfbench)/[\w./-]+)", text))
+    faults += [f"no path {p}" for p in sorted(paths) if "$" not in p and not (root / p).exists()]
+    run_py = ast.parse((root / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    workloads = next(node.value for node in run_py.body
+                     if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WORKLOADS")
+    offered = {"all", *ast.literal_eval(workloads)}
+    faults += [f"no workload {w}" for w in sorted(set(re.findall(r"--workload (\S+)", text)) - offered)]
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    faults += [f"no config key {key}" for key in sorted(step_config_keys(text) - fields)]
+    for job in re.split(r"^  [\w-]+:\s*$", text, flags=re.M):
+        names = re.findall(r"^\s*- name: (.*?)\s*$", job, re.M)
+        faults += [f"step name {name!r} repeats" for name in sorted({n for n in names if names.count(n) > 1})]
+    return faults
+
+
+def test_flags_a_workflow_step_naming_what_is_not_there(tmp_path):
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "scripts" / "demo.cfg").write_text("seed = 1\n")
+    (tmp_path / "perfbench" / "run.py").write_text('WORKLOADS = ("a", "b")\n')
+    text = (
+        "jobs:\n"
+        "  one:\n"
+        "    steps:\n"
+        "      - name: Fine\n"
+        '        run: odup --config scripts/demo.cfg --out "$RUNNER_TEMP/x" simulate\n'
+        "      - name: Fine\n"
+        "        run: |\n"
+        '          echo "seed = 2" >> "$RUNNER_TEMP/x.cfg"\n'
+        '          odup --config "$RUNNER_TEMP/x.cfg" simulate\n'
+        "          python scripts/gone.py && python perfbench/run.py --workload b\n"
+        "  two:\n"
+        "    steps:\n"
+        "      - name: Fine\n"
+        "        run: |\n"
+        "          printf 'n = 4\\nno_such_key = 1\\n' > a.cfg\n"
+        "          odup --config missing.cfg simulate\n"
+        "          python perfbench/run.py --workload c\n"
+    )
+    assert workflow_faults(text, tmp_path) == [
+        "no path missing.cfg", "no path scripts/gone.py", "no workload c", "no config key no_such_key",
+        "step name 'Fine' repeats",
+    ]
+
+
+def test_every_workflow_step_names_what_is_there():
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        assert workflow_faults(path.read_text(encoding="utf-8"), ROOT) == [], path.name
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):

@@ -6,7 +6,6 @@ import os
 import platform
 import subprocess
 import sys
-import threading
 import zlib
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 
 import odup
 import odup.cli as cli
-from odup import codec, pipeline, wire
+from odup import codec, pipeline, updater, wire
 from odup.errors import (
     ConfigError, DataError, DimensionMismatch, FrameError, LedgerDivergence, ProtocolError,
     StaleDeltaError,
@@ -25,8 +24,6 @@ from odup.pipeline import (
     cloud_trajectory, load_config, prepare_data, replay, run_report, run_simulate, write_reports,
 )
 from odup.updater import UpdateDelta, plan_slots
-
-from helpers import helper_on
 
 
 def assert_rows_match(csv_path, records):
@@ -368,27 +365,24 @@ class TestDeviceSim:
         assert ledger == ledger_before
         assert np.array_equal(table, table_before)
 
-    def test_raise_on_the_helper_thread_leaves_state_untouched(self, monkeypatch):
-        # one-element blocks split the rebuild at this size; the helper's
-        # half fills its rows, then raises
+    def test_raise_in_the_rebuild_leaves_state_untouched(self, monkeypatch):
+        # the frame passes every check, and the rebuild fills the new table, then raises
         device, rng = self.deployed()
         store, ledger, table = device.store, device.ledger, device.table
-        table_before = table.copy()
-        pair, threads = codec._pair, []
+        rows_before, ledger_before, table_before = store.rows.copy(), copy.deepcopy(ledger), table.copy()
+        rebuilt = []
 
-        def failing_half(pool, helper, main):
-            def half():
-                threads.append(threading.current_thread())
-                helper()
-                raise RuntimeError("the helper's half failed")
-            return pair(pool, half, main)
+        def failing_rebuild(*args, **kwargs):
+            rebuilt.append(codec.reconstruct_table(*args, **kwargs))
+            raise RuntimeError("the rebuild failed")
 
-        monkeypatch.setattr(codec, "_pair", failing_half)
-        monkeypatch.setattr(codec, "_RECONSTRUCT_BLOCK", 1)
-        with helper_on(), pytest.raises(RuntimeError, match="helper's half"):
+        monkeypatch.setattr(updater, "reconstruct_table", failing_rebuild)
+        with pytest.raises(RuntimeError, match="rebuild failed"):
             device.receive(self.frame(device, rng, self.V, self.N, self.K))
-        assert threads and threads[0] is not threading.current_thread()
+        assert len(rebuilt) == 1 and not np.array_equal(rebuilt[0], table_before)
         assert device.store is store and device.ledger is ledger and device.table is table
+        assert np.array_equal(store.rows, rows_before)
+        assert ledger == ledger_before
         assert np.array_equal(table, table_before)
 
     def test_full_frame_must_carry_every_row(self):
@@ -791,6 +785,17 @@ class TestCli:
         cfgfile.write_text(f"data = {log}\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert "6 items are fewer than" in capsys.readouterr().err
+
+    def test_empty_slice_exit_3(self, tmp_path, capsys):
+        # 12 sessions leave 11 for training, and the default slices give slice 1 none of them
+        log = tmp_path / "short.tsv"
+        log.write_text("".join(f"u{s}\ti{(s + j) % 12}\t{1000 * s + j}.0\n"
+                               for s in range(12) for j in range(3)), encoding="utf-8")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"data = {log}\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
+        assert capsys.readouterr().err == (
+            "data error: slices = 1:3:6:10:15: slice 1 of 5 gets none of the 11 training sessions\n")
 
     def test_directory_as_data_exit_3(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from contextlib import contextmanager
 from unittest import mock
 
@@ -10,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import odup
 from odup import numkit, recommender
 from odup.errors import DataError, TrainingDiverged
 from odup.numkit import Rng, sigmoid
 from odup.recommender import RecModel, _loss_and_grads, evaluate, init_model, padded_table, train
 
 from helpers import (
-    dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, helper_on,
-    log_softmax, rank_metrics, score_all, train_config, train_reference, whole_batch,
+    dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, log_softmax,
+    rank_metrics, score_all, train_config, train_reference, whole_batch,
 )
 
 
@@ -419,11 +415,8 @@ class TestMixedPrecision:
         for name, fn in [("_encode_batch", spy_encode_batch), ("_softmax_rows", spy_softmax_rows),
                          ("_scatter_grads", spy_scatter_grads), ("Adam", SpyAdam)]:
             monkeypatch.setattr(recommender, name, fn)
-        monkeypatch.setattr(numkit, "_helper", None)
         m = toy_model(vocab=vocab, d=d, kind=kind)
-        with helper_on():  # the helper thread is there to take, and train takes none
-            train(m, ds, train_config(epochs=1, l2=1e-4))
-        assert numkit._helper is None
+        train(m, ds, train_config(epochs=1, l2=1e-4))
         f32 = {np.dtype(np.float32)}
         assert seen == {"S": f32, "scores": f32, "DY": f32, "ce": f32, "scatter": f32, "dX": f32}
         moments = [(x.dtype, y.dtype) for x, y in zip(adams[0]._m, adams[0]._v)]
@@ -544,18 +537,17 @@ class TestTrainMatchesReference:
         ("mean_pool", False), ("last_gated", False), ("last_gated", True),
     ])
     def test_bitwise_equal_with_helper_at_width(self, kind, freeze_gate):
-        # |V| 300, d 32 and B 100 with a short last batch, with the helper
-        # thread there to take work: a product this wide takes other bits
-        # when its rows are split (except at multiples of the BLAS kernel's
-        # row width), so none may be. Entries in (-1, 1) make scores large
-        # enough that a last-bit change in one survives the softmax.
+        # |V| 300, d 32 and B 100 with a short last batch: a product this
+        # wide takes other bits when its rows are split across threads
+        # (except at multiples of the BLAS kernel's row width), so none may
+        # be. Entries in (-1, 1) make scores large enough that a last-bit
+        # change in one survives the softmax.
         rng = Rng(8)
         pairs = [([int(i) for i in rng.integers(0, 300, int(rng.integers(1, 9)))], int(rng.integers(0, 300)))
                  for _ in range(250)]
         table = rng.uniform((300, 32)) * 2.0 - 1.0
         cfg = train_config(epochs=2, l2=1e-3, seed=4, freeze_gate=freeze_gate)
-        with helper_on():
-            self.check(table, kind, 0.3, pairs, cfg)
+        self.check(table, kind, 0.3, pairs, cfg)
 
     @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
     def test_signed_zero_padding(self, kind):
@@ -565,55 +557,3 @@ class TestTrainMatchesReference:
         with rec_steps(batch=2):
             self.check(table, kind, 0.0, [([1], 2), ([1, 2, 0], 1)], train_config(epochs=2))
 
-
-class TestHelperPool:
-    def test_pool_only_on_two_cpus_at_one_blas_thread(self, monkeypatch):
-        monkeypatch.setattr(numkit, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(numkit, "BLAS_ONE_THREAD", True)
-        pool = numkit.shared_helper()
-        assert pool is not None and numkit.shared_helper() is pool
-        monkeypatch.setattr(numkit, "_usable_cpus", lambda: 1)
-        assert numkit.shared_helper() is None
-        monkeypatch.setattr(numkit, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(numkit, "BLAS_ONE_THREAD", False)
-        assert numkit.shared_helper() is None
-
-    @pytest.mark.parametrize("threads, pooled", [(None, False), ("1", True)])
-    def test_numpy_loaded_first_keeps_the_helper_only_at_one_blas_thread(self, threads, pooled):
-        # numpy imported before odup starts BLAS at the thread count its
-        # environment names, every CPU when it names none, and the helper
-        # thread beside those threads only costs time
-        env = {k: v for k, v in os.environ.items() if k not in odup._BLAS_VARS}
-        if threads is not None:
-            env.update(dict.fromkeys(odup._BLAS_VARS, threads))
-        src = os.path.dirname(os.path.dirname(recommender.__file__))
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = ("import numpy\nfrom odup import numkit\nnumkit._usable_cpus = lambda: 2\n"
-                "print(numkit.shared_helper() is not None)\n")
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                             timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == str(pooled)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-    def test_forked_child_starts_its_own_helper(self):
-        # the child of a fork has none of its parent's threads; a helper
-        # inherited from the parent would take the child's task and never run it
-        src = os.path.dirname(os.path.dirname(recommender.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        code = ("import os, signal\nfrom odup import numkit\nnumkit._usable_cpus = lambda: 2\n"
-                "def both():\n"
-                "    ran = []\n"
-                "    numkit._pair(numkit.shared_helper(), lambda: ran.append(1), lambda: ran.append(2))\n"
-                "    return sorted(ran)\n"
-                "both()\n"
-                "pid = os.fork()\n"
-                "if pid == 0:\n"
-                "    signal.alarm(30)  # a child waiting on its parent's helper ends here\n"
-                "    os._exit(0 if both() == [1, 2] else 1)\n"
-                "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                             timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "0"

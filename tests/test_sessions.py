@@ -139,6 +139,12 @@ class TestSlices:
         with pytest.raises(DataError):
             temporal_slices([Session([0, 1], 0.0)], SlicePlan([0.5, 0.5]))
 
+    def test_a_slice_rounding_leaves_empty(self):
+        # 12 logged sessions hold 11 for training; 11 / 35 rounds slice 1 to none
+        sessions = [Session([0, 1], float(i)) for i in range(11)]
+        with pytest.raises(DataError, match="slice 1 of 5 gets none of the 11 training sessions"):
+            temporal_slices(sessions, SlicePlan.from_ratios([1, 3, 6, 10, 15]))
+
     @settings(max_examples=30)
     @given(
         n_sessions=st.integers(4, 40),
@@ -153,10 +159,14 @@ class TestSlices:
         ]
         ratios = [float(rng.uniform() + 0.1) for _ in range(n_slices)]
         plan = SlicePlan.from_ratios(ratios)
+        bounds = [0] + plan.boundaries(n_sessions)
+        if any(lo == hi for lo, hi in zip(bounds, bounds[1:])):
+            with pytest.raises(DataError, match="gets none of the"):
+                temporal_slices(sessions, plan)
+            return
         slices = temporal_slices(sessions, plan)
         ordered = sorted(sessions, key=lambda s: s.start)
         # slice t holds the pairs of exactly the sessions its plan boundaries name
-        bounds = [0] + plan.boundaries(n_sessions)
         for ds, lo, hi in zip(slices, bounds, bounds[1:]):
             assert ds.pairs == augment_split(ordered[lo:hi]).pairs
         assert sum((ds.pairs for ds in slices), []) == augment_split(ordered).pairs

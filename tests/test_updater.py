@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,23 @@ class TestApplyDelta:
         )
         assert np.array_equal(table, reconstruct_table(dstore2, upd.delta.codes))
 
+    def test_rebuild_oracles_by_dtype(self):
+        # the benchmark's device-table check rebuilds the narrowed server
+        # store with no dtype and compares bits; the solver asks for float64
+        rng, X1, X2, cfg, store, codes = make_update_setup()
+        deploy = UpdateDelta(1, "full", cfg.nk, store.rows, codes, list(range(cfg.nk)))
+        dstore, dledger, deployed = apply_delta(None, None, deploy, expected_strategy="queue")
+        upd = retrain_update(store, codes, X2, plan_slots(dledger, "queue", 5), epoch=2, strategy="queue")
+        _, _, updated = apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
+        for server, delta, table in ((store, deploy, deployed), (upd.store, upd.delta, updated)):
+            narrowed = CodebookStore(cfg.n, cfg.k, cfg.d, server.rows.astype(np.float32).astype(np.float64))
+            oracle = reconstruct_table(narrowed, delta.codes)
+            assert oracle.dtype == table.dtype == np.float32 and oracle.tobytes() == table.tobytes()
+            solver = reconstruct_table(server, delta.codes, np.float64)
+            idx = delta.codes + np.arange(cfg.n) * cfg.k
+            in_order = functools.reduce(np.add, (server.rows[idx[:, i]] for i in range(cfg.n)))
+            assert solver.dtype == np.float64 and solver.tobytes() == in_order.tobytes()
+
     def test_stale_epoch_rejected(self):
         cfg, store, codes, ledger, dstore, dledger, upd, slots = self.roundtrip_device()
         upd.delta.epoch = 3
@@ -374,7 +393,7 @@ class TestPaperConcatenationForms:
         # the first block, so mirror the store/codes through a row reversal
         rng = Rng(3)
         nk, d, beta = 4, 2, 2
-        old = rng.uniform((nk, d))
+        old = rng.uniform((nk, d)).astype(np.float32).astype(np.float64)  # a device store is float32
         new = rng.uniform((beta, d))
         store = CodebookStore(1, nk, d, old.copy())
         ledger = SlotLedger.fresh(nk, epoch=1)
@@ -396,7 +415,7 @@ class TestPaperConcatenationForms:
         # position (nk - 1 + beta - c) mod nk
         rng = Rng(4)
         nk, d, beta = 4, 2, 2
-        old = rng.uniform((nk, d))
+        old = rng.uniform((nk, d)).astype(np.float32).astype(np.float64)  # a device store is float32
         new = rng.uniform((beta, d))
         store = CodebookStore(1, nk, d, old.copy())
         ledger = SlotLedger.fresh(nk, epoch=1)
