@@ -1,16 +1,12 @@
 """Deterministic numerics shared by all training code.
 
-Codec training and the recommender's gate are float64. Float32 appears in
-two places: ``recommender.train`` keeps its table, its batches and the
-table's Adam moments in float32, and the device is float32 (an
-``UpdateDelta`` keeps the float32 values of its rows, the wire format
-stores float32, and ``codec.reconstruct_table`` rebuilds the device's
-table in float32, while the server's solver asks it for float64).
-``Adam`` steps each parameter in that parameter's dtype. Randomness goes
-through :class:`Rng`, a seeded PCG64 generator wrapped so that identical
-seeds reproduce identical draw sequences on any platform; the
-process-global numpy state is never touched. Everything runs on the
-calling thread, and ``odup`` pins BLAS to one thread.
+Codec training and the recommender's gate are float64; the recommender's
+table and the rows that reach the device are float32. ``Adam`` steps each
+parameter in that parameter's dtype. Randomness goes through
+:class:`Rng`, a seeded PCG64 generator wrapped so that identical seeds
+reproduce identical draw sequences on any platform; the process-global
+numpy state is never touched. Everything runs on the calling thread, and
+``odup`` pins BLAS to one thread.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ class ExperimentConfig:
             raise ConfigError("tau must be positive")
         if not 0 <= self.synth_drift <= 1:
             raise ConfigError("synth_drift must lie in [0, 1]")
-        for key in ("delimiter", "out"):
+        for key in ("data", "delimiter", "out"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} must not be empty")
         if self.mmd_samples != 0 and self.mmd_samples < 2:

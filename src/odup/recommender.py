@@ -7,10 +7,8 @@ Scores are plain dot products against every item row; training minimizes
 softmax cross-entropy of the next-item label plus L2 on the table, with
 hand-rolled gradients and Adam.
 
-Training runs in float32 on the calling thread: the table, each batch and
-the table's Adam moments are float32. ``RecModel.embeddings`` stays
-float64, and ``init_model`` draws values that float32 holds exactly, so a
-drawn or trained table enters training without rounding. The gate and
+The table is float32, and training runs in float32 on the calling thread:
+each batch and the table's Adam moments are float32 too. The gate and
 ``evaluate`` stay float64.
 """
 
@@ -39,16 +37,17 @@ class TrainConfig:
 
 @dataclass
 class RecModel:
-    embeddings: np.ndarray          # (|V|, d) float64
+    embeddings: np.ndarray          # (|V|, d) float32
     encoder_kind: str
     gate_raw: float                 # gate = sigmoid(gate_raw)
 
     def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            self.embeddings = np.asarray(self.embeddings, dtype=np.float32)
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] < 1 or self.embeddings.shape[1] < 2:
             raise ValueError("embedding table must be |V| x d with |V| >= 1, d >= 2")
         if not np.all(np.isfinite(self.embeddings)):
-            raise ValueError("embedding table must be finite")
+            raise ValueError("embedding table must be finite in float32")
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind {self.encoder_kind!r}")
 
@@ -62,9 +61,8 @@ class RecModel:
 
 
 def init_model(vocab_size: int, d: int, rng: Rng, encoder_kind: str) -> RecModel:
-    """Uniform(-0.1, 0.1) initialization for the table and gate; the
-    table's entries are rounded to float32, in which ``train`` runs."""
-    table = (rng.uniform((vocab_size, d)) * 0.2 - 0.1).astype(np.float32).astype(np.float64)
+    """Uniform(-0.1, 0.1) initialization for the table and gate."""
+    table = (rng.uniform((vocab_size, d)) * 0.2 - 0.1).astype(np.float32)
     gate_raw = float(rng.uniform() * 0.2 - 0.1)
     return RecModel(table, encoder_kind, gate_raw)
 
@@ -223,12 +221,10 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     """Mini-batch Adam on the cross-entropy objective, REC_BATCH pairs per
     batch at step size REC_LR, in float32 throughout: the padded table,
     every batch (``_loss_and_grads``) and the table's Adam moments. The
-    trained values are written back to ``model.embeddings`` widened, which
-    is exact. Raises TrainingDiverged, leaving ``model`` as it was, when the
-    table narrowed to float32 holds a non-finite entry (one beyond
-    float32's range, about 3.4e38, included), in the first batch whose loss
-    goes non-finite, or in the first whose Adam step leaves a non-finite
-    table entry.
+    trained values are written back to ``model.embeddings``. Raises
+    TrainingDiverged, leaving ``model`` as it was, when the table holds a
+    non-finite entry, in the first batch whose loss goes non-finite, or in
+    the first whose Adam step leaves a non-finite table entry.
     """
     n = len(dataset)
     if n == 0:
@@ -242,7 +238,7 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     adam = Adam(REC_LR)
     # an overflow is reported as TrainingDiverged, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        table = padded_table(model.embeddings.astype(np.float32))
+        table = padded_table(model.embeddings)
         X = table[:-1]
         _require_finite(X)
         # a gate with no gradient never moves under Adam, so only a trained one steps

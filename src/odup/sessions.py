@@ -193,6 +193,9 @@ def temporal_slices(sessions: list[Session], plan: SlicePlan) -> list[SessionDat
 
 def holdout_split(sessions: list[Session]) -> tuple[list[Session], list[Session]]:
     """Temporally last TEST_FRAC of sessions held out as the test set."""
+    if len(sessions) < 2:
+        raise DataError(f"{len(sessions)} session(s) after filtering; a run needs at least 2 "
+                        "(the last is held out for testing)")
     ordered = sorted(sessions, key=lambda s: s.start)
     n_test = int(round(len(ordered) * TEST_FRAC))
     n_test = min(max(n_test, 1), len(ordered) - 1)

@@ -60,21 +60,19 @@ def advance_ledger(ledger: SlotLedger, strategy: str, slots: list[int], epoch: i
 
 @dataclass(eq=False)
 class UpdateDelta:
-    """One update as the device receives it. The device holds float32 rows,
-    so ``new_rows`` keeps only their float32 values (widened to float64):
-    the wire carries them exactly, and a server that applies the delta
-    holds the device's rows bit for bit. Two deltas compare by identity."""
+    """One update as the device receives it, its rows in float32, as the
+    wire carries them. Two deltas compare by identity."""
 
     epoch: int
     strategy: str            # "full" | "stack" | "queue"
     beta: int
-    new_rows: np.ndarray     # (beta, d)
+    new_rows: np.ndarray     # (beta, d) float32
     codes: np.ndarray        # (|V|, n)
     replaced_slots: list[int]
 
     def __post_init__(self):
         with np.errstate(over="ignore"):
-            self.new_rows = np.asarray(self.new_rows, dtype=np.float32).astype(np.float64)
+            self.new_rows = np.asarray(self.new_rows, dtype=np.float32)
         if not np.all(np.isfinite(self.new_rows)):
             raise ValueError("rows must be finite in float32")
         self.codes = np.asarray(self.codes)

@@ -138,8 +138,7 @@ def delta_bytes(vocab: int, n: int, k: int, d: int, beta: int) -> int:
 
 
 def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> bytes:
-    """Serialize a delta to the frame layout above. ``UpdateDelta`` holds
-    float32 row values, so the rows are written exactly and
+    """Serialize a delta to the frame layout above;
     ``decode_delta(encode_delta(delta))`` holds every field of ``delta``
     bit for bit."""
     for name, value in (("epoch", delta.epoch), ("vocab", vocab), ("n", n), ("k", k), ("d", d)):

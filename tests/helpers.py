@@ -324,16 +324,15 @@ def loss_and_grads_masked(table, gate_raw, encoder_kind, batch: MaskedBatch, l2,
 
 
 def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> None:
-    """recommender.train as one masked gather per batch on a float32 copy
-    of ``model.embeddings``, written back when training ends, stepping Adam
+    """recommender.train as one masked gather per batch on a copy of
+    ``model.embeddings``, written back when training ends, stepping Adam
     on the table and the gate together (a frozen gate's gradient is 0).
     Checks the table before the first batch and after every step. Reads
     the step size and batch from recommender.REC_LR and REC_BATCH when
     called, so a test that patches them trains both forms alike."""
     lr, size = recommender.REC_LR, recommender.REC_BATCH
     rng = Rng(cfg.seed).child("rec-shuffle")
-    with np.errstate(over="ignore"):
-        table = model.embeddings.astype(np.float32)
+    table = model.embeddings.copy()
     gate = np.array([model.gate_raw], dtype=np.float64)
     train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
     adam = Adam(lr)

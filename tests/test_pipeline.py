@@ -10,6 +10,7 @@ import zlib
 
 import numpy as np
 import pytest
+import yaml
 
 import odup
 import odup.cli as cli
@@ -24,6 +25,8 @@ from odup.pipeline import (
     cloud_trajectory, load_config, prepare_data, replay, run_report, run_simulate, write_reports,
 )
 from odup.updater import UpdateDelta, plan_slots
+
+from helpers import reconstruct_item
 
 
 def assert_rows_match(csv_path, records):
@@ -167,6 +170,49 @@ class TestRatioSweepScript:
         assert prepared == []
 
 
+class TestCiLocalScript:
+    @staticmethod
+    def load():
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "ci_local.py")
+        spec = importlib.util.spec_from_file_location("ci_local", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_runs_the_steps_in_order_and_stops_at_a_failure(self, tmp_path, monkeypatch, capsys):
+        ci = self.load()
+        workflow = tmp_path / "ci.yml"
+        workflow.write_text(
+            "jobs:\n"
+            "  j:\n"
+            "    steps:\n"
+            "      - uses: actions/checkout@v4\n"
+            "      - name: Install\n"
+            "        run: pip install -e '.[test]'\n"
+            "      - name: Temp and shim\n"
+            "        run: odup --help > \"$RUNNER_TEMP/help.txt\" && grep -q simulate \"$RUNNER_TEMP/help.txt\"\n"
+            "      - name: Newest Python only\n"
+            "        if: matrix.python-version == '3.12'\n"
+            "        run: exit 3\n"
+            "      - name: A pipe fails\n"
+            "        run: false | cat\n"
+            "      - name: After the failure\n"
+            "        run: 'true'\n", encoding="utf-8")
+        monkeypatch.setattr(ci, "WORKFLOW", str(workflow))
+        assert ci.main(["j", "--python-version", "3.10"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["skip", "skip", "ok", "skip", "FAIL(1)", "skip"]
+        assert lines[-1].endswith("After the failure (an earlier step failed)")
+
+    def test_every_workflow_step_is_understood(self):
+        ci = self.load()
+        with open(ci.WORKFLOW, encoding="utf-8") as fh:
+            jobs = yaml.safe_load(fh)["jobs"]
+        reasons = [ci._skip_reason(step, "3.10") for job in jobs.values() for step in job["steps"]]
+        assert reasons.count("installs packages") == 3  # both Install steps and the numpy pin
+        assert reasons.count("runs on Python 3.12 only") == 3
+
+
 def tree_bytes(root) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -214,6 +260,7 @@ class TestCloudTrajectory:
         cfg = small_config(slices="1:1", rec_epochs=2)
         first, second = cloud_trajectory(cfg, prepare_data(cfg, Rng(cfg.seed)))
         for step in (first, second):
+            assert step.model.embeddings.dtype == np.float32
             assert not step.model.embeddings.flags.writeable
             with pytest.raises(ValueError):
                 step.model.embeddings[0, 0] = 0.0
@@ -356,6 +403,7 @@ class TestDeviceSim:
         store, ledger, table = device.store, device.ledger, device.table
         rows_before, ledger_before, table_before = store.rows.copy(), copy.deepcopy(ledger), table.copy()
         delta = wire.decode_delta(self.frame(device, rng, self.V, self.N, self.K))
+        delta.new_rows = delta.new_rows.copy()  # the decoded rows are a read-only view of the frame
         delta.new_rows[0, 0] = np.inf
         with pytest.raises(FrameError) as exc:
             device.receive(wire.encode_delta(delta, vocab=self.V, d=self.D, n=self.N, k=self.K))
@@ -449,8 +497,34 @@ class TestSimulate:
         run_simulate(small_config(out=str(tmp_path / "sim")))
         [store] = stores
         frame = (tmp_path / "sim" / "frames" / "round_01.odup").read_bytes()
-        narrowed = store.rows.astype(np.float32).astype(np.float64)
-        assert wire.decode_delta(frame).new_rows.tobytes() == narrowed.tobytes()
+        assert wire.decode_delta(frame).new_rows.tobytes() == store.rows.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("strategy", ["queue", "stack"])
+    def test_saved_frames_rebuild_the_oracle_table(self, tmp_path, strategy):
+        """Every round's device table, replayed from the saved frames, is
+        bitwise an oracle built without reconstruct_table: numpy writes each
+        frame's float32 rows into their slots, and helpers.reconstruct_item
+        sums every item's codewords in float32. The run's own lockstep check
+        compares two reconstruct_table outputs, so it cannot see a rebuild
+        that both sides get wrong alike."""
+        cfg = small_config(strategy=strategy, out=str(tmp_path / "sim"))
+        rounds = run_simulate(cfg).rounds
+        device = DeviceSim(strategy, cfg.encoder, 0.5)
+        rows = np.zeros((cfg.n * cfg.k, cfg.d), dtype=np.float32)
+        for t, state in enumerate(rounds, start=1):
+            frame = (tmp_path / "sim" / "frames" / f"round_{t:02d}.odup").read_bytes()
+            assert frame == state.frame
+            delta = device.receive(frame)
+            rows[delta.replaced_slots] = delta.new_rows
+            store = codec.CodebookStore(cfg.n, cfg.k, cfg.d, rows)
+            oracle = np.array([reconstruct_item(store, code, dtype=np.float32) for code in delta.codes])
+            assert device.table.dtype == oracle.dtype == np.float32
+            assert device.table.tobytes() == oracle.tobytes()
+
+    def test_deploy_rows_are_float32(self):
+        cfg = small_config(codec_epochs=2)
+        table = Rng(2).uniform((cfg.synth_vocab, cfg.d)).astype(np.float32)
+        assert pipeline.deploy(cfg, table).new_rows.dtype == np.float32
 
     def test_stack_queue_differ_only_in_device_metrics(self, tmp_path):
         cfg_q = small_config(out=str(tmp_path / "q"), strategy="queue")
@@ -728,7 +802,7 @@ class TestCli:
         ("synth_clusters = 0", "synth_clusters"), ("mmd_samples = 1", "mmd_samples"),
         ("slices = 1:0:2", "slices"), ("n = 65536", "n"), ("k = 65536", "k"),
         ("strategy = heap", "strategy"), ("ratio_mode = auto", "ratio_mode"),
-        ("timing = cpu", "timing"), ("encoder = gru", "encoder"),
+        ("timing = cpu", "timing"), ("encoder = gru", "encoder"), ("data =", "data"),
     ])
     def test_out_of_range_setting_names_its_key(self, tmp_path, lines, key, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -796,6 +870,20 @@ class TestCli:
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert capsys.readouterr().err == (
             "data error: slices = 1:3:6:10:15: slice 1 of 5 gets none of the 11 training sessions\n")
+
+    def test_single_session_log_exit_3_before_training(self, tmp_path, monkeypatch, capsys):
+        # one user's 11 events within the session gap: one session, so no test set
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained on a log with no test session")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        log = tmp_path / "one.tsv"
+        log.write_text("".join(f"u0\ti{j}\t{j}.0\n" for j in range(11)), encoding="utf-8")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"data = {log}\nslices = 1\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: 1 session(s)") and "at least 2" in err
 
     def test_directory_as_data_exit_3(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

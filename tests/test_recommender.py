@@ -216,13 +216,9 @@ class TestTrain:
         assert p[3] >= 0.95
 
     def test_lr_zero_bitwise_unchanged(self):
-        # init_model draws float32 values, so the float32 table that train
-        # steps holds them exactly and writes the same bits back; a table
-        # float32 cannot hold comes back rounded to float32
         m = toy_model()
         before_table = m.embeddings.copy()
         before_gate = m.gate_raw
-        assert np.array_equal(before_table.astype(np.float32).astype(np.float64), before_table)
         ds = self.repeated_pair_dataset()
         with rec_steps(lr=0.0, batch=2):
             train(m, ds, train_config(epochs=3, seed=0))
@@ -230,13 +226,13 @@ class TestTrain:
             assert m.gate_raw == before_gate
             m.embeddings[...] = 0.1
             train(m, ds, train_config(epochs=1, seed=0))
-        assert np.all(m.embeddings == float(np.float32(0.1))) and m.embeddings[0, 0] != 0.1
+        assert np.all(m.embeddings == np.float32(0.1))
 
     def test_gradients_match_finite_differences(self):
         for kind in ("mean_pool", "last_gated"):
             m = toy_model(vocab=4, d=3, kind=kind, seed=7)
             batch = whole_batch(dataset_of([([0], 2), ([1, 2], 0), ([0, 3, 3], 1)]), 4)
-            X = m.embeddings.copy()
+            X = m.embeddings.astype(np.float64)
             graw = m.gate_raw
             _, dX, dg = _loss_and_grads(padded_table(X), graw, kind, batch, 1e-3, True)
 
@@ -299,7 +295,7 @@ class TestTrain:
 
     def test_divergence_raises(self):
         m = toy_model(vocab=4, d=3)
-        m.embeddings[0, 0] = 1e308  # beyond float32: the float32 table holds inf
+        m.embeddings[0, 0] = np.finfo(np.float32).max  # its l2 gradient overflows float32
         ds = dataset_of([([1], 2)])
         with rec_steps(batch=1), pytest.raises(TrainingDiverged):
             train(m, ds, train_config(epochs=1, l2=1.0, seed=0))
@@ -315,7 +311,7 @@ class TestTrain:
         before, gate = m.embeddings.copy(), m.gate_raw
         ds = dataset_of([([0], 2), ([0, 1], 2), ([2, 0], 1)])
         with np.errstate(over="ignore"):
-            loss, dX, _ = _loss_and_grads(padded_table(m.embeddings.astype(np.float32)), gate,
+            loss, dX, _ = _loss_and_grads(padded_table(m.embeddings), gate,
                                           m.encoder_kind, whole_batch(ds, 4), 10.0, True)
         assert np.isfinite(loss) and np.isinf(dX[3, 0])
         with rec_steps(batch=3), pytest.raises(TrainingDiverged, match="non-finite in float32"):
@@ -373,7 +369,15 @@ class TestTrain:
 class TestMixedPrecision:
     """train runs on the calling thread in float32: the table, every batch
     step, dX and the table's Adam moments. The gate and its moments stay
-    float64, as does the model's table at the API."""
+    float64."""
+
+    def test_model_table_is_float32(self):
+        # init_model draws it, RecModel narrows a float64 table, and train keeps it
+        m = toy_model(vocab=5, d=4)
+        assert m.embeddings.dtype == np.float32
+        train(m, dataset_of([([0], 3)] * 4), train_config(epochs=1))
+        assert m.embeddings.dtype == np.float32
+        assert RecModel(np.full((3, 2), 0.1), "mean_pool", 0.0).embeddings.dtype == np.float32
 
     @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
     @pytest.mark.parametrize("vocab, d", [(300, 16), (1850, 32)])
@@ -422,7 +426,7 @@ class TestMixedPrecision:
         moments = [(x.dtype, y.dtype) for x, y in zip(adams[0]._m, adams[0]._v)]
         gate = [(np.dtype(np.float64),) * 2] if kind == "last_gated" else []
         assert moments == [(np.dtype(np.float32),) * 2] + gate
-        assert m.embeddings.dtype == np.float64
+        assert m.embeddings.dtype == np.float32
 
     @pytest.mark.parametrize("kind", ["mean_pool", "last_gated"])
     def test_float32_agrees_with_float64_within_float32_tolerance(self, kind):
@@ -441,9 +445,10 @@ class TestMixedPrecision:
 
 
 class TestBeyondFloat32:
-    """A table entry that is non-finite, or finite but beyond float32's
-    range, raises TrainingDiverged before any batch reads it and leaves the
-    model as it was, for both encoders."""
+    """A non-finite table entry raises TrainingDiverged before any batch
+    reads it and leaves the model as it was, for both encoders; a float64
+    entry beyond float32's range never reaches train, since RecModel
+    refuses it."""
 
     VOCAB, UNSEEN = 6, 5  # no prefix and no label holds item 5
     PAIRS = [([0, 1], 2), ([3], 4), ([2, 4, 1], 0), ([1], 3)]
@@ -458,11 +463,18 @@ class TestBeyondFloat32:
         # every entry is positive, so every session embedding is too: an
         # entry at -inf in float32 scores -inf, which the softmax turns into
         # a zero probability and a finite loss. after_steps = 0 puts the
-        # entry in the model's float64 table; after_steps = 3 puts it in the
-        # float32 table that train steps, before the last batch of the last
-        # epoch, where +-1e39 can only be +-inf.
+        # entry in the model's table; after_steps = 3 puts it in the table
+        # that train steps, before the last batch of the last epoch, where
+        # +-1e39 can only be +-inf. The model's table is float32 too, so
+        # RecModel refuses a table holding +-1e39, with no numpy warning.
         m = toy_model(vocab=self.VOCAB, d=3, kind="last_gated" if gated else "mean_pool", seed=4)
         m.embeddings[...] = np.abs(m.embeddings) + 0.5
+        if after_steps == 0 and np.isfinite(value):
+            table = m.embeddings.astype(np.float64)
+            table[item, 1] = value
+            with pytest.raises(ValueError, match="finite in float32"):
+                RecModel(table, m.encoder_kind, m.gate_raw)
+            return
         tables, stepped = [], []
         real_padded_table = recommender.padded_table
         with np.errstate(over="ignore"):
@@ -499,7 +511,7 @@ class TestBeyondFloat32:
             train(m, dataset_of(self.PAIRS), train_config(epochs=2, l2=0.0))
         # Adam moves the entry by at most about REC_LR, which rounds back to it
         assert m.embeddings[self.UNSEEN, 1] == largest
-        assert np.all(np.isfinite(m.embeddings.astype(np.float32)))
+        assert np.all(np.isfinite(m.embeddings))
 
 
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))

@@ -219,6 +219,13 @@ class TestRetrainUpdate:
         assert upd.delta.new_rows.shape == (1, cfg.d)
         assert upd.delta.codes.shape == (24, cfg.n)
 
+    def test_delta_rows_are_the_slot_rows_in_float32(self):
+        rng, X1, X2, cfg, store, codes = make_update_setup()
+        slots = plan_slots(SlotLedger.fresh(cfg.nk, epoch=1), "queue", 3)
+        upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
+        assert upd.delta.new_rows.dtype == np.float32
+        assert upd.delta.new_rows.tobytes() == upd.store.rows[slots].astype(np.float32).tobytes()
+
     def test_update_beats_stale(self):
         rng, X1, X2, cfg, store, codes = make_update_setup(epochs=25)
         ledger = SlotLedger.fresh(cfg.nk, epoch=1)

@@ -190,9 +190,17 @@ class TestRoundTrip:
             return
         assert same_delta(decode_delta(encode_delta(delta, vocab=5, d=d, n=1, k=4)), delta)
 
+    def test_decoded_rows_are_a_read_only_float32_view_of_the_frame(self):
+        delta = random_delta(Rng(5), 20, 2, 4, 3, 4)
+        assert delta.new_rows.dtype == np.float32
+        frame = encode_delta(delta, vocab=20, d=3, n=2, k=4)
+        rows = decode_delta(frame).new_rows
+        assert rows.dtype == np.float32 and not rows.flags.writeable
+        assert np.shares_memory(rows, np.frombuffer(frame, dtype=np.uint8))
+
     def test_signed_zeros_and_subnormals_roundtrip(self):
         # the rows' float32 bits come back as sent: -0.0 stays -0.0, and the
-        # least subnormal and the greatest survive their float64 widening
+        # least subnormal and the greatest survive
         tiny = np.finfo(np.float32).smallest_subnormal
         f32 = np.array([[-0.0, 0.0, tiny], [-tiny, np.finfo(np.float32).smallest_normal - tiny, -0.0]],
                        dtype=np.float32)
@@ -200,7 +208,7 @@ class TestRoundTrip:
         delta = UpdateDelta(d0.epoch, d0.strategy, 2, f32.astype(np.float64), d0.codes, d0.replaced_slots)
         out = decode_delta(encode_delta(delta, vocab=5, d=3, n=1, k=4))
         assert same_delta(out, delta)
-        assert out.new_rows.astype(np.float32).tobytes() == f32.tobytes()
+        assert out.new_rows.tobytes() == f32.tobytes()
         # x + 0.0 turns -0.0 to +0.0 and leaves every other value as it is
         unsigned = UpdateDelta(d0.epoch, d0.strategy, 2, delta.new_rows + 0.0, d0.codes, d0.replaced_slots)
         assert np.array_equal(unsigned.new_rows, out.new_rows) and not same_delta(out, unsigned)
