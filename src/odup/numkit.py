@@ -44,8 +44,26 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, n: int, size: int, replace: bool, p=None) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace, p=p)
+    def choice(self, n: int, size: int, replace: bool) -> np.ndarray:
+        return self._gen.choice(n, size=size, replace=replace)
+
+    def inverse_cdf(self, cdf: np.ndarray, size: int) -> np.ndarray:
+        """``size`` indices drawn with replacement from the table ``cdf`` of
+        ``choice_cdf``: the same uniforms, and so the same indices, as
+        ``Generator.choice(len(cdf), size, p=p)``, without re-validating
+        ``p`` on every call. As there, a uniform that lands on a step of the
+        table takes the index after it, never one of zero probability."""
+        return cdf.searchsorted(self._gen.random(size), side="right")
+
+
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice`` draws from for the float64
+    probabilities ``p``: their running sum divided by its last entry. An
+    empty ``p`` gives an empty table, which no draw may use."""
+    cdf = p.cumsum()
+    if cdf.size:
+        cdf /= cdf[-1]
+    return cdf
 
 
 def gumbel_from_uniform(u) -> np.ndarray:

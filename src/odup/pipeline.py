@@ -110,9 +110,12 @@ class ExperimentConfig:
         if self.mmd_samples != 0 and self.mmd_samples < 2:
             raise ConfigError("mmd_samples must be >= 2, or 0 for every row")
         try:
-            self.slice_plan()
+            n_slices = len(self.slice_plan().fractions)
         except ValueError as exc:
             raise ConfigError(f"slices: {exc}") from None
+        if self.synth_sessions <= n_slices:
+            raise ConfigError(f"synth_sessions must be more than the {n_slices} slices: each slice "
+                              "and the test set need a session")
 
     def slice_plan(self) -> SlicePlan:
         return SlicePlan.from_ratios([float(x) for x in self.slices.split(":")])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .numkit import Rng
+from .numkit import Rng, choice_cdf
 from .sealed import write_file
 
 Event = tuple[str, str, float]  # (user, item, seconds since epoch)
@@ -245,22 +245,24 @@ def synth_generate(
         memberships.append(nxt)
 
     def cluster_dists(memb: np.ndarray):
-        items, probs = [], []
+        """Per cluster, its items and the CDF of their normalized weights."""
+        items, cdfs = [], []
         for c in range(n_clusters):
             pool = np.flatnonzero(memb == c)
             w = item_weight[pool]
             items.append(pool)
-            probs.append(w / w.sum())
-        return items, probs
+            cdfs.append(choice_cdf(w / w.sum()))
+        return items, cdfs
 
     per_slice_dists = [cluster_dists(m) for m in memberships]
 
     base_w = np.power(0.6, np.arange(n_clusters, dtype=np.float64))
     base_w /= base_w.sum()
 
-    def slice_weights(t: int) -> np.ndarray:
+    mixture_cdfs = []
+    for t in range(z):
         w = (1.0 - drift) * base_w + drift * np.roll(base_w, t)
-        return w / w.sum()
+        mixture_cdfs.append(choice_cdf(w / w.sum()))
 
     n_test = min(max(int(round(n_sessions * TEST_FRAC)), 1), n_sessions - z)
     n_train = n_sessions - n_test
@@ -269,15 +271,13 @@ def synth_generate(
     draw = rng.child("synth-sessions")
 
     def make_session(t: int, start: float) -> Session:
-        weights = slice_weights(t)
-        items_by_c, probs_by_c = per_slice_dists[t]
-        c = int(draw.choice(n_clusters, 1, replace=True, p=weights)[0])
+        # inverse-CDF draws take Generator.choice's uniforms and give its indices
+        items_by_c, cdfs_by_c = per_slice_dists[t]
+        c = int(draw.inverse_cdf(mixture_cdfs[t], 1)[0])
         while len(items_by_c[c]) == 0:  # a cluster can empty out under migration
             c = (c + 1) % n_clusters
         length = int(draw.integers(lo, hi + 1))
-        pool, probs = items_by_c[c], probs_by_c[c]
-        items = pool[draw.choice(len(pool), length, replace=True, p=probs)]
-        return Session([int(i) for i in items], start)
+        return Session(items_by_c[c][draw.inverse_cdf(cdfs_by_c[c], length)].tolist(), start)
 
     # session j belongs to the first slice whose boundary exceeds j
     slice_of = np.searchsorted(bounds, np.arange(n_train), side="right")

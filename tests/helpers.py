@@ -14,7 +14,9 @@ from odup.codec import (
 from odup.errors import TrainingDiverged
 from odup.numkit import GUMBEL_EPS, Adam, Rng, gumbel_from_uniform, sigmoid, softmax, softplus
 from odup.recommender import RecModel, TrainConfig, _scatter_rows, plan_batches
-from odup.sessions import Session, SessionDataset, SlicePlan, SynthResult
+from odup.sessions import (
+    SYNTH_LEN_RANGE, TEST_FRAC, ZIPF_EXPONENT, Session, SessionDataset, SlicePlan, SynthResult,
+)
 from odup.updater import UpdateDelta
 from odup.wire import code_bits
 
@@ -59,6 +61,46 @@ def slice_sessions(res: SynthResult, plan: SlicePlan, t: int) -> list[Session]:
     """Training sessions of slice t (1-based) under ``plan``."""
     bounds = [0] + plan.boundaries(len(res.sessions))
     return res.sessions[bounds[t - 1]: bounds[t]]
+
+
+def synth_reference(rng: Rng, vocab_size: int, n_sessions: int, drift: float, plan: SlicePlan,
+                    n_clusters: int = 8) -> SynthResult:
+    """``synth_generate`` as a per-session loop: each session rebuilds its
+    slice's cluster mixture and draws with ``Generator.choice`` and ``p``."""
+    gen = rng.child("synth-setup")._gen
+    lo, hi = SYNTH_LEN_RANGE
+    z = len(plan.fractions)
+    item_weight = 1.0 / np.power(1.0 + gen.permutation(vocab_size).astype(np.float64), ZIPF_EXPONENT)
+    membership = np.repeat(np.arange(n_clusters), -(-vocab_size // n_clusters))[:vocab_size]
+    memberships = [membership.copy()]
+    n_migrate = int(round(vocab_size * drift / 2.0))
+    for _ in range(1, z):
+        nxt = memberships[-1].copy()
+        if n_migrate:
+            movers = gen.choice(vocab_size, n_migrate, replace=False)
+            nxt[movers] = (nxt[movers] + 1) % n_clusters
+        memberships.append(nxt)
+    base_w = np.power(0.6, np.arange(n_clusters, dtype=np.float64))
+    base_w /= base_w.sum()
+    n_test = min(max(int(round(n_sessions * TEST_FRAC)), 1), n_sessions - z)
+    n_train = n_sessions - n_test
+    bounds = plan.boundaries(n_train)
+    draw = rng.child("synth-sessions")._gen
+
+    def make_session(t: int, start: float) -> Session:
+        weights = (1.0 - drift) * base_w + drift * np.roll(base_w, t)
+        weights = weights / weights.sum()
+        c = int(draw.choice(n_clusters, 1, replace=True, p=weights)[0])
+        while not np.any(memberships[t] == c):
+            c = (c + 1) % n_clusters
+        length = int(draw.integers(lo, hi + 1))
+        pool = np.flatnonzero(memberships[t] == c)
+        probs = item_weight[pool] / item_weight[pool].sum()
+        return Session([int(i) for i in pool[draw.choice(len(pool), length, replace=True, p=probs)]], start)
+
+    slice_of = np.searchsorted(bounds, np.arange(n_train), side="right")
+    return SynthResult([make_session(int(t), j * 10.0) for j, t in enumerate(slice_of)],
+                       [make_session(z - 1, (n_train + j) * 10.0) for j in range(n_test)])
 
 
 def log_softmax(z, axis: int = -1) -> np.ndarray:

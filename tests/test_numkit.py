@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odup.numkit import Adam, Rng, gumbel_from_uniform, sigmoid, softmax, softplus
+from odup.numkit import Adam, Rng, choice_cdf, gumbel_from_uniform, sigmoid, softmax, softplus
 
 from helpers import grad_check, log_softmax, sample_gumbel
 
@@ -85,6 +85,36 @@ class TestRng:
         before = np.random.get_state()[1].copy()
         Rng(7).uniform(100)
         assert np.array_equal(before, np.random.get_state()[1])
+
+    @pytest.mark.parametrize("size", [1, 10])
+    def test_inverse_cdf_draws_what_generator_choice_draws(self, size):
+        # zero entries leave steps in the table that no uniform may land on
+        w = np.array([0.0, 3.0, 0.0, 1.0, 0.5, 0.0, 2.0, 0.0])
+        p = w / w.sum()
+        ours, theirs = Rng(11), Rng(11)._gen
+        got = ours.inverse_cdf(choice_cdf(p), size)
+        want = theirs.choice(len(p), size, replace=True, p=p)
+        assert got.tolist() == want.tolist() and got.shape == (size,)
+        assert not np.isin(got, np.flatnonzero(p == 0)).any()
+        assert ours.uniform() == theirs.random()
+
+    def test_inverse_cdf_breaks_ties_as_generator_choice_does(self):
+        # uniforms that land exactly on the table's steps, 0.0 included,
+        # must not pick an index of zero probability
+        class Fixed(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.array([0.0, 0.5, 0.25, 0.5, 0.75])[:size]
+
+        p = np.array([0.0, 0.5, 0.0, 0.5])
+        rng = Rng(0)
+        rng._gen = Fixed(np.random.PCG64(0))
+        want = rng._gen.choice(len(p), 5, replace=True, p=p)
+        assert rng.inverse_cdf(choice_cdf(p), 5).tolist() == want.tolist() == [1, 3, 1, 3, 3]
+
+    def test_choice_cdf_ends_at_one_and_keeps_an_empty_table(self):
+        cdf = choice_cdf(np.array([0.1, 0.2, 0.7]))
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) > 0)
+        assert choice_cdf(np.array([])).size == 0
 
 
 class TestGradCheck:

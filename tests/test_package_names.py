@@ -145,12 +145,20 @@ def user_trees(users) -> list[ast.Module]:
 
 
 def calls_by_callee(trees) -> dict[str, list[ast.Call]]:
-    """Every call in ``trees``, by the name it calls."""
+    """Every call in ``trees``, by the name it calls, but for a call made
+    inside a function of the same name: a wrapper's forwarding call, such
+    as ``def choice(self, n, p=None): return self._gen.choice(n, p=p)``,
+    is not a run that calls the wrapper."""
     calls: dict[str, list[ast.Call]] = {}
+
+    def visit(node, func: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _callee(child.func) != func:
+                calls.setdefault(_callee(child.func), []).append(child)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
     for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                calls.setdefault(_callee(node.func), []).append(node)
+        visit(tree, None)
     return calls
 
 
@@ -237,6 +245,19 @@ def test_flags_a_default_only_tests_pass(tmp_path):
     assert unpassed_defaults(pkg, (pkg, scripts)) == [
         "a.Opt.__init__:beta", "a.by_position:z", "a.orphan:temperature",
     ]
+
+
+def test_a_forwarding_call_does_not_pass_its_wrapper_s_default(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "class Rng:\n"
+        "    def choice(self, n, size=1, p=None):\n        return self._gen.choice(n, size=size, p=p)\n\n"
+        "    def integers(self, lo, hi=None):\n        return self._gen.integers(lo, hi)\n")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "run.py").write_text("rng.choice(3, 2)\nrng.integers(0, 5)\n")
+    assert unpassed_defaults(pkg, (pkg, scripts)) == ["a.Rng.choice:p"]
 
 
 def test_every_package_default_is_passed_by_a_non_test_caller():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import zlib
@@ -211,6 +212,41 @@ class TestCiLocalScript:
         reasons = [ci._skip_reason(step, "3.10") for job in jobs.values() for step in job["steps"]]
         assert reasons.count("installs packages") == 3  # both Install steps and the numpy pin
         assert reasons.count("runs on Python 3.12 only") == 3
+
+
+class TestGateScript:
+    def test_compare_names_a_flipped_frame_byte(self, tmp_path, capsys):
+        scripts = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+        spec = importlib.util.spec_from_file_location("gate", os.path.join(scripts, "gate.py"))
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        out = tmp_path / "base"
+        # a fresh interpreter, since run puts its --src first on sys.path
+        subprocess.run([sys.executable, os.path.join(scripts, "gate.py"), "run", "--src",
+                        os.path.dirname(os.path.dirname(odup.__file__)), "--out", str(out),
+                        "--seeds", "1", "--streams", "c4-queue"], check=True, timeout=300)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        report = json.loads((out / "c4-queue" / "seed1" / "report.json").read_text(encoding="utf-8"))
+        assert manifest["runs"]["c4-queue/seed1"]["delta_bytes"] == [r["delta_bytes"] for r in report]
+
+        assert gate.main(["compare", str(out), str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"files: all {len(manifest['runs']['c4-queue/seed1']['files'])} byte-identical"
+        assert lines[1] == "frame sizes: all 5 equal"
+        assert lines[3].endswith("paired median +0.0000")
+
+        flipped = tmp_path / "flipped"
+        shutil.copytree(out, flipped)
+        frame = flipped / "c4-queue" / "seed1" / "frames" / "round_03.odup"
+        data = bytearray(frame.read_bytes())
+        data[40] ^= 0x01
+        frame.write_bytes(bytes(data))
+        assert gate.main(["compare", str(out), str(flipped)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(" differ: " + os.path.join("c4-queue", "seed1", "frames", "round_03.odup"))
+        assert lines[1] == "frame sizes: all 5 equal"
+        with pytest.raises(SystemExit):
+            gate.main(["compare", str(out), str(tmp_path)])
 
 
 def tree_bytes(root) -> dict:
@@ -809,6 +845,22 @@ class TestCli:
         cfgfile.write_text(lines + "\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2
         assert capsys.readouterr().err.startswith((f"config error: {key} ", f"config error: {key}: "))
+
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    @pytest.mark.parametrize("n_slices", [100, 101])
+    def test_fewer_synth_sessions_than_slices_exit_2(self, tmp_path, monkeypatch, capsys, command, n_slices):
+        # with no session left for the test set, a run would train and then
+        # fail to evaluate; the config is refused before any data is made
+        def no_training(*args):
+            raise AssertionError("trained on a refused config")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        cfgfile = tmp_path / "few.cfg"
+        cfgfile.write_text(f"slices = {':'.join(['1'] * n_slices)}\nsynth_sessions = 100\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synth_sessions ") and f"{n_slices} slices" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", [
         "session_gap", "min_len", "max_len", "top_items", "test_frac", "synth_len_min",

@@ -10,7 +10,7 @@ from odup.sessions import (
     read_event_log, sessionize, synth_generate, temporal_slices, write_event_log,
 )
 
-from helpers import slice_sessions
+from helpers import slice_sessions, synth_reference
 
 HOUR = 3600.0
 
@@ -257,6 +257,29 @@ class TestSynth:
             return 0.5 * np.abs(p - q).sum()
 
         assert tv_first_last(0.5) > tv_first_last(0.1)
+
+
+# (seed, vocab, sessions, drift, slice ratios, clusters): criterion 4's
+# shape, the default config, the benchmark's event log, the least size, a
+# drift that empties clusters, and no drift
+SYNTH_SHAPES = [
+    (3, 300, 3000, 0.25, [2, 1, 1, 1, 1], 6),
+    (7, 400, 3000, 0.3, [1, 3, 6, 10, 15], 8),
+    (5, 2000, 12000, 0.3, [1, 3, 6, 10, 15], 8),
+    (1, 50, 100, 0.3, [1, 3, 6, 10, 15], 1),
+    (2, 300, 1000, 1.0, [1, 1, 1, 1], 40),
+    (4, 300, 1000, 0.0, [1, 1, 1], 8),
+]
+
+
+@pytest.mark.parametrize("seed,vocab,n,drift,ratios,clusters", SYNTH_SHAPES)
+def test_synth_draws_the_per_session_reference_sessions(seed, vocab, n, drift, ratios, clusters):
+    plan = SlicePlan.from_ratios(ratios)
+    got = synth_generate(Rng(seed).child("synth"), vocab, n, drift, plan, n_clusters=clusters)
+    want = synth_reference(Rng(seed).child("synth"), vocab, n, drift, plan, n_clusters=clusters)
+    for ours, theirs in ((got.sessions, want.sessions), (got.test_sessions, want.test_sessions)):
+        assert [(s.items, s.start) for s in ours] == [(s.items, s.start) for s in theirs]
+        assert all(type(i) is int for s in ours for i in s.items)
 
 
 class TestEventLogFile(object):
