@@ -41,7 +41,7 @@ def median_heuristic(pooled: np.ndarray) -> float:
 def _sample_rows(x: np.ndarray, count: int, rng: Rng) -> np.ndarray:
     if count == 0 or count >= len(x):
         return x
-    return x[np.sort(rng.choice(len(x), count, replace=False))]
+    return x[rng.sample(len(x), count)]
 
 
 def mmd2(X_t: np.ndarray, X_t1: np.ndarray, samples: int, seed: int) -> float:

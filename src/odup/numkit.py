@@ -38,14 +38,16 @@ class Rng:
     def uniform(self, size=None) -> np.ndarray:
         return self._gen.random(size)
 
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
+    def integers(self, low: int, high: int) -> np.int64:
+        return self._gen.integers(low, high)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, n: int, size: int, replace: bool) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+    def sample(self, n: int, size: int) -> np.ndarray:
+        """``size`` distinct indices of ``range(n)``, ascending: the draw of
+        ``Generator.choice(n, size, replace=False)``, sorted."""
+        return np.sort(self._gen.choice(n, size=size, replace=False))
 
     def inverse_cdf(self, cdf: np.ndarray, size: int) -> np.ndarray:
         """``size`` indices drawn with replacement from the table ``cdf`` of

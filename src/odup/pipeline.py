@@ -26,10 +26,10 @@ from .codec import (
 from .codec import reconstruct_table  # noqa: F401 (unused, but perfbench/spans.py wraps it here)
 from .errors import ConfigError, DataError, DimensionMismatch, ProtocolError
 from .numkit import Rng
-from .recommender import ENCODER_KINDS, RecModel, TrainConfig, evaluate, init_model, train
+from .recommender import ENCODER_KINDS, REPORT_KS, RecModel, TrainConfig, evaluate, init_model, train
 from .sealed import make_dir, remove_stale, write_file
 from .sessions import (
-    SESSION_GAP, SlicePlan, SessionDataset, SynthResult, augment_split, filter_and_index,
+    SlicePlan, SessionDataset, SynthResult, augment_split, filter_and_index,
     holdout_split, read_event_log, sessionize, synth_generate, temporal_slices,
 )
 from .updater import (
@@ -37,7 +37,6 @@ from .updater import (
     retrain_update, update_cr,
 )
 
-REPORT_KS = (5, 10)  # the K of every report's P@K and N@K
 REPLAY_FRAC = 0.25  # slice t > 1 also trains on this many earlier pairs per new pair
 # each numeric key's least value; a synthetic log has at least 50 items and 100 sessions
 _LEAST = {"d": 2, "rec_epochs": 1, "l2": 0, "n": 1, "k": 1, "codec_epochs": 0, "codec_batch": 1,
@@ -242,7 +241,7 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
         events = read_event_log(cfg.data, cfg.delimiter)
         if not events:
             raise DataError(f"event log is empty: {cfg.data}")
-        indexed, vocab = filter_and_index(sessionize(events, SESSION_GAP))
+        indexed, vocab = filter_and_index(sessionize(events))
         if len(vocab) < max(REPORT_KS):
             raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
         train_sessions, test_sessions = holdout_split(indexed)
@@ -292,7 +291,7 @@ class DeviceSim:
         return delta
 
     def metrics(self, dataset) -> list[float]:
-        return evaluate(self.table, dataset, REPORT_KS, self.encoder_kind, self.gate)
+        return evaluate(self.table, dataset, self.encoder_kind, self.gate)
 
 
 @dataclass
@@ -339,7 +338,7 @@ def with_replay(new: SessionDataset, earlier: list[SessionDataset], rng: Rng) ->
     starts = np.concatenate([ds.starts for ds in earlier])
     ends = np.concatenate([ds.ends for ds in earlier])
     size = min(len(starts), round(REPLAY_FRAC * len(new)))
-    pick = np.sort(rng.choice(len(starts), size, replace=False))
+    pick = rng.sample(len(starts), size)
     return SessionDataset(new.items, np.concatenate([starts[pick], new.starts]),
                           np.concatenate([ends[pick], new.ends]))
 
@@ -360,7 +359,7 @@ def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
         table = model.embeddings.copy()
         table.flags.writeable = False
         yield CloudSlice(RecModel(table, model.encoder_kind, model.gate_raw),
-                         evaluate(model.embeddings, data.test, REPORT_KS, model.encoder_kind, model.gate),
+                         evaluate(model.embeddings, data.test, model.encoder_kind, model.gate),
                          time.perf_counter() - start_time)
 
 

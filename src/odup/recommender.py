@@ -24,6 +24,7 @@ from .numkit import Adam, Rng, sigmoid
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
 _EVAL_CHUNK = 256  # test pairs ranked per block in evaluate
+REPORT_KS = (5, 10)  # the K of every report's P@K and N@K, as evaluate gives them
 REC_LR, REC_BATCH = 0.01, 100  # Adam's step size and the pairs per batch of train
 
 
@@ -256,8 +257,8 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     model.gate_raw = float(gate[0])
 
 
-def evaluate(table, dataset, ks, encoder_kind: str, gate: float) -> list[float]:
-    """[Prec@K, NDCG@K] for each K in ``ks``, flattened in that order, from
+def evaluate(table, dataset, encoder_kind: str, gate: float) -> list[float]:
+    """[Prec@K, NDCG@K] for each K in REPORT_KS, flattened in that order, from
     one ranking of the dataset.
 
     Prec@K is the hit rate of the single next-item label inside the top-K
@@ -268,7 +269,7 @@ def evaluate(table, dataset, ks, encoder_kind: str, gate: float) -> list[float]:
     """
     table = np.asarray(table, dtype=np.float64)
     vocab = table.shape[0]
-    if not all(1 <= k <= vocab for k in ks):
+    if not all(1 <= k <= vocab for k in REPORT_KS):
         raise ValueError(f"K must lie in [1, {vocab}]")
     if len(dataset) == 0:
         raise DataError("cannot evaluate on an empty dataset")
@@ -288,7 +289,7 @@ def evaluate(table, dataset, ks, encoder_kind: str, gate: float) -> list[float]:
     rank = np.concatenate(ranks)
     gain = 1.0 / np.log2(rank + 1.0)
     out = []
-    for k in ks:
+    for k in REPORT_KS:
         hit = rank <= k
         out += [float(hit.mean()), float(np.where(hit, gain, 0.0).mean())]
     return out

@@ -119,8 +119,9 @@ def write_event_log(path, sessions: list[Session]) -> None:
                              for j, item in enumerate(sess.items)))
 
 
-def sessionize(log: list[Event], gap: float) -> list[Session]:
-    """Group each user's events into sessions split at inter-event gaps > gap.
+def sessionize(log: list[Event]) -> list[Session]:
+    """Group each user's events into sessions split at inter-event gaps
+    longer than SESSION_GAP.
 
     Records are sorted internally by (user, timestamp, item), so the result
     is invariant under shuffling of the input.
@@ -132,7 +133,7 @@ def sessionize(log: list[Event], gap: float) -> list[Session]:
     cur_start = 0.0
     last_ts = 0.0
     for user, item, ts in ordered:
-        if user != cur_user or ts - last_ts > gap:
+        if user != cur_user or ts - last_ts > SESSION_GAP:
             if cur_items:
                 sessions.append(Session(cur_items, cur_start))
             cur_user, cur_items, cur_start = user, [], ts
@@ -240,7 +241,7 @@ def synth_generate(
     for t in range(1, z):
         nxt = memberships[-1].copy()
         if n_migrate:
-            movers = setup.choice(vocab_size, n_migrate, replace=False)
+            movers = setup.sample(vocab_size, n_migrate)
             nxt[movers] = (nxt[movers] + 1) % n_clusters
         memberships.append(nxt)
 

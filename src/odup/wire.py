@@ -144,6 +144,8 @@ def encode_delta(delta: UpdateDelta, *, vocab: int, d: int, n: int, k: int) -> b
     for name, value in (("epoch", delta.epoch), ("vocab", vocab), ("n", n), ("k", k), ("d", d)):
         if not 0 <= value < 2 ** FIELD_BITS[name]:
             raise ValueError(f"{name} = {value} does not fit in the header's u{FIELD_BITS[name]}")
+        if value == 0 and name != "epoch":
+            raise ValueError(f"{name} = 0: every header dimension must be at least 1")
     nk = n * k
     if delta.strategy not in STRATEGY_CODES:
         raise ValueError(f"unknown strategy {delta.strategy!r}")

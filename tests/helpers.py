@@ -115,6 +115,11 @@ def normal(rng: Rng, scale, size) -> np.ndarray:
     return rng._gen.normal(0.0, scale, size=size)
 
 
+def integers(rng: Rng, low, high, size) -> np.ndarray:
+    """Integers in [low, high) of shape ``size`` from the generator ``rng`` wraps."""
+    return rng._gen.integers(low, high, size=size)
+
+
 def forward_backward(enc: CodecEncoder, rows, xb, G, tau: float):
     """One relaxed forward/backward pass over a batch, composed as train_codec
     composes it: (loss, grads)."""

@@ -24,8 +24,8 @@ from odup.updater import (
 from odup.wire import decode_delta, delta_bytes, encode_delta
 
 from helpers import (
-    codec_config, dataset_of, forward_backward, grad_check, normal, same_delta, train_config,
-    whole_batch,
+    codec_config, dataset_of, forward_backward, grad_check, integers, normal, same_delta,
+    train_config, whole_batch,
 )
 
 
@@ -76,7 +76,7 @@ def test_criterion_3_codec_fidelity():
     model = init_model(2000, 32, rng.child("rec-init"), "mean_pool")
     train(model, temporal_slices(data.sessions, plan)[-1],
           train_config(epochs=25, l2=1e-4, seed=1))
-    cloud_p10, _ = evaluate(model.embeddings, test, [10], model.encoder_kind, model.gate)
+    _, _, cloud_p10, _ = evaluate(model.embeddings, test, model.encoder_kind, model.gate)
 
     table = model.embeddings
     cfg = codec_config(n=8, k=16, d=32, tau=0.2, epochs=600, batch=256, seed=3)
@@ -84,7 +84,7 @@ def test_criterion_3_codec_fidelity():
     codes = harden(encoder, table)
     recon = reconstruct_table(store, codes)
     rel_mse = float(((recon - table) ** 2).sum() / (table ** 2).sum())
-    device_p10, _ = evaluate(recon, test, [10], "mean_pool", 0.5)
+    _, _, device_p10, _ = evaluate(recon, test, "mean_pool", 0.5)
     elapsed = time.time() - t0
 
     assert rel_mse < 0.25
@@ -157,9 +157,9 @@ def test_criterion_6_protocol_soundness(tmp_path):
             beta = n * k
         from odup.updater import UpdateDelta
 
-        codes = rng.integers(0, k, (vocab, n)).astype(np.int32)
+        codes = integers(rng, 0, k, (vocab, n)).astype(np.int32)
         rows = rng.uniform((beta, d))
-        slots = [int(s) for s in np.sort(rng.choice(n * k, beta, replace=False))]
+        slots = [int(s) for s in rng.sample(n * k, beta)]
         delta = UpdateDelta(int(rng.integers(1, 1000)), strategy, beta, rows, codes, slots)
         frame = encode_delta(delta, vocab=vocab, d=d, n=n, k=k)
         assert len(frame) == delta_bytes(vocab, n, k, d, beta)

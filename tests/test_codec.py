@@ -20,14 +20,14 @@ from odup.pipeline import ExperimentConfig
 
 from helpers import (
     TAU_ALT, TAU_DEFAULT, best_component, codec_config, codes_from_alpha, encoder_forward,
-    forward_backward, gather_sum_table, grad_check, gumbel_relax, item_errors, log_softmax,
-    normal, reconstruct_item, sample_gumbel, train_codec_per_batch_noise,
+    forward_backward, gather_sum_table, grad_check, gumbel_relax, integers, item_errors,
+    log_softmax, normal, reconstruct_item, sample_gumbel, train_codec_per_batch_noise,
 )
 
 
 def clustered_table(rng: Rng, vocab, d, n_clusters=8, noise=0.05):
     centroids = rng.uniform((n_clusters, d)) - 0.5
-    assign = rng.integers(0, n_clusters, vocab)
+    assign = integers(rng, 0, n_clusters, vocab)
     return centroids[assign] + normal(rng, noise, (vocab, d))
 
 
@@ -126,7 +126,7 @@ class TestReconstruct:
         # float32-exact rows, as every device store holds
         rng = Rng(8)
         store = CodebookStore(3, 5, 6, rng.uniform((15, 6)).astype(np.float32))
-        codes = rng.integers(0, 5, (100, 3)).astype(np.int32)
+        codes = integers(rng, 0, 5, (100, 3)).astype(np.int32)
         for dtype in (np.float32, np.float64):
             table = reconstruct_table(store, codes, dtype)
             for v in range(100):
@@ -157,7 +157,7 @@ class TestReconstruct:
         rng = Rng(data.draw(st.integers(0, 2**16)))
         # row scales spread over 12 decades, so any change of summation order shows,
         # and a fifth of the entries are signed zeros, whose sign an addition can flip
-        rows = normal(rng, 1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
+        rows = normal(rng, 1.0, (n * k, d)) * 10.0 ** integers(rng, -6, 7, (n * k, 1))
         zero = rng.uniform((n * k, d)) < 0.2
         rows[zero] = np.copysign(0.0, rows[zero])
         # the store's rows need not be C-contiguous
@@ -168,7 +168,7 @@ class TestReconstruct:
             rows = np.repeat(rows, 2, axis=1)[:, ::2]
         store = CodebookStore(n, k, d, rows)
         code_dtype = data.draw(st.sampled_from([np.int32, np.intp]))  # decode_delta gives int32
-        codes = rng.integers(0, k, (vocab, n)).astype(code_dtype)
+        codes = integers(rng, 0, k, (vocab, n)).astype(code_dtype)
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
         with mock.patch.object(codec, "_RECONSTRUCT_BLOCK", block):
             table = reconstruct_table(store, codes, dtype)
@@ -198,7 +198,7 @@ class TestReconstruct:
         rng = Rng(12)
         d = 64
         store = CodebookStore(3, 4, d, normal(rng, 1.0, (12, d)))
-        codes = rng.integers(0, 4, (2 * _RECONSTRUCT_BLOCK // d, 3)).astype(np.int32)
+        codes = integers(rng, 0, 4, (2 * _RECONSTRUCT_BLOCK // d, 3)).astype(np.int32)
         before = threading.active_count()
         reconstruct_table(store, codes)
         assert threading.active_count() == before
@@ -207,7 +207,7 @@ class TestReconstruct:
         # c4-queue's shape: |V| 300, n 8, k 16, d 16; 4,800 elements, far below two blocks
         rng = Rng(13)
         store = CodebookStore(8, 16, 16, normal(rng, 1.0, (128, 16)))
-        codes = rng.integers(0, 16, (300, 8)).astype(np.int32)
+        codes = integers(rng, 0, 16, (300, 8)).astype(np.int32)
         before = threading.active_count()
         table = reconstruct_table(store, codes)
         assert threading.active_count() == before
@@ -217,7 +217,7 @@ class TestReconstruct:
         # k * k > |V| here; a first-pair table would hold k * k = 2^20 rows, 16 MiB
         rng = Rng(10)
         store = CodebookStore(2, 1024, 2, normal(rng, 1.0, (2048, 2)))
-        codes = rng.integers(0, 1024, (1000, 2)).astype(np.int32)
+        codes = integers(rng, 0, 1024, (1000, 2)).astype(np.int32)
         tracemalloc.start()
         try:
             reconstruct_table(store, codes)
@@ -265,7 +265,7 @@ class TestHarden:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_alpha_argmax_on_drawn_encoders(self, seed):
         rng = Rng(seed)
-        n, k, d = (int(v) for v in rng.integers(1, 9, 3))
+        n, k, d = (int(v) for v in integers(rng, 1, 9, 3))
         k += k % 2  # nk even
         h = n * k // 2
         # weight scales that keep z well above -37, where alpha resolves every group
@@ -480,10 +480,10 @@ class TestRefineCodes:
         vocab = data.draw(st.integers(0, 60))
         rng = Rng(data.draw(st.integers(0, 2**16)))
         # row and target scales spread over 12 decades
-        rows = normal(rng, 1.0, (n * k, d)) * 10.0 ** rng.integers(-6, 7, (n * k, 1))
+        rows = normal(rng, 1.0, (n * k, d)) * 10.0 ** integers(rng, -6, 7, (n * k, 1))
         store = CodebookStore(n, k, d, rows)
-        codes = rng.integers(0, k, (vocab, n)).astype(np.int32)
-        X = normal(rng, 1.0, (vocab, d)) * 10.0 ** rng.integers(-6, 7, (vocab, 1))
+        codes = integers(rng, 0, k, (vocab, n)).astype(np.int32)
+        X = normal(rng, 1.0, (vocab, d)) * 10.0 ** integers(rng, -6, 7, (vocab, 1))
         refined = refine_codes(store, codes, X)
         assert refined.dtype == np.int32 and refined.shape == codes.shape
         assert np.all((refined >= 0) & (refined < k))
@@ -493,9 +493,9 @@ class TestRefineCodes:
     @pytest.mark.parametrize("seed", range(6))
     def test_each_component_matches_brute_force(self, seed):
         rng = Rng(seed)
-        n, k, d = (int(v) for v in rng.integers(1, 5, 3))
+        n, k, d = (int(v) for v in integers(rng, 1, 5, 3))
         store = CodebookStore(n, k, d, normal(rng, 1.0, (n * k, d)))
-        codes = rng.integers(0, k, (30, n)).astype(np.int32)
+        codes = integers(rng, 0, k, (30, n)).astype(np.int32)
         X = normal(rng, 1.0, (30, d))
         expected = codes.copy()
         for _ in range(ICM_SWEEPS):
@@ -514,7 +514,7 @@ class TestRefineCodes:
     def test_deterministic_and_input_untouched(self):
         X = clustered_table(Rng(3), 200, 8)
         store = CodebookStore(4, 8, 8, normal(Rng(4), 0.3, (32, 8)))
-        codes = Rng(5).integers(0, 8, (200, 4)).astype(np.int32)
+        codes = integers(Rng(5), 0, 8, (200, 4)).astype(np.int32)
         before = codes.copy()
         first = refine_codes(store, codes, X)
         assert np.array_equal(refine_codes(store, codes, X), first)

@@ -22,7 +22,7 @@ from odup.numkit import Rng
 from odup.pipeline import DeviceSim
 from odup.updater import STRATEGIES, SlotLedger, UpdateDelta, apply_delta, plan_slots
 
-from helpers import normal
+from helpers import integers, normal
 
 VOCAB, N, K, D = 6, 2, 4, 3
 NK = N * K
@@ -56,7 +56,7 @@ class Lockstep(RuleBasedStateMachine):
         rng = Rng(seed)
         slots = plan_slots(self.ledger, strategy, beta)
         delta = UpdateDelta(self.ledger.current_epoch + 1, strategy, beta, normal(rng, 1.0, (beta, D)),
-                            rng.integers(0, K, (VOCAB, N)), slots)
+                            integers(rng, 0, K, (VOCAB, N)), slots)
         self.sent.append((wire.encode_delta(delta, vocab=VOCAB, d=D, n=N, k=K), delta))
 
     @precondition(lambda self: self.sent)

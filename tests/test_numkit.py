@@ -111,6 +111,16 @@ class TestRng:
         want = rng._gen.choice(len(p), 5, replace=True, p=p)
         assert rng.inverse_cdf(choice_cdf(p), 5).tolist() == want.tolist() == [1, 3, 1, 3, 3]
 
+    @pytest.mark.parametrize("n, size", [(50, 0), (50, 7), (50, 50), (1, 1)])
+    def test_sample_is_generator_choice_sorted(self, n, size):
+        ours, theirs = Rng(13), Rng(13)._gen
+        got = ours.sample(n, size)
+        want = theirs.choice(n, size=size, replace=False)
+        assert got.tolist() == sorted(want.tolist())
+        assert got.shape == (size,) and np.all(np.diff(got) > 0)
+        # the stream continues where Generator.choice leaves it
+        assert ours.uniform() == theirs.random()
+
     def test_choice_cdf_ends_at_one_and_keeps_an_empty_table(self):
         cdf = choice_cdf(np.array([0.1, 0.2, 0.7]))
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) > 0)

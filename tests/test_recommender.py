@@ -13,8 +13,8 @@ from odup.numkit import Rng, sigmoid
 from odup.recommender import RecModel, _loss_and_grads, evaluate, init_model, padded_table, train
 
 from helpers import (
-    dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, log_softmax,
-    rank_metrics, score_all, train_config, train_reference, whole_batch,
+    dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, integers,
+    log_softmax, rank_metrics, score_all, train_config, train_reference, whole_batch,
 )
 
 
@@ -28,6 +28,13 @@ def rec_steps(lr=recommender.REC_LR, batch=recommender.REC_BATCH):
     of ``batch`` pairs."""
     with mock.patch.object(recommender, "REC_LR", lr), mock.patch.object(recommender, "REC_BATCH", batch):
         yield
+
+
+def evaluate_at(ks, table, dataset, encoder_kind, gate):
+    """evaluate with recommender.REPORT_KS pinned to ``ks``: toy cases rank
+    fewer items than the report's K."""
+    with mock.patch.object(recommender, "REPORT_KS", tuple(ks)):
+        return evaluate(table, dataset, encoder_kind, gate)
 
 
 class TestEncodeSession:
@@ -68,7 +75,7 @@ class TestScoreAll:
         assert np.all(scores == 0)
         ds = dataset_of([([0], 3)])
         # all-zero table: every score ties, ranking = index order
-        prec, ndcg = evaluate(np.zeros((4, 3)), ds, [3], "mean_pool", 0.5)
+        prec, ndcg = evaluate_at([3], np.zeros((4, 3)), ds, "mean_pool", 0.5)
         assert prec == 0.0  # label 3 ranks 4th by tie-break
 
     def test_brute_force_oracle(self):
@@ -101,7 +108,7 @@ class TestEvaluate:
         table[0] = [1.0, 0.0]
         table[3] = [2.0, 0.0]  # top score for s = e0 direction
         ds = dataset_of([([0], 3)])
-        prec, ndcg = evaluate(table, ds, [1], "mean_pool", 0.5)
+        prec, ndcg = evaluate_at([1], table, ds, "mean_pool", 0.5)
         assert prec == 1.0 and ndcg == 1.0
 
     def test_rank3_k5_ndcg_half(self):
@@ -111,7 +118,7 @@ class TestEvaluate:
         table[2] = [4.0, 0.0]
         table[3] = [3.0, 0.0]  # label ranks 3rd
         ds = dataset_of([([0], 3)])
-        prec, ndcg = evaluate(table, ds, [5], "mean_pool", 0.5)
+        prec, ndcg = evaluate_at([5], table, ds, "mean_pool", 0.5)
         assert prec == 1.0
         assert abs(ndcg - 0.5) < 1e-12  # 1/log2(4)
 
@@ -121,32 +128,32 @@ class TestEvaluate:
         for v in range(1, 12):
             table[v, 0] = 12.0 - v  # scores 11..1
         ds = dataset_of([([0], 11)])  # label has lowest score
-        prec, ndcg = evaluate(table, ds, [10], "mean_pool", 0.5)
+        prec, ndcg = evaluate_at([10], table, ds, "mean_pool", 0.5)
         assert prec == 0.0 and ndcg == 0.0
 
     def test_k_bounds(self):
         ds = dataset_of([([0], 1)])
         with pytest.raises(ValueError):
-            evaluate(toy_model().embeddings, ds, [5], "mean_pool", 0.5)
+            evaluate_at([5], toy_model().embeddings, ds, "mean_pool", 0.5)
         with pytest.raises(ValueError):
-            evaluate(toy_model().embeddings, ds, [1, 0], "mean_pool", 0.5)
+            evaluate_at([1, 0], toy_model().embeddings, ds, "mean_pool", 0.5)
 
     def test_rank_shift_invariance(self):
         rng = Rng(9)
         table = rng.uniform((8, 3))
         ds = dataset_of([([1, 2], 5), ([0], 3)])
-        base = evaluate(table, ds, [3], "mean_pool", 0.5)
+        base = evaluate_at([3], table, ds, "mean_pool", 0.5)
         # adding a constant column shifts all scores for a fixed prefix by a
         # constant, leaving top-K unchanged; emulate by comparing to direct
         # score ranking
-        assert base == evaluate(table.copy(), ds, [3], "mean_pool", 0.5)
+        assert base == evaluate_at([3], table.copy(), ds, "mean_pool", 0.5)
 
     def test_model_equals_extracted_table(self):
         m = toy_model(vocab=20, d=4, kind="last_gated", seed=11)
         rng = Rng(3)
-        pairs = [([int(a), int(b)], int(c)) for a, b, c in rng.integers(0, 20, (15, 3))]
+        pairs = [([int(a), int(b)], int(c)) for a, b, c in integers(rng, 0, 20, (15, 3))]
         ds = dataset_of(pairs)
-        got = evaluate(m.embeddings, ds, (1, 5, 10), m.encoder_kind, m.gate)
+        got = evaluate_at((1, 5, 10), m.embeddings, ds, m.encoder_kind, m.gate)
         assert got == rank_metrics(m.embeddings, pairs, (1, 5, 10), "last_gated", m.gate)
 
     @settings(max_examples=25, deadline=None)
@@ -154,9 +161,9 @@ class TestEvaluate:
     def test_ndcg_bounded_by_prec(self, seed, k):
         rng = Rng(seed)
         table = rng.uniform((10, 3)) * 2 - 1
-        pairs = [([int(a)], int(b)) for a, b in rng.integers(0, 10, (12, 2))]
+        pairs = [([int(a)], int(b)) for a, b in integers(rng, 0, 10, (12, 2))]
         ds = dataset_of(pairs)
-        prec, ndcg = evaluate(table, ds, [k], "mean_pool", 0.5)
+        prec, ndcg = evaluate_at([k], table, ds, "mean_pool", 0.5)
         assert 0.0 <= ndcg <= prec <= 1.0
 
     @settings(max_examples=40, deadline=None)
@@ -169,7 +176,7 @@ class TestEvaluate:
         # exact, so the many ties are the same ties the oracle sees
         pairs = [(prefix[:1 << (len(prefix).bit_length() - 1)], label) for prefix, label in raw]
         ks = (1, 3, 9)
-        got = evaluate(table, dataset_of(pairs), ks, kind, 0.5)
+        got = evaluate_at(ks, table, dataset_of(pairs), kind, 0.5)
         assert got == rank_metrics(table, pairs, ks, kind, 0.5)
 
     def test_pad_row_never_ranked(self, monkeypatch):
@@ -184,20 +191,20 @@ class TestEvaluate:
             assert np.all(table @ s < 0)
         ks = (1, 2, 6)
         expected = rank_metrics(table, pairs, ks, "last_gated", 3.0)
-        assert evaluate(table, ds, ks, "last_gated", 3.0) == expected
+        assert evaluate_at(ks, table, ds, "last_gated", 3.0) == expected
         assert expected[:2] == [1 / 6, 1 / 6]  # only ([0, 1], 1) ranks its label first
         monkeypatch.setattr("odup.recommender._EVAL_CHUNK", 4)
-        assert evaluate(table, ds, ks, "last_gated", 3.0) == expected
+        assert evaluate_at(ks, table, ds, "last_gated", 3.0) == expected
 
     def test_several_k_from_one_ranking(self, monkeypatch):
         rng = Rng(4)
         table = rng.uniform((12, 3)) * 2 - 1
-        ds = dataset_of([([int(a), int(b)], int(c)) for a, b, c in rng.integers(0, 12, (40, 3))])
+        ds = dataset_of([([int(a), int(b)], int(c)) for a, b, c in integers(rng, 0, 12, (40, 3))])
         ks = (1, 3, 5, 10, 12)
-        flat = [m for k in ks for m in evaluate(table, ds, [k], "mean_pool", 0.5)]
+        flat = [m for k in ks for m in evaluate_at([k], table, ds, "mean_pool", 0.5)]
         monkeypatch.setattr("odup.recommender._EVAL_CHUNK", 7)
-        assert evaluate(table, ds, ks, "mean_pool", 0.5) == flat
-        assert evaluate(table, ds, (), "mean_pool", 0.5) == []
+        assert evaluate_at(ks, table, ds, "mean_pool", 0.5) == flat
+        assert evaluate_at((), table, ds, "mean_pool", 0.5) == []
 
 
 class TestTrain:
@@ -321,7 +328,7 @@ class TestTrain:
     @staticmethod
     def random_pairs():
         rng = Rng(1)
-        return dataset_of([([int(a)], int(b)) for a, b in rng.integers(0, 6, (20, 2))])
+        return dataset_of([([int(a)], int(b)) for a, b in integers(rng, 0, 6, (20, 2))])
 
     def test_fifty_epochs_lower_the_objective(self):
         m = toy_model(vocab=6, d=4, seed=3)
@@ -414,7 +421,7 @@ class TestMixedPrecision:
                 adams.append(self)
                 note("dX", grads[0])
 
-        pairs = Rng(3).integers(0, vocab, (250, 3))
+        pairs = integers(Rng(3), 0, vocab, (250, 3))
         ds = dataset_of([([int(a), int(b)], int(c)) for a, b, c in pairs])
         for name, fn in [("_encode_batch", spy_encode_batch), ("_softmax_rows", spy_softmax_rows),
                          ("_scatter_grads", spy_scatter_grads), ("Adam", SpyAdam)]:
@@ -433,7 +440,7 @@ class TestMixedPrecision:
         rng = Rng(12)
         vocab, d = 300, 16
         table = padded_table(rng.uniform((vocab, d)) * 2.0 - 1.0)
-        ds = dataset_of([([int(i) for i in rng.integers(0, vocab, int(rng.integers(1, 9)))],
+        ds = dataset_of([([int(i) for i in integers(rng, 0, vocab, int(rng.integers(1, 9)))],
                           int(rng.integers(0, vocab))) for _ in range(100)])
         batch = whole_batch(ds, vocab)
         loss, dX, dg = _loss_and_grads(table.astype(np.float32), 0.3, kind, batch, 1e-3, True)
@@ -555,7 +562,7 @@ class TestTrainMatchesReference:
         # be. Entries in (-1, 1) make scores large enough that a last-bit
         # change in one survives the softmax.
         rng = Rng(8)
-        pairs = [([int(i) for i in rng.integers(0, 300, int(rng.integers(1, 9)))], int(rng.integers(0, 300)))
+        pairs = [([int(i) for i in integers(rng, 0, 300, int(rng.integers(1, 9)))], int(rng.integers(0, 300)))
                  for _ in range(250)]
         table = rng.uniform((300, 32)) * 2.0 - 1.0
         cfg = train_config(epochs=2, l2=1e-3, seed=4, freeze_gate=freeze_gate)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odup import sessions
 from odup.errors import DataError
 from odup.numkit import Rng
 from odup.sessions import (
@@ -10,52 +11,59 @@ from odup.sessions import (
     read_event_log, sessionize, synth_generate, temporal_slices, write_event_log,
 )
 
-from helpers import slice_sessions, synth_reference
+from helpers import integers, slice_sessions, synth_reference
 
 HOUR = 3600.0
 
 
 class TestSessionize:
     def test_hand_partition(self):
+        assert sessions.SESSION_GAP == 8 * HOUR
         log = [("u", "a", 0.0), ("u", "b", 1 * HOUR), ("u", "c", 20 * HOUR)]
-        out = sessionize(log, gap=8 * HOUR)
+        out = sessionize(log)
         assert [s.items for s in out] == [["a", "b"], ["c"]]
         assert [s.start for s in out] == [0.0, 20 * HOUR]
 
-    def test_singleton(self):
-        out = sessionize([("u", "a", 5.0)], gap=10.0)
+    def test_singleton(self, monkeypatch):
+        monkeypatch.setattr(sessions, "SESSION_GAP", 10.0)
+        out = sessionize([("u", "a", 5.0)])
         assert len(out) == 1 and out[0].items == ["a"]
 
-    def test_users_independent(self):
+    def test_users_independent(self, monkeypatch):
+        monkeypatch.setattr(sessions, "SESSION_GAP", 100.0)
         log = [("u1", "a", 0.0), ("u2", "b", 1.0), ("u1", "c", 2.0), ("u2", "d", 3.0)]
-        out = sessionize(log, gap=100.0)
+        out = sessionize(log)
         assert sorted(s.items for s in out) == [["a", "c"], ["b", "d"]]
 
-    def test_empty_log(self):
-        assert sessionize([], gap=1.0) == []
+    def test_empty_log(self, monkeypatch):
+        monkeypatch.setattr(sessions, "SESSION_GAP", 1.0)
+        assert sessionize([]) == []
 
-    def test_shuffle_invariance(self):
+    def test_shuffle_invariance(self, monkeypatch):
+        monkeypatch.setattr(sessions, "SESSION_GAP", 50.0)
         rng = Rng(4)
         log = [(f"u{int(i) % 3}", f"i{int(rng.integers(0, 20))}", float(rng.integers(0, 1000)))
                for i in range(60)]
-        base = sessionize(log, gap=50.0)
+        base = sessionize(log)
         perm = [log[int(i)] for i in rng.permutation(60)]
-        assert sessionize(perm, gap=50.0) == base
+        assert sessionize(perm) == base
 
-    def test_boundary_gap_shares_session(self):
+    def test_boundary_gap_shares_session(self, monkeypatch):
         log = [("u", "a", 0.0), ("u", "b", 10.0)]
-        assert len(sessionize(log, gap=10.0)) == 1
-        assert len(sessionize(log, gap=9.999)) == 2
+        monkeypatch.setattr(sessions, "SESSION_GAP", 10.0)
+        assert len(sessionize(log)) == 1
+        monkeypatch.setattr(sessions, "SESSION_GAP", 9.999)
+        assert len(sessionize(log)) == 2
 
 
 class TestWriteEventLog:
     def test_round_trip(self, tmp_path):
         res = synth_generate(Rng(3).child("s"), 60, 200, 0.3, SlicePlan.from_ratios([1, 1]))
-        sessions = res.sessions + res.test_sessions
-        write_event_log(tmp_path / "events.tsv", sessions)
-        back = sessionize(read_event_log(tmp_path / "events.tsv", "\t"), gap=8 * HOUR)
-        assert [s.items for s in back] == [[f"i{it:06d}" for it in s.items] for s in sessions]
-        assert [s.start for s in back] == [s.start for s in sessions]
+        written = res.sessions + res.test_sessions
+        write_event_log(tmp_path / "events.tsv", written)
+        back = sessionize(read_event_log(tmp_path / "events.tsv", "\t"))
+        assert [s.items for s in back] == [[f"i{it:06d}" for it in s.items] for s in written]
+        assert [s.start for s in back] == [s.start for s in written]
 
 
 class TestFilterAndIndex:
@@ -154,7 +162,7 @@ class TestSlices:
     def test_partition_invariant(self, n_sessions, n_slices, seed):
         rng = Rng(seed)
         sessions = [
-            Session([int(x) for x in rng.integers(0, 6, int(rng.integers(2, 6)))], float(rng.uniform() * 100))
+            Session([int(x) for x in integers(rng, 0, 6, int(rng.integers(2, 6)))], float(rng.uniform() * 100))
             for _ in range(n_sessions)
         ]
         ratios = [float(rng.uniform() + 0.1) for _ in range(n_slices)]
@@ -283,12 +291,13 @@ def test_synth_draws_the_per_session_reference_sessions(seed, vocab, n, drift, r
 
 
 class TestEventLogFile(object):
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sessions, "SESSION_GAP", 100.0)
         path = tmp_path / "events.tsv"
         path.write_text("u1\ta\t0\nu1\tb\t10\nu2\tc\t5\n", encoding="utf-8")
         events = read_event_log(path, "\t")
         assert events == [("u1", "a", 0.0), ("u1", "b", 10.0), ("u2", "c", 5.0)]
-        assert len(sessionize(events, gap=100.0)) == 2
+        assert len(sessionize(events)) == 2
 
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "events.csv"

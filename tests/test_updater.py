@@ -13,12 +13,12 @@ from odup.updater import (
     end_to_end_cr, plan_slots, retrain_update, update_cr,
 )
 
-from helpers import codec_config, normal, same_delta
+from helpers import codec_config, integers, normal, same_delta
 
 
 def clustered_table(rng: Rng, vocab, d, n_clusters=4, noise=0.05):
     centroids = rng.uniform((n_clusters, d)) - 0.5
-    assign = rng.integers(0, n_clusters, vocab)
+    assign = integers(rng, 0, n_clusters, vocab)
     return centroids[assign] + normal(rng, noise, (vocab, d))
 
 
@@ -405,7 +405,7 @@ class TestPaperConcatenationForms:
         store = CodebookStore(1, nk, d, old.copy())
         ledger = SlotLedger.fresh(nk, epoch=1)
         slots = plan_slots(ledger, "stack", beta)  # [2, 3]
-        codes = rng.integers(0, nk, (6, 1)).astype(np.int32)
+        codes = integers(rng, 0, nk, (6, 1)).astype(np.int32)
         delta = UpdateDelta(2, "stack", beta, new, codes, slots)
         _, _, table = apply_delta(store, ledger, delta, expected_strategy="stack")
 
@@ -427,7 +427,7 @@ class TestPaperConcatenationForms:
         store = CodebookStore(1, nk, d, old.copy())
         ledger = SlotLedger.fresh(nk, epoch=1)
         slots = plan_slots(ledger, "queue", beta)  # [0, 1]
-        codes = rng.integers(0, nk, (6, 1)).astype(np.int32)
+        codes = integers(rng, 0, nk, (6, 1)).astype(np.int32)
         delta = UpdateDelta(2, "queue", beta, new, codes, slots)
         _, _, table = apply_delta(store, ledger, delta, expected_strategy="queue")
 

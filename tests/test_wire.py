@@ -14,13 +14,13 @@ from odup.wire import (
     unpack_codes,
 )
 
-from helpers import pack_codes_bit_matrix, same_delta, unpack_codes_bit_matrix
+from helpers import integers, pack_codes_bit_matrix, same_delta, unpack_codes_bit_matrix
 
 
 def random_delta(rng: Rng, vocab, n, k, d, beta, strategy="queue", epoch=2):
-    codes = rng.integers(0, k, (vocab, n)).astype(np.int32)
+    codes = integers(rng, 0, k, (vocab, n)).astype(np.int32)
     rows = rng.uniform((beta, d))
-    slots = [int(s) for s in np.sort(rng.choice(n * k, beta, replace=False))]
+    slots = [int(s) for s in rng.sample(n * k, beta)]
     return UpdateDelta(epoch, strategy, beta, rows, codes, slots)
 
 
@@ -38,7 +38,7 @@ class TestPacking:
     def test_roundtrip(self):
         rng = Rng(1)
         for k in (1, 2, 3, 7, 16, 32):
-            codes = rng.integers(0, k, (17, 5)).astype(np.int32)
+            codes = integers(rng, 0, k, (17, 5)).astype(np.int32)
             buf = pack_codes(codes, k)
             assert len(buf) == (17 * 5 * code_bits(k) + 7) // 8
             out = unpack_codes(buf, 17, 5, k)
@@ -80,12 +80,12 @@ class TestPacking:
         for k in (2**b, 2 ** (b - 1) + 1):
             assert code_bits(k) == b
             for total in range(1, 2 * g + 2):
-                codes = rng.integers(0, k, (total, 1)).astype(np.int64)
+                codes = integers(rng, 0, k, (total, 1)).astype(np.int64)
                 codes[-1, 0] = k - 1
                 buf = pack_codes(codes, k)
                 assert buf == pack_codes_bit_matrix(codes, k)
                 assert np.array_equal(unpack_codes(buf, total, 1, k), codes)
-                noise = rng.integers(0, 256, len(buf)).astype(np.uint8).tobytes()
+                noise = integers(rng, 0, 256, len(buf)).astype(np.uint8).tobytes()
                 assert np.array_equal(unpack_codes(noise, total, 1, k),
                                       unpack_codes_bit_matrix(noise, total, 1, k))
 
@@ -100,7 +100,7 @@ class TestPacking:
         vocab, n = (data.draw(st.integers(0, 20).map(lambda i: 2 * i + 1)) for _ in range(2))
         rng = Rng(data.draw(st.integers(0, 2**16)))
         high = min(k, 256) if dtype is np.uint8 else k
-        codes = rng.integers(0, high, (vocab, n)).astype(dtype)
+        codes = integers(rng, 0, high, (vocab, n)).astype(dtype)
         codes.flat[0] = high - 1
         buf = pack_codes(codes, k)
         assert buf == pack_codes_bit_matrix(codes, k)
@@ -109,7 +109,7 @@ class TestPacking:
         assert out.dtype == np.int32
         assert np.array_equal(out, codes)
         # any bit stream, including values >= k that decode_delta rejects afterwards
-        noise = rng.integers(0, 256, len(buf)).astype(np.uint8).tobytes()
+        noise = integers(rng, 0, 256, len(buf)).astype(np.uint8).tobytes()
         decoded = unpack_codes(noise, vocab, n, k)
         assert decoded.dtype == np.int32
         assert np.array_equal(decoded, unpack_codes_bit_matrix(noise, vocab, n, k))
@@ -232,6 +232,15 @@ class TestRoundTrip:
         delta = random_delta(Rng(5), 3, n, k, 2, 1, epoch=epoch)
         with pytest.raises(ValueError, match=f"^{field} = .* does not fit in the header's u(16|32)$"):
             encode_delta(delta, vocab=3, d=2, n=n, k=k)
+
+    @pytest.mark.parametrize("field", ["vocab", "n", "k", "d"])
+    def test_zero_header_dimension_is_named(self, field):
+        # decode_delta refuses such a frame, so encode_delta must not write one
+        dims = {"vocab": 2, "n": 2, "k": 2, "d": 3, field: 0}
+        delta = UpdateDelta(2, "queue", 1, np.zeros((1, dims["d"]), np.float32),
+                            np.zeros((dims["vocab"], dims["n"]), np.int32), [0])
+        with pytest.raises(ValueError, match=f"^{field} = 0: every header dimension must be at least 1$"):
+            encode_delta(delta, **dims)
 
 
 class TestCorruption:
