@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .numkit import Rng
 
 RATIO_C = 0.2  # choose_ratio's C, so an adaptive r is never below ceil(1/C) = 5
@@ -38,10 +39,24 @@ def median_heuristic(pooled: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
+def _sample_size(count: int, rows: int) -> int:
+    """Rows an MMD sample of ``count`` keeps from a table of ``rows``: 0 or
+    more than the table means every row."""
+    return rows if count == 0 or count >= rows else count
+
+
 def _sample_rows(x: np.ndarray, count: int, rng: Rng) -> np.ndarray:
-    if count == 0 or count >= len(x):
-        return x
-    return x[rng.sample(len(x), count)]
+    size = _sample_size(count, len(x))
+    return x if size == len(x) else x[rng.sample(len(x), size)]
+
+
+def check_pool(samples: int, vocab: int) -> None:
+    """An MMD of two |V|-row tables pools ``samples`` rows of each; more
+    than MMD_POOL_MAX pooled rows is a ConfigError."""
+    pooled = 2 * _sample_size(samples, vocab)
+    if pooled > MMD_POOL_MAX:
+        raise ConfigError(f"the MMD sample pools {pooled} rows of |V| = {vocab}, more than "
+                          f"{MMD_POOL_MAX}; set mmd_samples to at most {MMD_POOL_MAX // 2}")
 
 
 def mmd2(X_t: np.ndarray, X_t1: np.ndarray, samples: int, seed: int) -> float:

@@ -131,12 +131,12 @@ def reconstruct_table(store: CodebookStore, codes: np.ndarray, dtype=np.float32)
     (|V|, n, d) temporary, except at d = 1 with n >= 8, where numpy sums
     that gather with its unrolled pairwise loop instead.
 
-    Each codeword row is copied whole, as one record of d elements, straight
-    from codebook i by code component i, so no (|V|, n) index array is
-    built. When n >= 2 and k * k <= |V|, each item starts from a lead table
-    of the k * k first-pair sums ``r0 + r1``, which is the same single
-    addition the in-order sum makes first; the bound keeps that table no
-    larger than the output. Otherwise each item starts from r0.
+    Each item's rows are gathered with ``np.take`` from codebook i by code
+    component i, so no (|V|, n) index array is built. When n >= 2 and
+    k * k <= |V|, each item starts from a lead table of the k * k first-pair
+    sums ``r0 + r1``, which is the same single addition the in-order sum
+    makes first; the bound keeps that table no larger than the output.
+    Otherwise each item starts from r0.
     """
     codes = np.asarray(codes)
     check_integer_codes(codes)
@@ -146,23 +146,20 @@ def reconstruct_table(store: CodebookStore, codes: np.ndarray, dtype=np.float32)
     if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise ValueError("code component out of range [0, k)")
     out = np.empty((len(codes), d), dtype=dtype)
-    rows = np.ascontiguousarray(store.rows, dtype=dtype)  # a record view needs contiguous rows
+    books = np.asarray(store.rows, dtype=dtype).reshape(n, k, d)  # books[i][c]: row c of codebook i
     if n >= 2 and k * k <= len(codes):
-        first, lead = 2, (rows[:k, None] + rows[None, k: 2 * k]).reshape(k * k, d)
+        first, lead = 2, (books[0][:, None] + books[1][None]).reshape(k * k, d)
     else:
-        first, lead = 1, rows[:k]
-    record = np.dtype((np.void, rows.itemsize * d))
-    books = rows.view(record).reshape(n, k, 1)  # books[i][c]: row c of codebook i
-    lead, out_rows = lead.view(record), out.view(record)
+        first, lead = 1, books[0]
     step = max(1, _RECONSTRUCT_BLOCK // d)
     for lo in range(0, len(codes), step):
         block, acc = codes[lo:lo + step].astype(np.intp), out[lo:lo + step]
         at = block[:, 0] if first == 1 else block[:, 0] * k + block[:, 1]
         # codes were range-checked above; mode="clip" lets take write into
         # the output directly, where the default mode buffers it
-        np.take(lead, at, axis=0, out=out_rows[lo:lo + step], mode="clip")
+        np.take(lead, at, axis=0, out=acc, mode="clip")
         for i in range(first, n):
-            acc += books[i][block[:, i]].view(dtype)
+            acc += np.take(books[i], block[:, i], axis=0)
     return out
 
 

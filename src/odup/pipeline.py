@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
-from .adaptive import MMD_POOL_MAX, mmd2, choose_ratio
+from .adaptive import check_pool, mmd2, choose_ratio
 from .codec import (
     CodecConfig, CodebookStore, check_capacity, harden, model_cr, refine_codes, train_codec,
 )
@@ -37,6 +37,7 @@ from .updater import (
     retrain_update, update_cr,
 )
 
+SYNTH_SESSIONS_MAX = 2**32 - 1  # the most sessions a synthetic log may hold
 REPLAY_FRAC = 0.25  # slice t > 1 also trains on this many earlier pairs per new pair
 # each numeric key's least value; a synthetic log has at least 50 items and 100 sessions
 _LEAST = {"d": 2, "rec_epochs": 1, "l2": 0, "n": 1, "k": 1, "codec_epochs": 0, "codec_batch": 1,
@@ -93,10 +94,15 @@ class ExperimentConfig:
         for key, least in _LEAST.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be " + (f"at least {least}" if least else "non-negative"))
-        for key in ("n", "k"):
-            bits = wire.FIELD_BITS[key]
+        for key, field in (("n", "n"), ("k", "k"), ("d", "d"), ("synth_vocab", "vocab")):
+            bits = wire.FIELD_BITS[field]
             if getattr(self, key) >= 2**bits:
                 raise ConfigError(f"{key} must be at most {2**bits - 1} (a u{bits} frame header field)")
+        if self.synth_sessions > SYNTH_SESSIONS_MAX:
+            raise ConfigError(f"synth_sessions must be at most {SYNTH_SESSIONS_MAX}")
+        if self.synth_clusters > self.synth_vocab:
+            raise ConfigError(f"synth_clusters must be at most synth_vocab ({self.synth_vocab}): "
+                              "a cluster beyond the vocabulary holds no item")
         if self.n * self.k % 2:
             raise ConfigError("n * k must be even (the codec encoder's hidden width is n * k / 2)")
         if not self.tau > 0:
@@ -247,10 +253,7 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
         train_sessions, test_sessions = holdout_split(indexed)
         vocab_size = len(vocab)
     check_capacity(cfg.n, cfg.k, vocab_size)
-    pooled = 2 * min(cfg.mmd_samples or vocab_size, vocab_size)
-    if pooled > MMD_POOL_MAX:
-        raise ConfigError(f"the MMD sample pools {pooled} rows of |V| = {vocab_size}, more than "
-                          f"{MMD_POOL_MAX}; set mmd_samples to at most {MMD_POOL_MAX // 2}")
+    check_pool(cfg.mmd_samples, vocab_size)
     try:
         slices = temporal_slices(train_sessions, cfg.slice_plan())
     except DataError as exc:

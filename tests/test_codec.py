@@ -167,7 +167,8 @@ class TestReconstruct:
         elif layout == "strided":
             rows = np.repeat(rows, 2, axis=1)[:, ::2]
         store = CodebookStore(n, k, d, rows)
-        code_dtype = data.draw(st.sampled_from([np.int32, np.intp]))  # decode_delta gives int32
+        # decode_delta gives int32; k <= 5 fits the narrow dtypes too
+        code_dtype = data.draw(st.sampled_from([np.uint8, np.int16, np.int32, np.intp]))
         codes = integers(rng, 0, k, (vocab, n)).astype(code_dtype)
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
         with mock.patch.object(codec, "_RECONSTRUCT_BLOCK", block):

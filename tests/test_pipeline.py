@@ -839,6 +839,9 @@ class TestCli:
         ("slices = 1:0:2", "slices"), ("n = 65536", "n"), ("k = 65536", "k"),
         ("strategy = heap", "strategy"), ("ratio_mode = auto", "ratio_mode"),
         ("timing = cpu", "timing"), ("encoder = gru", "encoder"), ("data =", "data"),
+        # beyond numpy's index range, refused before any array is sized
+        (f"n = 30\nsynth_vocab = {10**23}", "synth_vocab"), (f"synth_sessions = {10**30}", "synth_sessions"),
+        (f"synth_clusters = {10**30}", "synth_clusters"), (f"d = {10**30}", "d"),
     ])
     def test_out_of_range_setting_names_its_key(self, tmp_path, lines, key, capsys):
         cfgfile = tmp_path / "bad.cfg"
