@@ -8,6 +8,12 @@ The statistic is the biased V-statistic (diagonal terms included):
 with K(x, y) = exp(-||x - y||^2 / (2 sigma^2)), where sigma is the median
 pairwise distance over the pooled sample (1.0 when that median is zero,
 i.e. all pooled rows coincide).
+
+No pooled n x n matrix is formed: the median reads the strict upper
+triangle's n(n-1)/2 distances from one buffer, and the three kernel
+matrices take turns in one preallocated array. Every squared distance is
+``(|x_i|^2 + |y_j|^2) - 2 x_i.y_j``, clamped at 0, in that order, so the
+statistic keeps the bits of the full-matrix form.
 """
 
 from __future__ import annotations
@@ -21,22 +27,53 @@ from .numkit import Rng
 
 RATIO_C = 0.2  # choose_ratio's C, so an adaptive r is never below ceil(1/C) = 5
 RATIO_MAX = 2**53  # the largest r choose_ratio returns; above it a float64 skips integers
-MMD_POOL_MAX = 8192  # rows a run's MMD may pool: their float64 distance matrix is then 512 MiB
+MMD_POOL_MAX = 8192  # rows a run's MMD may pool: their upper-triangle distance buffer is then 256 MiB
+_MMD_BLOCK = 128  # rows of pairwise products the MMD forms at a time
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+def _upper_sq_dists(pooled: np.ndarray) -> np.ndarray:
+    """The pooled rows' squared distances over the strict upper triangle,
+    row by row in one n(n-1)/2 buffer, from _MMD_BLOCK rows of products at
+    a time."""
+    n = len(pooled)
+    sq = (pooled * pooled).sum(1)
+    upper = np.empty(n * (n - 1) // 2)
+    slab = np.empty((min(_MMD_BLOCK, n), n))
+    at = 0
+    for lo in range(0, n, _MMD_BLOCK):
+        prod = np.matmul(pooled[lo:lo + _MMD_BLOCK], pooled.T, out=slab[:n - lo])
+        prod *= 2.0
+        for i, row in enumerate(prod, lo):
+            dst = upper[at:at + n - 1 - i]
+            np.add(sq[i], sq[i + 1:], out=dst)
+            dst -= row[i + 1:]
+            at += n - 1 - i
+    return upper
 
 
 def median_heuristic(pooled: np.ndarray) -> float:
-    """Median pairwise Euclidean distance over the pooled rows. The upper
-    triangle is copied once, through a boolean mask an eighth the matrix's
-    size, and its square root and median are taken in place."""
-    d2 = _pairwise_sq_dists(pooled, pooled)
-    upper = d2[~np.tri(len(pooled), dtype=bool)]
+    """Median pairwise Euclidean distance over the pooled rows. The squared
+    distances of the strict upper triangle fill one preallocated buffer,
+    where the clamp at 0, the square root and the median run in place."""
+    upper = _upper_sq_dists(pooled)
+    np.maximum(upper, 0.0, out=upper)
     med = float(np.median(np.sqrt(upper, out=upper), overwrite_input=True)) if upper.size else 0.0
     return med if med > 0 else 1.0
+
+
+def _kernel_mean(a: np.ndarray, b: np.ndarray, denom: float, buf: np.ndarray) -> float:
+    """Mean of exp(-||a_i - b_j||^2 / denom), its (len(a), len(b)) matrix
+    built in ``buf`` and transformed there in place."""
+    sq_a, sq_b = (a * a).sum(1), (b * b).sum(1)
+    K = np.matmul(a, b.T, out=buf[:len(a) * len(b)].reshape(len(a), len(b)))
+    K *= 2.0
+    for lo in range(0, len(a), _MMD_BLOCK):
+        block = K[lo:lo + _MMD_BLOCK]
+        np.subtract(sq_a[lo:lo + _MMD_BLOCK, None] + sq_b, block, out=block)
+    np.maximum(K, 0.0, out=K)
+    np.negative(K, out=K)
+    K /= denom
+    return np.exp(K, out=K).mean()
 
 
 def _sample_size(count: int, rows: int) -> int:
@@ -76,9 +113,10 @@ def mmd2(X_t: np.ndarray, X_t1: np.ndarray, samples: int, seed: int) -> float:
     sy = _sample_rows(b, samples, rng.child("mmd-y"))
     sigma = median_heuristic(np.vstack([sx, sy]))
     denom = 2.0 * sigma * sigma
-    kxx = np.exp(-_pairwise_sq_dists(sx, sx) / denom).mean()
-    kxy = np.exp(-_pairwise_sq_dists(sx, sy) / denom).mean()
-    kyy = np.exp(-_pairwise_sq_dists(sy, sy) / denom).mean()
+    buf = np.empty(max(len(sx), len(sy)) ** 2)
+    kxx = _kernel_mean(sx, sx, denom, buf)
+    kxy = _kernel_mean(sx, sy, denom, buf)
+    kyy = _kernel_mean(sy, sy, denom, buf)
     return max(0.0, float(kxx - 2.0 * kxy + kyy))
 
 

@@ -72,10 +72,10 @@ class Batch(NamedTuple):
     """One batch of pairs, every array a view of its epoch's plan.
 
     ``pad`` is (longest prefix, B) rows of the padded table: column j is
-    pair j's prefix, then the zero row |V|. ``prefix`` holds the items of
-    the real slots pair by pair and ``slot_rows`` the batch row of each;
-    ``label_pos`` is each label's flat position ``row * |V| + label`` in
-    the (B, |V|) scores.
+    pair j's prefix, then the zero row |V|. It is int32, or intp when
+    |V| >= 2**31. ``prefix`` holds the items of the real slots pair by pair
+    and ``slot_rows`` the batch row of each; ``label_pos`` is each label's
+    flat position ``row * |V| + label`` in the (B, |V|) scores.
     """
 
     pad: np.ndarray
@@ -106,7 +106,7 @@ def _pad_and_slots(items, starts, lens, begins, counts, blocks, rows, vocab):
     # batch b's pad block is (widths[b], counts[b]), column j holding pair lo + j
     col *= np.repeat(counts, counts)[pair]
     col += (np.repeat(blocks[:-1], counts) + rows)[pair]
-    pad = np.full(blocks[-1], vocab, dtype=prefix.dtype)
+    pad = np.full(blocks[-1], vocab, dtype=np.int32 if vocab < 2**31 else np.intp)
     pad[col] = prefix
     return pad, prefix, rows[pair]
 

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from odup import recommender
+from odup.adaptive import _sample_rows
 from odup.codec import (
     CODEC_LR, CodebookStore, CodecConfig, CodecEncoder, _relaxed_backward, _relaxed_forward,
     init_codec, relaxed_loss,
@@ -419,3 +420,29 @@ def rank_metrics(table, pairs, ks, encoder_kind="mean_pool", gate=0.5) -> list[f
     rank = np.array(ranks)
     gain = 1.0 / np.log2(rank + 1.0)
     return [m for k in ks for m in (float((rank <= k).mean()), float(np.where(rank <= k, gain, 0.0).mean()))]
+
+
+def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full (len(a), len(b)) matrix of squared distances, clamped at 0,
+    each value formed in the order odup.adaptive forms it."""
+    d2 = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def mmd2_reference(X_t, X_t1, samples: int, seed: int) -> float:
+    """odup.adaptive.mmd2 in full-matrix form: the pooled n x n distance
+    matrix, its strict upper triangle taken through a mask for the median
+    heuristic, and each kernel matrix from allocating expressions."""
+    a, b = np.asarray(X_t, dtype=np.float64), np.asarray(X_t1, dtype=np.float64)
+    rng = Rng(seed)
+    sx = _sample_rows(a, samples, rng.child("mmd-x"))
+    sy = _sample_rows(b, samples, rng.child("mmd-y"))
+    pooled = np.vstack([sx, sy])
+    upper = _pairwise_sq_dists(pooled, pooled)[~np.tri(len(pooled), dtype=bool)]
+    med = float(np.median(np.sqrt(upper, out=upper), overwrite_input=True)) if upper.size else 0.0
+    sigma = med if med > 0 else 1.0
+    denom = 2.0 * sigma * sigma
+    kxx = np.exp(-_pairwise_sq_dists(sx, sx) / denom).mean()
+    kxy = np.exp(-_pairwise_sq_dists(sx, sy) / denom).mean()
+    kyy = np.exp(-_pairwise_sq_dists(sy, sy) / denom).mean()
+    return max(0.0, float(kxx - 2.0 * kxy + kyy))

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from odup.adaptive import RATIO_C, RATIO_MAX, _pairwise_sq_dists, choose_ratio, median_heuristic, mmd2
+from odup.adaptive import RATIO_C, RATIO_MAX, choose_ratio, median_heuristic, mmd2
 from odup.errors import ConfigError
 from odup.numkit import Rng, sigmoid
 from odup.pipeline import ExperimentConfig
 
-from helpers import normal
+from helpers import _pairwise_sq_dists, mmd2_reference, normal
 
 
 class TestMmd2:
@@ -63,6 +63,28 @@ class TestMmd2:
         with pytest.raises(ValueError):
             mmd2(np.zeros((0, 4)), np.zeros((3, 4)), 0, 0)
 
+    @pytest.mark.parametrize("rows, d, samples", [
+        (300, 16, 0),  # c4-queue's and demo's pool: 600 rows
+        (1850, 32, 512),  # ingest-adaptive's: 1024 rows
+        (4096, 16, 4096),  # MMD_POOL_MAX's 8192 rows
+    ])
+    def test_matches_the_full_matrix_form(self, rows, d, samples):
+        X = normal(Rng(rows), 0.1, (rows, d)).astype(np.float32)
+        Y = (X + normal(Rng(rows + 1), 0.01, (rows, d))).astype(np.float32)
+        assert mmd2(X, Y, samples, 5) == mmd2_reference(X, Y, samples, 5)
+
+    def test_peak_memory_at_samples_2048(self):
+        # the 4096-row pool's upper triangle alone is 0.5 * 4096**2 * 8 B
+        X = normal(Rng(0), 0.1, (3000, 32))
+        Y = X + normal(Rng(1), 0.01, X.shape)
+        tracemalloc.start()
+        try:
+            mmd2(X, Y, 2048, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 4096 * 4096 * 8
+
     def test_nonnegative_clamp(self):
         rng = Rng(5)
         for seed in range(5):
@@ -87,6 +109,7 @@ class TestMedianHeuristic:
         assert median_heuristic(pool) == float(np.median(np.sqrt(d2[iu])))
 
     def test_peak_memory_near_the_distance_matrix(self):
+        # the strict upper triangle alone is 0.5 * 2048**2 * 8 B; no n x n array is formed
         pool = normal(Rng(0), 1.0, (2048, 32))
         tracemalloc.start()
         try:
@@ -94,7 +117,7 @@ class TestMedianHeuristic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * 2048 * 2048 * 8
+        assert peak <= 0.6 * 2048 * 2048 * 8
 
 
 class TestChooseRatio:

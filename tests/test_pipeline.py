@@ -211,7 +211,7 @@ class TestCiLocalScript:
             jobs = yaml.safe_load(fh)["jobs"]
         reasons = [ci._skip_reason(step, "3.10") for job in jobs.values() for step in job["steps"]]
         assert reasons.count("installs packages") == 3  # both Install steps and the numpy pin
-        assert reasons.count("runs on Python 3.12 only") == 4  # the perfbench steps
+        assert reasons.count("runs on Python 3.12 only") == 5  # the perfbench steps and the MMD cap
 
 
 class TestGateScript:
