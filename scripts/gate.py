@@ -1,6 +1,7 @@
 """Run the same gates on two source trees and compare what they wrote.
 
-Usage: python scripts/gate.py run --src DIR --out OUT [--seeds 1-3] [--streams demo,c4-queue,ingest-adaptive]
+Usage: python scripts/gate.py run --src DIR --out OUT [--seeds 1-3]
+           [--streams demo,c4-queue,ingest-adaptive,longlog]
        python scripts/gate.py compare BASE NEW
 
 ``run`` puts DIR, a tree's ``src`` directory, first on ``sys.path`` and
@@ -13,7 +14,11 @@ stream and seed into ``OUT/<stream>/seed<N>``:
 - ``c4-queue`` and ``ingest-adaptive`` are the configs of
   ``perfbench/workloads.py``'s ``simulate_config``, the second on that
   module's event log. The module is imported from this checkout and only
-  read.
+  read;
+- ``longlog`` is ``scripts/demo.cfg`` on an event log (``events.tsv``,
+  beside the run) whose sessions each join LONG_MERGE consecutive ``synth``
+  sessions into one user's, so its prefixes run to about 39 items where
+  the other streams' stop at 9.
 
 ``OUT/manifest.json`` records each run's files with their SHA-256, and the
 per-round ``delta_bytes``, final ``dev_p10`` and ``cum_bytes`` of its
@@ -41,7 +46,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_CONFIG = os.path.join(ROOT, "scripts", "demo.cfg")
 PERFBENCH = os.path.join(ROOT, "perfbench")
-STREAMS = ("demo", "c4-queue", "ingest-adaptive")
+STREAMS = ("demo", "c4-queue", "ingest-adaptive", "longlog")
+LONG_MERGE = 4  # consecutive synth sessions that each longlog session joins
 FIRST_DIFFS = 5  # the differing files and frame sizes compare names
 
 
@@ -81,6 +87,23 @@ def survey(out: str, run_dirs: list[str]) -> dict:
     return runs
 
 
+def write_long_log(cfg, seed: int, run_dir: str) -> str:
+    """The sessions ``odup synth`` draws for ``cfg`` at ``seed``, each
+    LONG_MERGE consecutive ones joined into one, written as the event log
+    ``run_dir/events.tsv``; returns its path."""
+    from odup.numkit import Rng
+    from odup.pipeline import synth_data
+    from odup.sessions import Session, write_event_log
+
+    res = synth_data(cfg, Rng(seed))
+    sessions = res.sessions + res.test_sessions
+    joined = [Session([item for sess in sessions[i: i + LONG_MERGE] for item in sess.items],
+                      sessions[i].start) for i in range(0, len(sessions), LONG_MERGE)]
+    path = os.path.join(run_dir, "events.tsv")
+    write_event_log(path, joined)
+    return path
+
+
 def run(args) -> int:
     src = os.path.abspath(args.src)
     if not os.path.isfile(os.path.join(src, "odup", "__init__.py")):
@@ -110,6 +133,9 @@ def run(args) -> int:
                 cfg = pipeline.load_config(DEMO_CONFIG)
                 if cli.main(["--config", DEMO_CONFIG, "--seed", str(seed), "--out", run_dir, "synth"]):
                     raise SystemExit(f"gate: odup synth failed in {run_dir}")
+            elif stream == "longlog":
+                cfg = pipeline.load_config(DEMO_CONFIG)
+                cfg = dataclasses.replace(cfg, data=write_long_log(cfg, seed, run_dir))
             else:
                 cfg = workloads.simulate_config(stream, seed, run_dir)
                 if stream == "ingest-adaptive":

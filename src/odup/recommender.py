@@ -24,6 +24,7 @@ from .numkit import Adam, Rng, sigmoid
 
 ENCODER_KINDS = ("mean_pool", "last_gated")
 _EVAL_CHUNK = 256  # test pairs ranked per block in evaluate
+_PLAN_BATCHES = 64  # batches that plan_batches pads and indexes at once
 REPORT_KS = (5, 10)  # the K of every report's P@K and N@K, as evaluate gives them
 REC_LR, REC_BATCH = 0.01, 100  # Adam's step size and the pairs per batch of train
 
@@ -69,13 +70,12 @@ def init_model(vocab_size: int, d: int, rng: Rng, encoder_kind: str) -> RecModel
 
 
 class Batch(NamedTuple):
-    """One batch of pairs, every array a view of its epoch's plan.
+    """One batch of pairs, every array a view of its group's plan.
 
     ``pad`` is (longest prefix, B) rows of the padded table: column j is
-    pair j's prefix, then the zero row |V|. It is int32, or intp when
-    |V| >= 2**31. ``prefix`` holds the items of the real slots pair by pair
-    and ``slot_rows`` the batch row of each; ``label_pos`` is each label's
-    flat position ``row * |V| + label`` in the (B, |V|) scores.
+    pair j's prefix, then the zero row |V|. ``prefix`` holds the items of
+    the real slots pair by pair, the scatter's index; ``label_pos`` is each
+    label's flat position ``row * |V| + label`` in the (B, |V|) scores.
     """
 
     pad: np.ndarray
@@ -83,7 +83,6 @@ class Batch(NamedTuple):
     last: np.ndarray
     labels: np.ndarray
     prefix: np.ndarray
-    slot_rows: np.ndarray
     label_pos: np.ndarray
 
 
@@ -96,44 +95,29 @@ def padded_table(table) -> np.ndarray:
     return out
 
 
-def _pad_and_slots(items, starts, lens, begins, counts, blocks, rows, vocab):
-    """The epoch's pad blocks, and its real slots pair by pair (pair j's at
-    begins[j]): their items, the scatter's index, and their batch rows."""
-    pair = np.repeat(np.arange(len(lens)), lens)
-    col = np.arange(len(pair))
-    col -= begins[pair]  # slot t is column col[t] of pair[t]
-    prefix = items[starts[pair] + col]
-    # batch b's pad block is (widths[b], counts[b]), column j holding pair lo + j
-    col *= np.repeat(counts, counts)[pair]
-    col += (np.repeat(blocks[:-1], counts) + rows)[pair]
-    pad = np.full(blocks[-1], vocab, dtype=np.int32 if vocab < 2**31 else np.intp)
-    pad[col] = prefix
-    return pad, prefix, rows[pair]
-
-
 def plan_batches(dataset, order, size: int, vocab: int):
     """The pairs ``order`` (an index array or a slice) of a SessionDataset
-    in batches of ``size``, every batch a view of one plan built for all."""
+    in batches of ``size``, planned _PLAN_BATCHES batches at a time: each
+    batch is views of its group's plan, a pad as wide as the group's
+    longest prefix and the real slots' items pair by pair."""
     starts, ends = dataset.starts[order], dataset.ends[order]
-    lens = ends - starts
-    n = len(lens)
-    los = np.arange(0, n, size)
-    counts = np.minimum(size, n - los)
-    widths = np.maximum.reduceat(lens, los)
-    blocks = np.concatenate(([0], np.cumsum(counts * widths)))
-    rows = np.arange(n) - np.repeat(los, counts)  # each pair's row in its batch
-    slot_ends = np.cumsum(lens)
-    begins = slot_ends - lens
-    # a helper, so its slot-sized temporaries are freed before the batches run
-    pad, prefix, slot_rows = _pad_and_slots(dataset.items, starts, lens, begins, counts, blocks, rows,
-                                            vocab)
-    last, labels = dataset.items[ends - 1], dataset.items[ends]
-    label_pos = rows * vocab + labels
-    his = los + counts
-    for lo, hi, w, b0, p0, p1 in zip(los.tolist(), his.tolist(), widths.tolist(), blocks.tolist(),
-                                     begins[los].tolist(), slot_ends[his - 1].tolist()):
-        yield Batch(pad[b0: b0 + w * (hi - lo)].reshape(w, hi - lo), lens[lo:hi],
-                    last[lo:hi], labels[lo:hi], prefix[p0:p1], slot_rows[p0:p1], label_pos[lo:hi])
+    step = size * _PLAN_BATCHES
+    for g in range(0, len(starts), step):
+        g_starts, g_ends = starts[g: g + step], ends[g: g + step]
+        lens = g_ends - g_starts
+        cols = np.arange(int(lens.max()))[:, None]
+        real = cols < lens
+        pad = np.where(real, dataset.items.take(g_starts + cols, mode="clip"), vocab)
+        prefix = pad.T[real.T]  # pair-major: the scatter's order
+        last, labels = dataset.items[g_ends - 1], dataset.items[g_ends]
+        label_pos = (np.arange(len(lens)) % size) * vocab + labels
+        los = np.arange(0, len(lens), size)
+        widths = np.maximum.reduceat(lens, los).tolist()
+        slot_ends = np.add.reduceat(lens, los).cumsum().tolist()
+        for lo, w, p0, p1 in zip(los.tolist(), widths, [0] + slot_ends, slot_ends):
+            hi = lo + size
+            yield Batch(pad[:w, lo:hi], lens[lo:hi], last[lo:hi], labels[lo:hi], prefix[p0:p1],
+                        label_pos[lo:hi])
 
 
 def _encode_batch(table, gate_value, encoder_kind, batch: Batch):
@@ -172,15 +156,17 @@ def _softmax_rows(Y, label_pos):
 def _scatter_grads(table, g, encoder_kind, batch: Batch, DY, means, want_gate_grad):
     """DS = DY @ X scattered to the table, (scatter, dgate_raw): each prefix
     occurrence of item v gets (1-g) * DS_j / len_j; the gated path adds
-    g * DS_j to the last item of prefix j. Everything is in the dtype of
-    the padded ``table``; the scatter sums in float64 and is cast once."""
+    g * DS_j to the last item of prefix j, the values in the order of
+    ``batch.prefix`` (pair j's row repeated len_j times). Everything is in
+    the dtype of the padded ``table``; the scatter sums in float64 and is
+    cast once."""
     X = table[:-1]
     dt = table.dtype.type
     gated = encoder_kind == "last_gated"
     DS = DY @ X
     per_slot = (dt(1.0 - g) * DS if gated else DS) / batch.lens.astype(dt)[:, None]
     index = batch.prefix
-    values = per_slot[batch.slot_rows]
+    values = np.repeat(per_slot, batch.lens, axis=0)
     dgate_raw = 0.0
     if gated:
         index = np.concatenate([index, batch.last])
@@ -252,7 +238,7 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
                     raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
                 adam.step(params, [dX, np.array([dg])] if train_gate else [dX])
                 _require_finite(X)
-            del batch  # its views would hold this epoch's plan while the next is built
+            del batch  # its views would hold the last group's plan while the next epoch's is built
     model.embeddings[...] = X
     model.gate_raw = float(gate[0])
 
@@ -267,14 +253,14 @@ def evaluate(table, dataset, encoder_kind: str, gate: float) -> list[float]:
     from ``table`` by ``encoder_kind``; ``gate`` is the sigmoid gate value
     that ``last_gated`` uses.
     """
-    table = np.asarray(table, dtype=np.float64)
+    padded = padded_table(np.asarray(table, dtype=np.float64))
+    table = padded[:-1]
     vocab = table.shape[0]
     if not all(1 <= k <= vocab for k in REPORT_KS):
         raise ValueError(f"K must lie in [1, {vocab}]")
     if len(dataset) == 0:
         raise DataError("cannot evaluate on an empty dataset")
     idx = np.arange(vocab)
-    padded = padded_table(table)
     ranks = []
     for sub in plan_batches(dataset, slice(None), _EVAL_CHUNK, vocab):
         S, _ = _encode_batch(padded, gate, encoder_kind, sub)

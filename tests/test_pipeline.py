@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from odup.pipeline import (
     BYTES_COLUMNS, RATIO_COLUMNS, REPORT_COLUMNS, DeviceSim, ExperimentConfig, RoundReport,
     cloud_trajectory, load_config, prepare_data, replay, run_report, run_simulate, write_reports,
 )
+from odup.sessions import SYNTH_LEN_RANGE
 from odup.updater import UpdateDelta, plan_slots
 
 from helpers import reconstruct_item
@@ -224,16 +226,23 @@ class TestGateScript:
         # a fresh interpreter, since run puts its --src first on sys.path
         subprocess.run([sys.executable, os.path.join(scripts, "gate.py"), "run", "--src",
                         os.path.dirname(os.path.dirname(odup.__file__)), "--out", str(out),
-                        "--seeds", "1", "--streams", "c4-queue"], check=True, timeout=300)
+                        "--seeds", "1", "--streams", "c4-queue,longlog"], check=True, timeout=300)
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         report = json.loads((out / "c4-queue" / "seed1" / "report.json").read_text(encoding="utf-8"))
         assert manifest["runs"]["c4-queue/seed1"]["delta_bytes"] == [r["delta_bytes"] for r in report]
+        # longlog's users each hold LONG_MERGE synth sessions, so its pads run wide
+        log = (out / "longlog" / "seed1" / "events.tsv").read_text(encoding="utf-8").splitlines()
+        per_user = Counter(line.split("\t")[0] for line in log)
+        lo, hi = SYNTH_LEN_RANGE
+        assert len(per_user) == load_config(gate.DEMO_CONFIG).synth_sessions // gate.LONG_MERGE
+        assert min(per_user.values()) >= gate.LONG_MERGE * lo and max(per_user.values()) > 3 * hi
 
         assert gate.main(["compare", str(out), str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == f"files: all {len(manifest['runs']['c4-queue/seed1']['files'])} byte-identical"
-        assert lines[1] == "frame sizes: all 5 equal"
-        assert lines[3].endswith("paired median +0.0000")
+        files = sum(len(r["files"]) for r in manifest["runs"].values())
+        assert lines[0] == f"files: all {files} byte-identical"
+        assert lines[1] == "frame sizes: all 10 equal"
+        assert lines[3].endswith("paired median +0.0000") and lines[5].endswith("paired median +0.0000")
 
         flipped = tmp_path / "flipped"
         shutil.copytree(out, flipped)
@@ -244,7 +253,7 @@ class TestGateScript:
         assert gate.main(["compare", str(out), str(flipped)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].endswith(" differ: " + os.path.join("c4-queue", "seed1", "frames", "round_03.odup"))
-        assert lines[1] == "frame sizes: all 5 equal"
+        assert lines[1] == "frame sizes: all 10 equal"
         with pytest.raises(SystemExit):
             gate.main(["compare", str(out), str(tmp_path)])
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -11,6 +12,7 @@ from odup import numkit, recommender
 from odup.errors import DataError, TrainingDiverged
 from odup.numkit import Rng, sigmoid
 from odup.recommender import RecModel, _loss_and_grads, evaluate, init_model, padded_table, train
+from odup.sessions import SessionDataset
 
 from helpers import (
     dataset_of, encode_batch_masked, encode_session, gather_batch_masked, grad_check, integers,
@@ -194,6 +196,8 @@ class TestEvaluate:
         assert evaluate_at(ks, table, ds, "last_gated", 3.0) == expected
         assert expected[:2] == [1 / 6, 1 / 6]  # only ([0, 1], 1) ranks its label first
         monkeypatch.setattr("odup.recommender._EVAL_CHUNK", 4)
+        assert evaluate_at(ks, table, ds, "last_gated", 3.0) == expected
+        monkeypatch.setattr("odup.recommender._PLAN_BATCHES", 1)  # a short last group
         assert evaluate_at(ks, table, ds, "last_gated", 3.0) == expected
 
     def test_several_k_from_one_ranking(self, monkeypatch):
@@ -525,17 +529,22 @@ _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
 
 
 class TestTrainMatchesReference:
-    """train() is bitwise the masked per-batch loop of tests/helpers.py."""
+    """train() is bitwise the masked per-batch loop of tests/helpers.py,
+    whether it plans one batch at a time, two (so most epochs end in a
+    short group), or the default group, which holds every batch here."""
 
     @staticmethod
     def check(table, kind, gate_raw, pairs, cfg):
         ds = dataset_of(pairs)
-        got, ref = RecModel(table.copy(), kind, gate_raw), RecModel(table.copy(), kind, gate_raw)
-        train(got, ds, cfg)
+        ref = RecModel(table.copy(), kind, gate_raw)
         train_reference(ref, ds, cfg)
         bits = lambda x: np.asarray(x, dtype=np.float64).view(np.uint64)  # noqa: E731
-        assert np.array_equal(bits(got.embeddings), bits(ref.embeddings))
-        assert bits(got.gate_raw) == bits(ref.gate_raw)
+        for group in (1, 2, recommender._PLAN_BATCHES):
+            got = RecModel(table.copy(), kind, gate_raw)
+            with mock.patch.object(recommender, "_PLAN_BATCHES", group):
+                train(got, ds, cfg)
+            assert np.array_equal(bits(got.embeddings), bits(ref.embeddings)), group
+            assert bits(got.gate_raw) == bits(ref.gate_raw), group
 
     @settings(max_examples=60, deadline=None)
     @given(table=arrays(np.float64, st.tuples(st.integers(2, 9), st.integers(2, 4)), elements=_ENTRIES),
@@ -576,3 +585,42 @@ class TestTrainMatchesReference:
         with rec_steps(batch=2):
             self.check(table, kind, 0.0, [([1], 2), ([1, 2, 0], 1)], train_config(epochs=2))
 
+
+class TestPlanMemory:
+    """An epoch's plan holds a few intp entries per pair, and pads one group
+    of batches at a time: a long prefix widens its own group only."""
+
+    PAIRS = 199_998  # 22,222 sessions of 10 items
+
+    def plan_peak(self, long_at=None):
+        """tracemalloc's peak, in bytes per pair, over planning an epoch up
+        to its first batch: PAIRS pairs with prefixes of 1-9 items, in
+        order, where pair ``long_at`` (if given) has a 49-item prefix."""
+        items = np.arange(self.PAIRS // 9 * 10) % 1000
+        offsets = np.arange(0, len(items), 10)
+        ds = SessionDataset(items, np.repeat(offsets, 9), np.delete(np.arange(len(items)), offsets))
+        if long_at is not None:
+            ds.starts[long_at] = ds.ends[long_at] - 49
+        order = np.arange(len(ds))  # an index array, as train's shuffle is
+        tracemalloc.start()
+        try:
+            next(recommender.plan_batches(ds, order, recommender.REC_BATCH, 1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / len(ds)
+
+    def group_pad(self, width):
+        """One group's intp pad ``width`` slots wide, in bytes per pair."""
+        slots = width * recommender._PLAN_BATCHES * recommender.REC_BATCH
+        return np.dtype(np.intp).itemsize * slots / self.PAIRS
+
+    def test_peak_is_a_few_entries_per_pair_and_one_group(self):
+        # planning the whole epoch at once took about 240 B per pair
+        assert self.plan_peak() <= 24 + 3 * self.group_pad(9)
+
+    @pytest.mark.parametrize("long_at, width", [(100, 49), (-1, 9)])
+    def test_a_long_prefix_widens_only_its_group(self, long_at, width):
+        # the epoch padded to 49 slots would take 392 B per pair, and the
+        # last group's long prefix leaves the first group's pad 9 slots wide
+        assert self.plan_peak(long_at) <= 24 + 3 * self.group_pad(width)
