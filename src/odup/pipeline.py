@@ -125,13 +125,6 @@ class ExperimentConfig:
     def slice_plan(self) -> SlicePlan:
         return SlicePlan.from_ratios([float(x) for x in self.slices.split(":")])
 
-    def rec_config(self, seed: int, freeze_gate: bool) -> TrainConfig:
-        return TrainConfig(epochs=self.rec_epochs, l2=self.l2, seed=seed, freeze_gate=freeze_gate)
-
-    def codec_config(self) -> CodecConfig:
-        return CodecConfig(n=self.n, k=self.k, d=self.d, tau=self.tau, epochs=self.codec_epochs,
-                           batch=self.codec_batch, seed=self.seed)
-
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 _PARSERS = {"int": (int, "integer"), "float": (float, "number")}  # a typed key's parser and noun
@@ -262,11 +255,11 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
 
 
 class DeviceSim:
-    """Simulated on-device model. Consumes only wire frames; the embedding
-    table is always reconstituted from decoded bytes, in float32, on the
-    calling thread. ``apply_delta`` deploys it from its first frame, and a
-    frame that fails any check, or a rebuild that raises, leaves the store,
-    ledger and table as they were."""
+    """A replica of the deployed model: store, ledger, codes and float32
+    table. The device consumes only wire frames and rebuilds its table from
+    decoded bytes; the server keeps one more, the device it expects to ship
+    to. ``apply_delta`` deploys a replica from its first delta; a delta that
+    fails any check, or a rebuild that raises, leaves all four as they were."""
 
     def __init__(self, strategy: str, encoder_kind: str, gate: float):
         self.strategy = strategy
@@ -274,11 +267,17 @@ class DeviceSim:
         self.gate = gate
         self.store: CodebookStore | None = None
         self.ledger: SlotLedger | None = None
+        self.codes: np.ndarray | None = None
         self.table: np.ndarray | None = None
 
     @property
     def epoch(self) -> int:
         return 0 if self.ledger is None else self.ledger.current_epoch
+
+    def apply(self, delta: UpdateDelta) -> None:
+        self.store, self.ledger, self.table = apply_delta(self.store, self.ledger, delta,
+                                                          expected_strategy=self.strategy)
+        self.codes = delta.codes
 
     def receive(self, frame: bytes) -> UpdateDelta:
         """Apply one frame; a deployed device checks the header's dimensions."""
@@ -288,9 +287,7 @@ class DeviceSim:
             own = (len(self.table), self.store.n, self.store.k, self.store.d)
             if dims != own:
                 raise DimensionMismatch(f"frame (vocab, n, k, d) = {dims}, device holds {own}")
-        self.store, self.ledger, self.table = apply_delta(
-            self.store, self.ledger, delta, expected_strategy=self.strategy
-        )
+        self.apply(delta)
         return delta
 
     def metrics(self, dataset) -> list[float]:
@@ -358,7 +355,7 @@ def cloud_trajectory(cfg: ExperimentConfig, data: DataBundle):
         start_time = time.perf_counter()
         if t > 1:
             ds = with_replay(ds, data.slices[:t - 1], replay_rng)
-        train(model, ds, cfg.rec_config(seed=cfg.seed + t, freeze_gate=t > 1))
+        train(model, ds, TrainConfig(epochs=cfg.rec_epochs, l2=cfg.l2, seed=cfg.seed + t, freeze_gate=t > 1))
         table = model.embeddings.copy()
         table.flags.writeable = False
         yield CloudSlice(RecModel(table, model.encoder_kind, model.gate_raw),
@@ -375,7 +372,8 @@ def run_simulate(cfg: ExperimentConfig) -> SimulationResult:
 def deploy(cfg: ExperimentConfig, table: np.ndarray) -> UpdateDelta:
     """Train the codec on ``table``, harden its codes and refine them by
     ICM: the full epoch-1 delta that deploys it on a device."""
-    store, encoder, _ = train_codec(table, cfg.codec_config())
+    store, encoder, _ = train_codec(table, CodecConfig(
+        n=cfg.n, k=cfg.k, d=cfg.d, tau=cfg.tau, epochs=cfg.codec_epochs, batch=cfg.codec_batch, seed=cfg.seed))
     codes = refine_codes(store, harden(encoder, table), table)
     nk = cfg.n * cfg.k
     return UpdateDelta(1, "full", nk, store.rows, codes, list(range(nk)))
@@ -383,20 +381,16 @@ def deploy(cfg: ExperimentConfig, table: np.ndarray) -> UpdateDelta:
 
 def replay(cfg: ExperimentConfig, data: DataBundle, trajectory) -> SimulationResult:
     """Per slice: train the codec and deploy with a full frame (slice 1), or
-    measure drift, choose the update size and refit the slot rows and codes;
-    ship the frame and apply it on the device; the server applies the same
-    delta to its own store and ledger, so lockstep is equal ledgers and
-    tables. Then evaluate the device. A round's secs include the slice's
-    cloud seconds. Frames and reports are written under ``cfg.out``."""
+    measure drift, choose the update size and refit the server replica's
+    slot rows and codes; ship the frame to the device, and apply the delta
+    to the server's replica, so lockstep is equal ledgers and bit-equal
+    store rows, codes and tables. Then evaluate the device. A round's secs
+    include the slice's cloud seconds. Frames and reports go under ``cfg.out``."""
     frames_dir = make_dir(os.path.join(cfg.out, "frames"))
     remove_stale(frames_dir, r"round_\d{2,}\.odup")
     remove_stale(cfg.out, r"report\.(csv|json)")
     vocab, nk = data.vocab_size, cfg.n * cfg.k
 
-    store: CodebookStore | None = None
-    codes: np.ndarray | None = None
-    ledger: SlotLedger | None = None
-    device: DeviceSim | None = None
     prev_table: np.ndarray | None = None
     cum_bytes = 0
     cr_m = model_cr(vocab, cfg.d, cfg.n, cfg.k)
@@ -406,9 +400,12 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory) -> SimulationRes
         start_time = time.perf_counter()
         table = cloud_slice.model.embeddings
 
+        delta = None
         if t == 1:
             device = DeviceSim(cfg.strategy, cloud_slice.model.encoder_kind, cloud_slice.model.gate)
+            server = DeviceSim(cfg.strategy, cloud_slice.model.encoder_kind, cloud_slice.model.gate)
             mmd_val, r_val, beta = 0.0, 0.0, nk
+            delta = deploy(cfg, table)
         else:
             mmd_val = mmd2(prev_table, table, cfg.mmd_samples, cfg.seed)
             if cfg.strategy == "full":
@@ -419,23 +416,22 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory) -> SimulationRes
                 r_chosen = cfg.r
             r_val = 0.0 if r_chosen is None else float(r_chosen)
             beta = 0 if r_chosen is None else beta_from_ratio(cfg.n, cfg.k, r_chosen)
-
-        frame, nbytes = None, 0
-        if beta:
-            if t == 1:
-                delta = deploy(cfg, table)
-            else:
-                slots = plan_slots(ledger, cfg.strategy, beta)
-                upd = retrain_update(store, codes, table, slots,
-                                     epoch=ledger.current_epoch + 1, strategy=cfg.strategy)
-                if not _same_bits(np.delete(store.rows, slots, 0), np.delete(upd.store.rows, slots, 0)):
+            if beta:
+                slots = plan_slots(server.ledger, cfg.strategy, beta)
+                upd = retrain_update(server.store, server.codes, table, slots,
+                                     epoch=server.epoch + 1, strategy=cfg.strategy)
+                if not _same_bits(np.delete(server.store.rows, slots, 0), np.delete(upd.store.rows, slots, 0)):
                     raise ProtocolError("a frozen codebook row changed on the server")
                 delta = upd.delta
-            codes = delta.codes
+
+        frame, nbytes = None, 0
+        if delta is not None:
             frame = wire.encode_delta(delta, vocab=vocab, d=cfg.d, n=cfg.n, k=cfg.k)
             device.receive(frame)
-            store, ledger, server_table = apply_delta(store, ledger, delta, expected_strategy=cfg.strategy)
-            if device.ledger != ledger or not _same_bits(device.table, server_table):
+            server.apply(delta)
+            pairs = ((device.store.rows, server.store.rows), (device.codes, server.codes),
+                     (device.table, server.table))
+            if device.ledger != server.ledger or not all(_same_bits(a, b) for a, b in pairs):
                 raise ProtocolError("server and device are out of lockstep")
             write_file(os.path.join(frames_dir, f"round_{t:02d}.odup"), frame)
             nbytes = len(frame)
@@ -454,7 +450,7 @@ def replay(cfg: ExperimentConfig, data: DataBundle, trajectory) -> SimulationRes
             cr_model=cr_m, cr_update=cr_u, cr_total=cr_t, secs=round(secs, 6),
         )
         # ledgers are never mutated, only rebound, so the round keeps references
-        rounds.append(RoundState(report, ledger, device.ledger, frame))
+        rounds.append(RoundState(report, server.ledger, device.ledger, frame))
         prev_table = table
 
     result = SimulationResult(rounds)
@@ -482,6 +478,9 @@ def load_report(run_dir: str) -> list[dict]:
             if type(rec[f.name]) not in _JSON_TYPES[f.type]:
                 raise DataError(f"corrupt report: {path} "
                                 f"(report column {f.name} holds {rec[f.name]!r}, not {f.type})")
+        if rec["strategy"] not in STRATEGIES:
+            raise DataError(f"corrupt report: {path} (report column strategy holds {rec['strategy']!r}, "
+                            f"not one of {', '.join(STRATEGIES)})")
     slices = [rec["slice"] for rec in records]
     for t in slices:
         if t < 1 or slices.count(t) > 1:

@@ -291,8 +291,9 @@ class TestCloudTrajectory:
 
         monkeypatch.setattr(pipeline, "DeviceSim", RecordingDevice)
         replay(cfg, data, trajectory)
-        [device] = devices
-        assert device.gate == trajectory[-1].model.gate
+        # the device and the server's replica of it
+        assert len(devices) == 2
+        assert all(device.gate == trajectory[-1].model.gate for device in devices)
 
     def test_drift_free_slice_2_does_not_lose_precision(self):
         # drift-free data: the slice-2 model saw strictly more of the same
@@ -628,14 +629,24 @@ class TestSimulate:
         assert all(r.beta == 1 and r.delta_bytes > 0 for r in result.reports[1:])
 
     @pytest.mark.parametrize("epoch", [1, 2])
-    def test_device_table_one_ulp_off_raises(self, tmp_path, monkeypatch, epoch):
+    @pytest.mark.parametrize("field", ["table", "codes", "store"])
+    def test_device_replica_one_step_off_raises(self, tmp_path, monkeypatch, field, epoch):
+        # one field moves while the others match; the moved store row is the
+        # next update's first slot, so no later table ever shows it
         class DriftingDevice(DeviceSim):
             def receive(self, frame):
                 delta = super().receive(frame)
                 if self.epoch == epoch:
-                    table = self.table.copy()
-                    table[0, 0] = np.nextafter(table[0, 0], np.inf)
-                    self.table = table
+                    if field == "table":
+                        self.table = self.table.copy()
+                        self.table[0, 0] = np.nextafter(self.table[0, 0], np.inf)
+                    elif field == "codes":
+                        self.codes = self.codes.copy()
+                        self.codes[0, 0] = (self.codes[0, 0] + 1) % self.store.k
+                    else:
+                        row = plan_slots(self.ledger, self.strategy, 1)[0]
+                        self.store = self.store.copy()
+                        self.store.rows[row, 0] = np.nextafter(self.store.rows[row, 0], np.inf)
                 return delta
 
         monkeypatch.setattr(pipeline, "DeviceSim", DriftingDevice)
@@ -668,6 +679,26 @@ class TestSimulate:
         assert prev_rows
         for rows in prev_rows:
             assert np.array_equal(rows, rows.astype(np.float32))
+
+    def test_skipped_round_updates_from_the_deployed_codes(self, tmp_path, monkeypatch):
+        mmd2, retrain_update = pipeline.mmd2, pipeline.retrain_update
+        mmd_calls, prev_codes = [], []
+
+        def skip_round_2(*args):
+            mmd_calls.append(args)
+            return 0.0 if len(mmd_calls) == 1 else mmd2(*args)
+
+        def recording_retrain(prev_store, codes, *args, **kwargs):
+            prev_codes.append(codes)
+            return retrain_update(prev_store, codes, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "mmd2", skip_round_2)
+        monkeypatch.setattr(pipeline, "retrain_update", recording_retrain)
+        result = run_simulate(small_config(out=str(tmp_path / "sim"), ratio_mode="adaptive"))
+        assert [rep.beta > 0 for rep in result.reports] == [True, False, True]
+        deployed = wire.decode_delta((tmp_path / "sim" / "frames" / "round_01.odup").read_bytes())
+        [codes] = prev_codes
+        assert codes.dtype == np.int32 and np.array_equal(codes, deployed.codes)
 
     def test_byte_identical_reports(self, tmp_path):
         cfg_a = small_config(out=str(tmp_path / "r1"))
@@ -729,6 +760,7 @@ class TestReport:
         [valid_record(beta=False)], [valid_record(strategy=1)],
         [valid_record(slice=0)], [valid_record(slice=2), valid_record(slice=2)],
         [valid_record(slice=s) for s in (1, 2, 2, -3)],
+        [valid_record(strategy="heap")], [valid_record(strategy="queue,1\nx")],
     ])
     def test_record_without_report_columns_errors(self, tmp_path, records):
         (tmp_path / "run").mkdir()
