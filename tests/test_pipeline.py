@@ -629,18 +629,30 @@ class TestSimulate:
         assert all(r.beta == 1 and r.delta_bytes > 0 for r in result.reports[1:])
 
     @pytest.mark.parametrize("epoch", [1, 2])
-    @pytest.mark.parametrize("field", ["table", "codes", "store"])
-    def test_device_replica_one_step_off_raises(self, tmp_path, monkeypatch, field, epoch):
-        # one field moves while the others match; the moved store row is the
-        # next update's first slot, so no later table ever shows it
+    def test_device_table_one_ulp_off_raises(self, tmp_path, monkeypatch, epoch):
         class DriftingDevice(DeviceSim):
             def receive(self, frame):
                 delta = super().receive(frame)
                 if self.epoch == epoch:
-                    if field == "table":
-                        self.table = self.table.copy()
-                        self.table[0, 0] = np.nextafter(self.table[0, 0], np.inf)
-                    elif field == "codes":
+                    table = self.table.copy()
+                    table[0, 0] = np.nextafter(table[0, 0], np.inf)
+                    self.table = table
+                return delta
+
+        monkeypatch.setattr(pipeline, "DeviceSim", DriftingDevice)
+        with pytest.raises(ProtocolError, match="lockstep"):
+            run_simulate(small_config(out=str(tmp_path / "sim")))
+
+    @pytest.mark.parametrize("epoch", [1, 2])
+    @pytest.mark.parametrize("field", ["codes", "store"])
+    def test_device_replica_one_step_off_raises(self, tmp_path, monkeypatch, field, epoch):
+        # codes or store move while the table matches; the moved store row is
+        # the next update's first slot, so no later table ever shows it
+        class DriftingDevice(DeviceSim):
+            def receive(self, frame):
+                delta = super().receive(frame)
+                if self.epoch == epoch:
+                    if field == "codes":
                         self.codes = self.codes.copy()
                         self.codes[0, 0] = (self.codes[0, 0] + 1) % self.store.k
                     else:
