@@ -280,8 +280,7 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     store, enc = init_codec(cfg, rng.child("codec-init"))
     noise_rng = rng.child("codec-noise")
     shuffle_rng = rng.child("codec-shuffle")
-    adam = Adam(CODEC_LR)
-    params = enc.params() + [store.rows]
+    adam = Adam(enc.params() + [store.rows], CODEC_LR)
 
     # an overflow is reported as TrainingDiverged, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,7 +292,7 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
                 loss, intermediates = _relaxed_forward(enc, store.rows, xb, noise, cfg.tau)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"codec loss became non-finite ({loss})")
-                adam.step(params, _relaxed_backward(enc, store.rows, xb, cfg.tau, intermediates))
+                adam.step(_relaxed_backward(enc, store.rows, xb, cfg.tau, intermediates))
         final_loss = relaxed_loss(enc, store, X, cfg.tau)
     if not np.isfinite(final_loss):
         raise TrainingDiverged(f"final codec loss is non-finite ({final_loss})")

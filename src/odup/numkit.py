@@ -1,10 +1,10 @@
 """Deterministic numerics shared by all training code.
 
 Codec training and the recommender's gate are float64; the recommender's
-table and the rows that reach the device are float32. ``Adam`` steps each
-parameter in that parameter's dtype. Randomness goes through
-:class:`Rng`, a seeded PCG64 generator wrapped so that identical seeds
-reproduce identical draw sequences on any platform; the process-global
+table and the rows that reach the device are float32. ``Adam(params, lr)``
+steps its parameters by ``step(grads)``, each in its dtype. Randomness goes
+through :class:`Rng`, a seeded PCG64 generator wrapped so that identical
+seeds reproduce identical draw sequences on any platform; the process-global
 numpy state is never touched. Everything runs on the calling thread, and
 ``odup`` pins BLAS to one thread.
 """
@@ -117,32 +117,31 @@ class Adam:
     bias-corrected moments and update lr * mhat / (sqrt(vhat) + eps).
 
     b1=0.9, b2=0.999, eps=1e-8 are class constants. Each parameter's
-    moments and arithmetic take its dtype (float32 for the recommender's
-    table). Parameters with identically zero gradients never move (their
-    moments stay zero).
+    moments, allocated in ``__init__``, and arithmetic take its dtype
+    (float32 for the recommender's table). Parameters with identically zero
+    gradients never move (their moments stay zero).
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float):
+    def __init__(self, params: list[np.ndarray], lr: float):
+        self.params = list(params)
         self.lr = float(lr)
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
-        self._scratch: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._m = [np.zeros_like(p) for p in self.params]
+        self._v = [np.zeros_like(p) for p in self.params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in self.params]
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """In-place update. Evaluates p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        in that operation order into per-parameter scratch buffers, so the
-        result is bitwise that of the expression."""
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    def step(self, grads: list[np.ndarray]) -> None:
+        """In-place update, one gradient per parameter. Evaluates p -= lr *
+        (m / c1) / (sqrt(v / c2) + eps) in that operation order into scratch
+        buffers, so the result is bitwise that of the expression."""
+        if len(grads) != len(self.params):
+            raise ValueError(f"{len(grads)} gradients for {len(self.params)} parameters")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, g, m, v, (num, den) in zip(params, grads, self._m, self._v, self._scratch):
+        for p, g, m, v, (num, den) in zip(self.params, grads, self._m, self._v, self._scratch):
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=num)
             m += num

@@ -230,8 +230,10 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
     """The training slices, each holding its own pairs, and the test set of
     ``cfg.data``; a vocabulary too large for the code space, or one that
     makes the MMD sample pool more than MMD_POOL_MAX rows, is a ConfigError
-    before any training."""
+    before any training, and for ``synth`` before any session is drawn."""
     if cfg.data == "synth":
+        check_capacity(cfg.n, cfg.k, cfg.synth_vocab)
+        check_pool(cfg.mmd_samples, cfg.synth_vocab)
         res = synth_data(cfg, rng)
         train_sessions, test_sessions, vocab_size = res.sessions, res.test_sessions, cfg.synth_vocab
     else:
@@ -245,8 +247,8 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
             raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
         train_sessions, test_sessions = holdout_split(indexed)
         vocab_size = len(vocab)
-    check_capacity(cfg.n, cfg.k, vocab_size)
-    check_pool(cfg.mmd_samples, vocab_size)
+        check_capacity(cfg.n, cfg.k, vocab_size)
+        check_pool(cfg.mmd_samples, vocab_size)
     try:
         slices = temporal_slices(train_sessions, cfg.slice_plan())
     except DataError as exc:

@@ -222,21 +222,20 @@ def train(model: RecModel, dataset, cfg: TrainConfig) -> None:
     rng = Rng(cfg.seed).child("rec-shuffle")
     gate = np.array([model.gate_raw], dtype=np.float64)
     train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
-    adam = Adam(REC_LR)
     # an overflow is reported as TrainingDiverged, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         table = padded_table(model.embeddings)
         X = table[:-1]
         _require_finite(X)
         # a gate with no gradient never moves under Adam, so only a trained one steps
-        params = [X, gate] if train_gate else [X]
+        adam = Adam([X, gate] if train_gate else [X], REC_LR)
         for _ in range(cfg.epochs):
             for batch in plan_batches(dataset, rng.permutation(n), REC_BATCH, vocab):
                 loss, dX, dg = _loss_and_grads(table, gate[0], model.encoder_kind, batch, cfg.l2,
                                                train_gate)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
-                adam.step(params, [dX, np.array([dg])] if train_gate else [dX])
+                adam.step([dX, np.array([dg])] if train_gate else [dX])
                 _require_finite(X)
             del batch  # its views would hold the last group's plan while the next epoch's is built
     model.embeddings[...] = X

@@ -175,15 +175,14 @@ def train_codec_per_batch_noise(target: np.ndarray, cfg: CodecConfig):
     rng = Rng(cfg.seed)
     store, enc = init_codec(cfg, rng.child("codec-init"))
     noise_rng, shuffle_rng = rng.child("codec-noise"), rng.child("codec-shuffle")
-    adam = Adam(CODEC_LR)
-    params = enc.params() + [store.rows]
+    adam = Adam(enc.params() + [store.rows], CODEC_LR)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(V)
         for lo in range(0, V, cfg.batch):
             sel = order[lo: lo + cfg.batch]
             G = sample_gumbel(noise_rng, (len(sel), cfg.n, cfg.k))
             _, grads = forward_backward(enc, store.rows, X[sel], G, cfg.tau)
-            adam.step(params, grads)
+            adam.step(grads)
     return store, enc, relaxed_loss(enc, store, X, cfg.tau)
 
 
@@ -383,7 +382,7 @@ def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> None:
     table = model.embeddings.copy()
     gate = np.array([model.gate_raw], dtype=np.float64)
     train_gate = model.encoder_kind == "last_gated" and not cfg.freeze_gate
-    adam = Adam(lr)
+    adam = Adam([table, gate], lr)
 
     def check():
         if not np.all(np.isfinite(table)):
@@ -399,7 +398,7 @@ def train_reference(model: RecModel, dataset, cfg: TrainConfig) -> None:
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"recommender loss became non-finite ({loss})")
             with np.errstate(over="ignore", invalid="ignore"):
-                adam.step([table, gate], [dX, np.array([dg])])
+                adam.step([dX, np.array([dg])])
             check()
     model.embeddings[...] = table
     model.gate_raw = float(gate[0])

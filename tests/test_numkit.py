@@ -171,25 +171,25 @@ class TestShapeAlgebra:
 class TestAdam:
     def test_minimizes_quadratic(self):
         x = np.array([5.0, -3.0])
-        adam = Adam(lr=0.1)
+        adam = Adam([x], lr=0.1)
         for _ in range(500):
-            adam.step([x], [2 * x])
+            adam.step([2 * x])
         assert np.all(np.abs(x) < 1e-3)
 
     def test_lr_zero_is_bitwise_noop(self):
         x = np.array([1.2345, -0.5])
         orig = x.copy()
-        adam = Adam(lr=0.0)
+        adam = Adam([x], lr=0.0)
         for _ in range(5):
-            adam.step([x], [np.array([1.0, -2.0])])
+            adam.step([np.array([1.0, -2.0])])
         assert np.array_equal(x, orig)
 
     def test_zero_grad_never_moves(self):
         x = np.array([0.7, -0.1])
         orig = x.copy()
-        adam = Adam(lr=0.05)
+        adam = Adam([x], lr=0.05)
         for _ in range(10):
-            adam.step([x], [np.zeros(2)])
+            adam.step([np.zeros(2)])
         assert np.array_equal(x, orig)
 
     @staticmethod
@@ -209,11 +209,11 @@ class TestAdam:
         ref = [p.copy() for p in params]
         ms = [np.zeros(s) for s in shapes]
         vs = [np.zeros(s) for s in shapes]
-        adam = Adam(lr=0.03)
+        adam = Adam(params, lr=0.03)
         for t in range(1, 21):
             grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
             grads[0][rng.random(shapes[0]) < 0.3] = 0.0
-            adam.step(params, grads)
+            adam.step(grads)
             self.oracle_step(ref, grads, ms, vs, t, 0.03)
             for p, r in zip(params, ref):
                 assert np.array_equal(p, r)
@@ -228,16 +228,33 @@ class TestAdam:
         ref = [p.copy() for p in params]
         ms = [np.zeros(s, dt) for s, dt in zip(shapes, dtypes)]
         vs = [np.zeros(s, dt) for s, dt in zip(shapes, dtypes)]
-        adam = Adam(lr=0.01)
+        adam = Adam(params, lr=0.01)
         for t in range(1, 21):
             grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s).astype(dt)
                      for s, dt in zip(shapes, dtypes)]
-            adam.step(params, grads)
+            adam.step(grads)
             self.oracle_step(ref, grads, ms, vs, t, 0.01)
             for p, r, dt in zip(params, ref, dtypes):
                 assert p.dtype == r.dtype == dt and p.tobytes() == r.tobytes()
         moments = [(m.dtype, v.dtype) for m, v in zip(adam._m, adam._v)]
         assert moments == [(np.dtype(dt),) * 2 for dt in dtypes]
+
+    @pytest.mark.parametrize("count", [1, 3], ids=["one-too-few", "one-too-many"])
+    def test_gradient_count_must_match_parameters(self, count):
+        params = [np.ones(3), np.ones(2)]
+        adam = Adam(params, lr=0.1)
+        with pytest.raises(ValueError, match=f"{count} gradients for 2 parameters"):
+            adam.step([np.ones(3), np.ones(2), np.ones(1)][:count])
+        assert adam.t == 0
+        assert all(np.array_equal(p, np.ones(p.shape)) for p in params)
+
+    def test_moments_allocated_at_construction(self):
+        # the recommender's float32 table and float64 gate
+        params = [np.ones((5, 3), np.float32), np.zeros(1)]
+        adam = Adam(params, lr=0.1)
+        for moments in (adam._m, adam._v):
+            assert [(m.shape, m.dtype) for m in moments] == [((5, 3), np.float32), ((1,), np.float64)]
+            assert not any(m.any() for m in moments)
 
 
 class TestSoftplus:

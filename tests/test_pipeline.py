@@ -1052,9 +1052,14 @@ class TestCli:
 
     @pytest.mark.parametrize("source", ["synth", "log"])
     def test_code_space_checked_before_training_exit_2(self, tmp_path, monkeypatch, capsys, source):
-        # k^n = 2^1 = 2 codes cannot tell 12 (or 120) items apart
+        # k^n = 2^1 = 2 codes cannot tell 12 (or 120) items apart; a synth
+        # config is refused before any session is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sessions were drawn before the code space was checked")
+
         calls = []
         monkeypatch.setattr(pipeline, "train", lambda *args: calls.append(args))
+        monkeypatch.setattr(pipeline, "synth_generate", no_draw)
         lines = "n = 1\nk = 2\n"
         if source == "synth":
             lines += "synth_vocab = 120\nsynth_sessions = 300\n"
@@ -1085,11 +1090,16 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_mmd_sample_too_large_exit_2(self, tmp_path, monkeypatch, capsys):
-        # every row of 5000 items pools 10000 rows, over MMD_POOL_MAX = 8192
+        # every row of 5000 items pools 10000 rows, over MMD_POOL_MAX = 8192,
+        # refused before any session is drawn
         def no_training(*args, **kwargs):
             raise AssertionError("a model was trained before the MMD sample was checked")
 
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sessions were drawn before the MMD sample was checked")
+
         monkeypatch.setattr(pipeline, "train", no_training)
+        monkeypatch.setattr(pipeline, "synth_generate", no_draw)
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("synth_vocab = 5000\nmmd_samples = 0\n", encoding="utf-8")
         assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "simulate"]) == 2

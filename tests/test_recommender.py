@@ -420,8 +420,8 @@ class TestMixedPrecision:
             return scatter, dgate_raw
 
         class SpyAdam(numkit.Adam):
-            def step(self, params, grads):
-                super().step(params, grads)
+            def step(self, grads):
+                super().step(grads)
                 adams.append(self)
                 note("dX", grads[0])
 
@@ -496,10 +496,10 @@ class TestBeyondFloat32:
             return tables[-1]
 
         class InjectingAdam(numkit.Adam):
-            def step(self, params, grads):
-                super().step(params, grads)
+            def step(self, grads):
+                super().step(grads)
                 stepped.append(self.t)
-                if self.t == after_steps and np.shares_memory(params[0], tables[0][item]):
+                if self.t == after_steps and np.shares_memory(self.params[0], tables[0][item]):
                     tables[0][item, 1] = narrowed
 
         monkeypatch.setattr(recommender, "padded_table", spy_padded_table)
