@@ -29,8 +29,8 @@ from .numkit import Rng
 from .recommender import ENCODER_KINDS, REPORT_KS, RecModel, TrainConfig, evaluate, init_model, train
 from .sealed import make_dir, remove_stale, write_file
 from .sessions import (
-    SlicePlan, SessionDataset, SynthResult, augment_split, filter_and_index,
-    holdout_split, read_event_log, sessionize, synth_generate, temporal_slices,
+    SlicePlan, SessionDataset, SynthResult, augment_split, filter_and_index, holdout_split,
+    layout_of, read_event_log, sessionize, synth_generate, temporal_slices,
 )
 from .updater import (
     STRATEGIES, SlotLedger, UpdateDelta, apply_delta, beta_from_ratio, end_to_end_cr, plan_slots,
@@ -235,14 +235,13 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
         check_capacity(cfg.n, cfg.k, cfg.synth_vocab)
         check_pool(cfg.mmd_samples, cfg.synth_vocab)
         res = synth_data(cfg, rng)
-        train_sessions, test_sessions, vocab_size = res.sessions, res.test_sessions, cfg.synth_vocab
+        train_sessions, test_sessions = layout_of(res.sessions), layout_of(res.test_sessions)
+        vocab_size = cfg.synth_vocab
     else:
         if not os.path.exists(cfg.data):
             raise DataError(f"dataset not found: {cfg.data}")
-        events = read_event_log(cfg.data, cfg.delimiter)
-        if not events:
-            raise DataError(f"event log is empty: {cfg.data}")
-        indexed, vocab = filter_and_index(sessionize(events))
+        log = read_event_log(cfg.data, cfg.delimiter)
+        indexed, vocab = filter_and_index(sessionize(log), log.item_ids)
         if len(vocab) < max(REPORT_KS):
             raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(REPORT_KS)}")
         train_sessions, test_sessions = holdout_split(indexed)

@@ -2,17 +2,21 @@
 synthetic drifting-session generator for desk-scale experiments.
 
 Event logs are delimiter-separated text, one ``user<sep>item<sep>unix_seconds``
-record per line. Slices partition the training pairs: slice t holds the
-(prefix, label) pairs of the t-th temporal chunk of sessions, and every
-slice is a view of one flat pair layout.
+record per line, read a chunk of text at a time into integer and float64
+columns; sessionizing, filtering and indexing run on those columns. Log and
+synthetic sessions alike become one flat ``SessionLayout``, which the
+holdout and the slices cut. Slices partition the training pairs: slice t
+holds the (prefix, label) pairs of the t-th temporal chunk of sessions, and
+every slice is a view of one flat pair layout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -20,12 +24,12 @@ from .errors import DataError
 from .numkit import Rng, choice_cdf
 from .sealed import write_file
 
-Event = tuple[str, str, float]  # (user, item, seconds since epoch)
 ZIPF_EXPONENT = 1.2  # synthetic item popularity falls as 1 / rank^ZIPF_EXPONENT
 SESSION_GAP = 8 * 3600.0  # seconds between a user's events that split an event log's sessions
 MIN_LEN, MAX_LEN = 2, 50  # the session lengths an event log's run keeps
 TEST_FRAC = 0.1  # the temporally last share of sessions held out as the test set
 SYNTH_LEN_RANGE = (3, 10)  # the shortest and longest synthetic session
+LOG_CHUNK = 1 << 20  # characters of event-log text read and checked at a time
 
 
 @dataclass
@@ -34,6 +38,36 @@ class Session:
 
     items: list
     start: float
+
+
+@dataclass
+class EventLog:
+    """An event log as columns, one entry per event in file order. A user's
+    or item's code is its id's rank among the log's distinct ids of that
+    kind, in string order."""
+
+    users: np.ndarray     # intp user codes
+    items: np.ndarray     # intp item codes
+    seconds: np.ndarray   # float64, finite and non-negative
+    item_ids: list[str]   # item code -> id, sorted
+
+
+@dataclass
+class SessionLayout:
+    """Sessions in time order as one flat array: session i is
+    ``items[offsets[i]:offsets[i + 1]]``."""
+
+    items: np.ndarray    # intp item codes or vocabulary indices
+    offsets: np.ndarray  # intp, one more than there are sessions; offsets[0] == 0
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def split(self, n: int) -> tuple[SessionLayout, SessionLayout]:
+        """The first ``n`` sessions and the rest, as views of these arrays."""
+        cut = self.offsets[n]
+        return (SessionLayout(self.items[:cut], self.offsets[: n + 1]),
+                SessionLayout(self.items[cut:], self.offsets[n:] - cut))
 
 
 @dataclass
@@ -85,30 +119,92 @@ class SlicePlan:
         return bounds
 
 
-def read_event_log(path, delimiter: str) -> list[Event]:
-    events: list[Event] = []
+def read_event_log(path, delimiter: str) -> EventLog:
+    """The events of the log at ``path``, read LOG_CHUNK characters of text
+    at a time, each chunk extended to the end of its last line. A chunk's
+    lines are checked together: three fields each, and a ``float()``
+    timestamp each, finite and non-negative. A chunk that fails is walked
+    line by line, so the DataError names the first faulty line, blank lines
+    counted. A log with no event is a DataError too."""
+    user_codes: dict[str, int] = {}
+    item_codes: dict[str, int] = {}
+    chunks = []  # (user codes, item codes, seconds) per chunk
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(delimiter)
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-                user, item, ts = parts
-                try:
-                    t = float(ts)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad timestamp {ts!r}") from None
-                if not 0 <= t < math.inf:
-                    raise DataError(f"{path}:{lineno}: timestamp {ts!r} is negative or not finite")
-                events.append((user, item, t))
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lineno = 0
+            while text := fh.read(LOG_CHUNK):
+                if not text.endswith("\n"):
+                    text += fh.readline()
+                text = text.removesuffix("\n")
+                chunks.append(_read_lines(text, delimiter, path, lineno, user_codes, item_codes))
+                lineno += text.count("\n") + 1
     except UnicodeDecodeError:
+        # a line read before the decoder meets the bad byte reports its own fault
+        with open(path, "r", encoding="utf-8-sig") as fh, contextlib.suppress(UnicodeDecodeError):
+            _raise_first_fault(fh, delimiter, path, 0)
         raise DataError(f"{path}: event log is not UTF-8 text") from None
     except OSError as exc:
         raise DataError(f"cannot read event log {path}: {exc.strerror or exc}") from None
-    return events
+    if not any(len(seconds) for _, _, seconds in chunks):
+        raise DataError(f"event log is empty: {path}")
+    users, items, seconds = (np.concatenate(col) for col in zip(*chunks))
+    del chunks
+    item_ids = sorted(item_codes)
+    return EventLog(_rank(user_codes, sorted(user_codes))[users], _rank(item_codes, item_ids)[items],
+                    seconds, item_ids)
+
+
+def _read_lines(text: str, delimiter: str, path, lineno: int, user_codes: dict, item_codes: dict):
+    """Columns of the events on the lines of ``text``, which follow line ``lineno``."""
+    lines = rows = text.split("\n")
+    body = text
+    if "" in rows:
+        rows = [row for row in lines if row]
+        body = "\n".join(rows)
+    if list(map(str.count, rows, itertools.repeat(delimiter))).count(2) != len(rows):
+        _raise_first_fault(lines, delimiter, path, lineno)
+    # no field holds a newline, and the delimiter splits each row in three
+    fields = body.replace(delimiter, "\n").split("\n") if rows else []
+    try:
+        seconds = np.fromiter(map(float, fields[2::3]), np.float64, len(rows))
+    except ValueError:
+        _raise_first_fault(lines, delimiter, path, lineno)
+    if not np.all((seconds >= 0) & (seconds < math.inf)):  # nan fails both
+        _raise_first_fault(lines, delimiter, path, lineno)
+    return _codes(fields[0::3], user_codes), _codes(fields[1::3], item_codes), seconds
+
+
+def _raise_first_fault(lines, delimiter: str, path, lineno: int) -> NoReturn:
+    """The DataError of the first faulty one of ``lines``, which follow line ``lineno``."""
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+        ts = parts[2]
+        try:
+            t = float(ts)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad timestamp {ts!r}") from None
+        if not 0 <= t < math.inf:
+            raise DataError(f"{path}:{lineno}: timestamp {ts!r} is negative or not finite")
+    raise AssertionError("a chunk failed a check that none of its lines fails")
+
+
+def _codes(ids: list[str], codes: dict[str, int]) -> np.ndarray:
+    """Each id's code in ``codes``, where an id not yet there gets the next."""
+    new = set(ids).difference(codes)
+    codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+    return np.fromiter(map(codes.__getitem__, ids), np.intp, len(ids))
+
+
+def _rank(codes: dict[str, int], ordered: list[str]) -> np.ndarray:
+    """Each code's rank, by its id, in ``ordered``, which lists every id."""
+    rank = np.empty(len(codes), np.intp)
+    rank[np.fromiter(map(codes.__getitem__, ordered), np.intp, len(codes))] = np.arange(len(codes))
+    return rank
 
 
 def write_event_log(path, sessions: list[Session]) -> None:
@@ -119,88 +215,98 @@ def write_event_log(path, sessions: list[Session]) -> None:
                              for j, item in enumerate(sess.items)))
 
 
-def sessionize(log: list[Event]) -> list[Session]:
-    """Group each user's events into sessions split at inter-event gaps
-    longer than SESSION_GAP.
+def sessionize(log: EventLog) -> SessionLayout:
+    """Each user's events, ordered by (time, item id), split into sessions
+    at gaps longer than SESSION_GAP; the sessions are ordered by start time,
+    ties by user id. Items stay item codes, so the result does not depend on
+    the order of the log's lines."""
+    n = len(log.seconds)
+    order = np.lexsort((log.items, log.seconds, log.users))
+    seconds, users = log.seconds[order], log.users[order]
+    head = np.ones(n, dtype=bool)
+    head[1:] = (users[1:] != users[:-1]) | (np.diff(seconds) > SESSION_GAP)
+    heads = np.flatnonzero(head)
+    by_start = np.argsort(seconds[heads], kind="stable")
+    lens = np.diff(heads, append=n)[by_start]
+    return _gather(log.items[order], heads[by_start], lens)
 
-    Records are sorted internally by (user, timestamp, item), so the result
-    is invariant under shuffling of the input.
+
+def _gather(items: np.ndarray, heads: np.ndarray, lens: np.ndarray) -> SessionLayout:
+    """The layout whose sessions are ``items[heads[i]:heads[i] + lens[i]]``."""
+    offsets = np.zeros(len(lens) + 1, dtype=np.intp)
+    np.cumsum(lens, out=offsets[1:])
+    index = np.arange(offsets[-1], dtype=np.intp)
+    index += np.repeat(heads - offsets[:-1], lens)
+    return SessionLayout(items[index], offsets)
+
+
+def filter_and_index(sessions: SessionLayout, item_ids: list[str]) -> tuple[SessionLayout, list[str]]:
+    """Drop sessions outside [MIN_LEN, MAX_LEN] and map item codes to dense
+    indices by frequency rank, ties broken by first-seen order; returns the
+    kept sessions and the vocabulary's item ids, by index. Every item of a
+    kept session is in the vocabulary.
     """
-    sessions: list[Session] = []
-    ordered = sorted(log, key=lambda e: (e[0], e[2], e[1]))
-    cur_user = None
-    cur_items: list = []
-    cur_start = 0.0
-    last_ts = 0.0
-    for user, item, ts in ordered:
-        if user != cur_user or ts - last_ts > SESSION_GAP:
-            if cur_items:
-                sessions.append(Session(cur_items, cur_start))
-            cur_user, cur_items, cur_start = user, [], ts
-        cur_items.append(item)
-        last_ts = ts
-    if cur_items:
-        sessions.append(Session(cur_items, cur_start))
-    sessions.sort(key=lambda s: s.start)
-    return sessions
-
-
-def filter_and_index(sessions: list[Session]) -> tuple[list[Session], list[str]]:
-    """Drop sessions outside [MIN_LEN, MAX_LEN] and map item ids to dense
-    indices by frequency rank (ties broken by first-seen order); every item
-    of a kept session is in the vocabulary.
-    """
-    kept = [s for s in sessions if MIN_LEN <= len(s.items) <= MAX_LEN]
-    if not kept:
+    lens = np.diff(sessions.offsets)
+    kept = np.flatnonzero((MIN_LEN <= lens) & (lens <= MAX_LEN))
+    if not kept.size:
         raise DataError("all sessions were filtered out")
-    # a Counter keeps first-seen order, and the stable sort keeps it for ties
-    counts = Counter(it for s in kept for it in s.items)
-    vocab_items = sorted(counts, key=lambda it: -counts[it])
-    index = {it: i for i, it in enumerate(vocab_items)}
-    return [Session([index[it] for it in s.items], s.start) for s in kept], vocab_items
+    kept = _gather(sessions.items, sessions.offsets[kept], lens[kept])
+    codes, first, counts = np.unique(kept.items, return_index=True, return_counts=True)
+    vocab = codes[np.lexsort((first, -counts))]
+    index = np.empty(len(item_ids), dtype=np.intp)
+    index[vocab] = np.arange(len(vocab))
+    return SessionLayout(index[kept.items], kept.offsets), [item_ids[c] for c in vocab.tolist()]
 
 
-def augment_split(sessions: list[Session]) -> SessionDataset:
+def layout_of(sessions: list[Session]) -> SessionLayout:
+    """The layout of ``sessions``, in their order."""
+    lens = np.fromiter(map(len, (s.items for s in sessions)), np.intp, len(sessions))
+    offsets = np.zeros(len(sessions) + 1, dtype=np.intp)
+    np.cumsum(lens, out=offsets[1:])
+    items = np.fromiter(itertools.chain.from_iterable(s.items for s in sessions), np.intp, int(offsets[-1]))
+    return SessionLayout(items, offsets)
+
+
+def augment_split(sessions: SessionLayout) -> SessionDataset:
     """Sequence splitting: [v1..vl] -> ([v1],v2), ([v1,v2],v3), ...; every
     item but a session's first is a label."""
-    lens = np.array([len(s.items) for s in sessions], dtype=np.intp)
+    lens = np.diff(sessions.offsets)
     if lens.size and lens.min() < 2:
         raise ValueError("augment_split requires sessions of length >= 2")
-    items = np.fromiter(itertools.chain.from_iterable(s.items for s in sessions), np.intp, int(lens.sum()))
-    offsets = np.cumsum(lens) - lens
-    starts = np.repeat(offsets, lens - 1)
-    ends = np.delete(np.arange(len(items)), offsets)
-    return SessionDataset(items, starts, ends)
+    heads = sessions.offsets[:-1]
+    starts = np.repeat(heads, lens - 1)
+    ends = np.delete(np.arange(len(sessions.items)), heads)
+    return SessionDataset(sessions.items, starts, ends)
 
 
-def temporal_slices(sessions: list[Session], plan: SlicePlan) -> list[SessionDataset]:
-    """Temporal slices: slice t holds the sessions between the earliest
-    sum(f_1..f_t-1) and sum(f_1..f_t) fractions, augmented into (prefix,
-    label) pairs. The slices are consecutive views of one ``augment_split``
-    of the time-ordered sessions, so together they hold each pair once. A
-    slice that rounding leaves with no session is a DataError.
+def temporal_slices(sessions: SessionLayout, plan: SlicePlan) -> list[SessionDataset]:
+    """Temporal slices of sessions in time order: slice t holds the sessions
+    between the earliest sum(f_1..f_t-1) and sum(f_1..f_t) fractions,
+    augmented into (prefix, label) pairs. The slices are consecutive views
+    of one ``augment_split``, so together they hold each pair once. A slice
+    that rounding leaves with no session is a DataError.
     """
-    bounds = plan.boundaries(len(sessions))
+    n = len(sessions)
+    bounds = plan.boundaries(n)
     for t, (a, b) in enumerate(zip([0] + bounds, bounds), start=1):
         if a == b:
-            raise DataError(f"slice {t} of {len(bounds)} gets none of the {len(sessions)} training sessions")
-    ordered = sorted(sessions, key=lambda s: s.start)
-    everything = augment_split(ordered)
-    pair_counts = np.cumsum([0] + [len(s.items) - 1 for s in ordered])
-    ends = [int(pair_counts[b]) for b in bounds]
+            raise DataError(f"slice {t} of {len(bounds)} gets none of the {n} training sessions")
+    everything = augment_split(sessions)
+    # session b's first pair: the items before it, less one per earlier session
+    ends = [int(sessions.offsets[b]) - b for b in bounds]
     return [SessionDataset(everything.items, everything.starts[a:b], everything.ends[a:b])
             for a, b in zip([0] + ends, ends)]
 
 
-def holdout_split(sessions: list[Session]) -> tuple[list[Session], list[Session]]:
-    """Temporally last TEST_FRAC of sessions held out as the test set."""
-    if len(sessions) < 2:
-        raise DataError(f"{len(sessions)} session(s) after filtering; a run needs at least 2 "
+def holdout_split(sessions: SessionLayout) -> tuple[SessionLayout, SessionLayout]:
+    """The temporally last TEST_FRAC of sessions in time order held out as
+    the test set: (training sessions, test sessions)."""
+    n = len(sessions)
+    if n < 2:
+        raise DataError(f"{n} session(s) after filtering; a run needs at least 2 "
                         "(the last is held out for testing)")
-    ordered = sorted(sessions, key=lambda s: s.start)
-    n_test = int(round(len(ordered) * TEST_FRAC))
-    n_test = min(max(n_test, 1), len(ordered) - 1)
-    return ordered[: len(ordered) - n_test], ordered[len(ordered) - n_test:]
+    n_test = min(max(int(round(n * TEST_FRAC)), 1), n - 1)
+    return sessions.split(n - n_test)
 
 
 @dataclass

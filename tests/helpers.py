@@ -2,21 +2,25 @@
 of what the package computes in batches, kept out of the package because
 only tests call them."""
 
+import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
-from odup import recommender
-from odup.adaptive import _sample_rows
+from odup import recommender, sessions
+from odup.adaptive import _sample_rows, check_pool
 from odup.codec import (
     CODEC_LR, CodebookStore, CodecConfig, CodecEncoder, _relaxed_backward, _relaxed_forward,
-    init_codec, relaxed_loss,
+    check_capacity, init_codec, relaxed_loss,
 )
-from odup.errors import TrainingDiverged
+from odup.errors import DataError, TrainingDiverged
 from odup.numkit import GUMBEL_EPS, Adam, Rng, gumbel_from_uniform, sigmoid, softmax, softplus
 from odup.recommender import RecModel, TrainConfig, _scatter_rows, plan_batches
+from odup.pipeline import DataBundle
 from odup.sessions import (
-    SYNTH_LEN_RANGE, TEST_FRAC, ZIPF_EXPONENT, Session, SessionDataset, SlicePlan, SynthResult,
+    MAX_LEN, MIN_LEN, SYNTH_LEN_RANGE, TEST_FRAC, ZIPF_EXPONENT, EventLog, Session, SessionDataset,
+    SessionLayout, SlicePlan, SynthResult,
 )
 from odup.updater import UpdateDelta
 from odup.wire import code_bits
@@ -102,6 +106,138 @@ def synth_reference(rng: Rng, vocab_size: int, n_sessions: int, drift: float, pl
     slice_of = np.searchsorted(bounds, np.arange(n_train), side="right")
     return SynthResult([make_session(int(t), j * 10.0) for j, t in enumerate(slice_of)],
                        [make_session(z - 1, (n_train + j) * 10.0) for j in range(n_test)])
+
+
+# The event-log path as one Python tuple per event and one list per session:
+# the reference that ``prepare_data``'s columns must match bit for bit.
+
+def read_event_log_reference(path, delimiter: str) -> list[tuple[str, str, float]]:
+    """(user, item, seconds) per non-blank line of the log, checked line by line."""
+    events = []
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(delimiter)
+                if len(parts) != 3:
+                    raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+                user, item, ts = parts
+                try:
+                    t = float(ts)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad timestamp {ts!r}") from None
+                if not 0 <= t < math.inf:
+                    raise DataError(f"{path}:{lineno}: timestamp {ts!r} is negative or not finite")
+                events.append((user, item, t))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: event log is not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"cannot read event log {path}: {exc.strerror or exc}") from None
+    return events
+
+
+def sessionize_reference(log) -> list[Session]:
+    """Each user's events sorted by (user, seconds, item) and split at gaps
+    longer than SESSION_GAP; sessions stably sorted by start."""
+    out: list[Session] = []
+    ordered = sorted(log, key=lambda e: (e[0], e[2], e[1]))
+    cur_user = None
+    cur_items: list = []
+    cur_start = 0.0
+    last_ts = 0.0
+    for user, item, ts in ordered:
+        if user != cur_user or ts - last_ts > sessions.SESSION_GAP:
+            if cur_items:
+                out.append(Session(cur_items, cur_start))
+            cur_user, cur_items, cur_start = user, [], ts
+        cur_items.append(item)
+        last_ts = ts
+    if cur_items:
+        out.append(Session(cur_items, cur_start))
+    out.sort(key=lambda s: s.start)
+    return out
+
+
+def filter_and_index_reference(sessions_: list[Session]) -> tuple[list[Session], list[str]]:
+    """Sessions of MIN_LEN..MAX_LEN items, indexed by frequency rank with
+    ties in first-seen order, and the vocabulary."""
+    kept = [s for s in sessions_ if MIN_LEN <= len(s.items) <= MAX_LEN]
+    if not kept:
+        raise DataError("all sessions were filtered out")
+    counts = Counter(it for s in kept for it in s.items)
+    vocab_items = sorted(counts, key=lambda it: -counts[it])
+    index = {it: i for i, it in enumerate(vocab_items)}
+    return [Session([index[it] for it in s.items], s.start) for s in kept], vocab_items
+
+
+def holdout_split_reference(sessions_: list[Session]) -> tuple[list[Session], list[Session]]:
+    """The temporally last TEST_FRAC of sessions, sorted by start, held out."""
+    if len(sessions_) < 2:
+        raise DataError(f"{len(sessions_)} session(s) after filtering; a run needs at least 2 "
+                        "(the last is held out for testing)")
+    ordered = sorted(sessions_, key=lambda s: s.start)
+    n_test = int(round(len(ordered) * TEST_FRAC))
+    n_test = min(max(n_test, 1), len(ordered) - 1)
+    return ordered[: len(ordered) - n_test], ordered[len(ordered) - n_test:]
+
+
+def augment_split_reference(sessions_: list[Session]) -> SessionDataset:
+    """The (prefix, label) pairs of ``sessions_``, in order, as one layout."""
+    lens = np.array([len(s.items) for s in sessions_], dtype=np.intp)
+    items = np.fromiter((it for s in sessions_ for it in s.items), np.intp, int(lens.sum()))
+    offsets = np.cumsum(lens) - lens
+    return SessionDataset(items, np.repeat(offsets, lens - 1), np.delete(np.arange(len(items)), offsets))
+
+
+def temporal_slices_reference(sessions_: list[Session], plan: SlicePlan) -> list[SessionDataset]:
+    """Slices of the start-sorted sessions, as views of one augment split."""
+    bounds = plan.boundaries(len(sessions_))
+    for t, (a, b) in enumerate(zip([0] + bounds, bounds), start=1):
+        if a == b:
+            raise DataError(f"slice {t} of {len(bounds)} gets none of the {len(sessions_)} training sessions")
+    ordered = sorted(sessions_, key=lambda s: s.start)
+    everything = augment_split_reference(ordered)
+    pair_counts = np.cumsum([0] + [len(s.items) - 1 for s in ordered])
+    ends = [int(pair_counts[b]) for b in bounds]
+    return [SessionDataset(everything.items, everything.starts[a:b], everything.ends[a:b])
+            for a, b in zip([0] + ends, ends)]
+
+
+def prepare_reference(cfg) -> tuple[DataBundle, list[str]]:
+    """``prepare_data``'s event-log path, per event, and the vocabulary."""
+    events = read_event_log_reference(cfg.data, cfg.delimiter)
+    if not events:
+        raise DataError(f"event log is empty: {cfg.data}")
+    indexed, vocab = filter_and_index_reference(sessionize_reference(events))
+    if len(vocab) < max(recommender.REPORT_KS):
+        raise DataError(f"{len(vocab)} items are fewer than the report's K = {max(recommender.REPORT_KS)}")
+    train_sessions, test_sessions = holdout_split_reference(indexed)
+    check_capacity(cfg.n, cfg.k, len(vocab))
+    check_pool(cfg.mmd_samples, len(vocab))
+    try:
+        slices = temporal_slices_reference(train_sessions, cfg.slice_plan())
+    except DataError as exc:
+        raise DataError(f"slices = {cfg.slices}: {exc}") from None
+    return DataBundle(slices, augment_split_reference(test_sessions), len(vocab)), vocab
+
+
+def event_log_of(events) -> EventLog:
+    """The columns ``read_event_log`` gives for (user, item, seconds) events."""
+    users = sorted({u for u, _, _ in events})
+    item_ids = sorted({i for _, i, _ in events})
+    user_code = {u: c for c, u in enumerate(users)}
+    item_code = {i: c for c, i in enumerate(item_ids)}
+    return EventLog(np.array([user_code[u] for u, _, _ in events], dtype=np.intp),
+                    np.array([item_code[i] for _, i, _ in events], dtype=np.intp),
+                    np.array([t for _, _, t in events], dtype=np.float64), item_ids)
+
+
+def layout_ids(layout: SessionLayout, ids) -> list[list]:
+    """Each session of ``layout`` as the list of its items' ``ids``."""
+    bounds = layout.offsets.tolist()
+    return [[ids[c] for c in layout.items[a:b].tolist()] for a, b in zip(bounds, bounds[1:])]
 
 
 def log_softmax(z, axis: int = -1) -> np.ndarray:

@@ -17,7 +17,7 @@ from odup.errors import FrameError
 from odup.numkit import Rng
 from odup.pipeline import ExperimentConfig, cloud_trajectory, prepare_data, replay, run_simulate
 from odup.recommender import _loss_and_grads, evaluate, init_model, padded_table, train
-from odup.sessions import SlicePlan, augment_split, synth_generate, temporal_slices
+from odup.sessions import SlicePlan, augment_split, layout_of, synth_generate, temporal_slices
 from odup.updater import (
     SlotLedger, advance_ledger, end_to_end_cr, plan_slots, update_cr,
 )
@@ -72,9 +72,9 @@ def test_criterion_3_codec_fidelity():
     rng = Rng(2024)
     plan = SlicePlan([1.0])
     data = synth_generate(rng.child("synth"), 2000, 6000, 0.0, plan, n_clusters=20)
-    test = augment_split(data.test_sessions)
+    test = augment_split(layout_of(data.test_sessions))
     model = init_model(2000, 32, rng.child("rec-init"), "mean_pool")
-    train(model, temporal_slices(data.sessions, plan)[-1],
+    train(model, temporal_slices(layout_of(data.sessions), plan)[-1],
           train_config(epochs=25, l2=1e-4, seed=1))
     _, _, cloud_p10, _ = evaluate(model.embeddings, test, model.encoder_kind, model.gate)
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from odup import numkit, recommender
+from odup import cli, numkit, recommender
 from odup.errors import DataError, TrainingDiverged
 from odup.numkit import Rng, sigmoid
+from odup.pipeline import ExperimentConfig, prepare_data
 from odup.recommender import RecModel, _loss_and_grads, evaluate, init_model, padded_table, train
 from odup.sessions import SessionDataset
 
@@ -624,3 +625,27 @@ class TestPlanMemory:
         # the epoch padded to 49 slots would take 392 B per pair, and the
         # last group's long prefix leaves the first group's pad 9 slots wide
         assert self.plan_peak(long_at) <= 24 + 3 * self.group_pad(width)
+
+
+class TestIngestMemory:
+    """An event log is held as int and float64 columns once each chunk of
+    its text is read, not as a tuple per event and a list per session."""
+
+    EVENTS = 201_409  # what odup synth writes at synth_vocab 4000, synth_sessions 31000
+
+    def test_peak_per_event(self, tmp_path):
+        cfg_path = tmp_path / "synth.cfg"
+        cfg_path.write_text("synth_vocab = 4000\nsynth_sessions = 31000\n", encoding="utf-8")
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "synth"]) == 0
+        log = tmp_path / "events.tsv"
+        with open(log, "rb") as fh:
+            assert sum(1 for _ in fh) == self.EVENTS
+        cfg = ExperimentConfig(data=str(log))
+        tracemalloc.start()
+        try:
+            prepare_data(cfg, Rng(cfg.seed))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a tuple per event and a list per session peaked at 292 B per event
+        assert peak / self.EVENTS <= 160
