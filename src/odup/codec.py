@@ -41,7 +41,6 @@ CODEC_LR = 0.01  # Adam's step size in train_codec
 class CodecConfig:
     n: int
     k: int
-    d: int
     tau: float
     epochs: int
     batch: int
@@ -99,15 +98,15 @@ def check_capacity(n: int, k: int, vocab: int) -> None:
         raise ConfigError(f"code space k^n = {k}^{n} <= vocab {vocab}; increase n or k")
 
 
-def init_codec(cfg: CodecConfig, rng: Rng) -> tuple[CodebookStore, CodecEncoder]:
-    """Uniform(-0.1, 0.1) init for codebooks and encoder weights."""
+def init_codec(cfg: CodecConfig, d: int, rng: Rng) -> tuple[CodebookStore, CodecEncoder]:
+    """Uniform(-0.1, 0.1) init for codebooks of width ``d`` and encoder weights."""
     h = cfg.nk // 2
 
     def u(*shape):
         return rng.uniform(shape) * 0.2 - 0.1
 
-    store = CodebookStore(cfg.n, cfg.k, cfg.d, u(cfg.nk, cfg.d))
-    enc = CodecEncoder(cfg.n, cfg.k, u(cfg.d, h), u(h), u(h, cfg.nk), u(cfg.nk))
+    store = CodebookStore(cfg.n, cfg.k, d, u(cfg.nk, d))
+    enc = CodecEncoder(cfg.n, cfg.k, u(d, h), u(h), u(h, cfg.nk), u(cfg.nk))
     return store, enc
 
 
@@ -263,21 +262,23 @@ def train_codec(target: np.ndarray, cfg: CodecConfig) -> tuple[CodebookStore, Co
     """Jointly optimize the encoder and the store rows to minimize
     ||O E - X||^2 under the Gumbel relaxation.
 
-    Each batch draws its own (batch, n, k) uniforms and turns them into
-    Gumbel noise, so the noise is never larger than one batch. Returns the
-    store, the encoder and the noise-free full-batch loss after the last
-    epoch. A batch or final loss that is not
-    finite, say from logits / tau overflowing, raises TrainingDiverged.
+    The codebook rows are as wide as ``target``'s rows: the table the codec
+    compresses fixes d. Each batch draws its own (batch, n, k) uniforms and
+    turns them into Gumbel noise, so the noise is never larger than one
+    batch. Returns the store, the encoder and the noise-free full-batch
+    loss after the last epoch. A target that is not a finite 2-D table
+    raises ValueError; a batch or final loss that is not finite, say from
+    logits / tau overflowing, raises TrainingDiverged.
     """
     X = np.asarray(target, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != cfg.d:
-        raise ValueError("target must be a |V| x d table matching cfg.d")
+    if X.ndim != 2:
+        raise ValueError("target must be a |V| x d table")
     if not np.all(np.isfinite(X)):
         raise ValueError("target table must be finite")
-    V = X.shape[0]
+    V, d = X.shape
 
     rng = Rng(cfg.seed)
-    store, enc = init_codec(cfg, rng.child("codec-init"))
+    store, enc = init_codec(cfg, d, rng.child("codec-init"))
     noise_rng = rng.child("codec-noise")
     shuffle_rng = rng.child("codec-shuffle")
     adam = Adam(enc.params() + [store.rows], CODEC_LR)

@@ -238,8 +238,6 @@ def prepare_data(cfg: ExperimentConfig, rng: Rng) -> DataBundle:
         train_sessions, test_sessions = layout_of(res.sessions), layout_of(res.test_sessions)
         vocab_size = cfg.synth_vocab
     else:
-        if not os.path.exists(cfg.data):
-            raise DataError(f"dataset not found: {cfg.data}")
         log = read_event_log(cfg.data, cfg.delimiter)
         indexed, vocab = filter_and_index(sessionize(log), log.item_ids)
         if len(vocab) < max(REPORT_KS):
@@ -374,7 +372,7 @@ def deploy(cfg: ExperimentConfig, table: np.ndarray) -> UpdateDelta:
     """Train the codec on ``table``, harden its codes and refine them by
     ICM: the full epoch-1 delta that deploys it on a device."""
     store, encoder, _ = train_codec(table, CodecConfig(
-        n=cfg.n, k=cfg.k, d=cfg.d, tau=cfg.tau, epochs=cfg.codec_epochs, batch=cfg.codec_batch, seed=cfg.seed))
+        n=cfg.n, k=cfg.k, tau=cfg.tau, epochs=cfg.codec_epochs, batch=cfg.codec_batch, seed=cfg.seed))
     codes = refine_codes(store, harden(encoder, table), table)
     nk = cfg.n * cfg.k
     return UpdateDelta(1, "full", nk, store.rows, codes, list(range(nk)))

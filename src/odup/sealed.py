@@ -1,11 +1,12 @@
 """The one writer of every file a run leaves behind: ``write_file`` writes
-text or bytes, making the parent directory first, and ``remove_stale``
-deletes what an earlier run left under the names a command writes. An
-output path that cannot be made, written or removed is a ConfigError
-(exit 2)."""
+bytes, text or text in chunks, making the parent directory first, and
+``remove_stale`` deletes what an earlier run left under the names a command
+writes. An output path that cannot be made, written or removed is a
+ConfigError (exit 2)."""
 
 import os
 import re
+from collections.abc import Iterable
 
 from .errors import ConfigError
 
@@ -19,12 +20,16 @@ def make_dir(path) -> str:
     return path
 
 
-def write_file(path, data: str | bytes) -> None:
-    """Write ``data`` to ``path``, str as UTF-8, in a directory made if missing."""
+def write_file(path, data: str | bytes | Iterable[str]) -> None:
+    """Write ``data`` to ``path``, in a directory made if missing: bytes as
+    they are, str as UTF-8, and an iterable of str chunks as UTF-8 in
+    order, so a long text need not be held whole."""
     make_dir(os.path.dirname(path) or ".")
+    chunks = [data] if isinstance(data, (str, bytes)) else data
     try:
         with open(path, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 

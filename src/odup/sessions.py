@@ -30,11 +30,13 @@ MIN_LEN, MAX_LEN = 2, 50  # the session lengths an event log's run keeps
 TEST_FRAC = 0.1  # the temporally last share of sessions held out as the test set
 SYNTH_LEN_RANGE = (3, 10)  # the shortest and longest synthetic session
 LOG_CHUNK = 1 << 20  # characters of event-log text read and checked at a time
+WRITE_BLOCK = 4096  # sessions per chunk of text that write_event_log writes
 
 
 @dataclass
 class Session:
-    """Item ids (str) before indexing, vocabulary indices (int) after."""
+    """A synthetic session: vocabulary indices (int) in order, and the
+    start time in seconds, as ``odup synth`` writes them to an event log."""
 
     items: list
     start: float
@@ -209,10 +211,16 @@ def _rank(codes: dict[str, int], ordered: list[str]) -> np.ndarray:
 
 def write_event_log(path, sessions: list[Session]) -> None:
     """One ``u<i> TAB i<item> TAB start+j`` line per item (the j-th of session
-    i; numbers zero-padded to six digits): the format ``read_event_log`` reads."""
-    write_file(path, "".join(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n"
-                             for i, sess in enumerate(sessions)
-                             for j, item in enumerate(sess.items)))
+    i; numbers zero-padded to six digits): the format ``read_event_log`` reads.
+    The text goes to ``write_file`` one chunk of WRITE_BLOCK sessions at a
+    time, so it is never held whole."""
+    def chunks():
+        for lo in range(0, len(sessions), WRITE_BLOCK):
+            yield "".join(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n"
+                          for i, sess in enumerate(sessions[lo:lo + WRITE_BLOCK], start=lo)
+                          for j, item in enumerate(sess.items))
+
+    write_file(path, chunks())
 
 
 def sessionize(log: EventLog) -> SessionLayout:

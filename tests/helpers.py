@@ -29,9 +29,9 @@ TAU_DEFAULT = 0.1  # ExperimentConfig's temperature
 TAU_ALT = 0.2  # the temperature of the acceptance and demo configs
 
 
-def codec_config(n, k, d, tau=TAU_DEFAULT, epochs=300, batch=256, seed=0) -> CodecConfig:
+def codec_config(n, k, tau=TAU_DEFAULT, epochs=300, batch=256, seed=0) -> CodecConfig:
     """A CodecConfig with the settings codec tests use where they name none."""
-    return CodecConfig(n, k, d, tau, epochs, batch, seed)
+    return CodecConfig(n, k, tau, epochs, batch, seed)
 
 
 def train_config(epochs=30, l2=1e-5, seed=0, freeze_gate=False) -> TrainConfig:
@@ -309,7 +309,7 @@ def train_codec_per_batch_noise(target: np.ndarray, cfg: CodecConfig):
     X = np.asarray(target, dtype=np.float64)
     V = X.shape[0]
     rng = Rng(cfg.seed)
-    store, enc = init_codec(cfg, rng.child("codec-init"))
+    store, enc = init_codec(cfg, X.shape[1], rng.child("codec-init"))
     noise_rng, shuffle_rng = rng.child("codec-noise"), rng.child("codec-shuffle")
     adam = Adam(enc.params() + [store.rows], CODEC_LR)
     for _ in range(cfg.epochs):

@@ -79,7 +79,7 @@ def test_criterion_3_codec_fidelity():
     _, _, cloud_p10, _ = evaluate(model.embeddings, test, model.encoder_kind, model.gate)
 
     table = model.embeddings
-    cfg = codec_config(n=8, k=16, d=32, tau=0.2, epochs=600, batch=256, seed=3)
+    cfg = codec_config(n=8, k=16, tau=0.2, epochs=600, batch=256, seed=3)
     store, encoder, _ = train_codec(table, cfg)
     codes = harden(encoder, table)
     recon = reconstruct_table(store, codes)
@@ -219,9 +219,9 @@ def test_criterion_7_gradient_correctness():
     # codec MSE loss with Gumbel noise fixed to 0 on the toy instance
     from odup.codec import CodecEncoder, init_codec
 
-    cfg = codec_config(n=2, k=4, d=4, seed=3)
+    cfg = codec_config(n=2, k=4, seed=3)
     rng = Rng(11)
-    store, enc = init_codec(cfg, rng)
+    store, enc = init_codec(cfg, 4, rng)
     X = rng.uniform((8, 4)) * 0.4 - 0.2
     G = np.zeros((8, cfg.n, cfg.k))
     shapes = [p.shape for p in enc.params()] + [store.rows.shape]

@@ -32,14 +32,14 @@ def clustered_table(rng: Rng, vocab, d, n_clusters=8, noise=0.05):
 
 
 def tiny_codec(seed=0):
-    cfg = codec_config(n=2, k=4, d=4, seed=seed)
-    store, enc = init_codec(cfg, Rng(11).child("init"))
+    cfg = codec_config(n=2, k=4, seed=seed)
+    store, enc = init_codec(cfg, 4, Rng(11).child("init"))
     return cfg, store, enc
 
 
 class TestEncoderForward:
     def test_zero_weights_give_uniform(self):
-        cfg = codec_config(n=3, k=4, d=5)
+        cfg = codec_config(n=3, k=4)
         h = cfg.nk // 2
         enc = CodecEncoder(3, 4, np.zeros((5, h)), np.zeros(h), np.zeros((h, cfg.nk)), np.zeros(cfg.nk))
         alpha = encoder_forward(enc, np.array([0.3, -1.0, 0.2, 0.0, 2.0]))
@@ -236,7 +236,7 @@ class TestHarden:
         assert codes_from_alpha(np.array([[0.5, 0.5]]))[0] == 0
 
     def test_uniform_encoder_all_zero_codes(self):
-        cfg = codec_config(n=2, k=4, d=3)
+        cfg = codec_config(n=2, k=4)
         h = cfg.nk // 2
         enc = CodecEncoder(2, 4, np.zeros((3, h)), np.zeros(h), np.zeros((h, cfg.nk)), np.zeros(cfg.nk))
         codes = harden(enc, Rng(1).uniform((5, 3)))
@@ -287,7 +287,7 @@ class TestHarden:
     ])
     def test_matches_alpha_argmax_on_trained_codecs(self, vocab, d, tau, epochs, clusters):
         X = clustered_table(Rng(vocab), vocab, d, n_clusters=clusters)
-        cfg = codec_config(n=8, k=16, d=d, tau=tau, epochs=epochs, seed=3)
+        cfg = codec_config(n=8, k=16, tau=tau, epochs=epochs, seed=3)
         _, enc, _ = train_codec(X, cfg)
         assert np.array_equal(harden(enc, X), codes_from_alpha(encoder_forward(enc, X)))
 
@@ -295,8 +295,8 @@ class TestHarden:
 class TestRelaxedForward:
     @pytest.mark.parametrize("tau", [TAU_DEFAULT, TAU_ALT, 1.0])
     def test_matches_log_alpha_form(self, tau):
-        cfg = codec_config(n=8, k=16, d=16, tau=tau)
-        store, enc = init_codec(cfg, Rng(4).child("init"))
+        cfg = codec_config(n=8, k=16, tau=tau)
+        store, enc = init_codec(cfg, 16, Rng(4).child("init"))
         enc.phi_prime *= 50.0  # logits spread over tens, so the groups' log-sum-exp matters
         X = clustered_table(Rng(5), 64, 16)
         G = sample_gumbel(Rng(6), (64, cfg.n, cfg.k))
@@ -348,7 +348,7 @@ class TestTrainCodec:
     def test_tiny_convergence(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8, noise=0.05)
-        cfg = codec_config(n=4, k=8, d=8, seed=0)
+        cfg = codec_config(n=4, k=8, seed=0)
         store, enc, loss = train_codec(X, cfg)
         rel_relaxed = loss * X.size / float((X**2).sum())
         assert rel_relaxed < 0.3
@@ -356,8 +356,8 @@ class TestTrainCodec:
     def test_initial_loss_matches_direct_evaluation(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8)
-        cfg = codec_config(n=4, k=8, d=8, seed=0, epochs=0)
-        store0, enc0 = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
+        cfg = codec_config(n=4, k=8, seed=0, epochs=0)
+        store0, enc0 = init_codec(cfg, 8, Rng(cfg.seed).child("codec-init"))
         _, _, loss = train_codec(X, cfg)
         # with no epochs the loss is the init's: noise-free relaxed MSE
         direct = relaxed_loss(enc0, store0, X, cfg.tau)
@@ -373,7 +373,7 @@ class TestTrainCodec:
 
         monkeypatch.setattr("odup.codec.relaxed_loss", counted)
         X = clustered_table(Rng(42), 64, 8, n_clusters=8)
-        cfg = codec_config(n=4, k=8, d=8, seed=0, epochs=epochs)
+        cfg = codec_config(n=4, k=8, seed=0, epochs=epochs)
         store, enc, loss = train_codec(X, cfg)
         assert len(calls) == 1
         assert loss == relaxed_loss(enc, store, X, cfg.tau)
@@ -382,8 +382,8 @@ class TestTrainCodec:
         rng = Rng(42)
         X = clustered_table(rng, 300, 16, n_clusters=6)
         for tau in (TAU_DEFAULT, TAU_ALT):
-            cfg = codec_config(n=8, k=16, d=16, tau=tau, seed=2)
-            store, enc = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
+            cfg = codec_config(n=8, k=16, tau=tau, seed=2)
+            store, enc = init_codec(cfg, 16, Rng(cfg.seed).child("codec-init"))
             G = np.zeros((X.shape[0], cfg.n, cfg.k))
             # relaxed_loss weights each block's mean by its item count; 300 items make two blocks
             step = _LOSS_BLOCK // cfg.nk
@@ -400,8 +400,8 @@ class TestTrainCodec:
     def test_loss_monitor_memory_does_not_grow_with_vocab(self):
         # the full-batch form held about 27.7 KiB per item here, 222 MiB at 8192 items
         X = clustered_table(Rng(5), 8192, 32)
-        cfg = codec_config(n=8, k=16, d=32)
-        store, enc = init_codec(cfg, Rng(cfg.seed).child("codec-init"))
+        cfg = codec_config(n=8, k=16)
+        store, enc = init_codec(cfg, 32, Rng(cfg.seed).child("codec-init"))
         tracemalloc.start()
         try:
             relaxed_loss(enc, store, X, cfg.tau)
@@ -413,7 +413,7 @@ class TestTrainCodec:
     def test_noise_memory_does_not_grow_with_vocab(self):
         # one (|V|, n, k) draw per epoch took the peak to 12.28 MiB here
         X = clustered_table(Rng(5), 8192, 32)
-        cfg = codec_config(n=8, k=16, d=32, epochs=1)
+        cfg = codec_config(n=8, k=16, epochs=1)
         tracemalloc.start()
         try:
             train_codec(X, cfg)
@@ -425,7 +425,7 @@ class TestTrainCodec:
     def test_hardened_within_2x_of_relaxed(self):
         rng = Rng(42)
         X = clustered_table(rng, 64, 8, n_clusters=8)
-        cfg = codec_config(n=4, k=8, d=8, seed=0)
+        cfg = codec_config(n=4, k=8, seed=0)
         store, enc, loss = train_codec(X, cfg)
         codes = harden(enc, X)
         hard_mse = float(((reconstruct_table(store, codes) - X) ** 2).mean())
@@ -443,7 +443,7 @@ class TestTrainCodec:
     @pytest.mark.parametrize("vocab, batch", [(300, 256), (37, 8), (5, 16)])
     def test_equals_loop_of_sample_gumbel_and_forward_backward(self, vocab, batch):
         X = clustered_table(Rng(vocab), vocab, 6, n_clusters=4)
-        cfg = codec_config(n=4, k=4, d=6, epochs=3, batch=batch, seed=4)
+        cfg = codec_config(n=4, k=4, epochs=3, batch=batch, seed=4)
         store, enc, loss = train_codec(X, cfg)
         store_o, enc_o, loss_o = train_codec_per_batch_noise(X, cfg)
         assert loss == loss_o
@@ -454,7 +454,7 @@ class TestTrainCodec:
     def test_deterministic(self):
         rng = Rng(5)
         X = clustered_table(rng, 24, 6, n_clusters=4)
-        cfg = codec_config(n=2, k=4, d=6, epochs=5, batch=16, seed=9)
+        cfg = codec_config(n=2, k=4, epochs=5, batch=16, seed=9)
         s1, e1, l1 = train_codec(X, cfg)
         s2, e2, l2 = train_codec(X, cfg)
         assert l1 == l2
@@ -531,9 +531,9 @@ class TestRefineCodes:
 class TestCodecGradients:
     def test_matches_finite_differences(self):
         # toy instance from the spec invariants: V=8, d=4, n=2, k=4, G=0
-        cfg = codec_config(n=2, k=4, d=4, seed=3)
+        cfg = codec_config(n=2, k=4, seed=3)
         rng = Rng(11)
-        store, enc = init_codec(cfg, rng)
+        store, enc = init_codec(cfg, 4, rng)
         X = rng.uniform((8, 4)) * 0.4 - 0.2
         G = np.zeros((8, cfg.n, cfg.k))
 
@@ -563,7 +563,7 @@ class TestPermutationEquivariance:
     def test_trained_encoder_is_row_equivariant(self):
         rng = Rng(5)
         X = clustered_table(rng, 24, 6, n_clusters=4)
-        cfg = codec_config(n=2, k=4, d=6, epochs=20, batch=16, seed=1)
+        cfg = codec_config(n=2, k=4, epochs=20, batch=16, seed=1)
         store, enc, _ = train_codec(X, cfg)
         perm = Rng(7).permutation(24)
         codes = harden(enc, X)
@@ -578,7 +578,7 @@ class TestPermutationEquivariance:
         rng = Rng(5)
         X = clustered_table(rng, 24, 6, n_clusters=4)
         perm = Rng(7).permutation(24)
-        cfg = codec_config(n=2, k=4, d=6, epochs=10, batch=64, seed=1)
+        cfg = codec_config(n=2, k=4, epochs=10, batch=64, seed=1)
 
         import odup.codec as codec_mod
 

@@ -36,7 +36,9 @@ it is used.
 Every function or method that returns a value has its result read by some
 direct call in those users: a call that is not a bare expression statement.
 A result every run throws away is work for nothing, so the function should
-return nothing.
+return nothing. The same holds for each element of a tuple result: some
+direct call reads it, whole or unpacked to a name other than ``_``, and an
+element every call binds to ``_`` should not be returned.
 
 Every CI workflow step names only what is there: its config files and
 scripts, its benchmark workloads and the config keys it writes. No runner
@@ -442,15 +444,34 @@ def _returns_value(func) -> bool:
     return False
 
 
+def dropped_positions(trees) -> dict[int, set[int] | None]:
+    """By ``id`` of a call in ``trees``, what its statement throws away of
+    the result: None for all of it (a bare expression statement), or the
+    positions that an assignment unpacking it binds to ``_``. A call absent
+    here keeps its whole result; so does one unpacked with a ``*`` target."""
+    dropped: dict[int, set[int] | None] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                dropped[id(node.value)] = None
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and len(node.targets) == 1
+                  and isinstance(node.targets[0], (ast.Tuple, ast.List))
+                  and not any(isinstance(elt, ast.Starred) for elt in node.targets[0].elts)):
+                dropped[id(node.value)] = {i for i, elt in enumerate(node.targets[0].elts)
+                                           if isinstance(elt, ast.Name) and elt.id == "_"}
+    return dropped
+
+
 def unread_results(package: Path, users) -> list[str]:
     """Labels ``module.Qualified.name`` of the functions and methods of
     ``package`` that return a value which every direct call in the ``.py``
-    files under ``users`` throws away, as an expression statement: a
-    result no run reads is work for nothing."""
+    files under ``users`` throws away, as an expression statement, and
+    ``module.Qualified.name[i]`` where every such call throws the result
+    away or unpacks it with position i bound to ``_``, and one unpacks it:
+    a result, or a part of one, that no run reads is work for nothing."""
     trees = user_trees(users)
     calls = calls_by_callee(trees)
-    dropped = {id(node.value) for tree in trees for node in ast.walk(tree)
-               if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)}
+    dropped = dropped_positions(trees)
     found = []
 
     def visit(node, qual: str):
@@ -458,9 +479,13 @@ def unread_results(package: Path, users) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 where = f"{qual}.{child.name}"
                 named = calls.get(child.name, ())
-                if (not isinstance(child, ast.ClassDef) and _returns_value(child) and named
-                        and all(id(call) in dropped for call in named)):
-                    found.append(where)
+                if not isinstance(child, ast.ClassDef) and _returns_value(child) and named:
+                    drops = [dropped.get(id(call), set()) for call in named]
+                    unpacked = [d for d in drops if d is not None]
+                    if not unpacked:
+                        found.append(where)
+                    else:
+                        found.extend(f"{where}[{i}]" for i in sorted(set.intersection(*unpacked)))
                 visit(child, where)
             else:
                 visit(child, qual)
@@ -484,6 +509,26 @@ def test_flags_a_result_every_call_drops(tmp_path):
     (scripts / "run.py").write_text(
         "fit(1)\nfit(2)\nread(1)\ny = read(2)\nstep([])\nm.update(3)\n")
     assert unread_results(pkg, (pkg, scripts)) == ["a.Model.update", "a.fit"]
+
+
+def test_flags_a_tuple_element_every_call_binds_to_underscore(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "def train(x):\n    return x, x + 1, x + 2\n\n"
+        "def tapped(x):\n    return x, x + 1\n\n"
+        "def split(x):\n    return x, x + 1\n\n"
+        "def starred(x):\n    return x, x + 1\n\n"
+        "def first(x):\n    return x, x + 1\n")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "run.py").write_text(
+        "store, _, _ = train(1)\n[store, enc, _] = train(2)\n"
+        "a, _ = tapped(1)\nout = tapped(2)\n"
+        "a, _ = split(1)\n_, b = split(2)\n"
+        "a, *_ = starred(1)\n"
+        "_, b = first(1)\nfirst(2)\n")
+    assert unread_results(pkg, (pkg, scripts)) == ["a.first[0]", "a.train[2]"]
 
 
 def test_every_package_result_is_read_by_a_run():

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from odup import cli, sessions
 from odup.errors import DataError
 from odup.numkit import Rng
-from odup.pipeline import ExperimentConfig, prepare_data
+from odup.pipeline import ExperimentConfig, prepare_data, synth_data
 from odup.sessions import (
     MAX_LEN, Session, SlicePlan, augment_split, filter_and_index, holdout_split, layout_of,
     read_event_log, sessionize, synth_generate, temporal_slices, write_event_log,
@@ -81,6 +82,24 @@ class TestWriteEventLog:
         assert back == [[f"i{it:06d}" for it in s.items] for s in written]
         starts = [s.start for s in sessionize_reference(read_event_log_reference(tmp_path / "events.tsv", "\t"))]
         assert starts == [s.start for s in written]
+
+    def test_writes_a_block_of_sessions_at_a_time(self, tmp_path):
+        # the sessions odup synth writes at synth_vocab 4000, synth_sessions 31000
+        cfg = ExperimentConfig(synth_vocab=4000, synth_sessions=31000)
+        res = synth_data(cfg, Rng(cfg.seed))
+        written = res.sessions + res.test_sessions
+        assert sum(len(s.items) for s in written) == 201_409
+        tracemalloc.start()
+        try:
+            write_event_log(tmp_path / "events.tsv", written)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole log as one string, then its UTF-8 copy, peaked at 20.4 MiB
+        assert peak <= 6 * 2**20
+        whole = "".join(f"u{i:06d}\ti{item:06d}\t{sess.start + j:.1f}\n"
+                        for i, sess in enumerate(written) for j, item in enumerate(sess.items))
+        assert (tmp_path / "events.tsv").read_bytes() == whole.encode("utf-8")
 
 
 class TestFilterAndIndex:

@@ -161,7 +161,7 @@ def make_update_setup(seed=1, vocab=24, d=6, n=2, k=4, epochs=8):
     rng = Rng(seed)
     X1 = clustered_table(rng, vocab, d)
     X2 = X1 + normal(rng, 0.05, (vocab, d))
-    cfg = codec_config(n=n, k=k, d=d, epochs=epochs, batch=16, seed=seed)
+    cfg = codec_config(n=n, k=k, epochs=epochs, batch=16, seed=seed)
     store, enc, _ = train_codec(X1, cfg)
     return rng, X1, X2, cfg, store, harden(enc, X1)
 
@@ -216,7 +216,7 @@ class TestRetrainUpdate:
         ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         slots = plan_slots(ledger, "queue", 1)
         upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
-        assert upd.delta.new_rows.shape == (1, cfg.d)
+        assert upd.delta.new_rows.shape == (1, store.d)
         assert upd.delta.codes.shape == (24, cfg.n)
 
     def test_delta_rows_are_the_slot_rows_in_float32(self):
@@ -250,14 +250,14 @@ class TestRetrainUpdate:
         beta = 5
         slots = plan_slots(ledger, "queue", beta)
         upd = retrain_update(store, codes, X2, slots, epoch=2, strategy="queue")
-        assert upd.delta.new_rows.size + upd.delta.codes.shape[0] * cfg.n == beta * cfg.d + cfg.n * vocab
+        assert upd.delta.new_rows.size + upd.delta.codes.shape[0] * cfg.n == beta * store.d + cfg.n * vocab
 
 
 class TestApplyDelta:
     def roundtrip_device(self, strategy="queue", beta=3):
         rng, X1, X2, cfg, store, codes = make_update_setup()
         ledger = SlotLedger.fresh(cfg.nk, epoch=1)
-        device_store = CodebookStore(cfg.n, cfg.k, cfg.d,
+        device_store = CodebookStore(cfg.n, cfg.k, store.d,
                                      store.rows.astype(np.float32).astype(np.float64))
         device_ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         slots = plan_slots(ledger, strategy, beta)
@@ -273,7 +273,7 @@ class TestApplyDelta:
 
     def test_full_strategy_matches_server_post_f32(self):
         rng, X1, X2, cfg, store, codes = make_update_setup()
-        dstore = CodebookStore(cfg.n, cfg.k, cfg.d, store.rows.astype(np.float32).astype(np.float64))
+        dstore = CodebookStore(cfg.n, cfg.k, store.d, store.rows.astype(np.float32).astype(np.float64))
         dledger = SlotLedger.fresh(cfg.nk, epoch=1)
         upd = retrain_update(store, codes, X2, list(range(cfg.nk)), epoch=2, strategy="full")
         dstore2, dledger2, table = apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
@@ -291,7 +291,7 @@ class TestApplyDelta:
         upd = retrain_update(store, codes, X2, plan_slots(dledger, "queue", 5), epoch=2, strategy="queue")
         _, _, updated = apply_delta(dstore, dledger, upd.delta, expected_strategy="queue")
         for server, delta, table in ((store, deploy, deployed), (upd.store, upd.delta, updated)):
-            narrowed = CodebookStore(cfg.n, cfg.k, cfg.d, server.rows.astype(np.float32).astype(np.float64))
+            narrowed = CodebookStore(cfg.n, cfg.k, store.d, server.rows.astype(np.float32).astype(np.float64))
             oracle = reconstruct_table(narrowed, delta.codes)
             assert oracle.dtype == table.dtype == np.float32 and oracle.tobytes() == table.tobytes()
             solver = reconstruct_table(server, delta.codes, np.float64)
@@ -330,7 +330,7 @@ class TestApplyDelta:
         ledger = SlotLedger.fresh(cfg.nk, epoch=1)
         f32 = store.rows.astype(np.float32).astype(np.float64)
         devices = [
-            (CodebookStore(cfg.n, cfg.k, cfg.d, f32.copy()), SlotLedger.fresh(cfg.nk, epoch=1))
+            (CodebookStore(cfg.n, cfg.k, store.d, f32.copy()), SlotLedger.fresh(cfg.nk, epoch=1))
             for _ in range(2)
         ]
         target = X2
