@@ -1,7 +1,7 @@
 """Run the same gates on two source trees and compare what they wrote.
 
 Usage: python scripts/gate.py run --src DIR --out OUT [--seeds 1-3]
-           [--streams demo,c4-queue,ingest-adaptive,longlog]
+           [--streams demo,c4-queue,ingest-adaptive,longlog,paper]
        python scripts/gate.py compare BASE NEW
 
 ``run`` puts DIR, a tree's ``src`` directory, first on ``sys.path`` and
@@ -18,7 +18,9 @@ stream and seed into ``OUT/<stream>/seed<N>``:
 - ``longlog`` is ``scripts/demo.cfg`` on an event log (``events.tsv``,
   beside the run) whose sessions each join LONG_MERGE consecutive ``synth``
   sessions into one user's, so its prefixes run to about 39 items where
-  the other streams' stop at 9.
+  the other streams' stop at 9;
+- ``paper`` is ``scripts/paper.cfg``, the paper's shape. One run takes
+  about four minutes, so it runs only when ``--streams`` names it.
 
 ``OUT/manifest.json`` records each run's files with their SHA-256, and the
 per-round ``delta_bytes``, final ``dev_p10`` and ``cum_bytes`` of its
@@ -45,8 +47,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_CONFIG = os.path.join(ROOT, "scripts", "demo.cfg")
+PAPER_CONFIG = os.path.join(ROOT, "scripts", "paper.cfg")
 PERFBENCH = os.path.join(ROOT, "perfbench")
-STREAMS = ("demo", "c4-queue", "ingest-adaptive", "longlog")
+DEFAULT_STREAMS = ("demo", "c4-queue", "ingest-adaptive", "longlog")
+STREAMS = DEFAULT_STREAMS + ("paper",)  # paper runs only when --streams names it
 LONG_MERGE = 4  # consecutive synth sessions that each longlog session joins
 FIRST_DIFFS = 5  # the differing files and frame sizes compare names
 
@@ -133,6 +137,8 @@ def run(args) -> int:
                 cfg = pipeline.load_config(DEMO_CONFIG)
                 if cli.main(["--config", DEMO_CONFIG, "--seed", str(seed), "--out", run_dir, "synth"]):
                     raise SystemExit(f"gate: odup synth failed in {run_dir}")
+            elif stream == "paper":
+                cfg = pipeline.load_config(PAPER_CONFIG)
             elif stream == "longlog":
                 cfg = pipeline.load_config(DEMO_CONFIG)
                 cfg = dataclasses.replace(cfg, data=write_long_log(cfg, seed, run_dir))
@@ -213,7 +219,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--src", required=True, help="a tree's src directory, which holds odup")
     p_run.add_argument("--out", required=True, help="directory for the runs and manifest.json")
     p_run.add_argument("--seeds", default="1-3", help="seeds as ranges, e.g. 1-3,5-10")
-    p_run.add_argument("--streams", default=",".join(STREAMS), help=f"any of {', '.join(STREAMS)}")
+    p_run.add_argument("--streams", default=",".join(DEFAULT_STREAMS),
+                       help=f"any of {', '.join(STREAMS)}; paper runs only when named")
     p_cmp = sub.add_parser("compare", help="compare two run outputs")
     p_cmp.add_argument("base")
     p_cmp.add_argument("new")

@@ -43,12 +43,16 @@ element every call binds to ``_`` should not be returned.
 Every CI workflow step names only what is there: its config files and
 scripts, its benchmark workloads and the config keys it writes. No runner
 is needed to see a step that would fail on a name.
+
+README's table of config keys names every key with its default, and no
+other key.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -623,6 +627,19 @@ def test_a_key_a_step_writes_counts_only_with_a_value_the_config_takes(tmp_path)
 def test_every_config_key_is_set_by_a_run():
     keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert unset_config_keys(keys, USERS, ROOT / "scripts", ROOT / ".github" / "workflows") == []
+
+
+def test_readme_key_table_is_the_config():
+    # a row such as "| `n`, `k` | 8, 16 | ..." gives its keys' defaults in order
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | range | meaning |") + 2
+    rows = [line.split("|")[1:3] for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:])]
+    table = [(key.strip(" `"), raw.strip(" `")) for keys, raws in rows
+             for key, raw in zip(keys.split(","), raws.split(","), strict=True)]
+    documented = {key: _parse_value(key, {"tab": "\\t"}.get(raw, raw)) if key in _FIELD_TYPES else raw
+                  for key, raw in table}
+    assert len(documented) == len(table)
+    assert documented == {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def workflow_faults(text: str, root: Path) -> list[str]:
